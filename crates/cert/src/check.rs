@@ -379,8 +379,11 @@ pub fn check_chase(cert: &ChaseCert) -> Result<(), Reject> {
     }
 }
 
-/// Apply one merge: record the parent, then re-resolve every fact (and
-/// mark both endpoints used).
+/// Apply one merge: record the parent, then re-resolve the facts that
+/// mention the merged null (and mark both endpoints used). The fact set
+/// holds only representatives — initial facts start unmerged, fired
+/// facts are resolved on insertion, and fresh nulls are never merged
+/// ones — so `loser` is the only value whose resolution changes.
 fn apply_merge(
     subst: &mut BTreeMap<Null, Value>,
     facts: &mut BTreeSet<CertFact>,
@@ -393,16 +396,18 @@ fn apply_merge(
     if let Value::Null(r) = root {
         used.insert(r);
     }
-    let resolved: BTreeSet<CertFact> = facts
-        .iter()
-        .map(|(rel, args)| {
-            (
-                rel.clone(),
-                args.iter().map(|&v| resolve(subst, v)).collect(),
-            )
-        })
-        .collect();
-    *facts = resolved;
+    let mut moved: Vec<CertFact> = Vec::new();
+    facts.retain(|(rel, args)| {
+        if !args.contains(&Value::Null(loser)) {
+            return true;
+        }
+        moved.push((
+            rel.clone(),
+            args.iter().map(|&v| resolve(subst, v)).collect(),
+        ));
+        false
+    });
+    facts.extend(moved);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@
 //!   pinned at that fact's position, and quiet regions are never
 //!   re-derived (semi-naive evaluation). Plans are re-costed only when
 //!   the store's revision counter moves; quiet fixpoint passes and the
-//!   per-round provenance/satisfaction evaluations hit the cache;
+//!   per-round satisfaction evaluations hit the cache. A certified run
+//!   ([`ChaseConfig::certify`]) evaluates each body once per round too,
+//!   through fixed full-assignment plans whose least row per trigger is
+//!   the firing's recorded witness;
 //! * a *trigger* is a valuation of the rule's frontier (sorted body∩head
 //!   nulls). Fired triggers are remembered per rule in a hash set over
 //!   the **workspace columnar fact store** ([`ca_core::store::FactStore`]
@@ -151,6 +154,15 @@ impl CertPlans {
             body_vars: q.head,
             proj,
         })
+    }
+
+    /// A provenance row as a step's body assignment.
+    fn assignment(&self, row: &[Value]) -> Assignment {
+        self.body_vars
+            .iter()
+            .copied()
+            .zip(row.iter().copied())
+            .collect()
     }
 }
 
@@ -425,10 +437,10 @@ struct Recorder {
     skeleton: CertSkeleton,
     steps: Vec<ChaseStep>,
     /// Set when a step found no provenance witness. This is unreachable
-    /// by construction (the provenance plans enumerate a superset of the
-    /// budgeted match sets over the same seeds); if it ever trips, the
-    /// run stays correct and the certificate is withheld rather than
-    /// emitted broken.
+    /// by construction (a certified run's trigger and pair sets are the
+    /// key sets of its provenance maps); if it ever trips, the run stays
+    /// correct and the certificate is withheld rather than emitted
+    /// broken.
     poisoned: bool,
 }
 
@@ -501,8 +513,8 @@ fn run(
     }
     let mut uf = UnionFind::default();
     // Cost-based plans keyed by (query, pin, store revision): quiet
-    // fixpoint passes and the certify-mode re-evaluations reuse plans;
-    // any store mutation re-costs them against fresh statistics.
+    // fixpoint passes and repeated head checks reuse plans; any store
+    // mutation re-costs them against fresh statistics.
     let mut cache = PlanCache::new();
     let mut rec: Option<Recorder> = skeleton.map(|skeleton| Recorder {
         skeleton,
@@ -540,25 +552,19 @@ fn run(
         if !egds.is_empty() {
             let mut egd_delta: Vec<u32> = delta.clone();
             while !egd_delta.is_empty() {
-                // One index (and one seed partition) per pass, shared by
-                // the match and provenance evaluations: both read the
-                // same store state, so certify mode no longer rebuilds
-                // the posting tables twice per batch.
+                // One body evaluation per pass: a certified run's
+                // provenance pass *is* its match phase (the pairs are
+                // exactly the provenance keys), a plain run matches on
+                // the cost-based plans.
                 let matched = {
                     let mut idx = DbIndex::over(&store);
                     let seeds = seeds_by_rel(schema, &store, &egd_delta);
-                    match egd_matches(schema, &store, egds, &seeds, cfg, &mut cache, &mut idx) {
-                        Ok(pairs) => {
-                            // Full-assignment witnesses for this batch,
-                            // from the same seeds and store state the
-                            // pairs came from (certify only).
-                            let prov = rec
-                                .as_ref()
-                                .filter(|_| !pairs.is_empty())
-                                .map(|_| egd_provenance(egds, &seeds, &mut idx));
-                            Ok((pairs, prov))
-                        }
-                        Err(()) => Err(()),
+                    if rec.is_some() {
+                        egd_provenance(egds, &seeds, cfg.match_limit, &mut idx)
+                            .map(|prov| (prov.keys().copied().collect(), Some(prov)))
+                    } else {
+                        egd_matches(schema, &store, egds, &seeds, cfg, &mut cache, &mut idx)
+                            .map(|pairs| (pairs, None))
                     }
                 };
                 let (pairs, prov) = match matched {
@@ -594,10 +600,17 @@ fn run(
                             Ok(None) => None,
                         };
                         if let Some(merged_entry) = merged_entry {
-                            match prov.as_ref().and_then(|p| p.get(&(a, b))) {
-                                Some((e, assignment)) => recd.steps.push(ChaseStep::Merge {
-                                    egd: *e,
-                                    assignment: assignment.clone(),
+                            let witness =
+                                prov.as_ref()
+                                    .and_then(|p| p.get(&(a, b)))
+                                    .and_then(|(e, row)| {
+                                        let cert = egds.get(*e)?.cert.as_ref()?;
+                                        Some((*e, cert.assignment(row)))
+                                    });
+                            match witness {
+                                Some((egd, assignment)) => recd.steps.push(ChaseStep::Merge {
+                                    egd,
+                                    assignment,
                                     merged: merged_entry,
                                 }),
                                 None => recd.poisoned = true,
@@ -645,32 +658,32 @@ fn run(
         tgd_seed.sort_unstable();
         tgd_seed.dedup();
         // As in the egd phase: one index and one seed partition for the
-        // trigger match, the satisfaction check, and the provenance pass.
+        // trigger match and the satisfaction check. A certified run's
+        // triggers are exactly its provenance keys, so each rule body is
+        // evaluated once per round in either mode.
         let matched = {
             let mut idx = DbIndex::over(&store);
             let seeds = seeds_by_rel(schema, &store, &tgd_seed);
-            match tgd_matches(
-                schema,
-                &store,
-                rules,
-                &fired,
-                &seeds,
-                first_round,
-                cfg,
-                &mut cache,
-                &mut idx,
-            ) {
-                Ok(x) => {
-                    // Full-assignment witnesses for this round's firings
-                    // (certify only; same seeds and store state as the
-                    // trigger match above).
-                    let prov = rec
-                        .as_ref()
-                        .map(|_| tgd_provenance(rules, &seeds, first_round, &mut idx));
-                    Ok((x, prov))
-                }
-                Err(()) => Err(()),
-            }
+            let prov = if rec.is_some() {
+                tgd_provenance(rules, &seeds, first_round, cfg.match_limit, &mut idx).map(Some)
+            } else {
+                Ok(None)
+            };
+            prov.and_then(|prov| {
+                let x = tgd_matches(
+                    schema,
+                    &store,
+                    rules,
+                    &fired,
+                    &seeds,
+                    prov.as_deref(),
+                    first_round,
+                    cfg,
+                    &mut cache,
+                    &mut idx,
+                )?;
+                Ok((x, prov))
+            })
         };
         let ((triggers, satisfied), prov) = match matched {
             Ok(x) => x,
@@ -723,11 +736,13 @@ fn run(
                     }
                 }
                 if let Some(recd) = rec.as_mut() {
-                    match prov
+                    let witness = prov
                         .as_ref()
                         .and_then(|p| p.get(r))
                         .and_then(|m| m.get(row))
-                    {
+                        .zip(rule.cert.as_ref())
+                        .map(|(best, cert)| cert.assignment(best));
+                    match witness {
                         Some(assignment) => {
                             let mut ledger: Vec<(u32, Null)> = fresh
                                 .iter()
@@ -736,7 +751,7 @@ fn run(
                             ledger.sort_unstable();
                             recd.steps.push(ChaseStep::Fire {
                                 rule: r,
-                                assignment: assignment.clone(),
+                                assignment,
                                 fresh: ledger,
                             });
                         }
@@ -761,98 +776,123 @@ fn run(
     }
 }
 
-/// Evaluate the egds' full-assignment provenance plans over the same
-/// seeds as the match phase (sequential, unbudgeted): for every equality
-/// pair, the lexicographically least `(egd index, body assignment)`
-/// witnessing it. Certify mode only — the hot path never calls this.
+/// Per rule: every frontier valuation matched this round, mapped to the
+/// least full body row (in `body_vars` order) projecting to it.
+type Witnesses = BTreeMap<Vec<Value>, Vec<Value>>;
+
+/// Per equality pair: the least `(egd index, full body row)` deriving it.
+type EgdWitnesses = BTreeMap<(Value, Value), (usize, Vec<Value>)>;
+
+/// A certified run's egd match phase: evaluate the egds' full-assignment
+/// provenance plans over the pass's seeds (sequential), keeping for every
+/// equality pair its least witness. The key set is the pass's pair set.
+/// `Err(())` as soon as there are more than `limit` distinct pairs — the
+/// point where the plain match phase overflows too.
 fn egd_provenance(
     egds: &[CompiledEgd],
     seeds: &[Vec<u32>],
+    limit: usize,
     idx: &mut DbIndex,
-) -> BTreeMap<(Value, Value), (usize, Assignment)> {
-    let mut out: BTreeMap<(Value, Value), (usize, Assignment)> = BTreeMap::new();
+) -> Result<EgdWitnesses, ()> {
+    let mut out = EgdWitnesses::new();
     for (e, egd) in egds.iter().enumerate() {
         let Some(cert) = &egd.cert else { continue };
         let (Some(&pa), Some(&pb)) = (cert.proj.first(), cert.proj.get(1)) else {
             continue;
         };
+        let mut over = false;
         for (rel, plan) in &cert.plans {
             let prepared = prepare_cq(plan, idx);
             let rows = &seeds[rel.index()];
             eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
-                if let (Some(&a), Some(&b)) = (row.get(pa), row.get(pb)) {
-                    let assignment: Assignment = cert
-                        .body_vars
-                        .iter()
-                        .copied()
-                        .zip(row.iter().copied())
-                        .collect();
-                    let candidate = (e, assignment);
-                    match out.get_mut(&(a, b)) {
-                        Some(best) => {
-                            if candidate < *best {
-                                *best = candidate;
-                            }
+                let (Some(&a), Some(&b)) = (row.get(pa), row.get(pb)) else {
+                    return true;
+                };
+                let full = out.len() == limit;
+                match out.get_mut(&(a, b)) {
+                    Some(best) => {
+                        if (e, row) < (best.0, best.1.as_slice()) {
+                            *best = (e, row.to_vec());
                         }
-                        None => {
-                            out.insert((a, b), candidate);
-                        }
+                    }
+                    None if full => {
+                        over = true;
+                        return false;
+                    }
+                    None => {
+                        out.insert((a, b), (e, row.to_vec()));
                     }
                 }
                 true
             });
+            if over {
+                return Err(());
+            }
         }
     }
-    out
+    Ok(out)
 }
 
-/// Evaluate the rules' full-assignment provenance plans over the same
-/// seeds as the match phase (sequential, unbudgeted): per rule, for every
-/// frontier valuation, the least full body assignment projecting to it.
-/// Certify mode only.
+/// A certified run's tgd match phase: evaluate the rules' full-assignment
+/// provenance plans over the round's seeds (sequential), keeping per rule
+/// every frontier valuation with its least full body row. The key sets
+/// are the round's trigger sets. `Err(())` as soon as a rule has more
+/// than `limit` distinct frontier valuations — the point where the plain
+/// match phase overflows too.
 fn tgd_provenance(
     rules: &[CompiledRule],
     seeds: &[Vec<u32>],
     first_round: bool,
+    limit: usize,
     idx: &mut DbIndex,
-) -> Vec<BTreeMap<Vec<Value>, Assignment>> {
-    let mut out: Vec<BTreeMap<Vec<Value>, Assignment>> = vec![BTreeMap::new(); rules.len()];
-    for (rule, map) in rules.iter().zip(out.iter_mut()) {
-        let Some(cert) = &rule.cert else { continue };
-        // An empty-body rule has the empty trigger from round one.
-        if cert.plans.is_empty() && first_round {
-            map.insert(Vec::new(), Vec::new());
-        }
-        for (rel, plan) in &cert.plans {
-            let prepared = prepare_cq(plan, idx);
-            let rows = &seeds[rel.index()];
-            eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
-                let frontier_row: Option<Vec<Value>> =
-                    cert.proj.iter().map(|&p| row.get(p).copied()).collect();
-                let Some(frontier_row) = frontier_row else {
-                    return true;
-                };
-                let assignment: Assignment = cert
-                    .body_vars
-                    .iter()
-                    .copied()
-                    .zip(row.iter().copied())
-                    .collect();
-                match map.get_mut(&frontier_row) {
-                    Some(best) => {
-                        if assignment < *best {
-                            *best = assignment;
+) -> Result<Vec<Witnesses>, ()> {
+    let mut out = Vec::with_capacity(rules.len());
+    let mut key: Vec<Value> = Vec::new();
+    for rule in rules {
+        let mut map = Witnesses::new();
+        if let Some(cert) = &rule.cert {
+            // An empty-body rule has the empty trigger from round one.
+            if cert.plans.is_empty() && first_round {
+                map.insert(Vec::new(), Vec::new());
+            }
+            let mut over = false;
+            for (rel, plan) in &cert.plans {
+                let prepared = prepare_cq(plan, idx);
+                let rows = &seeds[rel.index()];
+                eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
+                    key.clear();
+                    for &p in &cert.proj {
+                        match row.get(p) {
+                            Some(&v) => key.push(v),
+                            None => return true,
                         }
                     }
-                    None => {
-                        map.insert(frontier_row, assignment);
+                    let full = map.len() == limit;
+                    match map.get_mut(key.as_slice()) {
+                        Some(best) => {
+                            if row < best.as_slice() {
+                                best.clear();
+                                best.extend_from_slice(row);
+                            }
+                        }
+                        None if full => {
+                            over = true;
+                            return false;
+                        }
+                        None => {
+                            map.insert(key.clone(), row.to_vec());
+                        }
                     }
+                    true
+                });
+                if over {
+                    return Err(());
                 }
-                true
-            });
+            }
         }
+        out.push(map);
     }
-    out
+    Ok(out)
 }
 
 /// Partition delta fact ids into per-relation row-id seed lists (the
@@ -1054,8 +1094,10 @@ fn egd_matches(
 
 /// Evaluate every rule's pinned plans over the per-relation seeds, and
 /// the head plans of rules with unfired candidates. Returns per-rule
-/// `(triggers, satisfied)` frontier-valuation sets. `Err(())` = match
-/// budget exceeded.
+/// `(triggers, satisfied)` frontier-valuation sets. A certified run
+/// passes its provenance maps as `prov`: their key sets are the trigger
+/// sets, so no body is matched a second time. `Err(())` = match budget
+/// exceeded.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn tgd_matches(
     schema: &Schema,
@@ -1063,20 +1105,26 @@ fn tgd_matches(
     rules: &[CompiledRule],
     fired: &[FxHashSet<Vec<Value>>],
     seeds: &[Vec<u32>],
+    prov: Option<&[Witnesses]>,
     first_round: bool,
     cfg: &ChaseConfig,
     cache: &mut PlanCache,
     idx: &mut DbIndex,
 ) -> Result<(Vec<TriggerSet>, Vec<TriggerSet>), ()> {
     let n_rules = rules.len();
-    let mut triggers: Vec<TriggerSet> = vec![BTreeSet::new(); n_rules];
+    let mut triggers: Vec<TriggerSet> = match prov {
+        Some(prov) => prov.iter().map(|m| m.keys().cloned().collect()).collect(),
+        None => vec![BTreeSet::new(); n_rules],
+    };
     let mut satisfied: Vec<TriggerSet> = vec![BTreeSet::new(); n_rules];
     if n_rules == 0 {
         return Ok((triggers, satisfied));
     }
     let mut plan_seeds: Vec<(usize, usize, Symbol)> = Vec::new();
     let mut total_seed = 0usize;
-    for (r, rule) in rules.iter().enumerate() {
+    // Certified triggers come from the provenance pass: seed no body.
+    let seeded: &[CompiledRule] = if prov.is_some() { &[] } else { rules };
+    for (r, rule) in seeded.iter().enumerate() {
         for (p, &rel) in rule.rels.iter().enumerate() {
             let n = seeds[rel.index()].len();
             if n > 0 {

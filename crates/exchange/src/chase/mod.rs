@@ -89,9 +89,12 @@ pub struct ChaseConfig {
     pub threads: usize,
     /// Record a replayable derivation log ([`ca_cert::ChaseCert`]) while
     /// chasing. Off by default: the hot path then allocates nothing for
-    /// provenance. Certified runs evaluate one extra (sequential)
-    /// full-assignment plan per rule per round to attach body witnesses
-    /// to every firing and merge.
+    /// provenance. Certified runs still evaluate each rule and egd body
+    /// once per round, but through (sequential) full-assignment plans in
+    /// place of the match plans: the least body assignment found for each
+    /// trigger is the witness its firing or merge records. The match
+    /// budget applies to those plans in the same way, so the outcome
+    /// never depends on this flag.
     pub certify: bool,
 }
 

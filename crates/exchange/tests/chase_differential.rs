@@ -148,7 +148,11 @@ proptest! {
     /// Certificate round-trip: the certified chase reaches the same
     /// outcome as the plain entry point, and its derivation log replays
     /// through the engine-blind checker — engine, reference (via
-    /// `chase_agrees_with_reference`), and certificate all agree.
+    /// `chase_agrees_with_reference`), and certificate all agree. Beside
+    /// the generous budget, tight match budgets (1..=8) make rounds
+    /// overflow mid-chase: a certified run's provenance pass enforces the
+    /// budget itself, so it must give up exactly where the plain match
+    /// phase does, with the same partial payload, at every width.
     #[test]
     fn certified_chase_agrees_and_replays(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..8) {
         use ca_cert::ChaseCertOutcome;
@@ -156,24 +160,79 @@ proptest! {
 
         let d = gen_instance(seed, facts);
         let (tgds, egds) = rule_pool(bits);
-        let cfg = ChaseConfig::with_threads(BUDGET, 1);
-        let plain = chase_with(&d, &tgds, &egds, &cfg);
-        let (certified, cert) = chase_certified(&d, &tgds, &egds, &cfg);
-        prop_assert_eq!(&plain, &certified, "certify flag changed the outcome on {:?}", &d);
-        let cert = cert.expect("the compiled engine must certify terminating pools");
-        prop_assert_eq!(
-            ca_cert::check_chase(&cert),
-            Ok(()),
-            "checker rejected a live derivation log on {:?}",
-            &d
-        );
-        // The certified outcome variant matches the engine's.
-        match (&certified, &cert.outcome) {
-            (ChaseOutcome::Done(db), ChaseCertOutcome::Done { final_facts }) => {
-                prop_assert_eq!(db.n_nodes(), final_facts.len());
+        for limit in std::iter::once(BUDGET).chain(1..=8) {
+            for threads in [1, 4] {
+                let cfg = ChaseConfig {
+                    match_limit: limit,
+                    ..ChaseConfig::with_threads(BUDGET, threads)
+                };
+                let plain = chase_with(&d, &tgds, &egds, &cfg);
+                let (certified, cert) = chase_certified(&d, &tgds, &egds, &cfg);
+                prop_assert_eq!(
+                    &plain,
+                    &certified,
+                    "certify flag changed the outcome at limit {} width {} on {:?}",
+                    limit,
+                    threads,
+                    &d
+                );
+                let cert = cert.expect("the compiled engine must certify terminating pools");
+                prop_assert_eq!(
+                    ca_cert::check_chase(&cert),
+                    Ok(()),
+                    "checker rejected a live derivation log at limit {} width {} on {:?}",
+                    limit,
+                    threads,
+                    &d
+                );
+                // The certified outcome variant matches the engine's.
+                match (&certified, &cert.outcome) {
+                    (ChaseOutcome::Done(db), ChaseCertOutcome::Done { final_facts }) => {
+                        prop_assert_eq!(db.n_nodes(), final_facts.len());
+                    }
+                    (ChaseOutcome::Overflow(db), ChaseCertOutcome::Overflow { partial }) => {
+                        prop_assert_eq!(db.n_nodes(), partial.len());
+                    }
+                    (ChaseOutcome::Failed, ChaseCertOutcome::Failed) => {}
+                    other => prop_assert!(false, "cert outcome diverged on {:?}: {:?}", &d, other),
+                }
             }
-            (ChaseOutcome::Failed, ChaseCertOutcome::Failed) => {}
-            other => prop_assert!(false, "cert outcome diverged on {:?}: {:?}", &d, other),
+        }
+    }
+}
+
+/// Tight budgets on a hub (three edges into one null, three out of it):
+/// transitivity has nine round-one triggers while its head relation has
+/// six facts, so at limits 6..=8 the trigger budget — not the head
+/// satisfaction check — is what overflows. The certified run, whose
+/// provenance pass enforces that budget, must give up at the same limits
+/// with the same partial instance, and replay.
+#[test]
+fn certified_trigger_budget_matches_plain_on_a_hub() {
+    use ca_exchange::chase::chase_certified;
+
+    let mut d = GenDb::new(schema());
+    for i in 0..3 {
+        d.add_node("R", vec![Value::Const(i), n(0)]);
+        d.add_node("R", vec![n(0), Value::Const(10 + i)]);
+    }
+    let tgds = vec![transitivity()];
+    for limit in 1..=10 {
+        for threads in [1, 4] {
+            let cfg = ChaseConfig {
+                match_limit: limit,
+                ..ChaseConfig::with_threads(BUDGET, threads)
+            };
+            let plain = chase_with(&d, &tgds, &[], &cfg);
+            assert_eq!(
+                matches!(plain, ChaseOutcome::Overflow(_)),
+                limit < 9,
+                "limit {limit}"
+            );
+            let (certified, cert) = chase_certified(&d, &tgds, &[], &cfg);
+            assert_eq!(plain, certified, "limit {limit} width {threads}");
+            let cert = cert.expect("the compiled engine certifies");
+            assert_eq!(ca_cert::check_chase(&cert), Ok(()), "limit {limit}");
         }
     }
 }

@@ -12,7 +12,7 @@
 
 use ca_core::value::Value;
 use ca_hom::structure::RelStructure;
-use ca_relational::database::NaiveDatabase;
+use ca_relational::database::{Fact, NaiveDatabase};
 use ca_xml::tree::XmlTree;
 
 use crate::database::GenDb;
@@ -44,15 +44,24 @@ pub fn relational_view(d: &GenDb) -> Option<NaiveDatabase> {
         return None;
     }
     let mut schema = ca_relational::schema::Schema::new();
-    for sym in d.schema.label_symbols() {
-        schema.add_relation(d.schema.label_name(sym), d.schema.label_arity(sym));
-    }
-    let mut out = NaiveDatabase::new(schema);
-    for (label, data) in d.labels.iter().zip(&d.data) {
-        let rel = out.schema.relation(d.schema.label_name(*label))?;
-        out.add_fact(rel, data.clone());
-    }
-    Some(out)
+    // Each label resolves to its relation once, indexed by label symbol.
+    let rel_of_label: Vec<_> = d
+        .schema
+        .label_symbols()
+        .map(|sym| schema.add_relation(d.schema.label_name(sym), d.schema.label_arity(sym)))
+        .collect();
+    let facts = d
+        .labels
+        .iter()
+        .zip(&d.data)
+        .map(|(label, data)| {
+            Some(Fact {
+                rel: *rel_of_label.get(label.index())?,
+                args: data.clone(),
+            })
+        })
+        .collect::<Option<_>>()?;
+    Some(NaiveDatabase::from_facts(schema, facts))
 }
 
 /// The name of the child relation used by XML encodings.

@@ -5,12 +5,15 @@ use proptest::prelude::*;
 
 use ca_gdm::database::GenDb;
 use ca_gdm::deq::eval_via_deq;
+use ca_gdm::encode::{encode_relational, relational_view};
 use ca_gdm::generate::{random_tree_gendb, tree_schema, TreeGenParams};
 use ca_gdm::glb::glb_sigma;
 use ca_gdm::hom::{find_gdm_hom, gdm_leq, is_gdm_hom};
 use ca_gdm::logic::{eval_gfo, GFo};
 use ca_gdm::membership::leq_codd_treewidth;
-use ca_relational::generate::Rng;
+use ca_relational::database::NaiveDatabase;
+use ca_relational::generate::{random_naive_db_over, DbParams, Rng};
+use ca_relational::schema::Schema;
 
 fn tree_params(codd: bool) -> TreeGenParams {
     TreeGenParams {
@@ -25,6 +28,29 @@ fn tree_params(codd: bool) -> TreeGenParams {
 
 fn arb_tree_db(codd: bool) -> impl Strategy<Value = GenDb> {
     any::<u64>().prop_map(move |seed| random_tree_gendb(&mut Rng::new(seed), tree_params(codd)))
+}
+
+/// A random multi-relation naïve database and a shuffled node order over
+/// its facts that repeats half of them.
+fn arb_db_and_node_order() -> impl Strategy<Value = (NaiveDatabase, Vec<usize>)> {
+    any::<u64>().prop_map(|seed| {
+        let mut rng = Rng::new(seed);
+        let schema = Schema::from_relations(&[("R", 2), ("S", 1), ("T", 3)]);
+        let params = DbParams {
+            n_facts: 12,
+            arity: 0,
+            n_constants: 3,
+            n_nulls: 3,
+            null_pct: 40,
+        };
+        let db = random_naive_db_over(&mut rng, &schema, params);
+        let n = db.len();
+        let mut order: Vec<usize> = (0..n).chain(0..n / 2).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        (db, order)
+    })
 }
 
 proptest! {
@@ -98,5 +124,18 @@ proptest! {
         let mut bottom = GenDb::new(schema);
         bottom.add_node("l0", vec![ca_core::value::Value::null(999)]);
         prop_assert!(gdm_leq(&bottom, &d));
+    }
+
+    /// The relational view of a `σ = ∅` database does not depend on the
+    /// order of its nodes (nor on repeated nodes): it is the fact set.
+    #[test]
+    fn relational_view_ignores_node_order(case in arb_db_and_node_order()) {
+        let (db, order) = case;
+        let enc = encode_relational(&db);
+        let mut shuffled = GenDb::new(enc.schema.clone());
+        for &i in &order {
+            shuffled.add_node(enc.schema.label_name(enc.labels[i]), enc.data[i].clone());
+        }
+        prop_assert_eq!(relational_view(&shuffled), Some(db));
     }
 }

@@ -109,14 +109,27 @@ impl NaiveDatabase {
         }
     }
 
+    /// Build a database from a bulk fact list: each fact's arity is
+    /// checked as in [`Self::add_fact`], then the list is sorted and
+    /// deduplicated once. Folding `add_fact` over `n` facts shifts the
+    /// sorted tail on every insert (quadratic); this is `O(n log n)`.
+    /// Panics if a relation is unknown or an arity is wrong.
+    pub fn from_facts(schema: Schema, mut facts: Vec<Fact>) -> Self {
+        for f in &facts {
+            check_arity(&schema, f.rel, &f.args);
+        }
+        facts.sort_unstable();
+        facts.dedup();
+        NaiveDatabase {
+            schema,
+            facts,
+            add_memo: None,
+        }
+    }
+
     /// Add a fact. Panics if the relation is unknown or the arity is wrong.
     pub fn add_fact(&mut self, rel: Symbol, args: Vec<Value>) {
-        assert_eq!(
-            args.len(),
-            self.schema.arity(rel),
-            "arity mismatch for {}",
-            self.schema.name(rel)
-        );
+        check_arity(&self.schema, rel, &args);
         let fact = Fact { rel, args };
         match self.facts.binary_search(&fact) {
             Ok(_) => {}
@@ -146,9 +159,12 @@ impl NaiveDatabase {
         &self.facts
     }
 
-    /// Facts of one relation.
-    pub fn relation(&self, rel: Symbol) -> impl Iterator<Item = &Fact> {
-        self.facts.iter().filter(move |f| f.rel == rel)
+    /// Facts of one relation: the sorted run of facts with relation
+    /// `rel` (facts sort by relation first), found by binary search.
+    pub fn relation(&self, rel: Symbol) -> &[Fact] {
+        let lo = self.facts.partition_point(|f| f.rel < rel);
+        let len = self.facts[lo..].partition_point(|f| f.rel == rel);
+        &self.facts[lo..lo + len]
     }
 
     /// Number of facts.
@@ -203,23 +219,27 @@ impl NaiveDatabase {
 
     /// Apply a valuation, producing a new database (facts may merge).
     pub fn apply(&self, h: &Valuation) -> NaiveDatabase {
-        let mut out = NaiveDatabase::new(self.schema.clone());
-        for f in &self.facts {
-            out.add_fact(f.rel, h.apply_tuple(&f.args));
-        }
-        out
+        let facts = self
+            .facts
+            .iter()
+            .map(|f| Fact {
+                rel: f.rel,
+                args: h.apply_tuple(&f.args),
+            })
+            .collect();
+        NaiveDatabase::from_facts(self.schema.clone(), facts)
     }
 
     /// `π_cpl(D)`: drop every fact containing a null — the greatest
     /// complete object below `D` (Section 3's retraction, instantiated).
     pub fn complete_part(&self) -> NaiveDatabase {
-        let mut out = NaiveDatabase::new(self.schema.clone());
-        for f in &self.facts {
-            if f.args.iter().all(|v| v.is_const()) {
-                out.add_fact(f.rel, f.args.clone());
-            }
-        }
-        out
+        let facts = self
+            .facts
+            .iter()
+            .filter(|f| f.args.iter().all(|v| v.is_const()))
+            .cloned()
+            .collect();
+        NaiveDatabase::from_facts(self.schema.clone(), facts)
     }
 
     /// A *fresh-constant completion*: map each null to a distinct constant
@@ -284,21 +304,37 @@ impl NaiveDatabase {
     /// rename first).
     pub fn union(&self, other: &NaiveDatabase) -> NaiveDatabase {
         assert!(self.schema.compatible_with(&other.schema));
-        let mut out = self.clone();
+        let mut facts = self.facts.clone();
         for f in &other.facts {
-            let rel = out
+            let rel = self
                 .schema
                 .relation(other.schema.name(f.rel))
                 .expect("compatible schema");
-            out.add_fact(rel, f.args.clone());
+            facts.push(Fact {
+                rel,
+                args: f.args.clone(),
+            });
         }
-        out
+        NaiveDatabase::from_facts(self.schema.clone(), facts)
     }
 
     /// Does the database contain the given fact?
     pub fn contains(&self, rel: Symbol, args: &[Value]) -> bool {
-        self.relation(rel).any(|f| f.args == args)
+        self.relation(rel)
+            .binary_search_by(|f| f.args.as_slice().cmp(args))
+            .is_ok()
     }
+}
+
+/// The arity check shared by [`NaiveDatabase::add_fact`] and
+/// [`NaiveDatabase::from_facts`].
+fn check_arity(schema: &Schema, rel: Symbol, args: &[Value]) {
+    assert_eq!(
+        args.len(),
+        schema.arity(rel),
+        "arity mismatch for {}",
+        schema.name(rel)
+    );
 }
 
 /// Convenience macro-free builders used pervasively in tests and examples.
@@ -368,6 +404,32 @@ mod tests {
         db.add("S", vec![c(0)]);
         db.add("R", vec![c(-1)]);
         assert_eq!(db.schema.name_lookups(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch for R")]
+    fn from_facts_rejects_arity_mismatch() {
+        let schema = Schema::from_relations(&[("R", 2)]);
+        let rel = schema.relation("R").unwrap();
+        let facts = vec![
+            Fact {
+                rel,
+                args: vec![c(1), c(2)],
+            },
+            Fact {
+                rel,
+                args: vec![c(1)],
+            },
+        ];
+        NaiveDatabase::from_facts(schema, facts);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch for R")]
+    fn add_fact_rejects_arity_mismatch() {
+        let mut db = table("R", 2, &[]);
+        let rel = db.schema.relation("R").unwrap();
+        db.add_fact(rel, vec![c(1), c(2), c(3)]);
     }
 
     #[test]

@@ -137,13 +137,10 @@ pub fn hom_csp(
 
 impl NaiveDatabase {
     /// Facts of the relation with the given name (empty if absent).
-    pub fn relation_by_name<'a>(
-        &'a self,
-        name: &str,
-    ) -> Box<dyn Iterator<Item = &'a crate::database::Fact> + 'a> {
+    pub fn relation_by_name(&self, name: &str) -> std::slice::Iter<'_, crate::database::Fact> {
         match self.schema.relation(name) {
-            Some(sym) => Box::new(self.relation(sym)),
-            None => Box::new(std::iter::empty()),
+            Some(sym) => self.relation(sym).iter(),
+            None => [].iter(),
         }
     }
 }

@@ -208,19 +208,22 @@ mod tests {
 pub fn codd_weakening(d: &crate::database::NaiveDatabase) -> crate::database::NaiveDatabase {
     use ca_core::value::{NullGen, Value};
     let mut gen = NullGen::avoiding(d.nulls());
-    let mut out = crate::database::NaiveDatabase::new(d.schema.clone());
-    for f in d.facts() {
-        let args: Vec<Value> = f
-            .args
-            .iter()
-            .map(|v| match v {
-                Value::Null(_) => gen.fresh_value(),
-                c => *c,
-            })
-            .collect();
-        out.add_fact(f.rel, args);
-    }
-    out
+    let facts = d
+        .facts()
+        .iter()
+        .map(|f| crate::database::Fact {
+            rel: f.rel,
+            args: f
+                .args
+                .iter()
+                .map(|v| match v {
+                    Value::Null(_) => gen.fresh_value(),
+                    c => *c,
+                })
+                .collect(),
+        })
+        .collect();
+    crate::database::NaiveDatabase::from_facts(d.schema.clone(), facts)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use ca_core::preorder::Preorder;
 use ca_core::value::Value;
-use ca_relational::database::NaiveDatabase;
+use ca_relational::database::{Fact, NaiveDatabase};
 use ca_relational::generate::{random_codd_db, random_naive_db, DbParams, Rng};
 use ca_relational::glb::glb_databases;
 use ca_relational::hom::{find_hom, is_hom};
@@ -107,6 +107,57 @@ proptest! {
     fn completions_are_members(a in arb_codd()) {
         for r in a.completions_over(&[0, 1]) {
             prop_assert!(ca_relational::hom::in_semantics(&r, &a));
+        }
+    }
+}
+
+/// A fact list over `R/2, S/1` with small constants and nulls, half of it
+/// repeated, in shuffled order.
+fn arb_fact_list() -> impl Strategy<Value = (Schema, Vec<Fact>)> {
+    let value = prop_oneof![
+        (0i64..3).prop_map(Value::Const),
+        (1u32..3).prop_map(Value::null)
+    ];
+    let row = (any::<bool>(), prop::collection::vec(value, 2..=2));
+    (prop::collection::vec(row, 0..24), any::<u64>()).prop_map(|(rows, seed)| {
+        let schema = Schema::from_relations(&[("R", 2), ("S", 1)]);
+        let (r, s) = (schema.relation("R").unwrap(), schema.relation("S").unwrap());
+        let mut facts: Vec<Fact> = rows
+            .into_iter()
+            .map(|(is_r, mut args)| {
+                let rel = if is_r { r } else { s };
+                args.truncate(schema.arity(rel));
+                Fact { rel, args }
+            })
+            .collect();
+        facts.extend(facts[..facts.len() / 2].to_vec());
+        let mut rng = Rng::new(seed);
+        for i in (1..facts.len()).rev() {
+            facts.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        (schema, facts)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Bulk construction (one sort, one dedup) builds the same database
+    /// as folding `add_fact` over the same facts, whatever their order
+    /// and duplicates; `relation` returns exactly each relation's facts.
+    #[test]
+    fn from_facts_matches_add_fact_fold(case in arb_fact_list()) {
+        let (schema, facts) = case;
+        let mut folded = NaiveDatabase::new(schema.clone());
+        for f in &facts {
+            folded.add_fact(f.rel, f.args.clone());
+        }
+        let bulk = NaiveDatabase::from_facts(schema.clone(), facts);
+        prop_assert_eq!(bulk.facts(), folded.facts());
+        prop_assert_eq!(&bulk, &folded);
+        for rel in schema.symbols() {
+            let filtered: Vec<&Fact> = bulk.facts().iter().filter(|f| f.rel == rel).collect();
+            prop_assert_eq!(bulk.relation(rel).iter().collect::<Vec<_>>(), filtered);
         }
     }
 }
