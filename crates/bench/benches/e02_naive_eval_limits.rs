@@ -1,9 +1,8 @@
 //! Criterion bench for E2: exact FO certain answers (brute force over the
 //! adequate pool) vs naïve FO evaluation.
 //!
-//! `certain_answer_fo` now sweeps completions through the query engine's
-//! parallel driver (`CA_EVAL_THREADS`, default 1 in benches), so this
-//! also exercises the completion-space addressing layer.
+//! `certain_answer_fo` sweeps completions by linear index with early
+//! exit, so this also exercises the completion-space addressing layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

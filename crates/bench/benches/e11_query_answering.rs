@@ -1,9 +1,9 @@
 //! Criterion bench for E11: Theorem 7 — naïve ∃⁺ evaluation vs the coNP
 //! image-enumeration procedure, and the ϕ₀ reduction.
 //!
-//! `certain_existential` now addresses the grounding grid through the
-//! query engine's completion-sweep driver (`CA_EVAL_THREADS` workers with
-//! early exit), so this bench also covers that routing.
+//! `certain_existential` addresses the grounding grid by linear index,
+//! like the query engine's completion sweep, so this bench also covers
+//! that addressing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -8,10 +8,10 @@
 //! * `cert_chase` — transitive-closure chains and egd collapse through
 //!   `chase_certified` vs `chase_with`, checked by `check_chase`;
 //! * `cert_query` — the brute-force certain-answer sweep through
-//!   `certain_table_certified` vs `certain_table_with`, every row's
+//!   `certain_table_certified` vs `certain_table`, every row's
 //!   naive match checked by `check_certain_row`;
 //! * `cert_core` — retraction through `retract_core_certified` vs
-//!   `retract_core_with`, checked by `check_core`.
+//!   `retract_core`, checked by `check_core`.
 //!
 //! Every case verifies the certificate (checker says `Ok`) and asserts
 //! the certified run reproduces the plain result *before* timing, so
@@ -20,7 +20,7 @@
 //! certified chase re-derives provenance with extra pinned join plans,
 //! and the certified query sweep re-evaluates witnesses naïvely — these
 //! are real multiples, not rounding noise. Results go to stdout as a
-//! table and to `BENCH_cert.json`.
+//! table and to `BENCH_cert.json` (`target/bench/` for `--quick`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -32,9 +32,9 @@ use ca_exchange::chase::{chase_certified, chase_with, ChaseConfig, ChaseOutcome,
 use ca_exchange::mapping::Rule;
 use ca_gdm::database::GenDb;
 use ca_gdm::schema::GenSchema;
-use ca_hom::retract::{retract_core_certified, retract_core_with};
+use ca_hom::retract::{retract_core, retract_core_certified};
 use ca_hom::structure::RelStructure;
-use ca_query::certain::certain_table_with;
+use ca_query::certain::certain_table;
 use ca_query::certify;
 use ca_query::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_relational::database::build::{c, n};
@@ -137,7 +137,7 @@ fn chase_case(
     egds: &[Egd],
     reps: u32,
 ) {
-    let cfg = ChaseConfig::with_threads(1_000_000, 1);
+    let cfg = ChaseConfig::new(1_000_000);
     let plain = chase_with(instance, tgds, egds, &cfg);
     let (certified, cert) = chase_certified(instance, tgds, egds, &cfg);
     assert_eq!(
@@ -212,8 +212,8 @@ fn query() -> UnionQuery {
 fn query_case(rows: &mut Vec<Row>, size: usize, reps: u32) {
     let db = query_db(size);
     let q = query();
-    let plain = certain_table_with(&q, &db, 1);
-    let (table, certs) = certify::certain_table_certified(&q, &db, 1);
+    let plain = certain_table(&q, &db);
+    let (table, certs) = certify::certain_table_certified(&q, &db);
     assert_eq!(plain, table, "cert_query: certify changed the table");
     assert_eq!(certs.len(), table.len(), "cert_query: uncertified row");
     let cq = certify::cert_query(&q);
@@ -226,10 +226,10 @@ fn query_case(rows: &mut Vec<Row>, size: usize, reps: u32) {
         );
     }
     let plain_us = min_time_us(reps, || {
-        std::hint::black_box(certain_table_with(&q, &db, 1));
+        std::hint::black_box(certain_table(&q, &db));
     });
     let certified_us = min_time_us(reps, || {
-        std::hint::black_box(certify::certain_table_certified(&q, &db, 1));
+        std::hint::black_box(certify::certain_table_certified(&q, &db));
     });
     let check_us = min_time_us(reps.max(5), || {
         for (_, m) in &certs {
@@ -273,8 +273,8 @@ fn core_structure(k: usize) -> RelStructure {
 fn core_case(rows: &mut Vec<Row>, k: usize, reps: u32) {
     let s = core_structure(k);
     let probe: Vec<u32> = (0..s.n_elements as u32).collect();
-    let plain = retract_core_with(&s, &probe, 1);
-    let (certified, cert) = retract_core_certified(&s, &probe, 1);
+    let plain = retract_core(&s, &probe);
+    let (certified, cert) = retract_core_certified(&s, &probe);
     assert_eq!(
         plain.kept, certified.kept,
         "cert_core: certify changed the retraction"
@@ -282,10 +282,10 @@ fn core_case(rows: &mut Vec<Row>, k: usize, reps: u32) {
     assert_eq!(plain.map, certified.map);
     assert_eq!(check_core(&cert), Ok(()), "cert_core: checker rejected");
     let plain_us = min_time_us(reps, || {
-        std::hint::black_box(retract_core_with(&s, &probe, 1));
+        std::hint::black_box(retract_core(&s, &probe));
     });
     let certified_us = min_time_us(reps, || {
-        std::hint::black_box(retract_core_certified(&s, &probe, 1));
+        std::hint::black_box(retract_core_certified(&s, &probe));
     });
     let check_us = min_time_us(reps.max(5), || {
         std::hint::black_box(check_core(&cert)).ok();
@@ -382,6 +382,5 @@ fn main() {
         ca_bench::report::git_rev(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_cert.json", &json).expect("write BENCH_cert.json");
-    eprintln!("[cert_bench] wrote BENCH_cert.json");
+    ca_bench::report::write_json("cert", !quick, &json);
 }

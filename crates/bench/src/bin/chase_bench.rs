@@ -13,8 +13,7 @@
 //! * `chase_chain` — transitive closure of a path: quadratically many
 //!   derived facts, the canonical full-tgd stress;
 //! * `chase_chain_scale` — the same family at sizes the reference
-//!   cannot reach (engine-only; the closure size is asserted instead,
-//!   and the parallel run must be byte-identical to the sequential);
+//!   cannot reach (engine-only; the closure size is asserted instead);
 //! * `chase_star` — an existential tgd `S(x,y) → ∃z T(x,z), T(z,y)`
 //!   over star sources: one firing and two fresh-null facts per source
 //!   fact;
@@ -22,9 +21,8 @@
 //!   all collapse into one constant per group.
 //!
 //! Every reference-timed case asserts outcome agreement (engine vs
-//! reference up to hom-equivalence, sequential vs parallel byte-equal)
-//! before timing. Results go to stdout as a table and to
-//! `BENCH_chase.json`.
+//! reference up to hom-equivalence) before timing. Results go to stdout
+//! as a table and to `BENCH_chase.json` (`target/bench/` for `--quick`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -37,7 +35,6 @@ use ca_exchange::reference;
 use ca_gdm::database::GenDb;
 use ca_gdm::hom::gdm_equiv;
 use ca_gdm::schema::GenSchema;
-use ca_hom::csp::default_threads;
 
 /// Minimum wall time over `reps` runs (damps scheduler noise better
 /// than the mean for sub-millisecond cases).
@@ -131,12 +128,10 @@ fn egd_instance(k: usize, m: usize) -> GenDb {
 const BUDGET: usize = 1_000_000;
 const MATCH_LIMIT: usize = 10_000_000;
 
-fn engine_cfg(threads: usize) -> ChaseConfig {
+fn engine_cfg() -> ChaseConfig {
     ChaseConfig {
-        max_steps: BUDGET,
         match_limit: MATCH_LIMIT,
-        threads,
-        certify: false,
+        ..ChaseConfig::new(BUDGET)
     }
 }
 
@@ -145,7 +140,6 @@ struct Row {
     case: String,
     ref_us: Option<u128>,
     seq_us: u128,
-    par_us: u128,
     chased_size: usize,
 }
 
@@ -165,18 +159,12 @@ fn run_case(
     tgds: &[Rule],
     egds: &[Egd],
     reps: u32,
-    par_threads: usize,
     with_reference: bool,
 ) {
     let seq = done(
-        chase_with(instance, tgds, egds, &engine_cfg(1)),
+        chase_with(instance, tgds, egds, &engine_cfg()),
         &format!("{family} {case} seq"),
     );
-    let par = done(
-        chase_with(instance, tgds, egds, &engine_cfg(par_threads)),
-        &format!("{family} {case} par"),
-    );
-    assert_eq!(seq, par, "{family} {case}: parallel result differs");
     let ref_us = if with_reference {
         let slow = done(
             reference::chase_with(instance, tgds, egds, BUDGET, MATCH_LIMIT),
@@ -198,29 +186,18 @@ fn run_case(
     } else {
         None
     };
-    // Interleave the sequential and parallel samples: on a noisy (or
-    // single-core) host, back-to-back blocks pick up drift that an
-    // alternating schedule cancels. The engine is orders of magnitude
-    // cheaper than the reference, so it affords more samples than the
-    // reference-timing `reps`.
-    let engine_reps = reps.max(9);
-    let mut seq_us = u128::MAX;
-    let mut par_us = u128::MAX;
-    for _ in 0..engine_reps {
-        seq_us = seq_us.min(min_time_us(1, || {
-            std::hint::black_box(chase_with(instance, tgds, egds, &engine_cfg(1)));
-        }));
-        par_us = par_us.min(min_time_us(1, || {
-            std::hint::black_box(chase_with(instance, tgds, egds, &engine_cfg(par_threads)));
-        }));
-    }
+    // The engine is orders of magnitude cheaper than the reference, so
+    // it affords more samples than the reference-timing `reps`.
+    let seq_us = min_time_us(reps.max(9), || {
+        std::hint::black_box(chase_with(instance, tgds, egds, &engine_cfg()));
+    });
     match ref_us {
         Some(r) => eprintln!(
             "[chase_bench] {family} {case}: ref {r}us, new {seq_us}us ({:.1}x)",
             r as f64 / seq_us as f64
         ),
         None => {
-            eprintln!("[chase_bench] {family} {case}: new {seq_us}us, par {par_us}us (engine-only)")
+            eprintln!("[chase_bench] {family} {case}: new {seq_us}us (engine-only)")
         }
     }
     rows.push(Row {
@@ -228,7 +205,6 @@ fn run_case(
         case,
         ref_us,
         seq_us,
-        par_us,
         chased_size: seq.n_nodes(),
     });
 }
@@ -236,7 +212,6 @@ fn run_case(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let par_threads = default_threads().max(2);
     let mut rows: Vec<Row> = Vec::new();
 
     // --- chase_chain: transitive closure of a path (reference-timed) ---
@@ -252,7 +227,6 @@ fn main() {
             &[transitivity()],
             &[],
             reps,
-            par_threads,
             true,
         );
         // Sanity on the family: closure of a path has n(n+1)/2 edges.
@@ -272,7 +246,6 @@ fn main() {
             &[transitivity()],
             &[],
             5,
-            par_threads,
             false,
         );
         let got = rows.last().map(|r| r.chased_size).unwrap_or(0);
@@ -292,7 +265,6 @@ fn main() {
             &[star_rule()],
             &[],
             reps,
-            par_threads,
             true,
         );
         // One firing per source fact: m S-facts + 2m fresh T-facts.
@@ -314,7 +286,6 @@ fn main() {
             &[],
             &[functionality()],
             reps,
-            par_threads,
             true,
         );
         // Every group collapses onto its constant anchor.
@@ -329,15 +300,12 @@ fn main() {
             "case",
             "ref_us",
             "seq_us",
-            "par_us",
             "speedup",
-            "par_vs_seq",
             "chased_size",
         ],
     );
     let mut json_rows: Vec<String> = Vec::new();
     for r in &rows {
-        let par_vs_seq = r.seq_us as f64 / r.par_us as f64;
         let (ref_cell, speedup_cell, ref_json, speedup_json) = match r.ref_us {
             Some(ru) => {
                 let s = ru as f64 / r.seq_us as f64;
@@ -355,42 +323,28 @@ fn main() {
             r.case.clone(),
             ref_cell,
             r.seq_us.to_string(),
-            r.par_us.to_string(),
             speedup_cell,
-            format!("{par_vs_seq:.2}x"),
             r.chased_size.to_string(),
         ]);
         let mut row = String::new();
         let _ = write!(
             row,
             "    {{\"family\": \"{}\", \"case\": \"{}\", \
-             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"new_par_wall_us\": {}, \
-             \"speedup_seq\": {}, \"par_vs_seq\": {:.2}, \"chased_size\": {}}}",
-            r.family, r.case, ref_json, r.seq_us, r.par_us, speedup_json, par_vs_seq, r.chased_size
+             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"speedup_seq\": {}, \
+             \"chased_size\": {}}}",
+            r.family, r.case, ref_json, r.seq_us, speedup_json, r.chased_size
         );
         json_rows.push(row);
     }
-    let host_cores = ca_core::config::available_parallelism_or(1);
-    report.note("ref = seed chase loop (one firing per pass, full re-match through the CSP matcher); seq = engine, threads=1; par = engine, threads = max(CA_HOM_THREADS, 2)");
-    report.note("every reference-timed case asserts engine-vs-reference agreement (outcome + hom-equivalence) and sequential-vs-parallel byte-equality before timing; engine-only cases assert the closed-form chased size instead");
-    if host_cores <= 1 {
-        report.note("single-core host: the par column spawns its requested width on one core, so it times the partitioned code path's coordination overhead and par_vs_seq ≈ 1.0 is parity, not regression");
-    }
+    report.note("ref = seed chase loop (one firing per pass, full re-match through the CSP matcher); seq = engine");
+    report.note("every reference-timed case asserts engine-vs-reference agreement (outcome + hom-equivalence) before timing; engine-only cases assert the closed-form chased size instead");
     println!("{report}");
 
-    // Effective width: an explicit CA_PART_THREADS overrides the config
-    // width; either way the chase honors the request verbatim (rounds
-    // with fewer than PAR_MIN_SEED seeds run sequentially regardless).
-    let effective_threads = ca_core::config::part_threads_set().unwrap_or(par_threads);
     let json = format!(
-        "{{\n  \"bench\": \"chase_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"threads_default\": {},\n  \"threads_requested\": {},\n  \"threads_effective\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"chase_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         ca_bench::report::git_rev(),
-        host_cores,
-        default_threads(),
-        par_threads,
-        effective_threads,
+        ca_bench::report::host_cores(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_chase.json", &json).expect("write BENCH_chase.json");
-    eprintln!("[chase_bench] wrote BENCH_chase.json");
+    ca_bench::report::write_json("chase", !quick, &json);
 }

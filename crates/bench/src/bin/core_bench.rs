@@ -31,7 +31,8 @@
 //!
 //! Every timed case asserts the new engine agrees with the reference
 //! oracle (same core size, hom-equivalent results). Results go to
-//! stdout as a table and to `BENCH_core.json`.
+//! stdout as a table and to `BENCH_core.json` (`target/bench/` for
+//! `--quick`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -39,12 +40,11 @@ use std::time::Instant;
 use ca_bench::report::Report;
 use ca_core::value::Value;
 use ca_exchange::mapping::{Mapping, Rule};
-use ca_exchange::solution::{canonical_solution, core_of_gendb_with};
+use ca_exchange::solution::{canonical_solution, core_of_gendb};
 use ca_gdm::database::GenDb;
 use ca_gdm::hom::gdm_equiv;
 use ca_gdm::schema::GenSchema;
-use ca_graph::{core_of_with, reference, Digraph};
-use ca_hom::csp::default_threads;
+use ca_graph::{core_of, reference, Digraph};
 
 fn time_reps(reps: u32, mut f: impl FnMut()) -> u128 {
     let start = Instant::now();
@@ -123,14 +123,12 @@ struct Row {
     case: String,
     ref_us: u128,
     seq_us: u128,
-    par_us: u128,
     core_size: usize,
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let par_threads = default_threads().max(2);
     let mut rows: Vec<Row> = Vec::new();
 
     // --- core_product: core(C_a × C_b) = C_lcm(a,b) (E13 / E3 shape) ---
@@ -141,7 +139,7 @@ fn main() {
     };
     for &(a, b) in cycle_pairs {
         let g = Digraph::cycle(a).product(&Digraph::cycle(b));
-        let (new_core, _) = core_of_with(&g, 1);
+        let (new_core, _) = core_of(&g);
         let (ref_core, _) = reference::core_of(&g);
         assert_eq!(new_core.n, ref_core.n, "core_product C{a}xC{b} size");
         assert!(
@@ -153,17 +151,13 @@ fn main() {
             std::hint::black_box(reference::core_of(&g));
         });
         let seq_us = time_reps(reps, || {
-            std::hint::black_box(core_of_with(&g, 1));
-        });
-        let par_us = time_reps(reps, || {
-            std::hint::black_box(core_of_with(&g, par_threads));
+            std::hint::black_box(core_of(&g));
         });
         rows.push(Row {
             family: "core_product",
             case: format!("C{a}xC{b} (n={})", g.n),
             ref_us,
             seq_us,
-            par_us,
             core_size: new_core.n,
         });
         eprintln!(
@@ -176,7 +170,7 @@ fn main() {
     let union_sizes: &[usize] = if quick { &[16] } else { &[16, 32, 64] };
     for &n in union_sizes {
         let g = Digraph::cycle(2 * n).disjoint_union(&Digraph::cycle(2));
-        let (new_core, _) = core_of_with(&g, 1);
+        let (new_core, _) = core_of(&g);
         let (ref_core, _) = reference::core_of(&g);
         assert_eq!(new_core.n, ref_core.n, "core_cycle_union n={n} size");
         assert!(new_core.hom_equiv(&ref_core));
@@ -185,17 +179,13 @@ fn main() {
             std::hint::black_box(reference::core_of(&g));
         });
         let seq_us = time_reps(reps, || {
-            std::hint::black_box(core_of_with(&g, 1));
-        });
-        let par_us = time_reps(reps, || {
-            std::hint::black_box(core_of_with(&g, par_threads));
+            std::hint::black_box(core_of(&g));
         });
         rows.push(Row {
             family: "core_cycle_union",
             case: format!("C{}+C2 (n={})", 2 * n, g.n),
             ref_us,
             seq_us,
-            par_us,
             core_size: new_core.n,
         });
         eprintln!(
@@ -211,7 +201,7 @@ fn main() {
     for &k in fact_counts {
         let d = chain_source(&src, k);
         let canon = canonical_solution(&mapping, &d, &tgt);
-        let new_core = core_of_gendb_with(&canon, 1);
+        let new_core = core_of_gendb(&canon);
         let ref_core = ca_exchange::reference::core_of_gendb(&canon);
         assert_eq!(
             new_core.n_nodes(),
@@ -225,17 +215,13 @@ fn main() {
             std::hint::black_box(ca_exchange::reference::core_of_gendb(&canon));
         });
         let seq_us = time_reps(reps, || {
-            std::hint::black_box(core_of_gendb_with(&canon, 1));
-        });
-        let par_us = time_reps(reps, || {
-            std::hint::black_box(core_of_gendb_with(&canon, par_threads));
+            std::hint::black_box(core_of_gendb(&canon));
         });
         rows.push(Row {
             family: "core_solution",
             case: format!("facts={k} (canon={})", canon.n_nodes()),
             ref_us,
             seq_us,
-            par_us,
             core_size: new_core.n_nodes(),
         });
         eprintln!(
@@ -258,11 +244,8 @@ fn main() {
         let ref_core = ca_exchange::reference::core_of_gendb(&canon);
         let ref_us = t0.elapsed().as_micros().max(1);
         let t1 = Instant::now();
-        let new_core = core_of_gendb_with(&canon, 1);
+        let new_core = core_of_gendb(&canon);
         let seq_us = t1.elapsed().as_micros().max(1);
-        let t2 = Instant::now();
-        let par_core = core_of_gendb_with(&canon, par_threads);
-        let par_us = t2.elapsed().as_micros().max(1);
         assert_eq!(
             new_core.n_nodes(),
             ref_core.n_nodes(),
@@ -272,14 +255,12 @@ fn main() {
             gdm_equiv(&new_core, &ref_core),
             "core_solution_pendant m={m} equiv"
         );
-        assert_eq!(new_core, par_core, "core_solution_pendant m={m} par");
         assert!(mapping.is_solution(&d, &new_core));
         rows.push(Row {
             family: "core_solution_pendant",
             case: format!("pendants={m} (canon={})", canon.n_nodes()),
             ref_us,
             seq_us,
-            par_us,
             core_size: new_core.n_nodes(),
         });
         eprintln!(
@@ -290,59 +271,42 @@ fn main() {
 
     let mut report = Report::new(
         "core_bench: seed retract search vs incremental retraction engine",
-        &[
-            "family",
-            "case",
-            "ref_us",
-            "seq_us",
-            "par_us",
-            "speedup",
-            "par_speedup",
-            "core_size",
-        ],
+        &["family", "case", "ref_us", "seq_us", "speedup", "core_size"],
     );
     let mut json_rows: Vec<String> = Vec::new();
     for r in &rows {
         let speedup = r.ref_us as f64 / r.seq_us as f64;
-        let par_speedup = r.ref_us as f64 / r.par_us as f64;
         report.row(vec![
             r.family.into(),
             r.case.clone(),
             r.ref_us.to_string(),
             r.seq_us.to_string(),
-            r.par_us.to_string(),
             format!("{speedup:.1}x"),
-            format!("{par_speedup:.1}x"),
             r.core_size.to_string(),
         ]);
         let mut row = String::new();
         let _ = write!(
             row,
             "    {{\"family\": \"{}\", \"case\": \"{}\", \
-             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"new_par_wall_us\": {}, \
-             \"speedup_seq\": {:.2}, \"speedup_par\": {:.2}, \"core_size\": {}}}",
-            r.family, r.case, r.ref_us, r.seq_us, r.par_us, speedup, par_speedup, r.core_size
+             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"speedup_seq\": {:.2}, \
+             \"core_size\": {}}}",
+            r.family, r.case, r.ref_us, r.seq_us, speedup, r.core_size
         );
         json_rows.push(row);
     }
-    report.note("ref = seed retract loop (one CSP compile per candidate per round); seq = ca_hom::retract, threads=1; par = probe threads = max(CA_HOM_THREADS, 2)");
+    report.note(
+        "ref = seed retract loop (one CSP compile per candidate per round); seq = ca_hom::retract",
+    );
     report.note(
         "every case asserts new-vs-reference agreement (core size + hom-equivalence) before timing",
     );
     println!("{report}");
 
-    // The CSP search spawns exactly the requested width (no host clamp),
-    // so requested == effective; host_cores tells the reader whether
-    // par-vs-seq parity is contention or real work.
     let json = format!(
-        "{{\n  \"bench\": \"core_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"threads_default\": {},\n  \"threads_requested\": {},\n  \"threads_effective\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"core_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         ca_bench::report::git_rev(),
         ca_bench::report::host_cores(),
-        default_threads(),
-        par_threads,
-        par_threads,
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_core.json", &json).expect("write BENCH_core.json");
-    eprintln!("[core_bench] wrote BENCH_core.json");
+    ca_bench::report::write_json("core", !quick, &json);
 }

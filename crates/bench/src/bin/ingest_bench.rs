@@ -1,4 +1,4 @@
-//! Bulk-ingest and partitioned-join scaling benchmark.
+//! Bulk-ingest scaling and large-join benchmark.
 //!
 //! Two families, emitted to `BENCH_ingest.json`:
 //!
@@ -10,18 +10,17 @@
 //!   `ingest_snapshot` rows time the validating snapshot parser on the
 //!   same data for comparison.
 //! * `join_chain2` — a 2-atom chain join `Q(x) ← E(x,y) ∧ E(y,z)` over a
-//!   10⁶-edge random relation, evaluated sequentially and through the
-//!   hash-partitioned engine at widths 1/2/4/8, reported as answers/s
-//!   with `speedup_par` = seq/par. Every width asserts partitioned ==
-//!   sequential answers before timing; the reference nested-loop oracle
-//!   is asserted on a prefix of the data (it is `O(n²)` per atom and
-//!   infeasible at 10⁶ facts — the prefix size is reported, not hidden).
+//!   10⁶-edge random relation, reported as answers/s (the `seq` width
+//!   row). The reference nested-loop oracle is asserted on a prefix of
+//!   the data (it is `O(n²)` per atom and infeasible at 10⁶ facts — the
+//!   prefix size is reported, not hidden).
 //!
 //! `--quick` shrinks the sweep to 10⁵ ingest facts and a 10⁴-edge join —
 //! small enough to gate CI — but still exercises every width and every
-//! differential assert. The JSON footer records `git_rev`, `host_cores`,
-//! and the requested/effective widths: on a 1-core host the speedup
-//! columns are honest parity rows, and the footer says why.
+//! differential assert, and writes under `target/bench/`. The JSON
+//! footer records `git_rev`, `host_cores`, and the loader widths: on a
+//! 1-core host the speedup columns are honest parity rows, and the
+//! footer says why.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -34,7 +33,7 @@ use ca_query::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_relational::from_store;
 use Term::Var as V;
 
-/// The partition/parse widths every scaling family sweeps.
+/// The parse widths the ingest family sweeps.
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// Deterministic 64-bit LCG (the store-bench constants) so every run on
@@ -209,7 +208,7 @@ fn main() {
         });
     }
 
-    // --- join_chain2: partitioned join scaling at 10⁶ facts ---
+    // --- join_chain2: one large chain join at 10⁶ facts ---
     let join_n: u64 = if quick { 10_000 } else { 1_000_000 };
     {
         let csv = edges_csv(join_n, 0xca11_ab1e);
@@ -252,33 +251,6 @@ fn main() {
             expected.len()
         );
 
-        for &w in &WIDTHS {
-            // Differential BEFORE timing: partitioned must equal
-            // sequential (which equals the oracle on the prefix).
-            let got = engine::eval_ucq_partitioned(&plan, &mut DbIndex::over(&store), w);
-            assert_eq!(got, expected, "width-{w} partitioned answers disagree");
-            let wall = time_reps(reps, || {
-                std::hint::black_box(engine::eval_ucq_partitioned(
-                    &plan,
-                    &mut DbIndex::over(&store),
-                    w,
-                ));
-            });
-            let rate = expected.len() as f64 / wall as f64 * 1e6;
-            let speedup = seq_wall as f64 / wall as f64;
-            eprintln!(
-                "[ingest_bench] join_chain2 n={join_n} width={w}: {wall}us ({rate:.0} answers/s, {speedup:.2}x vs seq)"
-            );
-            rows.push(Row {
-                family: "join_chain2",
-                case: format!("n={join_n}"),
-                width: w,
-                wall_us: wall,
-                rate_per_s: rate,
-                speedup_par: speedup,
-                count: expected.len(),
-            });
-        }
         rows.push(Row {
             family: "join_chain2",
             case: format!("n={join_n}"),
@@ -291,7 +263,7 @@ fn main() {
     }
 
     let mut report = Report::new(
-        "ingest_bench: bulk ingest & partitioned join scaling",
+        "ingest_bench: bulk ingest scaling & a large join",
         &[
             "family",
             "case",
@@ -327,14 +299,14 @@ fn main() {
         json_rows.push(row);
     }
     report.note("ingest_csv rate = facts/s through the streaming loader at the given parse width; every width's store asserted byte-identical to width-1 before timing");
-    report.note("join_chain2 rate = answers/s; width rows = hash-partitioned engine, `seq` row = sequential engine; partitioned == sequential asserted per width, reference oracle asserted on a prefix (O(n²) beyond it)");
+    report.note("join_chain2 rate = answers/s of the engine; reference oracle asserted on a prefix (O(n²) beyond it)");
     let cores = host_cores();
     if cores <= 1 {
-        report.note("single-core host: width>1 rows time the coordination overhead of the parallel paths on one core — speedup_par ≈ 1.0 is parity, not regression (host_cores is in the JSON footer)");
+        report.note("single-core host: width>1 ingest rows time the loader's coordination overhead on one core — speedup_par ≈ 1.0 is parity, not regression (host_cores is in the JSON footer)");
     }
     println!("{report}");
 
-    // Both families spawn exactly the requested width (no host clamp), so
+    // The loader spawns exactly the requested width (no host clamp), so
     // requested == effective; host_cores says how many can make progress.
     let widths_json = format!("[{}]", WIDTHS.map(|w| w.to_string()).join(","));
     let json = format!(
@@ -344,6 +316,5 @@ fn main() {
         ca_core::config::part_threads(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_ingest.json", &json).expect("write BENCH_ingest.json");
-    eprintln!("[ingest_bench] wrote BENCH_ingest.json");
+    ca_bench::report::write_json("ingest", !quick, &json);
 }

@@ -3,7 +3,7 @@
 //! Compares the retained nested-loop evaluator (`ca_query::reference`,
 //! the exact pre-engine code) against the compiled engine
 //! (`ca_query::engine`: cost-based join plans + lazy hash indices +
-//! parallel completion sweeps) on the workload shapes behind
+//! early-exit completion sweeps) on the workload shapes behind
 //! experiments E1, E2 and E11:
 //!
 //! * `e02_ucq_edge` — a single-atom projection `Q(x) ← R(x, y)`: one
@@ -24,24 +24,21 @@
 //! * `certain_sweep` — brute-force certain answers as the null count
 //!   grows (the `|pool|^#nulls` grid of E1): the reference side
 //!   materializes every completion up front and intersects reference
-//!   answers; the engine compiles the query once and sweeps the grid
-//!   (sequentially and with the parallel driver);
+//!   answers; the engine compiles the query once and sweeps the grid;
 //! * `e11_gdm_images` — the Theorem 7(b) image-enumeration procedure on
-//!   ϕ₀ instances: sequential grounded-image enumeration vs the
-//!   parallelized grounding sweep in `ca_gdm::certain`.
+//!   ϕ₀ instances: plain grounded-image enumeration vs the early-exit
+//!   grounding sweep in `ca_gdm::certain`.
 //!
 //! Each case runs the reference path, the engine with the **greedy**
-//! plan, the engine with the **cost-based** plan (`seq`), and the
-//! engine through the gated parallel entry (`par`,
-//! [`engine::eval_ucq_gated`]: requested width clamped to the host
-//! cores, partitioning only where the cost model prices the join above
-//! the spawn overhead). Identical greedy and cost plans share one
+//! plan, and the engine with the **cost-based** plan (`seq`).
+//! Identical greedy and cost plans share one
 //! measurement — re-timing byte-identical plans only adds noise. The
 //! `plan_cold_ns`/`plan_warm_ns` columns time plan *acquisition*: a
 //! cold statistics-read + compile versus a [`PlanCache`] hit at the
 //! same store revision. All answers are asserted equal across paths
 //! before anything is timed. Results go to stdout as a table and to
-//! `BENCH_query.json`; `--quick` additionally gates on the optimizer
+//! `BENCH_query.json` (`target/bench/` for `--quick`); `--quick`
+//! additionally gates on the optimizer
 //! invariants (cost ≥ greedy on the chains, warm plan ≤ 10% of cold).
 
 use std::collections::BTreeSet;
@@ -232,19 +229,12 @@ struct Row {
     mode: &'static str,
     ref_us: u128,
     seq_us: u128,
-    par_us: u128,
     answers: usize,
     opt: Option<OptCols>,
 }
 
-/// The partition width the join families' `par` column *requests*: the
-/// gated entry clamps it to the host cores (unless `CA_PART_THREADS`
-/// forces a width), so a one-core host honestly measures parity instead
-/// of coordination overhead. The JSON footer records both numbers.
-const PART_WIDTH: usize = 4;
-
 /// One join-family case: assert agreement, then time reference, greedy
-/// plan, cost-based plan and the gated parallel entry. When greedy and
+/// plan and cost-based plan. When greedy and
 /// cost-based compilation produce the same plan, the sequential
 /// measurement is shared — identical plans execute identically, and
 /// re-timing them would only report noise as a planner effect.
@@ -274,8 +264,6 @@ fn join_case(
         engine::eval_ucq_on(&plan_greedy, &mut DbIndex::new(db)),
         "{family} greedy-plan disagreement"
     );
-    let par_got = engine::eval_ucq_gated(&plan_cost, &mut DbIndex::new(db), PART_WIDTH);
-    assert_eq!(expected, par_got, "{family} gated-parallel disagreement");
 
     let ref_us = time_reps(reps, || {
         std::hint::black_box(reference::eval_ucq(q, db));
@@ -288,23 +276,6 @@ fn join_case(
     } else {
         time_reps(reps, || {
             std::hint::black_box(engine::eval_ucq_on(&plan_greedy, &mut DbIndex::new(db)));
-        })
-    };
-    // When the gate clamps the width to one, the "par" entry runs the
-    // identical sequential kernel — share the measurement so the column
-    // reports parity exactly instead of timer noise.
-    let effective = ca_core::config::part_threads_set()
-        .unwrap_or_else(|| PART_WIDTH.min(ca_core::config::available_parallelism_or(1)))
-        .max(1);
-    let par_us = if effective == 1 {
-        seq_us
-    } else {
-        time_reps(reps, || {
-            std::hint::black_box(engine::eval_ucq_gated(
-                &plan_cost,
-                &mut DbIndex::new(db),
-                PART_WIDTH,
-            ));
         })
     };
     let (plan_cold_ns, plan_warm_ns) = plan_times(q, &db.schema, &st);
@@ -328,7 +299,7 @@ fn join_case(
     }
     eprintln!(
         "[query_bench] {family} {case}: ref {ref_us}us, greedy {greedy_us}us, \
-         cost {seq_us}us, par {par_us}us, plan {plan_cold_ns}ns cold / {plan_warm_ns}ns warm"
+         cost {seq_us}us, plan {plan_cold_ns}ns cold / {plan_warm_ns}ns warm"
     );
     rows.push(Row {
         family,
@@ -336,7 +307,6 @@ fn join_case(
         mode: "table",
         ref_us,
         seq_us,
-        par_us,
         answers: got.len(),
         opt: Some(OptCols {
             greedy_us,
@@ -349,7 +319,6 @@ fn join_case(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let par_threads = engine::eval_threads().max(2);
     let mut rng = Rng::new(0xca11ab1e);
     let mut rows: Vec<Row> = Vec::new();
 
@@ -420,25 +389,22 @@ fn main() {
         let same_plan = format!("{plan_greedy:?}") == format!("{plan:?}");
         let pool = adequate_pool(&db, &ucq_constants(&q));
         let expected = legacy_certain_table(&q, &db);
-        let got = engine::certain_table_over(&plan, &db, &pool, 1);
+        let got = engine::certain_table_over(&plan, &db, &pool);
         assert_eq!(expected, got, "certain sweep disagreement");
         let reps = if k >= 5 { 1 } else { 3 };
         let ref_us = time_reps(reps, || {
             std::hint::black_box(legacy_certain_table(&q, &db));
         });
         let seq_us = time_reps(reps, || {
-            std::hint::black_box(engine::certain_table_over(&plan, &db, &pool, 1));
+            std::hint::black_box(engine::certain_table_over(&plan, &db, &pool));
         });
         let greedy_us = if same_plan {
             seq_us
         } else {
             time_reps(reps, || {
-                std::hint::black_box(engine::certain_table_over(&plan_greedy, &db, &pool, 1));
+                std::hint::black_box(engine::certain_table_over(&plan_greedy, &db, &pool));
             })
         };
-        let par_us = time_reps(reps, || {
-            std::hint::black_box(engine::certain_table_over(&plan, &db, &pool, par_threads));
-        });
         let (plan_cold_ns, plan_warm_ns) = plan_times(&q, &db.schema, &st);
         rows.push(Row {
             family: "certain_sweep",
@@ -446,7 +412,6 @@ fn main() {
             mode: "table",
             ref_us,
             seq_us,
-            par_us,
             answers: got.len(),
             opt: Some(OptCols {
                 greedy_us,
@@ -454,9 +419,7 @@ fn main() {
                 plan_warm_ns,
             }),
         });
-        eprintln!(
-            "[query_bench] certain_sweep k={k}: ref {ref_us}us, seq {seq_us}us, par {par_us}us"
-        );
+        eprintln!("[query_bench] certain_sweep k={k}: ref {ref_us}us, seq {seq_us}us");
     }
 
     // --- e11_gdm_images: Theorem 7(b) grounded-image enumeration ---
@@ -501,7 +464,7 @@ fn main() {
         let ref_us = time_reps(reps, || {
             std::hint::black_box(sequential());
         });
-        let par_us = time_reps(reps, || {
+        let seq_us = time_reps(reps, || {
             std::hint::black_box(gdm_certain::certain_existential(&phi, &d));
         });
         rows.push(Row {
@@ -509,12 +472,11 @@ fn main() {
             case: format!("phi0_{name}"),
             mode: "bool",
             ref_us,
-            seq_us: ref_us, // the sequential path IS the reference here
-            par_us,
+            seq_us,
             answers: usize::from(expected),
             opt: None,
         });
-        eprintln!("[query_bench] e11_gdm_images {name}: seq {ref_us}us, par {par_us}us");
+        eprintln!("[query_bench] e11_gdm_images {name}: ref {ref_us}us, seq {seq_us}us");
     }
 
     let mut report = Report::new(
@@ -526,9 +488,7 @@ fn main() {
             "ref_us",
             "greedy_us",
             "seq_us",
-            "par_us",
             "speedup",
-            "par_speedup",
             "cost_vs_greedy",
             "plan_cold_ns",
             "plan_warm_ns",
@@ -538,7 +498,6 @@ fn main() {
     let mut json_rows: Vec<String> = Vec::new();
     for r in &rows {
         let speedup = r.ref_us as f64 / r.seq_us as f64;
-        let par_speedup = r.ref_us as f64 / r.par_us as f64;
         report.row(vec![
             r.family.into(),
             r.case.clone(),
@@ -548,9 +507,7 @@ fn main() {
                 .as_ref()
                 .map_or("-".into(), |o| o.greedy_us.to_string()),
             r.seq_us.to_string(),
-            r.par_us.to_string(),
             format!("{speedup:.1}x"),
-            format!("{par_speedup:.1}x"),
             r.opt.as_ref().map_or("-".into(), |o| {
                 format!("{:.1}x", o.greedy_us as f64 / r.seq_us as f64)
             }),
@@ -566,9 +523,9 @@ fn main() {
         let _ = write!(
             row,
             "    {{\"family\": \"{}\", \"case\": \"{}\", \"mode\": \"{}\", \
-             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"new_par_wall_us\": {}, \
-             \"speedup_seq\": {:.2}, \"speedup_par\": {:.2}, \"answers\": {}",
-            r.family, r.case, r.mode, r.ref_us, r.seq_us, r.par_us, speedup, par_speedup, r.answers
+             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"speedup_seq\": {:.2}, \
+             \"answers\": {}",
+            r.family, r.case, r.mode, r.ref_us, r.seq_us, speedup, r.answers
         );
         if let Some(o) = &r.opt {
             let _ = write!(
@@ -584,34 +541,18 @@ fn main() {
         row.push('}');
         json_rows.push(row);
     }
-    report.note("ref = pre-engine nested-loop evaluator (ca_query::reference); greedy = engine with the stats-blind greedy plan; seq = engine with the cost-based plan, threads=1; par = gated partitioned join (requested width 4, clamped to host cores, cost-gated) or parallel sweep (certain families)");
+    report.note("ref = pre-engine nested-loop evaluator (ca_query::reference), or plain image enumeration (e11); greedy = engine with the stats-blind greedy plan; seq = engine with the cost-based plan");
     report.note("cost_vs_greedy = greedy_us/seq_us; identical plans share one measurement, so 1.0x there is exact, not noise");
     report.note("plan_cold_ns = statistics read + cost-based compile; plan_warm_ns = PlanCache hit at the same store revision");
     report.note("e02_ucq_edge measures fixed costs (single scan both sides) — near-parity is the honest expectation; the chain joins are where indexing pays and e02_ucq_skew is where cost-based ordering pays");
     report.note("answers = result rows (table mode) / certainty bit (bool mode); every case asserts reference and engine agree before timing");
     println!("{report}");
 
-    // Thread accounting: `host_cores` is the physical budget; the
-    // requested widths are what the bench asked for; effective widths
-    // are what actually ran — the gated join entry clamps the request
-    // to the host cores unless `CA_PART_THREADS` forces a width (the
-    // certain-answer sweep caps at the completion count but not at host
-    // cores). par == seq on a 1-core host is parity, not regression —
-    // the footer makes that attributable.
-    let join_effective = ca_core::config::part_threads_set()
-        .unwrap_or_else(|| PART_WIDTH.min(ca_core::config::available_parallelism_or(1)))
-        .max(1);
     let json = format!(
-        "{{\n  \"bench\": \"query_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"threads_default\": {},\n  \"threads_requested\": {{\"join_par\": {}, \"certain_par\": {}}},\n  \"threads_effective\": {{\"join_par\": {}, \"certain_par\": {}}},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"query_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         ca_bench::report::git_rev(),
         ca_bench::report::host_cores(),
-        engine::eval_threads(),
-        PART_WIDTH,
-        par_threads,
-        join_effective,
-        par_threads,
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_query.json", &json).expect("write BENCH_query.json");
-    eprintln!("[query_bench] wrote BENCH_query.json");
+    ca_bench::report::write_json("query", !quick, &json);
 }

@@ -24,16 +24,16 @@
 //!   compile-dominated: they measure interning and root-propagation
 //!   overhead rather than search speed.
 //!
-//! Each case runs the reference kernel, the new kernel sequentially
-//! (`threads = 1`), and the new kernel with the default parallel
-//! configuration, and reports wall time, search nodes, and nodes/second.
-//! Results go to stdout as a table and to `BENCH_solver.json`.
+//! Each case runs the reference kernel and the new kernel, and reports
+//! wall time, search nodes, and nodes/second. Results go to stdout as a
+//! table and to `BENCH_solver.json` (`target/bench/` for `--quick` and
+//! `--only` runs).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use ca_bench::report::Report;
-use ca_hom::csp::{Csp, SolverConfig};
+use ca_hom::csp::Csp;
 use ca_hom::reference;
 
 /// Deterministic splitmix64 — the bench must be reproducible run to run.
@@ -184,15 +184,15 @@ fn run_reference(case: &Case) -> Measurement {
     Measurement { wall_us, nodes }
 }
 
-fn run_new(case: &Case, cfg: SolverConfig) -> Measurement {
+fn run_new(case: &Case) -> Measurement {
     let mut nodes = 0u64;
     let wall_us = match case.mode {
         Mode::Solve => time_reps(case.reps, || {
-            let (_, stats) = case.csp.solve_with(cfg);
+            let (_, stats) = case.csp.solve_stats();
             nodes = stats.nodes;
         }),
         Mode::Count => time_reps(case.reps, || {
-            let (_, stats) = case.csp.count_solutions_with(cfg);
+            let (_, stats) = case.csp.count_solutions_stats();
             nodes = stats.nodes;
         }),
     };
@@ -336,9 +336,7 @@ fn main() {
             "mode",
             "ref_us",
             "new_us",
-            "par_us",
             "speedup",
-            "par_speedup",
             "new_nodes",
             "new_nodes/s",
         ],
@@ -353,19 +351,15 @@ fn main() {
         eprintln!("[solver_bench] {} {} ...", case.family, case.size);
         let old = run_reference(case);
         eprintln!("[solver_bench]   ref done ({}us)", old.wall_us);
-        let new_seq = run_new(case, SolverConfig::sequential());
-        let new_par = run_new(case, SolverConfig::parallel());
+        let new_seq = run_new(case);
         let speedup = old.wall_us as f64 / new_seq.wall_us as f64;
-        let par_speedup = old.wall_us as f64 / new_par.wall_us as f64;
         report.row(vec![
             case.family.into(),
             case.size.clone(),
             mode.into(),
             old.wall_us.to_string(),
             new_seq.wall_us.to_string(),
-            new_par.wall_us.to_string(),
             format!("{speedup:.1}x"),
-            format!("{par_speedup:.1}x"),
             new_seq.nodes.unwrap_or(0).to_string(),
             per_sec(new_seq.nodes, new_seq.wall_us),
         ]);
@@ -373,8 +367,7 @@ fn main() {
         let _ = write!(
             row,
             "    {{\"family\": \"{}\", \"case\": \"{}\", \"mode\": \"{}\", \
-             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"new_par_wall_us\": {}, \
-             \"speedup_seq\": {:.2}, \"speedup_par\": {:.2}, \
+             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"speedup_seq\": {:.2}, \
              \"ref_nodes\": {}, \"new_nodes\": {}, \
              \"ref_nodes_per_sec\": {}, \"new_nodes_per_sec\": {}}}",
             case.family,
@@ -382,9 +375,7 @@ fn main() {
             mode,
             old.wall_us,
             new_seq.wall_us,
-            new_par.wall_us,
             speedup,
-            par_speedup,
             old.nodes.map_or("null".into(), |n| n.to_string()),
             new_seq.nodes.unwrap_or(0),
             old.nodes
@@ -399,24 +390,15 @@ fn main() {
         );
     }
 
-    report.note("ref = pre-rewrite kernel (ca_hom::reference); new = bitset/support kernel, sequential; par = default parallel config");
+    report.note("ref = pre-rewrite kernel (ca_hom::reference); new = bitset/support kernel");
     report.note("wall times are per repetition; node counts differ between kernels (the new kernel adds root propagation and degree tie-breaking)");
     println!("{report}");
 
-    // `SolverConfig::parallel()` requests `default_threads()` and the
-    // search spawns exactly that many workers (no host clamp), so
-    // requested == effective; on a 1-core host both are 1 and the par
-    // column is an honest parity row.
-    let par_threads = ca_hom::csp::SolverConfig::parallel().threads;
     let json = format!(
-        "{{\n  \"bench\": \"solver_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"threads_default\": {},\n  \"threads_requested\": {},\n  \"threads_effective\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"solver_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         ca_bench::report::git_rev(),
         ca_bench::report::host_cores(),
-        ca_hom::csp::default_threads(),
-        par_threads,
-        par_threads,
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_solver.json", &json).expect("write BENCH_solver.json");
-    eprintln!("[solver_bench] wrote BENCH_solver.json");
+    ca_bench::report::write_json("solver", !quick && only.is_none(), &json);
 }

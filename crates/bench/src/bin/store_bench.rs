@@ -16,7 +16,7 @@
 //! Every family asserts a correctness invariant on its result before
 //! timing (checksums, live counts, byte-identical re-serialization), so
 //! a wrong store can't post a fast number. Results go to stdout as a
-//! table and to `BENCH_store.json`.
+//! table and to `BENCH_store.json` (`target/bench/` for `--quick`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -235,15 +235,13 @@ fn main() {
     report.note("workload: arity-3 tuples from a fixed-seed LCG, ~1/8 nulls, domain = n/2");
     println!("{report}");
 
-    // Every store_bench family is sequential; the thread fields are here
-    // so all five emitters share one footer shape and a reader can check
-    // host conditions without knowing which bench they hold.
+    // Every store_bench family is sequential; the thread fields say so
+    // next to the host's core count.
     let json = format!(
         "{{\n  \"bench\": \"store_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"threads_default\": 1,\n  \"threads_requested\": 1,\n  \"threads_effective\": 1,\n  \"results\": [\n{}\n  ]\n}}\n",
         git_rev(),
         ca_bench::report::host_cores(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_store.json", &json).expect("write BENCH_store.json");
-    eprintln!("[store_bench] wrote BENCH_store.json");
+    ca_bench::report::write_json("store", !quick, &json);
 }

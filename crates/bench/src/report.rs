@@ -94,12 +94,28 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The machine's physical parallelism, for stamping `BENCH_*.json`
-/// emissions: a `par == seq` parity row is only attributable when the
-/// reader can see how many cores the run actually had (`threads_default:
-/// 1` on a 1-core host is parity, not a regression).
+/// The machine's available parallelism, for stamping `BENCH_*.json`
+/// emissions so a recorded row is attributable to the host that ran it.
 pub fn host_cores() -> usize {
     ca_core::config::available_parallelism_or(1)
+}
+
+/// Write a bench's JSON report `BENCH_<name>.json`. A full run writes the
+/// canonical file in the working directory (the repo root under `cargo
+/// run`); a `--quick` or `--only` run writes under `target/bench/`
+/// instead, so a smoke run never overwrites a recorded result.
+pub fn write_json(name: &str, full: bool, json: &str) {
+    let file = format!("BENCH_{name}.json");
+    let path = if full {
+        std::path::PathBuf::from(file)
+    } else {
+        std::path::Path::new("target/bench").join(file)
+    };
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create the bench output directory");
+    }
+    std::fs::write(&path, json).expect("write the bench report");
+    eprintln!("[{name}_bench] wrote {}", path.display());
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! A fixed little-endian encoding (length-prefixed vectors, one-byte
 //! variant tags) with exactly one byte string per certificate value, so
 //! the determinism suite can pin certificates byte-for-byte across
-//! thread widths and across independently rebuilt stores — the same pin
+//! layouts and independently rebuilt stores — the same pin
 //! discipline as the store's snapshot bytes.
 
 use ca_core::value::{Null, Value};

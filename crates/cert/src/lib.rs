@@ -39,8 +39,8 @@
 //! Every rejection is a typed [`Reject`] reason, so a failing suite says
 //! *which* claim broke, not just "mismatch". Certificates also have a
 //! canonical little-endian byte form ([`bytes`]) pinned by the
-//! determinism suite: byte-identical across thread widths and across
-//! independently rebuilt stores.
+//! determinism suite: byte-identical across layouts and independently
+//! rebuilt stores.
 //!
 //! What a certificate does **not** claim: completeness-style facts whose
 //! verification would require search (that a chase `Done` state is a

@@ -1,36 +1,27 @@
-//! Runtime configuration: the `CA_*` environment knobs, parsed in one place.
+//! Runtime configuration: the one `CA_*` environment knob, parsed in one
+//! place.
 //!
-//! Both parallel kernels (the ca-hom CSP split and the ca-query completion
-//! sweep) take their worker count from an environment variable. Before this
-//! module each kernel parsed its own variable with subtly different rules
-//! (the sweep fell back to one thread on a malformed value, the solver fell
-//! back to the machine width), so the same typo behaved differently per
-//! kernel. [`threads_from`] defines the single policy:
+//! The only parallel kernel is the streaming bulk loader
+//! (`ca_core::store::ingest`); its worker count comes from
+//! `CA_PART_THREADS` through [`part_threads`]. Every other engine (the
+//! completion sweep, the chase match phase, joins, the CSP search and
+//! core retraction) runs on the calling thread. The parse policy:
 //!
 //! * **set and numeric** — saturating parse: `"0"` is clamped up to 1 (a
-//!   zero-thread sweep cannot run), values too large for `usize` clamp to
-//!   `usize::MAX` instead of being treated as typos;
+//!   zero-worker loader cannot run), values too large for `usize` clamp
+//!   to `usize::MAX` instead of being treated as typos (and then to
+//!   [`PART_THREADS_MAX`]);
 //! * **set but malformed** (empty, signs, non-digits) — the *explicit
-//!   fallback* is used, never a silent `1`;
+//!   fallback* (available parallelism) is used, never a silent `1`;
 //! * **unset** — the fallback.
-//!
-//! The fallback is the caller's default-width policy: available parallelism
-//! for the sweep ([`eval_threads`]), available parallelism capped at 16 for
-//! the solver pool ([`hom_threads`]).
 //!
 //! Every `CA_*` variable read through this module must be documented in
 //! `DESIGN.md`; the in-tree linter (`ca-lint`, rules L003/L005) enforces
 //! both the documentation and that no other module reads `CA_*` variables
-//! or spawns threads outside the two sanctioned kernels.
+//! or spawns threads outside the loader.
 
-/// The ca-query completion-sweep worker count variable.
-pub const EVAL_THREADS_VAR: &str = "CA_EVAL_THREADS";
-
-/// The ca-hom CSP solver pool-width variable.
-pub const HOM_THREADS_VAR: &str = "CA_HOM_THREADS";
-
-/// The partitioned-join / bulk-ingest worker count variable.
-pub const PART_THREADS_VAR: &str = "CA_PART_THREADS";
+/// The bulk-ingest worker count variable.
+const PART_THREADS_VAR: &str = "CA_PART_THREADS";
 
 /// Saturating thread-count parse: `Some(n.max(1))` for all-digit input
 /// (clamping overflow to `usize::MAX`), `None` for anything else.
@@ -45,7 +36,7 @@ fn parse_threads(raw: &str) -> Option<usize> {
 
 /// Thread count from the environment variable `var`, falling back to
 /// `fallback()` when the variable is unset *or malformed*. Always ≥ 1.
-pub fn threads_from(var: &str, fallback: impl FnOnce() -> usize) -> usize {
+fn threads_from(var: &str, fallback: impl FnOnce() -> usize) -> usize {
     std::env::var(var)
         .ok()
         .as_deref()
@@ -56,11 +47,9 @@ pub fn threads_from(var: &str, fallback: impl FnOnce() -> usize) -> usize {
 /// The machine's available parallelism, or `default` when unknown.
 ///
 /// `std::thread::available_parallelism` is a syscall on every call and
-/// is not cached by std; the sweep drivers consult it per sweep, which
-/// for microsecond-scale grids (the Theorem 7(b) image enumeration) is
-/// measurable overhead. The width cannot change within a process, so it
-/// is read once. (`CA_*` variables are deliberately *not* cached — the
-/// documented semantics is that they are re-read per call.)
+/// is not cached by std. The width cannot change within a process, so
+/// it is read once. (`CA_PART_THREADS` is deliberately *not* cached —
+/// the documented semantics is that it is re-read per call.)
 pub fn available_parallelism_or(default: usize) -> usize {
     use std::sync::OnceLock;
     static WIDTH: OnceLock<Option<usize>> = OnceLock::new();
@@ -69,49 +58,21 @@ pub fn available_parallelism_or(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Sweep worker count: `CA_EVAL_THREADS`, else available parallelism.
-pub fn eval_threads() -> usize {
-    threads_from(EVAL_THREADS_VAR, || available_parallelism_or(1))
-}
-
-/// Solver pool width: `CA_HOM_THREADS`, else available parallelism capped
-/// at 16 (wider pools stop paying off on the CSP split).
-pub fn hom_threads() -> usize {
-    threads_from(HOM_THREADS_VAR, || available_parallelism_or(1).min(16))
-}
-
-/// Upper bound on the partitioned-execution width. Unlike the sweep and
-/// solver widths (which only size work chunks), the partition width is
-/// honored *verbatim* — one spawned worker and one answer buffer per
-/// partition — so a typo'd huge `CA_PART_THREADS` would otherwise abort
-/// on allocation or thread-spawn failure instead of degrading. The cap
-/// is far above any host width (determinism sweeps deliberately run
-/// wider than the machine) while keeping per-partition state bounded.
+/// Upper bound on the bulk-loader width. The width is honored
+/// *verbatim* — one spawned parse worker each — so a typo'd huge width
+/// would otherwise abort on allocation or thread-spawn failure instead
+/// of degrading. The cap is far above any host width (determinism
+/// tests deliberately run wider than the machine) while keeping the
+/// loader's state bounded. `ingest::load_csv` applies it to explicit
+/// widths too.
 pub const PART_THREADS_MAX: usize = 4096;
 
-/// Partitioned-join and bulk-ingest worker count: `CA_PART_THREADS`,
-/// else available parallelism, clamped to [`PART_THREADS_MAX`].
-/// Consumed by the morsel-driven partition evaluator
-/// (`ca_query::engine::par`) and the streaming bulk loader
-/// (`ca_core::store::ingest`); both are byte-identical at every width,
-/// so this knob only moves wall time.
+/// Bulk-ingest worker count: `CA_PART_THREADS`, else available
+/// parallelism, clamped to [`PART_THREADS_MAX`]. Consumed by the
+/// streaming bulk loader (`ca_core::store::ingest`), which is
+/// byte-identical at every width, so this knob only moves wall time.
 pub fn part_threads() -> usize {
     threads_from(PART_THREADS_VAR, || available_parallelism_or(1)).min(PART_THREADS_MAX)
-}
-
-/// Like [`part_threads`], but `None` when `CA_PART_THREADS` is unset or
-/// malformed. For callers that treat an explicitly requested width
-/// differently from the default: the chase match phase clamps its
-/// default width to the physical cores (oversubscription is pure
-/// overhead) but honors an explicit width verbatim, which is how the
-/// determinism suites pin byte-identical results at widths wider than
-/// the host. Clamped to [`PART_THREADS_MAX`] like [`part_threads`].
-pub fn part_threads_set() -> Option<usize> {
-    std::env::var(PART_THREADS_VAR)
-        .ok()
-        .as_deref()
-        .and_then(parse_threads)
-        .map(|n| n.min(PART_THREADS_MAX))
 }
 
 #[cfg(test)]
@@ -167,13 +128,11 @@ mod tests {
     #[test]
     fn part_width_is_capped_not_verbatim() {
         // A typo'd huge width degrades to the cap instead of aborting on
-        // per-partition allocation; widths under the cap pass through.
+        // per-worker allocation; widths under the cap pass through.
         std::env::set_var(PART_THREADS_VAR, "999999999999999999999999999999");
         assert_eq!(part_threads(), PART_THREADS_MAX);
-        assert_eq!(part_threads_set(), Some(PART_THREADS_MAX));
         std::env::set_var(PART_THREADS_VAR, "7");
         assert_eq!(part_threads(), 7);
-        assert_eq!(part_threads_set(), Some(7));
         std::env::remove_var(PART_THREADS_VAR);
     }
 }

@@ -20,8 +20,8 @@
 //!   the retraction `π_cpl`, certain answers over complete objects, the
 //!   complete-saturation property, and the Theorem 2 criterion for when
 //!   certain answers are computed by naïve evaluation.
-//! * [`config`] — the `CA_*` environment knobs (thread widths for the
-//!   parallel kernels), parsed once with a single saturating policy.
+//! * [`config`] — the one `CA_*` environment knob (the bulk loader's
+//!   worker count), parsed with a saturating policy.
 //! * [`fxhash`] — the fixed-seed Fx hasher backing the store's hot maps
 //!   (trusted in-process keys; deterministic across runs and hosts).
 //! * [`store`] — the workspace-wide columnar interned fact store all

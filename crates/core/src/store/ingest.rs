@@ -46,6 +46,7 @@ use std::io::{BufRead, BufReader, Read};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
 
+use crate::config::PART_THREADS_MAX;
 use crate::value::Value;
 
 use super::{dense_count, FactStore, SnapshotError, ValueId, SNAPSHOT_MAGIC};
@@ -259,13 +260,16 @@ fn read_batch(
 /// Load CSV facts from `input` into `store` with `threads` parse
 /// workers, returning the number of facts appended. Byte-identical
 /// output at every width; `threads <= 1` runs the same code without
-/// spawning. On error the store may hold a prefix of the input (every
-/// line before the earliest offending one).
+/// spawning, and widths above [`PART_THREADS_MAX`] are clamped to it
+/// (each worker is a thread and sizes the bounded channels). On error
+/// the store may hold a prefix of the input (every line before the
+/// earliest offending one).
 pub fn load_csv(
     input: impl Read + Send,
     store: &mut FactStore,
     threads: usize,
 ) -> Result<u64, IngestError> {
+    let threads = threads.min(PART_THREADS_MAX);
     let mut reader = BufReader::new(input);
     let mut ids_scratch: Vec<ValueId> = Vec::new();
     if threads <= 1 {
@@ -435,6 +439,18 @@ S,?2
                 Some(b) => assert_eq!(&bytes, b, "width {threads} differs"),
             }
         }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "spawns PART_THREADS_MAX interpreted threads")]
+    fn huge_width_is_clamped_not_fatal() {
+        // An explicit width far past any host is clamped before it sizes
+        // the bounded channels, so the load neither aborts nor changes.
+        let mut one = FactStore::new();
+        load_csv_bytes(b"R,1\nR,2\n", &mut one, 1).expect("loads");
+        let mut wide = FactStore::new();
+        assert_eq!(load_csv_bytes(b"R,1\nR,2\n", &mut wide, usize::MAX), Ok(2));
+        assert_eq!(wide.to_bytes(), one.to_bytes());
     }
 
     #[test]

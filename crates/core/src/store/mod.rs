@@ -29,7 +29,6 @@
 //! provides the `to_store`/`from_store` bridge.
 
 pub mod ingest;
-pub mod partition;
 pub mod snapshot;
 pub mod stats;
 

@@ -32,18 +32,11 @@
 //!   roots win; two distinct constant roots fail the chase) and rewrite
 //!   only the facts that mention a merged null, via a null-occurrence
 //!   index — never the whole instance;
-//! * the match phase runs in parallel over the round's (rule, pinned
-//!   plan) tasks ([`sweep::parallel_map`], under `CA_EVAL_THREADS`, with
-//!   an explicit `CA_PART_THREADS` width winning; the default width is
-//!   clamped to the physical cores, and the phase stays sequential
-//!   unless the cost model prices the round's seeded joins above the
-//!   spawn/merge overhead); large seed lists are hash-partitioned on the
-//!   pinned atom's leading bound column (`ca_core::store::partition`) so
-//!   rows sharing a join key stay on one worker, and
-//!   firing applies the collected triggers in (rule index, frontier
-//!   valuation) order — lowest trigger wins — with fresh existential
-//!   nulls drawn in that same order, so the chased instance is
-//!   byte-identical at every thread count.
+//! * the match phase evaluates the round's (rule, pinned plan) pairs
+//!   in (rule index, pin) order, and firing applies the collected
+//!   triggers in (rule index, frontier valuation) order — lowest trigger
+//!   wins — with fresh existential nulls drawn in that same order, so
+//!   the chased instance is deterministic.
 //!
 //! Differences from the reference loop, all benign up to
 //! hom-equivalence (the differential suite compares with `gdm_equiv`):
@@ -56,20 +49,18 @@
 //! unaffected, since chase failure and success are order-independent.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use ca_cert::{
     CertAtom, CertEgd, CertFact, CertRule, CertTerm, ChaseCert, ChaseCertOutcome, ChaseStep,
 };
 use ca_core::fxhash::{FxHashMap, FxHashSet};
-use ca_core::store::{partition, FactId, FactStore};
+use ca_core::store::{FactId, FactStore};
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_query::engine::{
-    eval_prepared_into, eval_seeded_into, prepare_cq, sweep, CompiledCq, CompiledUcq, DbIndex,
-    PlanCache, PreparedCq, PART_MIN_WORK,
+    eval_prepared_into, eval_seeded_into, prepare_cq, CompiledCq, CompiledUcq, DbIndex, PlanCache,
 };
 use ca_relational::schema::Schema;
 
@@ -917,94 +908,6 @@ fn sole(plan: &CompiledUcq) -> &CompiledCq {
     plan.disjuncts().first().expect("UnionQuery::single")
 }
 
-/// Parallelism pays only when the match phase has real work: below this
-/// many seed facts summed over the round's tasks, the thread-scope spawn
-/// dominates the joins and the phase stays sequential (mirrors
-/// `PAR_MIN_COMPLETIONS` in `ca_query::engine::sweep`).
-const PAR_MIN_SEED: usize = 512;
-
-fn effective_threads(threads: usize, total_seed: usize, est_work: f64) -> usize {
-    // An explicit `CA_PART_THREADS` width overrides the config width and
-    // is honored **verbatim**, exactly like the partitioned join in
-    // `ca_query::engine::par` — the partition determinism suite pins
-    // byte-identical results at widths wider than the host, so an
-    // explicit width beyond the physical cores costs only wall time,
-    // never correctness. The *default* width, by contrast, is clamped to
-    // the cores actually present: a four-wide default on a one-core host
-    // is pure coordination overhead.
-    let threads = match ca_core::config::part_threads_set() {
-        Some(w) => w,
-        None => threads.min(ca_core::config::available_parallelism_or(1)),
-    };
-    // Two gates, both advisory (results are width-independent): enough
-    // seed facts to split, and enough *estimated join work* — a round
-    // seeding thousands of single-atom bodies has nothing to probe, and
-    // the thread-scope spawn would dominate it.
-    if threads <= 1 || total_seed < PAR_MIN_SEED || est_work < PART_MIN_WORK {
-        1
-    } else {
-        threads
-    }
-}
-
-/// A unit of match work: one `(rule-or-egd index, pinned-plan index)`
-/// pair restricted to an owned list of the pinned relation's seed rows.
-/// Large seed lists are **hash-partitioned** on the pinned atom's first
-/// bound column (`ca_core::store::partition`) so delta rows sharing a
-/// join key stay on one worker and each worker's probe working set is a
-/// fraction of the posting tables; each task dedups its own output so
-/// workers share the set-building cost too.
-struct MatchTask {
-    rule: usize,
-    pin: usize,
-    rows: Vec<u32>,
-}
-
-/// Build the round's match tasks: every nonempty (rule, pin) seed list
-/// becomes one task when small (or `threads <= 1`), else `threads`
-/// hash partitions — keyed by the pinned plan's leading bound column via
-/// `key_col`, falling back to row-id partitioning for plans that bind
-/// nothing. Partitions are deterministic in the store contents
-/// (seed-independent of the worker count only in *which rows group
-/// together*, and the per-rule merges are order-insensitive sets), so
-/// results stay byte-identical at every width.
-fn partition_tasks(
-    store: &FactStore,
-    seeds: &[Vec<u32>],
-    plan_seeds: &[(usize, usize, Symbol)],
-    key_col: impl Fn(usize, usize) -> Option<usize>,
-    threads: usize,
-) -> Vec<MatchTask> {
-    let mut tasks = Vec::new();
-    for &(rule, pin, rel) in plan_seeds {
-        let rows = &seeds[rel.index()];
-        if threads <= 1 || rows.len() < PAR_MIN_SEED {
-            tasks.push(MatchTask {
-                rule,
-                pin,
-                rows: rows.clone(),
-            });
-            continue;
-        }
-        let parts = match key_col(rule, pin).and_then(|pos| store.table(rel).cols().get(pos)) {
-            Some(col) => partition::partition_rows(col, rows, threads),
-            None => partition::partition_ids(rows, threads),
-        };
-        for rows in parts {
-            if !rows.is_empty() {
-                tasks.push(MatchTask { rule, pin, rows });
-            }
-        }
-    }
-    tasks
-}
-
-/// Resolve the cost-based pinned plan of every `(rule, pin)` pair in
-/// `plan_seeds` through the cache, prepare it against the shared index,
-/// and sum the model's estimate of the seeded join work. The `BTreeMap`
-/// keeps worker lookups deterministic and ca-lint-clean.
-type PlanTable = BTreeMap<(usize, usize), (Arc<CompiledUcq>, PreparedCq)>;
-
 /// Evaluate every egd's pinned plans over the per-relation seeds,
 /// returning the sorted set of equality pairs. `Err(())` = match budget
 /// exceeded.
@@ -1017,76 +920,40 @@ fn egd_matches(
     cache: &mut PlanCache,
     idx: &mut DbIndex,
 ) -> Result<BTreeSet<(Value, Value)>, ()> {
-    let mut plan_seeds: Vec<(usize, usize, Symbol)> = Vec::new();
-    let mut total_seed = 0usize;
-    for (e, egd) in egds.iter().enumerate() {
-        for (p, &rel) in egd.rels.iter().enumerate() {
-            let n = seeds[rel.index()].len();
-            if n > 0 {
-                plan_seeds.push((e, p, rel));
-                total_seed += n;
-            }
-        }
-    }
-    let mut plans: PlanTable = BTreeMap::new();
-    let mut est_work = 0.0f64;
-    for &(e, p, rel) in &plan_seeds {
-        let plan = cache
-            .get_or_compile_pinned(&egds[e].body_u, p, schema, store)
-            // ca-lint: allow(L002, reason = "compile_egd validated this body against the schema; plan errors are independent of pin and statistics")
-            .expect("egd bodies are validated at compile time");
-        let cq = sole(&plan);
-        let prepared = prepare_cq(cq, idx);
-        est_work += idx.model().seeded_work(cq, seeds[rel.index()].len());
-        plans.insert((e, p), (plan, prepared));
-    }
-    let threads = effective_threads(cfg.threads, total_seed, est_work);
-    let tasks = partition_tasks(
-        store,
-        seeds,
-        &plan_seeds,
-        |e, p| sole(&plans[&(e, p)].0).lead_bind_pos(),
-        threads,
-    );
     let limit = cfg.match_limit;
-    let idx = &*idx;
-    let results: Vec<(BTreeSet<(Value, Value)>, bool)> =
-        sweep::parallel_map(tasks.len(), threads, |t| {
-            let MatchTask {
-                rule: e,
-                pin: p,
-                rows,
-            } = &tasks[t];
-            let (plan, prepared) = &plans[&(*e, *p)];
-            let plan = sole(plan);
-            let mut set: BTreeSet<(Value, Value)> = BTreeSet::new();
+    let mut pairs: BTreeSet<(Value, Value)> = BTreeSet::new();
+    for egd in egds {
+        for (p, &rel) in egd.rels.iter().enumerate() {
+            let rows = &seeds[rel.index()];
+            if rows.is_empty() {
+                continue;
+            }
+            let plan = cache
+                .get_or_compile_pinned(&egd.body_u, p, schema, store)
+                // ca-lint: allow(L002, reason = "compile_egd validated this body against the schema; plan errors are independent of pin and statistics")
+                .expect("egd bodies are validated at compile time");
+            let cq = sole(&plan);
+            let prepared = prepare_cq(cq, idx);
             let mut over = false;
-            eval_seeded_into(plan, prepared, idx, rows, &mut |row| {
+            eval_seeded_into(cq, &prepared, idx, rows, &mut |row| {
                 if let [a, b] = row {
                     // Insert straight away (dedup is free for Copy
-                    // pairs); only a full set needs the existence
-                    // check to tell "duplicate" from "over budget".
-                    if set.len() == limit {
-                        if set.contains(&(*a, *b)) {
+                    // pairs); only a full set needs the existence check
+                    // to tell "duplicate" from "over budget".
+                    if pairs.len() == limit {
+                        if pairs.contains(&(*a, *b)) {
                             return true;
                         }
                         over = true;
                         return false;
                     }
-                    set.insert((*a, *b));
+                    pairs.insert((*a, *b));
                 }
                 true
             });
-            (set, over)
-        });
-    let mut pairs = BTreeSet::new();
-    for (set, over) in results {
-        if over {
-            return Err(());
-        }
-        pairs.extend(set);
-        if pairs.len() > limit {
-            return Err(());
+            if over {
+                return Err(());
+            }
         }
     }
     Ok(pairs)
@@ -1117,76 +984,36 @@ fn tgd_matches(
         None => vec![BTreeSet::new(); n_rules],
     };
     let mut satisfied: Vec<TriggerSet> = vec![BTreeSet::new(); n_rules];
-    if n_rules == 0 {
-        return Ok((triggers, satisfied));
-    }
-    let mut plan_seeds: Vec<(usize, usize, Symbol)> = Vec::new();
-    let mut total_seed = 0usize;
+    let limit = cfg.match_limit;
     // Certified triggers come from the provenance pass: seed no body.
     let seeded: &[CompiledRule] = if prov.is_some() { &[] } else { rules };
-    for (r, rule) in seeded.iter().enumerate() {
+    for (rule, set) in seeded.iter().zip(triggers.iter_mut()) {
         for (p, &rel) in rule.rels.iter().enumerate() {
-            let n = seeds[rel.index()].len();
-            if n > 0 {
-                plan_seeds.push((r, p, rel));
-                total_seed += n;
+            let rows = &seeds[rel.index()];
+            if rows.is_empty() {
+                continue;
             }
-        }
-    }
-    // Resolve and prepare the seeded plans up front (mutably), so the
-    // parallel phase below can share the index immutably.
-    let mut plans: PlanTable = BTreeMap::new();
-    let mut est_work = 0.0f64;
-    for &(r, p, rel) in &plan_seeds {
-        let plan = cache
-            .get_or_compile_pinned(&rules[r].body_u, p, schema, store)
-            // ca-lint: allow(L002, reason = "compile_rule validated this body against the schema; plan errors are independent of pin and statistics")
-            .expect("rule bodies are validated at compile time");
-        let cq = sole(&plan);
-        let prepared = prepare_cq(cq, idx);
-        est_work += idx.model().seeded_work(cq, seeds[rel.index()].len());
-        plans.insert((r, p), (plan, prepared));
-    }
-    let threads = effective_threads(cfg.threads, total_seed, est_work);
-    let tasks = partition_tasks(
-        store,
-        seeds,
-        &plan_seeds,
-        |r, p| sole(&plans[&(r, p)].0).lead_bind_pos(),
-        threads,
-    );
-    let limit = cfg.match_limit;
-    let shared = &*idx;
-    let results: Vec<(TriggerSet, bool)> = sweep::parallel_map(tasks.len(), threads, |t| {
-        let MatchTask {
-            rule: r,
-            pin: p,
-            rows,
-        } = &tasks[t];
-        let (plan, prepared) = &plans[&(*r, *p)];
-        let plan = sole(plan);
-        let mut set: TriggerSet = BTreeSet::new();
-        let mut over = false;
-        eval_seeded_into(plan, prepared, shared, rows, &mut |row| {
-            if set.contains(row) {
-                return true;
+            let plan = cache
+                .get_or_compile_pinned(&rule.body_u, p, schema, store)
+                // ca-lint: allow(L002, reason = "compile_rule validated this body against the schema; plan errors are independent of pin and statistics")
+                .expect("rule bodies are validated at compile time");
+            let cq = sole(&plan);
+            let prepared = prepare_cq(cq, idx);
+            let mut over = false;
+            eval_seeded_into(cq, &prepared, idx, rows, &mut |row| {
+                if set.contains(row) {
+                    return true;
+                }
+                if set.len() == limit {
+                    over = true;
+                    return false;
+                }
+                set.insert(row.to_vec());
+                true
+            });
+            if over {
+                return Err(());
             }
-            if set.len() == limit {
-                over = true;
-                return false;
-            }
-            set.insert(row.to_vec());
-            true
-        });
-        (set, over)
-    });
-    for (t, (set, over)) in results.into_iter().enumerate() {
-        if over {
-            return Err(());
-        }
-        triggers[tasks[t].rule].extend(set);
-        if triggers[tasks[t].rule].len() > limit {
-            return Err(());
         }
     }
     // A rule with an empty body has no atom to seed: its single trigger
@@ -1201,26 +1028,19 @@ fn tgd_matches(
     // Head satisfaction, set-at-a-time, for rules with unfired
     // candidates. Head plans go through the cache too: a quiet store
     // serves them for free, a mutated one re-costs them.
-    let needy: Vec<usize> = (0..n_rules)
-        .filter(|&r| triggers[r].iter().any(|row| !fired[r].contains(row)))
-        .collect();
-    let head_plans: Vec<(Arc<CompiledUcq>, PreparedCq)> = needy
-        .iter()
-        .map(|&r| {
-            let plan = cache
-                .get_or_compile(&rules[r].head_u, schema, store)
-                // ca-lint: allow(L002, reason = "compile_rule validated this head against the schema; plan errors are independent of statistics")
-                .expect("rule heads are validated at compile time");
-            let prepared = prepare_cq(sole(&plan), idx);
-            (plan, prepared)
-        })
-        .collect();
-    let shared = &*idx;
-    let head_results: Vec<(TriggerSet, bool)> = sweep::parallel_map(needy.len(), threads, |i| {
-        let (plan, prepared) = &head_plans[i];
-        let mut set = BTreeSet::new();
+    for (r, rule) in rules.iter().enumerate() {
+        if triggers[r].iter().all(|row| fired[r].contains(row)) {
+            continue;
+        }
+        let plan = cache
+            .get_or_compile(&rule.head_u, schema, store)
+            // ca-lint: allow(L002, reason = "compile_rule validated this head against the schema; plan errors are independent of statistics")
+            .expect("rule heads are validated at compile time");
+        let cq = sole(&plan);
+        let prepared = prepare_cq(cq, idx);
+        let set = &mut satisfied[r];
         let mut over = false;
-        eval_prepared_into(sole(plan), prepared, shared, &mut |row| {
+        eval_prepared_into(cq, &prepared, idx, &mut |row| {
             if set.len() == limit {
                 over = true;
                 return false;
@@ -1228,13 +1048,9 @@ fn tgd_matches(
             set.insert(row.to_vec());
             true
         });
-        (set, over)
-    });
-    for (i, (set, over)) in head_results.into_iter().enumerate() {
         if over {
             return Err(());
         }
-        satisfied[needy[i]] = set;
     }
     Ok((triggers, satisfied))
 }

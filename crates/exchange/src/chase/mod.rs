@@ -84,9 +84,6 @@ pub struct ChaseConfig {
     /// Per-rule-per-round match budget: a rule whose round trigger set
     /// exceeds this yields [`ChaseOutcome::Overflow`].
     pub match_limit: usize,
-    /// Worker threads for the engine's match phase (the reference
-    /// fallback ignores this).
-    pub threads: usize,
     /// Record a replayable derivation log ([`ca_cert::ChaseCert`]) while
     /// chasing. Off by default: the hot path then allocates nothing for
     /// provenance. Certified runs still evaluate each rule and egd body
@@ -99,22 +96,13 @@ pub struct ChaseConfig {
 }
 
 impl ChaseConfig {
-    /// Defaults: the given step budget, [`DEFAULT_MATCH_LIMIT`], the
-    /// `CA_EVAL_THREADS` thread count, and no certification.
+    /// Defaults: the given step budget, [`DEFAULT_MATCH_LIMIT`], and no
+    /// certification.
     pub fn new(max_steps: usize) -> Self {
         ChaseConfig {
             max_steps,
             match_limit: DEFAULT_MATCH_LIMIT,
-            threads: ca_query::engine::eval_threads(),
             certify: false,
-        }
-    }
-
-    /// Defaults with an explicit thread count.
-    pub fn with_threads(max_steps: usize, threads: usize) -> Self {
-        ChaseConfig {
-            threads,
-            ..Self::new(max_steps)
         }
     }
 }
@@ -325,7 +313,6 @@ mod tests {
         let start = tdb(&[[c(1), c(2)], [c(2), c(3)], [c(3), c(4)]]);
         let cfg = ChaseConfig {
             match_limit: 1,
-            threads: 1,
             ..ChaseConfig::new(100)
         };
         // The transitivity body has 2 matches in round one: over budget.
@@ -358,7 +345,6 @@ mod tests {
         let start = tdb(&[[c(1), c(2)], [c(2), c(3)], [c(3), c(4)], [c(4), c(5)]]);
         let cfg = ChaseConfig {
             match_limit: 4,
-            threads: 1,
             ..ChaseConfig::new(100)
         };
         match chase_with(&start, &[transitivity()], &[], &cfg) {
@@ -377,7 +363,7 @@ mod tests {
     /// outcome kind, and certification does not change the outcome.
     #[test]
     fn certified_chase_roundtrips_through_checker() {
-        let cfg = ChaseConfig::with_threads(1000, 1);
+        let cfg = ChaseConfig::new(1000);
         // Done: mixed tgd+egd chase with merges and firings. Symmetry
         // keeps functionality satisfiable: ⊥7 merges into 2, then the
         // reversed edge closes the instance.
@@ -392,7 +378,7 @@ mod tests {
         let mut head = GenDb::new(schema());
         head.add_node("T", vec![n(2), n(3)]);
         let grow = Rule { body, head }; // T(x,y) → ∃z T(y,z): draws fresh nulls
-        let bounded = ChaseConfig::with_threads(6, 1);
+        let bounded = ChaseConfig::new(6);
         let (outcome, cert) = chase_certified(
             &start,
             std::slice::from_ref(&symmetry),
@@ -433,7 +419,6 @@ mod tests {
         let chain = tdb(&[[c(1), c(2)], [c(2), c(3)], [c(3), c(4)]]);
         let tight = ChaseConfig {
             match_limit: 1,
-            threads: 1,
             ..ChaseConfig::new(100)
         };
         let (outcome, cert) = chase_certified(&chain, &[transitivity()], &[], &tight);
@@ -463,7 +448,7 @@ mod tests {
         head.add_node("T", vec![n(2), n(1)]);
         let symmetry = Rule { body, head };
         let start = tdb(&[[c(1), c(2)], [c(1), n(7)]]);
-        let cfg = ChaseConfig::with_threads(1000, 1);
+        let cfg = ChaseConfig::new(1000);
         let fast = chase_with(
             &start,
             std::slice::from_ref(&symmetry),

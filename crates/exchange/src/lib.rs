@@ -39,6 +39,4 @@ pub mod trees;
 pub use certain::{certain_answers_via_chase, CertainAnswers};
 pub use chase::{chase, chase_with, ChaseConfig, ChaseOutcome, Egd, DEFAULT_MATCH_LIMIT};
 pub use mapping::{Mapping, Rule};
-pub use solution::{
-    canonical_solution, core_of_gendb, core_of_gendb_with, core_solution, is_universal_solution,
-};
+pub use solution::{canonical_solution, core_of_gendb, core_solution, is_universal_solution};

@@ -9,8 +9,8 @@
 use ca_gdm::database::GenDb;
 use ca_gdm::encode::{self_hom_structure, value_self_hom_structure};
 use ca_gdm::hom::{gdm_hom_csp, gdm_leq};
-use ca_hom::csp::{default_threads, IncrementalSelfHom};
-use ca_hom::retract::retract_core_with;
+use ca_hom::csp::IncrementalSelfHom;
+use ca_hom::retract::retract_core;
 
 use crate::mapping::Mapping;
 
@@ -40,13 +40,8 @@ pub fn canonical_solution(
 /// in-place bitset domain restriction across the whole shrink loop,
 /// PTIME folding of dominated nodes. The seed-era per-candidate rebuild
 /// loop survives verbatim in [`crate::reference`] as the differential
-/// oracle.
-pub fn core_of_gendb(d: &GenDb) -> GenDb {
-    core_of_gendb_with(d, default_threads())
-}
-
-/// [`core_of_gendb`] with an explicit probe-thread count. The kept node
-/// set (and hence the returned database) is identical at every width.
+/// oracle. The kept node set (and hence the returned database) is
+/// deterministic.
 ///
 /// Purely relational databases (`σ = ∅`, which covers every
 /// data-exchange target in this crate) retract over the value-only
@@ -55,16 +50,16 @@ pub fn core_of_gendb(d: &GenDb) -> GenDb {
 /// become *foldable* (a pendant null moves without dragging a welded
 /// node element along), so most shrinkage needs no search at all.
 /// Databases with structural tuples use the general node encoding.
-pub fn core_of_gendb_with(d: &GenDb, threads: usize) -> GenDb {
+pub fn core_of_gendb(d: &GenDb) -> GenDb {
     if d.tuples.is_empty() {
         if d.n_nodes() <= SMALL_CORE_MAX_NODES && !has_foldable_null(d) {
             return small_core(d);
         }
-        return value_core(d, threads);
+        return value_core(d);
     }
     let (s, _universe) = self_hom_structure(d);
     let probe: Vec<u32> = (0..d.n_nodes() as u32).collect();
-    let r = retract_core_with(&s, &probe, threads);
+    let r = retract_core(&s, &probe);
     induced(d, &r.kept)
 }
 
@@ -109,7 +104,7 @@ fn small_core(d: &GenDb) -> GenDb {
         let inc = IncrementalSelfHom::new(&base, &probe);
         let mut shrunk = false;
         for avoid in 0..n as u32 {
-            if let Some(sol) = inc.probe_avoiding(avoid, None) {
+            if let Some(sol) = inc.probe_avoiding(avoid) {
                 let mut keep: Vec<u32> = sol[..n].to_vec();
                 keep.sort_unstable();
                 keep.dedup();
@@ -130,10 +125,10 @@ fn small_core(d: &GenDb) -> GenDb {
 /// lowest node carrying each image tuple (image tuples are existing
 /// facts — that is the homomorphism condition — so this is an induced
 /// sub-database and a core).
-fn value_core(d: &GenDb, threads: usize) -> GenDb {
+fn value_core(d: &GenDb) -> GenDb {
     let (s, universe) = value_self_hom_structure(d);
     let probe: Vec<u32> = (0..s.n_elements as u32).collect();
-    let r = retract_core_with(&s, &probe, threads);
+    let r = retract_core(&s, &probe);
     // Image of each fact under the valuation, as (label, mapped tuple).
     let image: Vec<(u32, Vec<u32>)> = (0..d.n_nodes())
         .map(|node| {

@@ -7,8 +7,7 @@
 //! abort and both must agree on the *outcome variant*: `Done` results
 //! are compared up to hom-equivalence (the engine interns facts and
 //! fires per frontier valuation, so node counts may differ), `Failed`
-//! must match exactly. A separate pin requires the engine to be
-//! byte-identical across thread widths.
+//! must match exactly.
 
 use proptest::prelude::*;
 
@@ -108,7 +107,7 @@ proptest! {
     fn chase_agrees_with_reference(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..8) {
         let d = gen_instance(seed, facts);
         let (tgds, egds) = rule_pool(bits);
-        let fast = chase_with(&d, &tgds, &egds, &ChaseConfig::with_threads(BUDGET, 1));
+        let fast = chase_with(&d, &tgds, &egds, &ChaseConfig::new(BUDGET));
         let slow = reference::chase_with(&d, &tgds, &egds, BUDGET, BUDGET);
         match (fast, slow) {
             (ChaseOutcome::Done(a), ChaseOutcome::Done(b)) => {
@@ -124,7 +123,7 @@ proptest! {
     fn chased_instance_is_a_fixpoint(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..8) {
         let d = gen_instance(seed, facts);
         let (tgds, egds) = rule_pool(bits);
-        if let ChaseOutcome::Done(a) = chase_with(&d, &tgds, &egds, &ChaseConfig::with_threads(BUDGET, 1)) {
+        if let ChaseOutcome::Done(a) = chase_with(&d, &tgds, &egds, &ChaseConfig::new(BUDGET)) {
             match reference::chase_with(&a, &tgds, &egds, BUDGET, BUDGET) {
                 ChaseOutcome::Done(again) => {
                     prop_assert!(gdm_equiv(&a, &again), "reference still derives on {:?}", &d);
@@ -134,17 +133,6 @@ proptest! {
         }
     }
 
-    /// Thread width is invisible: byte-identical outcomes (including the
-    /// exact chased database, node for node) at 1 vs 4 threads.
-    #[test]
-    fn chase_is_thread_width_independent(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..8) {
-        let d = gen_instance(seed, facts);
-        let (tgds, egds) = rule_pool(bits);
-        let one = chase_with(&d, &tgds, &egds, &ChaseConfig::with_threads(BUDGET, 1));
-        let four = chase_with(&d, &tgds, &egds, &ChaseConfig::with_threads(BUDGET, 4));
-        prop_assert_eq!(one, four, "thread width changed the chase on {:?}", &d);
-    }
-
     /// Certificate round-trip: the certified chase reaches the same
     /// outcome as the plain entry point, and its derivation log replays
     /// through the engine-blind checker — engine, reference (via
@@ -152,7 +140,7 @@ proptest! {
     /// the generous budget, tight match budgets (1..=8) make rounds
     /// overflow mid-chase: a certified run's provenance pass enforces the
     /// budget itself, so it must give up exactly where the plain match
-    /// phase does, with the same partial payload, at every width.
+    /// phase does, with the same partial payload.
     #[test]
     fn certified_chase_agrees_and_replays(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..8) {
         use ca_cert::ChaseCertOutcome;
@@ -161,41 +149,37 @@ proptest! {
         let d = gen_instance(seed, facts);
         let (tgds, egds) = rule_pool(bits);
         for limit in std::iter::once(BUDGET).chain(1..=8) {
-            for threads in [1, 4] {
-                let cfg = ChaseConfig {
-                    match_limit: limit,
-                    ..ChaseConfig::with_threads(BUDGET, threads)
-                };
-                let plain = chase_with(&d, &tgds, &egds, &cfg);
-                let (certified, cert) = chase_certified(&d, &tgds, &egds, &cfg);
-                prop_assert_eq!(
-                    &plain,
-                    &certified,
-                    "certify flag changed the outcome at limit {} width {} on {:?}",
-                    limit,
-                    threads,
-                    &d
-                );
-                let cert = cert.expect("the compiled engine must certify terminating pools");
-                prop_assert_eq!(
-                    ca_cert::check_chase(&cert),
-                    Ok(()),
-                    "checker rejected a live derivation log at limit {} width {} on {:?}",
-                    limit,
-                    threads,
-                    &d
-                );
-                // The certified outcome variant matches the engine's.
-                match (&certified, &cert.outcome) {
-                    (ChaseOutcome::Done(db), ChaseCertOutcome::Done { final_facts }) => {
-                        prop_assert_eq!(db.n_nodes(), final_facts.len());
-                    }
-                    (ChaseOutcome::Overflow(db), ChaseCertOutcome::Overflow { partial }) => {
-                        prop_assert_eq!(db.n_nodes(), partial.len());
-                    }
-                    (ChaseOutcome::Failed, ChaseCertOutcome::Failed) => {}
-                    other => prop_assert!(false, "cert outcome diverged on {:?}: {:?}", &d, other),
+            let cfg = ChaseConfig {
+                match_limit: limit,
+                ..ChaseConfig::new(BUDGET)
+            };
+            let plain = chase_with(&d, &tgds, &egds, &cfg);
+            let (certified, cert) = chase_certified(&d, &tgds, &egds, &cfg);
+            prop_assert_eq!(
+                &plain,
+                &certified,
+                "certify flag changed the outcome at limit {} on {:?}",
+                limit,
+                &d
+            );
+            let cert = cert.expect("the compiled engine must certify terminating pools");
+            prop_assert_eq!(
+                ca_cert::check_chase(&cert),
+                Ok(()),
+                "checker rejected a live derivation log at limit {} on {:?}",
+                limit,
+                &d
+            );
+            // The certified outcome variant matches the engine's.
+            match (&certified, &cert.outcome) {
+                (ChaseOutcome::Done(db), ChaseCertOutcome::Done { final_facts }) => {
+                    prop_assert_eq!(db.n_nodes(), final_facts.len());
                 }
+                (ChaseOutcome::Overflow(db), ChaseCertOutcome::Overflow { partial }) => {
+                    prop_assert_eq!(db.n_nodes(), partial.len());
+                }
+                (ChaseOutcome::Failed, ChaseCertOutcome::Failed) => {}
+                other => prop_assert!(false, "cert outcome diverged on {:?}: {:?}", &d, other),
             }
         }
     }
@@ -218,21 +202,19 @@ fn certified_trigger_budget_matches_plain_on_a_hub() {
     }
     let tgds = vec![transitivity()];
     for limit in 1..=10 {
-        for threads in [1, 4] {
-            let cfg = ChaseConfig {
-                match_limit: limit,
-                ..ChaseConfig::with_threads(BUDGET, threads)
-            };
-            let plain = chase_with(&d, &tgds, &[], &cfg);
-            assert_eq!(
-                matches!(plain, ChaseOutcome::Overflow(_)),
-                limit < 9,
-                "limit {limit}"
-            );
-            let (certified, cert) = chase_certified(&d, &tgds, &[], &cfg);
-            assert_eq!(plain, certified, "limit {limit} width {threads}");
-            let cert = cert.expect("the compiled engine certifies");
-            assert_eq!(ca_cert::check_chase(&cert), Ok(()), "limit {limit}");
-        }
+        let cfg = ChaseConfig {
+            match_limit: limit,
+            ..ChaseConfig::new(BUDGET)
+        };
+        let plain = chase_with(&d, &tgds, &[], &cfg);
+        assert_eq!(
+            matches!(plain, ChaseOutcome::Overflow(_)),
+            limit < 9,
+            "limit {limit}"
+        );
+        let (certified, cert) = chase_certified(&d, &tgds, &[], &cfg);
+        assert_eq!(plain, certified, "limit {limit}");
+        let cert = cert.expect("the compiled engine certifies");
+        assert_eq!(ca_cert::check_chase(&cert), Ok(()), "limit {limit}");
     }
 }

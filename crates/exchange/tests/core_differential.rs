@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 
 use ca_exchange::reference;
-use ca_exchange::solution::{core_of_gendb, core_of_gendb_with};
+use ca_exchange::solution::core_of_gendb;
 use ca_gdm::encode::encode_relational;
 use ca_gdm::generate::{random_tree_gendb, TreeGenParams};
 use ca_gdm::hom::gdm_equiv;
@@ -78,16 +78,6 @@ proptest! {
         );
     }
 
-    /// Thread width is invisible: identical databases, node for node.
-    #[test]
-    fn gendb_core_is_thread_width_independent(seed in 0u64..10_000, n in 1usize..6) {
-        let d = gen_db(seed, n, false);
-        let base = core_of_gendb_with(&d, 1);
-        for threads in [2usize, 4] {
-            prop_assert_eq!(&base, &core_of_gendb_with(&d, threads), "diverged at {} threads", threads);
-        }
-    }
-
     /// The value-encoding path (`σ = ∅`): same invariants against the
     /// reference, which always runs the node-level loop.
     #[test]
@@ -103,15 +93,5 @@ proptest! {
             new_core.n_nodes(),
             "value path returned a non-core on {:?}", &d
         );
-    }
-
-    /// Thread-width determinism on the value path too.
-    #[test]
-    fn relational_gendb_core_is_thread_width_independent(seed in 0u64..10_000, n in 1usize..7) {
-        let d = gen_relational_db(seed, n);
-        let base = core_of_gendb_with(&d, 1);
-        for threads in [2usize, 4] {
-            prop_assert_eq!(&base, &core_of_gendb_with(&d, threads), "diverged at {} threads", threads);
-        }
     }
 }

@@ -17,7 +17,6 @@
 use std::collections::BTreeSet;
 
 use ca_core::value::{Null, Value};
-use ca_query::engine::sweep;
 
 use crate::database::GenDb;
 use crate::logic::{eval_gfo, GFo};
@@ -49,8 +48,7 @@ fn grounding_pool(db: &GenDb) -> Vec<i64> {
 
 /// The grid of null groundings of `db` into its adequate pool,
 /// addressable by linear index (the same base-`|pool|` addressing as
-/// `ca_query`'s completion sweeps), so workers can split it into
-/// contiguous chunks.
+/// `ca_query`'s completion sweeps).
 struct GroundingSpace<'a> {
     db: &'a GenDb,
     nulls: Vec<Null>,
@@ -159,11 +157,9 @@ fn for_each_quotient<F: FnMut(&GenDb) -> bool>(db: &GenDb, visit: &mut F) -> boo
 /// exactly by image enumeration. `certain(φ, D) = true` iff *every*
 /// grounded homomorphic image of `D` satisfies `φ`.
 ///
-/// The grounding grid is swept in parallel through `ca_query`'s sweep
-/// driver (`CA_EVAL_THREADS` workers, early exit on the first
-/// counterexample image); each worker enumerates the node quotients of
-/// its groundings sequentially. The result is independent of the thread
-/// count.
+/// The grounding grid is swept in index order, with early exit on the
+/// first counterexample image; each grounding's node quotients are
+/// enumerated in turn.
 ///
 /// # Panics
 ///
@@ -174,7 +170,7 @@ pub fn certain_existential(phi: &GFo, db: &GenDb) -> bool {
         "certain_existential requires an existential sentence"
     );
     let space = GroundingSpace::new(db);
-    sweep::parallel_all(space.len(), sweep::eval_threads(), |i| {
+    (0..space.len()).all(|i| {
         let grounded = space.grounding(i);
         let mut holds_everywhere = true;
         for_each_quotient(&grounded, &mut |image: &GenDb| {

@@ -194,7 +194,7 @@ pub fn value_self_hom_structure(d: &GenDb) -> (RelStructure, Vec<Value>) {
     for (node, label) in d.labels.iter().enumerate() {
         if d.data[node].is_empty() {
             // Nullary facts constrain no values; their nodes are kept by
-            // the extraction in `core_of_gendb_with` unconditionally.
+            // the extraction in `core_of_gendb` unconditionally.
             continue;
         }
         let tuple: Vec<u32> = d.data[node]

@@ -16,8 +16,7 @@
 //! recompiles of the seed implementation (kept in [`crate::reference`]
 //! as the differential oracle).
 
-use ca_hom::csp::default_threads;
-use ca_hom::retract::retract_core_with;
+use ca_hom::retract::retract_core;
 
 use crate::digraph::Digraph;
 
@@ -27,31 +26,17 @@ use crate::digraph::Digraph;
 /// induced subgraph: `g` is a core iff the retraction engine keeps every
 /// vertex.
 pub fn is_core(g: &Digraph) -> bool {
-    is_core_with(g, default_threads())
-}
-
-/// [`is_core`] with an explicit probe-thread count (deterministic at
-/// every width).
-pub fn is_core_with(g: &Digraph, threads: usize) -> bool {
     let probe: Vec<u32> = (0..g.n as u32).collect();
-    retract_core_with(&g.as_structure(), &probe, threads)
-        .kept
-        .len()
-        == g.n
+    retract_core(&g.as_structure(), &probe).kept.len() == g.n
 }
 
 /// Compute the core of `g` (a specific representative; unique up to
 /// isomorphism). Returns the core together with the list of original
-/// vertices retained, ascending.
+/// vertices retained, ascending. The kept vertex set (and hence the
+/// returned graph) is deterministic.
 pub fn core_of(g: &Digraph) -> (Digraph, Vec<u32>) {
-    core_of_with(g, default_threads())
-}
-
-/// [`core_of`] with an explicit probe-thread count. The kept vertex set
-/// (and hence the returned graph) is identical at every thread width.
-pub fn core_of_with(g: &Digraph, threads: usize) -> (Digraph, Vec<u32>) {
     let probe: Vec<u32> = (0..g.n as u32).collect();
-    let r = retract_core_with(&g.as_structure(), &probe, threads);
+    let r = retract_core(&g.as_structure(), &probe);
     (g.induced(&r.kept), r.kept)
 }
 

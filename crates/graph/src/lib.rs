@@ -30,6 +30,6 @@ pub mod families;
 pub mod lattice;
 pub mod reference;
 
-pub use crate::core::{core_of, core_of_with, is_core, is_core_with};
+pub use crate::core::{core_of, is_core};
 pub use digraph::Digraph;
 pub use lattice::{glb, lub};

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use ca_graph::digraph::random_digraph;
-use ca_graph::{core_of, core_of_with, is_core, reference};
+use ca_graph::{core_of, is_core, reference};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -38,17 +38,5 @@ proptest! {
         prop_assert_eq!(is_core(&g), reference::is_core(&g));
         let (core, _) = core_of(&g);
         prop_assert!(reference::is_core(&core), "engine returned a non-core on {:?}", &g);
-    }
-
-    /// Thread width is invisible: identical graphs and kept sets.
-    #[test]
-    fn core_is_thread_width_independent(n in 1usize..8, num in 1u64..4, seed in 0u64..10_000) {
-        let g = random_digraph(n, num, 5, seed);
-        let (base_core, base_kept) = core_of_with(&g, 1);
-        for threads in [2usize, 4] {
-            let (core, kept) = core_of_with(&g, threads);
-            prop_assert_eq!(&base_kept, &kept, "kept set diverged at {} threads", threads);
-            prop_assert_eq!(&base_core.edges, &core.edges);
-        }
     }
 }

@@ -33,21 +33,15 @@
 //! * **Root propagation.** Domains are made generalized-arc-consistent once
 //!   before search, which decides many of the paper's near-unsatisfiable
 //!   families outright.
-//! * **Parallel search.** [`Csp::solve`], [`Csp::solve_all`] and
-//!   [`Csp::count_solutions`] can split the root variable's values across a
-//!   `std::thread::scope` pool (the build environment has no `rayon`), with
-//!   early cancellation for satisfiability. With `threads == 1` the search
-//!   is fully deterministic; parallel `count_solutions` is deterministic
-//!   too (subtree counts are order-independent), and parallel `solve_all`
-//!   returns the same solution set unless it truncates at `limit`.
+//!
+//! The search runs on the calling thread and is fully deterministic:
+//! witness choice, enumeration order and [`SolverStats`] are functions of
+//! the instance alone.
 //!
 //! The problem stays NP-complete; the point is that the paper's reduction
 //! families (`K3`-coloring, `C_{2^m}` cycles, Theorem 6 membership
 //! instances) now run orders of magnitude faster — see
 //! `crates/bench/src/bin/solver_bench.rs` for measured numbers.
-
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A table constraint: the values of `scope` must form a tuple in `allowed`.
 #[derive(Clone, Debug)]
@@ -98,56 +92,6 @@ pub struct SolverStats {
     pub solutions: u64,
 }
 
-impl SolverStats {
-    fn absorb(&mut self, other: &SolverStats) {
-        self.nodes += other.nodes;
-        self.prunings += other.prunings;
-        self.backtracks += other.backtracks;
-        self.solutions += other.solutions;
-    }
-}
-
-/// How to run the search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SolverConfig {
-    /// Worker threads for the root-level value split. `1` = fully
-    /// sequential and deterministic.
-    pub threads: usize,
-}
-
-impl SolverConfig {
-    /// Sequential search.
-    pub fn sequential() -> Self {
-        SolverConfig { threads: 1 }
-    }
-
-    /// Parallel search with the default pool width.
-    pub fn parallel() -> Self {
-        SolverConfig {
-            threads: default_threads(),
-        }
-    }
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig::parallel()
-    }
-}
-
-/// Pool width used by [`SolverConfig::parallel`]: `CA_HOM_THREADS` if set,
-/// otherwise the machine's available parallelism capped at 16 (parsed by
-/// the shared [`ca_core::config`] policy: saturating, explicit fallback on
-/// malformed values).
-pub fn default_threads() -> usize {
-    ca_core::config::hom_threads()
-}
-
-/// Below these sizes the convenience methods stay sequential: spawning a
-/// pool costs more than the whole search on small instances.
-const PAR_MIN_VARS: usize = 24;
-const PAR_MIN_TUPLES: usize = 2000;
-
 impl Csp {
     /// A CSP with `n_vars` variables all sharing the candidate set
     /// `0..n_values`.
@@ -174,32 +118,15 @@ impl Csp {
         self.domains[var as usize] = values;
     }
 
-    /// The configuration the convenience methods use: parallel only when
-    /// the instance is big enough for the pool to pay for itself.
-    pub fn auto_config(&self) -> SolverConfig {
-        let tuples: usize = self.constraints.iter().map(|c| c.allowed.len()).sum();
-        if self.n_vars() >= PAR_MIN_VARS || tuples >= PAR_MIN_TUPLES {
-            SolverConfig::parallel()
-        } else {
-            SolverConfig::sequential()
-        }
-    }
-
     /// Find one solution, if any.
     pub fn solve(&self) -> Option<Vec<u32>> {
-        self.solve_with(self.auto_config()).0
+        self.solve_stats().0
     }
 
-    /// Find one solution under an explicit configuration, with stats.
-    ///
-    /// With `threads > 1` the witness choice may vary between runs when
-    /// several solutions exist (early cancellation); existence never does.
-    pub fn solve_with(&self, cfg: SolverConfig) -> (Option<Vec<u32>>, SolverStats) {
+    /// Find one solution, with search stats.
+    pub fn solve_stats(&self) -> (Option<Vec<u32>>, SolverStats) {
         let compiled = Compiled::new(self);
-        if let Some((var, values)) = compiled.parallel_split(cfg.threads) {
-            return par_solve(&compiled, cfg.threads, var, &values);
-        }
-        let mut s = Search::new(&compiled, None);
+        let mut s = Search::new(&compiled);
         let mut found = None;
         s.run(&mut |sol| {
             found = Some(sol.to_vec());
@@ -215,26 +142,15 @@ impl Csp {
 
     /// Enumerate up to `limit` solutions.
     pub fn solve_all(&self, limit: usize) -> Enumeration {
-        self.solve_all_with(self.auto_config(), limit).0
+        self.solve_all_stats(limit).0
     }
 
-    /// Enumerate up to `limit` solutions under an explicit configuration.
-    ///
-    /// With `threads == 1` this is the exact sequential enumeration order.
-    /// With `threads > 1` the solution *set* is identical whenever the
-    /// enumeration does not truncate; a truncated parallel enumeration
-    /// returns `limit` valid solutions that may differ from the sequential
-    /// prefix.
-    pub fn solve_all_with(&self, cfg: SolverConfig, limit: usize) -> (Enumeration, SolverStats) {
+    /// Enumerate up to `limit` solutions in search order, with stats.
+    pub fn solve_all_stats(&self, limit: usize) -> (Enumeration, SolverStats) {
         let compiled = Compiled::new(self);
-        if limit > 0 {
-            if let Some((var, values)) = compiled.parallel_split(cfg.threads) {
-                return par_solve_all(&compiled, cfg.threads, var, &values, limit);
-            }
-        }
         let mut sols = Vec::new();
         let mut truncated = false;
-        let mut s = Search::new(&compiled, None);
+        let mut s = Search::new(&compiled);
         s.run(&mut |sol| {
             sols.push(sol.to_vec());
             if sols.len() >= limit {
@@ -255,18 +171,14 @@ impl Csp {
 
     /// Count all solutions (careful: can be astronomically many).
     pub fn count_solutions(&self) -> u64 {
-        self.count_solutions_with(self.auto_config()).0
+        self.count_solutions_stats().0
     }
 
-    /// Count all solutions under an explicit configuration. The count is
-    /// deterministic at any thread width (subtree counts commute).
-    pub fn count_solutions_with(&self, cfg: SolverConfig) -> (u64, SolverStats) {
+    /// Count all solutions, with search stats.
+    pub fn count_solutions_stats(&self) -> (u64, SolverStats) {
         let compiled = Compiled::new(self);
-        if let Some((var, values)) = compiled.parallel_split(cfg.threads) {
-            return par_count(&compiled, cfg.threads, var, &values);
-        }
         let mut n = 0u64;
-        let mut s = Search::new(&compiled, None);
+        let mut s = Search::new(&compiled);
         s.run(&mut |_| {
             n += 1;
             true
@@ -276,12 +188,11 @@ impl Csp {
 
     /// Find a solution whose image (set of assigned values) covers all of
     /// `must_cover`. Used for the onto-homomorphisms of the closed-world
-    /// ordering `⊑_cwa`. Sequential: the filter needs the enumeration
-    /// order.
+    /// ordering `⊑_cwa`.
     pub fn solve_covering(&self, must_cover: &[u32]) -> Option<Vec<u32>> {
         let compiled = Compiled::new(self);
         let mut found = None;
-        let mut s = Search::new(&compiled, None);
+        let mut s = Search::new(&compiled);
         s.run(&mut |sol| {
             if must_cover.iter().all(|v| sol.contains(v)) {
                 found = Some(sol.to_vec());
@@ -304,9 +215,9 @@ impl Csp {
     }
 
     /// Solve and also report the number of search steps taken (assignments
-    /// tried). Sequential, for reproducible complexity experiments.
+    /// tried), for reproducible complexity experiments.
     pub fn solve_counting_steps(&self) -> (Option<Vec<u32>>, u64) {
-        let (sol, stats) = self.solve_with(SolverConfig::sequential());
+        let (sol, stats) = self.solve_stats();
         (sol, stats.nodes)
     }
 }
@@ -362,8 +273,6 @@ struct Compiled {
     n_words: usize,
     /// Root live domains after propagation, `n_vars * n_words` words.
     root: Vec<u64>,
-    /// Popcounts of `root`, per variable.
-    root_counts: Vec<u32>,
     /// Interned tables, shared between constraints.
     tables: Vec<CompiledTable>,
     cons: Vec<CompiledConstraint>,
@@ -466,15 +375,7 @@ impl Compiled {
                 root[v * n_words + (val as usize >> 6)] |= 1u64 << (val & 63);
             }
         }
-        let root_counts: Vec<u32> = (0..n_vars)
-            .map(|v| {
-                root[v * n_words..(v + 1) * n_words]
-                    .iter()
-                    .map(|w| w.count_ones())
-                    .sum()
-            })
-            .collect();
-        if root_counts.contains(&0) {
+        if (0..n_vars).any(|v| root[v * n_words..(v + 1) * n_words].iter().all(|&w| w == 0)) {
             dead = true;
         }
 
@@ -531,7 +432,6 @@ impl Compiled {
             n_vars,
             n_words,
             root,
-            root_counts,
             tables,
             cons,
             var_cons,
@@ -542,19 +442,7 @@ impl Compiled {
         if !compiled.dead {
             compiled.dead = !compiled.root_propagate();
         }
-        // Re-derive counts after propagation.
-        compiled.refresh_root_counts();
         compiled
-    }
-
-    /// Recompute `root_counts` from `root` (after any in-place mutation).
-    fn refresh_root_counts(&mut self) {
-        for v in 0..self.n_vars {
-            self.root_counts[v] = self.root[v * self.n_words..(v + 1) * self.n_words]
-                .iter()
-                .map(|w| w.count_ones())
-                .sum();
-        }
     }
 
     /// Make the root domains generalized-arc-consistent: drop every value
@@ -657,41 +545,6 @@ impl Compiled {
         }
         true
     }
-
-    /// If the instance warrants a parallel root split, return the branching
-    /// variable (root MRV choice) and its live values in ascending order.
-    fn parallel_split(&self, threads: usize) -> Option<(usize, Vec<u32>)> {
-        if threads <= 1 || self.dead || self.n_vars == 0 {
-            return None;
-        }
-        let var = self.root_mrv()?;
-        let mut values = Vec::with_capacity(self.root_counts[var] as usize);
-        collect_bits(
-            &self.root[var * self.n_words..(var + 1) * self.n_words],
-            &mut values,
-        );
-        if values.len() < 2 {
-            return None;
-        }
-        Some((var, values))
-    }
-
-    /// The variable sequential search would branch on first.
-    fn root_mrv(&self) -> Option<usize> {
-        let mut best: Option<(usize, u32, u32)> = None;
-        for v in 0..self.n_vars {
-            let count = self.root_counts[v];
-            let deg = self.degree[v];
-            let better = match best {
-                None => true,
-                Some((_, bc, bd)) => count < bc || (count == bc && deg > bd),
-            };
-            if better {
-                best = Some((v, count, deg));
-            }
-        }
-        best.map(|(v, _, _)| v)
-    }
 }
 
 /// Append the set bits of a bitset row, in ascending order.
@@ -725,20 +578,18 @@ struct Search<'a> {
     scratch: Vec<u64>,
     /// Reusable per-depth buffers for value snapshots.
     depth_bufs: Vec<Vec<u32>>,
-    /// Cooperative cancellation for the parallel driver.
-    stop: Option<&'a AtomicBool>,
     stats: SolverStats,
 }
 
 impl<'a> Search<'a> {
-    fn new(c: &'a Compiled, stop: Option<&'a AtomicBool>) -> Self {
-        Search::from_domains(c, c.root.clone(), stop)
+    fn new(c: &'a Compiled) -> Self {
+        Search::from_domains(c, c.root.clone())
     }
 
     /// A search starting from an explicit live-domain buffer instead of
     /// the compiled root (the retraction engine's per-probe restriction).
     /// The caller guarantees every domain in `live` is non-empty.
-    fn from_domains(c: &'a Compiled, live: Vec<u64>, stop: Option<&'a AtomicBool>) -> Self {
+    fn from_domains(c: &'a Compiled, live: Vec<u64>) -> Self {
         let counts: Vec<u32> = (0..c.n_vars)
             .map(|v| {
                 live[v * c.n_words..(v + 1) * c.n_words]
@@ -755,7 +606,6 @@ impl<'a> Search<'a> {
             trail: Vec::new(),
             scratch: vec![0u64; c.max_arity * c.n_words],
             depth_bufs: vec![Vec::new(); c.n_vars + 1],
-            stop,
             stats: SolverStats::default(),
         }
     }
@@ -909,7 +759,7 @@ impl<'a> Search<'a> {
     }
 
     /// Try `v := val`: collapse, forward-check, and recurse. Returns false
-    /// if the caller asked to stop (callback or cancellation).
+    /// if the callback asked to stop.
     fn descend(
         &mut self,
         v: usize,
@@ -942,11 +792,6 @@ impl<'a> Search<'a> {
     }
 
     fn backtrack(&mut self, depth: usize, on_solution: &mut dyn FnMut(&[u32]) -> bool) -> bool {
-        if let Some(stop) = self.stop {
-            if stop.load(Ordering::Relaxed) {
-                return false;
-            }
-        }
         let Some(v) = self.pick_var() else {
             self.stats.solutions += 1;
             return on_solution(&self.assign);
@@ -970,156 +815,6 @@ impl<'a> Search<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel drivers: split the root variable's values across a thread pool.
-// ---------------------------------------------------------------------------
-
-/// Run `work(branch_index, value, search)` over all branch values on
-/// `threads` workers, each with its own `Search`.
-fn par_branches<F>(compiled: &Compiled, threads: usize, values: &[u32], stop: &AtomicBool, work: F)
-where
-    F: Fn(usize, u32, &mut Search<'_>) + Sync,
-{
-    let next = AtomicUsize::new(0);
-    let n_workers = threads.min(values.len()).max(1);
-    let all_stats = Mutex::new(SolverStats::default());
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|| {
-                let mut search = Search::new(compiled, Some(stop));
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= values.len() {
-                        break;
-                    }
-                    work(i, values[i], &mut search);
-                }
-                all_stats
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .absorb(&search.stats);
-            });
-        }
-    });
-    // Fold worker stats into a thread-local the callers can read back.
-    // (Stats are plain counters, so a poisoned lock — a worker panicking
-    // mid-absorb — still holds usable data.)
-    let folded = *all_stats
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    PAR_STATS.with(|s| s.set(folded));
-}
-
-thread_local! {
-    /// Stats of the last parallel run on this thread (the drivers read it
-    /// right after `par_branches` returns; no cross-call state is kept).
-    static PAR_STATS: std::cell::Cell<SolverStats> = const {
-        std::cell::Cell::new(SolverStats {
-            nodes: 0,
-            prunings: 0,
-            backtracks: 0,
-            solutions: 0,
-        })
-    };
-}
-
-fn par_solve(
-    compiled: &Compiled,
-    threads: usize,
-    var: usize,
-    values: &[u32],
-) -> (Option<Vec<u32>>, SolverStats) {
-    let stop = AtomicBool::new(false);
-    let found: Mutex<Option<(usize, Vec<u32>)>> = Mutex::new(None);
-    par_branches(compiled, threads, values, &stop, |branch, val, search| {
-        let mut local: Option<Vec<u32>> = None;
-        search.descend(var, val, 0, &mut |sol| {
-            local = Some(sol.to_vec());
-            false
-        });
-        if let Some(sol) = local {
-            let mut slot = found
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let replace = slot.as_ref().is_none_or(|(b, _)| branch < *b);
-            if replace {
-                *slot = Some((branch, sol));
-            }
-            stop.store(true, Ordering::Relaxed);
-        }
-    });
-    let stats = PAR_STATS.with(|s| s.get());
-    let sol = found
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .map(|(_, s)| s);
-    (sol, stats)
-}
-
-fn par_count(
-    compiled: &Compiled,
-    threads: usize,
-    var: usize,
-    values: &[u32],
-) -> (u64, SolverStats) {
-    let stop = AtomicBool::new(false);
-    let total = std::sync::atomic::AtomicU64::new(0);
-    par_branches(compiled, threads, values, &stop, |_, val, search| {
-        let mut local = 0u64;
-        search.descend(var, val, 0, &mut |_| {
-            local += 1;
-            true
-        });
-        total.fetch_add(local, Ordering::Relaxed);
-    });
-    let stats = PAR_STATS.with(|s| s.get());
-    (total.into_inner(), stats)
-}
-
-fn par_solve_all(
-    compiled: &Compiled,
-    threads: usize,
-    var: usize,
-    values: &[u32],
-    limit: usize,
-) -> (Enumeration, SolverStats) {
-    let stop = AtomicBool::new(false);
-    let found_total = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, Vec<Vec<u32>>)>> = Mutex::new(Vec::new());
-    par_branches(compiled, threads, values, &stop, |branch, val, search| {
-        let mut local: Vec<Vec<u32>> = Vec::new();
-        search.descend(var, val, 0, &mut |sol| {
-            local.push(sol.to_vec());
-            found_total.fetch_add(1, Ordering::Relaxed);
-            local.len() < limit && found_total.load(Ordering::Relaxed) < limit
-        });
-        if !local.is_empty() {
-            results
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push((branch, local));
-        }
-    });
-    let stats = PAR_STATS.with(|s| s.get());
-    let mut per_branch = results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    per_branch.sort_unstable_by_key(|(b, _)| *b);
-    let mut solutions: Vec<Vec<u32>> = per_branch.into_iter().flat_map(|(_, s)| s).collect();
-    let truncated = solutions.len() >= limit;
-    solutions.truncate(limit);
-    (
-        Enumeration {
-            solutions,
-            truncated,
-        },
-        stats,
-    )
-}
-
-// ---------------------------------------------------------------------------
 // Incremental self-homomorphism solving for the retraction engine.
 // ---------------------------------------------------------------------------
 
@@ -1135,9 +830,6 @@ fn par_solve_all(
 /// successful retraction the engine intersects the probe domains with the
 /// new live set *in place* ([`Self::restrict_probes`]), which is sound
 /// whenever a witness endomorphism into the live set is known.
-///
-/// `std::thread` usage is confined to this module (lint L003), so the
-/// deterministic parallel candidate probe lives here too.
 pub struct IncrementalSelfHom {
     compiled: Compiled,
     /// Variables whose domains track the live set.
@@ -1184,7 +876,6 @@ impl IncrementalSelfHom {
             }
         }
         let ok = self.compiled.root_propagate();
-        self.compiled.refresh_root_counts();
         if !ok {
             self.compiled.dead = true;
         }
@@ -1195,8 +886,8 @@ impl IncrementalSelfHom {
     /// value `avoid` (on top of the standing live restriction). Runs a
     /// GAC pass on the restricted copy first — near-unsatisfiable probes
     /// (e.g. removing any vertex of a directed cycle) die there without
-    /// search. Sequential and deterministic for a given root state.
-    pub fn probe_avoiding(&self, avoid: u32, stop: Option<&AtomicBool>) -> Option<Vec<u32>> {
+    /// search. Deterministic for a given root state.
+    pub fn probe_avoiding(&self, avoid: u32) -> Option<Vec<u32>> {
         let c = &self.compiled;
         if c.dead {
             return None;
@@ -1213,7 +904,7 @@ impl IncrementalSelfHom {
         if !c.propagate_live(&mut live) {
             return None;
         }
-        let mut s = Search::from_domains(c, live, stop);
+        let mut s = Search::from_domains(c, live);
         let mut found = None;
         s.run(&mut |sol| {
             found = Some(sol.to_vec());
@@ -1222,92 +913,23 @@ impl IncrementalSelfHom {
         found
     }
 
-    /// Probe `candidates` for the lowest one that admits an avoiding
-    /// solution, using up to `threads` workers.
+    /// Probe `candidates` in order for the first one that admits an
+    /// avoiding solution.
     ///
     /// Returns `(winner, failed)`: `winner` is `Some((index into
     /// candidates, solution))` for the lowest admitting candidate (or
     /// `None` when every candidate fails), and `failed` lists the
     /// candidates *proven* to admit no avoiding solution — exactly those
     /// before the winner (all of them when there is no winner).
-    ///
-    /// Deterministic at any thread width: candidates below the eventual
-    /// winner are never cancelled (cancellation only ever targets indices
-    /// above a successful one), each probe is a sequential search, and the
-    /// winner is the minimum successful index — so winner, solution bytes,
-    /// and the failed list are all thread-count-independent.
-    pub fn probe_lowest(
-        &self,
-        candidates: &[u32],
-        threads: usize,
-    ) -> (Option<(usize, Vec<u32>)>, Vec<u32>) {
-        let n_workers = threads.max(1).min(candidates.len());
-        if n_workers <= 1 {
-            let mut failed = Vec::new();
-            for (i, &v) in candidates.iter().enumerate() {
-                match self.probe_avoiding(v, None) {
-                    Some(sol) => return (Some((i, sol)), failed),
-                    None => failed.push(v),
-                }
+    pub fn probe_lowest(&self, candidates: &[u32]) -> (Option<(usize, Vec<u32>)>, Vec<u32>) {
+        let mut failed = Vec::new();
+        for (i, &v) in candidates.iter().enumerate() {
+            match self.probe_avoiding(v) {
+                Some(sol) => return (Some((i, sol)), failed),
+                None => failed.push(v),
             }
-            return (None, failed);
         }
-        let next = AtomicUsize::new(0);
-        let best = AtomicUsize::new(usize::MAX);
-        let stops: Vec<AtomicBool> = candidates.iter().map(|_| AtomicBool::new(false)).collect();
-        let found: Mutex<Vec<(usize, Vec<u32>)>> = Mutex::new(Vec::new());
-        let failed_idx: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..n_workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= candidates.len() {
-                        break;
-                    }
-                    if i > best.load(Ordering::Relaxed) {
-                        continue; // already beaten by a lower success
-                    }
-                    match self.probe_avoiding(candidates[i], Some(&stops[i])) {
-                        Some(sol) => {
-                            best.fetch_min(i, Ordering::Relaxed);
-                            for s in &stops[i + 1..] {
-                                s.store(true, Ordering::Relaxed);
-                            }
-                            found
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .push((i, sol));
-                        }
-                        None => {
-                            // A cancelled search also reports "no solution";
-                            // only an uncancelled run is a genuine proof.
-                            if !stops[i].load(Ordering::Relaxed) {
-                                failed_idx
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                    .push(i);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let mut wins = found
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        wins.sort_unstable_by_key(|(i, _)| *i);
-        let winner = wins.into_iter().next();
-        let cut = winner.as_ref().map_or(candidates.len(), |(i, _)| *i);
-        let mut failed: Vec<usize> = failed_idx
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        failed.sort_unstable();
-        let failed = failed
-            .into_iter()
-            .filter(|&i| i < cut)
-            .map(|i| candidates[i])
-            .collect();
-        (winner, failed)
+        (None, failed)
     }
 }
 
@@ -1463,48 +1085,21 @@ mod tests {
     #[test]
     fn stats_reflect_search_effort() {
         let csp = coloring_csp(3, &[(0, 1), (1, 2), (0, 2)], 3);
-        let (count, stats) = csp.count_solutions_with(SolverConfig::sequential());
+        let (count, stats) = csp.count_solutions_stats();
         assert_eq!(count, 6);
         assert_eq!(stats.solutions, 6);
         assert!(stats.nodes >= 6);
     }
 
     #[test]
-    fn parallel_agrees_with_sequential() {
-        // Big enough to split: 4-coloring count of a cycle C9.
-        let edges: Vec<(u32, u32)> = (0..9).map(|i| (i, (i + 1) % 9)).collect();
-        let csp = coloring_csp(9, &edges, 4);
-        let seq = csp.count_solutions_with(SolverConfig::sequential()).0;
-        let par = csp.count_solutions_with(SolverConfig { threads: 4 }).0;
-        assert_eq!(seq, par);
+    fn cycle_colorings_match_the_chromatic_polynomial() {
         // Chromatic polynomial of C_n with k colors: (k-1)^n + (-1)^n (k-1).
-        assert_eq!(seq, 3u64.pow(9) - 3);
-
-        let seq_all = csp.solve_all_with(SolverConfig::sequential(), usize::MAX).0;
-        let par_all = csp
-            .solve_all_with(SolverConfig { threads: 4 }, usize::MAX)
-            .0;
-        assert_eq!(seq_all, par_all);
-
-        assert_eq!(
-            csp.solve_with(SolverConfig { threads: 4 }).0.is_some(),
-            csp.solve_with(SolverConfig::sequential()).0.is_some()
-        );
-    }
-
-    #[test]
-    fn parallel_truncation_returns_exactly_limit() {
         let edges: Vec<(u32, u32)> = (0..9).map(|i| (i, (i + 1) % 9)).collect();
         let csp = coloring_csp(9, &edges, 4);
-        let (e, _) = csp.solve_all_with(SolverConfig { threads: 4 }, 10);
-        assert_eq!(e.solutions.len(), 10);
-        assert!(e.truncated);
-        // Every returned solution is a proper coloring.
-        for sol in &e.solutions {
-            for &(a, b) in &edges {
-                assert_ne!(sol[a as usize], sol[b as usize]);
-            }
-        }
+        assert_eq!(csp.count_solutions(), 3u64.pow(9) - 3);
+        let all = csp.solve_all(usize::MAX);
+        assert!(!all.truncated);
+        assert_eq!(all.solutions.len() as u64, 3u64.pow(9) - 3);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! * [`csp`] — a generic constraint-satisfaction solver (bitset domains,
 //!   precomputed tuple supports, trail-based backtracking with
-//!   minimum-remaining-values ordering and forward checking, optional
-//!   root-level parallel search), with find-one / find-all / count /
+//!   minimum-remaining-values ordering and forward checking), with
+//!   find-one / find-all / count /
 //!   surjective-image modes.
 //! * [`reference`] — the original naive solver, kept as a differential
 //!   testing oracle and benchmark baseline for [`csp`].
@@ -43,7 +43,7 @@ pub mod retract;
 pub mod structure;
 pub mod treewidth;
 
-pub use csp::{Constraint, Csp, Enumeration, SolverConfig, SolverStats};
+pub use csp::{Constraint, Csp, Enumeration, SolverStats};
 pub use dp::r_compatible_hom_dp;
 pub use matching::{hall_condition, max_bipartite_matching};
 pub use structure::RelStructure;

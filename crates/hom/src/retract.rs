@@ -28,14 +28,13 @@
 //!    solver-found endomorphism is greedily self-composed until its image
 //!    stabilizes, shrinking many elements per solve.
 //!
-//! Remaining candidates are probed in parallel (`CA_HOM_THREADS`,
-//! `std::thread::scope` inside the sanctioned [`crate::csp`] module) with
-//! deterministic lowest-candidate-wins selection, so the kept element set
-//! is identical at every thread width.
+//! Remaining candidates are probed in ascending order and the lowest
+//! admitting one wins, so the kept element set and the witness map are
+//! deterministic.
 //!
 //! [`self-hom encoding`]: https://example.org/ `ca_gdm::encode::self_hom_structure`
 
-use crate::csp::{default_threads, IncrementalSelfHom};
+use crate::csp::IncrementalSelfHom;
 use crate::structure::RelStructure;
 use ca_cert::{CoreCert, CoreStep};
 
@@ -51,35 +50,25 @@ pub struct Retraction {
     pub map: Vec<u32>,
 }
 
-/// Shrink `s` to a core over the `probe` elements with the default
-/// thread pool ([`default_threads`], i.e. `CA_HOM_THREADS`).
-pub fn retract_core(s: &RelStructure, probe: &[u32]) -> Retraction {
-    retract_core_with(s, probe, default_threads())
-}
-
 /// Shrink `s` to a core over the `probe` elements: find a minimal live
 /// subset of `probe` such that `s` has an endomorphism mapping every
 /// probe element into it (non-probe elements are never candidates for
 /// removal and keep their full domains). For digraphs pass every vertex;
 /// for encoded generalized databases pass the node-element prefix.
 ///
-/// Deterministic at every `threads` width (lowest-candidate-wins).
-pub fn retract_core_with(s: &RelStructure, probe: &[u32], threads: usize) -> Retraction {
-    run_retract(s, probe, threads, None)
+/// Deterministic (lowest-candidate-wins).
+pub fn retract_core(s: &RelStructure, probe: &[u32]) -> Retraction {
+    run_retract(s, probe, None)
 }
 
-/// Like [`retract_core_with`], but also records every fold and every
+/// Like [`retract_core`], but also records every fold and every
 /// solver-found endomorphism into a replayable [`CoreCert`]. The
 /// certificate attests that `map` is an endomorphism built exactly from
 /// the recorded chain and retracts `probe` onto `kept`; minimality is
 /// not a replayable claim (see [`CoreCert`]).
-pub fn retract_core_certified(
-    s: &RelStructure,
-    probe: &[u32],
-    threads: usize,
-) -> (Retraction, CoreCert) {
+pub fn retract_core_certified(s: &RelStructure, probe: &[u32]) -> (Retraction, CoreCert) {
     let mut steps: Vec<CoreStep> = Vec::new();
-    let r = run_retract(s, probe, threads, Some(&mut steps));
+    let r = run_retract(s, probe, Some(&mut steps));
     let mut tuples = s.tuples.clone();
     tuples.sort_unstable();
     tuples.dedup();
@@ -101,12 +90,7 @@ pub fn retract_core_certified(
     (r, cert)
 }
 
-fn run_retract(
-    s: &RelStructure,
-    probe: &[u32],
-    threads: usize,
-    mut rec: Option<&mut Vec<CoreStep>>,
-) -> Retraction {
+fn run_retract(s: &RelStructure, probe: &[u32], mut rec: Option<&mut Vec<CoreStep>>) -> Retraction {
     let n = s.n_elements;
     let mut map: Vec<u32> = (0..n as u32).collect();
     let mut live: Vec<u32> = probe
@@ -151,7 +135,7 @@ fn run_retract(
         if candidates.is_empty() {
             break;
         }
-        let (winner, failed) = inc.probe_lowest(&candidates, threads);
+        let (winner, failed) = inc.probe_lowest(&candidates);
         for v in failed {
             pinned[v as usize] = true;
         }
@@ -344,7 +328,7 @@ mod tests {
     fn cycles_are_cores() {
         for n in 2..=7 {
             let s = dicycle(n);
-            let r = retract_core_with(&s, &all_probe(&s), 1);
+            let r = retract_core(&s, &all_probe(&s));
             assert_eq!(r.kept.len(), n as usize, "C{n} must not shrink");
         }
     }
@@ -352,7 +336,7 @@ mod tests {
     #[test]
     fn even_cycle_union_c2_retracts_to_c2() {
         let s = dicycle(8).disjoint_union(&dicycle(2));
-        let r = retract_core_with(&s, &all_probe(&s), 1);
+        let r = retract_core(&s, &all_probe(&s));
         assert_eq!(r.kept.len(), 2);
         check_witness(&s, &r);
     }
@@ -361,7 +345,7 @@ mod tests {
     fn incomparable_cycles_stay() {
         // C3 ⊔ C4: neither maps into the other.
         let s = dicycle(3).disjoint_union(&dicycle(4));
-        let r = retract_core_with(&s, &all_probe(&s), 1);
+        let r = retract_core(&s, &all_probe(&s));
         assert_eq!(r.kept.len(), 7);
     }
 
@@ -392,8 +376,8 @@ mod tests {
             dicycle(3).disjoint_union(&dicycle(4)),
         ];
         for s in &cases {
-            let (r, cert) = retract_core_certified(s, &all_probe(s), 1);
-            assert_eq!(r, retract_core_with(s, &all_probe(s), 1));
+            let (r, cert) = retract_core_certified(s, &all_probe(s));
+            assert_eq!(r, retract_core(s, &all_probe(s)));
             assert_eq!(ca_cert::check_core(&cert), Ok(()));
             assert_eq!(cert.kept, r.kept);
             assert_eq!(cert.map, r.map);
@@ -403,7 +387,7 @@ mod tests {
     #[test]
     fn tampered_core_cert_is_rejected() {
         let s = dicycle(8).disjoint_union(&dicycle(2));
-        let (_, cert) = retract_core_certified(&s, &all_probe(&s), 1);
+        let (_, cert) = retract_core_certified(&s, &all_probe(&s));
         let mut bad = cert.clone();
         bad.steps.pop();
         assert!(ca_cert::check_core(&bad).is_err(), "truncated chain passed");
@@ -417,7 +401,7 @@ mod tests {
     #[test]
     fn loop_absorbs_everything() {
         let s = digraph(3, &[(0, 0), (1, 0), (0, 2), (1, 2)]);
-        let r = retract_core_with(&s, &all_probe(&s), 1);
+        let r = retract_core(&s, &all_probe(&s));
         assert_eq!(r.kept, vec![0]);
     }
 
@@ -425,7 +409,7 @@ mod tests {
     fn probe_subset_only_shrinks_probes() {
         // Two disjoint edges; only the second edge's vertices are probes.
         let s = digraph(4, &[(0, 1), (2, 3)]);
-        let r = retract_core_with(&s, &[2, 3], 1);
+        let r = retract_core(&s, &[2, 3]);
         // {2,3} cannot shrink: avoiding 2 forces both probes onto {3},
         // which breaks the edge (2,3); symmetrically for 3. Non-probe
         // vertices 0 and 1 are never removal candidates.
@@ -433,25 +417,22 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_thread_widths() {
+    fn repeated_runs_agree_and_are_witnessed() {
         let (p, _) = dicycle(3).product(&dicycle(4));
         let big = p.disjoint_union(&dicycle(2)).disjoint_union(&dicycle(6));
         let probe = all_probe(&big);
-        let base = retract_core_with(&big, &probe, 1);
-        for threads in [2, 4, 7] {
-            let r = retract_core_with(&big, &probe, threads);
-            assert_eq!(base.kept, r.kept, "kept set diverged at {threads} threads");
-            assert_eq!(base.map, r.map, "witness map diverged at {threads} threads");
-        }
+        let base = retract_core(&big, &probe);
+        check_witness(&big, &base);
+        assert_eq!(base, retract_core(&big, &probe));
     }
 
     #[test]
     fn empty_and_trivial_structures() {
         let empty = RelStructure::new(0);
-        let r = retract_core_with(&empty, &[], 1);
+        let r = retract_core(&empty, &[]);
         assert!(r.kept.is_empty());
         let single = RelStructure::new(1);
-        let r = retract_core_with(&single, &[0], 1);
+        let r = retract_core(&single, &[0]);
         assert_eq!(r.kept, vec![0]);
     }
 }

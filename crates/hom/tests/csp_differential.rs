@@ -3,18 +3,15 @@
 //!
 //! The reference solver is the exact pre-rewrite kernel, so any
 //! disagreement here is a regression in the new kernel (or, historically,
-//! a bug in the old one). With a sequential configuration the new kernel
-//! must agree *exactly*: same solution count, same satisfiability, and the
+//! a bug in the old one). The new kernel must agree *exactly*: same
+//! solution count, same satisfiability, and the
 //! same solution set (compared as sorted sets — the kernels may enumerate
 //! in different orders because their variable-ordering tie-breaks differ).
 
 use proptest::prelude::*;
 
-use ca_hom::csp::{Csp, SolverConfig};
+use ca_hom::csp::Csp;
 use ca_hom::reference;
-
-const SEQ: SolverConfig = SolverConfig { threads: 1 };
-const PAR: SolverConfig = SolverConfig { threads: 4 };
 
 /// A random scope of the given arity over `n_vars` variables; repeated
 /// variables are allowed (R(x, x)-style constraints).
@@ -99,7 +96,7 @@ proptest! {
     #[test]
     fn counts_agree_with_reference(csp in arb_csp()) {
         prop_assert_eq!(
-            csp.count_solutions_with(SEQ).0,
+            csp.count_solutions(),
             reference::count_solutions(&csp)
         );
     }
@@ -109,7 +106,7 @@ proptest! {
     /// kernel's own compiled form).
     #[test]
     fn satisfiability_agrees_with_reference(csp in arb_csp()) {
-        let new = csp.solve_with(SEQ).0;
+        let new = csp.solve();
         let old = reference::solve(&csp);
         prop_assert_eq!(new.is_some(), old.is_some());
         if let Some(sol) = new {
@@ -126,7 +123,7 @@ proptest! {
     /// Full enumerations produce the same solution *set*.
     #[test]
     fn full_enumerations_agree_with_reference(csp in arb_csp()) {
-        let new = csp.solve_all_with(SEQ, usize::MAX).0;
+        let new = csp.solve_all(usize::MAX);
         let old = reference::solve_all(&csp, usize::MAX);
         prop_assert!(!new.truncated);
         prop_assert!(!old.truncated);
@@ -138,27 +135,10 @@ proptest! {
     /// differently).
     #[test]
     fn truncated_enumerations_agree_with_reference(csp in arb_csp(), limit in 1usize..6) {
-        let new = csp.solve_all_with(SEQ, limit).0;
+        let new = csp.solve_all(limit);
         let old = reference::solve_all(&csp, limit);
         prop_assert_eq!(new.solutions.len(), old.solutions.len());
         prop_assert_eq!(new.truncated, old.truncated);
-    }
-
-    /// The parallel drivers agree with the sequential ones (counts are
-    /// deterministic at any thread width; satisfiability too).
-    #[test]
-    fn parallel_agrees_with_sequential(csp in arb_csp()) {
-        prop_assert_eq!(
-            csp.count_solutions_with(PAR).0,
-            csp.count_solutions_with(SEQ).0
-        );
-        prop_assert_eq!(
-            csp.solve_with(PAR).0.is_some(),
-            csp.solve_with(SEQ).0.is_some()
-        );
-        let par = csp.solve_all_with(PAR, usize::MAX).0;
-        let seq = csp.solve_all_with(SEQ, usize::MAX).0;
-        prop_assert_eq!(sorted(par.solutions), sorted(seq.solutions));
     }
 
     /// Nullary constraints: an empty-scope constraint allowing nothing is
@@ -169,7 +149,7 @@ proptest! {
         let allowed = if tautology { vec![vec![]] } else { vec![] };
         csp.add_constraint(vec![], allowed);
         prop_assert_eq!(
-            csp.count_solutions_with(SEQ).0,
+            csp.count_solutions(),
             reference::count_solutions(&csp)
         );
     }
@@ -191,14 +171,8 @@ proptest! {
 fn empty_domain_agrees() {
     let mut csp = Csp::with_uniform_domains(3, 4);
     csp.restrict_domain(1, vec![]);
-    assert_eq!(
-        csp.count_solutions_with(SEQ).0,
-        reference::count_solutions(&csp)
-    );
-    assert_eq!(
-        csp.solve_with(SEQ).0.is_some(),
-        reference::solve(&csp).is_some()
-    );
+    assert_eq!(csp.count_solutions(), reference::count_solutions(&csp));
+    assert_eq!(csp.solve().is_some(), reference::solve(&csp).is_some());
 }
 
 /// Values beyond one bitset word (≥ 64) round-trip identically.
@@ -212,11 +186,8 @@ fn multiword_values_agree() {
         vec![0, 1],
         vec![vec![70, 200], vec![129, 70], vec![3, 3], vec![4, 4]],
     );
-    assert_eq!(
-        csp.count_solutions_with(SEQ).0,
-        reference::count_solutions(&csp)
-    );
-    let new = csp.solve_all_with(SEQ, usize::MAX).0;
+    assert_eq!(csp.count_solutions(), reference::count_solutions(&csp));
+    let new = csp.solve_all(usize::MAX);
     let old = reference::solve_all(&csp, usize::MAX);
     assert_eq!(sorted(new.solutions), sorted(old.solutions));
 }

@@ -2,10 +2,10 @@
 //!
 //! The paper's semantics make a hard promise: certain answers are an
 //! intersection over completions, so *evaluation order must never leak
-//! into output* (Libkin, PODS 2011, Theorems 5/7). PRs 1–2 built two
-//! parallel kernels whose results are byte-identical at any thread width;
-//! this crate guards that property mechanically instead of only by
-//! differential tests. It is dependency-free (the build is offline): a
+//! into output* (Libkin, PODS 2011, Theorems 5/7). The engines run on
+//! the calling thread and the one parallel kernel (the bulk loader) is
+//! byte-identical at any width; this crate guards that property
+//! mechanically instead of only by differential tests. It is dependency-free (the build is offline): a
 //! hand-rolled lexer ([`lexer`]), an item-level parser ([`parser`]), a
 //! workspace item graph with a conservative call-edge approximation and
 //! the crate dependency DAG ([`graph`]), the rule engine ([`rules`]) —

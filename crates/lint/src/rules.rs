@@ -18,7 +18,7 @@
 //! | L007 | determinism-taint | hash iteration reachable from a deterministic-output seed |
 //! | L008 | untrusted-input | unchecked parsing reachable from `SnapshotView` byte parsing |
 //! | L009 | truncating-id-cast | `as u8/u16/u32` in `ValueId`/`FactId`-adjacent code |
-//! | L010 | thread-merge | `std::thread` outside the kernels needs a deterministic merge |
+//! | L010 | thread-merge | `std::thread` outside the config module needs a deterministic merge |
 //!
 //! `L000` is reserved for malformed suppression comments (see
 //! [`crate::allow`]): a suppression that cannot be parsed, or that lacks a
@@ -47,7 +47,7 @@ pub const CATALOG: [(&str, &str, &str); 9] = [
     (
         "L003",
         "thread-hygiene",
-        "std::thread and CA_* env reads are confined to the sanctioned kernel/config modules",
+        "std::thread and CA_* env reads are confined to the bulk loader and the config module",
     ),
     (
         "L004",
@@ -82,34 +82,26 @@ pub const CATALOG: [(&str, &str, &str); 9] = [
     (
         "L010",
         "thread-merge",
-        "std::thread outside the sanctioned kernels must merge per-thread results deterministically (sort / reduce in index order)",
+        "std::thread outside the config module must merge per-thread results deterministically (sort / reduce in index order)",
     ),
 ];
 
-/// Files allowed to touch `std::thread`: the parallel kernels plus the
-/// config module (for `available_parallelism`).
-const THREAD_SANCTIONED: [&str; 5] = [
+/// Files allowed to touch `std::thread`: the one parallel kernel (the
+/// bulk loader) plus the config module (for `available_parallelism`).
+const THREAD_SANCTIONED: [&str; 2] = [
     "crates/core/src/config.rs",
     "crates/core/src/store/ingest.rs",
-    "crates/hom/src/csp.rs",
-    "crates/query/src/engine/par.rs",
-    "crates/query/src/engine/sweep.rs",
 ];
 
-/// Files L010 does not scan for a deterministic merge: the three
-/// original kernels, whose merge discipline predates the rule and is
-/// pinned by the determinism suites directly. The newer thread modules
-/// (`store/ingest.rs`, `engine/par.rs`) are deliberately *not* exempt —
-/// their thread-using functions must carry an in-function merge marker,
-/// so the rule actively covers them instead of allowlisting.
-const THREAD_MERGE_EXEMPT: [&str; 3] = [
-    "crates/core/src/config.rs",
-    "crates/hom/src/csp.rs",
-    "crates/query/src/engine/sweep.rs",
-];
+/// Files L010 does not scan for a deterministic merge: the config
+/// module, which only reads `available_parallelism` and spawns nothing.
+/// The bulk loader is deliberately *not* exempt — its thread-using
+/// function must carry an in-function merge marker, so the rule actively
+/// covers it instead of allowlisting.
+const THREAD_MERGE_EXEMPT: [&str; 1] = ["crates/core/src/config.rs"];
 
 /// Files allowed to read `CA_*` environment variables: only the config
-/// module — both kernels take their width through it.
+/// module — the bulk loader takes its width through it.
 const ENV_SANCTIONED: [&str; 1] = ["crates/core/src/config.rs"];
 
 /// One reported violation.
@@ -400,8 +392,8 @@ fn rule_l003(ctx: &mut Ctx<'_>) {
                 "L003",
                 i,
                 format!(
-                    "`std::thread` outside the sanctioned modules ({}); route parallelism \
-                     through the existing kernels so determinism stays provable",
+                    "`std::thread` outside the sanctioned modules ({}); keep evaluation on \
+                     the calling thread so determinism stays provable",
                     THREAD_SANCTIONED.join(", ")
                 ),
             );
@@ -1011,10 +1003,10 @@ fn rule_l009(files: &[FileRecord], out: &mut Vec<Violation>) {
 }
 
 /// L010: thread-scope hygiene. Any function outside the merge-exempt
-/// kernels ([`THREAD_MERGE_EXEMPT`]) that touches `std::thread` must
+/// files ([`THREAD_MERGE_EXEMPT`]) that touches `std::thread` must
 /// contain a deterministic merge of the per-thread results
-/// ([`MERGE_MARKERS`]) — including the sanctioned thread modules added
-/// after the rule (`store/ingest.rs`, `engine/par.rs`).
+/// ([`MERGE_MARKERS`]) — including the sanctioned bulk loader
+/// (`store/ingest.rs`).
 fn rule_l010(files: &[FileRecord], out: &mut Vec<Violation>) {
     for f in files {
         if in_list(&f.path, &THREAD_MERGE_EXEMPT) {

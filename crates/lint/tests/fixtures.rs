@@ -27,7 +27,7 @@ fn codes(path: &str, src: &str, cfg: &LintConfig) -> Vec<&'static str> {
 /// Assert `src` at `path` trips `rule` — and stops tripping it when the
 /// rule is disabled.
 fn assert_fires(rule: &'static str, path: &str, src: &str) {
-    let design = "documented: CA_EVAL_THREADS CA_HOM_THREADS".to_string();
+    let design = "documented: CA_PART_THREADS".to_string();
     let with = codes(path, src, &LintConfig::all(design.clone()));
     assert!(
         with.contains(&rule),
@@ -42,7 +42,7 @@ fn assert_fires(rule: &'static str, path: &str, src: &str) {
 
 /// Assert `src` at `path` is clean for `rule` with every rule enabled.
 fn assert_clean(rule: &'static str, path: &str, src: &str) {
-    let design = "documented: CA_EVAL_THREADS CA_HOM_THREADS".to_string();
+    let design = "documented: CA_PART_THREADS".to_string();
     let got = codes(path, src, &LintConfig::all(design));
     assert!(
         !got.contains(&rule),
@@ -105,21 +105,32 @@ fn l003_fires_on_stray_threads_and_env_reads() {
 }
 
 #[test]
-fn l003_sanctions_the_kernels_and_config() {
-    assert_clean(
+fn l003_fires_in_the_sweep_and_the_csp() {
+    // The completion sweep and the CSP search run on the calling thread:
+    // a fan-out there is not sanctioned.
+    assert_fires(
         "L003",
         "crates/query/src/engine/sweep.rs",
         "fn f() { std::thread::scope(|_| {}); }",
     );
-    assert_clean(
+    assert_fires(
         "L003",
         "crates/hom/src/csp.rs",
+        "fn f() { std::thread::scope(|_| {}); }",
+    );
+}
+
+#[test]
+fn l003_sanctions_the_loader_and_config() {
+    assert_clean(
+        "L003",
+        "crates/core/src/store/ingest.rs",
         "fn f() { std::thread::scope(|_| {}); }",
     );
     assert_clean(
         "L003",
         "crates/core/src/config.rs",
-        "fn f() -> bool { std::env::var(\"CA_EVAL_THREADS\").is_ok() }",
+        "fn f() -> bool { std::env::var(\"CA_PART_THREADS\").is_ok() }",
     );
     // Non-CA_ env reads are out of scope for L003.
     assert_clean(
@@ -174,8 +185,8 @@ fn l005_fires_on_undocumented_env_var() {
 
 #[test]
 fn l005_accepts_documented_vars_and_non_var_strings() {
-    // CA_EVAL_THREADS is in the fixture design doc.
-    assert_clean("L005", LIB_PATH, "const KNOB: &str = \"CA_EVAL_THREADS\";");
+    // CA_PART_THREADS is in the fixture design doc.
+    assert_clean("L005", LIB_PATH, "const KNOB: &str = \"CA_PART_THREADS\";");
     // Lowercase / prefix-only strings are not env-var names.
     assert_clean(
         "L005",
@@ -217,7 +228,7 @@ fn l006_fires_on_an_undeclared_manifest_dependency() {
         "[package]\nname = \"ca-core\"\n\n[dependencies]\nca-query = { path = \"../query\" }\n"
             .to_string(),
     )];
-    let design = "documented: CA_EVAL_THREADS CA_HOM_THREADS".to_string();
+    let design = "documented: CA_PART_THREADS".to_string();
     let got = lint_sources(&files, &manifests, &LintConfig::all(design.clone()));
     assert!(
         got.iter()
@@ -398,6 +409,12 @@ fn l010_fires_on_threads_without_a_deterministic_merge() {
         LIB_PATH,
         "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }",
     );
+    // Only the config module is merge-exempt; the sweep is scanned.
+    assert_fires(
+        "L010",
+        "crates/query/src/engine/sweep.rs",
+        "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }",
+    );
 }
 
 #[test]
@@ -408,10 +425,10 @@ fn l010_accepts_merged_results_and_sanctioned_files() {
         LIB_PATH,
         "fn f() { let mut out: Vec<u32> = Vec::new(); std::thread::scope(|s| { s.spawn(|| {}); }); out.sort_unstable(); }",
     );
-    // The sanctioned kernels own their merge discipline already.
+    // The config module only reads `available_parallelism`.
     assert_clean(
         "L010",
-        "crates/query/src/engine/sweep.rs",
+        "crates/core/src/config.rs",
         "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }",
     );
 }

@@ -17,10 +17,9 @@
 //! by Proposition 1 for nothing more within FO.
 //!
 //! The brute-force drivers compile the query once and sweep the
-//! `|pool|^#nulls` completion grid in parallel through
-//! [`crate::engine`] (`CA_EVAL_THREADS` workers, early exit, results
-//! identical for every thread count); completions are materialized one at
-//! a time per worker instead of all up front.
+//! `|pool|^#nulls` completion grid through [`crate::engine`] with early
+//! exit; completions are materialized one at a time instead of all up
+//! front.
 
 use std::collections::BTreeSet;
 
@@ -30,7 +29,7 @@ use ca_relational::hom::find_hom;
 
 use crate::ast::{ConjunctiveQuery, Fo, Term, UnionQuery};
 use crate::containment::cq_contained_in;
-use crate::engine::{self, sweep, CompiledUcq, CompletionSpace};
+use crate::engine::{self, CompiledUcq, CompletionSpace};
 use crate::eval::{eval_fo, eval_ucq, eval_ucq_bool};
 use crate::tableau::{canonical_query, tableau};
 
@@ -104,27 +103,17 @@ pub fn adequate_pool(db: &NaiveDatabase, query_constants: &BTreeSet<i64>) -> Vec
 /// assert_eq!(naive_eval_bool(&q, &d), certain_answer_bool(&q, &d));
 /// ```
 pub fn certain_answer_bool(q: &UnionQuery, db: &NaiveDatabase) -> bool {
-    certain_answer_bool_with(q, db, sweep::eval_threads())
-}
-
-/// [`certain_answer_bool`] with an explicit sweep thread count. The query
-/// compiles once; completions are never materialized up front — the
-/// `|pool|^#nulls` grid is swept in parallel with early exit on the first
-/// falsifying completion.
-pub fn certain_answer_bool_with(q: &UnionQuery, db: &NaiveDatabase, threads: usize) -> bool {
     let pool = adequate_pool(db, &ucq_constants(q));
     let plan = CompiledUcq::compile_lenient(q, &db.schema);
-    engine::certain_bool_over(&plan, db, &pool, threads)
+    engine::certain_bool_over(&plan, db, &pool)
 }
 
 /// Brute-force Boolean certain answer for an arbitrary FO sentence,
-/// sweeping the completion grid in parallel (`CA_EVAL_THREADS`).
+/// with early exit on the first falsifying completion.
 pub fn certain_answer_fo(phi: &Fo, db: &NaiveDatabase) -> bool {
     let pool = adequate_pool(db, &fo_constants(phi));
     let space = CompletionSpace::new(db, &pool);
-    sweep::parallel_all(space.len(), sweep::eval_threads(), |i| {
-        eval_fo(phi, &space.completion(i))
-    })
+    (0..space.len()).all(|i| eval_fo(phi, &space.completion(i)))
 }
 
 /// Naïve Boolean evaluation of a UCQ: evaluate with nulls as values. (For
@@ -149,23 +138,13 @@ pub fn naive_eval_table(q: &UnionQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Valu
 }
 
 /// Brute-force certain answers of a non-Boolean UCQ: intersect the answer
-/// tables over all completions into the adequate pool.
+/// tables over all completions into the adequate pool. The query
+/// compiles once (the plan is shared by every completion) and the sweep
+/// exits early once the intersection empties.
 pub fn certain_table(q: &UnionQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Value>> {
-    certain_table_with(q, db, sweep::eval_threads())
-}
-
-/// [`certain_table`] with an explicit sweep thread count. The query
-/// compiles once (the plan is shared by every completion); the grid is
-/// swept in parallel, intersecting per-thread and exiting early once the
-/// accumulator empties. The result is identical for every thread count.
-pub fn certain_table_with(
-    q: &UnionQuery,
-    db: &NaiveDatabase,
-    threads: usize,
-) -> BTreeSet<Vec<Value>> {
     let pool = adequate_pool(db, &ucq_constants(q));
     let plan = CompiledUcq::compile_lenient(q, &db.schema);
-    engine::certain_table_over(&plan, db, &pool, threads)
+    engine::certain_table_over(&plan, db, &pool)
 }
 
 /// The three equivalent statements of Proposition 2 for a Boolean CQ `Q`

@@ -1,7 +1,7 @@
 //! Certificate emission for the certain-answer drivers.
 //!
 //! The fast paths in [`crate::certain`] and [`crate::engine`] stay
-//! allocation-lean and parallel; this module wraps them with entry points
+//! allocation-lean; this module wraps them with entry points
 //! that additionally produce [`ca_cert`] certificates an engine-blind
 //! checker can replay:
 //!
@@ -19,7 +19,7 @@
 //! Witness assignments are extracted with the *augmented-head* trick:
 //! re-evaluate the disjunct with every body variable in the head, so each
 //! result row **is** a full body assignment; the first row in `BTreeSet`
-//! order makes emission deterministic across thread widths.
+//! order makes emission deterministic across rebuilt stores.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -30,7 +30,7 @@ use ca_core::value::{Null, Value};
 use ca_relational::database::NaiveDatabase;
 
 use crate::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
-use crate::certain::{adequate_pool, certain_answer_bool_with, certain_table_with, ucq_constants};
+use crate::certain::{adequate_pool, certain_answer_bool, certain_table, ucq_constants};
 use crate::engine::{self, CompiledUcq, CompletionSpace, DbIndex};
 
 /// Translate a UCQ into the checker's engine-free vocabulary.
@@ -112,10 +112,9 @@ fn decode_valuation(nulls: &[Null], pool: &[i64], i: u128) -> Vec<(Null, i64)> {
     out
 }
 
-/// Scan the completion grid sequentially for one completion falsifying
-/// `test`, returning its decoded valuation. Sequential on purpose:
-/// emission must be deterministic (lowest falsifying index wins) and runs
-/// only after the parallel sweep has already said "not certain".
+/// Scan the completion grid in index order for one completion falsifying
+/// `test`, returning its decoded valuation (lowest falsifying index
+/// wins). Runs only after the sweep has already said "not certain".
 fn falsifying_valuation(
     db: &NaiveDatabase,
     pool: &[i64],
@@ -137,7 +136,7 @@ fn falsifying_valuation(
 /// Boolean certain answer with a replayable verdict certificate.
 ///
 /// Returns the same Boolean as
-/// [`certain_answer_bool_with`](crate::certain::certain_answer_bool_with)
+/// [`certain_answer_bool`]
 /// plus, when one exists, a certificate for that verdict against the
 /// *heads-dropped* (Boolean) form of `q` — check it with
 /// [`ca_cert::check_certain_row`] / [`ca_cert::check_non_certain`] against
@@ -147,9 +146,8 @@ fn falsifying_valuation(
 pub fn certain_bool_certified(
     q: &UnionQuery,
     db: &NaiveDatabase,
-    threads: usize,
 ) -> (bool, Option<CertainVerdictCert>) {
-    let verdict = certain_answer_bool_with(q, db, threads);
+    let verdict = certain_answer_bool(q, db);
     let bq = boolean_form(q);
     if verdict {
         let cert = naive_match(&bq, db, &[]).map(CertainVerdictCert::Certain);
@@ -187,17 +185,13 @@ pub type CertifiedTable = (BTreeSet<Vec<Value>>, Vec<(Vec<Value>, MatchCert)>);
 /// Certain answers of a non-Boolean UCQ with one [`MatchCert`] per row.
 ///
 /// Returns the same table as
-/// [`certain_table_with`](crate::certain::certain_table_with) plus, for
+/// [`certain_table`] plus, for
 /// every certain row, a naïve-match certificate (null-free row — check
 /// with [`ca_cert::check_certain_row`]). The classical theorem guarantees
 /// a witness for every certain row, so the second component covers the
 /// whole table.
-pub fn certain_table_certified(
-    q: &UnionQuery,
-    db: &NaiveDatabase,
-    threads: usize,
-) -> CertifiedTable {
-    let table = certain_table_with(q, db, threads);
+pub fn certain_table_certified(q: &UnionQuery, db: &NaiveDatabase) -> CertifiedTable {
+    let table = certain_table(q, db);
     let certs = table
         .iter()
         .filter_map(|row| naive_match(q, db, row).map(|c| (row.clone(), c)))
@@ -237,7 +231,7 @@ mod tests {
     #[test]
     fn certain_bool_emits_checkable_match() {
         let (db, q) = setup("R(1, ?x); R(?x, 2)", "R(1, y), R(y, 2)");
-        let (verdict, cert) = certain_bool_certified(&q, &db, 1);
+        let (verdict, cert) = certain_bool_certified(&q, &db);
         assert!(verdict);
         let Some(CertainVerdictCert::Certain(m)) = cert else {
             panic!("expected a match certificate, got {cert:?}");
@@ -250,7 +244,7 @@ mod tests {
     fn non_certain_bool_emits_checkable_valuation() {
         // R(⊥1) with Q = ∃x R(x), S(x): S is empty, never certain.
         let (db, q) = setup("R(?x); S(3)", "R(y), S(y)");
-        let (verdict, cert) = certain_bool_certified(&q, &db, 1);
+        let (verdict, cert) = certain_bool_certified(&q, &db);
         assert!(!verdict);
         let Some(CertainVerdictCert::NonCertain(nc)) = cert else {
             panic!("expected a non-certainty certificate, got {cert:?}");
@@ -269,7 +263,7 @@ mod tests {
     #[test]
     fn certain_table_certifies_every_row() {
         let (db, q) = setup("R(1, 2); R(2, 3); R(4, ?x)", "(x, y) :- R(x, y)");
-        let (table, certs) = certain_table_certified(&q, &db, 1);
+        let (table, certs) = certain_table_certified(&q, &db);
         assert_eq!(certs.len(), table.len(), "every certain row needs a cert");
         let cq = cert_query(&q);
         let facts = db_facts(&db);

@@ -32,8 +32,6 @@ use ca_core::symbol::Symbol;
 
 use crate::ast::{ConjunctiveQuery, Term};
 
-use super::plan::CompiledCq;
-
 /// Exhaustive-search width limit: the subset DP prices `2ⁿ` masks, so
 /// past this many atoms the planner falls back to the greedy order.
 pub(crate) const DP_MAX_ATOMS: usize = 11;
@@ -274,61 +272,6 @@ impl CostModel {
             for v in q.atoms[i].vars() {
                 bound |= 1 << var_bit(v);
             }
-        }
-        cost
-    }
-
-    /// Estimated matches of a compiled atom given its bound-position
-    /// signature (every signature position counts as known).
-    fn est_plan_atom(&self, atom: &crate::engine::plan::AtomPlan) -> f64 {
-        let est = self.rel(atom.rel, atom.sig.len() + atom.binds.len());
-        let mut sel = est.rows;
-        for &pos in &atom.sig {
-            sel /= est.distinct.get(pos).copied().unwrap_or(1.0).max(1.0);
-        }
-        sel
-    }
-
-    /// Estimated total work of executing a compiled plan in its chosen
-    /// order: the same per-step `card × (1 + est)` accumulation the DP
-    /// minimizes, read off the plan's bound-position signatures. Used to
-    /// gate the parallel paths — partitioning only pays when the join
-    /// itself is worth more than the spawn/merge overhead.
-    pub fn plan_work(&self, cq: &CompiledCq) -> f64 {
-        let mut cost = 0.0;
-        let mut card = 1.0f64;
-        for atom in &cq.atoms {
-            let sel = self.est_plan_atom(atom);
-            cost += card * (1.0 + sel);
-            card = (card * sel).max(1.0);
-        }
-        cost
-    }
-
-    /// Estimated work of **seeded** evaluation of a compiled plan
-    /// ([`crate::engine::eval_seeded_into`]): like [`Self::plan_work`],
-    /// but the leading atom ranges over `n_seed` explicit rows instead
-    /// of its whole relation. The chase gates its match-phase fan-out on
-    /// this — a round with a small delta over a big store has little
-    /// work no matter how big the store is.
-    pub fn seeded_work(&self, cq: &CompiledCq, n_seed: usize) -> f64 {
-        let Some((lead, rest)) = cq.atoms.split_first() else {
-            return 0.0;
-        };
-        let seed = n_seed as f64;
-        let mut cost = seed;
-        // The lead's signature constants filter the seed the same way
-        // they filter the relation: scale by the relative selectivity.
-        let est = self.rel(lead.rel, lead.sig.len() + lead.binds.len());
-        let mut frac = 1.0f64;
-        for &pos in &lead.sig {
-            frac /= est.distinct.get(pos).copied().unwrap_or(1.0).max(1.0);
-        }
-        let mut card = (seed * frac).max(1.0);
-        for atom in rest {
-            let sel = self.est_plan_atom(atom);
-            cost += card * (1.0 + sel);
-            card = (card * sel).max(1.0);
         }
         cost
     }

@@ -28,8 +28,8 @@
 //! (plan, store) pair, so the execution inner loop probes by handle and
 //! compares `u32`s with no hashing of signatures and no allocation.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use ca_core::store::{self, FactStore, ValueId, INVALID_ID};
 use ca_core::symbol::Symbol;
@@ -106,9 +106,8 @@ pub struct DbIndex<'a> {
     /// `(relation, signature) → handle` — consulted only when ensuring.
     dir: HashMap<(Symbol, Vec<usize>), usize>,
     /// The cost model priced off the backing store, built on first use
-    /// and shared immutably afterwards (`OnceLock`: the partitioned
-    /// paths hand `&DbIndex` to scoped workers).
-    model: OnceLock<CostModel>,
+    /// and shared immutably afterwards.
+    model: OnceCell<CostModel>,
 }
 
 fn live_rows_by_rel(store: &FactStore) -> Vec<Vec<u32>> {
@@ -137,7 +136,7 @@ impl<'a> DbIndex<'a> {
             by_rel,
             tables: Vec::new(),
             dir: HashMap::new(),
-            model: OnceLock::new(),
+            model: OnceCell::new(),
         }
     }
 
@@ -151,7 +150,7 @@ impl<'a> DbIndex<'a> {
             by_rel,
             tables: Vec::new(),
             dir: HashMap::new(),
-            model: OnceLock::new(),
+            model: OnceCell::new(),
         }
     }
 

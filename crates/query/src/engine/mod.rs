@@ -17,11 +17,10 @@
 //!    (CSR or hash) keyed by each atom's bound-position signature, built
 //!    lazily on first probe and cached across the disjuncts of a UCQ and
 //!    across repeated evaluations on the same store;
-//! 3. **parallel completion sweep** ([`sweep`]) — brute-force certain
-//!    answers sweep the `|pool|^#nulls` completion grid in parallel
-//!    (`CA_EVAL_THREADS`), grounding each completion by remapping null
-//!    ids over shared column pages, with early exit once the
-//!    intersection empties and thread-count-independent results.
+//! 3. **completion sweep** ([`sweep`]) — brute-force certain answers
+//!    sweep the `|pool|^#nulls` completion grid in index order,
+//!    grounding each completion by remapping null ids over shared column
+//!    pages, with early exit once the intersection empties.
 //!
 //! The old evaluator survives unchanged as [`crate::reference`] and
 //! serves as the differential-testing oracle (`tests/eval_differential.rs`),
@@ -30,7 +29,6 @@
 pub mod cache;
 pub mod cost;
 pub mod index;
-pub mod par;
 pub mod plan;
 pub mod sweep;
 
@@ -46,11 +44,8 @@ use crate::ast::{ConjunctiveQuery, UnionQuery};
 pub use cache::PlanCache;
 pub use cost::CostModel;
 pub use index::DbIndex;
-pub use par::{
-    eval_cq_partitioned, eval_ucq_gated, eval_ucq_partitioned, PART_MIN_ROWS, PART_MIN_WORK,
-};
 pub use plan::{CompiledCq, CompiledUcq, PlanError};
-pub use sweep::{eval_threads, CompletionSpace};
+pub use sweep::CompletionSpace;
 
 /// Compile a CQ against a schema.
 pub fn compile_cq(q: &ConjunctiveQuery, schema: &Schema) -> Result<CompiledCq, PlanError> {
@@ -201,7 +196,32 @@ pub fn eval_cq_into(
 /// Minimum live rows of the leading relation before semijoin reduction
 /// pays: below this, one posting probe per lead row costs more than the
 /// dead enumerations it prunes.
-pub(crate) const SEMIJOIN_MIN_ROWS: usize = 1024;
+const SEMIJOIN_MIN_ROWS: usize = 1024;
+
+/// Sequential evaluation with semijoin reduction where it applies (see
+/// [`semijoin_filter_lead`]): chain/star plans over a large lead
+/// relation pre-filter the lead rows through later atoms' postings, then
+/// run the reduced seeded join; everything else takes the plain engine.
+/// Inserts every head row into `out`.
+fn eval_cq_seq_into(cq: &CompiledCq, idx: &mut DbIndex<'_>, out: &mut BTreeSet<Vec<Value>>) {
+    let mut insert = |row: &[Value]| {
+        out.insert(row.to_vec());
+        true
+    };
+    let reducible = cq.atoms.len() >= 3
+        && cq
+            .atoms
+            .first()
+            .is_some_and(|a| idx.rows(a.rel).len() >= SEMIJOIN_MIN_ROWS);
+    if reducible {
+        let prep = prepare_cq(cq, idx);
+        if let Some(kept) = semijoin_filter_lead(cq, &prep, idx) {
+            eval_seeded_into(cq, &prep, idx, &kept, &mut insert);
+            return;
+        }
+    }
+    eval_cq_into(cq, idx, &mut insert);
+}
 
 /// Semijoin-reduce the leading atom of a chain/star plan: keep only the
 /// lead rows whose join-key values have a non-empty posting in some
@@ -216,11 +236,7 @@ pub(crate) const SEMIJOIN_MIN_ROWS: usize = 1024;
 /// later atom probes a built (non-scan) single-column table keyed by a
 /// slot the lead atom binds. Returns `None` when inapplicable; callers
 /// then run the unreduced plan.
-pub(crate) fn semijoin_filter_lead(
-    cq: &CompiledCq,
-    prep: &PreparedCq,
-    idx: &DbIndex<'_>,
-) -> Option<Vec<u32>> {
+fn semijoin_filter_lead(cq: &CompiledCq, prep: &PreparedCq, idx: &DbIndex<'_>) -> Option<Vec<u32>> {
     let lead = cq.atoms.first()?;
     let rows = idx.rows(lead.rel);
     if cq.atoms.len() < 3 || rows.len() < SEMIJOIN_MIN_ROWS {
@@ -257,10 +273,10 @@ pub(crate) fn semijoin_filter_lead(
 /// The resolved access paths of one compiled CQ on one [`DbIndex`],
 /// resolved once by [`prepare_cq`]: per atom, a posting-table handle and
 /// the key with plan constants interned to value ids. Keeping them
-/// outside the index lets many evaluations (and many threads) share one
-/// immutably borrowed index afterwards — the access pattern of the
-/// semi-naive chase, which prepares every rule plan up front and then
-/// runs the match phase in parallel.
+/// outside the index lets many evaluations share one immutably borrowed
+/// index afterwards — the access pattern of the semi-naive chase, which
+/// prepares every rule plan of a round up front and then runs its match
+/// phase.
 pub struct PreparedCq {
     access: Vec<index::AtomAccess>,
 }
@@ -348,14 +364,11 @@ pub fn eval_seeded_into(
 }
 
 /// Evaluate a compiled UCQ on a prepared index: the union of the
-/// disjuncts' answer sets. Each disjunct takes the partitioned path
-/// ([`par`]) when `CA_PART_THREADS` resolves above one and its leading
-/// relation is large enough — contents are identical either way, so the
-/// knob only moves wall time.
+/// disjuncts' answer sets.
 pub fn eval_ucq_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> BTreeSet<Vec<Value>> {
     let mut out = BTreeSet::new();
     for d in &ucq.disjuncts {
-        par::eval_cq_auto_into(d, idx, &mut out);
+        eval_cq_seq_into(d, idx, &mut out);
     }
     out
 }
@@ -384,9 +397,7 @@ pub fn eval_ucq(q: &UnionQuery, db: &NaiveDatabase) -> Result<BTreeSet<Vec<Value
 }
 
 /// Compile (cost-based) and evaluate a CQ over a database (nulls as
-/// values). Takes the same automatic partitioned route as
-/// [`eval_ucq_on`] — the `CA_PART_THREADS` knob applies here too and
-/// only moves wall time.
+/// values), by the same route as [`eval_ucq_on`].
 pub fn eval_cq(
     q: &ConjunctiveQuery,
     db: &NaiveDatabase,
@@ -394,7 +405,7 @@ pub fn eval_cq(
     let mut idx = DbIndex::new(db);
     let plan = CompiledCq::compile_costed(q, &db.schema, idx.model())?;
     let mut out = BTreeSet::new();
-    par::eval_cq_auto_into(&plan, &mut idx, &mut out);
+    eval_cq_seq_into(&plan, &mut idx, &mut out);
     Ok(out)
 }
 
@@ -407,7 +418,7 @@ pub fn eval_ucq_bool(q: &UnionQuery, db: &NaiveDatabase) -> Result<bool, PlanErr
 
 /// Brute-force certain answers of a compiled UCQ: intersect the answer
 /// tables over every completion of `db` into `pool`, sweeping the
-/// completion grid with `threads` workers and early exit.
+/// completion grid with early exit.
 ///
 /// Semantics at the corners (unit-tested below): when the completion
 /// space is **empty** (nulls present but an empty pool) the intersection
@@ -418,10 +429,9 @@ pub fn certain_table_over(
     plan: &CompiledUcq,
     db: &NaiveDatabase,
     pool: &[i64],
-    threads: usize,
 ) -> BTreeSet<Vec<Value>> {
     let space = CompletionSpace::new(db, pool);
-    sweep::parallel_intersect(space.len(), threads, |i| {
+    sweep::intersect(space.len(), |i| {
         eval_ucq_on(plan, &mut DbIndex::from_store(space.completion_store(i)))
     })
     .unwrap_or_default()
@@ -430,16 +440,10 @@ pub fn certain_table_over(
 /// Brute-force Boolean certain answer of a compiled UCQ over a pool:
 /// true iff every completion satisfies the query. Vacuously true when
 /// the completion space is empty.
-pub fn certain_bool_over(
-    plan: &CompiledUcq,
-    db: &NaiveDatabase,
-    pool: &[i64],
-    threads: usize,
-) -> bool {
+pub fn certain_bool_over(plan: &CompiledUcq, db: &NaiveDatabase, pool: &[i64]) -> bool {
     let space = CompletionSpace::new(db, pool);
-    sweep::parallel_all(space.len(), threads, |i| {
-        eval_ucq_bool_on(plan, &mut DbIndex::from_store(space.completion_store(i)))
-    })
+    (0..space.len())
+        .all(|i| eval_ucq_bool_on(plan, &mut DbIndex::from_store(space.completion_store(i))))
 }
 
 #[cfg(test)]
@@ -555,10 +559,8 @@ mod tests {
             vec![Atom::new("R", vec![V(0)])],
         ));
         let plan = compile_ucq(&q, &db.schema).unwrap();
-        for threads in [1, 4] {
-            assert!(certain_table_over(&plan, &db, &[], threads).is_empty());
-            assert!(certain_bool_over(&plan, &db, &[], threads));
-        }
+        assert!(certain_table_over(&plan, &db, &[]).is_empty());
+        assert!(certain_bool_over(&plan, &db, &[]));
     }
 
     #[test]
@@ -595,6 +597,46 @@ mod tests {
             true
         });
         assert_eq!(full, eval_cq(&q, &db).unwrap());
+    }
+
+    /// A three-atom chain over a lead relation past `SEMIJOIN_MIN_ROWS`
+    /// takes the semijoin-reduced route: the filter prunes lead rows, and
+    /// the answers still equal the reference oracle's.
+    #[test]
+    fn semijoin_route_matches_reference() {
+        let schema = ca_relational::schema::Schema::from_relations(&[("R", 2), ("S", 2), ("T", 1)]);
+        let mut db = NaiveDatabase::new(schema);
+        for i in 0..1100i64 {
+            db.add("R", vec![c(i % 97), c((i * 31) % 211)]);
+        }
+        // S covers only 40 of R's 211 join keys.
+        for j in 0..40i64 {
+            db.add("S", vec![c(j * 5), n((j % 13) as u32)]);
+        }
+        for k in 0..7u32 {
+            db.add("T", vec![n(k)]);
+        }
+        let q = ConjunctiveQuery::with_head(
+            vec![0, 2],
+            vec![
+                Atom::new("R", vec![V(0), V(1)]),
+                Atom::new("S", vec![V(1), V(2)]),
+                Atom::new("T", vec![V(2)]),
+            ],
+        );
+        let plan = CompiledCq::compile_pinned(&q, &db.schema, 0).unwrap();
+        let mut idx = DbIndex::new(&db);
+        let prep = prepare_cq(&plan, &mut idx);
+        let kept = semijoin_filter_lead(&plan, &prep, &idx).expect("semijoin applies");
+        assert!(
+            kept.len() < idx.rows(plan.atoms[0].rel).len(),
+            "filter prunes"
+        );
+        let mut out = BTreeSet::new();
+        eval_cq_seq_into(&plan, &mut idx, &mut out);
+        let expected = reference::eval_cq(&q, &db);
+        assert!(!expected.is_empty());
+        assert_eq!(out, expected);
     }
 
     #[test]
@@ -640,8 +682,6 @@ mod tests {
             });
         }
         let legacy = legacy.unwrap();
-        for threads in [1, 3, 4] {
-            assert_eq!(certain_table_over(&plan, &db, &pool, threads), legacy);
-        }
+        assert_eq!(certain_table_over(&plan, &db, &pool), legacy);
     }
 }

@@ -136,18 +136,6 @@ impl CompiledCq {
         Self::compile_with_pin(q, schema, Some(pin))
     }
 
-    /// The column position of the leading atom's first variable binding,
-    /// if any — the join-key column the morsel-driven paths
-    /// (`crate::engine::par`, the chase's partitioned match phase)
-    /// hash-partition the leading atom's row lists on. `None` when the
-    /// plan is empty or its leading atom binds nothing (all-constant
-    /// atom); callers then partition by row id instead.
-    pub fn lead_bind_pos(&self) -> Option<usize> {
-        self.atoms
-            .first()
-            .and_then(|a| a.binds.first().map(|&(pos, _)| pos))
-    }
-
     /// Compile with the join order picked by a [`CostModel`]: the DP
     /// searches all orders where that is affordable and falls back to
     /// the greedy order beyond its width limit. Plan *choice* changes

@@ -1,36 +1,21 @@
-//! Parallel sweeps over completion spaces.
+//! Sweeps over completion spaces.
 //!
 //! Brute-force certain answers intersect (or conjoin) a query's result
 //! over every completion of a naïve database into an adequate constant
 //! pool. That space is a `|pool|^#nulls` grid; this module addresses it
-//! by linear index, partitions it into contiguous per-thread chunks
-//! (`std::thread::scope`), and sweeps with early exit: once any thread's
-//! partial intersection is empty (or any completion falsifies a Boolean
-//! query), a shared flag stops every worker — the global answer is
-//! already determined.
-//!
-//! Determinism: per-thread partial results are sets, set intersection is
-//! commutative and associative, and the final merge folds the per-thread
-//! results in thread-index order, so the answer is byte-identical for
-//! every thread count (asserted by `tests/eval_differential.rs`).
-//!
-//! The thread count comes from `CA_EVAL_THREADS` (default: available
-//! parallelism), mirroring the solver's `CA_HOM_THREADS`.
+//! by linear index and sweeps it in index order with early exit: once
+//! the running intersection is empty (or a completion falsifies a
+//! Boolean query — callers use `Iterator::all` over the index range)
+//! the answer is determined. The grids are coNP-hard to
+//! decide in general (Thm 7), so a fixed-width fan-out would only shave
+//! a constant factor; the sweep runs on the calling thread.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use ca_core::store::{null_index, FactStore, ValueId};
 use ca_core::value::{Null, Value};
 use ca_relational::database::{NaiveDatabase, Valuation};
 use ca_relational::store_bridge::to_store;
-
-/// The sweep thread count: `CA_EVAL_THREADS`, else available parallelism
-/// (parsed by the shared [`ca_core::config`] policy: saturating, explicit
-/// fallback on malformed values).
-pub fn eval_threads() -> usize {
-    ca_core::config::eval_threads()
-}
 
 /// The space of completions of `db` into a constant pool, addressable by
 /// linear index: completion `i` grounds null `j` (in sorted null order)
@@ -133,197 +118,34 @@ impl<'a> CompletionSpace<'a> {
     }
 }
 
-/// Below this many completions the sweeps stay sequential regardless of
-/// the requested thread count: spawning a scope and merging per-thread
-/// sets costs more than the whole sweep on small grids (mirrors
-/// `auto_config()` in `ca_hom::csp`, which gates the solver's pool the
-/// same way). Measured on `BENCH_query.json`: the 1296-completion
-/// `phi0_C4` grid ran at 0.16× under a forced pool; grids past ~20k
-/// amortize it.
-const PAR_MIN_COMPLETIONS: u128 = 20_000;
-
-/// The thread count actually used for a sweep of `count` completions.
-fn effective_threads(count: u128, threads: usize) -> usize {
-    if count < PAR_MIN_COMPLETIONS {
-        1
-    } else {
-        threads.max(1)
-    }
-}
-
-/// Split `0..count` into at most `threads` contiguous non-empty chunks.
-fn chunks(count: u128, threads: usize) -> Vec<(u128, u128)> {
-    let threads = (threads.max(1) as u128).min(count.max(1));
-    let per = count.div_ceil(threads.max(1)).max(1);
-    let mut out = Vec::new();
-    let mut lo = 0;
-    while lo < count {
-        let hi = (lo + per).min(count);
-        out.push((lo, hi));
-        lo = hi;
-    }
-    out
-}
-
-/// Does `check(i)` hold for every `i` in `0..count`? Sweeps in parallel
-/// with early exit on the first failure. Vacuously true for `count == 0`
-/// (the usual convention for an intersection over an empty family).
-pub fn parallel_all(count: u128, threads: usize, check: impl Fn(u128) -> bool + Sync) -> bool {
-    let parts = chunks(count, effective_threads(count, threads));
-    if parts.len() <= 1 {
-        return parts.first().is_none_or(|&(lo, hi)| (lo..hi).all(&check));
-    }
-    let failed = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for &(lo, hi) in &parts {
-            let failed = &failed;
-            let check = &check;
-            scope.spawn(move || {
-                for i in lo..hi {
-                    if failed.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if !check(i) {
-                        failed.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    !failed.load(Ordering::Relaxed)
-}
-
-/// Intersect `eval(i)` over every `i` in `0..count`, in parallel with
-/// early exit once the intersection is known to be empty. Returns `None`
-/// for `count == 0` — the intersection over no sets is "everything",
-/// which has no finite representation; callers choose their semantics
+/// Intersect `eval(i)` over every `i` in `0..count`, in index order
+/// with early exit once the intersection is empty. Returns `None` for
+/// `count == 0` — the intersection over no sets is "everything", which
+/// has no finite representation; callers choose their semantics
 /// (brute-force certain answers return the empty table, documented at
 /// the call site).
-pub fn parallel_intersect(
+pub fn intersect(
     count: u128,
-    threads: usize,
-    eval: impl Fn(u128) -> BTreeSet<Vec<Value>> + Sync,
+    eval: impl Fn(u128) -> BTreeSet<Vec<Value>>,
 ) -> Option<BTreeSet<Vec<Value>>> {
     if count == 0 {
         return None;
     }
-    let parts = chunks(count, effective_threads(count, threads));
-    if let [(lo, hi)] = parts.as_slice() {
-        let (lo, hi) = (*lo, *hi);
-        let mut acc = eval(lo);
-        for i in lo + 1..hi {
-            if acc.is_empty() {
-                break;
-            }
-            let next = eval(i);
-            acc.retain(|row| next.contains(row));
+    let mut acc = eval(0);
+    for i in 1..count {
+        if acc.is_empty() {
+            break;
         }
-        return Some(acc);
+        let next = eval(i);
+        acc.retain(|row| next.contains(row));
     }
-    let dead = AtomicBool::new(false);
-    let partials = std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|&(lo, hi)| {
-                let dead = &dead;
-                let eval = &eval;
-                scope.spawn(move || {
-                    let mut acc = eval(lo);
-                    for i in lo + 1..hi {
-                        if acc.is_empty() || dead.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let next = eval(i);
-                        acc.retain(|row| next.contains(row));
-                    }
-                    if acc.is_empty() {
-                        dead.store(true, Ordering::Relaxed);
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(partial) => partial,
-                // A worker only panics if `eval` panicked; re-raise the
-                // original payload rather than inventing a new panic here.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect::<Vec<_>>()
-    });
-    // A set flag means some thread's partial intersection over a prefix of
-    // its range emptied; the global intersection is a subset of it.
-    if dead.load(Ordering::Relaxed) {
-        return Some(BTreeSet::new());
-    }
-    // `count > 0` guarantees at least one chunk; if that invariant ever
-    // broke, the empty-default is still the correct empty intersection.
-    Some(
-        partials
-            .into_iter()
-            .reduce(|mut acc, next| {
-                acc.retain(|row| next.contains(row));
-                acc
-            })
-            .unwrap_or_default(),
-    )
-}
-
-/// Deterministic parallel map: compute `f(0), …, f(count - 1)` on at most
-/// `threads` workers over contiguous index chunks and return the results
-/// **in index order**, so the output is byte-identical at every thread
-/// count. Used by the chase engine's match phase (this module is the
-/// sanctioned home for `std::thread` in the query crate). Runs
-/// sequentially for `threads <= 1` or fewer than two items.
-pub fn parallel_map<T: Send>(
-    count: usize,
-    threads: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let width = threads.max(1).min(count.max(1));
-    if width <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let per = count.div_ceil(width).max(1);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut lo = 0;
-        while lo < count {
-            let hi = (lo + per).min(count);
-            let f = &f;
-            handles.push(scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>()));
-            lo = hi;
-        }
-        let mut out = Vec::with_capacity(count);
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                // A worker only panics if `f` panicked; re-raise the
-                // original payload rather than inventing a new panic here.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
+    Some(acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ca_relational::database::build::{c, n, table};
-
-    #[test]
-    fn parallel_map_is_order_preserving_at_every_width() {
-        let expected: Vec<usize> = (0..103).map(|i| i * i).collect();
-        for threads in [1, 2, 3, 4, 9] {
-            assert_eq!(parallel_map(103, threads, |i| i * i), expected);
-        }
-        assert!(parallel_map(0, 4, |i| i).is_empty());
-        assert_eq!(parallel_map(1, 4, |i| i), vec![0]);
-    }
 
     #[test]
     fn completion_space_counts() {
@@ -380,58 +202,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_all_agrees_across_thread_counts() {
-        for threads in [1, 2, 4, 7] {
-            assert!(parallel_all(100, threads, |i| i < 1000));
-            assert!(!parallel_all(100, threads, |i| i != 63));
-            assert!(parallel_all(0, threads, |_| false), "vacuous truth");
-        }
-    }
-
-    /// Counts below [`PAR_MIN_COMPLETIONS`] must stay sequential (pool
-    /// spawn would dominate); above it the requested width applies.
-    #[test]
-    fn small_grids_stay_sequential() {
-        assert_eq!(effective_threads(PAR_MIN_COMPLETIONS - 1, 8), 1);
-        assert_eq!(effective_threads(PAR_MIN_COMPLETIONS, 8), 8);
-        assert_eq!(effective_threads(0, 8), 1);
-        assert_eq!(effective_threads(PAR_MIN_COMPLETIONS, 0), 1);
-    }
-
-    /// The genuinely parallel path (count past the threshold) agrees
-    /// with sequential on both sweeps.
-    #[test]
-    fn parallel_path_agrees_past_threshold() {
-        let count = PAR_MIN_COMPLETIONS + 5_000;
-        assert!(parallel_all(count, 4, |i| i < count));
-        assert!(!parallel_all(count, 4, |i| i != PAR_MIN_COMPLETIONS + 63));
+    fn intersect_folds_in_index_order_and_exits_early() {
+        // Completion i keeps rows >= i/8: over 0..20 that leaves 2..8.
         let eval = |i: u128| -> BTreeSet<Vec<Value>> {
-            (0..4u8)
-                .filter(|&j| u128::from(j) != i % 97)
-                .map(|j| vec![c(i64::from(j))])
-                .collect()
-        };
-        let expected = parallel_intersect(count, 1, eval).unwrap();
-        assert_eq!(parallel_intersect(count, 4, eval).unwrap(), expected);
-    }
-
-    #[test]
-    fn parallel_intersect_agrees_across_thread_counts() {
-        let eval = |i: u128| -> BTreeSet<Vec<Value>> {
-            // Row {c(j)} survives completion i iff j divides 60... use a
-            // simple shrinking family: completion i keeps rows >= i/8.
             (0..8u8)
                 .filter(|&j| u128::from(j) >= i / 8)
                 .map(|j| vec![c(i64::from(j))])
                 .collect()
         };
-        let expected = parallel_intersect(20, 1, eval).unwrap();
-        for threads in [2, 3, 4, 9] {
-            assert_eq!(parallel_intersect(20, threads, eval).unwrap(), expected);
-        }
-        assert!(parallel_intersect(0, 4, eval).is_none());
-        // A family that empties early.
-        let empty = parallel_intersect(64, 4, |i| {
+        let expected: BTreeSet<Vec<Value>> = (2..8).map(|j| vec![c(j)]).collect();
+        assert_eq!(intersect(20, eval), Some(expected));
+        assert!(intersect(0, eval).is_none());
+        // A family that empties early stops being evaluated.
+        let calls = std::cell::Cell::new(0u128);
+        let empty = intersect(64, |i| {
+            calls.set(calls.get() + 1);
             if i == 5 {
                 BTreeSet::new()
             } else {
@@ -439,5 +224,6 @@ mod tests {
             }
         });
         assert_eq!(empty, Some(BTreeSet::new()));
+        assert_eq!(calls.get(), 6);
     }
 }

@@ -10,7 +10,7 @@
 //!   join plans (greedy bound-variable ordering, constants and repeated
 //!   variables pushed into atom matchers), execute against lazily-built
 //!   per-relation hash indices, and batch drivers sweep completion grids
-//!   in parallel (`CA_EVAL_THREADS`) for brute-force certain answers.
+//!   with early exit for brute-force certain answers.
 //! * [`eval`] — the legacy evaluation entry points: CQs/UCQs over naïve
 //!   databases *treating nulls as ordinary values* (the first phase of
 //!   naïve evaluation; now routed through [`engine`] leniently), and FO

@@ -1,7 +1,7 @@
 //! Differential tests for the cost-based planner and the plan cache:
 //! on random schemas, databases, and (U)CQs, the reference evaluator,
-//! the greedy-planned engine, the cost-planned engine, the cached plan,
-//! and every partition width must produce identical answers — plan
+//! the greedy-planned engine, the cost-planned engine, and the cached
+//! plan must produce identical answers — plan
 //! choice moves wall time only, never contents. Plan choice itself is
 //! pinned deterministic, and the cache is exercised against an evolving
 //! store so revision-keyed invalidation is covered end to end.
@@ -9,9 +9,7 @@
 use std::collections::BTreeSet;
 
 use ca_core::value::Value;
-use ca_query::engine::{
-    eval_ucq_gated, eval_ucq_on, eval_ucq_partitioned, CompiledUcq, CostModel, DbIndex, PlanCache,
-};
+use ca_query::engine::{eval_ucq_on, CompiledUcq, CostModel, DbIndex, PlanCache};
 use ca_query::generate::{random_ucq_over, QueryParams};
 use ca_query::reference;
 use ca_relational::database::NaiveDatabase;
@@ -54,8 +52,8 @@ fn random_instance(seed: u64) -> (NaiveDatabase, ca_query::UnionQuery) {
     (db, q)
 }
 
-/// Reference, greedy plan, cost-based plan, cached plan, and the gated
-/// parallel entry all agree on random instances.
+/// Reference, greedy plan, cost-based plan, and cached plan all agree
+/// on random instances.
 #[test]
 fn cost_greedy_reference_agree_on_random_ucqs() {
     for seed in 0..60u64 {
@@ -84,12 +82,6 @@ fn cost_greedy_reference_agree_on_random_ucqs() {
             expected,
             eval_ucq_on(&cached, &mut DbIndex::new(&db)),
             "cached plan diverges from reference (seed {seed})"
-        );
-
-        assert_eq!(
-            expected,
-            eval_ucq_gated(&costed, &mut DbIndex::new(&db), 4),
-            "gated parallel entry diverges from reference (seed {seed})"
         );
     }
 }
@@ -120,11 +112,10 @@ fn plan_choice_is_deterministic() {
     }
 }
 
-/// A cached plan evaluated at any partition width returns exactly the
-/// answers of a fresh sequential compile — cached-vs-fresh and
-/// width-vs-width are both byte-identical.
+/// A cached plan returns exactly the answers of a fresh compile,
+/// byte for byte.
 #[test]
-fn cached_answers_identical_across_widths() {
+fn cached_answers_identical_to_fresh() {
     for seed in 0..20u64 {
         let (db, q) = random_instance(seed);
         let st = to_store(&db);
@@ -134,13 +125,11 @@ fn cached_answers_identical_across_widths() {
 
         let mut cache = PlanCache::new();
         let cached = cache.get_or_compile(&q, &db.schema, &st).unwrap();
-        for width in [1usize, 2, 4, 8] {
-            assert_eq!(
-                expected,
-                eval_ucq_partitioned(&cached, &mut DbIndex::new(&db), width),
-                "cached plan at width {width} diverges (seed {seed})"
-            );
-        }
+        assert_eq!(
+            expected,
+            eval_ucq_on(&cached, &mut DbIndex::new(&db)),
+            "cached plan diverges from a fresh compile (seed {seed})"
+        );
     }
 }
 

@@ -96,57 +96,58 @@ fn naive_eval_order_is_layout_independent() {
 }
 
 /// The brute-force certain-answer sweep: identical ordered tuple
-/// sequences across rebuilds *and* across thread counts — both knobs
-/// vary physical evaluation order, neither may vary the result.
+/// sequences across rebuilds — physical evaluation order may never vary
+/// the result.
 #[test]
 fn certain_sweep_order_is_layout_and_thread_independent() {
     let pool = [1, 2, 3, 5];
     let plan =
         |db: &NaiveDatabase| engine::compile_ucq(&query(), &db.schema).expect("query fits schema");
     let db0 = build_permuted(0);
-    let baseline: Vec<Vec<Value>> = engine::certain_table_over(&plan(&db0), &db0, &pool, 1)
+    let baseline: Vec<Vec<Value>> = engine::certain_table_over(&plan(&db0), &db0, &pool)
         .into_iter()
         .collect();
     for rotation in 0..4 {
-        for threads in [1, 2, 3, 7] {
-            let db = build_permuted(rotation);
-            let run: Vec<Vec<Value>> = engine::certain_table_over(&plan(&db), &db, &pool, threads)
-                .into_iter()
-                .collect();
-            assert_eq!(
-                baseline, run,
-                "certain-answer order diverged (rebuild #{rotation}, {threads} threads)"
-            );
-        }
+        let db = build_permuted(rotation);
+        let run: Vec<Vec<Value>> = engine::certain_table_over(&plan(&db), &db, &pool)
+            .into_iter()
+            .collect();
+        assert_eq!(
+            baseline, run,
+            "certain-answer order diverged (rebuild #{rotation})"
+        );
     }
 }
 
 /// The incremental retraction engine: the kept vertex set, the induced
-/// core, and the witness-derived numbering must be identical at every
-/// probe-thread width (lowest-candidate-wins makes the parallel probe
-/// sweep order-insensitive). Pinned on a graph large enough that several
-/// probes race: core(C3 × C4) ⊔ C2 ⊔ C6 retracts nontrivially.
+/// core, and the witness-derived numbering must be identical across
+/// runs, and agree in size with the seed-era reference loop. Pinned on a
+/// graph where several probes compete: C12 ⊔ C2 ⊔ C6 ⊔ P3 retracts
+/// nontrivially.
 #[test]
 fn retraction_is_thread_width_independent() {
-    use ca_graph::{core_of_with, Digraph};
+    use ca_graph::{core_of, reference, Digraph};
     let g = Digraph::cycle(12)
         .disjoint_union(&Digraph::cycle(2))
         .disjoint_union(&Digraph::cycle(6))
         .disjoint_union(&Digraph::path(3));
-    let (base_core, base_kept) = core_of_with(&g, 1);
-    for threads in [2usize, 4, 8] {
-        let (core, kept) = core_of_with(&g, threads);
-        assert_eq!(base_kept, kept, "kept set diverged at {threads} threads");
-        assert_eq!(base_core.edges, core.edges);
-        assert_eq!(base_core.n, core.n);
-    }
+    let (base_core, base_kept) = core_of(&g);
+    let (core, kept) = core_of(&g);
+    assert_eq!(base_kept, kept, "kept set diverged between runs");
+    assert_eq!(base_core.edges, core.edges);
+    assert_eq!(base_core.n, core.n);
+    assert_eq!(
+        base_core.n,
+        reference::core_of(&g).0.n,
+        "core size vs oracle"
+    );
 }
 
 /// Same pin for generalized-database cores: node-for-node identical
-/// output at every thread width.
+/// output across runs, hom-equivalent to the reference loop's core.
 #[test]
 fn gendb_core_is_thread_width_independent() {
-    use ca_exchange::solution::core_of_gendb_with;
+    use ca_exchange::solution::core_of_gendb;
     use ca_gdm::database::GenDb;
     use ca_gdm::schema::GenSchema;
     let schema = GenSchema::from_parts(&[("T", 2)], &[]);
@@ -159,14 +160,11 @@ fn gendb_core_is_thread_width_independent() {
     }
     d.add_node("T", vec![c(1), c(7)]);
     d.add_node("T", vec![c(7), c(2)]);
-    let base = core_of_gendb_with(&d, 1);
-    for threads in [2usize, 4, 8] {
-        assert_eq!(
-            base,
-            core_of_gendb_with(&d, threads),
-            "gendb core diverged at {threads} threads"
-        );
-    }
+    let base = core_of_gendb(&d);
+    assert_eq!(base, core_of_gendb(&d), "gendb core diverged between runs");
+    let oracle = ca_exchange::reference::core_of_gendb(&d);
+    assert_eq!(base.n_nodes(), oracle.n_nodes(), "core size vs oracle");
+    assert!(ca_gdm::hom::gdm_equiv(&base, &oracle));
 }
 
 /// The columnar store: two *independently built* stores over the same
@@ -209,10 +207,8 @@ fn store_scan_order_is_build_independent() {
 /// Store-backed evaluation: the lazily built posting tables (CSR or
 /// hash) are the only order-sensitive index structure left; answers
 /// drawn through them must be identical across independently built
-/// stores and across evaluation widths 1 vs 4 (the `CA_EVAL_THREADS`
-/// knob — `certain_table_over` takes the resolved width explicitly, so
-/// this pins exactly what varying the env var varies). The fixture
-/// exceeds `INDEX_THRESHOLD`, so postings are genuinely probed.
+/// stores, for plain evaluation and for the certain-answer sweep. The
+/// fixture exceeds `INDEX_THRESHOLD`, so postings are genuinely probed.
 #[test]
 fn store_backed_postings_are_layout_and_thread_independent() {
     use ca_query::engine::DbIndex;
@@ -224,7 +220,7 @@ fn store_backed_postings_are_layout_and_thread_independent() {
     let mut idx0 = DbIndex::over(&store0);
     let baseline: Vec<Vec<Value>> = engine::eval_ucq_on(&plan, &mut idx0).into_iter().collect();
     assert!(!baseline.is_empty(), "fixture query must have answers");
-    let certain_base: Vec<Vec<Value>> = engine::certain_table_over(&plan, &db0, &pool, 1)
+    let certain_base: Vec<Vec<Value>> = engine::certain_table_over(&plan, &db0, &pool)
         .into_iter()
         .collect();
     for rotation in 1..4 {
@@ -236,31 +232,28 @@ fn store_backed_postings_are_layout_and_thread_independent() {
             baseline, run,
             "store-backed answers diverged on rebuild #{rotation}: posting order leaked"
         );
-        for threads in [1usize, 4] {
-            let certain: Vec<Vec<Value>> = engine::certain_table_over(&plan, &db, &pool, threads)
-                .into_iter()
-                .collect();
-            assert_eq!(
-                certain_base, certain,
-                "certain answers diverged (rebuild #{rotation}, width {threads})"
-            );
-        }
+        let certain: Vec<Vec<Value>> = engine::certain_table_over(&plan, &db, &pool)
+            .into_iter()
+            .collect();
+        assert_eq!(
+            certain_base, certain,
+            "certain answers diverged (rebuild #{rotation})"
+        );
     }
 }
 
 /// Certificates are part of the result boundary, so the same pin
 /// discipline applies to their canonical bytes: the certified
 /// certain-answer drivers must emit byte-identical certificates across
-/// independently rebuilt databases (fresh hash-table seeds everywhere)
-/// and across sweep widths 1 vs 4.
+/// independently rebuilt databases (fresh hash-table seeds everywhere).
 #[test]
 fn query_certificates_are_layout_and_thread_independent() {
     use ca_query::certify;
     let q = query();
     let baseline = {
         let db = build_permuted(0);
-        let (verdict, cert) = certify::certain_bool_certified(&q, &db, 1);
-        let (table, certs) = certify::certain_table_certified(&q, &db, 1);
+        let (verdict, cert) = certify::certain_bool_certified(&q, &db);
+        let (table, certs) = certify::certain_table_certified(&q, &db);
         assert!(!table.is_empty(), "fixture query must have certain rows");
         assert_eq!(certs.len(), table.len(), "every certain row certifies");
         (
@@ -273,28 +266,26 @@ fn query_certificates_are_layout_and_thread_independent() {
         )
     };
     for rotation in 0..4 {
-        for threads in [1usize, 4] {
-            let db = build_permuted(rotation);
-            let (verdict, cert) = certify::certain_bool_certified(&q, &db, threads);
-            let (_, certs) = certify::certain_table_certified(&q, &db, threads);
-            let run = (
-                verdict,
-                cert.map(|c| c.to_bytes()),
-                certs
-                    .iter()
-                    .flat_map(|(_, m)| m.to_bytes())
-                    .collect::<Vec<u8>>(),
-            );
-            assert_eq!(
-                baseline, run,
-                "certificate bytes diverged (rebuild #{rotation}, {threads} threads)"
-            );
-        }
+        let db = build_permuted(rotation);
+        let (verdict, cert) = certify::certain_bool_certified(&q, &db);
+        let (_, certs) = certify::certain_table_certified(&q, &db);
+        let run = (
+            verdict,
+            cert.map(|c| c.to_bytes()),
+            certs
+                .iter()
+                .flat_map(|(_, m)| m.to_bytes())
+                .collect::<Vec<u8>>(),
+        );
+        assert_eq!(
+            baseline, run,
+            "certificate bytes diverged (rebuild #{rotation})"
+        );
     }
 }
 
-/// Chase derivation logs: byte-identical certificates across chase
-/// thread widths 1 vs 4 and across independently rebuilt instances.
+/// Chase derivation logs: byte-identical certificates across
+/// independently rebuilt instances.
 #[test]
 fn chase_certificates_are_layout_and_thread_independent() {
     use ca_exchange::chase::{chase_certified, ChaseConfig};
@@ -330,30 +321,25 @@ fn chase_certificates_are_layout_and_thread_independent() {
         Rule { body, head }
     };
     let tgds = [transitivity];
+    let cfg = ChaseConfig::new(10_000);
     let baseline = {
-        let (_, cert) = chase_certified(
-            &instance(0),
-            &tgds,
-            &[],
-            &ChaseConfig::with_threads(10_000, 1),
-        );
-        cert.expect("engine certifies the fixture chase").to_bytes()
+        let (_, cert) = chase_certified(&instance(0), &tgds, &[], &cfg);
+        let cert = cert.expect("engine certifies the fixture chase");
+        assert_eq!(ca_cert::check_chase(&cert), Ok(()));
+        cert.to_bytes()
     };
     for rotation in 0..4 {
-        for threads in [1usize, 4] {
-            let cfg = ChaseConfig::with_threads(10_000, threads);
-            let (_, cert) = chase_certified(&instance(rotation), &tgds, &[], &cfg);
-            let run = cert.expect("engine certifies the fixture chase").to_bytes();
-            assert_eq!(
-                baseline, run,
-                "chase certificate bytes diverged (rebuild #{rotation}, {threads} threads)"
-            );
-        }
+        let (_, cert) = chase_certified(&instance(rotation), &tgds, &[], &cfg);
+        let run = cert.expect("engine certifies the fixture chase").to_bytes();
+        assert_eq!(
+            baseline, run,
+            "chase certificate bytes diverged (rebuild #{rotation})"
+        );
     }
 }
 
 /// Core-retraction certificates: byte-identical fold/endomorphism chains
-/// at every probe-thread width.
+/// across runs, accepted by the checker.
 #[test]
 fn core_certificates_are_thread_width_independent() {
     use ca_hom::retract::retract_core_certified;
@@ -370,111 +356,15 @@ fn core_certificates_are_thread_width_independent() {
     s.add_tuple(0, vec![9, 10]);
     s.add_tuple(0, vec![10, 8]);
     let probe: Vec<u32> = (0..11).collect();
-    let (base_r, base_cert) = retract_core_certified(&s, &probe, 1);
+    let (base_r, base_cert) = retract_core_certified(&s, &probe);
     assert_eq!(ca_cert::check_core(&base_cert), Ok(()));
-    let base_bytes = base_cert.to_bytes();
-    for threads in [2usize, 4, 8] {
-        let (r, cert) = retract_core_certified(&s, &probe, threads);
-        assert_eq!(
-            base_r.kept, r.kept,
-            "kept set diverged at {threads} threads"
-        );
-        assert_eq!(
-            base_bytes,
-            cert.to_bytes(),
-            "core certificate bytes diverged at {threads} threads"
-        );
-    }
-}
-
-/// The hash-partitioned join path: answers must be byte-identical (same
-/// tuples, same order) at every partition count — {1, 2, 4, 7} covers
-/// the degenerate, even, and prime-width cases, 7 exceeding any CI
-/// host's requested width — and across independently built stores. The
-/// partitioning is a disjoint order-preserving cover of the leading
-/// atom's rows and the merge is a `BTreeSet` union, so nothing physical
-/// may leak.
-#[test]
-fn partitioned_answers_are_partition_count_independent() {
-    use ca_query::engine::DbIndex;
-    use ca_relational::store_bridge::to_store;
-    let db0 = build_permuted(0);
-    let plan = engine::compile_ucq(&query(), &db0.schema).expect("query fits schema");
-    let store0 = to_store(&db0);
-    let baseline: Vec<Vec<Value>> = engine::eval_ucq_on(&plan, &mut DbIndex::over(&store0))
-        .into_iter()
-        .collect();
-    assert!(!baseline.is_empty(), "fixture query must have answers");
-    for rotation in 0..4 {
-        let store = to_store(&build_permuted(rotation));
-        for parts in [1usize, 2, 4, 7] {
-            let run: Vec<Vec<Value>> =
-                engine::eval_ucq_partitioned(&plan, &mut DbIndex::over(&store), parts)
-                    .into_iter()
-                    .collect();
-            assert_eq!(
-                baseline, run,
-                "partitioned answers diverged (rebuild #{rotation}, {parts} partitions)"
-            );
-        }
-    }
-}
-
-/// The chase's partitioned match phase: certificates byte-identical at
-/// widths {1, 2, 4, 7}. The fixture seeds 600 facts — past the
-/// `PAR_MIN_SEED = 512` gate — so widths > 1 genuinely hash-partition
-/// the seed lists into per-worker tasks (smaller fixtures would pass
-/// vacuously through the sequential path).
-#[test]
-fn chase_partition_tasks_are_width_independent() {
-    use ca_exchange::chase::{chase_certified, ChaseConfig};
-    use ca_exchange::mapping::Rule;
-    use ca_gdm::database::GenDb;
-    use ca_gdm::schema::GenSchema;
-
-    let schema = || GenSchema::from_parts(&[("T", 2), ("U", 1)], &[]);
-    let instance = |rotation: usize| {
-        let mut facts: Vec<Vec<Value>> = (0..600i64).map(|i| vec![c(i), c(i + 1)]).collect();
-        facts.push(vec![c(0), n(1)]);
-        facts.push(vec![n(1), c(7)]);
-        let mid = rotation % facts.len();
-        facts.rotate_left(mid);
-        let mut d = GenDb::new(schema());
-        for args in facts {
-            d.add_node("T", args);
-        }
-        d
-    };
-    // Projection rule T(x, y) → U(x): every T fact is a seed (600+ ≥
-    // PAR_MIN_SEED), one extra round, cheap deterministic closure.
-    let project = {
-        let mut body = GenDb::new(schema());
-        body.add_node("T", vec![n(90), n(91)]);
-        let mut head = GenDb::new(schema());
-        head.add_node("U", vec![n(90)]);
-        Rule { body, head }
-    };
-    let tgds = [project];
-    let baseline = {
-        let (_, cert) = chase_certified(
-            &instance(0),
-            &tgds,
-            &[],
-            &ChaseConfig::with_threads(10_000, 1),
-        );
-        cert.expect("engine certifies the fixture chase").to_bytes()
-    };
-    for rotation in 0..3 {
-        for threads in [1usize, 2, 4, 7] {
-            let cfg = ChaseConfig::with_threads(10_000, threads);
-            let (_, cert) = chase_certified(&instance(rotation), &tgds, &[], &cfg);
-            let run = cert.expect("engine certifies the fixture chase").to_bytes();
-            assert_eq!(
-                baseline, run,
-                "chase certificate bytes diverged (rebuild #{rotation}, width {threads})"
-            );
-        }
-    }
+    let (r, cert) = retract_core_certified(&s, &probe);
+    assert_eq!(base_r.kept, r.kept, "kept set diverged between runs");
+    assert_eq!(
+        base_cert.to_bytes(),
+        cert.to_bytes(),
+        "core certificate bytes diverged between runs"
+    );
 }
 
 /// The streaming CSV loader: loaded stores byte-identical at every parse

@@ -5,12 +5,12 @@
 //! The reference evaluator is the exact pre-engine code, so any
 //! disagreement here is a regression in the engine. Agreement is asserted
 //! on full answer *tables* (ordered sets of rows), not just Booleans, and
-//! the parallel certain-answer sweep must be byte-identical at every
-//! thread count.
+//! the certain-answer sweep must equal a brute-force intersection of
+//! reference answers over materialized completions.
 
 use proptest::prelude::*;
 
-use ca_query::certain::{certain_answer_bool_with, certain_table_with};
+use ca_query::certain::{adequate_pool, certain_answer_bool, certain_table, ucq_constants};
 use ca_query::engine::{self, CompiledUcq};
 use ca_query::generate::{random_ucq_over, QueryParams};
 use ca_query::reference;
@@ -92,8 +92,10 @@ proptest! {
         }
     }
 
-    /// The parallel certain-answer sweep is deterministic: threads=1 and
-    /// threads=4 produce identical tables and Booleans. (Kept to modest
+    /// The certain-answer sweep agrees with the reference oracle: its
+    /// table is the intersection of reference answers over every
+    /// materialized completion into the adequate pool, and the Boolean
+    /// driver agrees with the table for Boolean queries. (Kept to modest
     /// null counts so the |pool|^#nulls sweep stays small.)
     #[test]
     fn sweep_is_thread_count_invariant(seed in any::<u64>()) {
@@ -118,18 +120,19 @@ proptest! {
                 const_pct: 25,
             },
         );
-        let seq = certain_table_with(&q, &db, 1);
-        let par = certain_table_with(&q, &db, 4);
-        prop_assert_eq!(&seq, &par, "certain_table differs across thread counts");
-        // Boolean driver: also thread-count invariant, and consistent with
-        // the table for Boolean queries.
+        let pool = adequate_pool(&db, &ucq_constants(&q));
+        let oracle = db
+            .completions_over(&pool)
+            .iter()
+            .map(|r| reference::eval_ucq(&q, r))
+            .reduce(|acc, ans| acc.intersection(&ans).cloned().collect())
+            .unwrap_or_default();
+        prop_assert_eq!(certain_table(&q, &db), oracle, "certain_table disagrees with the oracle");
+        // Boolean driver: consistent with the table of the Boolean form.
         let bq = UnionQuery::new(
             q.disjuncts.iter().map(|d| ConjunctiveQuery::boolean(d.atoms.clone())).collect(),
         );
-        prop_assert_eq!(
-            certain_answer_bool_with(&bq, &db, 1),
-            certain_answer_bool_with(&bq, &db, 4)
-        );
+        prop_assert_eq!(certain_answer_bool(&bq, &db), !certain_table(&bq, &db).is_empty());
     }
 
     /// Certificate round-trip: every verdict the certified drivers emit
@@ -166,8 +169,8 @@ proptest! {
 
         // Boolean verdict: agrees with the uncertified driver, and the
         // certificate (either polarity) passes the checker.
-        let (verdict, cert) = certify::certain_bool_certified(&q, &db, 1);
-        prop_assert_eq!(verdict, certain_answer_bool_with(&q, &db, 1));
+        let (verdict, cert) = certify::certain_bool_certified(&q, &db);
+        prop_assert_eq!(verdict, certain_answer_bool(&q, &db));
         let bq = certify::cert_query(&certify::boolean_form(&q));
         match cert {
             Some(CertainVerdictCert::Certain(m)) => {
@@ -187,8 +190,8 @@ proptest! {
         // Table: agrees with the uncertified driver, every row carries a
         // checkable naïve match, and a fabricated non-row is refutable
         // with a checkable completion.
-        let (table, certs) = certify::certain_table_certified(&q, &db, 1);
-        prop_assert_eq!(&table, &certain_table_with(&q, &db, 1));
+        let (table, certs) = certify::certain_table_certified(&q, &db);
+        prop_assert_eq!(&table, &certain_table(&q, &db));
         prop_assert_eq!(certs.len(), table.len(), "uncertified certain row");
         let cq = certify::cert_query(&q);
         for (row, m) in &certs {
