@@ -5,8 +5,9 @@
 //!
 //! * **brute-force certain answers** over an *adequate constant pool*: by
 //!   genericity, intersecting over all completions into
-//!   `C(D) ∪ C(Q) ∪ {as many fresh constants as nulls}` equals the
-//!   intersection over all of `[[D]]`;
+//!   `C(D) ∪ C(Q) ∪ {as many fresh constants as nulls}` (at least two
+//!   constants in all once there is a null) equals the intersection over
+//!   all of `[[D]]`;
 //! * **naïve evaluation** `Q_naïve(D)`: evaluate treating nulls as values,
 //!   then discard tuples containing nulls;
 //! * the **Proposition 2** equivalence for Boolean CQs:
@@ -16,13 +17,20 @@
 //! Proposition 7): naïve evaluation computes certain answers for UCQs; and
 //! by Proposition 1 for nothing more within FO.
 //!
-//! The brute-force drivers compile the query once and sweep the
-//! `|pool|^#nulls` completion grid through [`crate::engine`] with early
-//! exit; completions are materialized one at a time instead of all up
-//! front.
+//! The UCQ brute-force drivers first restrict `D` to `D|Q`, the facts of
+//! the relations some disjunct of `Q` names: a UCQ reads nothing else, so
+//! `Q(v(D)) = Q(v(D|Q))` for every valuation `v`, and every valuation of
+//! the nulls of `D|Q` extends to one of `D`; hence
+//! `certain(Q, D) = certain(Q, D|Q)`. They then compile the query once and
+//! sweep the `|pool|^#nulls` completion grid *of `D|Q`* (pool and nulls
+//! both taken from `D|Q`) through [`crate::engine`] with early exit;
+//! completions are materialized one at a time instead of all up front.
+//! The FO driver sweeps the whole database: its quantifiers range over
+//! the active domain, which facts outside `D|Q` change.
 
 use std::collections::BTreeSet;
 
+use ca_core::symbol::Symbol;
 use ca_core::value::Value;
 use ca_relational::database::NaiveDatabase;
 use ca_relational::hom::find_hom;
@@ -74,22 +82,54 @@ pub fn fo_constants(phi: &Fo) -> BTreeSet<i64> {
 }
 
 /// An *adequate pool* for brute-force certain answers: the constants of
-/// the database and query, plus one fresh constant per null. By
-/// genericity, every completion of `D` is isomorphic over `C(D) ∪ C(Q)` to
-/// a completion into this pool, so intersecting over the pool is exact.
+/// the database and query, plus one fresh constant per null — and, when
+/// the database has a null, at least two constants in all. By
+/// genericity, every completion of `D` is isomorphic over `C(D) ∪ C(Q)`
+/// to a completion into this pool, so a row over `C(D) ∪ C(Q)` is in
+/// every completion's answer iff it is in every pool completion's. The
+/// second constant makes the intersection exact for rows over a fresh
+/// constant too: the completion sending every null to another constant
+/// leaves that fresh constant out of its active domain, hence out of its
+/// answer. (With one null and no other constant the lone fresh constant
+/// would survive every "completion".)
 pub fn adequate_pool(db: &NaiveDatabase, query_constants: &BTreeSet<i64>) -> Vec<i64> {
     let mut pool: BTreeSet<i64> = db.constants();
     pool.extend(query_constants.iter().copied());
+    let nulls = db.nulls().len();
+    let fresh = if nulls == 1 && pool.is_empty() {
+        2
+    } else {
+        nulls
+    };
     let start = pool.iter().max().map_or(0, |m| m + 1);
-    for offset in 0..db.nulls().len() as i64 {
+    for offset in 0..fresh as i64 {
         pool.insert(start + offset);
     }
     pool.into_iter().collect()
 }
 
+/// `D|Q`: the facts of `db` whose relation some disjunct of `q` names,
+/// over the same schema. Certain answers of a UCQ are the same over
+/// `D|Q` as over `D` (see the module docs), and its completion grid is
+/// usually far smaller. Atoms over relations outside the schema name no
+/// facts.
+fn restrict_to_query(q: &UnionQuery, db: &NaiveDatabase) -> NaiveDatabase {
+    let rels: BTreeSet<Symbol> = q
+        .disjuncts
+        .iter()
+        .flat_map(|d| d.atoms.iter())
+        .filter_map(|a| db.schema.relation(&a.rel))
+        .collect();
+    let facts = rels
+        .into_iter()
+        .flat_map(|r| db.relation(r).iter().cloned())
+        .collect();
+    NaiveDatabase::from_facts(db.schema.clone(), facts)
+}
+
 /// Brute-force Boolean certain answer for a UCQ: conjunction of `Q(R)`
-/// over all completions into the adequate pool. Exponential in the number
-/// of nulls.
+/// over all completions of `D|Q` into its adequate pool. Exponential in
+/// the number of nulls of `D|Q`.
 ///
 /// ```
 /// use ca_query::parse::parse_ucq;
@@ -103,13 +143,17 @@ pub fn adequate_pool(db: &NaiveDatabase, query_constants: &BTreeSet<i64>) -> Vec
 /// assert_eq!(naive_eval_bool(&q, &d), certain_answer_bool(&q, &d));
 /// ```
 pub fn certain_answer_bool(q: &UnionQuery, db: &NaiveDatabase) -> bool {
-    let pool = adequate_pool(db, &ucq_constants(q));
-    let plan = CompiledUcq::compile_lenient(q, &db.schema);
-    engine::certain_bool_over(&plan, db, &pool)
+    let part = restrict_to_query(q, db);
+    let pool = adequate_pool(&part, &ucq_constants(q));
+    let plan = CompiledUcq::compile_lenient(q, &part.schema);
+    engine::certain_bool_over(&plan, &part, &pool)
 }
 
 /// Brute-force Boolean certain answer for an arbitrary FO sentence,
-/// with early exit on the first falsifying completion.
+/// with early exit on the first falsifying completion. Unlike the UCQ
+/// drivers it sweeps the whole database: FO quantifiers range over the
+/// active domain, so facts of relations `phi` never names still change
+/// its answer.
 pub fn certain_answer_fo(phi: &Fo, db: &NaiveDatabase) -> bool {
     let pool = adequate_pool(db, &fo_constants(phi));
     let space = CompletionSpace::new(db, &pool);
@@ -138,13 +182,14 @@ pub fn naive_eval_table(q: &UnionQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Valu
 }
 
 /// Brute-force certain answers of a non-Boolean UCQ: intersect the answer
-/// tables over all completions into the adequate pool. The query
+/// tables over all completions of `D|Q` into its adequate pool. The query
 /// compiles once (the plan is shared by every completion) and the sweep
 /// exits early once the intersection empties.
 pub fn certain_table(q: &UnionQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Value>> {
-    let pool = adequate_pool(db, &ucq_constants(q));
-    let plan = CompiledUcq::compile_lenient(q, &db.schema);
-    engine::certain_table_over(&plan, db, &pool)
+    let part = restrict_to_query(q, db);
+    let pool = adequate_pool(&part, &ucq_constants(q));
+    let plan = CompiledUcq::compile_lenient(q, &part.schema);
+    engine::certain_table_over(&plan, &part, &pool)
 }
 
 /// The three equivalent statements of Proposition 2 for a Boolean CQ `Q`
@@ -167,6 +212,7 @@ pub fn proposition2_checks(q: &ConjunctiveQuery, db: &NaiveDatabase) -> (bool, b
 mod tests {
     use super::*;
     use crate::ast::Atom;
+    use crate::certify::boolean_form;
     use crate::generate::{random_bool_ucq, QueryParams};
     use ca_relational::database::build::{c, n, table};
     use ca_relational::generate::{random_naive_db, DbParams, Rng};
@@ -419,6 +465,61 @@ mod tests {
         assert_eq!(certain, naive);
         assert_eq!(certain.len(), 1);
         assert!(certain.contains(&vec![c(1), c(2)]));
+    }
+
+    /// The pool corner: no constants in `D` or `Q` and exactly one null.
+    /// A one-constant pool would make `(0)` an answer of every "completion";
+    /// the certain answer is empty (`⊥1 ↦ 5` answers `(5)`, not `(0)`).
+    #[test]
+    fn constant_free_single_null_has_no_certain_row() {
+        let q = UnionQuery::single(ConjunctiveQuery::with_head(
+            vec![0],
+            vec![Atom::new("R", vec![V(0), V(0)])],
+        ));
+        let db = table("R", 2, &[&[n(1), n(1)]]);
+        assert_eq!(adequate_pool(&db, &BTreeSet::new()).len(), 2);
+        assert!(certain_table(&q, &db).is_empty());
+        assert_eq!(certain_table(&q, &db), naive_eval_table(&q, &db));
+        // The Boolean form holds in every completion.
+        assert!(certain_answer_bool(&boolean_form(&q), &db));
+    }
+
+    /// The UCQ drivers sweep `D|Q`: nulls in relations the query never
+    /// names leave the answers alone and stay out of the grid.
+    #[test]
+    fn ucq_sweep_reads_only_named_relations() {
+        use ca_relational::schema::Schema;
+        let mut db = NaiveDatabase::new(Schema::from_relations(&[("R", 1), ("S", 2)]));
+        db.add("R", vec![c(1)]);
+        db.add("R", vec![n(1)]);
+        db.add("S", vec![n(2), n(3)]);
+        db.add("S", vec![c(7), n(1)]);
+        let q = UnionQuery::single(ConjunctiveQuery::with_head(
+            vec![0],
+            vec![Atom::new("R", vec![V(0)])],
+        ));
+        let part = restrict_to_query(&q, &db);
+        assert_eq!(part.len(), 2);
+        assert_eq!(part.nulls().len(), 1);
+        assert_eq!(certain_table(&q, &db), BTreeSet::from([vec![c(1)]]));
+        assert!(certain_answer_bool(&boolean_form(&q), &db));
+        // A disjunct over a relation outside the schema names no facts.
+        let ghost = UnionQuery::single(ConjunctiveQuery::boolean(vec![Atom::new("T", vec![V(0)])]));
+        assert!(restrict_to_query(&ghost, &db).is_empty());
+        assert!(!certain_answer_bool(&ghost, &db));
+    }
+
+    /// The FO sweep stays over the whole database: `∀x R(x)` over
+    /// `{R(1), S(⊥1)}` fails under `⊥1 ↦ 2`, which puts 2 in the active
+    /// domain through `S`. Restricted to `R` it would answer true.
+    #[test]
+    fn fo_sweep_reads_the_whole_database() {
+        use ca_relational::schema::Schema;
+        let mut db = NaiveDatabase::new(Schema::from_relations(&[("R", 1), ("S", 1)]));
+        db.add("R", vec![c(1)]);
+        db.add("S", vec![n(1)]);
+        let phi = Fo::forall(0, Fo::Atom(Atom::new("R", vec![V(0)])));
+        assert!(!certain_answer_fo(&phi, &db));
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! Brute-force certain answers intersect (or conjoin) a query's result
 //! over every completion of a naïve database into an adequate constant
-//! pool. That space is a `|pool|^#nulls` grid; this module addresses it
+//! pool. That space is a `|pool|^#nulls` grid, where for a UCQ the
+//! database, its nulls and the pool are those of the part the query
+//! reads (the facts of the relations it names; see
+//! [`crate::certain`]). This module addresses it
 //! by linear index and sweeps it in index order with early exit: once
 //! the running intersection is empty (or a completion falsifies a
 //! Boolean query — callers use `Iterator::all` over the index range)

@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 
 use ca_query::certain::{adequate_pool, certain_answer_bool, certain_table, ucq_constants};
+use ca_query::certify;
 use ca_query::engine::{self, CompiledUcq};
 use ca_query::generate::{random_ucq_over, QueryParams};
 use ca_query::reference;
@@ -135,6 +136,65 @@ proptest! {
         prop_assert_eq!(certain_answer_bool(&bq, &db), !certain_table(&bq, &db).is_empty());
     }
 
+    /// The sweeps restrict `D` to the relations the query names. On
+    /// databases padded with facts (and nulls) over relations the query
+    /// never names, the restricted drivers must equal the unrestricted
+    /// sweep over the whole database's adequate pool, and the table must
+    /// also equal the materialized-completion oracle.
+    #[test]
+    fn restricted_sweep_matches_the_whole_database(seed in any::<u64>()) {
+        let mut rng = Rng::new(seed ^ 0x9add);
+        // R0, R1 may appear in the query; R2, R3 are padding only.
+        let full = random_schema(&mut rng, 4, 2);
+        let named: Vec<(&str, usize)> = full
+            .symbols()
+            .take(2)
+            .map(|r| (full.name(r), full.arity(r)))
+            .collect();
+        let query_schema = Schema::from_relations(&named);
+        let db = random_naive_db_over(
+            &mut rng,
+            &full,
+            DbParams { n_facts: 6, arity: 0, n_constants: 2, n_nulls: 3, null_pct: 40 },
+        );
+        let head_arity = rng.below(2) as usize;
+        let q = random_ucq_over(
+            &mut rng,
+            &query_schema,
+            head_arity,
+            QueryParams {
+                n_disjuncts: 2,
+                n_atoms: 2,
+                n_vars: 3,
+                arity: 0,
+                n_constants: 2,
+                const_pct: 25,
+            },
+        );
+        let pool = adequate_pool(&db, &ucq_constants(&q));
+        let plan = CompiledUcq::compile_lenient(&q, &db.schema);
+        let table = certain_table(&q, &db);
+        prop_assert_eq!(
+            &table,
+            &engine::certain_table_over(&plan, &db, &pool),
+            "restricted table differs from the whole-database sweep on {:?} over {:?}", &q, &db
+        );
+        let oracle = db
+            .completions_over(&pool)
+            .iter()
+            .map(|r| reference::eval_ucq(&q, r))
+            .reduce(|acc, ans| acc.intersection(&ans).cloned().collect())
+            .unwrap_or_default();
+        prop_assert_eq!(&table, &oracle, "restricted table disagrees with the oracle");
+        let bq = certify::boolean_form(&q);
+        let bplan = CompiledUcq::compile_lenient(&bq, &db.schema);
+        prop_assert_eq!(
+            certain_answer_bool(&bq, &db),
+            engine::certain_bool_over(&bplan, &db, &pool),
+            "restricted Boolean differs from the whole-database sweep on {:?} over {:?}", &bq, &db
+        );
+    }
+
     /// Certificate round-trip: every verdict the certified drivers emit
     /// must replay through the engine-blind checker — engine, reference,
     /// and certificate all agree. (Same small instances as the sweep
@@ -142,7 +202,6 @@ proptest! {
     #[test]
     fn certified_verdicts_round_trip(seed in any::<u64>()) {
         use ca_cert::{check_certain_row, check_non_certain, CertainVerdictCert};
-        use ca_query::certify;
 
         let mut rng = Rng::new(seed ^ 0xce47);
         let schema = random_schema(&mut rng, 2, 2);

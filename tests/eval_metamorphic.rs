@@ -21,6 +21,7 @@ use proptest::prelude::*;
 use ca_query::certain::{
     certain_answer_bool, certain_table, naive_eval_bool, naive_eval_table, proposition2_checks,
 };
+use ca_query::certify::boolean_form;
 use ca_query::engine;
 use ca_query::generate::{random_bool_cq, random_ucq_over, QueryParams};
 use ca_query::{Atom, ConjunctiveQuery, Term, UnionQuery};
@@ -34,6 +35,23 @@ use Term::{Const as C, Var as V};
 
 /// A small instance: ≤ 2 nulls keeps the |pool|^#nulls sweep tiny.
 fn small_instance(seed: u64) -> (NaiveDatabase, UnionQuery) {
+    instance_with(seed, 3, 35, 25)
+}
+
+/// A constant-free instance: every database position is a null and every
+/// query term a variable, so `C(D) ∪ C(Q)` is empty and the adequate pool
+/// is all fresh constants — including the one-null corner where a single
+/// fresh constant would not be enough.
+fn constant_free_instance(seed: u64) -> (NaiveDatabase, UnionQuery) {
+    instance_with(seed, 0, 100, 0)
+}
+
+fn instance_with(
+    seed: u64,
+    n_constants: i64,
+    null_pct: u64,
+    const_pct: u64,
+) -> (NaiveDatabase, UnionQuery) {
     let mut rng = Rng::new(seed);
     let schema = random_schema(&mut rng, 2, 2);
     let db = random_naive_db_over(
@@ -42,9 +60,9 @@ fn small_instance(seed: u64) -> (NaiveDatabase, UnionQuery) {
         DbParams {
             n_facts: 5,
             arity: 0,
-            n_constants: 3,
+            n_constants,
             n_nulls: 2,
-            null_pct: 35,
+            null_pct,
         },
     );
     let head_arity = rng.below(3) as usize;
@@ -53,8 +71,8 @@ fn small_instance(seed: u64) -> (NaiveDatabase, UnionQuery) {
         n_atoms: 1 + rng.below(2) as usize,
         n_vars: 3,
         arity: 0,
-        n_constants: 3,
-        const_pct: 25,
+        n_constants,
+        const_pct,
     };
     let q = random_ucq_over(&mut rng, &schema, head_arity, params);
     (db, q)
@@ -77,12 +95,21 @@ proptest! {
     #[test]
     fn naive_eval_bool_computes_certain_answers(seed in any::<u64>()) {
         let (db, q) = small_instance(seed);
-        let bq = UnionQuery::new(
-            q.disjuncts
-                .iter()
-                .map(|d| ConjunctiveQuery::boolean(d.atoms.clone()))
-                .collect(),
+        let bq = boolean_form(&q);
+        prop_assert_eq!(naive_eval_bool(&bq, &db), certain_answer_bool(&bq, &db));
+    }
+
+    /// Theorem 5 on constant-free instances, where the adequate pool is
+    /// made of fresh constants only, as tables and as Booleans.
+    #[test]
+    fn naive_eval_computes_certain_answers_without_constants(seed in any::<u64>()) {
+        let (db, q) = constant_free_instance(seed);
+        prop_assert_eq!(
+            naive_eval_table(&q, &db),
+            certain_table(&q, &db),
+            "Theorem 5 violated on {:?} over {:?}", &q, &db
         );
+        let bq = boolean_form(&q);
         prop_assert_eq!(naive_eval_bool(&bq, &db), certain_answer_bool(&bq, &db));
     }
 
