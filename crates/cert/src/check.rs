@@ -9,14 +9,16 @@
 //! in one named completion: that is a naive evaluation of a fixed small
 //! query over a complete database (data-polynomial), not a replay.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::iter::zip;
 
+use ca_core::fxhash::{FxHashMap, FxHashSet};
 use ca_core::store::FactStore;
 use ca_core::value::{Null, Value};
 
 use crate::types::{
-    CertAtom, CertCq, CertFact, CertQuery, ChaseCert, ChaseCertOutcome, ChaseStep, CoreCert,
-    CoreStep, HomCert, MatchCert, NonCertainCert,
+    CertAtom, CertCq, CertFact, CertQuery, CertTerm, ChaseCert, ChaseCertOutcome, ChaseStep,
+    CoreCert, CoreStep, HomCert, MatchCert, NonCertainCert,
 };
 
 /// A typed rejection: the first claim of the certificate that failed to
@@ -137,28 +139,63 @@ pub enum Reject {
     },
 }
 
-/// The live facts of a store snapshot, in checker vocabulary.
-pub fn store_facts(s: &FactStore) -> BTreeSet<CertFact> {
-    s.iter_live()
-        .map(|f| (s.rel_name(s.fact_rel(f)).to_string(), s.fact_values(f)))
-        .collect()
+/// The replay representation: relation names interned to dense ids at
+/// check entry, and one hash set of argument rows per id. Probes take
+/// `&[Value]`, so testing an atom image built in a reused buffer
+/// allocates nothing. No set's iteration order reaches a [`Reject`]:
+/// rejections follow certificate order.
+#[derive(Default)]
+struct Facts<'a> {
+    ids: FxHashMap<&'a str, usize>,
+    rels: Vec<FxHashSet<Vec<Value>>>,
 }
 
-/// A fact set from `(name, args)` pairs (deduplicating).
-pub fn fact_set(facts: &[CertFact]) -> BTreeSet<CertFact> {
-    facts.iter().cloned().collect()
+impl<'a> Facts<'a> {
+    /// The id of `rel`, registered with no facts if it is new. Every
+    /// other method takes ids from here only.
+    fn intern(&mut self, rel: &'a str) -> usize {
+        *self.ids.entry(rel).or_insert_with(|| {
+            self.rels.push(FxHashSet::default());
+            self.rels.len() - 1
+        })
+    }
+
+    fn intern_atoms(&mut self, atoms: &'a [CertAtom]) -> Vec<(&'a CertAtom, usize)> {
+        atoms.iter().map(|a| (a, self.intern(&a.rel))).collect()
+    }
+
+    fn insert(&mut self, rel: &'a str, args: Vec<Value>) {
+        let rel = self.intern(rel);
+        self.rels[rel].insert(args);
+    }
+
+    fn contains(&self, rel: usize, args: &[Value]) -> bool {
+        self.rels[rel].contains(args)
+    }
+
+    /// Is the set exactly `claims`, repeats allowed? Every claim must be a
+    /// member, and the claims must cover the set.
+    fn equals<'b>(self, claims: impl Iterator<Item = (usize, &'b [Value])> + Clone) -> bool {
+        claims.clone().all(|(rel, args)| self.contains(rel, args)) && self.covered_by(claims)
+    }
+
+    /// Does removing `rows` leave nothing?
+    fn covered_by<'b>(mut self, rows: impl Iterator<Item = (usize, &'b [Value])>) -> bool {
+        for (rel, args) in rows {
+            self.rels[rel].remove(args);
+        }
+        self.rels.iter().all(FxHashSet::is_empty)
+    }
 }
 
-fn lookup(assignment: &[(u32, Value)], var: u32) -> Option<Value> {
-    assignment
-        .iter()
-        .find(|&&(v, _)| v == var)
-        .map(|&(_, val)| val)
+/// The value `pairs` binds `key` to (assignments, ledgers, valuations).
+fn lookup<K: PartialEq, V: Copy>(pairs: &[(K, V)], key: K) -> Option<V> {
+    pairs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
 }
 
 /// Resolve a value through the merge substitution (follow parent chains;
 /// bounded by the substitution size, which the applier keeps acyclic).
-fn resolve(subst: &BTreeMap<Null, Value>, v: Value) -> Value {
+fn resolve(subst: &FxHashMap<Null, Value>, v: Value) -> Value {
     let mut cur = v;
     let mut fuel = subst.len();
     while let Value::Null(n) = cur {
@@ -173,22 +210,34 @@ fn resolve(subst: &BTreeMap<Null, Value>, v: Value) -> Value {
     cur
 }
 
-/// The image of `atom` under `assignment` then `subst`; `Err` carries the
-/// first unbound variable.
-fn atom_image(
+/// Is a mapping or ledger strictly ascending by key?
+fn ascending<K: Ord, V>(pairs: &[(K, V)]) -> bool {
+    pairs
+        .windows(2)
+        .all(|w| matches!(w, [(a, _), (b, _)] if a < b))
+}
+
+/// Write the image of `atom` under `assignment` (then `fresh`, which
+/// binds head existentials), resolved through `subst`, into `buf`; `Err`
+/// carries the first unbound variable.
+fn image_into(
     atom: &CertAtom,
     assignment: &[(u32, Value)],
-    subst: &BTreeMap<Null, Value>,
-) -> Result<CertFact, u32> {
-    let mut args = Vec::with_capacity(atom.args.len());
+    fresh: &[(u32, Null)],
+    subst: &FxHashMap<Null, Value>,
+    buf: &mut Vec<Value>,
+) -> Result<(), u32> {
+    buf.clear();
     for t in &atom.args {
         let v = match *t {
-            crate::types::CertTerm::Const(c) => Value::Const(c),
-            crate::types::CertTerm::Var(x) => lookup(assignment, x).ok_or(x)?,
+            CertTerm::Const(c) => Value::Const(c),
+            CertTerm::Var(x) => lookup(assignment, x)
+                .or_else(|| lookup(fresh, x).map(Value::Null))
+                .ok_or(x)?,
         };
-        args.push(resolve(subst, v));
+        buf.push(resolve(subst, v));
     }
-    Ok((atom.rel.clone(), args))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -200,40 +249,32 @@ fn atom_image(
 /// every live source fact onto a live target fact, and — when `onto` —
 /// covers every live target fact.
 pub fn check_hom(cert: &HomCert, src: &FactStore, dst: &FactStore) -> Result<(), Reject> {
-    for w in cert.mapping.windows(2) {
-        if let [(a, _), (b, _)] = w {
-            if a.0 >= b.0 {
-                return Err(Reject::MalformedMapping);
-            }
-        }
+    if !ascending(&cert.mapping) {
+        return Err(Reject::MalformedMapping);
     }
-    let apply = |v: Value| -> Result<Value, Reject> {
-        match v {
-            Value::Const(_) => Ok(v),
-            Value::Null(n) => cert
-                .mapping
-                .binary_search_by_key(&n, |&(k, _)| k)
-                .ok()
-                .and_then(|i| cert.mapping.get(i))
-                .map(|&(_, val)| val)
-                .ok_or(Reject::UnmappedNull { null: n }),
-        }
+    let apply = |v: Value| match v {
+        Value::Const(_) => Ok(v),
+        Value::Null(n) => (cert.mapping.binary_search_by_key(&n, |&(k, _)| k))
+            .map(|i| cert.mapping[i].1)
+            .map_err(|_| Reject::UnmappedNull { null: n }),
     };
-    let dst_facts = store_facts(dst);
-    let mut image: BTreeSet<CertFact> = BTreeSet::new();
+    let mut target = Facts::default();
+    for f in dst.iter_live() {
+        target.insert(dst.rel_name(dst.fact_rel(f)), dst.fact_values(f));
+    }
+    let mut image: Vec<(usize, Vec<Value>)> = Vec::new();
     for (index, f) in src.iter_live().enumerate() {
-        let rel = src.rel_name(src.fact_rel(f)).to_string();
-        let mut args = Vec::new();
-        for v in src.fact_values(f) {
-            args.push(apply(v)?);
-        }
-        let fact = (rel, args);
-        if !dst_facts.contains(&fact) {
+        let rel = target.intern(src.rel_name(src.fact_rel(f)));
+        let args = src.fact_values(f).into_iter().map(apply);
+        let args = args.collect::<Result<Vec<_>, _>>()?;
+        if !target.contains(rel, &args) {
             return Err(Reject::FactNotPreserved { index });
         }
-        image.insert(fact);
+        if cert.onto {
+            image.push((rel, args));
+        }
     }
-    if cert.onto && !dst_facts.iter().all(|g| image.contains(g)) {
+    if cert.onto && !target.covered_by(image.iter().map(|(rel, args)| (*rel, &args[..]))) {
         return Err(Reject::NotOnto);
     }
     Ok(())
@@ -243,17 +284,45 @@ pub fn check_hom(cert: &HomCert, src: &FactStore, dst: &FactStore) -> Result<(),
 // Chase derivations
 // ---------------------------------------------------------------------------
 
+/// The body of a step must hold now: every atom's image under the
+/// assignment (resolved through the merges so far) is a current fact.
+fn check_body(
+    step: usize,
+    body: &[(&CertAtom, usize)],
+    assignment: &[(u32, Value)],
+    subst: &FxHashMap<Null, Value>,
+    facts: &Facts,
+    buf: &mut Vec<Value>,
+) -> Result<(), Reject> {
+    for (atom, &(a, rel)) in body.iter().enumerate() {
+        image_into(a, assignment, &[], subst, buf)
+            .map_err(|var| Reject::UnboundBodyVar { step, var })?;
+        if !facts.contains(rel, buf) {
+            return Err(Reject::BodyAtomUnmatched { step, atom });
+        }
+    }
+    Ok(())
+}
+
 /// Verify a chase certificate by replaying its derivation: every firing's
 /// body must be present when it fires, fresh nulls must be globally new,
 /// merges must follow the deterministic representative rule, a clash must
 /// be final, and the resulting fact set must equal the outcome's claim.
 pub fn check_chase(cert: &ChaseCert) -> Result<(), Reject> {
-    let mut subst: BTreeMap<Null, Value> = BTreeMap::new();
-    let mut facts: BTreeSet<CertFact> = fact_set(&cert.initial);
-    let mut used: BTreeSet<Null> = BTreeSet::new();
-    for (_, args) in &facts {
+    let mut facts = Facts::default();
+    let rules: Vec<_> = (cert.rules.iter())
+        .map(|r| (facts.intern_atoms(&r.body), facts.intern_atoms(&r.head)))
+        .collect();
+    let egds: Vec<_> = (cert.egds.iter())
+        .map(|e| (facts.intern_atoms(&e.body), e.equal))
+        .collect();
+    let mut used: FxHashSet<Null> = FxHashSet::default();
+    for (rel, args) in &cert.initial {
         used.extend(args.iter().filter_map(|v| v.as_null()));
+        facts.insert(rel, args.clone());
     }
+    let mut subst: FxHashMap<Null, Value> = FxHashMap::default();
+    let mut buf: Vec<Value> = Vec::new();
     let mut clash_at: Option<usize> = None;
 
     for (step, s) in cert.steps.iter().enumerate() {
@@ -266,114 +335,73 @@ pub fn check_chase(cert: &ChaseCert) -> Result<(), Reject> {
                 assignment,
                 merged,
             } => {
-                let def = cert.egds.get(*egd).ok_or(Reject::UnknownRule { step })?;
-                for (atom, a) in def.body.iter().enumerate() {
-                    let img = atom_image(a, assignment, &subst)
-                        .map_err(|var| Reject::UnboundBodyVar { step, var })?;
-                    if !facts.contains(&img) {
-                        return Err(Reject::BodyAtomUnmatched { step, atom });
-                    }
-                }
+                let (body, equal) = egds.get(*egd).ok_or(Reject::UnknownRule { step })?;
+                check_body(step, body, assignment, &subst, &facts, &mut buf)?;
                 let get = |var: u32| {
                     lookup(assignment, var)
                         .map(|v| resolve(&subst, v))
                         .ok_or(Reject::UnboundBodyVar { step, var })
                 };
-                let (x, y) = (get(def.equal.0)?, get(def.equal.1)?);
+                let (x, y) = (get(equal.0)?, get(equal.1)?);
                 if x == y {
                     return Err(Reject::TrivialMerge { step });
                 }
-                match (x, y) {
+                // Constants win; between nulls the smaller id does.
+                let (loser, root) = match (x, y) {
                     (Value::Const(_), Value::Const(_)) => {
                         if merged.is_some() {
                             return Err(Reject::MergeRootMismatch { step });
                         }
                         clash_at = Some(step);
+                        continue;
                     }
                     (Value::Null(n), root @ Value::Const(_))
-                    | (root @ Value::Const(_), Value::Null(n)) => {
-                        if *merged != Some((n, root)) {
-                            return Err(Reject::MergeRootMismatch { step });
-                        }
-                        apply_merge(&mut subst, &mut facts, &mut used, n, root);
-                    }
-                    (Value::Null(a), Value::Null(b)) => {
-                        let (loser, root) = if a.0 < b.0 { (b, a) } else { (a, b) };
-                        if *merged != Some((loser, Value::Null(root))) {
-                            return Err(Reject::MergeRootMismatch { step });
-                        }
-                        apply_merge(&mut subst, &mut facts, &mut used, loser, Value::Null(root));
-                    }
+                    | (root @ Value::Const(_), Value::Null(n)) => (n, root),
+                    (Value::Null(a), Value::Null(b)) if a.0 < b.0 => (b, x),
+                    (Value::Null(a), Value::Null(_)) => (a, y),
+                };
+                if *merged != Some((loser, root)) {
+                    return Err(Reject::MergeRootMismatch { step });
                 }
+                apply_merge(&mut subst, &mut facts, &mut used, loser, root);
             }
             ChaseStep::Fire {
                 rule,
                 assignment,
                 fresh,
             } => {
-                let def = cert.rules.get(*rule).ok_or(Reject::UnknownRule { step })?;
-                for (atom, a) in def.body.iter().enumerate() {
-                    let img = atom_image(a, assignment, &subst)
-                        .map_err(|var| Reject::UnboundBodyVar { step, var })?;
-                    if !facts.contains(&img) {
-                        return Err(Reject::BodyAtomUnmatched { step, atom });
-                    }
-                }
-                for w in fresh.windows(2) {
-                    if let [(a, _), (b, _)] = w {
-                        if a >= b {
-                            return Err(Reject::MalformedMapping);
-                        }
-                    }
+                let (body, head) = rules.get(*rule).ok_or(Reject::UnknownRule { step })?;
+                check_body(step, body, assignment, &subst, &facts, &mut buf)?;
+                if !ascending(fresh) {
+                    return Err(Reject::MalformedMapping);
                 }
                 for &(_, n) in fresh {
                     if !used.insert(n) {
                         return Err(Reject::StaleFreshNull { step, null: n });
                     }
                 }
-                for a in &def.head {
-                    let mut args = Vec::with_capacity(a.args.len());
-                    for t in &a.args {
-                        let v = match *t {
-                            crate::types::CertTerm::Const(c) => Value::Const(c),
-                            crate::types::CertTerm::Var(x) => match lookup(assignment, x) {
-                                Some(v) => resolve(&subst, v),
-                                None => fresh
-                                    .iter()
-                                    .find(|&&(fx, _)| fx == x)
-                                    .map(|&(_, n)| Value::Null(n))
-                                    .ok_or(Reject::MissingFreshNull { step, var: x })?,
-                            },
-                        };
-                        args.push(v);
-                    }
-                    used.extend(args.iter().filter_map(|v| v.as_null()));
-                    facts.insert((a.rel.clone(), args));
+                // Fresh nulls passed the staleness check, so no merge
+                // touched them and resolving them is the identity.
+                for &(a, rel) in head {
+                    image_into(a, assignment, fresh, &subst, &mut buf)
+                        .map_err(|var| Reject::MissingFreshNull { step, var })?;
+                    used.extend(buf.iter().filter_map(|v| v.as_null()));
+                    facts.rels[rel].insert(buf.clone());
                 }
             }
         }
     }
 
     match &cert.outcome {
-        ChaseCertOutcome::Failed => match clash_at {
-            Some(_) => Ok(()),
-            None => Err(Reject::FailedWithoutClash),
-        },
-        ChaseCertOutcome::Done { final_facts } if clash_at.is_none() => {
-            if facts == fact_set(final_facts) {
-                Ok(())
-            } else {
-                Err(Reject::FinalFactsMismatch)
-            }
-        }
-        ChaseCertOutcome::Aborted { partial } | ChaseCertOutcome::Overflow { partial }
+        ChaseCertOutcome::Failed => clash_at.map(|_| ()).ok_or(Reject::FailedWithoutClash),
+        ChaseCertOutcome::Done { final_facts: claim }
+        | ChaseCertOutcome::Aborted { partial: claim }
+        | ChaseCertOutcome::Overflow { partial: claim }
             if clash_at.is_none() =>
         {
-            if facts == fact_set(partial) {
-                Ok(())
-            } else {
-                Err(Reject::FinalFactsMismatch)
-            }
+            let rels: Vec<usize> = claim.iter().map(|(rel, _)| facts.intern(rel)).collect();
+            let claims = zip(&rels, claim).map(|(&rel, (_, args))| (rel, &args[..]));
+            (facts.equals(claims).then_some(())).ok_or(Reject::FinalFactsMismatch)
         }
         _ => Err(Reject::ClashNotFailed),
     }
@@ -385,9 +413,9 @@ pub fn check_chase(cert: &ChaseCert) -> Result<(), Reject> {
 /// facts are resolved on insertion, and fresh nulls are never merged
 /// ones — so `loser` is the only value whose resolution changes.
 fn apply_merge(
-    subst: &mut BTreeMap<Null, Value>,
-    facts: &mut BTreeSet<CertFact>,
-    used: &mut BTreeSet<Null>,
+    subst: &mut FxHashMap<Null, Value>,
+    facts: &mut Facts,
+    used: &mut FxHashSet<Null>,
     loser: Null,
     root: Value,
 ) {
@@ -396,18 +424,17 @@ fn apply_merge(
     if let Value::Null(r) = root {
         used.insert(r);
     }
-    let mut moved: Vec<CertFact> = Vec::new();
-    facts.retain(|(rel, args)| {
-        if !args.contains(&Value::Null(loser)) {
-            return true;
-        }
-        moved.push((
-            rel.clone(),
-            args.iter().map(|&v| resolve(subst, v)).collect(),
-        ));
-        false
-    });
-    facts.extend(moved);
+    for set in &mut facts.rels {
+        let mut moved: Vec<Vec<Value>> = Vec::new();
+        set.retain(|args| {
+            if !args.contains(&Value::Null(loser)) {
+                return true;
+            }
+            moved.push(args.iter().map(|&v| resolve(subst, v)).collect());
+            false
+        });
+        set.extend(moved);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -502,11 +529,14 @@ pub fn check_match(
     if cert.row.len() != q.head_arity {
         return Err(Reject::WrongRow);
     }
-    let empty = BTreeMap::new();
+    // One reused probe key: a match names a handful of atoms, so probing
+    // the caller's set costs less than re-keying all of it.
+    let mut key: CertFact = Default::default();
     for (atom, a) in cq.atoms.iter().enumerate() {
-        let img = atom_image(a, &cert.assignment, &empty)
+        key.0.clone_from(&a.rel);
+        image_into(a, &cert.assignment, &[], &FxHashMap::default(), &mut key.1)
             .map_err(|var| Reject::UnboundQueryVar { var })?;
-        if !facts.contains(&img) {
+        if !facts.contains(&key) {
             return Err(Reject::MatchAtomUnmatched { atom });
         }
     }
@@ -548,23 +578,16 @@ pub fn check_non_certain(
     facts: &BTreeSet<CertFact>,
     cert: &NonCertainCert,
 ) -> Result<(), Reject> {
-    let ground_null = |n: Null| -> Result<Value, Reject> {
-        cert.valuation
-            .iter()
-            .find(|&&(k, _)| k == n)
-            .map(|&(_, c)| Value::Const(c))
-            .ok_or(Reject::ValuationNotGrounding { null: n })
+    let ground = |v: Value| match v {
+        Value::Const(_) => Ok(v),
+        Value::Null(n) => lookup(&cert.valuation, n)
+            .map(Value::Const)
+            .ok_or(Reject::ValuationNotGrounding { null: n }),
     };
-    let mut completion: BTreeSet<CertFact> = BTreeSet::new();
+    let mut completion = Facts::default();
     for (rel, args) in facts {
-        let mut ground = Vec::with_capacity(args.len());
-        for &v in args {
-            ground.push(match v {
-                Value::Const(_) => v,
-                Value::Null(n) => ground_null(n)?,
-            });
-        }
-        completion.insert((rel.clone(), ground));
+        let args = args.iter().map(|&v| ground(v)).collect::<Result<_, _>>()?;
+        completion.insert(rel, args);
     }
     if cert.row.len() != q.head_arity {
         return Err(Reject::WrongRow);
@@ -578,70 +601,45 @@ pub fn check_non_certain(
 }
 
 /// Does `cq` produce `row` over the (complete) fact set? Backtracking
-/// over body atoms with head variables pre-bound from the row.
-fn cq_has_row(cq: &CertCq, facts: &BTreeSet<CertFact>, row: &[Value]) -> bool {
-    if cq.head.len() != row.len() {
-        return false;
-    }
-    let mut bound: BTreeMap<u32, Value> = BTreeMap::new();
-    for (&h, &v) in cq.head.iter().zip(row.iter()) {
-        match bound.get(&h) {
-            Some(&prev) if prev != v => return false,
-            _ => {
-                bound.insert(h, v);
+/// over body atoms with head variables pre-bound from the row; `bound`
+/// is a stack of bindings, cut back to its mark when a candidate fails.
+/// An atom's candidates come in hash order, which decides only which
+/// match is found first, never whether one exists.
+fn cq_has_row(cq: &CertCq, facts: &Facts, row: &[Value]) -> bool {
+    fn bind(bound: &mut Vec<(u32, Value)>, x: u32, v: Value) -> bool {
+        match lookup(bound, x) {
+            Some(prev) => prev == v,
+            None => {
+                bound.push((x, v));
+                true
             }
         }
     }
-    // Per-relation fact lists for candidate enumeration.
-    let mut by_rel: BTreeMap<&str, Vec<&Vec<Value>>> = BTreeMap::new();
-    for (rel, args) in facts {
-        by_rel.entry(rel.as_str()).or_default().push(args);
-    }
-    fn go(
-        atoms: &[CertAtom],
-        by_rel: &BTreeMap<&str, Vec<&Vec<Value>>>,
-        bound: &mut BTreeMap<u32, Value>,
-    ) -> bool {
+    fn go(atoms: &[CertAtom], facts: &Facts, bound: &mut Vec<(u32, Value)>) -> bool {
         let Some((atom, rest)) = atoms.split_first() else {
             return true;
         };
-        let Some(candidates) = by_rel.get(atom.rel.as_str()) else {
+        let Some(&rel) = facts.ids.get(atom.rel.as_str()) else {
             return false;
         };
-        'facts: for args in candidates {
-            if args.len() != atom.args.len() {
-                continue;
-            }
-            let mut added: Vec<u32> = Vec::new();
-            for (t, &v) in atom.args.iter().zip(args.iter()) {
-                let ok = match *t {
-                    crate::types::CertTerm::Const(c) => v == Value::Const(c),
-                    crate::types::CertTerm::Var(x) => match bound.get(&x) {
-                        Some(&prev) => prev == v,
-                        None => {
-                            bound.insert(x, v);
-                            added.push(x);
-                            true
-                        }
-                    },
-                };
-                if !ok {
-                    for x in added {
-                        bound.remove(&x);
-                    }
-                    continue 'facts;
-                }
-            }
-            if go(rest, by_rel, bound) {
+        let mark = bound.len();
+        for args in &facts.rels[rel] {
+            let fits = args.len() == atom.args.len()
+                && atom.args.iter().zip(args).all(|(t, &v)| match *t {
+                    CertTerm::Const(c) => v == Value::Const(c),
+                    CertTerm::Var(x) => bind(bound, x, v),
+                });
+            if fits && go(rest, facts, bound) {
                 return true;
             }
-            for x in added {
-                bound.remove(&x);
-            }
+            bound.truncate(mark);
         }
         false
     }
-    go(&cq.atoms, &by_rel, &mut bound)
+    let mut bound = Vec::new();
+    cq.head.len() == row.len()
+        && zip(&cq.head, row).all(|(&h, &v)| bind(&mut bound, h, v))
+        && go(&cq.atoms, facts, &mut bound)
 }
 
 #[cfg(test)]

@@ -55,8 +55,7 @@ pub mod check;
 pub mod types;
 
 pub use check::{
-    check_certain_row, check_chase, check_core, check_hom, check_match, check_non_certain,
-    fact_set, store_facts, Reject,
+    check_certain_row, check_chase, check_core, check_hom, check_match, check_non_certain, Reject,
 };
 pub use types::{
     CertAtom, CertCq, CertEgd, CertFact, CertQuery, CertRule, CertTerm, CertainVerdictCert,

@@ -10,9 +10,9 @@
 use proptest::prelude::*;
 
 use ca_cert::{
-    check_certain_row, check_chase, check_core, check_hom, check_match, fact_set, CertAtom, CertCq,
-    CertEgd, CertFact, CertQuery, CertRule, CertTerm, ChaseCert, ChaseCertOutcome, ChaseStep,
-    CoreCert, CoreStep, HomCert, MatchCert, Reject,
+    check_certain_row, check_chase, check_core, check_hom, check_match, check_non_certain,
+    CertAtom, CertCq, CertEgd, CertFact, CertQuery, CertRule, CertTerm, ChaseCert,
+    ChaseCertOutcome, ChaseStep, CoreCert, CoreStep, HomCert, MatchCert, NonCertainCert, Reject,
 };
 use ca_core::store::FactStore;
 use ca_core::value::{Null, Value};
@@ -90,6 +90,15 @@ proptest! {
             check_hom(&collapsed, &src, &dst),
             Err(Reject::FactNotPreserved { index: 1 })
         );
+
+        // Grow the target past the image: still a homomorphism, no
+        // longer onto.
+        let mut bigger = dst.clone();
+        let e = bigger.relation("E").expect("family declares E");
+        bigger.insert(e, &[c(999_000), c(999_000)]);
+        let into = HomCert { onto: false, ..good.clone() };
+        prop_assert_eq!(check_hom(&into, &src, &bigger), Ok(()));
+        prop_assert_eq!(check_hom(&good, &src, &bigger), Err(Reject::NotOnto));
     }
 }
 
@@ -237,6 +246,131 @@ proptest! {
     }
 }
 
+/// Three relations and a merge whose loser occurs in two of them. Rule
+/// R0: E(v1, v1), P(v1) → ∃v3 F(v1, v3); egd G0: E(v1, v2) → v1 = v2.
+/// Initial { E(⊥x, ⊥y), P(⊥y) }: merging ⊥y into ⊥x must rewrite the
+/// facts of both E and P before the firing can match its body.
+fn multi_relation_family(seed: u64) -> ChaseCert {
+    let x = (seed % 90) as u32;
+    let y = x + 1 + (seed % 40) as u32;
+    let f = y + 1 + (seed % 40) as u32;
+    let atom = |rel: &str, args: &[u32]| CertAtom {
+        rel: rel.into(),
+        args: args.iter().map(|&v| CertTerm::Var(v)).collect(),
+    };
+    ChaseCert {
+        rules: vec![CertRule {
+            body: vec![atom("E", &[1, 1]), atom("P", &[1])],
+            head: vec![atom("F", &[1, 3])],
+        }],
+        egds: vec![CertEgd {
+            body: vec![atom("E", &[1, 2])],
+            equal: (1, 2),
+        }],
+        initial: vec![("E".into(), vec![nv(x), nv(y)]), ("P".into(), vec![nv(y)])],
+        steps: vec![
+            ChaseStep::Merge {
+                egd: 0,
+                assignment: vec![(1, nv(x)), (2, nv(y))],
+                merged: Some((Null(y), nv(x))),
+            },
+            ChaseStep::Fire {
+                rule: 0,
+                assignment: vec![(1, nv(x))],
+                fresh: vec![(3, Null(f))],
+            },
+        ],
+        outcome: ChaseCertOutcome::Done {
+            final_facts: vec![
+                ("E".into(), vec![nv(x), nv(x)]),
+                ("F".into(), vec![nv(x), nv(f)]),
+                ("P".into(), vec![nv(x)]),
+            ],
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn multi_relation_chase_mutations_are_rejected_with_typed_reasons(seed in 0u64..5_000) {
+        let good = multi_relation_family(seed);
+        prop_assert_eq!(check_chase(&good), Ok(()));
+        let ChaseCertOutcome::Done { final_facts } = good.outcome.clone() else {
+            panic!("family claims a fixpoint");
+        };
+        let (x, y) = (good.initial[0].1[0], good.initial[0].1[1]);
+        let claiming = |outcome: ChaseCertOutcome, steps: usize| {
+            let mut cert = good.clone();
+            cert.steps.truncate(steps);
+            cert.outcome = outcome;
+            check_chase(&cert)
+        };
+        let done = |final_facts: Vec<CertFact>| {
+            claiming(ChaseCertOutcome::Done { final_facts }, 2)
+        };
+
+        // Relabel F(⊥x, ⊥f) to another relation with the same args.
+        let mut relabelled = final_facts.clone();
+        relabelled[1].0 = "E".into();
+        prop_assert_eq!(done(relabelled), Err(Reject::FinalFactsMismatch));
+
+        // Name a relation no rule, egd or fact mentions: in place of a
+        // real fact, and on top of all of them.
+        let mut ghost = final_facts.clone();
+        ghost[1].0 = "Ghost".into();
+        prop_assert_eq!(done(ghost), Err(Reject::FinalFactsMismatch));
+        let mut extra = final_facts.clone();
+        extra.push(("Ghost".into(), vec![x]));
+        prop_assert_eq!(done(extra), Err(Reject::FinalFactsMismatch));
+
+        // The claim is a set: a repeated fact is accepted, wherever it
+        // sits — but a repeat cannot stand in for a missing fact.
+        let mut repeated = final_facts.clone();
+        repeated.insert(0, final_facts[2].clone());
+        repeated.push(final_facts[0].clone());
+        prop_assert_eq!(done(repeated), Ok(()));
+        let mut stand_in = final_facts.clone();
+        stand_in[1] = final_facts[0].clone();
+        prop_assert_eq!(done(stand_in), Err(Reject::FinalFactsMismatch));
+
+        // A body atom over a relation that has no facts.
+        let mut empty = good.clone();
+        empty.rules[0].body[1].rel = "Z".into();
+        prop_assert_eq!(
+            check_chase(&empty),
+            Err(Reject::BodyAtomUnmatched { step: 1, atom: 1 })
+        );
+
+        // The merge's loser ⊥y occurs in E and P. Before the merge the
+        // replay holds the initial facts; after it, both relations hold
+        // only the rewritten ones.
+        let partial = |partial: Vec<CertFact>| ChaseCertOutcome::Aborted { partial };
+        prop_assert_eq!(claiming(partial(good.initial.clone()), 0), Ok(()));
+        let merged = vec![("E".to_string(), vec![x, x]), ("P".to_string(), vec![x])];
+        prop_assert_eq!(claiming(partial(merged.clone()), 1), Ok(()));
+        let mut stale = merged.clone();
+        stale[1].1 = vec![y];
+        prop_assert_eq!(claiming(partial(stale), 1), Err(Reject::FinalFactsMismatch));
+        let mut both = merged;
+        both.push(("P".into(), vec![y]));
+        prop_assert_eq!(claiming(partial(both), 1), Err(Reject::FinalFactsMismatch));
+        // A firing that names the loser resolves it to ⊥x, and finds
+        // both rewritten facts — after the merge, not before it.
+        let mut via_loser = good.clone();
+        if let ChaseStep::Fire { assignment, .. } = &mut via_loser.steps[1] {
+            *assignment = vec![(1, y)];
+        }
+        prop_assert_eq!(check_chase(&via_loser), Ok(()));
+        via_loser.steps.swap(0, 1);
+        prop_assert_eq!(
+            check_chase(&via_loser),
+            Err(Reject::BodyAtomUnmatched { step: 0, atom: 0 })
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Core-retraction certificates
 // ---------------------------------------------------------------------------
@@ -335,7 +469,7 @@ proptest! {
     #[test]
     fn match_mutations_are_rejected_with_typed_reasons(seed in 0u64..5_000) {
         let (q, fact_list, good) = match_family(seed);
-        let facts = fact_set(&fact_list);
+        let facts = fact_list.iter().cloned().collect();
         let null_arg = fact_list[1].1[1];
         prop_assert_eq!(check_certain_row(&q, &facts, &good), Ok(()));
 
@@ -374,5 +508,28 @@ proptest! {
         let mut lost = good;
         lost.disjunct = 4;
         prop_assert_eq!(check_match(&q, &facts, &lost), Err(Reject::UnknownDisjunct));
+
+        // Refutations: grounding ⊥n to b leaves the completion { E(a, b) },
+        // which omits every row but (b).
+        let (Value::Const(b), Value::Null(n)) = (fact_list[0].1[1], null_arg) else {
+            panic!("family has one ground and one null row");
+        };
+        let refute = |ground: &[(Null, i64)], row: Value| {
+            let nc = NonCertainCert { valuation: ground.to_vec(), row: vec![row] };
+            check_non_certain(&q, &facts, &nc)
+        };
+        prop_assert_eq!(refute(&[(n, b)], c(b + 1)), Ok(()));
+        prop_assert_eq!(refute(&[(n, b)], c(b)), Err(Reject::MatchExists { disjunct: 0 }));
+        // Grounding ⊥n to the claimed row produces it after all.
+        prop_assert_eq!(
+            refute(&[(n, b + 1)], c(b + 1)),
+            Err(Reject::MatchExists { disjunct: 0 })
+        );
+        prop_assert_eq!(
+            refute(&[], c(b + 1)),
+            Err(Reject::ValuationNotGrounding { null: n })
+        );
+        let wide = NonCertainCert { valuation: vec![(n, b)], row: vec![c(b + 1), c(b + 1)] };
+        prop_assert_eq!(check_non_certain(&q, &facts, &wide), Err(Reject::WrongRow));
     }
 }

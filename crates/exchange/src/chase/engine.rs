@@ -450,36 +450,32 @@ impl Recorder {
     }
 }
 
-/// The facts of a rebuilt instance in checker vocabulary.
-fn gendb_facts(d: &GenDb) -> Vec<CertFact> {
-    let mut facts: Vec<CertFact> = d
-        .labels
-        .iter()
-        .zip(&d.data)
-        .map(|(&label, row)| (d.schema.label_name(label).to_owned(), row.clone()))
-        .collect();
-    // Canonicalized: store fact ids follow insertion order, which must
-    // not leak into certificate bytes.
-    facts.sort();
-    facts.dedup();
-    facts
-}
-
-/// The live store facts, union-find-resolved, in checker vocabulary.
-/// (`rewrite` lags the union-find mid-merge-batch, so resolution is
-/// applied here rather than trusting the store to be current.)
-fn resolved_facts(schema: &Schema, store: &FactStore, uf: &UnionFind) -> Vec<CertFact> {
-    let mut facts: Vec<CertFact> = store
-        .iter_live()
-        .map(|id| {
-            (
-                schema.name(store.fact_rel(id)).to_owned(),
-                store.fact_values(id).iter().map(|&v| uf.find(v)).collect(),
-            )
-        })
-        .collect();
-    facts.sort();
-    facts.dedup();
+/// The live store facts, union-find-resolved, in checker vocabulary:
+/// the claimed facts of every `Done`, `Overflow` and `Aborted`
+/// certificate. (`rewrite` lags the union-find mid-merge-batch, so
+/// resolution is applied here rather than trusting the store to be
+/// current.) Sorted and deduplicated one relation at a time, in name
+/// order, which is the `(name, args)` order without comparing names;
+/// store row order follows insertion and must not leak into
+/// certificate bytes.
+fn cert_facts(schema: &Schema, store: &FactStore, uf: &UnionFind) -> Vec<CertFact> {
+    let mut rels: Vec<Symbol> = store.relations().collect();
+    rels.sort_by_key(|&rel| schema.name(rel));
+    let mut facts = Vec::new();
+    for rel in rels {
+        let table = store.table(rel);
+        let mut rows: Vec<Vec<Value>> = (0..table.n_rows())
+            .filter(|&row| table.is_live(row))
+            .map(|row| {
+                let resolve = |col: &Vec<_>| uf.find(store.value(col[row as usize]));
+                table.cols().iter().map(resolve).collect()
+            })
+            .collect();
+        rows.sort();
+        rows.dedup();
+        let name = schema.name(rel);
+        facts.extend(rows.into_iter().map(|row| (name.to_owned(), row)));
+    }
     facts
 }
 
@@ -531,7 +527,7 @@ fn run(
         // `max_steps == 0` aborts immediately).
         if steps >= cfg.max_steps {
             let cert = rec.take().and_then(|r| {
-                let partial = resolved_facts(schema, &store, &uf);
+                let partial = cert_facts(schema, &store, &uf);
                 r.finish(ChaseCertOutcome::Aborted { partial })
             });
             return (ChaseOutcome::Aborted, cert);
@@ -563,7 +559,7 @@ fn run(
                     Err(()) => {
                         let partial = Box::new(rebuild(schema, &store, instance, &uf));
                         let cert = rec.take().and_then(|r| {
-                            let partial = gendb_facts(&partial);
+                            let partial = cert_facts(schema, &store, &uf);
                             r.finish(ChaseCertOutcome::Overflow { partial })
                         });
                         return (ChaseOutcome::Overflow(partial), cert);
@@ -576,7 +572,7 @@ fn run(
                     }
                     if steps >= cfg.max_steps {
                         let cert = rec.take().and_then(|r| {
-                            let partial = resolved_facts(schema, &store, &uf);
+                            let partial = cert_facts(schema, &store, &uf);
                             r.finish(ChaseCertOutcome::Aborted { partial })
                         });
                         return (ChaseOutcome::Aborted, cert);
@@ -681,7 +677,7 @@ fn run(
             Err(()) => {
                 let partial = Box::new(rebuild(schema, &store, instance, &uf));
                 let cert = rec.take().and_then(|r| {
-                    let partial = gendb_facts(&partial);
+                    let partial = cert_facts(schema, &store, &uf);
                     r.finish(ChaseCertOutcome::Overflow { partial })
                 });
                 return (ChaseOutcome::Overflow(partial), cert);
@@ -703,7 +699,7 @@ fn run(
                 }
                 if steps >= cfg.max_steps {
                     let cert = rec.take().and_then(|rr| {
-                        let partial = resolved_facts(schema, &store, &uf);
+                        let partial = cert_facts(schema, &store, &uf);
                         rr.finish(ChaseCertOutcome::Aborted { partial })
                     });
                     return (ChaseOutcome::Aborted, cert);
@@ -759,7 +755,7 @@ fn run(
             // fired, the instance is a fixpoint.
             let done = Box::new(rebuild(schema, &store, instance, &uf));
             let cert = rec.take().and_then(|r| {
-                let final_facts = gendb_facts(&done);
+                let final_facts = cert_facts(schema, &store, &uf);
                 r.finish(ChaseCertOutcome::Done { final_facts })
             });
             return (ChaseOutcome::Done(done), cert);

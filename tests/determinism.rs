@@ -285,56 +285,123 @@ fn query_certificates_are_layout_and_thread_independent() {
 }
 
 /// Chase derivation logs: byte-identical certificates across
-/// independently rebuilt instances.
+/// independently rebuilt instances, and accepted by the checker. Two
+/// fixtures: egd-free transitivity over one relation, and the pipeline
+/// benchmark's shape — copy rules, an existential rule, a transitive
+/// rule and an egd merge, over seven relations.
 #[test]
 fn chase_certificates_are_layout_and_thread_independent() {
-    use ca_exchange::chase::{chase_certified, ChaseConfig};
+    use ca_cert::ChaseStep;
+    use ca_core::value::Null;
+    use ca_exchange::chase::{chase_certified, ChaseConfig, Egd};
     use ca_exchange::mapping::Rule;
     use ca_gdm::database::GenDb;
     use ca_gdm::schema::GenSchema;
 
-    let schema = || GenSchema::from_parts(&[("T", 2)], &[]);
-    // Permuted insertion order: the logical instance is identical, the
-    // interner and every derived hash table is rebuilt from scratch.
-    let instance = |rotation: usize| {
-        let mut facts = vec![
-            ("T", vec![c(1), c(2)]),
-            ("T", vec![c(2), n(4)]),
-            ("T", vec![n(4), c(3)]),
-            ("T", vec![c(3), n(5)]),
-        ];
-        let mid = rotation % facts.len();
-        facts.rotate_left(mid);
-        let mut d = GenDb::new(schema());
-        for (rel, args) in facts {
-            d.add_node(rel, args);
+    type Facts = Vec<(&'static str, Vec<Value>)>;
+    let schema = GenSchema::from_parts(
+        &[
+            ("T", 2),
+            ("Emp", 2),
+            ("Lead", 2),
+            ("Dept", 2),
+            ("Works", 2),
+            ("Boss", 2),
+            ("Site", 2),
+            ("Reports", 2),
+        ],
+        &[],
+    );
+    // Variable `k` of a pattern is the null `k`.
+    let pattern = |atoms: &[(&str, [u32; 2])]| {
+        let mut d = GenDb::new(schema.clone());
+        for (rel, [a, b]) in atoms {
+            d.add_node(rel, vec![n(*a), n(*b)]);
         }
         d
     };
+    let rule = |body: &[(&str, [u32; 2])], head: &[(&str, [u32; 2])]| Rule {
+        body: pattern(body),
+        head: pattern(head),
+    };
     // Transitivity keeps the chase multi-round without diverging.
-    let transitivity = {
-        let mut body = GenDb::new(schema());
-        body.add_node("T", vec![n(1), n(2)]);
-        body.add_node("T", vec![n(2), n(3)]);
-        let mut head = GenDb::new(schema());
-        head.add_node("T", vec![n(1), n(3)]);
-        Rule { body, head }
-    };
-    let tgds = [transitivity];
+    let chain: Facts = vec![
+        ("T", vec![c(1), c(2)]),
+        ("T", vec![c(2), n(4)]),
+        ("T", vec![n(4), c(3)]),
+        ("T", vec![c(3), n(5)]),
+    ];
+    let transitivity = vec![rule(&[("T", [1, 2]), ("T", [2, 3])], &[("T", [1, 3])])];
+    // Departments 1–4 with staff 10–14. Department 3's lead is known
+    // (13) and unknown (⊥5), so the egd merges ⊥5 into 13; department 4
+    // has no lead, so the existential rule draws it a fresh boss.
+    let org: Facts = vec![
+        ("Emp", vec![c(10), c(1)]),
+        ("Emp", vec![c(11), c(2)]),
+        ("Emp", vec![c(12), c(3)]),
+        ("Emp", vec![c(14), c(4)]),
+        ("Lead", vec![c(1), c(11)]),
+        ("Lead", vec![c(2), c(12)]),
+        ("Lead", vec![c(3), n(5)]),
+        ("Lead", vec![c(3), c(13)]),
+        ("Dept", vec![c(1), c(2)]),
+        ("Dept", vec![c(2), c(3)]),
+        ("Dept", vec![c(3), c(4)]),
+        ("Dept", vec![c(4), c(4)]),
+    ];
+    let org_tgds = vec![
+        rule(&[("Emp", [1, 2])], &[("Works", [1, 2])]),
+        rule(&[("Dept", [1, 2])], &[("Site", [1, 2])]),
+        rule(&[("Lead", [1, 2])], &[("Boss", [1, 2])]),
+        rule(&[("Site", [1, 2])], &[("Boss", [1, 3])]),
+        rule(
+            &[("Works", [1, 2]), ("Boss", [2, 3])],
+            &[("Reports", [1, 3])],
+        ),
+        rule(
+            &[("Reports", [1, 2]), ("Reports", [2, 3])],
+            &[("Reports", [1, 3])],
+        ),
+    ];
+    let org_egds = vec![Egd {
+        body: pattern(&[("Boss", [1, 2]), ("Boss", [1, 3])]),
+        equal: (Null(2), Null(3)),
+    }];
     let cfg = ChaseConfig::new(10_000);
-    let baseline = {
-        let (_, cert) = chase_certified(&instance(0), &tgds, &[], &cfg);
-        let cert = cert.expect("engine certifies the fixture chase");
-        assert_eq!(ca_cert::check_chase(&cert), Ok(()));
-        cert.to_bytes()
-    };
-    for rotation in 0..4 {
-        let (_, cert) = chase_certified(&instance(rotation), &tgds, &[], &cfg);
-        let run = cert.expect("engine certifies the fixture chase").to_bytes();
-        assert_eq!(
-            baseline, run,
-            "chase certificate bytes diverged (rebuild #{rotation})"
-        );
+    let fixtures: [(Facts, Vec<Rule>, Vec<Egd>); 2] =
+        [(chain, transitivity, Vec::new()), (org, org_tgds, org_egds)];
+    for (facts, tgds, egds) in &fixtures {
+        // Permuted insertion order: the logical instance is identical,
+        // the interner and every derived hash table is rebuilt from
+        // scratch.
+        let run = |rotation: usize| {
+            let mut facts = facts.clone();
+            let mid = rotation % facts.len();
+            facts.rotate_left(mid);
+            let mut d = GenDb::new(schema.clone());
+            for (rel, args) in facts {
+                d.add_node(rel, args);
+            }
+            let (_, cert) = chase_certified(&d, tgds, egds, &cfg);
+            cert.expect("engine certifies the fixture chase")
+        };
+        let baseline = run(0);
+        assert_eq!(ca_cert::check_chase(&baseline), Ok(()));
+        if !egds.is_empty() {
+            let steps = &baseline.steps;
+            assert!(steps.iter().any(|s| matches!(s, ChaseStep::Merge { .. })));
+            assert!(steps
+                .iter()
+                .any(|s| matches!(s, ChaseStep::Fire { fresh, .. } if !fresh.is_empty())));
+        }
+        let baseline = baseline.to_bytes();
+        for rotation in 0..facts.len() {
+            assert_eq!(
+                baseline,
+                run(rotation).to_bytes(),
+                "chase certificate bytes diverged (rebuild #{rotation})"
+            );
+        }
     }
 }
 
