@@ -17,9 +17,9 @@
 //! the certified run reproduces the plain result *before* timing, so
 //! the overhead column reports the cost of certification, not of a
 //! different computation. The overhead is reported honestly: the
-//! certified chase re-derives provenance with extra pinned join plans,
-//! and the certified query sweep re-evaluates witnesses naïvely — these
-//! are real multiples, not rounding noise. Results go to stdout as a
+//! certified chase shares the plain run's match phase and adds the
+//! derivation recording, and the certified query sweep re-evaluates
+//! witnesses naïvely — these are real multiples, not rounding noise. Results go to stdout as a
 //! table and to `BENCH_cert.json` (`target/bench/` for `--quick`).
 
 use std::fmt::Write as _;
@@ -374,7 +374,7 @@ fn main() {
         json_rows.push(row);
     }
     report.note("plain = certify off (the default hot path); certified = same engine + derivation recording / witness extraction; check = the engine-blind checker replaying the certificate");
-    report.note("every case asserts plain == certified result and checker Ok before timing; the overhead multiple is the honest price of the extra provenance plans (chase) and naive witness re-evaluation (query)");
+    report.note("every case asserts plain == certified result and checker Ok before timing; the overhead multiple is the honest price of derivation recording (chase) and naive witness re-evaluation (query)");
     println!("{report}");
 
     let json = format!(

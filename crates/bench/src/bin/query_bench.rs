@@ -33,13 +33,12 @@
 //! plan, and the engine with the **cost-based** plan (`seq`).
 //! Identical greedy and cost plans share one
 //! measurement — re-timing byte-identical plans only adds noise. The
-//! `plan_cold_ns`/`plan_warm_ns` columns time plan *acquisition*: a
-//! cold statistics-read + compile versus a [`PlanCache`] hit at the
-//! same store revision. All answers are asserted equal across paths
-//! before anything is timed. Results go to stdout as a table and to
-//! `BENCH_query.json` (`target/bench/` for `--quick`); `--quick`
-//! additionally gates on the optimizer
-//! invariants (cost ≥ greedy on the chains, warm plan ≤ 10% of cold).
+//! `plan_cold_ns` column times plan *acquisition*: a statistics read
+//! plus a cost-based compile. All answers are asserted equal across
+//! paths before anything is timed. Results go to stdout as a table and
+//! to `BENCH_query.json` (`target/bench/` for `--quick`); `--quick`
+//! additionally gates on the optimizer invariant (cost ≥ greedy on the
+//! chains).
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -50,7 +49,7 @@ use ca_core::store::FactStore;
 use ca_core::value::Value;
 use ca_gdm::certain as gdm_certain;
 use ca_query::certain::{adequate_pool, ucq_constants};
-use ca_query::engine::{self, CompiledUcq, CostModel, DbIndex, PlanCache};
+use ca_query::engine::{self, CompiledUcq, CostModel, DbIndex};
 use ca_query::reference;
 use ca_query::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_relational::database::NaiveDatabase;
@@ -164,8 +163,8 @@ fn time_reps(reps: u32, mut f: impl FnMut()) -> u128 {
     best.max(1)
 }
 
-/// Nanosecond-resolution timing for the plan-acquisition columns — a
-/// cache hit is far below the microsecond floor of [`time_reps`].
+/// Nanosecond-resolution timing for the plan-acquisition column — a
+/// compile is far below the microsecond floor of [`time_reps`].
 fn time_reps_ns(reps: u32, mut f: impl FnMut()) -> u128 {
     let start = Instant::now();
     for _ in 0..reps {
@@ -178,29 +177,17 @@ fn time_reps_ns(reps: u32, mut f: impl FnMut()) -> u128 {
 struct OptCols {
     /// Engine wall time with the stats-blind greedy plan.
     greedy_us: u128,
-    /// Cold plan acquisition: a [`PlanCache`] miss — read statistics,
-    /// compile cost-based, install the entry.
+    /// Plan acquisition: read statistics, compile cost-based.
     plan_cold_ns: u128,
-    /// Warm plan acquisition: a [`PlanCache`] hit at the same revision.
-    plan_warm_ns: u128,
 }
 
-/// Time cold vs warm plan acquisition for `q` over `st`. Both sides go
-/// through the cache so the comparison is symmetric: cold is the miss
-/// path (statistics read, cost-based compile, entry install — what an
-/// invalidated revision pays), warm is a hit at the same revision.
-fn plan_times(q: &UnionQuery, schema: &Schema, st: &FactStore) -> (u128, u128) {
-    let reps = 2000;
-    let cold = time_reps_ns(reps, || {
-        let mut cache = PlanCache::new();
-        std::hint::black_box(cache.get_or_compile(q, schema, st).unwrap());
-    });
-    let mut cache = PlanCache::new();
-    cache.get_or_compile(q, schema, st).unwrap();
-    let warm = time_reps_ns(reps, || {
-        std::hint::black_box(cache.get_or_compile(q, schema, st).unwrap());
-    });
-    (cold, warm)
+/// Time plan acquisition for `q` over `st`: a statistics read plus a
+/// cost-based compile.
+fn time_plan_ns(q: &UnionQuery, schema: &Schema, st: &FactStore) -> u128 {
+    time_reps_ns(2000, || {
+        let model = CostModel::from_store(st);
+        std::hint::black_box(CompiledUcq::compile_costed(q, schema, &model).unwrap());
+    })
 }
 
 /// The legacy brute-force certain table: materialize all completions up
@@ -247,7 +234,6 @@ fn join_case(
     reps: u32,
     quick: bool,
     assert_cost_wins: bool,
-    assert_cache: bool,
     rows: &mut Vec<Row>,
 ) {
     let st = to_store(db);
@@ -278,28 +264,16 @@ fn join_case(
             std::hint::black_box(engine::eval_ucq_on(&plan_greedy, &mut DbIndex::new(db)));
         })
     };
-    let (plan_cold_ns, plan_warm_ns) = plan_times(q, &db.schema, &st);
-    if quick {
-        if assert_cost_wins {
-            assert!(
-                seq_us <= greedy_us,
-                "{family} {case}: cost-based plan slower than greedy ({seq_us}us > {greedy_us}us)"
-            );
-        }
-        // A single-atom compile is a few hundred nanoseconds of fixed
-        // cost, so the 10% bound is only meaningful where compilation
-        // has actual ordering work (the multi-atom families).
-        if assert_cache {
-            assert!(
-                plan_warm_ns * 10 <= plan_cold_ns,
-                "{family} {case}: cache hit not <= 10% of cold compile \
-                 ({plan_warm_ns}ns vs {plan_cold_ns}ns)"
-            );
-        }
+    let plan_cold_ns = time_plan_ns(q, &db.schema, &st);
+    if quick && assert_cost_wins {
+        assert!(
+            seq_us <= greedy_us,
+            "{family} {case}: cost-based plan slower than greedy ({seq_us}us > {greedy_us}us)"
+        );
     }
     eprintln!(
         "[query_bench] {family} {case}: ref {ref_us}us, greedy {greedy_us}us, \
-         cost {seq_us}us, plan {plan_cold_ns}ns cold / {plan_warm_ns}ns warm"
+         cost {seq_us}us, plan {plan_cold_ns}ns"
     );
     rows.push(Row {
         family,
@@ -311,7 +285,6 @@ fn join_case(
         opt: Some(OptCols {
             greedy_us,
             plan_cold_ns,
-            plan_warm_ns,
         }),
     });
 }
@@ -334,7 +307,6 @@ fn main() {
             30,
             quick,
             false,
-            false,
             &mut rows,
         );
     }
@@ -352,7 +324,6 @@ fn main() {
                 &db,
                 reps,
                 quick,
-                true,
                 true,
                 &mut rows,
             );
@@ -372,7 +343,6 @@ fn main() {
             reps,
             quick,
             false,
-            true,
             &mut rows,
         );
     }
@@ -405,7 +375,7 @@ fn main() {
                 std::hint::black_box(engine::certain_table_over(&plan_greedy, &db, &pool));
             })
         };
-        let (plan_cold_ns, plan_warm_ns) = plan_times(&q, &db.schema, &st);
+        let plan_cold_ns = time_plan_ns(&q, &db.schema, &st);
         rows.push(Row {
             family: "certain_sweep",
             case: format!("nulls={k},pool={}", pool.len()),
@@ -416,7 +386,6 @@ fn main() {
             opt: Some(OptCols {
                 greedy_us,
                 plan_cold_ns,
-                plan_warm_ns,
             }),
         });
         eprintln!("[query_bench] certain_sweep k={k}: ref {ref_us}us, seq {seq_us}us");
@@ -491,7 +460,6 @@ fn main() {
             "speedup",
             "cost_vs_greedy",
             "plan_cold_ns",
-            "plan_warm_ns",
             "answers",
         ],
     );
@@ -514,9 +482,6 @@ fn main() {
             r.opt
                 .as_ref()
                 .map_or("-".into(), |o| o.plan_cold_ns.to_string()),
-            r.opt
-                .as_ref()
-                .map_or("-".into(), |o| o.plan_warm_ns.to_string()),
             r.answers.to_string(),
         ]);
         let mut row = String::new();
@@ -531,11 +496,10 @@ fn main() {
             let _ = write!(
                 row,
                 ", \"greedy_wall_us\": {}, \"speedup_cost_vs_greedy\": {:.2}, \
-                 \"plan_cold_ns\": {}, \"plan_warm_ns\": {}",
+                 \"plan_cold_ns\": {}",
                 o.greedy_us,
                 o.greedy_us as f64 / r.seq_us as f64,
-                o.plan_cold_ns,
-                o.plan_warm_ns
+                o.plan_cold_ns
             );
         }
         row.push('}');
@@ -543,7 +507,7 @@ fn main() {
     }
     report.note("ref = pre-engine nested-loop evaluator (ca_query::reference), or plain image enumeration (e11); greedy = engine with the stats-blind greedy plan; seq = engine with the cost-based plan");
     report.note("cost_vs_greedy = greedy_us/seq_us; identical plans share one measurement, so 1.0x there is exact, not noise");
-    report.note("plan_cold_ns = statistics read + cost-based compile; plan_warm_ns = PlanCache hit at the same store revision");
+    report.note("plan_cold_ns = statistics read + cost-based compile");
     report.note("e02_ucq_edge measures fixed costs (single scan both sides) — near-parity is the honest expectation; the chain joins are where indexing pays and e02_ucq_skew is where cost-based ordering pays");
     report.note("answers = result rows (table mode) / certainty bit (bool mode); every case asserts reference and engine agree before timing");
     println!("{report}");

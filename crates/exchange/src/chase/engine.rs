@@ -5,29 +5,28 @@
 //! [`ca_query::engine`] instead of re-running the reference loop's CSP
 //! matcher over the whole instance after every single firing:
 //!
-//! * each rule body is validated once up front and then planned through
-//!   a revision-keyed [`PlanCache`]: a round evaluates one *pinned*
-//!   cost-based join plan per body atom
-//!   ([`CompiledCq::compile_costed_pinned`] under the store's live
-//!   statistics), with the pinned atom ranging over the **delta** — the
-//!   facts added or rewritten since the previous round — so any match
-//!   using at least one new fact is found exactly through the plan
-//!   pinned at that fact's position, and quiet regions are never
-//!   re-derived (semi-naive evaluation). Plans are re-costed only when
-//!   the store's revision counter moves; quiet fixpoint passes and the
-//!   per-round satisfaction evaluations hit the cache. A certified run
-//!   ([`ChaseConfig::certify`]) evaluates each body once per round too,
-//!   through fixed full-assignment plans whose least row per trigger is
-//!   the firing's recorded witness;
+//! * every rule and egd body compiles once, when the rule is compiled,
+//!   into one pinned join plan per body atom ([`BodyPlans`]), with every
+//!   body variable in the plan's head. A round evaluates the plan pinned
+//!   at each atom with that atom ranging over the **delta** — the facts
+//!   added or rewritten since the previous round — so any match using
+//!   at least one new fact is found exactly through the plan pinned at
+//!   that fact's position, and quiet regions are never re-derived
+//!   (semi-naive evaluation). Each answer row is a complete body
+//!   assignment, and the round keeps the least one per trigger (per
+//!   equality pair, for egds). This is the one match phase of both
+//!   modes: the triggers are the witness map's keys, and a certified run
+//!   ([`ChaseConfig::certify`]) records the witness as its step's
+//!   assignment;
 //! * a *trigger* is a valuation of the rule's frontier (sorted body∩head
 //!   nulls). Fired triggers are remembered per rule in a hash set over
 //!   the **workspace columnar fact store** ([`ca_core::store::FactStore`]
 //!   — interned values, column-major tuples, a live bitmap, and a
 //!   store-level null-occurrence index), so no trigger ever fires twice;
-//!   head
-//!   satisfaction is decided set-at-a-time by evaluating the head
-//!   pattern as a query whose answers are precisely the satisfied
-//!   frontier valuations, instead of one satisfiability probe per match;
+//!   head satisfaction is decided set-at-a-time by evaluating the head
+//!   pattern — compiled once, like the bodies — as a query whose answers
+//!   are precisely the satisfied frontier valuations, instead of one
+//!   satisfiability probe per match;
 //! * egd equalities accumulate in a **union-find** over values (constant
 //!   roots win; two distinct constant roots fail the chase) and rewrite
 //!   only the facts that mention a merged null, via a null-occurrence
@@ -48,6 +47,7 @@
 //! in a different order — outcome agreement on terminating inputs is
 //! unaffected, since chase failure and success are order-independent.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use ca_cert::{
@@ -58,10 +58,8 @@ use ca_core::store::{FactId, FactStore};
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
-use ca_query::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
-use ca_query::engine::{
-    eval_prepared_into, eval_seeded_into, prepare_cq, CompiledCq, CompiledUcq, DbIndex, PlanCache,
-};
+use ca_query::ast::{Atom, ConjunctiveQuery, Term};
+use ca_query::engine::{eval_prepared_into, eval_seeded_into, prepare_cq, CompiledCq, DbIndex};
 use ca_relational::schema::Schema;
 
 use super::{ChaseConfig, ChaseOutcome, Egd};
@@ -105,31 +103,28 @@ struct HeadFact {
     template: Vec<HeadTerm>,
 }
 
-/// Full-assignment provenance plans for one pattern body, compiled only
-/// under [`ChaseConfig::certify`]: the same pinned body plans, but with
-/// **every** sorted body variable in the head, so each answer row *is* a
-/// complete body assignment (the witness a [`ChaseStep`] records).
-struct CertPlans {
+/// The match plans of one pattern body, compiled once: one plan per
+/// body atom, pinned at that atom (so it can range over the delta), with
+/// **every** sorted body variable in the head, so each answer row *is*
+/// a complete body assignment (the witness a [`ChaseStep`] records).
+struct BodyPlans {
     /// `(pinned relation, pinned plan)` per body atom; head = `body_vars`.
     plans: Vec<(Symbol, CompiledCq)>,
-    /// All body variables, sorted (the provenance rows' column order).
+    /// All body variables, sorted (the answer rows' column order).
     body_vars: Vec<u32>,
-    /// Positions in `body_vars` of the normal plan's head projection
-    /// (a rule's frontier, or an egd's equated pair).
+    /// Positions in `body_vars` of the match key (a rule's frontier, or
+    /// an egd's equated pair).
     proj: Vec<usize>,
 }
 
-impl CertPlans {
-    fn compile(atoms: &[Atom], proj_vars: &[u32], schema: &Schema) -> Option<CertPlans> {
-        let q = ConjunctiveQuery::with_head(
-            {
-                let mut vars: Vec<u32> = atoms.iter().flat_map(Atom::vars).collect();
-                vars.sort_unstable();
-                vars.dedup();
-                vars
-            },
-            atoms.to_vec(),
-        );
+impl BodyPlans {
+    /// `None` when an atom does not fit the schema or a key variable is
+    /// not bound by the body (plan errors do not depend on the pin).
+    fn compile(atoms: Vec<Atom>, proj_vars: &[u32], schema: &Schema) -> Option<BodyPlans> {
+        let mut vars: Vec<u32> = atoms.iter().flat_map(Atom::vars).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let q = ConjunctiveQuery::with_head(vars, atoms);
         let mut plans = Vec::with_capacity(q.atoms.len());
         for pin in 0..q.atoms.len() {
             let plan = CompiledCq::compile_pinned(&q, schema, pin).ok()?;
@@ -140,14 +135,14 @@ impl CertPlans {
             .iter()
             .map(|v| q.head.binary_search(v).ok())
             .collect::<Option<Vec<usize>>>()?;
-        Some(CertPlans {
+        Some(BodyPlans {
             plans,
             body_vars: q.head,
             proj,
         })
     }
 
-    /// A provenance row as a step's body assignment.
+    /// A match row as a step's body assignment.
     fn assignment(&self, row: &[Value]) -> Assignment {
         self.body_vars
             .iter()
@@ -157,55 +152,22 @@ impl CertPlans {
     }
 }
 
-/// One tgd compiled against the instance schema. The body and head are
-/// kept as queries (validated once up front): the round loop resolves
-/// them into cost-based plans through the run's [`PlanCache`], so the
-/// join orders track the store's live statistics while compile errors
-/// stay impossible after construction (plan errors are independent of
-/// join order and pin — they depend only on the query and the schema).
+/// One tgd compiled against the instance schema.
 struct CompiledRule {
-    /// The body with the sorted frontier as head, as a single-disjunct
-    /// union (the plan cache's key type).
-    body_u: UnionQuery,
-    /// The pinned relation of each body atom, in atom order.
-    rels: Vec<Symbol>,
-    /// The head pattern as a query over the same frontier head: its
-    /// answer set is exactly the set of satisfied frontier valuations.
-    head_u: UnionQuery,
+    body: BodyPlans,
+    /// The head pattern as a query over the sorted frontier: its answer
+    /// set is exactly the set of satisfied frontier valuations.
+    head: CompiledCq,
     /// The head facts to instantiate on firing.
     head_facts: Vec<HeadFact>,
-    /// Provenance plans (certify mode only).
-    cert: Option<CertPlans>,
 }
 
-/// One egd compiled against the instance schema: the body projecting
-/// onto the two equated nulls, plus its atoms' relations.
-struct CompiledEgd {
-    body_u: UnionQuery,
-    rels: Vec<Symbol>,
-    /// Provenance plans (certify mode only).
-    cert: Option<CertPlans>,
-}
-
-fn compile_rule(rule: &Rule, schema: &Schema, certify: bool) -> Option<CompiledRule> {
+fn compile_rule(rule: &Rule, schema: &Schema) -> Option<CompiledRule> {
     let frontier: Vec<Null> = rule.frontier().into_iter().collect();
     let head_vars: Vec<u32> = frontier.iter().map(|nl| nl.0).collect();
-    let body_q = ConjunctiveQuery::with_head(head_vars.clone(), pattern_atoms(&rule.body));
-    // Validate once: a body that compiles unpinned compiles under every
-    // pin and every join order.
-    CompiledCq::compile(&body_q, schema).ok()?;
-    let rels = body_q
-        .atoms
-        .iter()
-        .map(|a| schema.relation(&a.rel))
-        .collect::<Option<Vec<_>>>()?;
-    let cert = if certify {
-        Some(CertPlans::compile(&body_q.atoms, &head_vars, schema)?)
-    } else {
-        None
-    };
+    let body = BodyPlans::compile(pattern_atoms(&rule.body), &head_vars, schema)?;
     let head_q = ConjunctiveQuery::with_head(head_vars, pattern_atoms(&rule.head));
-    CompiledCq::compile(&head_q, schema).ok()?;
+    let head = CompiledCq::compile(&head_q, schema).ok()?;
     let mut head_facts = Vec::with_capacity(rule.head.n_nodes());
     for (label, row) in rule.head.labels.iter().zip(&rule.head.data) {
         let rel = schema.relation(rule.head.schema.label_name(*label))?;
@@ -223,36 +185,18 @@ fn compile_rule(rule: &Rule, schema: &Schema, certify: bool) -> Option<CompiledR
         head_facts.push(HeadFact { rel, template });
     }
     Some(CompiledRule {
-        body_u: UnionQuery::single(body_q),
-        rels,
-        head_u: UnionQuery::single(head_q),
+        body,
+        head,
         head_facts,
-        cert,
     })
 }
 
-fn compile_egd(egd: &Egd, schema: &Schema, certify: bool) -> Option<CompiledEgd> {
+/// One egd's body plans, keyed by its two equated nulls. `None` for an
+/// equated null the body does not bind (or an empty body): the
+/// reference owns the semantics of such malformed egds.
+fn compile_egd(egd: &Egd, schema: &Schema) -> Option<BodyPlans> {
     let pair = [egd.equal.0 .0, egd.equal.1 .0];
-    let q = ConjunctiveQuery::with_head(pair.to_vec(), pattern_atoms(&egd.body));
-    // Validate once unpinned: an equated null not bound by the body (or
-    // an empty body) is an UnboundHeadVar — fall back to the reference,
-    // which owns the semantics of such malformed egds.
-    CompiledCq::compile(&q, schema).ok()?;
-    let rels = q
-        .atoms
-        .iter()
-        .map(|a| schema.relation(&a.rel))
-        .collect::<Option<Vec<_>>>()?;
-    let cert = if certify {
-        Some(CertPlans::compile(&q.atoms, &pair, schema)?)
-    } else {
-        None
-    };
-    Some(CompiledEgd {
-        body_u: UnionQuery::single(q),
-        rels,
-        cert,
-    })
+    BodyPlans::compile(pattern_atoms(&egd.body), &pair, schema)
 }
 
 /// Union-find over values. Constants are always roots; between two null
@@ -318,15 +262,14 @@ fn cert_atoms(d: &GenDb) -> Vec<CertAtom> {
         .collect()
 }
 
-/// The constraint-set and initial-instance half of a chase certificate,
-/// built up front; [`run`] appends the derivation and outcome.
+/// The constraint-set half of a chase certificate, built up front;
+/// [`run`] adds the initial instance, the derivation and the outcome.
 struct CertSkeleton {
     rules: Vec<CertRule>,
     egds: Vec<CertEgd>,
-    initial: Vec<CertFact>,
 }
 
-fn cert_skeleton(instance: &GenDb, tgds: &[Rule], egds: &[Egd]) -> CertSkeleton {
+fn cert_skeleton(tgds: &[Rule], egds: &[Egd]) -> CertSkeleton {
     CertSkeleton {
         rules: tgds
             .iter()
@@ -342,19 +285,6 @@ fn cert_skeleton(instance: &GenDb, tgds: &[Rule], egds: &[Egd]) -> CertSkeleton 
                 equal: (e.equal.0 .0, e.equal.1 .0),
             })
             .collect(),
-        // Canonicalized (sorted, deduplicated): the certificate's bytes
-        // must not depend on the caller's node insertion order.
-        initial: {
-            let mut facts: Vec<CertFact> = instance
-                .labels
-                .iter()
-                .zip(&instance.data)
-                .map(|(&label, row)| (instance.schema.label_name(label).to_owned(), row.clone()))
-                .collect();
-            facts.sort();
-            facts.dedup();
-            facts
-        },
     }
 }
 
@@ -390,11 +320,11 @@ pub(super) fn try_chase(
     }
     let rules: Vec<CompiledRule> = tgds
         .iter()
-        .map(|r| compile_rule(r, &schema, cfg.certify))
+        .map(|r| compile_rule(r, &schema))
         .collect::<Option<_>>()?;
-    let cegds: Vec<CompiledEgd> = egds
+    let cegds: Vec<BodyPlans> = egds
         .iter()
-        .map(|e| compile_egd(e, &schema, cfg.certify))
+        .map(|e| compile_egd(e, &schema))
         .collect::<Option<_>>()?;
     // Fresh existentials avoid every null in sight, as in the reference.
     let gen = NullGen::avoiding(
@@ -403,7 +333,7 @@ pub(super) fn try_chase(
                 .flat_map(|r| r.body.nulls().into_iter().chain(r.head.nulls())),
         ),
     );
-    let skeleton = cfg.certify.then(|| cert_skeleton(instance, tgds, egds));
+    let skeleton = cfg.certify.then(|| cert_skeleton(tgds, egds));
     Some(run(
         &schema,
         &rules,
@@ -416,8 +346,7 @@ pub(super) fn try_chase(
     ))
 }
 
-/// A round's trigger (or satisfied) set for one rule: frontier
-/// valuations, kept sorted so firing order is deterministic.
+/// A round's satisfied set for one rule: frontier valuations.
 type TriggerSet = BTreeSet<Vec<Value>>;
 
 /// A body assignment in step vocabulary: sorted `(variable, value)` pairs.
@@ -426,38 +355,31 @@ type Assignment = Vec<(u32, Value)>;
 /// The in-flight derivation log of a certified run.
 struct Recorder {
     skeleton: CertSkeleton,
+    /// The loaded instance, in the claimed facts' canonical form.
+    initial: Vec<CertFact>,
     steps: Vec<ChaseStep>,
-    /// Set when a step found no provenance witness. This is unreachable
-    /// by construction (a certified run's trigger and pair sets are the
-    /// key sets of its provenance maps); if it ever trips, the run stays
-    /// correct and the certificate is withheld rather than emitted
-    /// broken.
-    poisoned: bool,
 }
 
 impl Recorder {
-    fn finish(self, outcome: ChaseCertOutcome) -> Option<ChaseCert> {
-        if self.poisoned {
-            return None;
-        }
-        Some(ChaseCert {
+    fn finish(self, outcome: ChaseCertOutcome) -> ChaseCert {
+        ChaseCert {
             rules: self.skeleton.rules,
             egds: self.skeleton.egds,
-            initial: self.skeleton.initial,
+            initial: self.initial,
             steps: self.steps,
             outcome,
-        })
+        }
     }
 }
 
 /// The live store facts, union-find-resolved, in checker vocabulary:
-/// the claimed facts of every `Done`, `Overflow` and `Aborted`
-/// certificate. (`rewrite` lags the union-find mid-merge-batch, so
-/// resolution is applied here rather than trusting the store to be
-/// current.) Sorted and deduplicated one relation at a time, in name
-/// order, which is the `(name, args)` order without comparing names;
-/// store row order follows insertion and must not leak into
-/// certificate bytes.
+/// the initial facts of every certificate and the claimed facts of every
+/// `Done`, `Overflow` and `Aborted` one. (`rewrite` lags the union-find
+/// mid-merge-batch, so resolution is applied here rather than trusting
+/// the store to be current.) Sorted and deduplicated one relation at a
+/// time, in name order, which is the `(name, args)` order without
+/// comparing names; store row order follows insertion and must not leak
+/// into certificate bytes.
 fn cert_facts(schema: &Schema, store: &FactStore, uf: &UnionFind) -> Vec<CertFact> {
     let mut rels: Vec<Symbol> = store.relations().collect();
     rels.sort_by_key(|&rel| schema.name(rel));
@@ -479,11 +401,45 @@ fn cert_facts(schema: &Schema, store: &FactStore, uf: &UnionFind) -> Vec<CertFac
     facts
 }
 
+/// The step budget ran out: no chased instance, and a certified run
+/// claims the facts derived so far.
+fn aborted(
+    schema: &Schema,
+    store: &FactStore,
+    uf: &UnionFind,
+    rec: Option<Recorder>,
+) -> (ChaseOutcome, Option<ChaseCert>) {
+    let cert = rec.map(|r| {
+        r.finish(ChaseCertOutcome::Aborted {
+            partial: cert_facts(schema, store, uf),
+        })
+    });
+    (ChaseOutcome::Aborted, cert)
+}
+
+/// A match phase went over budget: the instance derived so far, claimed
+/// as the certificate's partial facts too.
+fn overflow(
+    schema: &Schema,
+    store: &FactStore,
+    instance: &GenDb,
+    uf: &UnionFind,
+    rec: Option<Recorder>,
+) -> (ChaseOutcome, Option<ChaseCert>) {
+    let partial = Box::new(rebuild(schema, store, instance, uf));
+    let cert = rec.map(|r| {
+        r.finish(ChaseCertOutcome::Overflow {
+            partial: cert_facts(schema, store, uf),
+        })
+    });
+    (ChaseOutcome::Overflow(partial), cert)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run(
     schema: &Schema,
     rules: &[CompiledRule],
-    egds: &[CompiledEgd],
+    egds: &[BodyPlans],
     instance: &GenDb,
     rel_of_label: &[Symbol],
     mut gen: NullGen,
@@ -499,15 +455,6 @@ fn run(
         debug_assert_eq!(reg, sym, "store symbols mirror schema symbols");
     }
     let mut uf = UnionFind::default();
-    // Cost-based plans keyed by (query, pin, store revision): quiet
-    // fixpoint passes and repeated head checks reuse plans; any store
-    // mutation re-costs them against fresh statistics.
-    let mut cache = PlanCache::new();
-    let mut rec: Option<Recorder> = skeleton.map(|skeleton| Recorder {
-        skeleton,
-        steps: Vec::new(),
-        poisoned: false,
-    });
     let mut fired: Vec<FxHashSet<Vec<Value>>> =
         rules.iter().map(|_| FxHashSet::default()).collect();
     let mut steps = 0usize;
@@ -519,6 +466,14 @@ fn run(
             delta.push(id);
         }
     }
+    // The certificate's initial instance goes through the same
+    // canonicaliser as its claimed facts, so its bytes do not depend on
+    // the caller's node insertion order.
+    let mut rec: Option<Recorder> = skeleton.map(|skeleton| Recorder {
+        skeleton,
+        initial: cert_facts(schema, &store, &uf),
+        steps: Vec::new(),
+    });
     let mut first_round = true;
     loop {
         // Budget semantics mirror the reference's `for _ in 0..max_steps`
@@ -526,11 +481,7 @@ fn run(
         // so a round may only begin while budget remains (in particular,
         // `max_steps == 0` aborts immediately).
         if steps >= cfg.max_steps {
-            let cert = rec.take().and_then(|r| {
-                let partial = cert_facts(schema, &store, &uf);
-                r.finish(ChaseCertOutcome::Aborted { partial })
-            });
-            return (ChaseOutcome::Aborted, cert);
+            return aborted(schema, &store, &uf, rec);
         }
         let round_start_steps = steps;
 
@@ -539,82 +490,42 @@ fn run(
         if !egds.is_empty() {
             let mut egd_delta: Vec<u32> = delta.clone();
             while !egd_delta.is_empty() {
-                // One body evaluation per pass: a certified run's
-                // provenance pass *is* its match phase (the pairs are
-                // exactly the provenance keys), a plain run matches on
-                // the cost-based plans.
                 let matched = {
                     let mut idx = DbIndex::over(&store);
                     let seeds = seeds_by_rel(schema, &store, &egd_delta);
-                    if rec.is_some() {
-                        egd_provenance(egds, &seeds, cfg.match_limit, &mut idx)
-                            .map(|prov| (prov.keys().copied().collect(), Some(prov)))
-                    } else {
-                        egd_matches(schema, &store, egds, &seeds, cfg, &mut cache, &mut idx)
-                            .map(|pairs| (pairs, None))
-                    }
+                    egd_matches(egds, &seeds, cfg.match_limit, &mut idx)
                 };
-                let (pairs, prov) = match matched {
-                    Ok(x) => x,
-                    Err(()) => {
-                        let partial = Box::new(rebuild(schema, &store, instance, &uf));
-                        let cert = rec.take().and_then(|r| {
-                            let partial = cert_facts(schema, &store, &uf);
-                            r.finish(ChaseCertOutcome::Overflow { partial })
-                        });
-                        return (ChaseOutcome::Overflow(partial), cert);
-                    }
+                let Ok(pairs) = matched else {
+                    return overflow(schema, &store, instance, &uf, rec);
                 };
                 let mut merged: Vec<Null> = Vec::new();
-                for (a, b) in pairs {
+                for (&(a, b), (e, witness)) in &pairs {
                     if uf.find(a) == uf.find(b) {
                         continue;
                     }
                     if steps >= cfg.max_steps {
-                        let cert = rec.take().and_then(|r| {
-                            let partial = cert_facts(schema, &store, &uf);
-                            r.finish(ChaseCertOutcome::Aborted { partial })
-                        });
-                        return (ChaseOutcome::Aborted, cert);
+                        return aborted(schema, &store, &uf, rec);
                     }
-                    let union = uf.union(a, b);
+                    // `None` is a constant clash. Distinct roots make
+                    // `Ok(None)` unreachable here.
+                    let merged_entry = match uf.union(a, b) {
+                        Err(()) => None,
+                        Ok(Some(loser)) => Some((loser, uf.find(Value::Null(loser)))),
+                        Ok(None) => continue,
+                    };
                     if let Some(recd) = rec.as_mut() {
-                        // Distinct roots make `Ok(None)` unreachable here,
-                        // so every taken branch is a recordable step.
-                        let merged_entry = match union {
-                            Err(()) => Some(None),
-                            Ok(Some(loser)) => Some(Some((loser, uf.find(Value::Null(loser))))),
-                            Ok(None) => None,
-                        };
-                        if let Some(merged_entry) = merged_entry {
-                            let witness =
-                                prov.as_ref()
-                                    .and_then(|p| p.get(&(a, b)))
-                                    .and_then(|(e, row)| {
-                                        let cert = egds.get(*e)?.cert.as_ref()?;
-                                        Some((*e, cert.assignment(row)))
-                                    });
-                            match witness {
-                                Some((egd, assignment)) => recd.steps.push(ChaseStep::Merge {
-                                    egd,
-                                    assignment,
-                                    merged: merged_entry,
-                                }),
-                                None => recd.poisoned = true,
-                            }
-                        }
+                        recd.steps.push(ChaseStep::Merge {
+                            egd: *e,
+                            assignment: egds[*e].assignment(witness),
+                            merged: merged_entry,
+                        });
                     }
-                    match union {
-                        Err(()) => {
-                            let cert = rec.take().and_then(|r| r.finish(ChaseCertOutcome::Failed));
-                            return (ChaseOutcome::Failed, cert);
-                        }
-                        Ok(Some(loser)) => {
-                            steps += 1;
-                            merged.push(loser);
-                        }
-                        Ok(None) => {}
-                    }
+                    let Some((loser, _)) = merged_entry else {
+                        let cert = rec.map(|r| r.finish(ChaseCertOutcome::Failed));
+                        return (ChaseOutcome::Failed, cert);
+                    };
+                    steps += 1;
+                    merged.push(loser);
                 }
                 if merged.is_empty() {
                     break;
@@ -644,48 +555,24 @@ fn run(
             .collect();
         tgd_seed.sort_unstable();
         tgd_seed.dedup();
-        // As in the egd phase: one index and one seed partition for the
-        // trigger match and the satisfaction check. A certified run's
-        // triggers are exactly its provenance keys, so each rule body is
-        // evaluated once per round in either mode.
         let matched = {
             let mut idx = DbIndex::over(&store);
             let seeds = seeds_by_rel(schema, &store, &tgd_seed);
-            let prov = if rec.is_some() {
-                tgd_provenance(rules, &seeds, first_round, cfg.match_limit, &mut idx).map(Some)
-            } else {
-                Ok(None)
-            };
-            prov.and_then(|prov| {
-                let x = tgd_matches(
-                    schema,
-                    &store,
-                    rules,
-                    &fired,
-                    &seeds,
-                    prov.as_deref(),
-                    first_round,
-                    cfg,
-                    &mut cache,
-                    &mut idx,
-                )?;
-                Ok((x, prov))
-            })
+            tgd_matches(
+                rules,
+                &fired,
+                &seeds,
+                first_round,
+                cfg.match_limit,
+                &mut idx,
+            )
         };
-        let ((triggers, satisfied), prov) = match matched {
-            Ok(x) => x,
-            Err(()) => {
-                let partial = Box::new(rebuild(schema, &store, instance, &uf));
-                let cert = rec.take().and_then(|r| {
-                    let partial = cert_facts(schema, &store, &uf);
-                    r.finish(ChaseCertOutcome::Overflow { partial })
-                });
-                return (ChaseOutcome::Overflow(partial), cert);
-            }
+        let Ok((triggers, satisfied)) = matched else {
+            return overflow(schema, &store, instance, &uf, rec);
         };
         let mut inserted: Vec<u32> = Vec::new();
         for (r, rule) in rules.iter().enumerate() {
-            for row in &triggers[r] {
+            for (row, witness) in &triggers[r] {
                 if fired[r].contains(row) {
                     continue;
                 }
@@ -698,11 +585,7 @@ fn run(
                     continue;
                 }
                 if steps >= cfg.max_steps {
-                    let cert = rec.take().and_then(|rr| {
-                        let partial = cert_facts(schema, &store, &uf);
-                        rr.finish(ChaseCertOutcome::Aborted { partial })
-                    });
-                    return (ChaseOutcome::Aborted, cert);
+                    return aborted(schema, &store, &uf, rec);
                 }
                 steps += 1;
                 let mut fresh: FxHashMap<Null, Value> = FxHashMap::default();
@@ -723,27 +606,16 @@ fn run(
                     }
                 }
                 if let Some(recd) = rec.as_mut() {
-                    let witness = prov
-                        .as_ref()
-                        .and_then(|p| p.get(r))
-                        .and_then(|m| m.get(row))
-                        .zip(rule.cert.as_ref())
-                        .map(|(best, cert)| cert.assignment(best));
-                    match witness {
-                        Some(assignment) => {
-                            let mut ledger: Vec<(u32, Null)> = fresh
-                                .iter()
-                                .filter_map(|(k, v)| v.as_null().map(|n| (k.0, n)))
-                                .collect();
-                            ledger.sort_unstable();
-                            recd.steps.push(ChaseStep::Fire {
-                                rule: r,
-                                assignment,
-                                fresh: ledger,
-                            });
-                        }
-                        None => recd.poisoned = true,
-                    }
+                    let mut ledger: Vec<(u32, Null)> = fresh
+                        .iter()
+                        .filter_map(|(k, v)| v.as_null().map(|n| (k.0, n)))
+                        .collect();
+                    ledger.sort_unstable();
+                    recd.steps.push(ChaseStep::Fire {
+                        rule: r,
+                        assignment: rule.body.assignment(witness),
+                        fresh: ledger,
+                    });
                 }
             }
         }
@@ -754,60 +626,64 @@ fn run(
             // No merge and no firing: every trigger is satisfied or
             // fired, the instance is a fixpoint.
             let done = Box::new(rebuild(schema, &store, instance, &uf));
-            let cert = rec.take().and_then(|r| {
-                let final_facts = cert_facts(schema, &store, &uf);
-                r.finish(ChaseCertOutcome::Done { final_facts })
+            let cert = rec.map(|r| {
+                r.finish(ChaseCertOutcome::Done {
+                    final_facts: cert_facts(schema, &store, &uf),
+                })
             });
             return (ChaseOutcome::Done(done), cert);
         }
     }
 }
 
-/// Per rule: every frontier valuation matched this round, mapped to the
-/// least full body row (in `body_vars` order) projecting to it.
+/// Per rule: every frontier valuation matched this round (the round's
+/// triggers), mapped to the least full body row (in `body_vars` order)
+/// projecting to it.
 type Witnesses = BTreeMap<Vec<Value>, Vec<Value>>;
 
 /// Per equality pair: the least `(egd index, full body row)` deriving it.
 type EgdWitnesses = BTreeMap<(Value, Value), (usize, Vec<Value>)>;
 
-/// A certified run's egd match phase: evaluate the egds' full-assignment
-/// provenance plans over the pass's seeds (sequential), keeping for every
-/// equality pair its least witness. The key set is the pass's pair set.
-/// `Err(())` as soon as there are more than `limit` distinct pairs — the
-/// point where the plain match phase overflows too.
-fn egd_provenance(
-    egds: &[CompiledEgd],
+/// The egd match phase: evaluate every egd's body plans over the pass's
+/// seeds, keeping for every equality pair its least witness. The key
+/// set is the pass's pair set. `Err(())` as soon as there are more than
+/// `limit` distinct pairs.
+fn egd_matches(
+    egds: &[BodyPlans],
     seeds: &[Vec<u32>],
     limit: usize,
     idx: &mut DbIndex,
 ) -> Result<EgdWitnesses, ()> {
     let mut out = EgdWitnesses::new();
-    for (e, egd) in egds.iter().enumerate() {
-        let Some(cert) = &egd.cert else { continue };
-        let (Some(&pa), Some(&pb)) = (cert.proj.first(), cert.proj.get(1)) else {
+    for (e, body) in egds.iter().enumerate() {
+        let (Some(&pa), Some(&pb)) = (body.proj.first(), body.proj.get(1)) else {
             continue;
         };
-        let mut over = false;
-        for (rel, plan) in &cert.plans {
-            let prepared = prepare_cq(plan, idx);
+        for (rel, plan) in &body.plans {
             let rows = &seeds[rel.index()];
+            if rows.is_empty() {
+                continue;
+            }
+            let prepared = prepare_cq(plan, idx);
+            let mut over = false;
             eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
                 let (Some(&a), Some(&b)) = (row.get(pa), row.get(pb)) else {
                     return true;
                 };
                 let full = out.len() == limit;
-                match out.get_mut(&(a, b)) {
-                    Some(best) => {
+                match out.entry((a, b)) {
+                    Entry::Occupied(mut best) => {
+                        let best = best.get_mut();
                         if (e, row) < (best.0, best.1.as_slice()) {
                             *best = (e, row.to_vec());
                         }
                     }
-                    None if full => {
+                    Entry::Vacant(_) if full => {
                         over = true;
                         return false;
                     }
-                    None => {
-                        out.insert((a, b), (e, row.to_vec()));
+                    Entry::Vacant(slot) => {
+                        slot.insert((e, row.to_vec()));
                     }
                 }
                 true
@@ -820,66 +696,91 @@ fn egd_provenance(
     Ok(out)
 }
 
-/// A certified run's tgd match phase: evaluate the rules' full-assignment
-/// provenance plans over the round's seeds (sequential), keeping per rule
-/// every frontier valuation with its least full body row. The key sets
-/// are the round's trigger sets. `Err(())` as soon as a rule has more
-/// than `limit` distinct frontier valuations — the point where the plain
-/// match phase overflows too.
-fn tgd_provenance(
+/// The tgd match phase: evaluate every rule's body plans over the
+/// round's seeds, keeping per rule every frontier valuation with its
+/// least full body row, then the head plans of rules with unfired
+/// triggers. Returns per rule the witness map (whose keys are the
+/// round's triggers) and the satisfied frontier valuations. `Err(())`
+/// as soon as a rule has more than `limit` distinct triggers or
+/// satisfied valuations.
+fn tgd_matches(
     rules: &[CompiledRule],
+    fired: &[FxHashSet<Vec<Value>>],
     seeds: &[Vec<u32>],
     first_round: bool,
     limit: usize,
     idx: &mut DbIndex,
-) -> Result<Vec<Witnesses>, ()> {
-    let mut out = Vec::with_capacity(rules.len());
+) -> Result<(Vec<Witnesses>, Vec<TriggerSet>), ()> {
+    let mut triggers = Vec::with_capacity(rules.len());
+    let mut satisfied = Vec::with_capacity(rules.len());
     let mut key: Vec<Value> = Vec::new();
-    for rule in rules {
+    for (rule, fired) in rules.iter().zip(fired) {
+        let body = &rule.body;
         let mut map = Witnesses::new();
-        if let Some(cert) = &rule.cert {
-            // An empty-body rule has the empty trigger from round one.
-            if cert.plans.is_empty() && first_round {
-                map.insert(Vec::new(), Vec::new());
+        // A rule with an empty body has no atom to seed: its single
+        // trigger (the empty valuation) exists from round one.
+        if body.plans.is_empty() && first_round {
+            map.insert(Vec::new(), Vec::new());
+        }
+        for (rel, plan) in &body.plans {
+            let rows = &seeds[rel.index()];
+            if rows.is_empty() {
+                continue;
             }
+            let prepared = prepare_cq(plan, idx);
             let mut over = false;
-            for (rel, plan) in &cert.plans {
-                let prepared = prepare_cq(plan, idx);
-                let rows = &seeds[rel.index()];
-                eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
-                    key.clear();
-                    for &p in &cert.proj {
-                        match row.get(p) {
-                            Some(&v) => key.push(v),
-                            None => return true,
-                        }
+            eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
+                key.clear();
+                for &p in &body.proj {
+                    match row.get(p) {
+                        Some(&v) => key.push(v),
+                        None => return true,
                     }
-                    let full = map.len() == limit;
-                    match map.get_mut(key.as_slice()) {
-                        Some(best) => {
-                            if row < best.as_slice() {
-                                best.clear();
-                                best.extend_from_slice(row);
-                            }
-                        }
-                        None if full => {
-                            over = true;
-                            return false;
-                        }
-                        None => {
-                            map.insert(key.clone(), row.to_vec());
-                        }
-                    }
-                    true
-                });
-                if over {
-                    return Err(());
                 }
+                let full = map.len() == limit;
+                match map.get_mut(key.as_slice()) {
+                    Some(best) => {
+                        if row < best.as_slice() {
+                            best.clear();
+                            best.extend_from_slice(row);
+                        }
+                    }
+                    None if full => {
+                        over = true;
+                        return false;
+                    }
+                    None => {
+                        map.insert(key.clone(), row.to_vec());
+                    }
+                }
+                true
+            });
+            if over {
+                return Err(());
             }
         }
-        out.push(map);
+        // Head satisfaction, set-at-a-time, only for a rule with an
+        // unfired trigger.
+        let mut set = TriggerSet::new();
+        if map.keys().any(|row| !fired.contains(row)) {
+            let prepared = prepare_cq(&rule.head, idx);
+            let mut over = false;
+            eval_prepared_into(&rule.head, &prepared, idx, &mut |row| {
+                if set.len() == limit {
+                    over = true;
+                    return false;
+                }
+                set.insert(row.to_vec());
+                true
+            });
+            if over {
+                return Err(());
+            }
+        }
+        triggers.push(map);
+        satisfied.push(set);
     }
-    Ok(out)
+    Ok((triggers, satisfied))
 }
 
 /// Partition delta fact ids into per-relation row-id seed lists (the
@@ -894,161 +795,6 @@ fn seeds_by_rel(schema: &Schema, store: &FactStore, seed: &[FactId]) -> Vec<Vec<
         }
     }
     out
-}
-
-/// The sole disjunct of a rule-body/head plan. Compiled rule queries
-/// are built with `UnionQuery::single` (see `compile_rule`), so the
-/// compiled plan has exactly one disjunct by construction.
-fn sole(plan: &CompiledUcq) -> &CompiledCq {
-    // ca-lint: allow(L002, reason = "single-disjunct by construction: every chase rule query is wrapped via UnionQuery::single at compile_rule time")
-    plan.disjuncts().first().expect("UnionQuery::single")
-}
-
-/// Evaluate every egd's pinned plans over the per-relation seeds,
-/// returning the sorted set of equality pairs. `Err(())` = match budget
-/// exceeded.
-fn egd_matches(
-    schema: &Schema,
-    store: &FactStore,
-    egds: &[CompiledEgd],
-    seeds: &[Vec<u32>],
-    cfg: &ChaseConfig,
-    cache: &mut PlanCache,
-    idx: &mut DbIndex,
-) -> Result<BTreeSet<(Value, Value)>, ()> {
-    let limit = cfg.match_limit;
-    let mut pairs: BTreeSet<(Value, Value)> = BTreeSet::new();
-    for egd in egds {
-        for (p, &rel) in egd.rels.iter().enumerate() {
-            let rows = &seeds[rel.index()];
-            if rows.is_empty() {
-                continue;
-            }
-            let plan = cache
-                .get_or_compile_pinned(&egd.body_u, p, schema, store)
-                // ca-lint: allow(L002, reason = "compile_egd validated this body against the schema; plan errors are independent of pin and statistics")
-                .expect("egd bodies are validated at compile time");
-            let cq = sole(&plan);
-            let prepared = prepare_cq(cq, idx);
-            let mut over = false;
-            eval_seeded_into(cq, &prepared, idx, rows, &mut |row| {
-                if let [a, b] = row {
-                    // Insert straight away (dedup is free for Copy
-                    // pairs); only a full set needs the existence check
-                    // to tell "duplicate" from "over budget".
-                    if pairs.len() == limit {
-                        if pairs.contains(&(*a, *b)) {
-                            return true;
-                        }
-                        over = true;
-                        return false;
-                    }
-                    pairs.insert((*a, *b));
-                }
-                true
-            });
-            if over {
-                return Err(());
-            }
-        }
-    }
-    Ok(pairs)
-}
-
-/// Evaluate every rule's pinned plans over the per-relation seeds, and
-/// the head plans of rules with unfired candidates. Returns per-rule
-/// `(triggers, satisfied)` frontier-valuation sets. A certified run
-/// passes its provenance maps as `prov`: their key sets are the trigger
-/// sets, so no body is matched a second time. `Err(())` = match budget
-/// exceeded.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn tgd_matches(
-    schema: &Schema,
-    store: &FactStore,
-    rules: &[CompiledRule],
-    fired: &[FxHashSet<Vec<Value>>],
-    seeds: &[Vec<u32>],
-    prov: Option<&[Witnesses]>,
-    first_round: bool,
-    cfg: &ChaseConfig,
-    cache: &mut PlanCache,
-    idx: &mut DbIndex,
-) -> Result<(Vec<TriggerSet>, Vec<TriggerSet>), ()> {
-    let n_rules = rules.len();
-    let mut triggers: Vec<TriggerSet> = match prov {
-        Some(prov) => prov.iter().map(|m| m.keys().cloned().collect()).collect(),
-        None => vec![BTreeSet::new(); n_rules],
-    };
-    let mut satisfied: Vec<TriggerSet> = vec![BTreeSet::new(); n_rules];
-    let limit = cfg.match_limit;
-    // Certified triggers come from the provenance pass: seed no body.
-    let seeded: &[CompiledRule] = if prov.is_some() { &[] } else { rules };
-    for (rule, set) in seeded.iter().zip(triggers.iter_mut()) {
-        for (p, &rel) in rule.rels.iter().enumerate() {
-            let rows = &seeds[rel.index()];
-            if rows.is_empty() {
-                continue;
-            }
-            let plan = cache
-                .get_or_compile_pinned(&rule.body_u, p, schema, store)
-                // ca-lint: allow(L002, reason = "compile_rule validated this body against the schema; plan errors are independent of pin and statistics")
-                .expect("rule bodies are validated at compile time");
-            let cq = sole(&plan);
-            let prepared = prepare_cq(cq, idx);
-            let mut over = false;
-            eval_seeded_into(cq, &prepared, idx, rows, &mut |row| {
-                if set.contains(row) {
-                    return true;
-                }
-                if set.len() == limit {
-                    over = true;
-                    return false;
-                }
-                set.insert(row.to_vec());
-                true
-            });
-            if over {
-                return Err(());
-            }
-        }
-    }
-    // A rule with an empty body has no atom to seed: its single trigger
-    // (the empty valuation) exists from round one.
-    if first_round {
-        for (r, rule) in rules.iter().enumerate() {
-            if rule.rels.is_empty() {
-                triggers[r].insert(Vec::new());
-            }
-        }
-    }
-    // Head satisfaction, set-at-a-time, for rules with unfired
-    // candidates. Head plans go through the cache too: a quiet store
-    // serves them for free, a mutated one re-costs them.
-    for (r, rule) in rules.iter().enumerate() {
-        if triggers[r].iter().all(|row| fired[r].contains(row)) {
-            continue;
-        }
-        let plan = cache
-            .get_or_compile(&rule.head_u, schema, store)
-            // ca-lint: allow(L002, reason = "compile_rule validated this head against the schema; plan errors are independent of statistics")
-            .expect("rule heads are validated at compile time");
-        let cq = sole(&plan);
-        let prepared = prepare_cq(cq, idx);
-        let set = &mut satisfied[r];
-        let mut over = false;
-        eval_prepared_into(cq, &prepared, idx, &mut |row| {
-            if set.len() == limit {
-                over = true;
-                return false;
-            }
-            set.insert(row.to_vec());
-            true
-        });
-        if over {
-            return Err(());
-        }
-    }
-    Ok((triggers, satisfied))
 }
 
 /// The chased (or partially chased) instance: one node per live fact, in

@@ -85,13 +85,13 @@ pub struct ChaseConfig {
     /// exceeds this yields [`ChaseOutcome::Overflow`].
     pub match_limit: usize,
     /// Record a replayable derivation log ([`ca_cert::ChaseCert`]) while
-    /// chasing. Off by default: the hot path then allocates nothing for
-    /// provenance. Certified runs still evaluate each rule and egd body
-    /// once per round, but through (sequential) full-assignment plans in
-    /// place of the match plans: the least body assignment found for each
-    /// trigger is the witness its firing or merge records. The match
-    /// budget applies to those plans in the same way, so the outcome
-    /// never depends on this flag.
+    /// chasing. Off by default. The match phase is shared by both modes:
+    /// every run evaluates each rule and egd body once per round through
+    /// the same full-assignment plans and keeps the least body assignment
+    /// found for each trigger. This flag only turns the recorder on — the
+    /// constraint set, the initial facts, one step per firing or merge
+    /// (with that assignment as its witness) and the claimed facts — so
+    /// the outcome never depends on it.
     pub certify: bool,
 }
 

@@ -2,9 +2,10 @@
 //! `ca_exchange::chase::chase` against the retained seed-era loop in
 //! `ca_exchange::reference` on random relational instances.
 //!
-//! Rule pools are chosen terminating (full tgds — no existentials — plus
-//! a functionality egd), so with a generous budget neither side may
-//! abort and both must agree on the *outcome variant*: `Done` results
+//! Rule pools are chosen terminating (full tgds, a functionality egd, and
+//! one existential tgd whose head relation no body reads), so with a
+//! generous budget neither side may abort and both must agree on the
+//! *outcome variant*: `Done` results
 //! are compared up to hom-equivalence (the engine interns facts and
 //! fires per frontier valuation, so node counts may differ), `Failed`
 //! must match exactly.
@@ -25,7 +26,7 @@ fn n(id: u32) -> Value {
 }
 
 fn schema() -> GenSchema {
-    GenSchema::from_parts(&[("R", 2)], &[])
+    GenSchema::from_parts(&[("R", 2), ("S", 2)], &[])
 }
 
 fn gen_instance(seed: u64, n_facts: usize) -> GenDb {
@@ -68,6 +69,21 @@ fn symmetry() -> Rule {
     Rule { body, head }
 }
 
+/// Three-step paths get a two-step detour: R(x,y) ∧ R(y,z) ∧ R(z,u) →
+/// ∃w S(x,w) ∧ S(w,u). Terminating, since no body reads S. The body's
+/// three atoms leave each pinned plan a choice of join order, and the
+/// head's two atoms make satisfaction a join.
+fn detour() -> Rule {
+    let mut body = GenDb::new(schema());
+    body.add_node("R", vec![n(1), n(2)]);
+    body.add_node("R", vec![n(2), n(3)]);
+    body.add_node("R", vec![n(3), n(4)]);
+    let mut head = GenDb::new(schema());
+    head.add_node("S", vec![n(1), n(5)]);
+    head.add_node("S", vec![n(5), n(4)]);
+    Rule { body, head }
+}
+
 /// Functionality: R(x,y) ∧ R(x,z) → y = z.
 fn functionality() -> Egd {
     let mut body = GenDb::new(schema());
@@ -87,6 +103,9 @@ fn rule_pool(bits: u8) -> (Vec<Rule>, Vec<Egd>) {
     if bits & 2 != 0 {
         tgds.push(symmetry());
     }
+    if bits & 8 != 0 {
+        tgds.push(detour());
+    }
     let egds = if bits & 4 != 0 {
         vec![functionality()]
     } else {
@@ -104,7 +123,7 @@ proptest! {
     /// reference agree on the outcome; `Done` results are
     /// hom-equivalent.
     #[test]
-    fn chase_agrees_with_reference(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..8) {
+    fn chase_agrees_with_reference(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..16) {
         let d = gen_instance(seed, facts);
         let (tgds, egds) = rule_pool(bits);
         let fast = chase_with(&d, &tgds, &egds, &ChaseConfig::new(BUDGET));
@@ -120,7 +139,7 @@ proptest! {
 
     /// A successful chase result is a fixpoint of the reference loop.
     #[test]
-    fn chased_instance_is_a_fixpoint(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..8) {
+    fn chased_instance_is_a_fixpoint(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..16) {
         let d = gen_instance(seed, facts);
         let (tgds, egds) = rule_pool(bits);
         if let ChaseOutcome::Done(a) = chase_with(&d, &tgds, &egds, &ChaseConfig::new(BUDGET)) {
@@ -142,7 +161,7 @@ proptest! {
     /// budget itself, so it must give up exactly where the plain match
     /// phase does, with the same partial payload.
     #[test]
-    fn certified_chase_agrees_and_replays(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..8) {
+    fn certified_chase_agrees_and_replays(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..16) {
         use ca_cert::ChaseCertOutcome;
         use ca_exchange::chase::chase_certified;
 

@@ -586,15 +586,12 @@ pub fn is_determinism_seed(path: &str, name: &str) -> bool {
         path == "crates/cert/src/bytes.rs" || path == "crates/core/src/store/snapshot.rs";
     // Plan choice is pinned deterministic (the planner differential
     // tests compare compiled plans structurally across runs), so the
-    // statistics collector, the plan-cache lookup, and the cost-based
-    // orderer are determinism-sensitive roots alongside the byte
-    // emitters.
+    // statistics collector and the cost-based orderer are
+    // determinism-sensitive roots alongside the byte emitters.
     let stats = path == "crates/core/src/store/stats.rs" && name == "compute_exact";
-    let cache = path == "crates/query/src/engine/cache.rs" && name == "lookup";
     let planner = path == "crates/query/src/engine/cost.rs" && name == "order";
     (byte_emitter && name == "to_bytes")
         || stats
-        || cache
         || planner
         || (path.starts_with("crates/bench/src/bin/") && name == "main")
 }

@@ -146,17 +146,11 @@ impl CostModel {
         sel
     }
 
-    /// The minimum-cost join order of `q` under this model, with atom
-    /// `pin` (if any, in range) forced to the front. `None` when the
-    /// query is outside the DP's reach — more than [`DP_MAX_ATOMS`]
+    /// The minimum-cost join order of `q` under this model. `None` when
+    /// the query is outside the DP's reach — more than [`DP_MAX_ATOMS`]
     /// atoms or more than 64 distinct variables — or trivially ordered
     /// (fewer than two atoms); callers keep the greedy order then.
-    pub(crate) fn order(
-        &self,
-        q: &ConjunctiveQuery,
-        rels: &[Symbol],
-        pin: Option<usize>,
-    ) -> Option<Vec<usize>> {
+    pub(crate) fn order(&self, q: &ConjunctiveQuery, rels: &[Symbol]) -> Option<Vec<usize>> {
         let n = q.atoms.len();
         if !(2..=DP_MAX_ATOMS).contains(&n) {
             return None;
@@ -191,17 +185,13 @@ impl CostModel {
         }
         let full: usize = (1usize << n) - 1;
         let mut best: Vec<Option<State>> = vec![None; full + 1];
-        let seed = |i: usize, best: &mut Vec<Option<State>>| {
+        for i in 0..n {
             let est = self.est_atom(q, rels, i, 0, var_bit);
             best[1 << i] = Some(State {
                 cost: est,
                 card: est.max(1.0),
                 last: i,
             });
-        };
-        match pin.filter(|&p| p < n) {
-            Some(p) => seed(p, &mut best),
-            None => (0..n).for_each(|i| seed(i, &mut best)),
         }
         for mask in 1..=full {
             let Some(state) = best[mask] else { continue };
@@ -327,24 +317,8 @@ mod tests {
             Atom::new("Tiny", vec![V(0)]),
         ]);
         let rels = [Symbol(0), Symbol(1)];
-        let order = model().order(&q, &rels, None).expect("within DP reach");
+        let order = model().order(&q, &rels).expect("within DP reach");
         assert_eq!(order, vec![1, 0], "tiny relation first");
-    }
-
-    #[test]
-    fn pin_overrides_cost() {
-        let q = ConjunctiveQuery::boolean(vec![
-            Atom::new("Big", vec![V(0), V(1)]),
-            Atom::new("Tiny", vec![V(0)]),
-        ]);
-        let rels = [Symbol(0), Symbol(1)];
-        let order = model().order(&q, &rels, Some(0)).unwrap();
-        assert_eq!(order[0], 0, "pinned atom leads even when expensive");
-        // Out-of-range pins are ignored, like the greedy orderer's.
-        assert_eq!(
-            model().order(&q, &rels, Some(9)),
-            model().order(&q, &rels, None)
-        );
     }
 
     #[test]
@@ -354,10 +328,10 @@ mod tests {
             .collect();
         let rels = vec![Symbol(1); atoms.len()];
         let q = ConjunctiveQuery::boolean(atoms);
-        assert_eq!(model().order(&q, &rels, None), None);
+        assert_eq!(model().order(&q, &rels), None);
         let small = ConjunctiveQuery::boolean(vec![Atom::new("Tiny", vec![V(0)])]);
         assert_eq!(
-            model().order(&small, &[Symbol(1)], None),
+            model().order(&small, &[Symbol(1)]),
             None,
             "single atom: nothing to order"
         );
@@ -372,7 +346,7 @@ mod tests {
             Atom::new("Big", vec![C(3), V(0)]),
         ]);
         let rels = [Symbol(0), Symbol(0)];
-        assert_eq!(model().order(&q, &rels, None).unwrap(), vec![1, 0]);
+        assert_eq!(model().order(&q, &rels).unwrap(), vec![1, 0]);
     }
 
     #[test]
@@ -383,6 +357,6 @@ mod tests {
             Atom::new("Tiny", vec![V(0)]),
         ]);
         let rels = [Symbol(1), Symbol(1)];
-        assert_eq!(model().order(&q, &rels, None).unwrap(), vec![0, 1]);
+        assert_eq!(model().order(&q, &rels).unwrap(), vec![0, 1]);
     }
 }

@@ -26,7 +26,6 @@
 //! serves as the differential-testing oracle (`tests/eval_differential.rs`),
 //! mirroring the `ca_hom::csp` / `ca_hom::reference` kernel pattern.
 
-pub mod cache;
 pub mod cost;
 pub mod index;
 pub mod plan;
@@ -41,7 +40,6 @@ use ca_relational::schema::Schema;
 
 use crate::ast::{ConjunctiveQuery, UnionQuery};
 
-pub use cache::PlanCache;
 pub use cost::CostModel;
 pub use index::DbIndex;
 pub use plan::{CompiledCq, CompiledUcq, PlanError};

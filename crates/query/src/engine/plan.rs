@@ -145,29 +145,9 @@ impl CompiledCq {
         schema: &Schema,
         model: &CostModel,
     ) -> Result<CompiledCq, PlanError> {
-        Self::compile_with_model(q, schema, None, model)
-    }
-
-    /// Cost-based compilation with atom `pin` forced to the front (the
-    /// seeded-evaluation contract of [`Self::compile_pinned`] holds).
-    pub fn compile_costed_pinned(
-        q: &ConjunctiveQuery,
-        schema: &Schema,
-        pin: usize,
-        model: &CostModel,
-    ) -> Result<CompiledCq, PlanError> {
-        Self::compile_with_model(q, schema, Some(pin), model)
-    }
-
-    fn compile_with_model(
-        q: &ConjunctiveQuery,
-        schema: &Schema,
-        pin: Option<usize>,
-        model: &CostModel,
-    ) -> Result<CompiledCq, PlanError> {
         let rels = resolve_rels(q, schema)?;
-        let greedy = join_order(q, pin);
-        match model.order(q, &rels, pin) {
+        let greedy = join_order(q, None);
+        match model.order(q, &rels) {
             // Hysteresis: take the DP's order only for a predicted win
             // past [`cost::DP_WIN_MARGIN`]. On near-ties the greedy
             // baseline is kept, so plan choice is stable under
@@ -359,15 +339,6 @@ impl CompiledUcq {
         })
     }
 
-    /// Assemble a UCQ plan from already-compiled disjuncts (the plan
-    /// cache's pinned path compiles disjunct-by-disjunct).
-    pub(crate) fn from_parts(disjuncts: Vec<CompiledCq>, head_arity: usize) -> CompiledUcq {
-        CompiledUcq {
-            disjuncts,
-            head_arity,
-        }
-    }
-
     /// Compile every disjunct with cost-based ordering; fails on the
     /// first disjunct that does not fit the schema.
     pub fn compile_costed(
@@ -405,13 +376,6 @@ impl CompiledUcq {
     /// The shared head arity (0 for Boolean queries).
     pub fn head_arity(&self) -> usize {
         self.head_arity
-    }
-
-    /// The compiled disjuncts in declaration order. The chase engine
-    /// caches single-disjunct UCQ plans per rule body and evaluates the
-    /// lone disjunct seeded; everything it needs is this slice.
-    pub fn disjuncts(&self) -> &[CompiledCq] {
-        &self.disjuncts
     }
 }
 
