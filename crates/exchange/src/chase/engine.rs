@@ -35,7 +35,11 @@
 //!   in (rule index, pin) order, and firing applies the collected
 //!   triggers in (rule index, frontier valuation) order — lowest trigger
 //!   wins — with fresh existential nulls drawn in that same order, so
-//!   the chased instance is deterministic.
+//!   the chased instance is deterministic;
+//! * every exit canonicalises the store once ([`canonical_rows`]), and
+//!   the chased instance of [`ChaseOutcome::Done`] / `Overflow` and the
+//!   certificate's claimed facts are two cuts of that pass: nodes come
+//!   out in canonical `(relation, data)` order with no duplicates.
 //!
 //! Differences from the reference loop, all benign up to
 //! hom-equivalence (the differential suite compares with `gdm_equiv`):
@@ -50,15 +54,14 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
-use ca_cert::{
-    CertAtom, CertEgd, CertFact, CertRule, CertTerm, ChaseCert, ChaseCertOutcome, ChaseStep,
-};
+use ca_cert::{CertAtom, CertEgd, CertFact, CertRule, ChaseCert, ChaseCertOutcome, ChaseStep};
 use ca_core::fxhash::{FxHashMap, FxHashSet};
 use ca_core::store::{FactId, FactStore};
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term};
+use ca_query::certify::cert_atom;
 use ca_query::engine::{eval_prepared_into, eval_seeded_into, prepare_cq, CompiledCq, DbIndex};
 use ca_relational::schema::Schema;
 
@@ -243,25 +246,6 @@ impl UnionFind {
     }
 }
 
-/// A pattern body/head in checker vocabulary: the exact mirror of
-/// [`pattern_atoms`] (nulls as variables by id, constants literal).
-fn cert_atoms(d: &GenDb) -> Vec<CertAtom> {
-    d.labels
-        .iter()
-        .zip(&d.data)
-        .map(|(&label, row)| CertAtom {
-            rel: d.schema.label_name(label).to_owned(),
-            args: row
-                .iter()
-                .map(|v| match v {
-                    Value::Null(nl) => CertTerm::Var(nl.0),
-                    Value::Const(c) => CertTerm::Const(*c),
-                })
-                .collect(),
-        })
-        .collect()
-}
-
 /// The constraint-set half of a chase certificate, built up front;
 /// [`run`] adds the initial instance, the derivation and the outcome.
 struct CertSkeleton {
@@ -270,18 +254,19 @@ struct CertSkeleton {
 }
 
 fn cert_skeleton(tgds: &[Rule], egds: &[Egd]) -> CertSkeleton {
+    let atoms = |d: &GenDb| -> Vec<CertAtom> { pattern_atoms(d).iter().map(cert_atom).collect() };
     CertSkeleton {
         rules: tgds
             .iter()
             .map(|r| CertRule {
-                body: cert_atoms(&r.body),
-                head: cert_atoms(&r.head),
+                body: atoms(&r.body),
+                head: atoms(&r.head),
             })
             .collect(),
         egds: egds
             .iter()
             .map(|e| CertEgd {
-                body: cert_atoms(&e.body),
+                body: atoms(&e.body),
                 equal: (e.equal.0 .0, e.equal.1 .0),
             })
             .collect(),
@@ -306,17 +291,17 @@ pub(super) fn try_chase(
     {
         return None;
     }
-    // The instance schema's labels as a relational schema. Pattern labels
-    // resolve against it by *name*, since each pattern carries its own
-    // interner.
+    // The instance schema's labels as a relational schema, registered in
+    // label order, so relation symbols coincide with label symbols.
+    // Pattern labels resolve against it by *name*, since each pattern
+    // carries its own interner.
     let mut schema = Schema::new();
-    let mut rel_of_label: Vec<Symbol> = Vec::new();
     for sym in instance.schema.label_symbols() {
         let rel = schema.add_relation(
             instance.schema.label_name(sym),
             instance.schema.label_arity(sym),
         );
-        rel_of_label.push(rel);
+        debug_assert_eq!(rel, sym, "schema symbols mirror label symbols");
     }
     let rules: Vec<CompiledRule> = tgds
         .iter()
@@ -334,16 +319,7 @@ pub(super) fn try_chase(
         ),
     );
     let skeleton = cfg.certify.then(|| cert_skeleton(tgds, egds));
-    Some(run(
-        &schema,
-        &rules,
-        &cegds,
-        instance,
-        &rel_of_label,
-        gen,
-        cfg,
-        skeleton,
-    ))
+    Some(run(&schema, &rules, &cegds, instance, gen, cfg, skeleton))
 }
 
 /// A round's satisfied set for one rule: frontier valuations.
@@ -372,33 +348,52 @@ impl Recorder {
     }
 }
 
-/// The live store facts, union-find-resolved, in checker vocabulary:
-/// the initial facts of every certificate and the claimed facts of every
-/// `Done`, `Overflow` and `Aborted` one. (`rewrite` lags the union-find
-/// mid-merge-batch, so resolution is applied here rather than trusting
-/// the store to be current.) Sorted and deduplicated one relation at a
-/// time, in name order, which is the `(name, args)` order without
-/// comparing names; store row order follows insertion and must not leak
-/// into certificate bytes.
-fn cert_facts(schema: &Schema, store: &FactStore, uf: &UnionFind) -> Vec<CertFact> {
-    let mut rels: Vec<Symbol> = store.relations().collect();
+/// The live store facts per relation symbol, resolved through the
+/// union-find (`rewrite` lags it mid-merge-batch), sorted and deduplicated,
+/// so store insertion order never leaks into an outcome or certificate.
+fn canonical_rows(store: &FactStore, uf: &UnionFind) -> Vec<Vec<Vec<Value>>> {
+    store
+        .relations()
+        .map(|rel| {
+            let table = store.table(rel);
+            let mut rows: Vec<Vec<Value>> = (0..table.n_rows())
+                .filter(|&row| table.is_live(row))
+                .map(|row| {
+                    let resolve = |col: &Vec<_>| uf.find(store.value(col[row as usize]));
+                    table.cols().iter().map(resolve).collect()
+                })
+                .collect();
+            rows.sort_unstable();
+            rows.dedup();
+            rows
+        })
+        .collect()
+}
+
+/// The canonical rows in checker vocabulary, relations in name order
+/// (the `(name, args)` order without comparing names): every fact list
+/// of a chase certificate.
+fn cert_facts(schema: &Schema, rows: &[Vec<Vec<Value>>]) -> Vec<CertFact> {
+    let mut rels: Vec<Symbol> = schema.symbols().collect();
     rels.sort_by_key(|&rel| schema.name(rel));
-    let mut facts = Vec::new();
-    for rel in rels {
-        let table = store.table(rel);
-        let mut rows: Vec<Vec<Value>> = (0..table.n_rows())
-            .filter(|&row| table.is_live(row))
-            .map(|row| {
-                let resolve = |col: &Vec<_>| uf.find(store.value(col[row as usize]));
-                table.cols().iter().map(resolve).collect()
-            })
-            .collect();
-        rows.sort();
-        rows.dedup();
-        let name = schema.name(rel);
-        facts.extend(rows.into_iter().map(|row| (name.to_owned(), row)));
+    let cut = |rel: Symbol| {
+        rows[rel.index()]
+            .iter()
+            .map(move |row| (schema.name(rel).to_owned(), row.clone()))
+    };
+    rels.into_iter().flat_map(cut).collect()
+}
+
+/// The canonical rows as the chased instance, relations in symbol order
+/// (store, schema and label symbols coincide): `relational_view` reads it
+/// as facts already in `Fact` order.
+fn chased_db(instance: &GenDb, rows: Vec<Vec<Vec<Value>>>) -> GenDb {
+    let mut out = GenDb::new(instance.schema.clone());
+    for (label, run) in instance.schema.label_symbols().zip(rows) {
+        out.labels.extend(std::iter::repeat_n(label, run.len()));
+        out.data.extend(run);
     }
-    facts
+    out
 }
 
 /// The step budget ran out: no chased instance, and a certified run
@@ -411,7 +406,7 @@ fn aborted(
 ) -> (ChaseOutcome, Option<ChaseCert>) {
     let cert = rec.map(|r| {
         r.finish(ChaseCertOutcome::Aborted {
-            partial: cert_facts(schema, store, uf),
+            partial: cert_facts(schema, &canonical_rows(store, uf)),
         })
     });
     (ChaseOutcome::Aborted, cert)
@@ -426,22 +421,23 @@ fn overflow(
     uf: &UnionFind,
     rec: Option<Recorder>,
 ) -> (ChaseOutcome, Option<ChaseCert>) {
-    let partial = Box::new(rebuild(schema, store, instance, uf));
+    let rows = canonical_rows(store, uf);
     let cert = rec.map(|r| {
         r.finish(ChaseCertOutcome::Overflow {
-            partial: cert_facts(schema, store, uf),
+            partial: cert_facts(schema, &rows),
         })
     });
-    (ChaseOutcome::Overflow(partial), cert)
+    (
+        ChaseOutcome::Overflow(Box::new(chased_db(instance, rows))),
+        cert,
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run(
     schema: &Schema,
     rules: &[CompiledRule],
     egds: &[BodyPlans],
     instance: &GenDb,
-    rel_of_label: &[Symbol],
     mut gen: NullGen,
     cfg: &ChaseConfig,
     skeleton: Option<CertSkeleton>,
@@ -460,9 +456,8 @@ fn run(
     let mut steps = 0usize;
     // Load the instance; duplicate nodes intern to one fact.
     let mut delta: Vec<FactId> = Vec::new();
-    for (label, row) in instance.labels.iter().zip(&instance.data) {
-        let rel = rel_of_label.get(label.index()).copied().unwrap_or(*label); // unreachable: every instance label is in its schema
-        if let Some(id) = store.insert(rel, row) {
+    for (&label, row) in instance.labels.iter().zip(&instance.data) {
+        if let Some(id) = store.insert(label, row) {
             delta.push(id);
         }
     }
@@ -471,7 +466,7 @@ fn run(
     // the caller's node insertion order.
     let mut rec: Option<Recorder> = skeleton.map(|skeleton| Recorder {
         skeleton,
-        initial: cert_facts(schema, &store, &uf),
+        initial: cert_facts(schema, &canonical_rows(&store, &uf)),
         steps: Vec::new(),
     });
     let mut first_round = true;
@@ -625,13 +620,16 @@ fn run(
         if steps == round_start_steps {
             // No merge and no firing: every trigger is satisfied or
             // fired, the instance is a fixpoint.
-            let done = Box::new(rebuild(schema, &store, instance, &uf));
+            let rows = canonical_rows(&store, &uf);
             let cert = rec.map(|r| {
                 r.finish(ChaseCertOutcome::Done {
-                    final_facts: cert_facts(schema, &store, &uf),
+                    final_facts: cert_facts(schema, &rows),
                 })
             });
-            return (ChaseOutcome::Done(done), cert);
+            return (
+                ChaseOutcome::Done(Box::new(chased_db(instance, rows))),
+                cert,
+            );
         }
     }
 }
@@ -793,20 +791,6 @@ fn seeds_by_rel(schema: &Schema, store: &FactStore, seed: &[FactId]) -> Vec<Vec<
         if store.is_live(id) {
             out[store.fact_rel(id).index()].push(store.fact_row(id));
         }
-    }
-    out
-}
-
-/// The chased (or partially chased) instance: one node per live fact, in
-/// store-id (= creation) order, over the original generalized schema.
-/// Values go through the union-find — a no-op after a completed rewrite,
-/// load-bearing on the partial-progress paths where `rewrite` may lag the
-/// merges already recorded.
-fn rebuild(schema: &Schema, store: &FactStore, instance: &GenDb, uf: &UnionFind) -> GenDb {
-    let mut out = GenDb::new(instance.schema.clone());
-    for id in store.iter_live() {
-        let row: Vec<Value> = store.fact_values(id).iter().map(|&v| uf.find(v)).collect();
-        out.add_node(schema.name(store.fact_rel(id)), row);
     }
     out
 }

@@ -57,7 +57,9 @@ pub struct Egd {
 /// The result of a chase run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChaseOutcome {
-    /// All constraints satisfied; the chased instance is returned.
+    /// All constraints satisfied; the chased instance is returned. From
+    /// the compiled engine, its nodes are in canonical `(label, data)` order
+    /// with no duplicates, independent of the input's node order.
     Done(Box<GenDb>),
     /// An egd tried to equate two distinct constants: no solution exists.
     Failed,
@@ -67,7 +69,8 @@ pub enum ChaseOutcome {
     /// ([`ChaseConfig::match_limit`]): the trigger set is too large to
     /// enumerate, so no sound fixpoint claim can be made. Carries the
     /// facts derived before giving up — partial progress is reported, not
-    /// silently dropped (the instance is *not* a fixpoint).
+    /// silently dropped (the instance is *not* a fixpoint). From the
+    /// compiled engine, in the same canonical node order as `Done`.
     Overflow(Box<GenDb>),
 }
 

@@ -159,7 +159,9 @@ proptest! {
     /// the generous budget, tight match budgets (1..=8) make rounds
     /// overflow mid-chase: a certified run's provenance pass enforces the
     /// budget itself, so it must give up exactly where the plain match
-    /// phase does, with the same partial payload.
+    /// phase does, with the same partial payload. A `Done` or `Overflow`
+    /// payload is exactly the certificate's claimed fact set, with its
+    /// nodes strictly increasing in `(label, data)` order.
     #[test]
     fn certified_chase_agrees_and_replays(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..16) {
         use ca_cert::ChaseCertOutcome;
@@ -189,17 +191,22 @@ proptest! {
                 limit,
                 &d
             );
-            // The certified outcome variant matches the engine's.
-            match (&certified, &cert.outcome) {
-                (ChaseOutcome::Done(db), ChaseCertOutcome::Done { final_facts }) => {
-                    prop_assert_eq!(db.n_nodes(), final_facts.len());
+            // The certified outcome variant matches the engine's, and a
+            // carried instance is the claimed fact set in canonical order.
+            let (db, claimed) = match (&certified, &cert.outcome) {
+                (ChaseOutcome::Done(db), ChaseCertOutcome::Done { final_facts: facts })
+                | (ChaseOutcome::Overflow(db), ChaseCertOutcome::Overflow { partial: facts }) => {
+                    (db, facts)
                 }
-                (ChaseOutcome::Overflow(db), ChaseCertOutcome::Overflow { partial }) => {
-                    prop_assert_eq!(db.n_nodes(), partial.len());
-                }
-                (ChaseOutcome::Failed, ChaseCertOutcome::Failed) => {}
-                other => prop_assert!(false, "cert outcome diverged on {:?}: {:?}", &d, other),
-            }
+                (ChaseOutcome::Failed, ChaseCertOutcome::Failed) => continue,
+                other => panic!("cert outcome diverged on {:?}: {:?}", &d, other),
+            };
+            let nodes = db.labels.iter().zip(&db.data);
+            prop_assert!(nodes.clone().is_sorted_by(|a, b| a < b), "limit {}: {:?}", limit, db);
+            let mut payload: Vec<_> =
+                nodes.map(|(&l, row)| (db.schema.label_name(l).to_owned(), row.clone())).collect();
+            payload.sort();
+            prop_assert_eq!(&payload, claimed, "payload is not the claimed facts at limit {}", limit);
         }
     }
 }

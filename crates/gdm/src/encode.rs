@@ -39,29 +39,27 @@ pub fn encode_relational(db: &NaiveDatabase) -> GenDb {
 /// database carries structural tuples — those have no relational
 /// reading. This is the bridge that lets the data-exchange chase and
 /// certain-answer paths run on the compiled join engine of `ca_query`.
+///
+/// Relations are registered in label order, so each node's label symbol
+/// is its relation symbol, and a node list in canonical `(label, data)`
+/// order — what the chase engine returns — is already in [`Fact`] order:
+/// [`NaiveDatabase::from_facts`] sorts it in linear time. Any other node
+/// order is accepted and sorted.
 pub fn relational_view(d: &GenDb) -> Option<NaiveDatabase> {
     if !d.tuples.is_empty() {
         return None;
     }
     let mut schema = ca_relational::schema::Schema::new();
-    // Each label resolves to its relation once, indexed by label symbol.
-    let rel_of_label: Vec<_> = d
-        .schema
-        .label_symbols()
-        .map(|sym| schema.add_relation(d.schema.label_name(sym), d.schema.label_arity(sym)))
-        .collect();
-    let facts = d
-        .labels
-        .iter()
-        .zip(&d.data)
-        .map(|(label, data)| {
-            Some(Fact {
-                rel: *rel_of_label.get(label.index())?,
-                args: data.clone(),
-            })
-        })
-        .collect::<Option<_>>()?;
-    Some(NaiveDatabase::from_facts(schema, facts))
+    for sym in d.schema.label_symbols() {
+        let rel = schema.add_relation(d.schema.label_name(sym), d.schema.label_arity(sym));
+        debug_assert_eq!(rel, sym, "relation symbols mirror label symbols");
+    }
+    let facts = d.labels.iter().zip(&d.data);
+    let facts = facts.map(|(&rel, data)| Fact {
+        rel,
+        args: data.clone(),
+    });
+    Some(NaiveDatabase::from_facts(schema, facts.collect()))
 }
 
 /// The name of the child relation used by XML encodings.

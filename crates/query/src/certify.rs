@@ -48,7 +48,8 @@ fn cert_cq(cq: &ConjunctiveQuery) -> CertCq {
     }
 }
 
-fn cert_atom(a: &Atom) -> CertAtom {
+/// A query atom in checker vocabulary: variables by id, constants literal.
+pub fn cert_atom(a: &Atom) -> CertAtom {
     CertAtom {
         rel: a.rel.clone(),
         args: a

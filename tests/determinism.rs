@@ -284,8 +284,9 @@ fn query_certificates_are_layout_and_thread_independent() {
     }
 }
 
-/// Chase derivation logs: byte-identical certificates across
-/// independently rebuilt instances, and accepted by the checker. Two
+/// Chase derivation logs: byte-identical certificates and equal chased
+/// instances (node order included) across independently rebuilt
+/// instances, and certificates accepted by the checker. Two
 /// fixtures: egd-free transitivity over one relation, and the pipeline
 /// benchmark's shape — copy rules, an existential rule, a transitive
 /// rule and an egd merge, over seven relations.
@@ -293,7 +294,7 @@ fn query_certificates_are_layout_and_thread_independent() {
 fn chase_certificates_are_layout_and_thread_independent() {
     use ca_cert::ChaseStep;
     use ca_core::value::Null;
-    use ca_exchange::chase::{chase_certified, ChaseConfig, Egd};
+    use ca_exchange::chase::{chase_certified, ChaseConfig, ChaseOutcome, Egd};
     use ca_exchange::mapping::Rule;
     use ca_gdm::database::GenDb;
     use ca_gdm::schema::GenSchema;
@@ -382,10 +383,11 @@ fn chase_certificates_are_layout_and_thread_independent() {
             for (rel, args) in facts {
                 d.add_node(rel, args);
             }
-            let (_, cert) = chase_certified(&d, tgds, egds, &cfg);
-            cert.expect("engine certifies the fixture chase")
+            let (outcome, cert) = chase_certified(&d, tgds, egds, &cfg);
+            (outcome, cert.expect("engine certifies the fixture chase"))
         };
-        let baseline = run(0);
+        let (chased, baseline) = run(0);
+        assert!(matches!(chased, ChaseOutcome::Done(_)), "{chased:?}");
         assert_eq!(ca_cert::check_chase(&baseline), Ok(()));
         if !egds.is_empty() {
             let steps = &baseline.steps;
@@ -396,9 +398,16 @@ fn chase_certificates_are_layout_and_thread_independent() {
         }
         let baseline = baseline.to_bytes();
         for rotation in 0..facts.len() {
+            let (outcome, cert) = run(rotation);
+            // The chased instance itself, node order included, is
+            // canonical: not just equal up to a permutation of nodes.
+            assert_eq!(
+                chased, outcome,
+                "chased instance diverged (rebuild #{rotation})"
+            );
             assert_eq!(
                 baseline,
-                run(rotation).to_bytes(),
+                cert.to_bytes(),
                 "chase certificate bytes diverged (rebuild #{rotation})"
             );
         }
