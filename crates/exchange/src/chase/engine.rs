@@ -13,20 +13,24 @@
 //!   at least one new fact is found exactly through the plan pinned at
 //!   that fact's position, and quiet regions are never re-derived
 //!   (semi-naive evaluation). Each answer row is a complete body
-//!   assignment, and the round keeps the least one per trigger (per
-//!   equality pair, for egds). This is the one match phase of both
-//!   modes: the triggers are the witness map's keys, and a certified run
-//!   ([`ChaseConfig::certify`]) records the witness as its step's
-//!   assignment;
+//!   assignment. With its match key (the trigger, or the equality pair
+//!   for egds) in front it goes into one flat, fixed-stride buffer per
+//!   rule ([`Distinct`]) that keeps the least row per key, and one sort
+//!   of the distinct rows yields the round's triggers in key order, each
+//!   with its least witness. This is the one match phase of both modes:
+//!   a certified run ([`ChaseConfig::certify`]) records the witness as its
+//!   step's assignment;
 //! * a *trigger* is a valuation of the rule's frontier (sorted body∩head
-//!   nulls). Fired triggers are remembered per rule in a hash set over
-//!   the **workspace columnar fact store** ([`ca_core::store::FactStore`]
-//!   — interned values, column-major tuples, a live bitmap, and a
-//!   store-level null-occurrence index), so no trigger ever fires twice;
-//!   head satisfaction is decided set-at-a-time by evaluating the head
-//!   pattern — compiled once, like the bodies — as a query whose answers
-//!   are precisely the satisfied frontier valuations, instead of one
-//!   satisfiability probe per match;
+//!   nulls). The facts live in the **workspace columnar fact store**
+//!   ([`ca_core::store::FactStore`] — interned values, column-major
+//!   tuples, a live bitmap, and a store-level null-occurrence index).
+//!   Fired triggers are remembered per rule as one sorted run, so no
+//!   trigger ever fires twice; head satisfaction is decided set-at-a-time
+//!   by evaluating the head pattern — compiled once, like the bodies — as
+//!   a query whose answers, sorted and deduplicated, are precisely the
+//!   satisfied frontier valuations. Firing walks the three sorted runs
+//!   (triggers, fired, satisfied) with cursors, and the round's triggers
+//!   are merged into the fired run afterwards;
 //! * egd equalities accumulate in a **union-find** over values (constant
 //!   roots win; two distinct constant roots fail the chase) and rewrite
 //!   only the facts that mention a merged null, via a null-occurrence
@@ -35,7 +39,11 @@
 //!   in (rule index, pin) order, and firing applies the collected
 //!   triggers in (rule index, frontier valuation) order — lowest trigger
 //!   wins — with fresh existential nulls drawn in that same order, so
-//!   the chased instance is deterministic;
+//!   the chased instance is deterministic. A rule's round is over budget
+//!   as soon as it has more than [`ChaseConfig::match_limit`] *distinct*
+//!   triggers (or satisfied valuations, or egd pairs); duplicates
+//!   collapse as they arrive, so a buffer never holds more than
+//!   `match_limit + 1` rows;
 //! * every exit canonicalises the store once ([`canonical_rows`]), and
 //!   the chased instance of [`ChaseOutcome::Done`] / `Overflow` and the
 //!   certificate's claimed facts are two cuts of that pass: nodes come
@@ -51,11 +59,10 @@
 //! in a different order — outcome agreement on terminating inputs is
 //! unaffected, since chase failure and success are order-independent.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
-
 use ca_cert::{CertAtom, CertEgd, CertFact, CertRule, ChaseCert, ChaseCertOutcome, ChaseStep};
-use ca_core::fxhash::{FxHashMap, FxHashSet};
+use std::hash::{Hash, Hasher};
+
+use ca_core::fxhash::{FxHashMap, FxHasher};
 use ca_core::store::{FactId, FactStore};
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
@@ -95,9 +102,10 @@ enum HeadTerm {
     Const(Value),
     /// The value of the trigger row at this frontier index.
     Frontier(usize),
-    /// An existential null: fresh per firing, shared across the head
-    /// instantiation by its rule-local null id.
-    Existential(Null),
+    /// An existential null, fresh per firing and shared across the head
+    /// instantiation: its dense index, in first-occurrence order over the
+    /// head templates.
+    Existential(usize),
 }
 
 /// A head fact to instantiate when a trigger fires.
@@ -145,13 +153,11 @@ impl BodyPlans {
         })
     }
 
-    /// A match row as a step's body assignment.
-    fn assignment(&self, row: &[Value]) -> Assignment {
-        self.body_vars
-            .iter()
-            .copied()
-            .zip(row.iter().copied())
-            .collect()
+    /// A keyed witness (match key, then the full body row) as a step's
+    /// body assignment.
+    fn assignment(&self, witness: &[Value]) -> Assignment {
+        let row = witness.iter().skip(self.proj.len()).copied();
+        self.body_vars.iter().copied().zip(row).collect()
     }
 }
 
@@ -163,6 +169,17 @@ struct CompiledRule {
     head: CompiledCq,
     /// The head facts to instantiate on firing.
     head_facts: Vec<HeadFact>,
+    /// `(rule-local null id, dense index)` per existential, by id: the
+    /// order of a step's fresh-null ledger. A firing draws one fresh null
+    /// per entry, in dense-index order.
+    ledger: Vec<(u32, usize)>,
+}
+
+impl CompiledRule {
+    /// The frontier arity: the stride of the rule's trigger keys.
+    fn key_len(&self) -> usize {
+        self.body.proj.len()
+    }
 }
 
 fn compile_rule(rule: &Rule, schema: &Schema) -> Option<CompiledRule> {
@@ -172,25 +189,39 @@ fn compile_rule(rule: &Rule, schema: &Schema) -> Option<CompiledRule> {
     let head_q = ConjunctiveQuery::with_head(head_vars, pattern_atoms(&rule.head));
     let head = CompiledCq::compile(&head_q, schema).ok()?;
     let mut head_facts = Vec::with_capacity(rule.head.n_nodes());
+    let mut existentials: Vec<Null> = Vec::new();
     for (label, row) in rule.head.labels.iter().zip(&rule.head.data) {
         let rel = schema.relation(rule.head.schema.label_name(*label))?;
         let template = row
             .iter()
             .map(|v| match v {
                 Value::Const(_) => HeadTerm::Const(*v),
-                // `frontier` is sorted (built from a BTreeSet).
+                // `frontier` is sorted (`Rule::frontier` is an ordered set).
                 Value::Null(nl) => match frontier.binary_search(nl) {
                     Ok(i) => HeadTerm::Frontier(i),
-                    Err(_) => HeadTerm::Existential(*nl),
+                    Err(_) => {
+                        let seen = existentials.iter().position(|x| x == nl);
+                        HeadTerm::Existential(seen.unwrap_or_else(|| {
+                            existentials.push(*nl);
+                            existentials.len() - 1
+                        }))
+                    }
                 },
             })
             .collect();
         head_facts.push(HeadFact { rel, template });
     }
+    let mut ledger: Vec<(u32, usize)> = existentials
+        .iter()
+        .enumerate()
+        .map(|(x, nl)| (nl.0, x))
+        .collect();
+    ledger.sort_unstable();
     Some(CompiledRule {
         body,
         head,
         head_facts,
+        ledger,
     })
 }
 
@@ -322,8 +353,175 @@ pub(super) fn try_chase(
     Some(run(&schema, &rules, &cegds, instance, gen, cfg, skeleton))
 }
 
-/// A round's satisfied set for one rule: frontier valuations.
-type TriggerSet = BTreeSet<Vec<Value>>;
+/// Fixed-stride rows in one flat buffer. The row count is explicit,
+/// since the stride may be 0 (a rule with an empty frontier).
+struct Rows {
+    stride: usize,
+    len: usize,
+    vals: Vec<Value>,
+}
+
+impl Rows {
+    fn new(stride: usize) -> Rows {
+        Rows {
+            stride,
+            len: 0,
+            vals: Vec::new(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[Value] {
+        &self.vals[i * self.stride..(i + 1) * self.stride]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Value]> {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    fn push(&mut self, row: &[Value]) {
+        debug_assert_eq!(row.len(), self.stride);
+        self.vals.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    fn sort_dedup(&mut self) {
+        if self.stride == 0 {
+            self.len = self.len.min(1);
+            return;
+        }
+        let mut rows: Vec<&[Value]> = self.vals.chunks_exact(self.stride).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        self.len = rows.len();
+        self.vals = rows.concat();
+    }
+
+    /// Whether this sorted, unique run holds `key`, moving the cursor `at`
+    /// past every smaller row: ascending probes walk the run once.
+    fn seek(&self, at: &mut usize, key: &[Value]) -> bool {
+        while *at < self.len && self.row(*at) < key {
+            *at += 1;
+        }
+        *at < self.len && self.row(*at) == key
+    }
+
+    /// Merge the key prefixes of `keyed` (sorted, unique by key) into this
+    /// sorted, unique run of keys.
+    fn merge_keys(&mut self, keyed: &Rows) {
+        if keyed.len == 0 {
+            return;
+        }
+        let k = self.stride;
+        let mut out = Rows::new(k);
+        out.vals.reserve(self.vals.len() + keyed.len * k);
+        let mut mine = self.iter().peekable();
+        for key in keyed.iter().map(|entry| &entry[..k]) {
+            while let Some(row) = mine.next_if(|row| *row < key) {
+                out.push(row);
+            }
+            mine.next_if(|row| *row == key);
+            out.push(key);
+        }
+        mine.for_each(|row| out.push(row));
+        *self = out;
+    }
+
+    /// Map every value through `f` (an egd merge), then restore sorted,
+    /// unique order.
+    fn resolve(&mut self, f: impl Fn(Value) -> Value) {
+        for v in &mut self.vals {
+            *v = f(*v);
+        }
+        self.sort_dedup();
+    }
+}
+
+/// Rows unique by their leading `key` values, each key keeping its least
+/// row: a round's keyed witnesses or satisfied valuations. A row whose
+/// key is already held replaces the held row only when it is smaller, so
+/// the buffer never holds more rows than there are distinct keys, however
+/// many duplicates arrive. Keys are found through an open-addressing
+/// index over the flat rows; the index is probed, never iterated, and the
+/// output order comes from one sort ([`Distinct::into_sorted`]).
+struct Distinct {
+    key: usize,
+    rows: Rows,
+    /// Row index + 1 per slot (0 = empty), linear probing. Its length is
+    /// 0 or a power of two at least twice the row count.
+    slots: Vec<usize>,
+}
+
+impl Distinct {
+    fn new(stride: usize, key: usize) -> Distinct {
+        Distinct {
+            key,
+            rows: Rows::new(stride),
+            slots: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len
+    }
+
+    /// Add the one row that `fill` appends to the buffer.
+    fn insert(&mut self, fill: impl FnOnce(&mut Vec<Value>)) {
+        if 2 * (self.rows.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let start = self.rows.vals.len();
+        fill(&mut self.rows.vals);
+        let (stride, key) = (self.rows.stride, self.key);
+        let (held, new) = self.rows.vals.split_at_mut(start);
+        debug_assert_eq!(new.len(), stride);
+        let mask = self.slots.len() - 1;
+        let mut slot = slot_of(&new[..key], mask);
+        loop {
+            let j = self.slots[slot];
+            if j == 0 {
+                self.slots[slot] = self.rows.len + 1;
+                self.rows.len += 1;
+                return;
+            }
+            let old = &mut held[(j - 1) * stride..j * stride];
+            if old[..key] == new[..key] {
+                if *new < *old {
+                    old.copy_from_slice(new);
+                }
+                self.rows.vals.truncate(start);
+                return;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Double the index (at least 16 slots) and re-place every row.
+    fn grow(&mut self) {
+        let mask = (2 * self.slots.len()).max(16) - 1;
+        self.slots = vec![0; mask + 1];
+        for i in 0..self.rows.len {
+            let mut slot = slot_of(&self.rows.row(i)[..self.key], mask);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = i + 1;
+        }
+    }
+
+    fn into_sorted(self) -> Rows {
+        let mut rows = self.rows;
+        rows.sort_dedup();
+        rows
+    }
+}
+
+/// The index slot of `key`: its Fx hash, whose multiply leaves the mixed
+/// bits high, rotated down and masked.
+fn slot_of(key: &[Value], mask: usize) -> usize {
+    let mut h = FxHasher::default();
+    key.hash(&mut h);
+    h.finish().rotate_left(32) as usize & mask
+}
 
 /// A body assignment in step vocabulary: sorted `(variable, value)` pairs.
 type Assignment = Vec<(u32, Value)>;
@@ -451,8 +649,7 @@ fn run(
         debug_assert_eq!(reg, sym, "store symbols mirror schema symbols");
     }
     let mut uf = UnionFind::default();
-    let mut fired: Vec<FxHashSet<Vec<Value>>> =
-        rules.iter().map(|_| FxHashSet::default()).collect();
+    let mut fired: Vec<Rows> = rules.iter().map(|r| Rows::new(r.key_len())).collect();
     let mut steps = 0usize;
     // Load the instance; duplicate nodes intern to one fact.
     let mut delta: Vec<FactId> = Vec::new();
@@ -490,11 +687,11 @@ fn run(
                     let seeds = seeds_by_rel(schema, &store, &egd_delta);
                     egd_matches(egds, &seeds, cfg.match_limit, &mut idx)
                 };
-                let Ok(pairs) = matched else {
+                let Ok((witnesses, pairs)) = matched else {
                     return overflow(schema, &store, instance, &uf, rec);
                 };
                 let mut merged: Vec<Null> = Vec::new();
-                for (&(a, b), (e, witness)) in &pairs {
+                for &(a, b, e, w) in &pairs {
                     if uf.find(a) == uf.find(b) {
                         continue;
                     }
@@ -510,8 +707,8 @@ fn run(
                     };
                     if let Some(recd) = rec.as_mut() {
                         recd.steps.push(ChaseStep::Merge {
-                            egd: *e,
-                            assignment: egds[*e].assignment(witness),
+                            egd: e,
+                            assignment: egds[e].assignment(witnesses[e].row(w)),
                             merged: merged_entry,
                         });
                     }
@@ -528,13 +725,9 @@ fn run(
                 let changed = store.rewrite(&merged, |v| uf.find(v));
                 // Keep the dedup keys aligned with the rewritten
                 // instance: fired valuations go through the same merge
-                // substitution as the facts (order-independent — the set
-                // is rebuilt, not iterated into anything ordered).
-                for set in fired.iter_mut() {
-                    *set = set
-                        .drain()
-                        .map(|row| row.iter().map(|&v| uf.find(v)).collect())
-                        .collect();
+                // substitution as the facts.
+                for run in &mut fired {
+                    run.resolve(|v| uf.find(v));
                 }
                 egd_delta = changed.clone();
                 rewritten_all.extend(changed);
@@ -566,53 +759,47 @@ fn run(
             return overflow(schema, &store, instance, &uf, rec);
         };
         let mut inserted: Vec<u32> = Vec::new();
+        let mut fresh: Vec<Null> = Vec::new();
+        let mut tuple: Vec<Value> = Vec::new();
         for (r, rule) in rules.iter().enumerate() {
-            for (row, witness) in &triggers[r] {
-                if fired[r].contains(row) {
-                    continue;
-                }
-                // Mark fired even when already satisfied: satisfaction is
-                // monotone under fact addition, and egd merges rewrite
-                // the fired rows together with the facts, so a satisfied
-                // trigger can never need firing later.
-                fired[r].insert(row.clone());
-                if satisfied[r].contains(row) {
+            let k = rule.key_len();
+            let (mut at_fired, mut at_satisfied) = (0, 0);
+            for witness in triggers[r].iter() {
+                let key = &witness[..k];
+                // A satisfied trigger is marked fired too (the merge
+                // below takes every trigger): satisfaction is monotone
+                // under fact addition, and egd merges rewrite the fired
+                // run together with the facts, so it can never need
+                // firing later.
+                if fired[r].seek(&mut at_fired, key) || satisfied[r].seek(&mut at_satisfied, key) {
                     continue;
                 }
                 if steps >= cfg.max_steps {
                     return aborted(schema, &store, &uf, rec);
                 }
                 steps += 1;
-                let mut fresh: FxHashMap<Null, Value> = FxHashMap::default();
+                fresh.clear();
+                fresh.extend(rule.ledger.iter().map(|_| gen.fresh()));
                 for hf in &rule.head_facts {
-                    let tuple: Vec<Value> = hf
-                        .template
-                        .iter()
-                        .map(|t| match t {
-                            HeadTerm::Const(v) => *v,
-                            HeadTerm::Frontier(i) => row[*i],
-                            HeadTerm::Existential(nl) => {
-                                *fresh.entry(*nl).or_insert_with(|| Value::Null(gen.fresh()))
-                            }
-                        })
-                        .collect();
+                    tuple.clear();
+                    tuple.extend(hf.template.iter().map(|t| match t {
+                        HeadTerm::Const(v) => *v,
+                        HeadTerm::Frontier(i) => key[*i],
+                        HeadTerm::Existential(x) => Value::Null(fresh[*x]),
+                    }));
                     if let Some(id) = store.insert(hf.rel, &tuple) {
                         inserted.push(id);
                     }
                 }
                 if let Some(recd) = rec.as_mut() {
-                    let mut ledger: Vec<(u32, Null)> = fresh
-                        .iter()
-                        .filter_map(|(k, v)| v.as_null().map(|n| (k.0, n)))
-                        .collect();
-                    ledger.sort_unstable();
                     recd.steps.push(ChaseStep::Fire {
                         rule: r,
                         assignment: rule.body.assignment(witness),
-                        fresh: ledger,
+                        fresh: rule.ledger.iter().map(|&(id, x)| (id, fresh[x])).collect(),
                     });
                 }
             }
+            fired[r].merge_keys(&triggers[r]);
         }
 
         delta = inserted;
@@ -634,149 +821,123 @@ fn run(
     }
 }
 
-/// Per rule: every frontier valuation matched this round (the round's
-/// triggers), mapped to the least full body row (in `body_vars` order)
-/// projecting to it.
-type Witnesses = BTreeMap<Vec<Value>, Vec<Value>>;
+/// One egd pass's matches: per egd, its keyed witnesses (`(a, b)`, then
+/// the body row), the least row per pair; and the pass's equality pairs
+/// in `(a, b)` order, each with the least `(egd index, witness index)`
+/// deriving it.
+type EgdPass = (Vec<Rows>, Vec<(Value, Value, usize, usize)>);
 
-/// Per equality pair: the least `(egd index, full body row)` deriving it.
-type EgdWitnesses = BTreeMap<(Value, Value), (usize, Vec<Value>)>;
+/// Evaluate `body`'s plans over the seeds, adding every match as a keyed
+/// witness to `out`. `false` as soon as `out` holds more than `limit`
+/// distinct keys.
+fn collect_witnesses(
+    body: &BodyPlans,
+    seeds: &[Vec<u32>],
+    limit: usize,
+    idx: &mut DbIndex,
+    out: &mut Distinct,
+) -> bool {
+    for (rel, plan) in &body.plans {
+        let rows = &seeds[rel.index()];
+        if rows.is_empty() {
+            continue;
+        }
+        let prepared = prepare_cq(plan, idx);
+        let mut within = true;
+        eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
+            out.insert(|vals| {
+                vals.extend(body.proj.iter().map(|&p| row[p]));
+                vals.extend_from_slice(row);
+            });
+            within = out.len() <= limit;
+            within
+        });
+        if !within {
+            return false;
+        }
+    }
+    true
+}
 
 /// The egd match phase: evaluate every egd's body plans over the pass's
-/// seeds, keeping for every equality pair its least witness. The key
-/// set is the pass's pair set. `Err(())` as soon as there are more than
-/// `limit` distinct pairs.
+/// seeds, keeping for every equality pair its least witness. `Err(())`
+/// as soon as there are more than `limit` distinct pairs.
 fn egd_matches(
     egds: &[BodyPlans],
     seeds: &[Vec<u32>],
     limit: usize,
     idx: &mut DbIndex,
-) -> Result<EgdWitnesses, ()> {
-    let mut out = EgdWitnesses::new();
+) -> Result<EgdPass, ()> {
+    let mut witnesses = Vec::with_capacity(egds.len());
+    let mut pairs = Vec::new();
     for (e, body) in egds.iter().enumerate() {
-        let (Some(&pa), Some(&pb)) = (body.proj.first(), body.proj.get(1)) else {
-            continue;
-        };
-        for (rel, plan) in &body.plans {
-            let rows = &seeds[rel.index()];
-            if rows.is_empty() {
-                continue;
-            }
-            let prepared = prepare_cq(plan, idx);
-            let mut over = false;
-            eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
-                let (Some(&a), Some(&b)) = (row.get(pa), row.get(pb)) else {
-                    return true;
-                };
-                let full = out.len() == limit;
-                match out.entry((a, b)) {
-                    Entry::Occupied(mut best) => {
-                        let best = best.get_mut();
-                        if (e, row) < (best.0, best.1.as_slice()) {
-                            *best = (e, row.to_vec());
-                        }
-                    }
-                    Entry::Vacant(_) if full => {
-                        over = true;
-                        return false;
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert((e, row.to_vec()));
-                    }
-                }
-                true
-            });
-            if over {
-                return Err(());
+        let key = body.proj.len();
+        let mut found = Distinct::new(key + body.body_vars.len(), key);
+        if !collect_witnesses(body, seeds, limit, idx, &mut found) {
+            return Err(());
+        }
+        for (w, witness) in found.rows.iter().enumerate() {
+            if let [a, b, ..] = *witness {
+                pairs.push((a, b, e, w));
             }
         }
+        witnesses.push(found.rows);
     }
-    Ok(out)
+    pairs.sort_unstable();
+    pairs.dedup_by_key(|&mut (a, b, ..)| (a, b));
+    if pairs.len() > limit {
+        return Err(());
+    }
+    Ok((witnesses, pairs))
 }
 
 /// The tgd match phase: evaluate every rule's body plans over the
 /// round's seeds, keeping per rule every frontier valuation with its
 /// least full body row, then the head plans of rules with unfired
-/// triggers. Returns per rule the witness map (whose keys are the
-/// round's triggers) and the satisfied frontier valuations. `Err(())`
-/// as soon as a rule has more than `limit` distinct triggers or
-/// satisfied valuations.
+/// triggers. Returns per rule the keyed witnesses (whose keys are the
+/// round's triggers) and the satisfied frontier valuations, both sorted.
+/// `Err(())` as soon as a rule has more than `limit` distinct triggers
+/// or satisfied valuations.
 fn tgd_matches(
     rules: &[CompiledRule],
-    fired: &[FxHashSet<Vec<Value>>],
+    fired: &[Rows],
     seeds: &[Vec<u32>],
     first_round: bool,
     limit: usize,
     idx: &mut DbIndex,
-) -> Result<(Vec<Witnesses>, Vec<TriggerSet>), ()> {
+) -> Result<(Vec<Rows>, Vec<Rows>), ()> {
     let mut triggers = Vec::with_capacity(rules.len());
     let mut satisfied = Vec::with_capacity(rules.len());
-    let mut key: Vec<Value> = Vec::new();
     for (rule, fired) in rules.iter().zip(fired) {
-        let body = &rule.body;
-        let mut map = Witnesses::new();
+        let k = rule.key_len();
+        let mut found = Distinct::new(k + rule.body.body_vars.len(), k);
         // A rule with an empty body has no atom to seed: its single
         // trigger (the empty valuation) exists from round one.
-        if body.plans.is_empty() && first_round {
-            map.insert(Vec::new(), Vec::new());
+        if rule.body.plans.is_empty() && first_round {
+            found.insert(|_| {});
         }
-        for (rel, plan) in &body.plans {
-            let rows = &seeds[rel.index()];
-            if rows.is_empty() {
-                continue;
-            }
-            let prepared = prepare_cq(plan, idx);
-            let mut over = false;
-            eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
-                key.clear();
-                for &p in &body.proj {
-                    match row.get(p) {
-                        Some(&v) => key.push(v),
-                        None => return true,
-                    }
-                }
-                let full = map.len() == limit;
-                match map.get_mut(key.as_slice()) {
-                    Some(best) => {
-                        if row < best.as_slice() {
-                            best.clear();
-                            best.extend_from_slice(row);
-                        }
-                    }
-                    None if full => {
-                        over = true;
-                        return false;
-                    }
-                    None => {
-                        map.insert(key.clone(), row.to_vec());
-                    }
-                }
-                true
-            });
-            if over {
-                return Err(());
-            }
+        if !collect_witnesses(&rule.body, seeds, limit, idx, &mut found) {
+            return Err(());
         }
+        let witnesses = found.into_sorted();
         // Head satisfaction, set-at-a-time, only for a rule with an
         // unfired trigger.
-        let mut set = TriggerSet::new();
-        if map.keys().any(|row| !fired.contains(row)) {
+        let mut set = Distinct::new(k, k);
+        let mut at = 0;
+        if witnesses.iter().any(|w| !fired.seek(&mut at, &w[..k])) {
             let prepared = prepare_cq(&rule.head, idx);
-            let mut over = false;
+            let mut within = true;
             eval_prepared_into(&rule.head, &prepared, idx, &mut |row| {
-                if set.len() == limit {
-                    over = true;
-                    return false;
-                }
-                set.insert(row.to_vec());
-                true
+                set.insert(|vals| vals.extend_from_slice(row));
+                within = set.len() <= limit;
+                within
             });
-            if over {
+            if !within {
                 return Err(());
             }
         }
-        triggers.push(map);
-        satisfied.push(set);
+        triggers.push(witnesses);
+        satisfied.push(set.into_sorted());
     }
     Ok((triggers, satisfied))
 }

@@ -362,6 +362,137 @@ mod tests {
         }
     }
 
+    /// The match budget counts *distinct* keys, and duplicates collapse
+    /// before the cap however many arrive: 4000 body matches of
+    /// `T(x,y) → ∃z U(x,z)` project onto the 2 triggers `x ∈ {1, 2}`, and
+    /// 4000 head matches onto the 2 satisfied keys `x ∈ {1, 3}`. Limit 2
+    /// finishes (firing the one unsatisfied trigger), limit 1 overflows.
+    #[test]
+    fn duplicate_matches_collapse_before_the_budget() {
+        let schema = GenSchema::from_parts(&[("T", 2), ("U", 2)], &[]);
+        let mut start = GenDb::new(schema.clone());
+        for i in 0..2000 {
+            start.add_node("T", vec![c(1), c(i)]);
+            start.add_node("T", vec![c(2), c(i)]);
+            start.add_node("U", vec![c(1), c(i)]);
+            start.add_node("U", vec![c(3), c(i)]);
+        }
+        let mut body = GenDb::new(schema.clone());
+        body.add_node("T", vec![n(1), n(2)]);
+        let mut head = GenDb::new(schema);
+        head.add_node("U", vec![n(1), n(3)]);
+        let tgds = [Rule { body, head }];
+        let cfg = |match_limit| ChaseConfig {
+            match_limit,
+            ..ChaseConfig::new(100)
+        };
+        let (outcome, cert) = chase_certified(&start, &tgds, &[], &cfg(2));
+        match &outcome {
+            ChaseOutcome::Done(d) => assert_eq!(d.n_nodes(), start.n_nodes() + 1),
+            other => panic!("expected Done, got {other:?}"),
+        }
+        let cert = cert.expect("engine path certifies");
+        assert_eq!(cert.steps.len(), 1);
+        assert_eq!(ca_cert::check_chase(&cert), Ok(()));
+        assert!(matches!(
+            chase_with(&start, &tgds, &[], &cfg(1)),
+            ChaseOutcome::Overflow(_)
+        ));
+    }
+
+    /// The egd pair set collapses duplicates the same way: functionality
+    /// on `T(i,5), T(i,⊥9)` for 1000 keys `i` has 4000 matches but only
+    /// the 4 distinct `(y, z)` pairs over `{5, ⊥9}`. Limit 4 merges ⊥9
+    /// into 5, limit 3 overflows.
+    #[test]
+    fn duplicate_egd_matches_collapse_before_the_budget() {
+        let mut start = GenDb::new(schema());
+        for i in 0..1000 {
+            start.add_node("T", vec![c(i), c(5)]);
+            start.add_node("T", vec![c(i), n(9)]);
+        }
+        let cfg = |match_limit| ChaseConfig {
+            match_limit,
+            ..ChaseConfig::new(100)
+        };
+        let (outcome, cert) = chase_certified(&start, &[], &[functionality()], &cfg(4));
+        match &outcome {
+            ChaseOutcome::Done(d) => {
+                assert_eq!(d.n_nodes(), 1000);
+                assert!(d.is_complete());
+            }
+            other => panic!("expected Done, got {other:?}"),
+        }
+        let cert = cert.expect("engine path certifies");
+        assert_eq!(ca_cert::check_chase(&cert), Ok(()));
+        assert!(matches!(
+            chase_with(&start, &[], &[functionality()], &cfg(3)),
+            ChaseOutcome::Overflow(_)
+        ));
+    }
+
+    /// An empty-body rule `∅ → ∃z T(z,1)` has one trigger, the empty
+    /// valuation (stride 0): it fires exactly once when no `T(_,1)` fact
+    /// exists and never when one does, and both runs replay.
+    #[test]
+    fn empty_body_rule_fires_at_most_once() {
+        let mut head = GenDb::new(schema());
+        head.add_node("T", vec![n(1), c(1)]);
+        let tgds = [Rule {
+            body: GenDb::new(schema()),
+            head,
+        }];
+        let cfg = ChaseConfig::new(100);
+        for (start, fires) in [(tdb(&[[c(1), c(2)]]), 1), (tdb(&[[c(5), c(1)]]), 0)] {
+            let (outcome, cert) = chase_certified(&start, &tgds, &[], &cfg);
+            match &outcome {
+                ChaseOutcome::Done(d) => assert_eq!(d.n_nodes(), start.n_nodes() + fires),
+                other => panic!("expected Done, got {other:?}"),
+            }
+            let cert = cert.expect("engine path certifies");
+            assert_eq!(cert.steps.len(), fires);
+            assert_eq!(ca_cert::check_chase(&cert), Ok(()));
+        }
+    }
+
+    /// Fresh nulls are drawn in the existentials' first-occurrence order
+    /// over the head, and the ledger lists them by rule-local id: for the
+    /// head `U(x,⊥5), U(⊥5,⊥3)`, ⊥5 takes the earlier-drawn null and the
+    /// ledger reads `[(3, later), (5, earlier)]`.
+    #[test]
+    fn fresh_nulls_follow_head_order_and_ledger_follows_ids() {
+        use ca_cert::ChaseStep;
+
+        let schema = GenSchema::from_parts(&[("T", 2), ("U", 2)], &[]);
+        let mut start = GenDb::new(schema.clone());
+        start.add_node("T", vec![c(1), c(2)]);
+        let mut body = GenDb::new(schema.clone());
+        body.add_node("T", vec![n(1), n(2)]);
+        let mut head = GenDb::new(schema);
+        head.add_node("U", vec![n(1), n(5)]);
+        head.add_node("U", vec![n(5), n(3)]);
+        let tgds = [Rule { body, head }];
+        let (outcome, cert) = chase_certified(&start, &tgds, &[], &ChaseConfig::new(100));
+        let cert = cert.expect("engine path certifies");
+        assert_eq!(ca_cert::check_chase(&cert), Ok(()));
+        let [ChaseStep::Fire { fresh, .. }] = cert.steps.as_slice() else {
+            panic!("expected one firing: {:?}", cert.steps);
+        };
+        let &[(3, later), (5, earlier)] = fresh.as_slice() else {
+            panic!("ledger out of id order: {fresh:?}");
+        };
+        assert!(earlier < later, "{fresh:?}");
+        let ChaseOutcome::Done(d) = outcome else {
+            panic!("expected Done, got {outcome:?}");
+        };
+        for row in [
+            vec![c(1), Value::Null(earlier)],
+            vec![Value::Null(earlier), Value::Null(later)],
+        ] {
+            assert!(d.data.contains(&row), "{row:?} missing from {d:?}");
+        }
+    }
+
     /// Certified runs replay through the engine-blind checker for every
     /// outcome kind, and certification does not change the outcome.
     #[test]

@@ -3,7 +3,7 @@
 //! `ca_exchange::reference` on random relational instances.
 //!
 //! Rule pools are chosen terminating (full tgds, a functionality egd, and
-//! one existential tgd whose head relation no body reads), so with a
+//! existential tgds whose head relation no body reads), so with a
 //! generous budget neither side may abort and both must agree on the
 //! *outcome variant*: `Done` results
 //! are compared up to hom-equivalence (the engine interns facts and
@@ -84,6 +84,18 @@ fn detour() -> Rule {
     Rule { body, head }
 }
 
+/// Mutual edges get a shared loop: R(x,y) ∧ R(y,x) → ∃w S(w,w).
+/// Terminating, since no body reads S. Its frontier is empty, so its
+/// trigger, fired and satisfied keys are all the empty row.
+fn mutual_loop() -> Rule {
+    let mut body = GenDb::new(schema());
+    body.add_node("R", vec![n(1), n(2)]);
+    body.add_node("R", vec![n(2), n(1)]);
+    let mut head = GenDb::new(schema());
+    head.add_node("S", vec![n(3), n(3)]);
+    Rule { body, head }
+}
+
 /// Functionality: R(x,y) ∧ R(x,z) → y = z.
 fn functionality() -> Egd {
     let mut body = GenDb::new(schema());
@@ -106,6 +118,9 @@ fn rule_pool(bits: u8) -> (Vec<Rule>, Vec<Egd>) {
     if bits & 8 != 0 {
         tgds.push(detour());
     }
+    if bits & 16 != 0 {
+        tgds.push(mutual_loop());
+    }
     let egds = if bits & 4 != 0 {
         vec![functionality()]
     } else {
@@ -123,7 +138,7 @@ proptest! {
     /// reference agree on the outcome; `Done` results are
     /// hom-equivalent.
     #[test]
-    fn chase_agrees_with_reference(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..16) {
+    fn chase_agrees_with_reference(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..32) {
         let d = gen_instance(seed, facts);
         let (tgds, egds) = rule_pool(bits);
         let fast = chase_with(&d, &tgds, &egds, &ChaseConfig::new(BUDGET));
@@ -139,7 +154,7 @@ proptest! {
 
     /// A successful chase result is a fixpoint of the reference loop.
     #[test]
-    fn chased_instance_is_a_fixpoint(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..16) {
+    fn chased_instance_is_a_fixpoint(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..32) {
         let d = gen_instance(seed, facts);
         let (tgds, egds) = rule_pool(bits);
         if let ChaseOutcome::Done(a) = chase_with(&d, &tgds, &egds, &ChaseConfig::new(BUDGET)) {
@@ -163,7 +178,7 @@ proptest! {
     /// payload is exactly the certificate's claimed fact set, with its
     /// nodes strictly increasing in `(label, data)` order.
     #[test]
-    fn certified_chase_agrees_and_replays(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..16) {
+    fn certified_chase_agrees_and_replays(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..32) {
         use ca_cert::ChaseCertOutcome;
         use ca_exchange::chase::chase_certified;
 
@@ -243,4 +258,44 @@ fn certified_trigger_budget_matches_plain_on_a_hub() {
         let cert = cert.expect("the compiled engine certifies");
         assert_eq!(ca_cert::check_chase(&cert), Ok(()), "limit {limit}");
     }
+}
+
+/// The head-satisfied set counts *distinct* frontier valuations: one
+/// trigger `S(1)` whose single satisfied key is produced twice by the
+/// head `∃z T(x,z)`, once per `T(2,_)` fact, must not overflow a match
+/// budget of 1.
+#[test]
+fn duplicate_satisfied_rows_do_not_overflow_the_budget() {
+    use ca_exchange::chase::chase_certified;
+
+    let schema = GenSchema::from_parts(&[("S", 1), ("T", 2)], &[]);
+    let c = Value::Const;
+    let mut d = GenDb::new(schema.clone());
+    d.add_node("S", vec![c(1)]);
+    d.add_node("T", vec![c(2), c(7)]);
+    d.add_node("T", vec![c(2), c(8)]);
+    let mut body = GenDb::new(schema.clone());
+    body.add_node("S", vec![n(1)]);
+    let mut head = GenDb::new(schema);
+    head.add_node("T", vec![n(1), n(2)]);
+    let tgds = vec![Rule { body, head }];
+    let cfg = ChaseConfig {
+        match_limit: 1,
+        ..ChaseConfig::new(BUDGET)
+    };
+    let plain = chase_with(&d, &tgds, &[], &cfg);
+    match &plain {
+        ChaseOutcome::Done(db) => {
+            let derived = db
+                .data
+                .iter()
+                .any(|row| matches!(row.as_slice(), [v, Value::Null(_)] if *v == c(1)));
+            assert!(derived, "no T(1, ⊥) fact in {db:?}");
+        }
+        other => panic!("expected Done, got {other:?}"),
+    }
+    let (certified, cert) = chase_certified(&d, &tgds, &[], &cfg);
+    assert_eq!(plain, certified);
+    let cert = cert.expect("the compiled engine certifies");
+    assert_eq!(ca_cert::check_chase(&cert), Ok(()));
 }

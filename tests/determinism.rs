@@ -369,9 +369,16 @@ fn chase_certificates_are_layout_and_thread_independent() {
         equal: (Null(2), Null(3)),
     }];
     let cfg = ChaseConfig::new(10_000);
+    // Golden `(to_bytes() length, FNV-1a-64 digest)` per fixture. Layout
+    // independence alone cannot catch a change of witness choice or
+    // fresh-null order that every rebuild shares; these pin the bytes.
+    let golden: [(usize, u64); 2] = [
+        (711, 5_836_385_281_055_889_866),
+        (2647, 12_412_491_918_764_777_015),
+    ];
     let fixtures: [(Facts, Vec<Rule>, Vec<Egd>); 2] =
         [(chain, transitivity, Vec::new()), (org, org_tgds, org_egds)];
-    for (facts, tgds, egds) in &fixtures {
+    for ((facts, tgds, egds), golden) in fixtures.iter().zip(golden) {
         // Permuted insertion order: the logical instance is identical,
         // the interner and every derived hash table is rebuilt from
         // scratch.
@@ -397,6 +404,11 @@ fn chase_certificates_are_layout_and_thread_independent() {
                 .any(|s| matches!(s, ChaseStep::Fire { fresh, .. } if !fresh.is_empty())));
         }
         let baseline = baseline.to_bytes();
+        assert_eq!(
+            (baseline.len(), fnv1a64(&baseline)),
+            golden,
+            "chase certificate bytes moved"
+        );
         for rotation in 0..facts.len() {
             let (outcome, cert) = run(rotation);
             // The chased instance itself, node order included, is
@@ -412,6 +424,14 @@ fn chase_certificates_are_layout_and_thread_independent() {
             );
         }
     }
+}
+
+/// FNV-1a, 64-bit: a digest that, unlike `DefaultHasher`, is fixed
+/// across Rust releases, so it can be pinned.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Core-retraction certificates: byte-identical fold/endomorphism chains
