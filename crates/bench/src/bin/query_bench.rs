@@ -21,6 +21,12 @@
 //!   three indistinguishable unbound atoms and leads with `Big`; the
 //!   cost model leads with `Tiny` and probes inward. This family is
 //!   where cost-based planning pays, not just matches;
+//! * `e02_ucq_mates` — the duplicate-heavy shape of the pipeline
+//!   benchmark's `MATES` query, `Q(e, m) ← W(e, d) ∧ W(f, d) ∧ R(f, m)`
+//!   over departments of 40: every employee reaches each of its
+//!   department's two bosses through about 20 colleagues, so the join
+//!   emits ~20 rows per distinct answer. This family measures the
+//!   engine's id-level deduplication of answer rows;
 //! * `certain_sweep` — brute-force certain answers as the null count
 //!   grows (the `|pool|^#nulls` grid of E1): the reference side
 //!   materializes every completion up front and intersects reference
@@ -124,6 +130,33 @@ fn skew_query() -> UnionQuery {
             Atom::new("Big", vec![V(0), V(1)]),
             Atom::new("Mid", vec![V(1), V(2)]),
             Atom::new("Tiny", vec![V(2), V(3)]),
+        ],
+    ))
+}
+
+/// The `MATES` instance: `n` employees in departments of 40, `W(e, d)`
+/// placing each, and `R(f, m)` naming one of the two bosses of `f`'s
+/// department (a boss id outside the employee range).
+fn mates_db(rng: &mut Rng, n: usize) -> NaiveDatabase {
+    let schema = Schema::from_relations(&[("W", 2), ("R", 2)]);
+    let mut db = NaiveDatabase::new(schema);
+    for e in 0..n as i64 {
+        let d = e / 40;
+        let boss = 1_000_000 + 2 * d + rng.below(2) as i64;
+        db.add("W", vec![Value::Const(e), Value::Const(d)]);
+        db.add("R", vec![Value::Const(e), Value::Const(boss)]);
+    }
+    db
+}
+
+/// `Q(e, m) ← W(e, d) ∧ W(f, d) ∧ R(f, m)`.
+fn mates_query() -> UnionQuery {
+    UnionQuery::single(ConjunctiveQuery::with_head(
+        vec![0, 3],
+        vec![
+            Atom::new("W", vec![V(0), V(1)]),
+            Atom::new("W", vec![V(2), V(1)]),
+            Atom::new("R", vec![V(2), V(3)]),
         ],
     ))
 }
@@ -389,6 +422,23 @@ fn main() {
             }),
         });
         eprintln!("[query_bench] certain_sweep k={k}: ref {ref_us}us, seq {seq_us}us");
+    }
+
+    // --- e02_ucq_mates: duplicate-heavy projection of a join ---
+    let mates_sizes: &[usize] = if quick { &[512] } else { &[512, 2048] };
+    for &n in mates_sizes {
+        let db = mates_db(&mut rng, n);
+        let reps = if n >= 2048 { 1 } else { 3 };
+        join_case(
+            "e02_ucq_mates",
+            format!("n={n}"),
+            &mates_query(),
+            &db,
+            reps,
+            quick,
+            false,
+            &mut rows,
+        );
     }
 
     // --- e11_gdm_images: Theorem 7(b) grounded-image enumeration ---

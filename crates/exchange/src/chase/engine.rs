@@ -60,16 +60,17 @@
 //! unaffected, since chase failure and success are order-independent.
 
 use ca_cert::{CertAtom, CertEgd, CertFact, CertRule, ChaseCert, ChaseCertOutcome, ChaseStep};
-use std::hash::{Hash, Hasher};
 
-use ca_core::fxhash::{FxHashMap, FxHasher};
+use ca_core::fxhash::FxHashMap;
 use ca_core::store::{FactId, FactStore};
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term};
 use ca_query::certify::cert_atom;
-use ca_query::engine::{eval_prepared_into, eval_seeded_into, prepare_cq, CompiledCq, DbIndex};
+use ca_query::engine::{
+    eval_prepared_into, eval_seeded_into, prepare_cq, rows, CompiledCq, DbIndex,
+};
 use ca_relational::schema::Schema;
 
 use super::{ChaseConfig, ChaseOutcome, Egd};
@@ -353,175 +354,12 @@ pub(super) fn try_chase(
     Some(run(&schema, &rules, &cegds, instance, gen, cfg, skeleton))
 }
 
-/// Fixed-stride rows in one flat buffer. The row count is explicit,
-/// since the stride may be 0 (a rule with an empty frontier).
-struct Rows {
-    stride: usize,
-    len: usize,
-    vals: Vec<Value>,
-}
+/// Fixed-stride value rows: per-rule sorted runs of fired triggers,
+/// witnesses and satisfied valuations.
+type Rows = rows::Rows<Value>;
 
-impl Rows {
-    fn new(stride: usize) -> Rows {
-        Rows {
-            stride,
-            len: 0,
-            vals: Vec::new(),
-        }
-    }
-
-    fn row(&self, i: usize) -> &[Value] {
-        &self.vals[i * self.stride..(i + 1) * self.stride]
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &[Value]> {
-        (0..self.len).map(|i| self.row(i))
-    }
-
-    fn push(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.stride);
-        self.vals.extend_from_slice(row);
-        self.len += 1;
-    }
-
-    fn sort_dedup(&mut self) {
-        if self.stride == 0 {
-            self.len = self.len.min(1);
-            return;
-        }
-        let mut rows: Vec<&[Value]> = self.vals.chunks_exact(self.stride).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        self.len = rows.len();
-        self.vals = rows.concat();
-    }
-
-    /// Whether this sorted, unique run holds `key`, moving the cursor `at`
-    /// past every smaller row: ascending probes walk the run once.
-    fn seek(&self, at: &mut usize, key: &[Value]) -> bool {
-        while *at < self.len && self.row(*at) < key {
-            *at += 1;
-        }
-        *at < self.len && self.row(*at) == key
-    }
-
-    /// Merge the key prefixes of `keyed` (sorted, unique by key) into this
-    /// sorted, unique run of keys.
-    fn merge_keys(&mut self, keyed: &Rows) {
-        if keyed.len == 0 {
-            return;
-        }
-        let k = self.stride;
-        let mut out = Rows::new(k);
-        out.vals.reserve(self.vals.len() + keyed.len * k);
-        let mut mine = self.iter().peekable();
-        for key in keyed.iter().map(|entry| &entry[..k]) {
-            while let Some(row) = mine.next_if(|row| *row < key) {
-                out.push(row);
-            }
-            mine.next_if(|row| *row == key);
-            out.push(key);
-        }
-        mine.for_each(|row| out.push(row));
-        *self = out;
-    }
-
-    /// Map every value through `f` (an egd merge), then restore sorted,
-    /// unique order.
-    fn resolve(&mut self, f: impl Fn(Value) -> Value) {
-        for v in &mut self.vals {
-            *v = f(*v);
-        }
-        self.sort_dedup();
-    }
-}
-
-/// Rows unique by their leading `key` values, each key keeping its least
-/// row: a round's keyed witnesses or satisfied valuations. A row whose
-/// key is already held replaces the held row only when it is smaller, so
-/// the buffer never holds more rows than there are distinct keys, however
-/// many duplicates arrive. Keys are found through an open-addressing
-/// index over the flat rows; the index is probed, never iterated, and the
-/// output order comes from one sort ([`Distinct::into_sorted`]).
-struct Distinct {
-    key: usize,
-    rows: Rows,
-    /// Row index + 1 per slot (0 = empty), linear probing. Its length is
-    /// 0 or a power of two at least twice the row count.
-    slots: Vec<usize>,
-}
-
-impl Distinct {
-    fn new(stride: usize, key: usize) -> Distinct {
-        Distinct {
-            key,
-            rows: Rows::new(stride),
-            slots: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len
-    }
-
-    /// Add the one row that `fill` appends to the buffer.
-    fn insert(&mut self, fill: impl FnOnce(&mut Vec<Value>)) {
-        if 2 * (self.rows.len + 1) > self.slots.len() {
-            self.grow();
-        }
-        let start = self.rows.vals.len();
-        fill(&mut self.rows.vals);
-        let (stride, key) = (self.rows.stride, self.key);
-        let (held, new) = self.rows.vals.split_at_mut(start);
-        debug_assert_eq!(new.len(), stride);
-        let mask = self.slots.len() - 1;
-        let mut slot = slot_of(&new[..key], mask);
-        loop {
-            let j = self.slots[slot];
-            if j == 0 {
-                self.slots[slot] = self.rows.len + 1;
-                self.rows.len += 1;
-                return;
-            }
-            let old = &mut held[(j - 1) * stride..j * stride];
-            if old[..key] == new[..key] {
-                if *new < *old {
-                    old.copy_from_slice(new);
-                }
-                self.rows.vals.truncate(start);
-                return;
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Double the index (at least 16 slots) and re-place every row.
-    fn grow(&mut self) {
-        let mask = (2 * self.slots.len()).max(16) - 1;
-        self.slots = vec![0; mask + 1];
-        for i in 0..self.rows.len {
-            let mut slot = slot_of(&self.rows.row(i)[..self.key], mask);
-            while self.slots[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = i + 1;
-        }
-    }
-
-    fn into_sorted(self) -> Rows {
-        let mut rows = self.rows;
-        rows.sort_dedup();
-        rows
-    }
-}
-
-/// The index slot of `key`: its Fx hash, whose multiply leaves the mixed
-/// bits high, rotated down and masked.
-fn slot_of(key: &[Value], mask: usize) -> usize {
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    h.finish().rotate_left(32) as usize & mask
-}
+/// Value rows unique by a leading key, each keeping its least row.
+type Distinct = rows::Distinct<Value>;
 
 /// A body assignment in step vocabulary: sorted `(variable, value)` pairs.
 type Assignment = Vec<(u32, Value)>;
@@ -876,12 +714,12 @@ fn egd_matches(
         if !collect_witnesses(body, seeds, limit, idx, &mut found) {
             return Err(());
         }
-        for (w, witness) in found.rows.iter().enumerate() {
+        for (w, witness) in found.rows().iter().enumerate() {
             if let [a, b, ..] = *witness {
                 pairs.push((a, b, e, w));
             }
         }
-        witnesses.push(found.rows);
+        witnesses.push(found.into_rows());
     }
     pairs.sort_unstable();
     pairs.dedup_by_key(|&mut (a, b, ..)| (a, b));
@@ -922,13 +760,13 @@ fn tgd_matches(
         let witnesses = found.into_sorted();
         // Head satisfaction, set-at-a-time, only for a rule with an
         // unfired trigger.
-        let mut set = Distinct::new(k, k);
+        let mut set = Distinct::set(k);
         let mut at = 0;
         if witnesses.iter().any(|w| !fired.seek(&mut at, &w[..k])) {
             let prepared = prepare_cq(&rule.head, idx);
             let mut within = true;
             eval_prepared_into(&rule.head, &prepared, idx, &mut |row| {
-                set.insert(|vals| vals.extend_from_slice(row));
+                set.insert_row(row);
                 within = set.len() <= limit;
                 within
             });

@@ -202,16 +202,18 @@ pub fn certain_table_certified(q: &UnionQuery, db: &NaiveDatabase) -> CertifiedT
 
 /// Certify that `row` is **not** a certain answer of `q` over `db`: find
 /// a completion into the adequate pool whose answer table omits `row`.
-/// `None` when `row` is in fact certain (or the space is vacuous).
+/// `None` when `row` is in fact certain (or the space is vacuous). Each
+/// completion is tested without building its answer table: `row` is
+/// resolved to interned ids and the join stops at the first equal head
+/// row.
 pub fn refute_row(q: &UnionQuery, db: &NaiveDatabase, row: &[Value]) -> Option<NonCertainCert> {
     let pool = adequate_pool(db, &ucq_constants(q));
     let plan = CompiledUcq::compile_lenient(q, &db.schema);
-    falsifying_valuation(db, &pool, |idx| {
-        engine::eval_ucq_on(&plan, idx).contains(row)
-    })
-    .map(|valuation| NonCertainCert {
-        valuation,
-        row: row.to_vec(),
+    falsifying_valuation(db, &pool, |idx| engine::ucq_has_row(&plan, idx, row)).map(|valuation| {
+        NonCertainCert {
+            valuation,
+            row: row.to_vec(),
+        }
     })
 }
 

@@ -16,11 +16,16 @@
 //!    cloning, no `Value` hashing), with per-relation posting tables
 //!    (CSR or hash) keyed by each atom's bound-position signature, built
 //!    lazily on first probe and cached across the disjuncts of a UCQ and
-//!    across repeated evaluations on the same store;
+//!    across repeated evaluations on the same store. Answer rows stay
+//!    interned-id tuples too: every disjunct of a UCQ inserts its head
+//!    id rows into one flat, deduplicating id set, and each distinct row
+//!    is decoded to [`Value`]s once, at the `BTreeSet` API edge (late
+//!    materialization — the join may emit each answer many times);
 //! 3. **completion sweep** ([`sweep`]) — brute-force certain answers
 //!    sweep the `|pool|^#nulls` completion grid in index order,
 //!    grounding each completion by remapping null ids over shared column
-//!    pages, with early exit once the intersection empties.
+//!    pages and intersecting id rows (decoding only the survivors), with
+//!    early exit once the intersection empties.
 //!
 //! The old evaluator survives unchanged as [`crate::reference`] and
 //! serves as the differential-testing oracle (`tests/eval_differential.rs`),
@@ -29,11 +34,12 @@
 pub mod cost;
 pub mod index;
 pub mod plan;
+pub mod rows;
 pub mod sweep;
 
 use std::collections::BTreeSet;
 
-use ca_core::store::ValueId;
+use ca_core::store::{FactStore, ValueId};
 use ca_core::value::Value;
 use ca_relational::database::NaiveDatabase;
 use ca_relational::schema::Schema;
@@ -43,6 +49,7 @@ use crate::ast::{ConjunctiveQuery, UnionQuery};
 pub use cost::CostModel;
 pub use index::DbIndex;
 pub use plan::{CompiledCq, CompiledUcq, PlanError};
+use rows::{Distinct, Rows};
 pub use sweep::CompletionSpace;
 
 /// Compile a CQ against a schema.
@@ -57,33 +64,45 @@ pub fn compile_ucq(q: &UnionQuery, schema: &Schema) -> Result<CompiledUcq, PlanE
 
 /// Reusable per-evaluation buffers threaded through [`exec`]: the
 /// variable-slot assignment (interned value ids), one probe-key scratch
-/// buffer per join depth, and the head-row buffer handed to `emit`
-/// (translated back to [`Value`]s only at emission).
+/// buffer per join depth, and the head-row buffer handed to `emit`, which
+/// holds interned ids too — answers are decoded to [`Value`]s only at the
+/// API edge, once per distinct row (see [`decode`]).
 struct ExecBufs {
     slots: Vec<ValueId>,
     scratch: Vec<Vec<ValueId>>,
-    head_buf: Vec<Value>,
+    head_buf: Vec<ValueId>,
+}
+
+impl ExecBufs {
+    fn new(cq: &CompiledCq) -> ExecBufs {
+        ExecBufs {
+            slots: vec![0; cq.n_slots],
+            scratch: vec![Vec::new(); cq.atoms.len()],
+            head_buf: Vec::with_capacity(cq.head_slots.len()),
+        }
+    }
 }
 
 /// Execute the plan suffix from `depth`, with `access` naming each
 /// atom's posting table and id-resolved key. The join loop compares
-/// interned `u32` ids read straight from the store's column pages.
-/// Returns `false` iff `emit` requested a stop.
-fn exec(
+/// interned `u32` ids read straight from the store's column pages, and
+/// `emit` sees each head row as ids. Generic over the emitter, so an
+/// id-set insert inlines into the loop's leaf. Returns `false` iff `emit`
+/// requested a stop.
+fn exec<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     cq: &CompiledCq,
     access: &[index::AtomAccess],
     idx: &DbIndex<'_>,
     depth: usize,
     bufs: &mut ExecBufs,
-    emit: &mut dyn FnMut(&[Value]) -> bool,
+    emit: &mut E,
 ) -> bool {
     if depth == cq.atoms.len() {
         // One reused buffer for every head row: `emit` sees a borrow, so
         // no per-row allocation on the hot path.
         bufs.head_buf.clear();
-        for &s in &cq.head_slots {
-            bufs.head_buf.push(idx.value(bufs.slots[s]));
-        }
+        bufs.head_buf
+            .extend(cq.head_slots.iter().map(|&s| bufs.slots[s]));
         return emit(&bufs.head_buf);
     }
     let atom = &cq.atoms[depth];
@@ -137,6 +156,46 @@ fn exec(
     keep_going
 }
 
+/// The access paths [`exec`] runs a plan with. A single-atom plan scans:
+/// with one atom there is no join to accelerate, so building (or even
+/// resolving) a posting table can never amortize against the single scan
+/// that replaces it — measurably so on small relations (`e02_ucq_edge`).
+/// The scan verifies the bound-position signature per candidate.
+fn access_paths(cq: &CompiledCq, idx: &mut DbIndex<'_>) -> Vec<index::AtomAccess> {
+    match cq.atoms.as_slice() {
+        [atom] => vec![index::AtomAccess {
+            handle: index::SCAN,
+            key: idx.resolve_key(&atom.key),
+        }],
+        _ => idx.ensure_cq(cq),
+    }
+}
+
+/// Run a whole plan over `access`, emitting head id rows. Returns
+/// `false` iff `emit` requested a stop.
+fn run_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
+    cq: &CompiledCq,
+    access: &[index::AtomAccess],
+    idx: &DbIndex<'_>,
+    emit: &mut E,
+) -> bool {
+    exec(cq, access, idx, 0, &mut ExecBufs::new(cq), emit)
+}
+
+/// Adapt a [`Value`]-row consumer to an id emitter: each head row is
+/// decoded into one reused buffer.
+fn decoding<'e>(
+    idx: &'e DbIndex<'_>,
+    emit: &'e mut dyn FnMut(&[Value]) -> bool,
+) -> impl FnMut(&[ValueId]) -> bool + 'e {
+    let mut buf = Vec::new();
+    move |ids| {
+        buf.clear();
+        buf.extend(ids.iter().map(|&id| idx.value(id)));
+        emit(&buf)
+    }
+}
+
 /// Evaluate a compiled CQ, calling `emit` on every head row (with
 /// duplicates; `emit` returning `false` stops the enumeration early).
 pub fn eval_cq_into(
@@ -144,51 +203,9 @@ pub fn eval_cq_into(
     idx: &mut DbIndex<'_>,
     emit: &mut dyn FnMut(&[Value]) -> bool,
 ) {
-    let mut slots: Vec<ValueId> = vec![0; cq.n_slots];
-    let mut head_buf = Vec::with_capacity(cq.head_slots.len());
-    if let [atom] = cq.atoms.as_slice() {
-        // Single-atom fast path: with one atom there is no join to
-        // accelerate, so building (or even resolving) a posting table
-        // can never amortize against the single scan that replaces it —
-        // measurably so on small relations (`e02_ucq_edge`). Verify the
-        // bound-position signature inline, exactly as the scanning
-        // branch of `exec` would.
-        let key = idx.resolve_key(&atom.key);
-        let cols = idx.cols(atom.rel);
-        'cand: for &row in idx.rows(atom.rel) {
-            let r = row as usize;
-            for (&pos, kp) in atom.sig.iter().zip(&key) {
-                let expected = match kp {
-                    index::IdKey::Const(id) => *id,
-                    index::IdKey::Slot(s) => slots[*s],
-                };
-                if cols[pos][r] != expected {
-                    continue 'cand;
-                }
-            }
-            for &(pos, slot) in &atom.binds {
-                slots[slot] = cols[pos][r];
-            }
-            for &(pos, slot) in &atom.checks {
-                if cols[pos][r] != slots[slot] {
-                    continue 'cand;
-                }
-            }
-            head_buf.clear();
-            head_buf.extend(cq.head_slots.iter().map(|&s| idx.value(slots[s])));
-            if !emit(&head_buf) {
-                return;
-            }
-        }
-        return;
-    }
-    let access = idx.ensure_cq(cq);
-    let mut bufs = ExecBufs {
-        slots,
-        scratch: vec![Vec::new(); cq.atoms.len()],
-        head_buf,
-    };
-    exec(cq, &access, &*idx, 0, &mut bufs, emit);
+    let access = access_paths(cq, idx);
+    let idx = &*idx;
+    run_ids(cq, &access, idx, &mut decoding(idx, emit));
 }
 
 /// Minimum live rows of the leading relation before semijoin reduction
@@ -200,25 +217,32 @@ const SEMIJOIN_MIN_ROWS: usize = 1024;
 /// [`semijoin_filter_lead`]): chain/star plans over a large lead
 /// relation pre-filter the lead rows through later atoms' postings, then
 /// run the reduced seeded join; everything else takes the plain engine.
-/// Inserts every head row into `out`.
-fn eval_cq_seq_into(cq: &CompiledCq, idx: &mut DbIndex<'_>, out: &mut BTreeSet<Vec<Value>>) {
-    let mut insert = |row: &[Value]| {
-        out.insert(row.to_vec());
-        true
-    };
-    let reducible = cq.atoms.len() >= 3
-        && cq
-            .atoms
-            .first()
-            .is_some_and(|a| idx.rows(a.rel).len() >= SEMIJOIN_MIN_ROWS);
-    if reducible {
-        let prep = prepare_cq(cq, idx);
-        if let Some(kept) = semijoin_filter_lead(cq, &prep, idx) {
-            eval_seeded_into(cq, &prep, idx, &kept, &mut insert);
-            return;
-        }
+/// Emits every head id row; returns `false` iff `emit` requested a stop.
+fn cq_ids_into<E: FnMut(&[ValueId]) -> bool + ?Sized>(
+    cq: &CompiledCq,
+    idx: &mut DbIndex<'_>,
+    emit: &mut E,
+) -> bool {
+    let access = access_paths(cq, idx);
+    match semijoin_filter_lead(cq, &access, idx) {
+        Some(kept) => seeded_ids(cq, &access, idx, &kept, emit),
+        None => run_ids(cq, &access, idx, emit),
     }
-    eval_cq_into(cq, idx, &mut insert);
+}
+
+/// [`cq_ids_into`] over every disjunct, in order, until `emit` stops.
+/// `UnionQuery::new` and the parser enforce a shared head arity; a
+/// disjunct of a hand-built union that breaks it is skipped, so every
+/// emitted row has the union's head arity.
+fn ucq_ids_into<E: FnMut(&[ValueId]) -> bool + ?Sized>(
+    ucq: &CompiledUcq,
+    idx: &mut DbIndex<'_>,
+    emit: &mut E,
+) -> bool {
+    ucq.disjuncts
+        .iter()
+        .filter(|d| d.head_slots.len() == ucq.head_arity)
+        .all(|d| cq_ids_into(d, idx, emit))
 }
 
 /// Semijoin-reduce the leading atom of a chain/star plan: keep only the
@@ -234,7 +258,11 @@ fn eval_cq_seq_into(cq: &CompiledCq, idx: &mut DbIndex<'_>, out: &mut BTreeSet<V
 /// later atom probes a built (non-scan) single-column table keyed by a
 /// slot the lead atom binds. Returns `None` when inapplicable; callers
 /// then run the unreduced plan.
-fn semijoin_filter_lead(cq: &CompiledCq, prep: &PreparedCq, idx: &DbIndex<'_>) -> Option<Vec<u32>> {
+fn semijoin_filter_lead(
+    cq: &CompiledCq,
+    access: &[index::AtomAccess],
+    idx: &DbIndex<'_>,
+) -> Option<Vec<u32>> {
     let lead = cq.atoms.first()?;
     let rows = idx.rows(lead.rel);
     if cq.atoms.len() < 3 || rows.len() < SEMIJOIN_MIN_ROWS {
@@ -242,7 +270,7 @@ fn semijoin_filter_lead(cq: &CompiledCq, prep: &PreparedCq, idx: &DbIndex<'_>) -
     }
     // `(lead column, posting handle)` per eligible later atom.
     let mut filters: Vec<(usize, usize)> = Vec::new();
-    for (atom, acc) in cq.atoms.iter().zip(&prep.access).skip(1) {
+    for (atom, acc) in cq.atoms.iter().zip(access).skip(1) {
         if acc.handle == index::SCAN {
             continue;
         }
@@ -299,12 +327,7 @@ pub fn eval_prepared_into(
     emit: &mut dyn FnMut(&[Value]) -> bool,
 ) {
     debug_assert_eq!(prep.access.len(), cq.atoms.len());
-    let mut bufs = ExecBufs {
-        slots: vec![0; cq.n_slots],
-        scratch: vec![Vec::new(); cq.atoms.len()],
-        head_buf: Vec::with_capacity(cq.head_slots.len()),
-    };
-    exec(cq, &prep.access, idx, 0, &mut bufs, emit);
+    run_ids(cq, &prep.access, idx, &mut decoding(idx, emit));
 }
 
 /// Semi-naive evaluation of a prepared CQ: the **first** atom of the
@@ -323,19 +346,25 @@ pub fn eval_seeded_into(
     seed: &[u32],
     emit: &mut dyn FnMut(&[Value]) -> bool,
 ) {
-    let Some(atom) = cq.atoms.first() else {
-        return;
-    };
     debug_assert_eq!(prep.access.len(), cq.atoms.len());
-    let Some(acc) = prep.access.first() else {
-        return;
+    seeded_ids(cq, &prep.access, idx, seed, &mut decoding(idx, emit));
+}
+
+/// [`eval_seeded_into`] at the id level: the lead atom ranges over
+/// `seed`, [`exec`] joins the rest. Returns `false` iff `emit` requested
+/// a stop.
+fn seeded_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
+    cq: &CompiledCq,
+    access: &[index::AtomAccess],
+    idx: &DbIndex<'_>,
+    seed: &[u32],
+    emit: &mut E,
+) -> bool {
+    let (Some(atom), Some(acc)) = (cq.atoms.first(), access.first()) else {
+        return true;
     };
     let cols = idx.cols(atom.rel);
-    let mut bufs = ExecBufs {
-        slots: vec![0; cq.n_slots],
-        scratch: vec![Vec::new(); cq.atoms.len()],
-        head_buf: Vec::with_capacity(cq.head_slots.len()),
-    };
+    let mut bufs = ExecBufs::new(cq);
     'cand: for &row in seed {
         let r = row as usize;
         for (&pos, kp) in atom.sig.iter().zip(&acc.key) {
@@ -355,32 +384,58 @@ pub fn eval_seeded_into(
                 continue 'cand;
             }
         }
-        if !exec(cq, &prep.access, idx, 1, &mut bufs, emit) {
-            return;
+        if !exec(cq, access, idx, 1, &mut bufs, emit) {
+            return false;
         }
     }
+    true
+}
+
+/// A set of answer rows as interned ids: one flat, fixed-stride buffer
+/// deduplicated through an open-addressing index (stride 0 holds at most
+/// the Boolean `()`).
+type IdSet = Distinct<ValueId>;
+
+/// Decode each held id row to [`Value`]s once and build the answer set
+/// in one bulk `collect`.
+fn decode(rows: &Rows<ValueId>, store: &FactStore) -> BTreeSet<Vec<Value>> {
+    rows.iter()
+        .map(|row| row.iter().map(|&id| store.value(id)).collect())
+        .collect()
 }
 
 /// Evaluate a compiled UCQ on a prepared index: the union of the
-/// disjuncts' answer sets.
+/// disjuncts' answer sets, deduplicated as interned id rows in one set
+/// shared by the disjuncts and decoded once per distinct row.
 pub fn eval_ucq_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> BTreeSet<Vec<Value>> {
-    let mut out = BTreeSet::new();
-    for d in &ucq.disjuncts {
-        eval_cq_seq_into(d, idx, &mut out);
-    }
-    out
+    let mut set = IdSet::set(ucq.head_arity);
+    ucq_ids_into(ucq, idx, &mut |row| {
+        set.insert_row(row);
+        true
+    });
+    decode(set.rows(), idx.store())
+}
+
+/// Does some disjunct of `ucq` emit the head row `row` (nulls as
+/// values)? Stops at the first equal head row. A value of `row` that is
+/// not interned in the store cannot occur in any answer.
+pub(crate) fn ucq_has_row(ucq: &CompiledUcq, idx: &mut DbIndex<'_>, row: &[Value]) -> bool {
+    let Some(ids) = row
+        .iter()
+        .map(|&v| idx.store().lookup_value(v))
+        .collect::<Option<Vec<ValueId>>>()
+    else {
+        return false;
+    };
+    !ucq_ids_into(ucq, idx, &mut |head| head != ids.as_slice())
 }
 
 /// Boolean evaluation of a compiled UCQ on a prepared index, with early
 /// exit on the first witness.
 pub fn eval_ucq_bool_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> bool {
     ucq.disjuncts.iter().any(|d| {
-        let mut hit = false;
-        eval_cq_into(d, idx, &mut |_| {
-            hit = true;
-            false
-        });
-        hit
+        let access = access_paths(d, idx);
+        !run_ids(d, &access, idx, &mut |_| false)
     })
 }
 
@@ -402,9 +457,17 @@ pub fn eval_cq(
 ) -> Result<BTreeSet<Vec<Value>>, PlanError> {
     let mut idx = DbIndex::new(db);
     let plan = CompiledCq::compile_costed(q, &db.schema, idx.model())?;
-    let mut out = BTreeSet::new();
-    eval_cq_seq_into(&plan, &mut idx, &mut out);
-    Ok(out)
+    Ok(cq_answers(&plan, &mut idx))
+}
+
+/// The answer set of a compiled CQ, by the route of [`eval_ucq_on`].
+pub(crate) fn cq_answers(plan: &CompiledCq, idx: &mut DbIndex<'_>) -> BTreeSet<Vec<Value>> {
+    let mut out = IdSet::set(plan.head_slots.len());
+    cq_ids_into(plan, idx, &mut |row| {
+        out.insert_row(row);
+        true
+    });
+    decode(out.rows(), idx.store())
 }
 
 /// Compile (cost-based) and evaluate a Boolean UCQ over a database.
@@ -418,6 +481,10 @@ pub fn eval_ucq_bool(q: &UnionQuery, db: &NaiveDatabase) -> Result<bool, PlanErr
 /// tables over every completion of `db` into `pool`, sweeping the
 /// completion grid with early exit.
 ///
+/// Every completion store shares the base store's interner, so the
+/// intersection runs over interned id rows and only the surviving rows
+/// are decoded.
+///
 /// Semantics at the corners (unit-tested below): when the completion
 /// space is **empty** (nulls present but an empty pool) the intersection
 /// over no completions is vacuous — the table form returns the **empty
@@ -429,10 +496,14 @@ pub fn certain_table_over(
     pool: &[i64],
 ) -> BTreeSet<Vec<Value>> {
     let space = CompletionSpace::new(db, pool);
-    sweep::intersect(space.len(), |i| {
-        eval_ucq_on(plan, &mut DbIndex::from_store(space.completion_store(i)))
-    })
-    .unwrap_or_default()
+    let survivors = sweep::intersect(space.len(), plan.head_arity, |i, emit| {
+        ucq_ids_into(
+            plan,
+            &mut DbIndex::from_store(space.completion_store(i)),
+            emit,
+        );
+    });
+    survivors.map_or_else(BTreeSet::new, |rows| decode(&rows, space.store()))
 }
 
 /// Brute-force Boolean certain answer of a compiled UCQ over a pool:
@@ -625,13 +696,12 @@ mod tests {
         let plan = CompiledCq::compile_pinned(&q, &db.schema, 0).unwrap();
         let mut idx = DbIndex::new(&db);
         let prep = prepare_cq(&plan, &mut idx);
-        let kept = semijoin_filter_lead(&plan, &prep, &idx).expect("semijoin applies");
+        let kept = semijoin_filter_lead(&plan, &prep.access, &idx).expect("semijoin applies");
         assert!(
             kept.len() < idx.rows(plan.atoms[0].rel).len(),
             "filter prunes"
         );
-        let mut out = BTreeSet::new();
-        eval_cq_seq_into(&plan, &mut idx, &mut out);
+        let out = cq_answers(&plan, &mut idx);
         let expected = reference::eval_cq(&q, &db);
         assert!(!expected.is_empty());
         assert_eq!(out, expected);
@@ -681,5 +751,110 @@ mod tests {
         }
         let legacy = legacy.unwrap();
         assert_eq!(certain_table_over(&plan, &db, &pool), legacy);
+    }
+
+    /// Answer id sets grow through many rehashes at strides 0, 1 and 3 —
+    /// 3000 distinct rows, or one row arriving 3000 times — and decode
+    /// to the reference answers, through the single-atom scan and
+    /// through the indexed join.
+    #[test]
+    fn id_sets_grow_across_rehashes_at_strides_0_1_3() {
+        let schema = Schema::from_relations(&[("R", 3), ("S", 1)]);
+        let mut db = NaiveDatabase::new(schema);
+        for k in 0..3000i64 {
+            let a = if k % 7 == 0 { n(1) } else { c(k % 3) };
+            db.add("R", vec![a, c(k % 5), c(1000 + k)]);
+        }
+        for b in 0..4 {
+            db.add("S", vec![c(b)]);
+        }
+        let r = || Atom::new("R", vec![V(0), V(1), V(2)]);
+        for head in [vec![], vec![2], vec![0, 1, 2], vec![0, 1, 0]] {
+            for atoms in [vec![r()], vec![r(), Atom::new("S", vec![V(1)])]] {
+                let q = UnionQuery::single(ConjunctiveQuery::with_head(head.clone(), atoms));
+                let got = eval_ucq(&q, &db).unwrap();
+                assert_eq!(got, reference::eval_ucq(&q, &db), "head {head:?}");
+                // Stride 0 holds the one `()`; a head keeping `k` holds
+                // thousands of rows (2400 of them join `S`).
+                let min = if head.contains(&2) { 2400 } else { 1 };
+                assert!(got.len() >= min, "head {head:?}");
+                assert!(!head.is_empty() || got.len() == 1);
+            }
+        }
+    }
+
+    /// Disjuncts share one deduplicated id set: overlapping disjuncts
+    /// yield their union once, and repeating a disjunct changes nothing.
+    #[test]
+    fn disjuncts_deduplicate_into_one_set() {
+        let rows: Vec<Vec<Value>> = (0..40i64)
+            .map(|i| vec![c(i % 6), c((i * 5) % 6)])
+            .chain([vec![n(1), c(2)], vec![c(2), n(1)]])
+            .collect();
+        let refs: Vec<&[Value]> = rows.iter().map(Vec::as_slice).collect();
+        let db = table("R", 2, &refs);
+        let fwd = ConjunctiveQuery::with_head(vec![0], vec![Atom::new("R", vec![V(0), V(1)])]);
+        let back = ConjunctiveQuery::with_head(vec![1], vec![Atom::new("R", vec![V(0), V(1)])]);
+        let both = UnionQuery::new(vec![fwd.clone(), back.clone()]);
+        let got = eval_ucq(&both, &db).unwrap();
+        assert_eq!(got, reference::eval_ucq(&both, &db));
+        let mut union = eval_cq(&fwd, &db).unwrap();
+        union.extend(eval_cq(&back, &db).unwrap());
+        assert_eq!(got, union);
+        let twice = UnionQuery::new(vec![fwd.clone(), back, fwd]);
+        assert_eq!(eval_ucq(&twice, &db).unwrap(), got);
+    }
+
+    /// The id-level sweep equals the old one: the `BTreeSet` intersection
+    /// of each completion's decoded answer table, in index order with
+    /// early exit — at head arities 0, 1 and 2, with two disjuncts.
+    #[test]
+    fn sweep_id_intersection_matches_btreeset_intersection() {
+        let db = table(
+            "R",
+            2,
+            &[
+                &[c(1), n(1)],
+                &[n(1), c(2)],
+                &[n(2), c(5)],
+                &[c(5), n(3)],
+                &[c(2), c(2)],
+            ],
+        );
+        let pool = [1, 2, 5, 6];
+        let heads: [&[u32]; 3] = [&[], &[0], &[0, 2]];
+        for head in heads {
+            let q = UnionQuery::new(vec![
+                ConjunctiveQuery::with_head(
+                    head.to_vec(),
+                    vec![
+                        Atom::new("R", vec![V(0), V(1)]),
+                        Atom::new("R", vec![V(1), V(2)]),
+                    ],
+                ),
+                ConjunctiveQuery::with_head(
+                    head.iter().map(|&v| v.min(1)).collect(),
+                    vec![
+                        Atom::new("R", vec![V(0), V(1)]),
+                        Atom::new("R", vec![V(1), V(1)]),
+                    ],
+                ),
+            ]);
+            let plan = compile_ucq(&q, &db.schema).unwrap();
+            let space = CompletionSpace::new(&db, &pool);
+            let mut old: Option<BTreeSet<Vec<Value>>> = None;
+            for i in 0..space.len() {
+                if old.as_ref().is_some_and(BTreeSet::is_empty) {
+                    break;
+                }
+                let next = eval_ucq_on(&plan, &mut DbIndex::from_store(space.completion_store(i)));
+                old = Some(match old {
+                    None => next,
+                    Some(acc) => acc.intersection(&next).cloned().collect(),
+                });
+            }
+            let old = old.unwrap_or_default();
+            assert_eq!(certain_table_over(&plan, &db, &pool), old, "head {head:?}");
+        }
     }
 }

@@ -13,12 +13,12 @@
 //! decide in general (Thm 7), so a fixed-width fan-out would only shave
 //! a constant factor; the sweep runs on the calling thread.
 
-use std::collections::BTreeSet;
-
 use ca_core::store::{null_index, FactStore, ValueId};
 use ca_core::value::{Null, Value};
 use ca_relational::database::{NaiveDatabase, Valuation};
 use ca_relational::store_bridge::to_store;
+
+use super::rows::{Distinct, Rows};
 
 /// The space of completions of `db` into a constant pool, addressable by
 /// linear index: completion `i` grounds null `j` (in sorted null order)
@@ -104,6 +104,12 @@ impl<'a> CompletionSpace<'a> {
         self.db.apply(&h)
     }
 
+    /// The base store: every completion store shares its interner, so
+    /// it decodes any completion's value ids.
+    pub(crate) fn store(&self) -> &FactStore {
+        &self.base
+    }
+
     /// Materialize completion `i` directly in the columnar store: clone
     /// the base column pages with each null's id overwritten by its pool
     /// constant's id. Same digit convention as [`Self::completion`], no
@@ -121,28 +127,55 @@ impl<'a> CompletionSpace<'a> {
     }
 }
 
-/// Intersect `eval(i)` over every `i` in `0..count`, in index order
-/// with early exit once the intersection is empty. Returns `None` for
-/// `count == 0` — the intersection over no sets is "everything", which
-/// has no finite representation; callers choose their semantics
-/// (brute-force certain answers return the empty table, documented at
-/// the call site).
+/// Intersect the row sets of every completion `i` in `0..count`, in
+/// index order with early exit once the intersection is empty. `eval(i,
+/// emit)` feeds completion `i`'s rows (interned ids, width `stride`,
+/// duplicates allowed) to `emit` and must stop when `emit` returns
+/// `false`. The first completion's rows seed the running intersection;
+/// every later completion only marks the held rows it produces, and
+/// stops as soon as all of them are marked. Ids compare across
+/// completions because every completion store shares the base store's
+/// interner ([`FactStore::clone_remapped`]).
+///
+/// Returns `None` for `count == 0` — the intersection over no sets is
+/// "everything", which has no finite representation; callers choose
+/// their semantics (brute-force certain answers return the empty table,
+/// documented at the call site).
 pub fn intersect(
     count: u128,
-    eval: impl Fn(u128) -> BTreeSet<Vec<Value>>,
-) -> Option<BTreeSet<Vec<Value>>> {
+    stride: usize,
+    mut eval: impl FnMut(u128, &mut dyn FnMut(&[ValueId]) -> bool),
+) -> Option<Rows<ValueId>> {
     if count == 0 {
         return None;
     }
-    let mut acc = eval(0);
+    let mut acc: Distinct<ValueId> = Distinct::set(stride);
+    eval(0, &mut |row| {
+        acc.insert_row(row);
+        true
+    });
+    let mut seen: Vec<bool> = Vec::new();
     for i in 1..count {
         if acc.is_empty() {
             break;
         }
-        let next = eval(i);
-        acc.retain(|row| next.contains(row));
+        seen.clear();
+        seen.resize(acc.len(), false);
+        let mut missing = acc.len();
+        eval(i, &mut |row| {
+            if let Some(j) = acc.find(row) {
+                if !seen[j] {
+                    seen[j] = true;
+                    missing -= 1;
+                }
+            }
+            missing > 0
+        });
+        if missing > 0 {
+            acc.retain(|j| seen[j]);
+        }
     }
-    Some(acc)
+    Some(acc.into_rows())
 }
 
 #[cfg(test)]
@@ -204,29 +237,56 @@ mod tests {
         assert_eq!(from_store(&space.completion_store(0)), complete);
     }
 
+    /// The ids of `rows`, sorted.
+    fn ids(rows: &Rows<ValueId>) -> Vec<Vec<ValueId>> {
+        let mut out: Vec<Vec<ValueId>> = rows.iter().map(<[ValueId]>::to_vec).collect();
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn intersect_folds_in_index_order_and_exits_early() {
-        // Completion i keeps rows >= i/8: over 0..20 that leaves 2..8.
-        let eval = |i: u128| -> BTreeSet<Vec<Value>> {
-            (0..8u8)
-                .filter(|&j| u128::from(j) >= i / 8)
-                .map(|j| vec![c(i64::from(j))])
-                .collect()
+        // Completion i emits rows j >= i/8 (each twice): over 0..20 that
+        // leaves 2..8.
+        let eval = |i: u128, emit: &mut dyn FnMut(&[ValueId]) -> bool| {
+            for j in (0..8u32).filter(|&j| u128::from(j) >= i / 8) {
+                if !emit(&[j]) || !emit(&[j]) {
+                    return;
+                }
+            }
         };
-        let expected: BTreeSet<Vec<Value>> = (2..8).map(|j| vec![c(j)]).collect();
-        assert_eq!(intersect(20, eval), Some(expected));
-        assert!(intersect(0, eval).is_none());
+        let expected: Vec<Vec<ValueId>> = (2..8).map(|j| vec![j]).collect();
+        assert_eq!(intersect(20, 1, eval).as_ref().map(ids), Some(expected));
+        assert!(intersect(0, 1, eval).is_none());
         // A family that empties early stops being evaluated.
-        let calls = std::cell::Cell::new(0u128);
-        let empty = intersect(64, |i| {
-            calls.set(calls.get() + 1);
-            if i == 5 {
-                BTreeSet::new()
-            } else {
-                BTreeSet::from([vec![c(1)]])
+        let mut calls = 0u128;
+        let empty = intersect(64, 1, |i, emit| {
+            calls += 1;
+            if i != 5 {
+                emit(&[1]);
             }
         });
-        assert_eq!(empty, Some(BTreeSet::new()));
-        assert_eq!(calls.get(), 6);
+        assert_eq!(empty.map(|rows| rows.len()), Some(0));
+        assert_eq!(calls, 6);
+        // Once every held row is seen, a completion stops emitting.
+        let mut emitted = 0;
+        let full = intersect(3, 1, |_, emit| {
+            for j in 0..100u32 {
+                emitted += 1;
+                if !emit(&[j % 4]) {
+                    return;
+                }
+            }
+        });
+        assert_eq!(full.map(|rows| rows.len()), Some(4));
+        assert_eq!(emitted, 100 + 4 + 4);
+        // Stride 0: the Boolean `()` survives only if every completion
+        // emits it.
+        let unit = intersect(4, 0, |i, emit| {
+            if i != 2 {
+                emit(&[]);
+            }
+        });
+        assert_eq!(unit.map(|rows| rows.len()), Some(0));
     }
 }

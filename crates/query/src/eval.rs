@@ -32,13 +32,7 @@ pub fn eval_cq(q: &ConjunctiveQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Value>>
     let Ok(plan) = CompiledCq::compile(q, &db.schema) else {
         return BTreeSet::new(); // lenient: unknown relation / arity → no matches
     };
-    let mut idx = DbIndex::new(db);
-    let mut out = BTreeSet::new();
-    engine::eval_cq_into(&plan, &mut idx, &mut |row| {
-        out.insert(row.to_vec());
-        true
-    });
-    out
+    engine::cq_answers(&plan, &mut DbIndex::new(db))
 }
 
 /// Evaluate a UCQ (union of the disjuncts' answers).

@@ -284,6 +284,52 @@ fn query_certificates_are_layout_and_thread_independent() {
     }
 }
 
+/// Refutation certificates are pinned byte for byte: for every naive
+/// answer row of the fixture (null rows among them) and a few rows that
+/// are never answers (one holding a constant absent from the database),
+/// `refute_row` finds the lowest falsifying completion, or none for a
+/// certain row. Golden `(length, FNV-1a-64 digest)` of the concatenated
+/// bytes, one tag byte per row; the checker accepts every refutation.
+#[test]
+fn refutation_certificates_are_pinned() {
+    use ca_query::certify::{cert_query, db_facts, refute_row};
+    let q = query();
+    let db = build_permuted(0);
+    let mut rows: Vec<Vec<Value>> = engine::eval_ucq(&q, &db)
+        .expect("fixture query compiles")
+        .into_iter()
+        .collect();
+    rows.extend([
+        vec![c(987_654), c(1)],
+        vec![c(3), c(3)],
+        vec![c(5), c(5)],
+        vec![n(2), c(5)],
+    ]);
+    let (cq, facts) = (cert_query(&q), db_facts(&db));
+    let mut bytes = Vec::new();
+    let mut refuted = 0;
+    for row in &rows {
+        match refute_row(&q, &db, row) {
+            Some(nc) => {
+                assert_eq!(ca_cert::check_non_certain(&cq, &facts, &nc), Ok(()));
+                bytes.push(1);
+                bytes.extend(nc.to_bytes());
+                refuted += 1;
+            }
+            None => bytes.push(0),
+        }
+    }
+    assert!(
+        refuted > 0 && refuted < rows.len(),
+        "fixture mixes both verdicts"
+    );
+    assert_eq!(
+        (bytes.len(), fnv1a64(&bytes)),
+        (418, 10_321_425_107_586_468_254),
+        "refutation bytes moved"
+    );
+}
+
 /// Chase derivation logs: byte-identical certificates and equal chased
 /// instances (node order included) across independently rebuilt
 /// instances, and certificates accepted by the checker. Two
