@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! store_snapshot pack <db.txt> <out.snapshot>   # text database → snapshot
-//! store_snapshot info <snapshot>                # header + per-relation stats (zero-copy view)
+//! store_snapshot info <snapshot>                # header + per-relation stats
 //! store_snapshot dump <snapshot>                # snapshot → text database on stdout
 //! store_snapshot gen <n_facts> <out> [--seed <u64>] [--csv]
 //!                                               # seeded synthetic data at any size
@@ -14,10 +14,11 @@
 //!
 //! `pack` parses the `R(1, ?x, _)` text syntax (`ca_relational::parse`),
 //! bulk-loads it through `to_store`, and writes `FactStore::to_bytes`.
-//! `info` never materializes a store: it reads the snapshot through
-//! `SnapshotView`, which parses only the header and relation directory
-//! (O(relations), not O(facts)) — so inspecting a multi-gigabyte
-//! snapshot is instant. `dump` round-trips through `FactStore` and
+//! `info` prints the header through `SnapshotView`, then loads the
+//! store (validating it, and any version-2 statistics section) and
+//! prints per-column statistics computed from the live rows by
+//! `stats::compute_exact`; its `stats:` line says whether the buffer
+//! carried a statistics section. `dump` round-trips through `FactStore` and
 //! prints one fact per line in the same text syntax `pack` accepts, so
 //! `pack` ∘ `dump` is the identity on normalized databases.
 //!
@@ -31,6 +32,7 @@
 
 use std::process::ExitCode;
 
+use ca_core::store::stats::compute_exact;
 use ca_core::store::{FactStore, SnapshotView};
 use ca_core::value::Value;
 use ca_relational::{from_store, parse_database, to_store};
@@ -80,6 +82,10 @@ fn info(path: &str) -> ExitCode {
         Ok(v) => v,
         Err(e) => return fail(path, e),
     };
+    let store = match FactStore::from_bytes(&bytes) {
+        Ok(s) => s,
+        Err(e) => return fail(path, e),
+    };
     println!("snapshot: {path}");
     println!("  bytes:     {}", bytes.len());
     println!("  version:   {}", view.version());
@@ -91,28 +97,20 @@ fn info(path: &str) -> ExitCode {
     println!("  nulls:     {}", view.n_nulls());
     println!("  facts:     {}", view.n_facts());
     println!("  relations: {}", view.n_rels());
-    for r in 0..view.n_rels() {
-        match (
-            view.rel_name(r),
-            view.rel_arity(r),
-            view.rel_rows(r),
-            view.rel_live(r),
-        ) {
-            (Ok(name), Ok(arity), Ok(rows), Ok(live)) => {
-                println!("    {name}/{arity}: {rows} row(s), {live} live");
-                if !view.has_stats() {
-                    continue;
-                }
-                for c in 0..arity {
-                    match view.col_stats(r, c) {
-                        Ok((distinct, min, max)) => {
-                            println!("      col {c}: {distinct} distinct, consts in [{min}, {max}]")
-                        }
-                        Err(e) => return fail(path, e),
-                    }
-                }
-            }
-            _ => return fail(path, "corrupt relation directory"),
+    for (rel, rs) in store.relations().zip(compute_exact(&store)) {
+        let table = store.table(rel);
+        println!(
+            "    {}/{}: {} row(s), {} live",
+            store.rel_name(rel),
+            table.arity(),
+            table.n_rows(),
+            rs.n_live
+        );
+        for (c, cs) in rs.cols.iter().enumerate() {
+            println!(
+                "      col {c}: {} distinct, consts in [{}, {}]",
+                cs.distinct, cs.min_const, cs.max_const
+            );
         }
     }
     ExitCode::SUCCESS

@@ -38,8 +38,10 @@ use std::collections::hash_map::Entry;
 use crate::symbol::{Interner, Symbol};
 use crate::value::{Null, Value};
 
-pub use snapshot::{SnapshotError, SnapshotView, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use stats::{ColStats, RelStats, StoreStats};
+pub use snapshot::{
+    SnapshotError, SnapshotView, SNAPSHOT_MAGIC, SNAPSHOT_READ_VERSIONS, SNAPSHOT_VERSION,
+};
+pub use stats::{ColStats, RelStats};
 
 /// A dense interned value id. Constant ids are `0..n_consts` in interning
 /// order; null ids carry the [`NULL_TAG`] bit over a dense index
@@ -390,11 +392,6 @@ pub struct FactStore {
     /// this; the next deduplicating operation rebuilds both maps in one
     /// deterministic pass over the columns.
     maps_built: bool,
-    version: u64,
-    /// Incremental planner statistics; `None` when the store's mutation
-    /// history is unknown (remapped completion clones) until
-    /// [`Self::recompute_stats`] rebuilds it from the live contents.
-    stats: Option<stats::StatsTracker>,
 }
 
 impl Default for FactStore {
@@ -416,8 +413,6 @@ impl FactStore {
             intern: FxHashMap::default(),
             occ: Vec::new(),
             maps_built: true,
-            version: 0,
-            stats: Some(stats::StatsTracker::default()),
         }
     }
 
@@ -438,10 +433,6 @@ impl FactStore {
         let sym = self.rel_names.intern(name);
         self.arities.push(arity);
         self.tables.push(RelTable::new(arity));
-        if let Some(tr) = self.stats.as_mut() {
-            tr.add_rel(arity);
-        }
-        self.version += 1;
         sym
     }
 
@@ -565,31 +556,6 @@ impl FactStore {
             .collect()
     }
 
-    /// The store's mutation counter: bumped by every mutating operation,
-    /// so derived artifacts (lazily built join indices) can assert they
-    /// were built against the current contents.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Planner statistics: per-relation live row counts and per-column
-    /// distinct/min-max summaries, stamped with [`Self::version`].
-    /// `None` when the store's history is unknown (remapped completion
-    /// clones) — call [`Self::recompute_stats`] to restore tracking.
-    /// Distinct counts are upper bounds after rewrites; see
-    /// [`stats`](self::stats) for the exactness contract.
-    pub fn stats(&self) -> Option<stats::StoreStats> {
-        self.stats.as_ref().map(|tr| tr.snapshot(self))
-    }
-
-    /// Rebuild the statistics tracker exactly from the live contents
-    /// (one pass over the live rows). Used by snapshot loads and by
-    /// consumers that want exact summaries after heavy rewriting.
-    pub fn recompute_stats(&mut self) {
-        let tracker = stats::StatsTracker::from_live(self);
-        self.stats = Some(tracker);
-    }
-
     /// Append a fact **without** duplicate checking — O(1), for bulk
     /// ingest of already-deduplicated data (the `NaiveDatabase` bridge).
     /// Invalidates the dedup/occurrence maps; the next deduplicating
@@ -605,11 +571,7 @@ impl FactStore {
         let row = self.tables[rel.index()].push_row(ids);
         self.fact_rel.push(rel);
         self.fact_row.push(row);
-        if let Some(tr) = self.stats.as_mut() {
-            tr.note_row(rel.index(), ids, &self.values);
-        }
         self.maps_built = false;
-        self.version += 1;
         f
     }
 
@@ -635,11 +597,7 @@ impl FactStore {
         dense_count(self.fact_rel.len().saturating_add(n as usize)); // overflow aborts before the pushes
         self.fact_rel.extend(std::iter::repeat_n(rel, n as usize));
         self.fact_row.extend(first_row..dense_add(first_row, n));
-        if let Some(tr) = self.stats.as_mut() {
-            tr.note_rows_flat(rel.index(), self.arities[rel.index()], flat, &self.values);
-        }
         self.maps_built = false;
-        self.version += 1;
         f
     }
 
@@ -660,9 +618,6 @@ impl FactStore {
             fact_row,
             intern,
             occ,
-            version,
-            stats,
-            values,
             ..
         } = self;
         match intern.entry((rel, ids)) {
@@ -684,13 +639,9 @@ impl FactStore {
                         }
                     }
                 }
-                if let Some(tr) = stats.as_mut() {
-                    tr.note_row(rel.index(), key_ids, values);
-                }
                 v.insert(f);
                 fact_rel.push(rel);
                 fact_row.push(row);
-                *version += 1;
                 Some(f)
             }
         }
@@ -762,13 +713,9 @@ impl FactStore {
                             self.occ[null_index(id) as usize].push(f);
                         }
                     }
-                    if let Some(tr) = self.stats.as_mut() {
-                        tr.note_row(rel.index(), &new_ids, &self.values);
-                    }
                     changed.push(f);
                 }
             }
-            self.version += 1;
         }
         changed
     }
@@ -811,8 +758,6 @@ impl FactStore {
             intern: FxHashMap::default(),
             occ: Vec::new(),
             maps_built: false,
-            version: 0,
-            stats: None,
         }
     }
 
@@ -828,7 +773,7 @@ impl FactStore {
         fact_row: Vec<u32>,
     ) -> Self {
         let maps_built = fact_rel.is_empty();
-        let mut s = FactStore {
+        FactStore {
             rel_names,
             arities,
             tables,
@@ -838,14 +783,7 @@ impl FactStore {
             intern: FxHashMap::default(),
             occ: Vec::new(),
             maps_built,
-            version: 0,
-            stats: None,
-        };
-        // Loads recompute exact statistics from the live contents: the
-        // v1 format carries none, and v2's serialized section is
-        // validated against this recompute rather than trusted.
-        s.recompute_stats();
-        s
+        }
     }
 
     /// Keep `occ` parallel to the interned nulls.
@@ -1094,19 +1032,5 @@ mod tests {
         assert_eq!(s.table(r).n_live(), 72);
         assert!(s.table(r).is_live(69));
         assert!(!s.table(r).is_live(100), "out of range is dead");
-    }
-
-    #[test]
-    fn version_bumps_on_mutation() {
-        let mut s = FactStore::new();
-        let v0 = s.version();
-        let r = s.add_relation("R", 1);
-        let v1 = s.version();
-        assert!(v1 > v0);
-        s.insert(r, &[c(1)]);
-        assert!(s.version() > v1);
-        let v2 = s.version();
-        s.insert(r, &[c(1)]); // duplicate: no mutation
-        assert_eq!(s.version(), v2);
     }
 }

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"CASTORE\0"
-//! 8       4     format version (u32, = SNAPSHOT_VERSION)
+//! 8       4     format version (u32, in SNAPSHOT_READ_VERSIONS)
 //! 12      4     reserved (u32, must be 0)
 //! 16      8     n_consts (u64)
 //! 24      8     n_nulls  (u64)
@@ -26,15 +26,16 @@
 //!                 max_const (i64)
 //! ```
 //!
-//! **Version 2** appends the exact live-contents statistics
-//! ([`super::stats::compute_exact`]) after the column pages; everything
-//! before it is byte-identical to version 1. Readers accept both: a v1
-//! buffer simply ends where v2's statistics section would begin, and
-//! [`FactStore::from_bytes`] recomputes the statistics from the loaded
-//! contents (the v1-compat fallback). For v2 the serialized section is
-//! *validated* against that recompute rather than trusted, so a
-//! snapshot whose statistics disagree with its own columns is rejected
-//! as corrupt.
+//! The writer emits **version 1**, which ends after the column pages.
+//! **Version 2** buffers, written by earlier builds, carry the exact
+//! live-contents statistics ([`super::stats::compute_exact`]) after the
+//! column pages; everything before that section is byte-identical to
+//! version 1. The reader accepts both. Statistics are derived from the
+//! columns whenever a planner asks for them, so a v2 section is never
+//! trusted or kept: [`FactStore::from_bytes`] *validates* it against
+//! [`super::stats::compute_exact`] over the loaded contents and rejects
+//! a snapshot whose statistics disagree with its own columns as
+//! corrupt. Re-serializing a loaded v2 buffer writes version 1.
 //!
 //! The layout is zero-copy friendly: [`SnapshotView`] computes section
 //! offsets from the header and directory alone (O(relations), not
@@ -48,15 +49,21 @@
 //! re-serializing a loaded snapshot is byte-identical to its source.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use crate::symbol::{Interner, Symbol};
 use crate::value::Value;
 
 use super::{dense_count, id_is_null, null_index, FactStore, RelTable, ValueInterner};
 
-/// Current snapshot format version. Version 1 (no statistics section)
-/// is still read; see the [module docs](self).
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// The snapshot format version [`FactStore::to_bytes`] writes: version 1,
+/// no statistics section.
+pub const SNAPSHOT_VERSION: u32 = 1;
+
+/// Every format version [`FactStore::from_bytes`] reads: the current one
+/// and version 2, whose statistics section is validated on load; see the
+/// [module docs](self).
+pub const SNAPSHOT_READ_VERSIONS: RangeInclusive<u32> = 1..=2;
 
 /// Per-column statistics entry size in the v2 section: distinct (u32) +
 /// reserved (u32) + min_const (i64) + max_const (i64).
@@ -74,8 +81,11 @@ pub enum SnapshotError {
     Truncated,
     /// The first eight bytes are not [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The format version is not the one this build reads.
-    VersionMismatch { found: u32, expected: u32 },
+    /// The format version is not one this build reads.
+    VersionMismatch {
+        found: u32,
+        accepted: RangeInclusive<u32>,
+    },
     /// Structurally well-formed but semantically invalid content.
     Corrupt(&'static str),
 }
@@ -85,9 +95,12 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::BadMagic => write!(f, "not a fact-store snapshot (bad magic)"),
-            SnapshotError::VersionMismatch { found, expected } => {
-                write!(f, "snapshot version {found}, this build reads {expected}")
-            }
+            SnapshotError::VersionMismatch { found, accepted } => write!(
+                f,
+                "snapshot version {found}, this build reads versions {}..={}",
+                accepted.start(),
+                accepted.end()
+            ),
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
         }
     }
@@ -165,10 +178,10 @@ impl<'a> SnapshotView<'a> {
             return Err(SnapshotError::BadMagic);
         }
         let version = rd_u32(buf, 8)?;
-        if version != 1 && version != SNAPSHOT_VERSION {
+        if !SNAPSHOT_READ_VERSIONS.contains(&version) {
             return Err(SnapshotError::VersionMismatch {
                 found: version,
-                expected: SNAPSHOT_VERSION,
+                accepted: SNAPSHOT_READ_VERSIONS,
             });
         }
         if rd_u32(buf, 12)? != 0 {
@@ -272,7 +285,7 @@ impl<'a> SnapshotView<'a> {
 
     /// The serialized live-row count of relation `r` (v2 statistics
     /// section; error on v1 buffers).
-    pub fn rel_stats_live(&self, r: u32) -> Result<u64, SnapshotError> {
+    fn rel_stats_live(&self, r: u32) -> Result<u64, SnapshotError> {
         if !self.has_stats() {
             return Err(SnapshotError::Corrupt("no statistics section (v1)"));
         }
@@ -281,7 +294,7 @@ impl<'a> SnapshotView<'a> {
 
     /// The serialized `(distinct, min_const, max_const)` of column `c`
     /// of relation `r` (v2 statistics section; error on v1 buffers).
-    pub fn col_stats(&self, r: u32, c: usize) -> Result<(u32, i64, i64), SnapshotError> {
+    fn col_stats(&self, r: u32, c: usize) -> Result<(u32, i64, i64), SnapshotError> {
         if !self.has_stats() {
             return Err(SnapshotError::Corrupt("no statistics section (v1)"));
         }
@@ -475,18 +488,6 @@ impl FactStore {
                 push_pad8(&mut out);
             }
         }
-        // v2 statistics section: exact over the live contents — a pure
-        // function of the columns, never the incremental tracker, so
-        // serialization stays byte-identical across mutation histories.
-        for rs in super::stats::compute_exact(self) {
-            push_u64(&mut out, rs.n_live);
-            for cs in &rs.cols {
-                push_u32(&mut out, cs.distinct);
-                push_u32(&mut out, 0);
-                push_u64(&mut out, cs.min_const as u64);
-                push_u64(&mut out, cs.max_const as u64);
-            }
-        }
         out
     }
 
@@ -606,9 +607,8 @@ impl FactStore {
         )?;
         let store =
             FactStore::from_loaded_parts(rel_names, arities, tables, values, fact_rel, fact_row);
-        // v2: the serialized statistics must agree with an exact
-        // recompute from the columns just loaded (v1 buffers carry none
-        // and rely on the recompute alone — done in from_loaded_parts).
+        // v2: the serialized statistics are outside input and must agree
+        // with an exact recompute from the columns just loaded.
         if view.has_stats() {
             for (r, rs) in super::stats::compute_exact(&store).iter().enumerate() {
                 let r32 = dense_count(r);
@@ -752,7 +752,7 @@ mod tests {
             err,
             SnapshotError::VersionMismatch {
                 found: 99,
-                expected: SNAPSHOT_VERSION
+                accepted: SNAPSHOT_READ_VERSIONS
             }
         );
     }
@@ -776,31 +776,35 @@ mod tests {
         assert_eq!(view.rel_arity(1), Ok(3));
         assert_eq!(view.rel_live(0), Ok(s.table(Symbol(0)).n_live()));
         assert_eq!(view.const_at(0), Ok(1));
-        assert!(view.has_stats(), "writer emits v2");
+        assert!(!view.has_stats(), "writer emits v1");
         assert_eq!(view.version(), SNAPSHOT_VERSION);
+        assert_eq!(
+            view.rel_stats_live(0).expect_err("v1 carries no stats"),
+            SnapshotError::Corrupt("no statistics section (v1)")
+        );
     }
 
-    /// Byte length of the v2 statistics section for `s`.
-    fn stats_len(s: &FactStore) -> usize {
-        (0..s.n_relations())
-            .map(|r| 8 + s.arity(Symbol(r as u32)) * 24)
-            .sum()
-    }
-
-    /// Rewrite a v2 buffer into its v1 equivalent: drop the trailing
-    /// statistics section and stamp version 1.
-    fn downgrade_to_v1(s: &FactStore) -> Vec<u8> {
+    /// The version-2 form of `s` that earlier builds wrote: its v1 bytes
+    /// with the exact statistics section appended, stamped version 2.
+    fn upgrade_to_v2(s: &FactStore) -> Vec<u8> {
         let mut bytes = s.to_bytes();
-        let cut = bytes.len() - stats_len(s);
-        bytes.truncate(cut);
-        bytes[8] = 1;
+        for rs in crate::store::stats::compute_exact(s) {
+            push_u64(&mut bytes, rs.n_live);
+            for cs in &rs.cols {
+                push_u32(&mut bytes, cs.distinct);
+                push_u32(&mut bytes, 0);
+                push_u64(&mut bytes, cs.min_const as u64);
+                push_u64(&mut bytes, cs.max_const as u64);
+            }
+        }
+        bytes[8] = 2;
         bytes
     }
 
     #[test]
     fn v2_stats_section_matches_exact_recompute() {
         let s = sample();
-        let bytes = s.to_bytes();
+        let bytes = upgrade_to_v2(&s);
         let view = SnapshotView::parse(&bytes).expect("parse");
         let exact = crate::store::stats::compute_exact(&s);
         for (r, rs) in exact.iter().enumerate() {
@@ -820,22 +824,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshot_still_loads_and_reserializes_as_v2() {
+    fn v2_snapshot_loads_and_reserializes_as_v1() {
         let s = sample();
-        let v1 = downgrade_to_v1(&s);
-        let view = SnapshotView::parse(&v1).expect("v1 parses");
-        assert_eq!(view.version(), 1);
-        assert!(!view.has_stats());
-        assert_eq!(
-            view.rel_stats_live(0).expect_err("v1 carries no stats"),
-            SnapshotError::Corrupt("no statistics section (v1)")
-        );
-        let loaded = FactStore::from_bytes(&v1).expect("v1 loads");
+        let v2 = upgrade_to_v2(&s);
+        let view = SnapshotView::parse(&v2).expect("v2 parses");
+        assert_eq!(view.version(), 2);
+        assert!(view.has_stats());
+        let loaded = FactStore::from_bytes(&v2).expect("v2 loads");
         assert_eq!(loaded.n_live(), s.n_live());
-        // Loads recompute stats regardless of source version.
-        let recomputed = loaded.stats().expect("recomputed on load");
-        assert_eq!(recomputed.rels, crate::store::stats::compute_exact(&s));
-        // Re-serializing writes the current (v2) format, byte-identical
+        assert_eq!(
+            crate::store::stats::compute_exact(&loaded),
+            crate::store::stats::compute_exact(&s)
+        );
+        // Re-serializing writes the current (v1) format, byte-identical
         // to serializing the original store.
         assert_eq!(loaded.to_bytes(), s.to_bytes());
     }
@@ -843,8 +844,8 @@ mod tests {
     #[test]
     fn corrupt_stats_section_is_rejected() {
         let s = sample();
-        let bytes = s.to_bytes();
-        let stats_start = bytes.len() - stats_len(&s);
+        let bytes = upgrade_to_v2(&s);
+        let stats_start = s.to_bytes().len();
         // Flip the first relation's serialized n_live.
         let mut bad = bytes.clone();
         bad[stats_start] ^= 0x01;

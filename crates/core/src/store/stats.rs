@@ -1,44 +1,25 @@
 //! Per-relation / per-column store statistics for cost-based planning.
 //!
-//! The query engine's join orderer (PR 2) was stats-blind: it ordered
-//! atoms by bound-position counts alone, so a 32-row lookup relation and
-//! an 8192-row fact relation looked identical. This module gives every
-//! [`FactStore`] cheap summaries a planner can price join orders with:
+//! The query engine's join orderer prices join orders with cheap
+//! summaries of a [`FactStore`]:
 //!
 //! * per relation: the **live row count** (read off [`RelTable::n_live`]);
-//! * per column: a **distinct-value count** and the **min/max constant**
-//!   seen.
+//! * per column: a **distinct-value count** and the **min/max constant**.
 //!
-//! Upkeep is incremental and O(arity) per appended or rewritten row: a
-//! [`StatsTracker`] keeps one test-and-set bitmap per column over the
-//! dense constant-id space (and one over the null-index space — the two
-//! spaces shift independently as the interner grows, so they cannot
-//! share a bitmap), bumping the distinct counter on first sight of a
-//! value. Retractions (rows collapsed by egd rewrites) do **not**
-//! decrement: distinct counts and min/max are upper bounds over the
-//! store's history — exact for append-only workloads, and always safe
-//! for a planner (an overestimated distinct count only makes a join look
-//! *less* selective than it is).
-//!
-//! Two views exist:
-//!
-//! * [`FactStore::stats`] — the incremental tracker's snapshot, stamped
-//!   with the store's revision counter ([`FactStore::version`]) so plan
-//!   caches can invalidate exactly. `None` when the store's history is
-//!   unknown (remapped completion clones never track; snapshot loads
-//!   recompute — see below).
-//! * [`compute_exact`] — a deterministic pure function of the **live**
-//!   contents, used by the snapshot writer (so serialization stays
-//!   byte-identical regardless of mutation history) and by
-//!   [`FactStore::recompute_stats`] on snapshot load.
+//! Nothing is kept up to date as the store mutates: [`compute_exact`]
+//! derives the summaries on demand, in one column-at-a-time pass over
+//! the live rows, as a deterministic pure function of what the columns
+//! hold right now. Its callers are the planner's cost model (once per
+//! priced store) and the snapshot loader, which validates the statistics
+//! section of version-2 buffers against it.
 
-use super::{id_is_null, null_index, FactStore, ValueId, ValueInterner};
+use super::{id_is_null, null_index, FactStore, RelTable, ValueId, ValueInterner};
 
 /// Summary of one column of one relation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ColStats {
-    /// Number of distinct values (constants and nulls) in the column —
-    /// exact under [`compute_exact`], an upper bound from the tracker.
+    /// Number of distinct values (constants and nulls) in the column's
+    /// live rows.
     pub distinct: u32,
     /// Smallest constant in the column; [`i64::MAX`] when the column
     /// holds no constant.
@@ -67,153 +48,79 @@ pub struct RelStats {
     pub cols: Vec<ColStats>,
 }
 
-/// A statistics snapshot of a whole store, stamped with the revision it
-/// was taken at.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StoreStats {
-    /// [`FactStore::version`] at snapshot time: a consumer holding a
-    /// derived artifact (a compiled plan) re-validates against the
-    /// store's current counter before trusting it.
-    pub version: u64,
-    /// Per-relation summaries, indexed by `Symbol::index()`.
-    pub rels: Vec<RelStats>,
-}
-
-/// Set bit `i`, growing the bitmap on demand; returns whether the bit
+/// Set bit `i` of a bitmap sized to cover it; returns whether the bit
 /// was previously clear.
-fn test_set(bits: &mut Vec<u64>, i: u32) -> bool {
-    let word = (i / 64) as usize;
-    if bits.len() <= word {
-        bits.resize(word + 1, 0);
-    }
+fn test_set(bits: &mut [u64], i: u32) -> bool {
     let mask = 1u64 << (i % 64);
-    match bits.get_mut(word) {
+    match bits.get_mut((i / 64) as usize) {
         Some(w) => {
             let fresh = *w & mask == 0;
             *w |= mask;
             fresh
         }
-        None => unreachable!("bitmap resized to cover word {word}"),
+        None => unreachable!("seen-bitmap sized to the interned universe"),
     }
 }
 
-/// One column's incremental state: the distinct counter plus the seen
-/// bitmaps backing it.
-#[derive(Clone, Debug, Default)]
-struct ColTracker {
-    summary: ColStats,
-    /// Constant ids seen in this column (dense id space).
-    const_seen: Vec<u64>,
-    /// Null indices seen in this column (dense index space).
-    null_seen: Vec<u64>,
-}
-
-impl ColTracker {
-    fn note(&mut self, id: ValueId, values: &ValueInterner) {
-        if id_is_null(id) {
-            if test_set(&mut self.null_seen, null_index(id)) {
-                self.summary.distinct += 1;
-            }
-        } else if test_set(&mut self.const_seen, id) {
-            self.summary.distinct += 1;
-            let c = values.const_at(id);
-            self.summary.min_const = self.summary.min_const.min(c);
-            self.summary.max_const = self.summary.max_const.max(c);
-        }
-    }
-}
-
-/// The incremental per-store statistics state. Owned by [`FactStore`];
-/// every mutation path notes the ids it writes.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct StatsTracker {
-    rels: Vec<Vec<ColTracker>>,
-}
-
-impl StatsTracker {
-    /// Register a new relation of the given arity.
-    pub(crate) fn add_rel(&mut self, arity: usize) {
-        self.rels.push(vec![ColTracker::default(); arity]);
-    }
-
-    /// Note one row written to relation `rel` (by dense index).
-    pub(crate) fn note_row(&mut self, rel: usize, ids: &[ValueId], values: &ValueInterner) {
-        let cols = match self.rels.get_mut(rel) {
-            Some(cols) => cols,
-            None => unreachable!("stats tracker missing relation {rel}"),
-        };
-        debug_assert_eq!(cols.len(), ids.len(), "row arity mismatch");
-        for (col, &id) in cols.iter_mut().zip(ids) {
-            col.note(id, values);
-        }
-    }
-
-    /// Note `n` rows given row-major (the bulk-ingest shape).
-    pub(crate) fn note_rows_flat(
-        &mut self,
-        rel: usize,
-        arity: usize,
-        flat: &[ValueId],
-        values: &ValueInterner,
-    ) {
-        debug_assert!(flat.len().is_multiple_of(arity.max(1)), "flat buffer shape");
-        if arity == 0 {
-            return;
-        }
-        for row in flat.chunks_exact(arity) {
-            self.note_row(rel, row, values);
-        }
-    }
-
-    /// Build a tracker exactly describing the store's **live** rows (one
-    /// deterministic pass; dead rows contribute nothing).
-    pub(crate) fn from_live(store: &FactStore) -> StatsTracker {
-        let mut tracker = StatsTracker::default();
-        for &arity in &store.arities {
-            tracker.add_rel(arity);
-        }
-        let mut ids: Vec<ValueId> = Vec::new();
-        for (r, table) in store.tables.iter().enumerate() {
-            for row in 0..table.n_rows() {
-                if !table.is_live(row) {
-                    continue;
-                }
-                ids.clear();
-                ids.extend(table.cols().iter().map(|col| match col.get(row as usize) {
-                    Some(&id) => id,
-                    None => unreachable!("column shorter than n_rows"),
-                }));
-                tracker.note_row(r, &ids, &store.values);
-            }
-        }
-        tracker
-    }
-
-    /// Materialize a snapshot, joining the per-column summaries with the
-    /// live row counts read off the tables.
-    pub(crate) fn snapshot(&self, store: &FactStore) -> StoreStats {
-        StoreStats {
-            version: store.version,
-            rels: self
-                .rels
+/// Exact statistics of the store's **live** contents, indexed by
+/// `Symbol::index()`: a deterministic pure function of what the columns
+/// hold right now, independent of how they got there. Dead rows
+/// contribute nothing.
+pub fn compute_exact(store: &FactStore) -> Vec<RelStats> {
+    let values = store.values();
+    // One seen-bitmap per id space, reused (cleared) for every column:
+    // constants and nulls are numbered independently, so they cannot
+    // share one.
+    let mut const_seen = vec![0u64; values.n_consts().div_ceil(64) as usize];
+    let mut null_seen = vec![0u64; values.n_nulls().div_ceil(64) as usize];
+    store
+        .tables
+        .iter()
+        .map(|table| RelStats {
+            n_live: u64::from(table.n_live()),
+            cols: table
+                .cols()
                 .iter()
-                .zip(&store.tables)
-                .map(|(cols, table)| RelStats {
-                    n_live: table.n_live() as u64,
-                    cols: cols.iter().map(|c| c.summary.clone()).collect(),
+                .map(|col| {
+                    const_seen.fill(0);
+                    null_seen.fill(0);
+                    col_stats(table, col, values, &mut const_seen, &mut null_seen)
                 })
                 .collect(),
-        }
-    }
+        })
+        .collect()
 }
 
-/// Exact statistics of the store's **live** contents: a deterministic
-/// pure function of what the columns hold right now, independent of how
-/// they got there. One pass over the live rows. This is what snapshot v2
-/// serializes (and validates on load) — the incremental tracker may sit
-/// above these values after rewrites, never below.
-pub fn compute_exact(store: &FactStore) -> Vec<RelStats> {
-    StatsTracker::from_live(store).snapshot(store).rels
+/// One column's summary over the live rows of `table`, walking the live
+/// bitmap a word at a time.
+fn col_stats(
+    table: &RelTable,
+    col: &[ValueId],
+    values: &ValueInterner,
+    const_seen: &mut [u64],
+    null_seen: &mut [u64],
+) -> ColStats {
+    let mut out = ColStats::default();
+    for (word, ids) in table.live_words().iter().zip(col.chunks(64)) {
+        let mut bits = *word;
+        while bits != 0 {
+            let Some(&id) = ids.get(bits.trailing_zeros() as usize) else {
+                unreachable!("live bit past the end of its column");
+            };
+            bits &= bits - 1;
+            if id_is_null(id) {
+                if test_set(null_seen, null_index(id)) {
+                    out.distinct += 1;
+                }
+            } else if test_set(const_seen, id) {
+                out.distinct += 1;
+                let c = values.const_at(id);
+                out.min_const = out.min_const.min(c);
+                out.max_const = out.max_const.max(c);
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -229,93 +136,75 @@ mod tests {
     }
 
     #[test]
-    fn incremental_stats_track_appends_exactly() {
+    fn exact_stats_cover_inserts_and_appends() {
         let mut s = FactStore::new();
         let r = s.add_relation("R", 2);
         s.insert(r, &[c(10), c(5)]);
         s.insert(r, &[c(10), n(1)]);
         s.append(r, &[c(-3), c(5)]);
-        let stats = s.stats().expect("append-only store tracks stats");
-        assert_eq!(stats.version, s.version());
-        let rs = &stats.rels[r.index()];
+        let rs = &compute_exact(&s)[r.index()];
         assert_eq!(rs.n_live, 3);
         assert_eq!(rs.cols[0].distinct, 2, "10 and -3");
         assert_eq!((rs.cols[0].min_const, rs.cols[0].max_const), (-3, 10));
         assert_eq!(rs.cols[1].distinct, 2, "5 and one null");
         assert_eq!((rs.cols[1].min_const, rs.cols[1].max_const), (5, 5));
-        // Append-only: the tracker agrees with the exact recompute.
-        assert_eq!(stats.rels, compute_exact(&s));
     }
 
     #[test]
-    fn bulk_extend_tracks_like_per_fact_appends() {
-        let mut s = FactStore::new();
-        let r = s.add_relation("R", 2);
+    fn bulk_extend_counts_like_per_fact_appends() {
+        let mut bulk = FactStore::new();
+        let mut serial = FactStore::new();
+        let r = bulk.add_relation("R", 2);
+        serial.add_relation("R", 2);
+        // 100 rows cross a live-bitmap word boundary.
         let mut flat = Vec::new();
         for i in 0..100i64 {
-            flat.push(s.intern_value(c(i % 7)));
-            flat.push(s.intern_value(n((i % 3) as u32)));
+            let row = [c(i % 7), n((i % 3) as u32)];
+            serial.append(r, &row);
+            flat.extend(row.map(|v| bulk.intern_value(v)));
         }
-        s.extend_ids(r, 100, &flat);
-        let stats = s.stats().unwrap();
-        let rs = &stats.rels[r.index()];
+        bulk.extend_ids(r, 100, &flat);
+        let stats = compute_exact(&bulk);
+        let rs = &stats[r.index()];
         assert_eq!(rs.n_live, 100);
         assert_eq!(rs.cols[0].distinct, 7);
         assert_eq!(rs.cols[1].distinct, 3);
-        assert_eq!(stats.rels, compute_exact(&s));
+        assert_eq!(stats, compute_exact(&serial));
     }
 
     #[test]
-    fn rewrites_keep_upper_bounds_and_exact_recovers() {
+    fn rewrites_are_exact_over_the_live_rows() {
         let mut s = FactStore::new();
         let r = s.add_relation("R", 2);
         s.insert(r, &[c(1), n(9)]);
         s.insert(r, &[c(1), c(5)]);
-        // ⊥9 ↦ 5 collapses the first fact onto the second.
+        // ⊥9 ↦ 5 collapses the first fact onto the second: the dead row
+        // and its null no longer count.
         s.rewrite(&[Null(9)], |v| if v == n(9) { c(5) } else { v });
-        let stats = s.stats().unwrap();
-        let rs = &stats.rels[r.index()];
-        assert_eq!(rs.n_live, 1, "live counts are exact");
-        assert_eq!(rs.cols[1].distinct, 2, "distinct is an upper bound");
-        // The exact recompute over live rows sees only the survivor.
-        let exact = compute_exact(&s);
-        assert_eq!(exact[r.index()].cols[1].distinct, 1);
-        assert_eq!(exact[r.index()].n_live, 1);
-        // In-place rewrites (no collapse) are tracked too.
+        let rs = &compute_exact(&s)[r.index()];
+        assert_eq!(rs.n_live, 1);
+        assert_eq!(rs.cols[1].distinct, 1);
+        assert_eq!((rs.cols[1].min_const, rs.cols[1].max_const), (5, 5));
+        // An in-place rewrite (no collapse) replaces the null by 77.
         let mut t = FactStore::new();
         let r = t.add_relation("R", 1);
         t.insert(r, &[n(4)]);
         t.rewrite(&[Null(4)], |v| if v == n(4) { c(77) } else { v });
-        let ts = t.stats().unwrap();
-        assert_eq!(ts.rels[r.index()].cols[0].distinct, 2, "null then 77");
-        assert_eq!(ts.rels[r.index()].cols[0].max_const, 77);
+        let ts = &compute_exact(&t)[r.index()];
+        assert_eq!(ts.cols[0].distinct, 1, "only 77 is live");
+        assert_eq!((ts.cols[0].min_const, ts.cols[0].max_const), (77, 77));
     }
 
     #[test]
-    fn remapped_clones_have_no_stats_until_recompute() {
+    fn empty_relations_and_nullary_columns() {
         let mut s = FactStore::new();
-        let r = s.add_relation("R", 1);
-        s.insert(r, &[n(1)]);
-        let five = s.intern_value(c(5));
-        let mut g = s.clone_remapped(|_| five);
-        assert!(g.stats().is_none(), "remapped history is unknown");
-        g.recompute_stats();
-        let gs = g.stats().expect("recompute restores tracking");
-        assert_eq!(gs.rels[r.index()].cols[0].distinct, 1);
-        assert_eq!(gs.rels[r.index()].cols[0].min_const, 5);
-    }
-
-    #[test]
-    fn stats_version_follows_store_version() {
-        let mut s = FactStore::new();
-        let r = s.add_relation("R", 1);
-        s.insert(r, &[c(1)]);
-        let v1 = s.stats().unwrap().version;
-        assert_eq!(v1, s.version());
-        s.insert(r, &[c(2)]);
-        let v2 = s.stats().unwrap().version;
-        assert!(v2 > v1, "mutation must move the stamp");
-        s.insert(r, &[c(2)]); // duplicate: no mutation, no stamp change
-        assert_eq!(s.stats().unwrap().version, v2);
+        let e = s.add_relation("E", 2);
+        let z = s.add_relation("Z", 0);
+        s.insert(z, &[]);
+        let stats = compute_exact(&s);
+        assert_eq!(stats[e.index()].n_live, 0);
+        assert_eq!(stats[e.index()].cols, vec![ColStats::default(); 2]);
+        assert_eq!(stats[z.index()].n_live, 1);
+        assert!(stats[z.index()].cols.is_empty());
     }
 }

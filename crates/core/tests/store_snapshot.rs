@@ -12,7 +12,8 @@
 
 use proptest::prelude::*;
 
-use ca_core::store::{FactStore, SnapshotError, SnapshotView, SNAPSHOT_VERSION};
+use ca_core::store::stats::compute_exact;
+use ca_core::store::{FactStore, SnapshotError, SnapshotView, SNAPSHOT_READ_VERSIONS};
 use ca_core::value::{Null, Value};
 
 /// Deterministic store generator: `seed` fully determines the result.
@@ -99,6 +100,23 @@ fn fingerprint(s: &FactStore) -> (Vec<RelPrint>, u32, u32) {
     (rels, s.values().n_consts(), s.values().n_nulls())
 }
 
+/// The version-2 snapshot of `s` that earlier builds wrote: the v1
+/// bytes, the exact statistics section appended, version 2 stamped.
+fn with_v2_stats(s: &FactStore) -> Vec<u8> {
+    let mut bytes = s.to_bytes();
+    for rs in compute_exact(s) {
+        bytes.extend_from_slice(&rs.n_live.to_le_bytes());
+        for cs in &rs.cols {
+            bytes.extend_from_slice(&cs.distinct.to_le_bytes());
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            bytes.extend_from_slice(&cs.min_const.to_le_bytes());
+            bytes.extend_from_slice(&cs.max_const.to_le_bytes());
+        }
+    }
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    bytes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -127,6 +145,14 @@ proptest! {
         };
         prop_assert_eq!(view.n_facts(), store.n_facts());
         prop_assert_eq!(view.n_rels() as usize, store.n_relations());
+
+        // The version-2 form (statistics section appended) loads to the
+        // same store and re-serializes as the writer's version 1.
+        let v2 = match FactStore::from_bytes(&with_v2_stats(&store)) {
+            Ok(s) => s,
+            Err(e) => return Err(proptest::TestCaseError(format!("v2 load failed: {e}"))),
+        };
+        prop_assert_eq!(&v2.to_bytes(), &bytes, "v2 re-serialization drifted");
     }
 
     #[test]
@@ -166,15 +192,17 @@ proptest! {
 
     #[test]
     fn version_skew_names_both_versions(seed in any::<u64>(), found in 0u32..100) {
-        if found == SNAPSHOT_VERSION {
+        // Every readable version is out of scope: stamping one onto a
+        // buffer of another readable version is a layout error, not skew.
+        if SNAPSHOT_READ_VERSIONS.contains(&found) {
             return Ok(());
         }
         let mut bytes = random_store(seed).to_bytes();
         bytes[8..12].copy_from_slice(&found.to_le_bytes());
         match FactStore::from_bytes(&bytes) {
-            Err(SnapshotError::VersionMismatch { found: f, expected }) => {
+            Err(SnapshotError::VersionMismatch { found: f, accepted }) => {
                 prop_assert_eq!(f, found);
-                prop_assert_eq!(expected, SNAPSHOT_VERSION);
+                prop_assert_eq!(accepted, SNAPSHOT_READ_VERSIONS);
             }
             other => {
                 return Err(proptest::TestCaseError(format!(

@@ -4,8 +4,9 @@
 //! 32-row lookup relation and an 8192-row fact relation are
 //! indistinguishable, so the greedy order can lead with the big relation
 //! and enumerate thousands of rows that a selective atom would have cut
-//! to a handful. This module prices join orders with the store
-//! statistics of `ca_core::store::stats`:
+//! to a handful. This module prices join orders with the exact store
+//! statistics of `ca_core::store::stats::compute_exact`, computed once
+//! per priced store (see `DbIndex::model`):
 //!
 //! * the **estimated matches** of an atom given a set of already-bound
 //!   variables is `rows / Π distinct(p)` over the atom's known positions
@@ -20,14 +21,15 @@
 //!   caller keeps the greedy order) above that width, so planning stays
 //!   O(2ⁿ·n²) only where that is trivially affordable.
 //!
-//! Everything here is deterministic: estimates are pure arithmetic over
-//! the statistics snapshot, the DP iterates masks and atoms in
-//! ascending order with strict-improvement updates, and ties keep the
-//! first (lowest-index) candidate. Statistics are advisory — a stale or
-//! absent snapshot changes *which* correct plan runs, never the
-//! answers, which stay pinned by the reference oracles.
+//! Everything here is deterministic: the statistics are a pure function
+//! of the store's live contents, estimates are pure arithmetic over
+//! them, the DP iterates masks and atoms in ascending order with
+//! strict-improvement updates, and ties keep the first (lowest-index)
+//! candidate. Statistics only choose *which* correct plan runs, never
+//! the answers, which stay pinned by the reference oracles.
 
-use ca_core::store::{FactStore, StoreStats};
+use ca_core::store::stats::{compute_exact, RelStats};
+use ca_core::store::FactStore;
 use ca_core::symbol::Symbol;
 
 use crate::ast::{ConjunctiveQuery, Term};
@@ -62,52 +64,32 @@ impl RelEst {
 }
 
 /// A priced view of one store's relations, indexed by `Symbol::index()`.
-/// Build one per [`super::DbIndex`] (lazily, see `DbIndex::model`) — it
-/// is a snapshot: later store mutations do not flow in.
+/// Build one per [`super::DbIndex`] (lazily, see `DbIndex::model`): it
+/// prices the store as it was then, and later mutations do not flow in.
 #[derive(Clone, Debug)]
 pub struct CostModel {
     rels: Vec<RelEst>,
 }
 
 impl CostModel {
-    /// Price a store. Prefers the incremental statistics tracker; a
-    /// store whose history is unknown (remapped completion clones) falls
-    /// back to live row counts with every column assumed unique — the
-    /// shape is identical across completions, so the ordering decisions
-    /// still track the base instance.
+    /// Price a store from the exact statistics of its live contents
+    /// (one pass over the live rows).
     pub fn from_store(store: &FactStore) -> CostModel {
-        match store.stats() {
-            Some(stats) => Self::from_stats(&stats),
-            None => CostModel {
-                rels: store
-                    .relations()
-                    .map(|rel| {
-                        let rows = store.table(rel).n_live() as f64;
-                        RelEst {
-                            rows: rows.max(1.0),
-                            distinct: vec![rows.max(1.0); store.arity(rel)],
-                        }
-                    })
-                    .collect(),
-            },
-        }
+        Self::from_stats(&compute_exact(store))
     }
 
-    /// Price a statistics snapshot.
-    pub fn from_stats(stats: &StoreStats) -> CostModel {
+    /// Price per-relation statistics, indexed by `Symbol::index()`.
+    fn from_stats(stats: &[RelStats]) -> CostModel {
         CostModel {
             rels: stats
-                .rels
                 .iter()
                 .map(|rs| RelEst {
                     rows: (rs.n_live as f64).max(1.0),
+                    // Exact distinct counts never exceed the live rows.
                     distinct: rs
                         .cols
                         .iter()
-                        // The tracker's distinct is an upper bound over
-                        // history; cap it by the live rows so selectivity
-                        // can never price below one row per key.
-                        .map(|c| (c.distinct as f64).clamp(1.0, (rs.n_live as f64).max(1.0)))
+                        .map(|c| (c.distinct as f64).max(1.0))
                         .collect(),
                 })
                 .collect(),
@@ -271,40 +253,40 @@ impl CostModel {
 mod tests {
     use super::*;
     use crate::ast::Atom;
-    use ca_core::store::stats::{ColStats, RelStats};
+    use crate::engine::DbIndex;
+    use ca_core::store::stats::ColStats;
+    use ca_core::value::{Null, Value};
+    use ca_relational::store_bridge::{from_store, to_store};
     use Term::{Const as C, Var as V};
 
     /// Stats for Big(a,b): 8192 rows, both columns 256-distinct; and
     /// Tiny(b): 32 rows, 32-distinct.
     fn model() -> CostModel {
-        CostModel::from_stats(&StoreStats {
-            version: 0,
-            rels: vec![
-                RelStats {
-                    n_live: 8192,
-                    cols: vec![
-                        ColStats {
-                            distinct: 256,
-                            min_const: 0,
-                            max_const: 255,
-                        },
-                        ColStats {
-                            distinct: 256,
-                            min_const: 0,
-                            max_const: 255,
-                        },
-                    ],
-                },
-                RelStats {
-                    n_live: 32,
-                    cols: vec![ColStats {
-                        distinct: 32,
+        CostModel::from_stats(&[
+            RelStats {
+                n_live: 8192,
+                cols: vec![
+                    ColStats {
+                        distinct: 256,
                         min_const: 0,
-                        max_const: 31,
-                    }],
-                },
-            ],
-        })
+                        max_const: 255,
+                    },
+                    ColStats {
+                        distinct: 256,
+                        min_const: 0,
+                        max_const: 255,
+                    },
+                ],
+            },
+            RelStats {
+                n_live: 32,
+                cols: vec![ColStats {
+                    distinct: 32,
+                    min_const: 0,
+                    max_const: 31,
+                }],
+            },
+        ])
     }
 
     #[test]
@@ -358,5 +340,50 @@ mod tests {
         ]);
         let rels = [Symbol(1), Symbol(1)];
         assert_eq!(model().order(&q, &rels).unwrap(), vec![0, 1]);
+    }
+
+    /// A(x, y) ∧ B(y) where every live A.y is the constant 5: priced
+    /// from the live contents, A leads (|A| + 2·|A| against
+    /// 10 + 10·(1 + |A|)). Priced as if A.y were unique, or from distinct
+    /// counts that still count the rewritten nulls, B would lead.
+    #[test]
+    fn rewritten_and_remapped_stores_price_their_live_contents() {
+        let q = ConjunctiveQuery::boolean(vec![
+            Atom::new("A", vec![V(0), V(1)]),
+            Atom::new("B", vec![V(1)]),
+        ]);
+        let rels = [Symbol(0), Symbol(1)];
+        let base = || {
+            let mut s = FactStore::new();
+            let a = s.add_relation("A", 2);
+            let b = s.add_relation("B", 1);
+            s.insert(a, &[Value::Const(0), Value::Const(5)]);
+            for i in 0..100u32 {
+                s.insert(a, &[Value::Const(i64::from(i)), Value::null(i)]);
+            }
+            for i in 0..10 {
+                s.insert(b, &[Value::Const(i)]);
+            }
+            s
+        };
+        // egd-style: every null ↦ 5, so (0, ⊥0) collapses onto (0, 5).
+        let mut rewritten = base();
+        let nulls: Vec<Null> = (0..100).map(Null).collect();
+        rewritten.rewrite(&nulls, |v| match v {
+            Value::Null(_) => Value::Const(5),
+            c => c,
+        });
+        // The completion grounding every null to 5.
+        let completion = {
+            let s = base();
+            let five = s.lookup_value(Value::Const(5)).expect("5 is interned");
+            s.clone_remapped(|_| five)
+        };
+        for store in [rewritten, completion] {
+            let rebuilt = CostModel::from_store(&to_store(&from_store(&store)));
+            let want = rebuilt.order(&q, &rels);
+            assert_eq!(want, Some(vec![0, 1]), "A leads on the rebuilt store");
+            assert_eq!(DbIndex::from_store(store).model().order(&q, &rels), want);
+        }
     }
 }

@@ -162,9 +162,10 @@ impl<'a> DbIndex<'a> {
         }
     }
 
-    /// The cost model priced off the backing store (lazily built; a
-    /// snapshot — later store mutations do not flow in, matching the
-    /// index's own row-list snapshot semantics).
+    /// The cost model priced off the backing store. Built on the first
+    /// call, from statistics computed then in one pass over the live
+    /// rows; later store mutations do not flow in, matching the index's
+    /// own row-list snapshot semantics.
     pub fn model(&self) -> &CostModel {
         self.model
             .get_or_init(|| CostModel::from_store(self.store()))
