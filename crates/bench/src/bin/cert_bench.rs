@@ -23,9 +23,8 @@
 //! table and to `BENCH_cert.json` (`target/bench/` for `--quick`).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use ca_bench::report::Report;
+use ca_bench::report::{min_time_us, Report};
 use ca_cert::{check_certain_row, check_chase, check_core};
 use ca_core::value::{Null, Value};
 use ca_exchange::chase::{chase_certified, chase_with, ChaseConfig, ChaseOutcome, Egd};
@@ -40,18 +39,6 @@ use ca_query::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_relational::database::build::{c, n};
 use ca_relational::database::NaiveDatabase;
 use ca_relational::schema::Schema;
-
-/// Minimum wall time over `reps` runs (damps scheduler noise better
-/// than the mean for sub-millisecond cases).
-fn min_time_us(reps: u32, mut f: impl FnMut()) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_micros());
-    }
-    best.max(1)
-}
 
 fn nv(id: u32) -> Value {
     Value::null(id)

@@ -25,9 +25,8 @@
 //! as a table and to `BENCH_chase.json` (`target/bench/` for `--quick`).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use ca_bench::report::Report;
+use ca_bench::report::{min_time_us, Report};
 use ca_core::value::{Null, Value};
 use ca_exchange::chase::{chase_with, ChaseConfig, ChaseOutcome, Egd};
 use ca_exchange::mapping::Rule;
@@ -35,18 +34,6 @@ use ca_exchange::reference;
 use ca_gdm::database::GenDb;
 use ca_gdm::hom::gdm_equiv;
 use ca_gdm::schema::GenSchema;
-
-/// Minimum wall time over `reps` runs (damps scheduler noise better
-/// than the mean for sub-millisecond cases).
-fn min_time_us(reps: u32, mut f: impl FnMut()) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_micros());
-    }
-    best.max(1)
-}
 
 fn nv(id: u32) -> Value {
     Value::null(id)

@@ -37,7 +37,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use ca_bench::report::Report;
+use ca_bench::report::{time_reps, Report};
 use ca_core::value::Value;
 use ca_exchange::mapping::{Mapping, Rule};
 use ca_exchange::solution::{canonical_solution, core_of_gendb};
@@ -45,14 +45,6 @@ use ca_gdm::database::GenDb;
 use ca_gdm::hom::gdm_equiv;
 use ca_gdm::schema::GenSchema;
 use ca_graph::{core_of, reference, Digraph};
-
-fn time_reps(reps: u32, mut f: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    (start.elapsed().as_micros() / u128::from(reps)).max(1)
-}
 
 /// The E8 chain-tgd setting: `S(x, y, u) → T(x, z), T(z, y)`.
 fn chain_mapping() -> (Mapping, GenSchema, GenSchema) {

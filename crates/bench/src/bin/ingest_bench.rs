@@ -23,9 +23,8 @@
 //! footer says why.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use ca_bench::report::{git_rev, host_cores, Report};
+use ca_bench::report::{git_rev, host_cores, time_reps, Report};
 use ca_core::store::{ingest, FactStore};
 use ca_query::engine::{self, CompiledUcq, DbIndex};
 use ca_query::reference;
@@ -95,14 +94,6 @@ fn chain2() -> UnionQuery {
             Atom::new("E", vec![V(1), V(2)]),
         ],
     ))
-}
-
-fn time_reps(reps: u32, mut f: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    (start.elapsed().as_micros() / u128::from(reps)).max(1)
 }
 
 struct Row {

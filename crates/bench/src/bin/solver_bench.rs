@@ -30,9 +30,8 @@
 //! `--only` runs).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use ca_bench::report::Report;
+use ca_bench::report::{time_reps, Report};
 use ca_hom::csp::Csp;
 use ca_hom::reference;
 
@@ -160,14 +159,6 @@ struct Measurement {
     /// Search nodes per repetition (`None` where the kernel can't report
     /// them, i.e. the reference kernel's counting mode).
     nodes: Option<u64>,
-}
-
-fn time_reps(reps: u32, mut f: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    (start.elapsed().as_micros() / u128::from(reps)).max(1)
 }
 
 fn run_reference(case: &Case) -> Measurement {

@@ -19,23 +19,10 @@
 //! table and to `BENCH_store.json` (`target/bench/` for `--quick`).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use ca_bench::report::{git_rev, Report};
+use ca_bench::report::{git_rev, min_time_us, Report};
 use ca_core::store::FactStore;
 use ca_core::value::Value;
-
-/// Minimum wall time over `reps` runs (damps scheduler noise better
-/// than the mean for sub-millisecond cases).
-fn min_time_us(reps: u32, mut f: impl FnMut()) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_micros());
-    }
-    best.max(1)
-}
 
 /// Deterministic value stream: a fixed-seed LCG so every run (and every
 /// host) benches the identical workload. Roughly 1 null per 8 values,

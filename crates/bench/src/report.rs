@@ -78,6 +78,29 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, u128) {
     (out, start.elapsed().as_micros())
 }
 
+/// Minimum wall time over `reps` runs, in microseconds (at least 1).
+/// Damps scheduler noise better than the mean for sub-millisecond
+/// cases.
+pub fn min_time_us(reps: u32, mut f: impl FnMut()) -> u128 {
+    let mut best = u128::MAX;
+    for _ in 0..reps {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_micros());
+    }
+    best.max(1)
+}
+
+/// Mean wall time of `reps` back-to-back runs, in microseconds (at
+/// least 1).
+pub fn time_reps(reps: u32, mut f: impl FnMut()) -> u128 {
+    let start = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    (start.elapsed().as_micros() / u128::from(reps)).max(1)
+}
+
 /// The current git revision, for stamping `BENCH_*.json` emissions so a
 /// recorded run is attributable to the exact tree that produced it.
 /// `"unknown"` when git (or the repository) is unavailable — bench

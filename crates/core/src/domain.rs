@@ -132,7 +132,7 @@ impl<P: Preorder> FiniteDomain<P> {
             .collect()
     }
 
-    /// Is `m` a *max-description* of `xs` in the sense of [16] / Section 3:
+    /// Is `m` a *max-description* of `xs` in the sense of \[16\] / Section 3:
     /// `Mod(m) = Mod(Th(xs))`, all computed within the enumerated universe?
     ///
     /// By Theorem 1 this holds iff `m ∈ ⋀ xs`; see the tests.

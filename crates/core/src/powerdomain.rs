@@ -8,7 +8,7 @@
 //! `⊑` exactly on Codd databases (Proposition 4), and the Plotkin lifting
 //! underlies the closed-world comparison (Proposition 8). This module
 //! provides the three liftings generically over any base
-//! [`Preorder`](crate::preorder::Preorder), with their standard laws
+//! [`Preorder`], with their standard laws
 //! tested; `ca-relational` instantiates them at tuples.
 
 use crate::preorder::Preorder;

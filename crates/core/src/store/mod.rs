@@ -720,45 +720,23 @@ impl FactStore {
         changed
     }
 
-    /// Clone the column pages with every null id remapped through `f`
-    /// (dense null index → replacement id). The clone shares the value
-    /// universe but drops the dedup/occurrence maps — it is a read-only
-    /// evaluation artifact (the completion sweep grounds thousands of
-    /// these per query and never mutates them).
-    pub fn clone_remapped(&self, f: impl Fn(u32) -> ValueId) -> FactStore {
-        let map = |id: ValueId| {
-            if id_is_null(id) {
-                f(null_index(id))
-            } else {
-                id
-            }
-        };
-        let tables = self
+    /// Overwrite one cell — column `col` of row `row` of `rel` — with
+    /// `id`, in place: how the completion sweep grounds a null to a pool
+    /// constant without copying the store. Liveness and the fact
+    /// directory are unchanged, so two live rows may now hold the same
+    /// tuple; the dedup/occurrence maps go stale and rebuild on the next
+    /// deduplicating operation.
+    pub fn ground_cell(&mut self, rel: Symbol, col: usize, row: u32, id: ValueId) {
+        let cell = self
             .tables
-            .iter()
-            .map(|t| RelTable {
-                arity: t.arity,
-                n_rows: t.n_rows,
-                n_live: t.n_live,
-                cols: t
-                    .cols
-                    .iter()
-                    .map(|col| col.iter().map(|&id| map(id)).collect())
-                    .collect(),
-                live: t.live.clone(),
-            })
-            .collect();
-        FactStore {
-            rel_names: self.rel_names.clone(),
-            arities: self.arities.clone(),
-            tables,
-            values: self.values.clone(),
-            fact_rel: self.fact_rel.clone(),
-            fact_row: self.fact_row.clone(),
-            intern: FxHashMap::default(),
-            occ: Vec::new(),
-            maps_built: false,
+            .get_mut(rel.index())
+            .and_then(|t| t.cols.get_mut(col))
+            .and_then(|c| c.get_mut(row as usize));
+        match cell {
+            Some(cell) => *cell = id,
+            None => unreachable!("cell ({rel:?}, {col}, {row}) outside the store"),
         }
+        self.maps_built = false;
     }
 
     /// Reassemble a store from validated snapshot parts. The
@@ -997,19 +975,21 @@ mod tests {
     }
 
     #[test]
-    fn clone_remapped_grounds_nulls() {
+    fn ground_cell_overwrites_in_place_and_stales_the_maps() {
         let mut s = FactStore::new();
         let r = s.add_relation("R", 2);
-        s.insert(r, &[c(1), n(1)]).unwrap();
-        s.insert(r, &[n(2), n(1)]).unwrap();
-        let one = s.intern_value(c(100));
-        let two = s.intern_value(c(200));
-        // Dense null indices: ⊥1 → 0, ⊥2 → 1 (interning order).
-        let g = s.clone_remapped(|idx| if idx == 0 { one } else { two });
-        assert_eq!(g.fact_values(0), vec![c(1), c(100)]);
-        assert_eq!(g.fact_values(1), vec![c(200), c(100)]);
-        // The original is untouched.
-        assert_eq!(s.fact_values(1), vec![n(2), n(1)]);
+        let a = s.insert(r, &[c(1), n(1)]).unwrap();
+        let b = s.insert(r, &[c(1), c(2)]).unwrap();
+        let two = s.lookup_value(c(2)).unwrap();
+        s.ground_cell(r, 1, s.fact_row(a), two);
+        // Both rows stay live and now hold the same tuple.
+        assert_eq!(s.fact_values(a), vec![c(1), c(2)]);
+        assert_eq!(s.fact_values(b), vec![c(1), c(2)]);
+        assert_eq!(s.n_live(), 2);
+        // The dedup map rebuilds from the columns: the old tuple is new
+        // again, the grounded one is not.
+        assert_eq!(s.insert(r, &[c(1), c(2)]), None);
+        assert!(s.insert(r, &[c(1), n(1)]).is_some());
     }
 
     #[test]

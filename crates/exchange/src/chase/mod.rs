@@ -20,7 +20,7 @@
 //!
 //! Two implementations share this interface:
 //!
-//! * [`engine`] — the semi-naive, delta-driven engine: rule bodies
+//! * `engine` — the semi-naive, delta-driven engine: rule bodies
 //!   compile once into pinned join plans (`ca_query::engine`), rounds
 //!   only evaluate against delta-seeded join orders, fired triggers are
 //!   deduped over an interned fact store, and egd equalities go through
@@ -121,7 +121,7 @@ pub fn chase(instance: &GenDb, tgds: &[Rule], egds: &[Egd], max_steps: usize) ->
 /// [`chase`] with explicit configuration. Purely relational inputs (no
 /// structural tuples in the instance or any rule pattern, every pattern
 /// label resolving in the instance schema) run on the semi-naive
-/// [`engine`]; anything else falls back to the reference chase, which
+/// `engine`; anything else falls back to the reference chase, which
 /// handles the full generalized-database semantics.
 pub fn chase_with(
     instance: &GenDb,

@@ -13,7 +13,7 @@
 //! explanation of the ad-hoc solution choices in XML data exchange.
 //!
 //! * [`mapping`] — mappings, rule application `M(D)`, solution checking.
-//! * [`chase`] — the chase with target tgds/egds (the paper's future-work
+//! * [`chase`](mod@chase) — the chase with target tgds/egds (the paper's future-work
 //!   pointer for when constrained targets still admit universal
 //!   solutions), run by a semi-naive, delta-driven engine on the compiled
 //!   join machinery of `ca_query::engine`.
@@ -22,9 +22,9 @@
 //! * [`solution`] — canonical universal solutions, cores of generalized
 //!   databases (via the incremental retraction engine of
 //!   `ca_hom::retract`), core solutions, universality checking.
-//! * [`reference`] — the seed-era core loop and chase loop, kept verbatim
+//! * [`reference`](mod@reference) — the seed-era core loop and chase loop, kept verbatim
 //!   as the differential oracles and benchmark baselines for [`solution`]
-//!   and [`chase`].
+//!   and [`chase`](mod@chase).
 //! * [`tgd`] — the relational st-tgd convenience layer.
 //! * [`trees`] — Proposition 10: the two trees with no least upper bound.
 

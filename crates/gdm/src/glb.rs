@@ -13,7 +13,7 @@
 //!   the label-respecting direct product `M_λ ⊓_Σ M′_λ′`. With `σ = ∅`
 //!   this specializes to Proposition 5 for relations.
 //! * `K` = unranked trees ([`glb_trees_gdm`]): the structural glb is the
-//!   dominant component of the label-respecting product forest — [16]'s
+//!   dominant component of the label-respecting product forest — \[16\]'s
 //!   max-description construction, matching [`ca_xml::glb`].
 
 use ca_core::symbol::Symbol;

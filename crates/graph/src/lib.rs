@@ -11,7 +11,7 @@
 //! * [`core`] — graph cores: the smallest retract, unique up to
 //!   isomorphism, computed by the incremental retraction engine
 //!   (`ca_hom::retract`).
-//! * [`reference`] — the seed-era naive retract search, kept verbatim as
+//! * [`reference`](mod@reference) — the seed-era naive retract search, kept verbatim as
 //!   the differential oracle and benchmark baseline for [`core`].
 //! * [`bridge`] — graphs as null-only naïve tables (the identification
 //!   Theorem 3's proof uses).

@@ -14,7 +14,7 @@
 //!   minimum-remaining-values ordering and forward checking), with
 //!   find-one / find-all / count /
 //!   surjective-image modes.
-//! * [`reference`] — the original naive solver, kept as a differential
+//! * [`reference`](mod@reference) — the original naive solver, kept as a differential
 //!   testing oracle and benchmark baseline for [`csp`].
 //! * [`matching`] — Hopcroft–Karp bipartite matching, Hall's condition, and
 //!   systems of distinct representatives (used by the Codd-interpretation

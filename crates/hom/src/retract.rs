@@ -7,8 +7,9 @@
 //! for every candidate element in every shrink round — `O(n²)` solver
 //! *compilations* per core. This engine serves both digraph cores
 //! (`ca_graph::core`) and generalized-database cores
-//! (`ca_exchange::solution`, via the [`self-hom encoding`]) from one
-//! shrink loop built on three observations:
+//! (`ca_exchange::solution`, via the self-hom encoding
+//! `ca_gdm::encode::self_hom_structure`) from one shrink loop built on
+//! three observations:
 //!
 //! 1. **One compile serves the whole loop.** If an endomorphism of `S`
 //!    with probe image inside a live set `R` exists, then `S[R]` retracts
@@ -31,8 +32,6 @@
 //! Remaining candidates are probed in ascending order and the lowest
 //! admitting one wins, so the kept element set and the witness map are
 //! deterministic.
-//!
-//! [`self-hom encoding`]: https://example.org/ `ca_gdm::encode::self_hom_structure`
 
 use crate::csp::IncrementalSelfHom;
 use crate::structure::RelStructure;

@@ -97,41 +97,18 @@ fn naive_match(q: &UnionQuery, db: &NaiveDatabase, row: &[Value]) -> Option<Matc
     None
 }
 
-/// Decode completion index `i` of `space` into an explicit valuation
-/// (sorted null order; digit `j` picks `pool[(i / |pool|^j) % |pool|]`).
-fn decode_valuation(nulls: &[Null], pool: &[i64], i: u128) -> Vec<(Null, i64)> {
-    let base = pool.len() as u128;
-    let mut rest = i;
-    let mut out = Vec::with_capacity(nulls.len());
-    for &n in nulls {
-        let digit = (rest % base) as usize;
-        if let Some(&c) = pool.get(digit) {
-            out.push((n, c));
-        }
-        rest /= base;
-    }
-    out
-}
-
 /// Scan the completion grid in index order for one completion falsifying
-/// `test`, returning its decoded valuation (lowest falsifying index
-/// wins). Runs only after the sweep has already said "not certain".
+/// `test`, returning its valuation (lowest falsifying index wins). Runs
+/// only after the sweep has already said "not certain".
 fn falsifying_valuation(
     db: &NaiveDatabase,
     pool: &[i64],
     test: impl Fn(&mut DbIndex<'_>) -> bool,
 ) -> Option<Vec<(Null, i64)>> {
-    let space = CompletionSpace::new(db, pool);
-    let nulls: Vec<Null> = db.nulls().into_iter().collect();
-    let mut i: u128 = 0;
-    while i < space.len() {
-        let mut idx = DbIndex::from_store(space.completion_store(i));
-        if !test(&mut idx) {
-            return Some(decode_valuation(&nulls, pool, i));
-        }
-        i += 1;
-    }
-    None
+    let mut space = CompletionSpace::new(db, pool);
+    (0..space.len())
+        .find(|&i| !test(&mut DbIndex::over(space.ground(i))))
+        .map(|i| space.valuation(i))
 }
 
 /// Boolean certain answer with a replayable verdict certificate.

@@ -15,9 +15,9 @@
 //! * the **cost of an order** accumulates `card × (1 + est)` per step,
 //!   where `card` is the estimated intermediate binding count (clamped
 //!   at 1 so a selective prefix cannot make later work free);
-//! * [`CostModel::order`] searches all orders by dynamic programming
+//! * `CostModel::order` searches all orders by dynamic programming
 //!   over atom subsets (System-R style, exact under the model) for
-//!   plans up to [`DP_MAX_ATOMS`] atoms, and declines (`None` — the
+//!   plans up to `DP_MAX_ATOMS` atoms, and declines (`None` — the
 //!   caller keeps the greedy order) above that width, so planning stays
 //!   O(2ⁿ·n²) only where that is trivially affordable.
 //!
@@ -253,7 +253,7 @@ impl CostModel {
 mod tests {
     use super::*;
     use crate::ast::Atom;
-    use crate::engine::DbIndex;
+    use crate::engine::{CompletionSpace, DbIndex};
     use ca_core::store::stats::ColStats;
     use ca_core::value::{Null, Value};
     use ca_relational::store_bridge::{from_store, to_store};
@@ -345,9 +345,9 @@ mod tests {
     /// A(x, y) ∧ B(y) where every live A.y is the constant 5: priced
     /// from the live contents, A leads (|A| + 2·|A| against
     /// 10 + 10·(1 + |A|)). Priced as if A.y were unique, or from distinct
-    /// counts that still count the rewritten nulls, B would lead.
+    /// counts that still count the grounded nulls, B would lead.
     #[test]
-    fn rewritten_and_remapped_stores_price_their_live_contents() {
+    fn rewritten_and_grounded_stores_price_their_live_contents() {
         let q = ConjunctiveQuery::boolean(vec![
             Atom::new("A", vec![V(0), V(1)]),
             Atom::new("B", vec![V(1)]),
@@ -366,6 +366,12 @@ mod tests {
             }
             s
         };
+        let price = |store: &FactStore| {
+            let rebuilt = CostModel::from_store(&to_store(&from_store(store)));
+            let want = rebuilt.order(&q, &rels);
+            assert_eq!(want, Some(vec![0, 1]), "A leads on the rebuilt store");
+            assert_eq!(DbIndex::over(store).model().order(&q, &rels), want);
+        };
         // egd-style: every null ↦ 5, so (0, ⊥0) collapses onto (0, 5).
         let mut rewritten = base();
         let nulls: Vec<Null> = (0..100).map(Null).collect();
@@ -373,17 +379,12 @@ mod tests {
             Value::Null(_) => Value::Const(5),
             c => c,
         });
+        price(&rewritten);
         // The completion grounding every null to 5.
-        let completion = {
-            let s = base();
-            let five = s.lookup_value(Value::Const(5)).expect("5 is interned");
-            s.clone_remapped(|_| five)
-        };
-        for store in [rewritten, completion] {
-            let rebuilt = CostModel::from_store(&to_store(&from_store(&store)));
-            let want = rebuilt.order(&q, &rels);
-            assert_eq!(want, Some(vec![0, 1]), "A leads on the rebuilt store");
-            assert_eq!(DbIndex::from_store(store).model().order(&q, &rels), want);
-        }
+        let db = from_store(&base());
+        let pool = [5];
+        let mut space = CompletionSpace::new(&db, &pool);
+        assert_eq!(space.len(), 1);
+        price(space.ground(0));
     }
 }

@@ -1,13 +1,14 @@
 //! Signature-keyed secondary indices over the columnar fact store.
 //!
 //! A [`DbIndex`] is built against one [`FactStore`] — owned (bridged
-//! from a [`NaiveDatabase`] or a grounded completion) or borrowed (the
-//! chase's live store) — and cached across all the disjuncts of a UCQ
-//! (and across repeated evaluations on the same store). Live rows are
-//! grouped per relation once at construction; postings keyed by
-//! *bound-position signatures* (the sorted positions a compiled atom
-//! knows values for before matching — see [`crate::engine::plan`]) are
-//! built lazily, on the first atom that probes with that signature.
+//! from a [`NaiveDatabase`]) or borrowed (the chase's live store, or a
+//! completion the sweep grounded in place) — and cached across all the
+//! disjuncts of a UCQ (and across repeated evaluations on the same
+//! store). Live rows are grouped per relation once at construction;
+//! postings keyed by *bound-position signatures* (the sorted positions a
+//! compiled atom knows values for before matching — see
+//! [`crate::engine::plan`]) are built lazily, on the first atom that
+//! probes with that signature.
 //! Nulls index as ordinary values (their ids carry the null tag bit),
 //! which is exactly the nulls-as-values semantics of naïve evaluation.
 //!
@@ -23,7 +24,7 @@
 //!   memory): `Vec<ValueId> → Vec<row>`, hashing dense `u32`s instead of
 //!   the old `Vec<Value>` keys.
 //!
-//! [`DbIndex::ensure_cq`] resolves a compiled CQ's signatures to table
+//! `DbIndex::ensure_cq` resolves a compiled CQ's signatures to table
 //! handles and its plan constants to interned value ids once per
 //! (plan, store) pair, so the execution inner loop probes by handle and
 //! compares `u32`s with no hashing of signatures and no allocation.
@@ -89,8 +90,8 @@ enum Table {
     Hash(HashMap<Vec<ValueId>, Vec<u32>>),
 }
 
-/// The store backing an index: owned (bridged databases, grounded
-/// completions) or borrowed (the chase's live store).
+/// The store backing an index: owned (bridged databases) or borrowed
+/// (the chase's live store, grounded completions).
 enum Backing<'a> {
     Owned(Box<FactStore>),
     Borrowed(&'a FactStore),
@@ -125,11 +126,7 @@ impl<'a> DbIndex<'a> {
     /// store's relation symbols mirror the schema's, so plans compiled
     /// against the schema run unchanged.
     pub fn new(db: &'a NaiveDatabase) -> Self {
-        Self::from_store(to_store(db))
-    }
-
-    /// Index an owned store (e.g. a grounded completion).
-    pub fn from_store(store: FactStore) -> Self {
+        let store = to_store(db);
         let by_rel = live_rows_by_rel(&store);
         DbIndex {
             backing: Backing::Owned(Box::new(store)),
@@ -141,8 +138,9 @@ impl<'a> DbIndex<'a> {
     }
 
     /// Index a borrowed store — the chase borrows its live store per
-    /// round. Row lists snapshot the live rows at construction; facts
-    /// inserted afterwards are *not* visible through this index.
+    /// round, the completion sweep each grounding. Row lists snapshot
+    /// the live rows at construction; facts inserted afterwards are
+    /// *not* visible through this index.
     pub fn over(store: &'a FactStore) -> Self {
         let by_rel = live_rows_by_rel(store);
         DbIndex {

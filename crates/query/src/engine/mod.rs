@@ -208,26 +208,15 @@ pub fn eval_cq_into(
     run_ids(cq, &access, idx, &mut decoding(idx, emit));
 }
 
-/// Minimum live rows of the leading relation before semijoin reduction
-/// pays: below this, one posting probe per lead row costs more than the
-/// dead enumerations it prunes.
-const SEMIJOIN_MIN_ROWS: usize = 1024;
-
-/// Sequential evaluation with semijoin reduction where it applies (see
-/// [`semijoin_filter_lead`]): chain/star plans over a large lead
-/// relation pre-filter the lead rows through later atoms' postings, then
-/// run the reduced seeded join; everything else takes the plain engine.
-/// Emits every head id row; returns `false` iff `emit` requested a stop.
+/// Evaluate a compiled CQ, emitting every head id row; returns `false`
+/// iff `emit` requested a stop.
 fn cq_ids_into<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     cq: &CompiledCq,
     idx: &mut DbIndex<'_>,
     emit: &mut E,
 ) -> bool {
     let access = access_paths(cq, idx);
-    match semijoin_filter_lead(cq, &access, idx) {
-        Some(kept) => seeded_ids(cq, &access, idx, &kept, emit),
-        None => run_ids(cq, &access, idx, emit),
-    }
+    run_ids(cq, &access, idx, emit)
 }
 
 /// [`cq_ids_into`] over every disjunct, in order, until `emit` stops.
@@ -243,57 +232,6 @@ fn ucq_ids_into<E: FnMut(&[ValueId]) -> bool + ?Sized>(
         .iter()
         .filter(|d| d.head_slots.len() == ucq.head_arity)
         .all(|d| cq_ids_into(d, idx, emit))
-}
-
-/// Semijoin-reduce the leading atom of a chain/star plan: keep only the
-/// lead rows whose join-key values have a non-empty posting in some
-/// later atom's single-column table. Sound because an empty posting for
-/// the key value means that atom (hence the whole conjunction) cannot
-/// match once the lead row binds it — pruned rows contribute no answers,
-/// kept rows are evaluated in full, so the answer set is untouched.
-///
-/// Applies only when the plan has ≥ 3 atoms (on a two-atom join the
-/// probe that filters *is* the join step — nothing is saved), the lead
-/// relation has ≥ [`SEMIJOIN_MIN_ROWS`] live rows, and at least one
-/// later atom probes a built (non-scan) single-column table keyed by a
-/// slot the lead atom binds. Returns `None` when inapplicable; callers
-/// then run the unreduced plan.
-fn semijoin_filter_lead(
-    cq: &CompiledCq,
-    access: &[index::AtomAccess],
-    idx: &DbIndex<'_>,
-) -> Option<Vec<u32>> {
-    let lead = cq.atoms.first()?;
-    let rows = idx.rows(lead.rel);
-    if cq.atoms.len() < 3 || rows.len() < SEMIJOIN_MIN_ROWS {
-        return None;
-    }
-    // `(lead column, posting handle)` per eligible later atom.
-    let mut filters: Vec<(usize, usize)> = Vec::new();
-    for (atom, acc) in cq.atoms.iter().zip(access).skip(1) {
-        if acc.handle == index::SCAN {
-            continue;
-        }
-        if let (&[_], &[index::IdKey::Slot(s)]) = (atom.sig.as_slice(), acc.key.as_slice()) {
-            if let Some(&(lead_pos, _)) = lead.binds.iter().find(|&&(_, slot)| slot == s) {
-                filters.push((lead_pos, acc.handle));
-            }
-        }
-    }
-    if filters.is_empty() {
-        return None;
-    }
-    let cols = idx.cols(lead.rel);
-    let mut kept = Vec::with_capacity(rows.len());
-    'row: for &r in rows {
-        for &(pos, h) in &filters {
-            if idx.probe(h, &[cols[pos][r as usize]]).is_empty() {
-                continue 'row;
-            }
-        }
-        kept.push(r);
-    }
-    Some(kept)
 }
 
 /// The resolved access paths of one compiled CQ on one [`DbIndex`],
@@ -481,9 +419,9 @@ pub fn eval_ucq_bool(q: &UnionQuery, db: &NaiveDatabase) -> Result<bool, PlanErr
 /// tables over every completion of `db` into `pool`, sweeping the
 /// completion grid with early exit.
 ///
-/// Every completion store shares the base store's interner, so the
-/// intersection runs over interned id rows and only the surviving rows
-/// are decoded.
+/// Every completion is grounded in place into one store with one
+/// interner ([`CompletionSpace::ground`]), so the intersection runs over
+/// interned id rows and only the surviving rows are decoded.
 ///
 /// Semantics at the corners (unit-tested below): when the completion
 /// space is **empty** (nulls present but an empty pool) the intersection
@@ -495,13 +433,9 @@ pub fn certain_table_over(
     db: &NaiveDatabase,
     pool: &[i64],
 ) -> BTreeSet<Vec<Value>> {
-    let space = CompletionSpace::new(db, pool);
+    let mut space = CompletionSpace::new(db, pool);
     let survivors = sweep::intersect(space.len(), plan.head_arity, |i, emit| {
-        ucq_ids_into(
-            plan,
-            &mut DbIndex::from_store(space.completion_store(i)),
-            emit,
-        );
+        ucq_ids_into(plan, &mut DbIndex::over(space.ground(i)), emit);
     });
     survivors.map_or_else(BTreeSet::new, |rows| decode(&rows, space.store()))
 }
@@ -510,9 +444,8 @@ pub fn certain_table_over(
 /// true iff every completion satisfies the query. Vacuously true when
 /// the completion space is empty.
 pub fn certain_bool_over(plan: &CompiledUcq, db: &NaiveDatabase, pool: &[i64]) -> bool {
-    let space = CompletionSpace::new(db, pool);
-    (0..space.len())
-        .all(|i| eval_ucq_bool_on(plan, &mut DbIndex::from_store(space.completion_store(i))))
+    let mut space = CompletionSpace::new(db, pool);
+    (0..space.len()).all(|i| eval_ucq_bool_on(plan, &mut DbIndex::over(space.ground(i))))
 }
 
 #[cfg(test)]
@@ -668,11 +601,11 @@ mod tests {
         assert_eq!(full, eval_cq(&q, &db).unwrap());
     }
 
-    /// A three-atom chain over a lead relation past `SEMIJOIN_MIN_ROWS`
-    /// takes the semijoin-reduced route: the filter prunes lead rows, and
-    /// the answers still equal the reference oracle's.
+    /// A three-atom chain over a 1100-row lead relation, of which the
+    /// second atom covers only 40 join keys: the plain join's answers
+    /// equal the reference oracle's.
     #[test]
-    fn semijoin_route_matches_reference() {
+    fn three_atom_chain_matches_reference() {
         let schema = ca_relational::schema::Schema::from_relations(&[("R", 2), ("S", 2), ("T", 1)]);
         let mut db = NaiveDatabase::new(schema);
         for i in 0..1100i64 {
@@ -694,14 +627,7 @@ mod tests {
             ],
         );
         let plan = CompiledCq::compile_pinned(&q, &db.schema, 0).unwrap();
-        let mut idx = DbIndex::new(&db);
-        let prep = prepare_cq(&plan, &mut idx);
-        let kept = semijoin_filter_lead(&plan, &prep.access, &idx).expect("semijoin applies");
-        assert!(
-            kept.len() < idx.rows(plan.atoms[0].rel).len(),
-            "filter prunes"
-        );
-        let out = cq_answers(&plan, &mut idx);
+        let out = cq_answers(&plan, &mut DbIndex::new(&db));
         let expected = reference::eval_cq(&q, &db);
         assert!(!expected.is_empty());
         assert_eq!(out, expected);
@@ -841,13 +767,13 @@ mod tests {
                 ),
             ]);
             let plan = compile_ucq(&q, &db.schema).unwrap();
-            let space = CompletionSpace::new(&db, &pool);
+            let mut space = CompletionSpace::new(&db, &pool);
             let mut old: Option<BTreeSet<Vec<Value>>> = None;
             for i in 0..space.len() {
                 if old.as_ref().is_some_and(BTreeSet::is_empty) {
                     break;
                 }
-                let next = eval_ucq_on(&plan, &mut DbIndex::from_store(space.completion_store(i)));
+                let next = eval_ucq_on(&plan, &mut DbIndex::over(space.ground(i)));
                 old = Some(match old {
                     None => next,
                     Some(acc) => acc.intersection(&next).cloned().collect(),

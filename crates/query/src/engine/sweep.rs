@@ -13,7 +13,8 @@
 //! decide in general (Thm 7), so a fixed-width fan-out would only shave
 //! a constant factor; the sweep runs on the calling thread.
 
-use ca_core::store::{null_index, FactStore, ValueId};
+use ca_core::store::{FactStore, ValueId};
+use ca_core::symbol::Symbol;
 use ca_core::value::{Null, Value};
 use ca_relational::database::{NaiveDatabase, Valuation};
 use ca_relational::store_bridge::to_store;
@@ -27,15 +28,24 @@ pub struct CompletionSpace<'a> {
     db: &'a NaiveDatabase,
     nulls: Vec<Null>,
     pool: &'a [i64],
-    /// The database loaded once into the columnar store; completions are
-    /// stamped out of it by [`FactStore::clone_remapped`] without
-    /// re-interning or re-hashing anything per completion.
-    base: FactStore,
-    /// Pool constants pre-interned in `base` (parallel to `pool`).
+    /// The database bridged once into the columnar store;
+    /// [`Self::ground`] overwrites its null cells in place, so no
+    /// completion re-interns, re-hashes or clones anything.
+    store: FactStore,
+    /// Pool constants pre-interned in `store` (parallel to `pool`).
     pool_ids: Vec<ValueId>,
-    /// Dense null index in `base` → position in the sorted `nulls` list
-    /// (the digit position in the linear completion index).
-    digit_of_dense: Vec<usize>,
+    /// Every cell of `store` that holds a null of `db`, recorded once.
+    cells: Vec<NullCell>,
+}
+
+/// A cell of the bridged store that holds a null, and the digit of the
+/// linear completion index (the null's position in sorted null order)
+/// that grounds it.
+struct NullCell {
+    rel: Symbol,
+    col: usize,
+    row: u32,
+    digit: usize,
 }
 
 impl<'a> CompletionSpace<'a> {
@@ -43,28 +53,36 @@ impl<'a> CompletionSpace<'a> {
     /// no nulls (otherwise the space is empty — see [`Self::len`]).
     pub fn new(db: &'a NaiveDatabase, pool: &'a [i64]) -> Self {
         let nulls: Vec<Null> = db.nulls().into_iter().collect();
-        let mut base = to_store(db);
+        let mut store = to_store(db);
         let pool_ids = pool
             .iter()
-            .map(|&k| base.intern_value(Value::Const(k)))
+            .map(|&k| store.intern_value(Value::Const(k)))
             .collect();
-        // Every null in `nulls` occurs in some fact, so it is already
-        // interned; map its dense store index back to its digit position.
-        let mut digit_of_dense = vec![0usize; nulls.len()];
-        for (pos, &n) in nulls.iter().enumerate() {
-            if let Some(id) = base.lookup_value(Value::Null(n)) {
-                digit_of_dense[null_index(id) as usize] = pos;
-            } else {
-                debug_assert!(false, "database nulls are interned by to_store");
+        let mut cells = Vec::new();
+        for rel in store.relations() {
+            for (col, ids) in store.table(rel).cols().iter().enumerate() {
+                for (row, &id) in (0u32..).zip(ids) {
+                    // Every null of the store is a null of `db`, so the
+                    // search hits exactly for the null cells.
+                    let digit = store.value(id).as_null().map(|n| nulls.binary_search(&n));
+                    if let Some(Ok(digit)) = digit {
+                        cells.push(NullCell {
+                            rel,
+                            col,
+                            row,
+                            digit,
+                        });
+                    }
+                }
             }
         }
         CompletionSpace {
-            nulls,
             db,
+            nulls,
             pool,
-            base,
+            store,
             pool_ids,
-            digit_of_dense,
+            cells,
         }
     }
 
@@ -92,38 +110,60 @@ impl<'a> CompletionSpace<'a> {
         self.len() == 0
     }
 
+    /// The pool positions completion `i` picks, one per null in sorted
+    /// null order (digit `j` is `(i / |pool|^j) % |pool|`).
+    fn digits(&self, i: u128) -> impl Iterator<Item = usize> + '_ {
+        let base = self.pool.len() as u128;
+        let mut rest = i;
+        self.nulls.iter().map(move |_| {
+            let digit = (rest % base) as usize;
+            rest /= base;
+            digit
+        })
+    }
+
+    /// The valuation of completion `i`: each null, in sorted order, with
+    /// the pool constant it is grounded to.
+    pub fn valuation(&self, i: u128) -> Vec<(Null, i64)> {
+        self.nulls
+            .iter()
+            .zip(self.digits(i))
+            .map(|(&n, d)| (n, self.pool[d]))
+            .collect()
+    }
+
     /// Materialize completion `i`.
     pub fn completion(&self, i: u128) -> NaiveDatabase {
         let mut h = Valuation::new();
-        let mut rest = i;
-        let base = self.pool.len() as u128;
-        for &n in &self.nulls {
-            h.bind(n, Value::Const(self.pool[(rest % base) as usize]));
-            rest /= base;
+        for (n, k) in self.valuation(i) {
+            h.bind(n, Value::Const(k));
         }
         self.db.apply(&h)
     }
 
-    /// The base store: every completion store shares its interner, so
-    /// it decodes any completion's value ids.
-    pub(crate) fn store(&self) -> &FactStore {
-        &self.base
+    /// Ground completion `i` in the store, in place, and return the
+    /// store: every recorded null cell is overwritten with the id of its
+    /// pool constant (digits as in [`Self::valuation`]). Each call writes
+    /// exactly the cells the previous one wrote, so nothing of an earlier
+    /// grounding survives.
+    ///
+    /// The store keeps one row per fact of `db`, so a grounding that
+    /// makes two facts equal holds that fact twice where
+    /// [`Self::completion`] holds it once. Answers stay right: every
+    /// consumer collects answers into deduplicating id sets.
+    pub fn ground(&mut self, i: u128) -> &FactStore {
+        let ids: Vec<ValueId> = self.digits(i).map(|d| self.pool_ids[d]).collect();
+        for cell in &self.cells {
+            self.store
+                .ground_cell(cell.rel, cell.col, cell.row, ids[cell.digit]);
+        }
+        &self.store
     }
 
-    /// Materialize completion `i` directly in the columnar store: clone
-    /// the base column pages with each null's id overwritten by its pool
-    /// constant's id. Same digit convention as [`Self::completion`], no
-    /// per-completion interning or hashing.
-    pub fn completion_store(&self, i: u128) -> FactStore {
-        let base = self.pool.len() as u128;
-        let mut digits: Vec<ValueId> = Vec::with_capacity(self.nulls.len());
-        let mut rest = i;
-        for _ in &self.nulls {
-            digits.push(self.pool_ids[(rest % base) as usize]);
-            rest /= base;
-        }
-        self.base
-            .clone_remapped(|dense| digits[self.digit_of_dense[dense as usize]])
+    /// The store every grounding is written into. Grounding never
+    /// touches its interner, so it decodes any completion's value ids.
+    pub(crate) fn store(&self) -> &FactStore {
+        &self.store
     }
 }
 
@@ -134,8 +174,8 @@ impl<'a> CompletionSpace<'a> {
 /// `false`. The first completion's rows seed the running intersection;
 /// every later completion only marks the held rows it produces, and
 /// stops as soon as all of them are marked. Ids compare across
-/// completions because every completion store shares the base store's
-/// interner ([`FactStore::clone_remapped`]).
+/// completions because every grounding is written into one store with
+/// one interner ([`CompletionSpace::ground`]).
 ///
 /// Returns `None` for `count == 0` — the intersection over no sets is
 /// "everything", which has no finite representation; callers choose
@@ -181,7 +221,9 @@ pub fn intersect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ca_core::store::dense_count;
     use ca_relational::database::build::{c, n, table};
+    use ca_relational::store_bridge::from_store;
 
     #[test]
     fn completion_space_counts() {
@@ -217,24 +259,64 @@ mod tests {
         assert_eq!(by_index, legacy);
     }
 
-    /// The columnar completion path grounds every null exactly as the
-    /// legacy `Valuation`-based one, at every linear index — including
-    /// when grounding collapses distinct facts into duplicates.
+    /// Grounding in place writes every null exactly as the
+    /// `Valuation`-based completion does, at every linear index —
+    /// including when grounding collapses distinct facts into duplicates.
     #[test]
-    fn completion_store_matches_completion() {
-        use ca_relational::store_bridge::from_store;
+    fn ground_matches_completion() {
         let db = table("R", 2, &[&[c(0), n(1)], &[n(2), n(1)], &[n(2), c(0)]]);
         let pool = [0, 1, 5];
-        let space = CompletionSpace::new(&db, &pool);
+        let mut space = CompletionSpace::new(&db, &pool);
         assert_eq!(space.len(), 9);
         for i in 0..space.len() {
-            let store = space.completion_store(i);
-            assert_eq!(from_store(&store), space.completion(i), "index {i}");
+            let want = space.completion(i);
+            assert_eq!(from_store(space.ground(i)), want, "index {i}");
         }
         // No nulls: the sole completion is the database itself.
         let complete = table("R", 1, &[&[c(7)]]);
-        let space = CompletionSpace::new(&complete, &[]);
-        assert_eq!(from_store(&space.completion_store(0)), complete);
+        let mut space = CompletionSpace::new(&complete, &[]);
+        assert_eq!(from_store(space.ground(0)), complete);
+    }
+
+    /// `ground` overwrites the null cells with the pool ids of the
+    /// chosen digits and leaves every other cell alone.
+    #[test]
+    fn ground_writes_pool_ids_into_null_cells() {
+        let db = table("R", 2, &[&[c(1), n(1)], &[n(2), n(1)]]);
+        let pool = [100, 200];
+        let mut space = CompletionSpace::new(&db, &pool);
+        // Index 2 = digits (0, 1): ⊥1 ↦ 100, ⊥2 ↦ 200.
+        let g = space.ground(2);
+        assert_eq!(g.fact_values(0), vec![c(1), c(100)]);
+        assert_eq!(g.fact_values(1), vec![c(200), c(100)]);
+        assert_eq!(space.valuation(2), vec![(Null(1), 100), (Null(2), 200)]);
+    }
+
+    /// Every ordered pair of groundings `ground(i)` then `ground(j)`
+    /// leaves exactly completion `j`: nothing of `i` leaks through, also
+    /// where `i` collapsed two facts into one.
+    #[test]
+    fn grounding_in_place_leaks_nothing_between_completions() {
+        // ⊥1 = ⊥2 = 0 collapses R(⊥1, 0) and R(⊥2, 0); ⊥3 = 0 collapses
+        // R(0, ⊥3) with R(0, 0).
+        let db = table(
+            "R",
+            2,
+            &[&[n(1), c(0)], &[n(2), c(0)], &[c(0), n(3)], &[c(0), c(0)]],
+        );
+        let pool = [0, 1, 2];
+        let mut space = CompletionSpace::new(&db, &pool);
+        assert_eq!(space.len(), 27);
+        let mut collapsed = false;
+        for i in 0..space.len() {
+            collapsed |= space.ground(i).n_live() > dense_count(space.completion(i).facts().len());
+            for j in 0..space.len() {
+                space.ground(i);
+                let want = space.completion(j);
+                assert_eq!(from_store(space.ground(j)), want, "{i} then {j}");
+            }
+        }
+        assert!(collapsed, "some grounding repeats a fact");
     }
 
     /// The ids of `rows`, sorted.

@@ -15,9 +15,9 @@
 //!   databases *treating nulls as ordinary values* (the first phase of
 //!   naïve evaluation; now routed through [`engine`] leniently), and FO
 //!   sentences over complete databases under active-domain semantics.
-//! * [`reference`] — the original nested-loop evaluator, kept as the
+//! * [`reference`](mod@reference) — the original nested-loop evaluator, kept as the
 //!   differential-testing oracle and benchmark baseline for [`engine`].
-//! * [`tableau`] — the CQ ↔ naïve-database correspondence: the tableau
+//! * [`tableau`](mod@tableau) — the CQ ↔ naïve-database correspondence: the tableau
 //!   `D_Q` of a Boolean CQ and the canonical query `Q_D` of a database.
 //! * [`containment`] — CQ containment via tableau homomorphisms
 //!   (Chandra–Merlin, used by Proposition 2).

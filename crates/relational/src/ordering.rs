@@ -5,7 +5,7 @@
 //! preorder as homomorphism existence, which is how [`InfoOrder`]
 //! implements it. The module also plugs naïve databases into the abstract
 //! framework of [`ca_core`]: [`InfoOrder`] is a
-//! [`Preorder`](ca_core::preorder::Preorder) with
+//! [`Preorder`] with
 //! [complete objects](ca_core::complete::CompleteObjects), so all the
 //! Section 3 notions (glbs, max-descriptions, `certain_cpl`, naïve
 //! evaluation) apply verbatim.

@@ -1,4 +1,4 @@
-//! Greatest lower bounds of unordered trees — the max-descriptions of [16].
+//! Greatest lower bounds of unordered trees — the max-descriptions of \[16\].
 //!
 //! The structural part is the same-label product: node tuples
 //! `(v₁, …, vₖ)` with equal labels, a child edge when every component has
@@ -12,7 +12,7 @@
 //!
 //! The root-pair component of same-root documents is the "level by level,
 //! pairing nodes with the same labels" construction the paper describes in
-//! Section 5.2, and in the rooted-match setting of [16] it *is* the
+//! Section 5.2, and in the rooted-match setting of \[16\] it *is* the
 //! max-description. Under the paper's unrooted homomorphisms existence is
 //! subtler: a same-label pair at mismatched depths forms its own component,
 //! and if the `⊗`-merged data of the root component does not absorb it
@@ -173,7 +173,7 @@ pub fn glb_trees(a: &XmlTree, b: &XmlTree) -> Option<XmlTree> {
 }
 
 /// The max-description of a finite set of trees — by Theorem 1 this is
-/// exactly the glb, so this is an alias with the [16] terminology.
+/// exactly the glb, so this is an alias with the \[16\] terminology.
 pub fn max_description(trees: &[&XmlTree]) -> Option<XmlTree> {
     glb_many(trees)
 }

@@ -16,7 +16,7 @@
 //! * [`tree`] — the data model and builders.
 //! * [`hom`] — tree homomorphisms via the [`ca_hom`] CSP engine.
 //! * [`glb`] — greatest lower bounds of finitely many unordered trees
-//!   (= the max-descriptions of [16]): the same-label product forest plus
+//!   (= the max-descriptions of \[16\]): the same-label product forest plus
 //!   the `⊗` data merge, with a dominant-component check.
 //! * [`ordered`] — sibling-ordered trees and the Proposition 6 refutation
 //!   that even two ordered trees can lack a glb.

@@ -4,7 +4,7 @@
 //! incomplete description have a completion satisfying the schema? — "is
 //! commonly considered in the XML context, where schemas are usually more
 //! complex", and that it "tends to be NP-complete, and in PTIME with
-//! suitable restrictions [7]". This module implements a simple edge-based
+//! suitable restrictions \[7\]". This module implements a simple edge-based
 //! schema class (which parent labels may have which child labels, plus a
 //! designated root) where consistency of *tree-shaped* child/descendant
 //! patterns is polynomial: a pattern has a conforming completion iff its

@@ -291,8 +291,8 @@ proptest! {
 }
 
 /// A duplicate-heavy instance. The lead relation `L(a, b, k)` has 1100–
-/// 1299 rows, past both the semijoin and the posting-table thresholds;
-/// its key column `k` is unique, while `a` and `b` draw from four
+/// 1299 rows, far past the posting-table threshold, so joins into it
+/// probe built postings; its key column `k` is unique, while `a` and `b` draw from four
 /// constants and two nulls, so a head that drops `k` sees each distinct
 /// row many times. Small relations `S(b, c)` and `T(c)` join on. The UCQ
 /// has 2–3 distinct disjuncts over `L`, whose answers overlap (every one
