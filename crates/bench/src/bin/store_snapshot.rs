@@ -14,13 +14,12 @@
 //!
 //! `pack` parses the `R(1, ?x, _)` text syntax (`ca_relational::parse`),
 //! bulk-loads it through `to_store`, and writes `FactStore::to_bytes`.
-//! `info` prints the header through `SnapshotView`, then loads the
-//! store (validating it, and any version-2 statistics section) and
-//! prints per-column statistics computed from the live rows by
-//! `stats::compute_exact`; its `stats:` line says whether the buffer
-//! carried a statistics section. `dump` round-trips through `FactStore` and
-//! prints one fact per line in the same text syntax `pack` accepts, so
-//! `pack` ∘ `dump` is the identity on normalized databases.
+//! `info` loads the store (validating every section) and prints the
+//! format version, the header counts, and per-column statistics computed
+//! from the live rows by `stats::compute_exact`. `dump` round-trips
+//! through `FactStore` and prints one fact per line in the same text
+//! syntax `pack` accepts, so `pack` ∘ `dump` is the identity on
+//! normalized databases.
 //!
 //! `gen` writes a deterministic synthetic workload at the requested fact
 //! count — the same fixed-seed LCG shape the store/ingest benches use
@@ -33,7 +32,7 @@
 use std::process::ExitCode;
 
 use ca_core::store::stats::compute_exact;
-use ca_core::store::{FactStore, SnapshotView};
+use ca_core::store::{FactStore, SNAPSHOT_VERSION};
 use ca_core::value::Value;
 use ca_relational::{from_store, parse_database, to_store};
 
@@ -78,25 +77,17 @@ fn info(path: &str) -> ExitCode {
         Ok(b) => b,
         Err(e) => return fail(path, e),
     };
-    let view = match SnapshotView::parse(&bytes) {
-        Ok(v) => v,
-        Err(e) => return fail(path, e),
-    };
     let store = match FactStore::from_bytes(&bytes) {
         Ok(s) => s,
         Err(e) => return fail(path, e),
     };
     println!("snapshot: {path}");
     println!("  bytes:     {}", bytes.len());
-    println!("  version:   {}", view.version());
-    println!(
-        "  stats:     {}",
-        if view.has_stats() { "v2" } else { "none, v1" }
-    );
-    println!("  constants: {}", view.n_consts());
-    println!("  nulls:     {}", view.n_nulls());
-    println!("  facts:     {}", view.n_facts());
-    println!("  relations: {}", view.n_rels());
+    println!("  version:   {SNAPSHOT_VERSION}");
+    println!("  constants: {}", store.values().n_consts());
+    println!("  nulls:     {}", store.values().n_nulls());
+    println!("  facts:     {}", store.n_facts());
+    println!("  relations: {}", store.n_relations());
     for (rel, rs) in store.relations().zip(compute_exact(&store)) {
         let table = store.table(rel);
         println!(

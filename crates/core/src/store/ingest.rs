@@ -49,7 +49,7 @@ use std::sync::Mutex;
 use crate::config::PART_THREADS_MAX;
 use crate::value::Value;
 
-use super::{dense_count, FactStore, SnapshotError, ValueId, SNAPSHOT_MAGIC};
+use super::{dense_count, FactStore, SnapshotError, ValueId, MAX_COLUMNS, SNAPSHOT_MAGIC};
 
 /// Lines per pipeline batch: large enough to amortize channel traffic,
 /// small enough that the reorder buffer stays a few MB at width 8.
@@ -76,6 +76,9 @@ pub enum IngestError {
     },
     /// A field is neither an integer constant nor a `?N` null.
     BadValue { line: u64, token: String },
+    /// The row's relation is new and its arity takes the store past
+    /// [`MAX_COLUMNS`] columns in all.
+    TooManyColumns { line: u64, rel: String },
     /// The buffer carried the snapshot magic but failed snapshot
     /// validation.
     Snapshot(SnapshotError),
@@ -104,6 +107,10 @@ impl std::fmt::Display for IngestError {
                     "line {line}: `{token}` is neither an integer nor a ?N null"
                 )
             }
+            IngestError::TooManyColumns { line, rel } => write!(
+                f,
+                "line {line}: relation {rel} takes the store past {MAX_COLUMNS} columns"
+            ),
             IngestError::Snapshot(e) => write!(f, "snapshot: {e}"),
         }
     }
@@ -211,6 +218,12 @@ fn apply_runs(
                     });
                 }
                 sym
+            }
+            None if store.n_columns().saturating_add(run.arity) > MAX_COLUMNS => {
+                return Err(IngestError::TooManyColumns {
+                    line: run.first_line,
+                    rel: run.rel.clone(),
+                })
             }
             None => store.add_relation(&run.rel, run.arity),
         };
@@ -616,6 +629,52 @@ S,?2
             load_bytes(&bad, 1).expect_err("corrupt"),
             IngestError::Snapshot(SnapshotError::Corrupt("trailing bytes"))
         );
+    }
+
+    #[test]
+    fn lying_snapshot_headers_are_typed_errors() {
+        // 48 bytes claiming u32::MAX relations, and 64 bytes naming one
+        // zero-row relation of arity u32::MAX.
+        let mut many_rels = FactStore::new().to_bytes();
+        many_rels[32..40].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        assert_eq!(
+            load_bytes(&many_rels, 1).expect_err("directory missing"),
+            IngestError::Snapshot(SnapshotError::Truncated)
+        );
+        let mut wide = FactStore::new().to_bytes();
+        wide[32..40].copy_from_slice(&1u64.to_le_bytes());
+        wide.extend_from_slice(&0u32.to_le_bytes());
+        wide.extend_from_slice(&u32::MAX.to_le_bytes());
+        wide.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(wide.len(), 64);
+        assert!(matches!(
+            load_bytes(&wide, 1).expect_err("arity past the column budget"),
+            IngestError::Snapshot(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn csv_past_the_column_budget_is_a_typed_error() {
+        let wide_row = |rel: &str, arity: usize| format!("{rel}{}\n", ",0".repeat(arity));
+        // Exactly at the budget loads; one column more is refused on the
+        // row that crosses it.
+        let at_budget = format!("A,1\n{}", wide_row("B", MAX_COLUMNS - 1));
+        let past_budget = format!("A,1\n{}A,2\n", wide_row("B", MAX_COLUMNS));
+        for threads in [1, 4] {
+            let mut store = FactStore::new();
+            load_csv_bytes(at_budget.as_bytes(), &mut store, threads).expect("at the budget");
+            assert_eq!(store.n_columns(), MAX_COLUMNS);
+            let mut store = FactStore::new();
+            let err = load_csv_bytes(past_budget.as_bytes(), &mut store, threads)
+                .expect_err("past the budget");
+            assert_eq!(
+                err,
+                IngestError::TooManyColumns {
+                    line: 2,
+                    rel: "B".into()
+                }
+            );
+        }
     }
 
     #[test]

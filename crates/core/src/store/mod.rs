@@ -16,8 +16,8 @@
 //! * a **null-occurrence index** (null → facts mentioning it), the
 //!   store-level secondary index the chase's egd phase rewrites through;
 //! * a versioned little-endian binary **snapshot format**
-//!   ([`snapshot`]): header + interner table + column pages, zero-copy
-//!   friendly (see [`SnapshotView`]).
+//!   ([`snapshot`]): header + interner table + column pages, read back in
+//!   one validating forward pass ([`FactStore::from_bytes`]).
 //!
 //! Secondary *join* indices (value → row postings keyed by bound-position
 //! signatures) are built lazily by `ca_query::engine::index` over a
@@ -38,9 +38,7 @@ use std::collections::hash_map::Entry;
 use crate::symbol::{Interner, Symbol};
 use crate::value::{Null, Value};
 
-pub use snapshot::{
-    SnapshotError, SnapshotView, SNAPSHOT_MAGIC, SNAPSHOT_READ_VERSIONS, SNAPSHOT_VERSION,
-};
+pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::{ColStats, RelStats};
 
 /// A dense interned value id. Constant ids are `0..n_consts` in interning
@@ -71,6 +69,12 @@ pub const fn id_is_null(id: ValueId) -> bool {
 pub const fn null_index(id: ValueId) -> u32 {
     id & !NULL_TAG
 }
+
+/// The most columns one store may declare: the summed arity of its
+/// relations. A snapshot spends no bytes on the columns of a zero-row
+/// relation, so no byte count bounds arity; this budget does, for the
+/// snapshot reader, the CSV loader and [`FactStore::add_relation`] alike.
+pub const MAX_COLUMNS: usize = 1 << 16;
 
 /// A stable dense fact id, global across relations, assigned in insertion
 /// order and never reused (dead facts keep their id).
@@ -419,8 +423,8 @@ impl FactStore {
     // ------------------------------------------------------ relations
 
     /// Add a relation; returns its symbol. Re-adding with the same arity
-    /// is a no-op; re-adding with a different arity is a construction
-    /// bug (asserted).
+    /// is a no-op; re-adding with a different arity, or going past
+    /// [`MAX_COLUMNS`] columns in all, is a construction bug (asserted).
     pub fn add_relation(&mut self, name: &str, arity: usize) -> Symbol {
         if let Some(sym) = self.rel_names.get(name) {
             assert_eq!(
@@ -430,10 +434,19 @@ impl FactStore {
             );
             return sym;
         }
+        assert!(
+            self.n_columns().saturating_add(arity) <= MAX_COLUMNS,
+            "relation {name} of arity {arity} takes the store past MAX_COLUMNS columns"
+        );
         let sym = self.rel_names.intern(name);
         self.arities.push(arity);
         self.tables.push(RelTable::new(arity));
         sym
+    }
+
+    /// The summed arity of this store's relations (see [`MAX_COLUMNS`]).
+    fn n_columns(&self) -> usize {
+        self.arities.iter().sum()
     }
 
     /// Look up a relation by name.
@@ -972,6 +985,16 @@ mod tests {
         assert_eq!(s.insert(r, &[n(2), c(1)]), None);
         // Re-inserting the *old* tuple is new again (the key moved).
         assert!(s.insert(r, &[n(4), c(1)]).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "past MAX_COLUMNS columns")]
+    fn add_relation_past_the_column_budget_panics() {
+        let mut s = FactStore::new();
+        s.add_relation("A", MAX_COLUMNS - 1);
+        s.add_relation("B", 1);
+        assert_eq!(s.n_columns(), MAX_COLUMNS);
+        s.add_relation("C", 1);
     }
 
     #[test]

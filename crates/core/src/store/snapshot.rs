@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"CASTORE\0"
-//! 8       4     format version (u32, in SNAPSHOT_READ_VERSIONS)
+//! 8       4     format version (u32, SNAPSHOT_VERSION)
 //! 12      4     reserved (u32, must be 0)
 //! 16      8     n_consts (u64)
 //! 24      8     n_nulls  (u64)
@@ -20,59 +20,37 @@
 //! …       …     per relation, in directory order:
 //!                 live bitmap: ⌈n_rows/64⌉ × u64
 //!                 column pages: arity × (n_rows × u32, zero-padded to 8)
-//! …       …     (v2 only) statistics, per relation in directory order:
-//!                 n_live (u64) · per column: distinct (u32) ·
-//!                 reserved (u32, must be 0) · min_const (i64) ·
-//!                 max_const (i64)
 //! ```
 //!
-//! The writer emits **version 1**, which ends after the column pages.
-//! **Version 2** buffers, written by earlier builds, carry the exact
-//! live-contents statistics ([`super::stats::compute_exact`]) after the
-//! column pages; everything before that section is byte-identical to
-//! version 1. The reader accepts both. Statistics are derived from the
-//! columns whenever a planner asks for them, so a v2 section is never
-//! trusted or kept: [`FactStore::from_bytes`] *validates* it against
-//! [`super::stats::compute_exact`] over the loaded contents and rejects
-//! a snapshot whose statistics disagree with its own columns as
-//! corrupt. Re-serializing a loaded v2 buffer writes version 1.
-//!
-//! The layout is zero-copy friendly: [`SnapshotView`] computes section
-//! offsets from the header and directory alone (O(relations), not
-//! O(facts)) and decodes individual entries on demand with
-//! `from_le_bytes` — no unsafe, no upfront materialization, so an
-//! `mmap`-ed million-fact snapshot costs only the pages actually
-//! touched. [`FactStore::from_bytes`] fully materializes and validates;
-//! the per-fact row numbers are *not* serialized (a fact's row is the
-//! count of earlier facts in its relation), and neither are the
-//! dedup/occurrence maps (rebuilt lazily on first mutation), so
-//! re-serializing a loaded snapshot is byte-identical to its source.
+//! [`FactStore::from_bytes`] reads the buffer once, front to back,
+//! through a bounds-checked cursor, and validates each section as it
+//! takes it. No count read from the buffer sizes an allocation or a loop
+//! before the bytes it promises have been taken: directory entries are
+//! taken one at a time, and the constant, null, fact-directory, bitmap
+//! and column sections are each taken as one slice and decoded from it.
+//! Arity is the one count the layout cannot bound (a zero-row relation
+//! spends no column bytes), so the directory may declare at most
+//! [`MAX_COLUMNS`] columns in all. The per-fact row numbers are *not*
+//! serialized (a fact's row is the count of earlier facts in its
+//! relation), and neither are the dedup/occurrence maps (rebuilt lazily
+//! on first mutation), so re-serializing a loaded snapshot is
+//! byte-identical to its source.
 
 use std::fmt;
-use std::ops::RangeInclusive;
 
 use crate::symbol::{Interner, Symbol};
 use crate::value::Value;
 
-use super::{dense_count, id_is_null, null_index, FactStore, RelTable, ValueInterner};
+use super::{
+    dense_count, id_is_null, null_index, FactStore, RelTable, ValueInterner, MAX_COLUMNS, NULL_TAG,
+};
 
-/// The snapshot format version [`FactStore::to_bytes`] writes: version 1,
-/// no statistics section.
+/// The snapshot format version [`FactStore::to_bytes`] writes and
+/// [`FactStore::from_bytes`] reads.
 pub const SNAPSHOT_VERSION: u32 = 1;
-
-/// Every format version [`FactStore::from_bytes`] reads: the current one
-/// and version 2, whose statistics section is validated on load; see the
-/// [module docs](self).
-pub const SNAPSHOT_READ_VERSIONS: RangeInclusive<u32> = 1..=2;
-
-/// Per-column statistics entry size in the v2 section: distinct (u32) +
-/// reserved (u32) + min_const (i64) + max_const (i64).
-const COL_STATS_LEN: usize = 24;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CASTORE\0";
-
-const HEADER_LEN: usize = 48;
 
 /// Why a byte buffer is not a loadable snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -81,11 +59,8 @@ pub enum SnapshotError {
     Truncated,
     /// The first eight bytes are not [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The format version is not one this build reads.
-    VersionMismatch {
-        found: u32,
-        accepted: RangeInclusive<u32>,
-    },
+    /// The format version is not the one this build reads.
+    VersionMismatch { found: u32, expected: u32 },
     /// Structurally well-formed but semantically invalid content.
     Corrupt(&'static str),
 }
@@ -95,11 +70,9 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::BadMagic => write!(f, "not a fact-store snapshot (bad magic)"),
-            SnapshotError::VersionMismatch { found, accepted } => write!(
+            SnapshotError::VersionMismatch { found, expected } => write!(
                 f,
-                "snapshot version {found}, this build reads versions {}..={}",
-                accepted.start(),
-                accepted.end()
+                "snapshot version {found}, this build reads version {expected}"
             ),
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
         }
@@ -108,323 +81,47 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn rd_u32(buf: &[u8], off: usize) -> Result<u32, SnapshotError> {
-    let end = off.checked_add(4).ok_or(SnapshotError::Truncated)?;
-    let bytes = buf.get(off..end).ok_or(SnapshotError::Truncated)?;
-    let arr: [u8; 4] = bytes.try_into().map_err(|_| SnapshotError::Truncated)?;
-    Ok(u32::from_le_bytes(arr))
+/// A forward reader over snapshot bytes. Every read takes bytes off the
+/// front or fails `Truncated`; nothing is read twice.
+struct Cursor<'a> {
+    rest: &'a [u8],
+    /// Bytes taken so far (the offset of `rest` in the buffer).
+    taken: usize,
 }
 
-fn rd_u64(buf: &[u8], off: usize) -> Result<u64, SnapshotError> {
-    let end = off.checked_add(8).ok_or(SnapshotError::Truncated)?;
-    let bytes = buf.get(off..end).ok_or(SnapshotError::Truncated)?;
-    let arr: [u8; 8] = bytes.try_into().map_err(|_| SnapshotError::Truncated)?;
-    Ok(u64::from_le_bytes(arr))
-}
-
-fn rd_i64(buf: &[u8], off: usize) -> Result<i64, SnapshotError> {
-    rd_u64(buf, off).map(|v| v as i64)
-}
-
-/// Round a byte length up to 8-byte alignment. Saturates near
-/// `usize::MAX` so an attacker-sized length cannot wrap to a small pad;
-/// the saturated value then fails every bounds check downstream.
-const fn pad8(len: usize) -> usize {
-    len.saturating_add(7) & !7
-}
-
-/// Checked offset advance; overflow means the buffer can't hold it.
-fn advance(off: usize, by: usize) -> Result<usize, SnapshotError> {
-    off.checked_add(by).ok_or(SnapshotError::Truncated)
-}
-
-/// Checked size multiply; overflow means the buffer can't hold it.
-fn size_mul(a: usize, b: usize) -> Result<usize, SnapshotError> {
-    a.checked_mul(b).ok_or(SnapshotError::Truncated)
-}
-
-struct RelDir {
-    name_off: usize,
-    name_len: usize,
-    arity: usize,
-    n_rows: u32,
-    live_off: usize,
-    cols_off: usize,
-    /// Offset of this relation's statistics entry (v2 only; 0 in v1
-    /// buffers, guarded by [`SnapshotView::has_stats`]).
-    stats_off: usize,
-}
-
-/// A zero-copy window over a serialized snapshot: parsing reads only the
-/// header and relation directory; everything else is decoded on demand.
-pub struct SnapshotView<'a> {
-    buf: &'a [u8],
-    version: u32,
-    n_consts: u32,
-    n_nulls: u32,
-    n_rels: u32,
-    n_facts: u32,
-    rels: Vec<RelDir>,
-    consts_off: usize,
-    nulls_off: usize,
-    fact_rel_off: usize,
-}
-
-impl<'a> SnapshotView<'a> {
-    /// Validate the header/directory and compute all section offsets.
-    pub fn parse(buf: &'a [u8]) -> Result<Self, SnapshotError> {
-        let magic = buf.get(0..8).ok_or(SnapshotError::Truncated)?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = rd_u32(buf, 8)?;
-        if !SNAPSHOT_READ_VERSIONS.contains(&version) {
-            return Err(SnapshotError::VersionMismatch {
-                found: version,
-                accepted: SNAPSHOT_READ_VERSIONS,
-            });
-        }
-        if rd_u32(buf, 12)? != 0 {
-            return Err(SnapshotError::Corrupt("nonzero reserved field"));
-        }
-        let n_consts = rd_u64(buf, 16)?;
-        let n_nulls = rd_u64(buf, 24)?;
-        let n_rels = rd_u64(buf, 32)?;
-        let n_facts = rd_u64(buf, 40)?;
-        // Ids are u32 with a tag bit; fact ids are u32 with u32::MAX
-        // reserved as a sentinel.
-        if n_consts >= (1 << 31) || n_nulls >= (1 << 31) {
-            return Err(SnapshotError::Corrupt("value count out of range"));
-        }
-        if n_rels > u32::MAX as u64 || n_facts >= u32::MAX as u64 {
-            return Err(SnapshotError::Corrupt(
-                "relation or fact count out of range",
-            ));
-        }
-        let mut off = HEADER_LEN;
-        let mut rels = Vec::with_capacity(n_rels as usize);
-        for _ in 0..n_rels {
-            let name_len = rd_u32(buf, off)? as usize;
-            let arity = rd_u32(buf, advance(off, 4)?)? as usize;
-            let n_rows = rd_u64(buf, advance(off, 8)?)?;
-            if n_rows > n_facts {
-                return Err(SnapshotError::Corrupt("relation rows exceed fact count"));
-            }
-            let name_off = advance(off, 16)?;
-            off = advance(name_off, pad8(name_len))?;
-            if off > buf.len() {
-                return Err(SnapshotError::Truncated);
-            }
-            rels.push(RelDir {
-                name_off,
-                name_len,
-                arity,
-                // In range: n_rows ≤ n_facts < u32::MAX, checked above.
-                n_rows: u32::try_from(n_rows)
-                    .map_err(|_| SnapshotError::Corrupt("relation rows out of range"))?,
-                live_off: 0,
-                cols_off: 0,
-                stats_off: 0,
-            });
-        }
-        let consts_off = off;
-        off = advance(off, size_mul(n_consts as usize, 8)?)?;
-        let nulls_off = off;
-        off = advance(off, pad8(size_mul(n_nulls as usize, 4)?))?;
-        let fact_rel_off = off;
-        off = advance(off, pad8(size_mul(n_facts as usize, 4)?))?;
-        for e in &mut rels {
-            e.live_off = off;
-            off = advance(off, size_mul((e.n_rows as usize).div_ceil(64), 8)?)?;
-            e.cols_off = off;
-            let page = pad8(size_mul(e.n_rows as usize, 4)?);
-            off = advance(off, size_mul(e.arity, page)?)?;
-        }
-        if version >= 2 {
-            // The statistics section: one n_live word plus one fixed-size
-            // entry per column. Every field is 8-byte aligned by
-            // construction, so no padding.
-            for e in &mut rels {
-                e.stats_off = off;
-                off = advance(off, advance(8, size_mul(e.arity, COL_STATS_LEN)?)?)?;
-            }
-        }
-        if off > buf.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        if off < buf.len() {
-            return Err(SnapshotError::Corrupt("trailing bytes"));
-        }
-        // All four counts were range-checked against u32 above; try_from
-        // keeps the narrowing honest if those checks ever drift.
-        let count =
-            |v: u64| u32::try_from(v).map_err(|_| SnapshotError::Corrupt("count out of range"));
-        Ok(SnapshotView {
-            buf,
-            version,
-            n_consts: count(n_consts)?,
-            n_nulls: count(n_nulls)?,
-            n_rels: count(n_rels)?,
-            n_facts: count(n_facts)?,
-            rels,
-            consts_off,
-            nulls_off,
-            fact_rel_off,
-        })
-    }
-
-    /// The snapshot's format version (1 or 2).
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// Does the snapshot carry a statistics section (v2)?
-    pub fn has_stats(&self) -> bool {
-        self.version >= 2
-    }
-
-    /// The serialized live-row count of relation `r` (v2 statistics
-    /// section; error on v1 buffers).
-    fn rel_stats_live(&self, r: u32) -> Result<u64, SnapshotError> {
-        if !self.has_stats() {
-            return Err(SnapshotError::Corrupt("no statistics section (v1)"));
-        }
-        rd_u64(self.buf, self.rel(r)?.stats_off)
-    }
-
-    /// The serialized `(distinct, min_const, max_const)` of column `c`
-    /// of relation `r` (v2 statistics section; error on v1 buffers).
-    fn col_stats(&self, r: u32, c: usize) -> Result<(u32, i64, i64), SnapshotError> {
-        if !self.has_stats() {
-            return Err(SnapshotError::Corrupt("no statistics section (v1)"));
-        }
-        let e = self.rel(r)?;
-        if c >= e.arity {
-            return Err(SnapshotError::Corrupt("column access out of range"));
-        }
-        let entry = advance(advance(e.stats_off, 8)?, size_mul(c, COL_STATS_LEN)?)?;
-        let distinct = rd_u32(self.buf, entry)?;
-        if rd_u32(self.buf, advance(entry, 4)?)? != 0 {
-            return Err(SnapshotError::Corrupt("nonzero reserved statistics field"));
-        }
-        let min = rd_i64(self.buf, advance(entry, 8)?)?;
-        let max = rd_i64(self.buf, advance(entry, 16)?)?;
-        Ok((distinct, min, max))
-    }
-
-    /// Number of interned constants.
-    pub fn n_consts(&self) -> u32 {
-        self.n_consts
-    }
-
-    /// Number of interned nulls.
-    pub fn n_nulls(&self) -> u32 {
-        self.n_nulls
-    }
-
-    /// Number of relations.
-    pub fn n_rels(&self) -> u32 {
-        self.n_rels
-    }
-
-    /// Number of facts (live and dead).
-    pub fn n_facts(&self) -> u32 {
-        self.n_facts
-    }
-
-    /// The constant at dense index `i`.
-    pub fn const_at(&self, i: u32) -> Result<i64, SnapshotError> {
-        rd_i64(self.buf, advance(self.consts_off, i as usize * 8)?)
-    }
-
-    /// The null label at dense index `i`.
-    pub fn null_at(&self, i: u32) -> Result<u32, SnapshotError> {
-        rd_u32(self.buf, advance(self.nulls_off, i as usize * 4)?)
-    }
-
-    fn rel(&self, r: u32) -> Result<&RelDir, SnapshotError> {
-        self.rels
-            .get(r as usize)
-            .ok_or(SnapshotError::Corrupt("relation index out of range"))
-    }
-
-    /// The name of relation `r`.
-    pub fn rel_name(&self, r: u32) -> Result<&'a str, SnapshotError> {
-        let e = self.rel(r)?;
-        let end = advance(e.name_off, e.name_len)?;
-        let bytes = self
-            .buf
-            .get(e.name_off..end)
+impl<'a> Cursor<'a> {
+    /// Take the next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        let (head, rest) = self
+            .rest
+            .split_at_checked(n)
             .ok_or(SnapshotError::Truncated)?;
-        std::str::from_utf8(bytes).map_err(|_| SnapshotError::Corrupt("relation name not utf-8"))
+        self.rest = rest;
+        self.taken += n;
+        Ok(head)
     }
 
-    /// The arity of relation `r`.
-    pub fn rel_arity(&self, r: u32) -> Result<usize, SnapshotError> {
-        Ok(self.rel(r)?.arity)
+    /// Take `count` items of `width` bytes as one slice. A count whose
+    /// byte size overflows cannot fit in any buffer: `Truncated`.
+    fn take_items(&mut self, count: u64, width: usize) -> Result<&'a [u8], SnapshotError> {
+        let bytes = usize::try_from(count)
+            .ok()
+            .and_then(|n| n.checked_mul(width))
+            .ok_or(SnapshotError::Truncated)?;
+        self.take(bytes)
     }
 
-    /// Total rows of relation `r` (live and dead).
-    pub fn rel_rows(&self, r: u32) -> Result<u32, SnapshotError> {
-        Ok(self.rel(r)?.n_rows)
+    /// Take the next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| SnapshotError::Truncated)
     }
 
-    /// Live rows of relation `r` (bitmap popcount, tail bits masked).
-    pub fn rel_live(&self, r: u32) -> Result<u32, SnapshotError> {
-        let e = self.rel(r)?;
-        let words = (e.n_rows as usize).div_ceil(64);
-        let mut live = 0u32;
-        for w in 0..words {
-            let mut word = rd_u64(self.buf, advance(e.live_off, w * 8)?)?;
-            if w == words - 1 && e.n_rows % 64 != 0 {
-                word &= (1u64 << (e.n_rows % 64)) - 1;
-            }
-            live += word.count_ones();
-        }
-        Ok(live)
-    }
-
-    /// One raw live-bitmap word of relation `r`.
-    pub fn live_word(&self, r: u32, w: usize) -> Result<u64, SnapshotError> {
-        let e = self.rel(r)?;
-        rd_u64(self.buf, advance(e.live_off, size_mul(w, 8)?)?)
-    }
-
-    /// The relation index of fact `f`.
-    pub fn fact_rel_at(&self, f: u32) -> Result<u32, SnapshotError> {
-        rd_u32(self.buf, advance(self.fact_rel_off, f as usize * 4)?)
-    }
-
-    /// The value id at column `c`, row `row` of relation `r`.
-    pub fn col_id(&self, r: u32, c: usize, row: u32) -> Result<u32, SnapshotError> {
-        let e = self.rel(r)?;
-        if c >= e.arity || row >= e.n_rows {
-            return Err(SnapshotError::Corrupt("column access out of range"));
-        }
-        let page = pad8(size_mul(e.n_rows as usize, 4)?);
-        let in_page = advance(size_mul(c, page)?, size_mul(row as usize, 4)?)?;
-        rd_u32(self.buf, advance(e.cols_off, in_page)?)
-    }
-
-    /// The raw little-endian byte page of column `c` of relation `r` —
-    /// `n_rows × 4` bytes, padding excluded. The bulk-decode path of
-    /// [`FactStore::from_bytes`] reads whole pages through this instead
-    /// of one [`Self::col_id`] offset computation per row.
-    pub fn col_page(&self, r: u32, c: usize) -> Result<&'a [u8], SnapshotError> {
-        let e = self.rel(r)?;
-        if c >= e.arity {
-            return Err(SnapshotError::Corrupt("column access out of range"));
-        }
-        let data = size_mul(e.n_rows as usize, 4)?;
-        let page = pad8(data);
-        let start = advance(e.cols_off, size_mul(c, page)?)?;
-        let end = advance(start, data)?;
-        self.buf.get(start..end).ok_or(SnapshotError::Truncated)
-    }
-
-    fn check_pad(&self, start: usize, end: usize) -> Result<(), SnapshotError> {
-        let bytes = self.buf.get(start..end).ok_or(SnapshotError::Truncated)?;
-        if bytes.iter().any(|&b| b != 0) {
+    /// Take the zero padding up to the next 8-byte boundary.
+    fn skip_pad(&mut self) -> Result<(), SnapshotError> {
+        let pad = self.taken.wrapping_neg() % 8;
+        if self.take(pad)?.iter().any(|&b| b != 0) {
             return Err(SnapshotError::Corrupt("nonzero padding"));
         }
         Ok(())
@@ -491,45 +188,106 @@ impl FactStore {
         out
     }
 
-    /// Materialize a store from snapshot bytes, validating everything:
-    /// header, counts, value-id ranges, fact directory consistency,
-    /// bitmap tail bits, and padding. A loaded store re-serializes
-    /// byte-identically.
+    /// Materialize a store from snapshot bytes in one forward pass,
+    /// validating everything: header, counts, the column budget,
+    /// duplicate names and values, fact directory consistency, value-id
+    /// ranges, bitmap tail bits, padding and trailing bytes. A loaded
+    /// store re-serializes byte-identically.
     pub fn from_bytes(buf: &[u8]) -> Result<FactStore, SnapshotError> {
-        let view = SnapshotView::parse(buf)?;
-        let mut values = ValueInterner::new();
-        for i in 0..view.n_consts() {
-            let c = view.const_at(i)?;
-            if values.lookup(Value::Const(c)).is_some() {
-                return Err(SnapshotError::Corrupt("duplicate constant"));
-            }
-            values.intern(Value::Const(c));
+        let mut cur = Cursor {
+            rest: buf,
+            taken: 0,
+        };
+        if cur.take(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
+            return Err(SnapshotError::BadMagic);
         }
-        for i in 0..view.n_nulls() {
-            let n = view.null_at(i)?;
-            if values.lookup(Value::null(n)).is_some() {
-                return Err(SnapshotError::Corrupt("duplicate null"));
-            }
-            values.intern(Value::null(n));
+        let version = u32::from_le_bytes(cur.array()?);
+        if version != SNAPSHOT_VERSION {
+            return Err(SnapshotError::VersionMismatch {
+                found: version,
+                expected: SNAPSHOT_VERSION,
+            });
         }
+        if cur.array()? != [0; 4] {
+            return Err(SnapshotError::Corrupt("nonzero reserved field"));
+        }
+        let n_consts = u64::from_le_bytes(cur.array()?);
+        let n_nulls = u64::from_le_bytes(cur.array()?);
+        let n_rels = u64::from_le_bytes(cur.array()?);
+        let n_facts = u64::from_le_bytes(cur.array()?);
+        // Ids are u32 with a tag bit; fact ids are u32 with u32::MAX
+        // reserved as a sentinel.
+        if n_consts >= u64::from(NULL_TAG) || n_nulls >= u64::from(NULL_TAG) {
+            return Err(SnapshotError::Corrupt("value count out of range"));
+        }
+        if n_rels > u64::from(u32::MAX) || n_facts >= u64::from(u32::MAX) {
+            return Err(SnapshotError::Corrupt(
+                "relation or fact count out of range",
+            ));
+        }
+
+        // Relation directory, one 16-byte entry (plus its name) at a time.
         let mut rel_names = Interner::new();
-        let mut arities = Vec::with_capacity(view.n_rels() as usize);
-        for r in 0..view.n_rels() {
-            let name = view.rel_name(r)?;
+        let (mut arities, mut rel_rows) = (Vec::new(), Vec::new());
+        let mut n_cols = 0usize;
+        for _ in 0..n_rels {
+            let name_len = u32::from_le_bytes(cur.array()?);
+            let arity = u32::from_le_bytes(cur.array()?) as usize;
+            // In range: n_rows ≤ n_facts < u32::MAX.
+            let n_rows = u32::try_from(u64::from_le_bytes(cur.array()?))
+                .ok()
+                .filter(|&n| u64::from(n) <= n_facts)
+                .ok_or(SnapshotError::Corrupt("relation rows exceed fact count"))?;
+            n_cols = n_cols.saturating_add(arity);
+            if n_cols > MAX_COLUMNS {
+                return Err(SnapshotError::Corrupt("more than MAX_COLUMNS columns"));
+            }
+            let name = std::str::from_utf8(cur.take(name_len as usize)?)
+                .map_err(|_| SnapshotError::Corrupt("relation name not utf-8"))?;
+            cur.skip_pad()?;
             if rel_names.get(name).is_some() {
                 return Err(SnapshotError::Corrupt("duplicate relation name"));
             }
             rel_names.intern(name);
-            arities.push(view.rel_arity(r)?);
+            arities.push(arity);
+            rel_rows.push(n_rows);
         }
+
+        // Value tables. A value is a duplicate iff interning it does not
+        // hand out the next dense id.
+        let mut values = ValueInterner::new();
+        let (consts, _) = cur.take_items(n_consts, 8)?.as_chunks::<8>();
+        for (i, &c) in consts.iter().enumerate() {
+            if values.intern(Value::Const(i64::from_le_bytes(c))) != dense_count(i) {
+                return Err(SnapshotError::Corrupt("duplicate constant"));
+            }
+        }
+        let (nulls, _) = cur.take_items(n_nulls, 4)?.as_chunks::<4>();
+        for (i, &n) in nulls.iter().enumerate() {
+            if values.intern(Value::null(u32::from_le_bytes(n))) != NULL_TAG | dense_count(i) {
+                return Err(SnapshotError::Corrupt("duplicate null"));
+            }
+        }
+        cur.skip_pad()?;
+        let (n_consts, n_nulls) = (values.n_consts(), values.n_nulls());
+        let in_range = |&id: &u32| {
+            if id_is_null(id) {
+                null_index(id) < n_nulls
+            } else {
+                id < n_consts
+            }
+        };
+
         // Fact directory: rows are derived (a fact's row is the count of
         // earlier facts in its relation) and must agree with the
         // per-relation row counts.
-        let mut fact_rel = Vec::with_capacity(view.n_facts() as usize);
-        let mut fact_row = Vec::with_capacity(view.n_facts() as usize);
-        let mut rows_seen = vec![0u32; view.n_rels() as usize];
-        for f in 0..view.n_facts() {
-            let r = view.fact_rel_at(f)?;
+        let (facts, _) = cur.take_items(n_facts, 4)?.as_chunks::<4>();
+        cur.skip_pad()?;
+        let mut fact_rel = Vec::with_capacity(facts.len());
+        let mut fact_row = Vec::with_capacity(facts.len());
+        let mut rows_seen = vec![0u32; rel_rows.len()];
+        for &r in facts {
+            let r = u32::from_le_bytes(r);
             let seen = rows_seen
                 .get_mut(r as usize)
                 .ok_or(SnapshotError::Corrupt("fact names unknown relation"))?;
@@ -537,109 +295,44 @@ impl FactStore {
             fact_row.push(*seen);
             *seen += 1;
         }
-        for (r, &seen) in rows_seen.iter().enumerate() {
-            if seen != view.rel_rows(dense_count(r))? {
-                return Err(SnapshotError::Corrupt(
-                    "fact directory disagrees with relation rows",
-                ));
-            }
+        if rows_seen != rel_rows {
+            return Err(SnapshotError::Corrupt(
+                "fact directory disagrees with relation rows",
+            ));
         }
-        let mut tables = Vec::with_capacity(view.n_rels() as usize);
-        for r in 0..view.n_rels() {
-            let n_rows = view.rel_rows(r)?;
-            let arity = view.rel_arity(r)?;
-            let mut cols = Vec::with_capacity(arity);
-            for c in 0..arity {
-                // Bulk decode: one bounds check for the whole page, then
-                // a straight chunked LE decode (the per-row `col_id`
-                // offset arithmetic was the snapshot-load hot spot).
-                let page = view.col_page(r, c)?;
-                let mut col = Vec::with_capacity(n_rows as usize);
-                for chunk in page.chunks_exact(4) {
-                    let id = u32::from_le_bytes(match chunk.try_into() {
-                        Ok(bytes) => bytes,
-                        Err(_) => unreachable!("chunks_exact(4) yields 4-byte chunks"),
-                    });
-                    let ok = if id_is_null(id) {
-                        null_index(id) < view.n_nulls()
-                    } else {
-                        id < view.n_consts()
-                    };
-                    if !ok {
-                        return Err(SnapshotError::Corrupt("column value id out of range"));
-                    }
-                    col.push(id);
-                }
-                col_pad_check(&view, r, c, n_rows)?;
-                cols.push(col);
-            }
-            let words = (n_rows as usize).div_ceil(64);
-            let mut live = Vec::with_capacity(words);
-            let mut n_live = 0u32;
-            for w in 0..words {
-                let word = view.live_word(r, w)?;
-                if w == words - 1 && n_rows % 64 != 0 && word >> (n_rows % 64) != 0 {
+
+        // Per relation: the live bitmap, then the column pages.
+        let mut tables = Vec::with_capacity(arities.len());
+        for (&arity, &n_rows) in arities.iter().zip(&rel_rows) {
+            let (words, _) = cur
+                .take_items(u64::from(n_rows.div_ceil(64)), 8)?
+                .as_chunks::<8>();
+            let live: Vec<u64> = words.iter().map(|&w| u64::from_le_bytes(w)).collect();
+            if let Some(last) = live.last() {
+                if n_rows % 64 != 0 && last >> (n_rows % 64) != 0 {
                     return Err(SnapshotError::Corrupt("live bitmap tail bits set"));
                 }
-                n_live += word.count_ones();
-                live.push(word);
+            }
+            let n_live = live.iter().map(|w| w.count_ones()).sum();
+            let mut cols = Vec::with_capacity(arity);
+            for _ in 0..arity {
+                let (ids, _) = cur.take_items(u64::from(n_rows), 4)?.as_chunks::<4>();
+                let col: Vec<u32> = ids.iter().map(|&id| u32::from_le_bytes(id)).collect();
+                if !col.iter().all(in_range) {
+                    return Err(SnapshotError::Corrupt("column value id out of range"));
+                }
+                cur.skip_pad()?;
+                cols.push(col);
             }
             tables.push(RelTable::from_parts(arity, n_rows, n_live, cols, live));
         }
-        // Padding bytes must be zero so re-serialization is
-        // byte-identical.
-        for r in 0..view.n_rels() {
-            let e = view.rel(r)?;
-            view.check_pad(
-                advance(e.name_off, e.name_len)?,
-                advance(e.name_off, pad8(e.name_len))?,
-            )?;
+        if !cur.rest.is_empty() {
+            return Err(SnapshotError::Corrupt("trailing bytes"));
         }
-        let nulls_bytes = size_mul(view.n_nulls() as usize, 4)?;
-        view.check_pad(
-            advance(view.nulls_off, nulls_bytes)?,
-            advance(view.nulls_off, pad8(nulls_bytes))?,
-        )?;
-        let facts_bytes = size_mul(view.n_facts() as usize, 4)?;
-        view.check_pad(
-            advance(view.fact_rel_off, facts_bytes)?,
-            advance(view.fact_rel_off, pad8(facts_bytes))?,
-        )?;
-        let store =
-            FactStore::from_loaded_parts(rel_names, arities, tables, values, fact_rel, fact_row);
-        // v2: the serialized statistics are outside input and must agree
-        // with an exact recompute from the columns just loaded.
-        if view.has_stats() {
-            for (r, rs) in super::stats::compute_exact(&store).iter().enumerate() {
-                let r32 = dense_count(r);
-                if view.rel_stats_live(r32)? != rs.n_live {
-                    return Err(SnapshotError::Corrupt("statistics disagree with contents"));
-                }
-                for (c, cs) in rs.cols.iter().enumerate() {
-                    if view.col_stats(r32, c)? != (cs.distinct, cs.min_const, cs.max_const) {
-                        return Err(SnapshotError::Corrupt("statistics disagree with contents"));
-                    }
-                }
-            }
-        }
-        Ok(store)
+        Ok(FactStore::from_loaded_parts(
+            rel_names, arities, tables, values, fact_rel, fact_row,
+        ))
     }
-}
-
-/// Validate the zero padding at the end of one column page.
-fn col_pad_check(
-    view: &SnapshotView<'_>,
-    r: u32,
-    c: usize,
-    n_rows: u32,
-) -> Result<(), SnapshotError> {
-    let e = view.rel(r)?;
-    let data_bytes = size_mul(n_rows as usize, 4)?;
-    let page = pad8(data_bytes);
-    let col_off = advance(e.cols_off, size_mul(c, page)?)?;
-    let data_end = advance(col_off, data_bytes)?;
-    let page_end = advance(col_off, page)?;
-    view.check_pad(data_end, page_end)
 }
 
 #[cfg(test)]
@@ -752,9 +445,24 @@ mod tests {
             err,
             SnapshotError::VersionMismatch {
                 found: 99,
-                accepted: SNAPSHOT_READ_VERSIONS
+                expected: SNAPSHOT_VERSION
             }
         );
+    }
+
+    #[test]
+    fn version_2_is_refused() {
+        // Earlier builds wrote version 2: the v1 layout plus a statistics
+        // section. Neither the bare stamp nor the longer buffer loads.
+        let mut bytes = sample().to_bytes();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let v2 = SnapshotError::VersionMismatch {
+            found: 2,
+            expected: 1,
+        };
+        assert_eq!(FactStore::from_bytes(&bytes).expect_err("v2"), v2);
+        bytes.extend_from_slice(&[0; 32]);
+        assert_eq!(FactStore::from_bytes(&bytes).expect_err("v2 + stats"), v2);
     }
 
     #[test]
@@ -766,99 +474,71 @@ mod tests {
     }
 
     #[test]
-    fn view_is_cheap_and_reads_lazily() {
+    fn loaded_store_reports_what_the_header_and_directory_say() {
         let s = sample();
-        let bytes = s.to_bytes();
-        let view = SnapshotView::parse(&bytes).expect("parse");
-        assert_eq!(view.n_facts(), s.n_facts());
-        assert_eq!(view.rel_name(0), Ok("Edge"));
-        assert_eq!(view.rel_name(1), Ok("Label"));
-        assert_eq!(view.rel_arity(1), Ok(3));
-        assert_eq!(view.rel_live(0), Ok(s.table(Symbol(0)).n_live()));
-        assert_eq!(view.const_at(0), Ok(1));
-        assert!(!view.has_stats(), "writer emits v1");
-        assert_eq!(view.version(), SNAPSHOT_VERSION);
+        let loaded = FactStore::from_bytes(&s.to_bytes()).expect("roundtrip");
+        assert_eq!(loaded.n_facts(), s.n_facts());
+        assert_eq!(loaded.rel_name(Symbol(0)), "Edge");
+        assert_eq!(loaded.rel_name(Symbol(1)), "Label");
+        assert_eq!(loaded.arity(Symbol(1)), 3);
         assert_eq!(
-            view.rel_stats_live(0).expect_err("v1 carries no stats"),
-            SnapshotError::Corrupt("no statistics section (v1)")
+            loaded.table(Symbol(0)).n_live(),
+            s.table(Symbol(0)).n_live()
         );
+        assert_eq!(loaded.values().const_at(0), 1);
     }
 
-    /// The version-2 form of `s` that earlier builds wrote: its v1 bytes
-    /// with the exact statistics section appended, stamped version 2.
-    fn upgrade_to_v2(s: &FactStore) -> Vec<u8> {
-        let mut bytes = s.to_bytes();
-        for rs in crate::store::stats::compute_exact(s) {
-            push_u64(&mut bytes, rs.n_live);
-            for cs in &rs.cols {
-                push_u32(&mut bytes, cs.distinct);
-                push_u32(&mut bytes, 0);
-                push_u64(&mut bytes, cs.min_const as u64);
-                push_u64(&mut bytes, cs.max_const as u64);
-            }
-        }
-        bytes[8] = 2;
+    /// The empty store's 48-byte header with `n_rels` overwritten.
+    fn header_with_rels(n_rels: u64) -> Vec<u8> {
+        let mut bytes = FactStore::new().to_bytes();
+        bytes[32..40].copy_from_slice(&n_rels.to_le_bytes());
         bytes
     }
 
     #[test]
-    fn v2_stats_section_matches_exact_recompute() {
-        let s = sample();
-        let bytes = upgrade_to_v2(&s);
-        let view = SnapshotView::parse(&bytes).expect("parse");
-        let exact = crate::store::stats::compute_exact(&s);
-        for (r, rs) in exact.iter().enumerate() {
-            let r32 = Symbol(r as u32).0;
-            assert_eq!(view.rel_stats_live(r32), Ok(rs.n_live));
-            for (c, cs) in rs.cols.iter().enumerate() {
-                assert_eq!(
-                    view.col_stats(r32, c),
-                    Ok((cs.distinct, cs.min_const, cs.max_const))
-                );
+    fn lying_counts_fail_before_they_allocate() {
+        // u32::MAX relations promised, none present.
+        let bytes = header_with_rels(u64::from(u32::MAX));
+        assert_eq!(bytes.len(), 48);
+        assert_eq!(
+            FactStore::from_bytes(&bytes).expect_err("directory missing"),
+            SnapshotError::Truncated
+        );
+        // One unnamed zero-row relation of arity u32::MAX: no byte count
+        // bounds it, the column budget does.
+        let mut bytes = header_with_rels(1);
+        push_u32(&mut bytes, 0);
+        push_u32(&mut bytes, u32::MAX);
+        push_u64(&mut bytes, 0);
+        assert_eq!(bytes.len(), 64);
+        assert_eq!(
+            FactStore::from_bytes(&bytes).expect_err("arity past the budget"),
+            SnapshotError::Corrupt("more than MAX_COLUMNS columns")
+        );
+    }
+
+    #[test]
+    fn column_budget_is_summed_over_the_directory() {
+        // Two zero-row relations: at the budget they load canonically,
+        // one column more is refused.
+        let two = |second: u32| {
+            let mut bytes = header_with_rels(2);
+            for (name, arity) in [(b"A", 1u32), (b"B", second)] {
+                push_u32(&mut bytes, 1);
+                push_u32(&mut bytes, arity);
+                push_u64(&mut bytes, 0);
+                bytes.extend_from_slice(name);
+                push_pad8(&mut bytes);
             }
-        }
+            bytes
+        };
+        let budget = u32::try_from(MAX_COLUMNS).expect("budget fits u32");
+        let at = two(budget - 1);
+        let loaded = FactStore::from_bytes(&at).expect("at the budget");
+        assert_eq!(loaded.to_bytes(), at);
         assert_eq!(
-            view.col_stats(0, 2).expect_err("arity bound"),
-            SnapshotError::Corrupt("column access out of range")
-        );
-    }
-
-    #[test]
-    fn v2_snapshot_loads_and_reserializes_as_v1() {
-        let s = sample();
-        let v2 = upgrade_to_v2(&s);
-        let view = SnapshotView::parse(&v2).expect("v2 parses");
-        assert_eq!(view.version(), 2);
-        assert!(view.has_stats());
-        let loaded = FactStore::from_bytes(&v2).expect("v2 loads");
-        assert_eq!(loaded.n_live(), s.n_live());
-        assert_eq!(
-            crate::store::stats::compute_exact(&loaded),
-            crate::store::stats::compute_exact(&s)
-        );
-        // Re-serializing writes the current (v1) format, byte-identical
-        // to serializing the original store.
-        assert_eq!(loaded.to_bytes(), s.to_bytes());
-    }
-
-    #[test]
-    fn corrupt_stats_section_is_rejected() {
-        let s = sample();
-        let bytes = upgrade_to_v2(&s);
-        let stats_start = s.to_bytes().len();
-        // Flip the first relation's serialized n_live.
-        let mut bad = bytes.clone();
-        bad[stats_start] ^= 0x01;
-        assert_eq!(
-            FactStore::from_bytes(&bad).expect_err("stale live count"),
-            SnapshotError::Corrupt("statistics disagree with contents")
-        );
-        // A nonzero reserved field is structural corruption.
-        let mut bad = bytes.clone();
-        bad[stats_start + 8 + 4] = 1;
-        assert_eq!(
-            FactStore::from_bytes(&bad).expect_err("reserved field"),
-            SnapshotError::Corrupt("nonzero reserved statistics field")
+            FactStore::from_bytes(&two(budget)).expect_err("past the budget"),
+            SnapshotError::Corrupt("more than MAX_COLUMNS columns")
         );
     }
 }

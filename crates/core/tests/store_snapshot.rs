@@ -3,17 +3,21 @@
 //! The unit tests in `store::snapshot` pin the format on hand-built
 //! samples; this suite generates *random* stores — random schemas,
 //! fact mixes, interning orders, and dead rows produced by egd-style
-//! rewrites — and checks the three contracts the format promises:
+//! rewrites — and checks the contracts the format promises:
 //!
 //! 1. round-trip: `to_bytes` → `from_bytes` reproduces the store
 //!    exactly, and re-serializing the loaded store is byte-identical;
 //! 2. truncation: every strict prefix of a valid snapshot is rejected;
-//! 3. header corruption / version skew: a damaged header never loads.
+//! 3. header corruption / version skew: a damaged header never loads;
+//! 4. adversarial bytes: a changed byte or a lying count either fails
+//!    with a typed error or loads a store that re-serializes to exactly
+//!    the changed bytes — never a panic, never an allocation sized by an
+//!    unchecked count. CI runs this suite under a 4 GiB address-space cap
+//!    so such an allocation fails fast.
 
 use proptest::prelude::*;
 
-use ca_core::store::stats::compute_exact;
-use ca_core::store::{FactStore, SnapshotError, SnapshotView, SNAPSHOT_READ_VERSIONS};
+use ca_core::store::{FactStore, SnapshotError, SNAPSHOT_VERSION};
 use ca_core::value::{Null, Value};
 
 /// Deterministic store generator: `seed` fully determines the result.
@@ -100,21 +104,31 @@ fn fingerprint(s: &FactStore) -> (Vec<RelPrint>, u32, u32) {
     (rels, s.values().n_consts(), s.values().n_nulls())
 }
 
-/// The version-2 snapshot of `s` that earlier builds wrote: the v1
-/// bytes, the exact statistics section appended, version 2 stamped.
-fn with_v2_stats(s: &FactStore) -> Vec<u8> {
-    let mut bytes = s.to_bytes();
-    for rs in compute_exact(s) {
-        bytes.extend_from_slice(&rs.n_live.to_le_bytes());
-        for cs in &rs.cols {
-            bytes.extend_from_slice(&cs.distinct.to_le_bytes());
-            bytes.extend_from_slice(&0u32.to_le_bytes());
-            bytes.extend_from_slice(&cs.min_const.to_le_bytes());
-            bytes.extend_from_slice(&cs.max_const.to_le_bytes());
-        }
+/// Byte offsets and widths of the header counts and of the first
+/// directory entry's `name_len`, `arity` and `n_rows`.
+const COUNT_FIELDS: [(usize, usize); 7] = [
+    (16, 8),
+    (24, 8),
+    (32, 8),
+    (40, 8),
+    (48, 4),
+    (52, 4),
+    (56, 8),
+];
+
+/// Values a lying count takes; a 4-byte field gets the low 4 bytes.
+const LIES: [u64; 6] = [0, 1, (1 << 31) - 1, 1 << 31, u32::MAX as u64, u64::MAX];
+
+/// A changed buffer either fails with a typed error or loads a store
+/// whose serialization is exactly that buffer.
+fn typed_or_canonical(bytes: &[u8]) -> Result<(), proptest::TestCaseError> {
+    if let Ok(store) = FactStore::from_bytes(bytes) {
+        prop_assert!(
+            store.to_bytes() == bytes,
+            "a changed buffer loaded but re-serializes differently"
+        );
     }
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    bytes
+    Ok(())
 }
 
 proptest! {
@@ -138,21 +152,10 @@ proptest! {
         prop_assert_eq!(&store.to_bytes(), &bytes, "source re-serialization drifted");
         prop_assert_eq!(&loaded.to_bytes(), &bytes, "loaded re-serialization drifted");
 
-        // The zero-copy view agrees with the header-level facts.
-        let view = match SnapshotView::parse(&bytes) {
-            Ok(v) => v,
-            Err(e) => return Err(proptest::TestCaseError(format!("view failed: {e}"))),
-        };
-        prop_assert_eq!(view.n_facts(), store.n_facts());
-        prop_assert_eq!(view.n_rels() as usize, store.n_relations());
-
-        // The version-2 form (statistics section appended) loads to the
-        // same store and re-serializes as the writer's version 1.
-        let v2 = match FactStore::from_bytes(&with_v2_stats(&store)) {
-            Ok(s) => s,
-            Err(e) => return Err(proptest::TestCaseError(format!("v2 load failed: {e}"))),
-        };
-        prop_assert_eq!(&v2.to_bytes(), &bytes, "v2 re-serialization drifted");
+        // The loaded store agrees with the header counts.
+        prop_assert_eq!(loaded.values().n_consts(), store.values().n_consts());
+        prop_assert_eq!(loaded.values().n_nulls(), store.values().n_nulls());
+        prop_assert_eq!(loaded.n_relations(), store.n_relations());
     }
 
     #[test]
@@ -162,7 +165,6 @@ proptest! {
         prop_assert!(cut < bytes.len());
         let prefix = &bytes[..cut];
         prop_assert!(FactStore::from_bytes(prefix).is_err(), "prefix of {cut} bytes loaded", );
-        prop_assert!(SnapshotView::parse(prefix).is_err(), "prefix of {cut} bytes parsed", );
     }
 
     #[test]
@@ -192,17 +194,15 @@ proptest! {
 
     #[test]
     fn version_skew_names_both_versions(seed in any::<u64>(), found in 0u32..100) {
-        // Every readable version is out of scope: stamping one onto a
-        // buffer of another readable version is a layout error, not skew.
-        if SNAPSHOT_READ_VERSIONS.contains(&found) {
+        if found == SNAPSHOT_VERSION {
             return Ok(());
         }
         let mut bytes = random_store(seed).to_bytes();
         bytes[8..12].copy_from_slice(&found.to_le_bytes());
         match FactStore::from_bytes(&bytes) {
-            Err(SnapshotError::VersionMismatch { found: f, accepted }) => {
+            Err(SnapshotError::VersionMismatch { found: f, expected }) => {
                 prop_assert_eq!(f, found);
-                prop_assert_eq!(accepted, SNAPSHOT_READ_VERSIONS);
+                prop_assert_eq!(expected, SNAPSHOT_VERSION);
             }
             other => {
                 return Err(proptest::TestCaseError(format!(
@@ -210,5 +210,31 @@ proptest! {
                 )))
             }
         }
+    }
+
+    #[test]
+    fn any_single_byte_change_fails_typed_or_loads_canonically(
+        seed in any::<u64>(),
+        at in any::<u64>(),
+        delta in 1u8..=255,
+    ) {
+        let mut bytes = random_store(seed).to_bytes();
+        let at = (at % bytes.len() as u64) as usize;
+        bytes[at] = bytes[at].wrapping_add(delta);
+        typed_or_canonical(&bytes)?;
+    }
+
+    #[test]
+    fn lying_counts_fail_typed_or_load_canonically(
+        seed in any::<u64>(),
+        field in 0usize..COUNT_FIELDS.len(),
+        lie in 0usize..LIES.len(),
+    ) {
+        // Every random store has at least one relation, so the first
+        // directory entry exists.
+        let mut bytes = random_store(seed).to_bytes();
+        let (at, width) = COUNT_FIELDS[field];
+        bytes[at..at + width].copy_from_slice(&LIES[lie].to_le_bytes()[..width]);
+        typed_or_canonical(&bytes)?;
     }
 }

@@ -77,15 +77,25 @@ impl GenSchema {
     }
 
     /// Name of a label.
+    ///
+    /// Invariant: `sym` is a label symbol of this schema (as for
+    /// [`Self::label_arity`]); a foreign symbol is a caller bug.
     pub fn label_name(&self, sym: Symbol) -> &str {
-        self.labels.resolve(sym).expect("label of this schema")
+        match self.labels.resolve(sym) {
+            Some(name) => name,
+            None => unreachable!("label {sym:?} not of this schema"),
+        }
     }
 
     /// Name of a structural relation.
+    ///
+    /// Invariant: `sym` is a relation symbol of this schema (as for
+    /// [`Self::relation_arity`]); a foreign symbol is a caller bug.
     pub fn relation_name(&self, sym: Symbol) -> &str {
-        self.relations
-            .resolve(sym)
-            .expect("relation of this schema")
+        match self.relations.resolve(sym) {
+            Some(name) => name,
+            None => unreachable!("relation {sym:?} not of this schema"),
+        }
     }
 
     /// Number of labels.

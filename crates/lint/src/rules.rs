@@ -16,7 +16,7 @@
 //! | L005 | undocumented-env-var | every `CA_*` variable literal must appear in DESIGN.md |
 //! | L006 | crate-layering | manifest deps and cross-crate `use` obey [`LAYERING`] |
 //! | L007 | determinism-taint | hash iteration reachable from a deterministic-output seed |
-//! | L008 | untrusted-input | unchecked parsing reachable from `SnapshotView` byte parsing |
+//! | L008 | untrusted-input | unchecked parsing reachable from snapshot byte parsing (`FactStore::from_bytes`) |
 //! | L009 | truncating-id-cast | `as u8/u16/u32` in `ValueId`/`FactId`-adjacent code |
 //! | L010 | thread-merge | `std::thread` outside the config module needs a deterministic merge |
 //!

@@ -14,6 +14,7 @@
 //! The schema is inferred from the facts (relation name ↦ arity), or
 //! checked against a provided one.
 
+use ca_core::store::MAX_COLUMNS;
 use ca_core::value::{NullGen, Value};
 
 use crate::database::NaiveDatabase;
@@ -142,8 +143,9 @@ pub fn parse_database(input: &str) -> Result<NaiveDatabase, ParseError> {
         named: Vec::new(),
         gen: NullGen::starting_at(1_000_000),
     };
-    let mut facts: Vec<(String, Vec<Value>)> = Vec::new();
+    let mut facts: Vec<(String, Vec<Value>, usize)> = Vec::new();
     while !p.at_end() {
+        let start = p.pos;
         let rel = p.ident()?;
         if !p.eat('(') {
             return Err(p.error("expected `(`"));
@@ -161,15 +163,29 @@ pub fn parse_database(input: &str) -> Result<NaiveDatabase, ParseError> {
         if !p.eat(')') {
             return Err(p.error("expected `)`"));
         }
-        facts.push((rel, args));
+        facts.push((rel, args, start));
     }
-    // Infer schema.
+    // Infer schema. The database bridges into a fact store, which holds
+    // at most MAX_COLUMNS columns in all.
     let mut schema = Schema::new();
-    for (rel, args) in &facts {
+    let mut n_cols = 0usize;
+    for (rel, args, start) in &facts {
+        let n_rels = schema.len();
         schema.add_relation(rel, args.len());
+        if schema.len() > n_rels {
+            n_cols = n_cols.saturating_add(args.len());
+            if n_cols > MAX_COLUMNS {
+                return Err(ParseError {
+                    message: format!(
+                        "relation {rel} takes the database past {MAX_COLUMNS} columns"
+                    ),
+                    offset: *start,
+                });
+            }
+        }
     }
     let mut db = NaiveDatabase::new(schema);
-    for (rel, args) in facts {
+    for (rel, args, _) in facts {
         db.add(&rel, args);
     }
     Ok(db)
@@ -187,6 +203,16 @@ mod tests {
         assert_eq!(db.facts()[0].args, vec![c(1), n(0)]);
         assert_eq!(db.facts()[1].args, vec![n(0), c(2)]);
         assert!(!db.is_codd()); // ?x repeats
+    }
+
+    #[test]
+    fn relations_past_the_column_budget_are_a_parse_error() {
+        let row = |rel: &str, arity: usize| format!("{rel}({})", vec!["1"; arity].join(", "));
+        let at = format!("A(1); {}", row("B", MAX_COLUMNS - 1));
+        assert_eq!(parse_database(&at).expect("at the budget").len(), 2);
+        let past = format!("A(1); A(2); {}", row("B", MAX_COLUMNS));
+        let err = parse_database(&past).expect_err("past the budget");
+        assert_eq!(err.offset, "A(1); A(2); ".len());
     }
 
     #[test]

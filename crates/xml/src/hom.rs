@@ -53,7 +53,14 @@ pub fn find_tree_hom(src: &XmlTree, dst: &XmlTree) -> Option<TreeHom> {
     );
     let n = src.len();
     let nulls: Vec<Null> = src.nulls().into_iter().collect();
-    let null_var = |nl: Null| -> u32 { (n + nulls.binary_search(&nl).unwrap()) as u32 };
+    let null_var = |nl: Null| -> u32 {
+        match nulls.binary_search(&nl) {
+            Ok(i) => (n + i) as u32,
+            // Only nulls of `src` are looked up, and `nulls` is all of
+            // them, sorted.
+            Err(_) => unreachable!("null {nl:?} not in the source tree"),
+        }
+    };
     let universe = value_universe(dst);
     let val_id = |v: Value| -> Option<u32> { universe.binary_search(&v).ok().map(|i| i as u32) };
 
