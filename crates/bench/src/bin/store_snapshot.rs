@@ -29,6 +29,7 @@
 //! byte-identical output, so fixtures for the 10⁵–10⁷ ingest scaling
 //! family never need to be checked in.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use ca_core::store::stats::compute_exact;
@@ -81,30 +82,34 @@ fn info(path: &str) -> ExitCode {
         Ok(s) => s,
         Err(e) => return fail(path, e),
     };
-    println!("snapshot: {path}");
-    println!("  bytes:     {}", bytes.len());
-    println!("  version:   {SNAPSHOT_VERSION}");
-    println!("  constants: {}", store.values().n_consts());
-    println!("  nulls:     {}", store.values().n_nulls());
-    println!("  facts:     {}", store.n_facts());
-    println!("  relations: {}", store.n_relations());
-    for (rel, rs) in store.relations().zip(compute_exact(&store)) {
-        let table = store.table(rel);
-        println!(
-            "    {}/{}: {} row(s), {} live",
-            store.rel_name(rel),
-            table.arity(),
-            table.n_rows(),
-            rs.n_live
-        );
-        for (c, cs) in rs.cols.iter().enumerate() {
-            println!(
-                "      col {c}: {} distinct, consts in [{}, {}]",
-                cs.distinct, cs.min_const, cs.max_const
-            );
+    print_stdout(|out| {
+        writeln!(out, "snapshot: {path}")?;
+        writeln!(out, "  bytes:     {}", bytes.len())?;
+        writeln!(out, "  version:   {SNAPSHOT_VERSION}")?;
+        writeln!(out, "  constants: {}", store.values().n_consts())?;
+        writeln!(out, "  nulls:     {}", store.values().n_nulls())?;
+        writeln!(out, "  facts:     {}", store.n_facts())?;
+        writeln!(out, "  relations: {}", store.n_relations())?;
+        for (rel, rs) in store.relations().zip(compute_exact(&store)) {
+            let table = store.table(rel);
+            writeln!(
+                out,
+                "    {}/{}: {} row(s), {} live",
+                store.rel_name(rel),
+                table.arity(),
+                table.n_rows(),
+                rs.n_live
+            )?;
+            for (c, cs) in rs.cols.iter().enumerate() {
+                writeln!(
+                    out,
+                    "      col {c}: {} distinct, consts in [{}, {}]",
+                    cs.distinct, cs.min_const, cs.max_const
+                )?;
+            }
         }
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }
 
 fn dump(path: &str) -> ExitCode {
@@ -117,18 +122,32 @@ fn dump(path: &str) -> ExitCode {
         Err(e) => return fail(path, e),
     };
     let db = from_store(&store);
-    for f in db.facts() {
-        let args: Vec<String> = f
-            .args
-            .iter()
-            .map(|v| match v {
-                Value::Const(c) => c.to_string(),
-                Value::Null(n) => format!("?x{}", n.0),
-            })
-            .collect();
-        println!("{}({})", db.schema.name(f.rel), args.join(", "));
+    print_stdout(|out| {
+        for f in db.facts() {
+            let args: Vec<String> = f
+                .args
+                .iter()
+                .map(|v| match v {
+                    Value::Const(c) => c.to_string(),
+                    Value::Null(n) => format!("?x{}", n.0),
+                })
+                .collect();
+            writeln!(out, "{}({})", db.schema.name(f.rel), args.join(", "))?;
+        }
+        Ok(())
+    })
+}
+
+/// Run `print` over one locked stdout. A reader that closes the pipe
+/// early (`| head`) ends the output quietly with success; any other
+/// write error fails.
+fn print_stdout(print: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match print(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => fail("stdout", e),
     }
-    ExitCode::SUCCESS
 }
 
 /// Deterministic 64-bit LCG (same constants as the store/ingest benches)

@@ -658,12 +658,12 @@ mod tests {
     fn hom_cert_roundtrip_and_rejections() {
         let mut src = FactStore::new();
         let r = src.add_relation("R", 2);
-        src.insert(r, &[c(1), nv(1)]);
-        src.insert(r, &[nv(1), nv(2)]);
+        src.append(r, &[c(1), nv(1)]);
+        src.append(r, &[nv(1), nv(2)]);
         let mut dst = FactStore::new();
         let r2 = dst.add_relation("R", 2);
-        dst.insert(r2, &[c(1), c(2)]);
-        dst.insert(r2, &[c(2), c(3)]);
+        dst.append(r2, &[c(1), c(2)]);
+        dst.append(r2, &[c(2), c(3)]);
         let good = HomCert {
             mapping: vec![(Null(1), c(2)), (Null(2), c(3))],
             onto: true,
@@ -697,7 +697,7 @@ mod tests {
             Err(Reject::MalformedMapping)
         );
         // Onto against a larger target.
-        dst.insert(r2, &[c(9), c(9)]);
+        dst.append(r2, &[c(9), c(9)]);
         assert_eq!(check_hom(&good, &src, &dst), Err(Reject::NotOnto));
     }
 

@@ -38,12 +38,12 @@ fn hom_family(seed: u64) -> (HomCert, FactStore, FactStore) {
     let y = x + 1 + (seed % 40) as u32;
     let mut src = FactStore::new();
     let e = src.add_relation("E", 2);
-    src.insert(e, &[c(a), nv(x)]);
-    src.insert(e, &[nv(x), nv(y)]);
+    src.append(e, &[c(a), nv(x)]);
+    src.append(e, &[nv(x), nv(y)]);
     let mut dst = FactStore::new();
     let e2 = dst.add_relation("E", 2);
-    dst.insert(e2, &[c(a), c(b)]);
-    dst.insert(e2, &[c(b), c(d)]);
+    dst.append(e2, &[c(a), c(b)]);
+    dst.append(e2, &[c(b), c(d)]);
     let cert = HomCert {
         mapping: vec![(Null(x), c(b)), (Null(y), c(d))],
         onto: true,
@@ -95,7 +95,7 @@ proptest! {
         // longer onto.
         let mut bigger = dst.clone();
         let e = bigger.relation("E").expect("family declares E");
-        bigger.insert(e, &[c(999_000), c(999_000)]);
+        bigger.append(e, &[c(999_000), c(999_000)]);
         let into = HomCert { onto: false, ..good.clone() };
         prop_assert_eq!(check_hom(&into, &src, &bigger), Ok(()));
         prop_assert_eq!(check_hom(&good, &src, &bigger), Err(Reject::NotOnto));

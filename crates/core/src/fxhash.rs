@@ -1,8 +1,8 @@
 //! A fast, deterministic hasher for the workspace's hot hash maps.
 //!
 //! `std`'s default `SipHash` is keyed per-process for HashDoS
-//! resistance; the store's interner and fact-dedup maps hash trusted,
-//! in-process integers on the bulk-load and chase hot paths, where
+//! resistance; the store's interner and the chase's row index hash
+//! trusted, in-process integers on the bulk-load and chase hot paths, where
 //! SipHash's per-write cost dominates. This is the Fx multiply-rotate
 //! mix (as used by rustc): a few arithmetic ops per word, fixed seed, so
 //! hashing is both fast and identical across runs and hosts.

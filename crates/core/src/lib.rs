@@ -26,8 +26,8 @@
 //!   (trusted in-process keys; deterministic across runs and hosts).
 //! * [`store`] — the workspace-wide columnar interned fact store all
 //!   engines evaluate over: a global value interner with dense tagged
-//!   ids, per-relation column pages with a live bitmap, the null
-//!   occurrence index, and the versioned binary snapshot format.
+//!   ids, per-relation column pages with a live bitmap, and the
+//!   versioned binary snapshot format.
 //!
 //! Everything downstream (naïve tables, XML trees, generalized databases)
 //! instantiates these abstractions; the theory-level results are tested here

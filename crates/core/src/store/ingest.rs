@@ -616,7 +616,7 @@ S,?2
     fn load_bytes_sniffs_snapshots_and_csv() {
         let mut s = FactStore::new();
         let r = s.add_relation("R", 1);
-        s.insert(r, &[Value::Const(7)]);
+        s.append(r, &[Value::Const(7)]);
         let snap = s.to_bytes();
         let loaded = load_bytes(&snap, 2).expect("snapshot path");
         assert_eq!(loaded.to_bytes(), snap);

@@ -13,16 +13,20 @@
 //! * **per-relation column-major fact arrays** ([`RelTable`]): `arity`
 //!   parallel `Vec<ValueId>` columns plus a live-flag bitmap, with stable
 //!   dense [`FactId`]s and O(1) append;
-//! * a **null-occurrence index** (null → facts mentioning it), the
-//!   store-level secondary index the chase's egd phase rewrites through;
 //! * a versioned little-endian binary **snapshot format**
 //!   ([`snapshot`]): header + interner table + column pages, read back in
 //!   one validating forward pass ([`FactStore::from_bytes`]).
 //!
-//! Secondary *join* indices (value → row postings keyed by bound-position
-//! signatures) are built lazily by `ca_query::engine::index` over a
-//! borrowed store; they are per-(plan, store) artifacts and live with the
-//! evaluation, not with the data.
+//! The store is a plain column store: it never deduplicates. Appends
+//! and in-place cell writes ([`FactStore::set_cell`]) take rows as
+//! given, and a row dies only when its owner says so
+//! ([`FactStore::set_dead`]). Whether the facts form a set or a bag is
+//! the caller's decision: the chase keeps its own fact set over its
+//! store (`ca_exchange::chase`). Secondary *join* indices (value → row
+//! postings keyed by bound-position signatures) are built lazily by
+//! `ca_query::engine::index` over a borrowed store; they are
+//! per-(plan, store) artifacts and live with the evaluation, not with the
+//! data.
 //!
 //! The `Vec<Value>`-based `NaiveDatabase`/`GenDb` types remain the API
 //! surface for tests and the differential oracles; `ca-relational`
@@ -348,32 +352,6 @@ impl RelTable {
     pub fn live_words(&self) -> &[u64] {
         &self.live
     }
-
-    /// Reassemble a table from validated snapshot parts.
-    fn from_parts(
-        arity: usize,
-        n_rows: u32,
-        n_live: u32,
-        cols: Vec<Vec<ValueId>>,
-        live: Vec<u64>,
-    ) -> Self {
-        debug_assert_eq!(cols.len(), arity);
-        RelTable {
-            arity,
-            n_rows,
-            n_live,
-            cols,
-            live,
-        }
-    }
-
-    /// Write new ids into an existing row (egd rewrites mutate in place).
-    fn overwrite_row(&mut self, row: u32, ids: &[ValueId]) {
-        debug_assert_eq!(ids.len(), self.arity, "row arity mismatch");
-        for (col, &id) in self.cols.iter_mut().zip(ids) {
-            col[row as usize] = id;
-        }
-    }
 }
 
 /// The columnar interned fact store. See the [module docs](self).
@@ -386,16 +364,6 @@ pub struct FactStore {
     /// Global fact directory: fact id → relation / row-in-relation.
     fact_rel: Vec<Symbol>,
     fact_row: Vec<u32>,
-    /// `(relation, id tuple) → fact id`; keys always describe the live
-    /// tuple of their id, so lookups never resurrect a collapsed fact.
-    intern: FxHashMap<(Symbol, Vec<ValueId>), FactId>,
-    /// Dense null index → facts whose tuple has (or once had) that null.
-    /// Tolerates stale entries; rewrites re-check liveness.
-    occ: Vec<Vec<FactId>>,
-    /// The dedup/occurrence maps mirror the columns. Bulk appends clear
-    /// this; the next deduplicating operation rebuilds both maps in one
-    /// deterministic pass over the columns.
-    maps_built: bool,
 }
 
 impl Default for FactStore {
@@ -414,9 +382,6 @@ impl FactStore {
             values: ValueInterner::new(),
             fact_rel: Vec::new(),
             fact_row: Vec::new(),
-            intern: FxHashMap::default(),
-            occ: Vec::new(),
-            maps_built: true,
         }
     }
 
@@ -569,10 +534,8 @@ impl FactStore {
             .collect()
     }
 
-    /// Append a fact **without** duplicate checking — O(1), for bulk
-    /// ingest of already-deduplicated data (the `NaiveDatabase` bridge).
-    /// Invalidates the dedup/occurrence maps; the next deduplicating
-    /// operation rebuilds them in one pass.
+    /// Append a fact — O(1). The store never deduplicates: an identical
+    /// row, live or dead, may already exist.
     pub fn append(&mut self, rel: Symbol, tuple: &[Value]) -> FactId {
         let ids: Vec<ValueId> = tuple.iter().map(|&v| self.values.intern(v)).collect();
         self.append_ids(rel, &ids)
@@ -584,7 +547,6 @@ impl FactStore {
         let row = self.tables[rel.index()].push_row(ids);
         self.fact_rel.push(rel);
         self.fact_row.push(row);
-        self.maps_built = false;
         f
     }
 
@@ -594,9 +556,7 @@ impl FactStore {
     /// per-fact pushes — the fast path behind the `NaiveDatabase` bridge
     /// and the streaming bulk loader ([`ingest`]). Fact ids are issued
     /// contiguously in row order; returns the first one (meaningless when
-    /// `n == 0` — nothing was appended). Like [`Self::append_ids`] this
-    /// skips duplicate checking and invalidates the dedup/occurrence
-    /// maps.
+    /// `n == 0` — nothing was appended).
     pub fn extend_ids(&mut self, rel: Symbol, n: u32, flat: &[ValueId]) -> FactId {
         let f = dense_count(self.fact_rel.len());
         if n == 0 {
@@ -610,136 +570,21 @@ impl FactStore {
         dense_count(self.fact_rel.len().saturating_add(n as usize)); // overflow aborts before the pushes
         self.fact_rel.extend(std::iter::repeat_n(rel, n as usize));
         self.fact_row.extend(first_row..dense_add(first_row, n));
-        self.maps_built = false;
         f
     }
 
-    /// Intern a fact: `Some(id)` iff it is new (callers delta-track it),
-    /// `None` when an identical live fact already exists.
-    pub fn insert(&mut self, rel: Symbol, tuple: &[Value]) -> Option<FactId> {
-        let ids: Vec<ValueId> = tuple.iter().map(|&v| self.values.intern(v)).collect();
-        self.insert_ids(rel, ids)
-    }
-
-    /// Id-level [`Self::insert`].
-    pub fn insert_ids(&mut self, rel: Symbol, ids: Vec<ValueId>) -> Option<FactId> {
-        self.ensure_maps();
-        self.grow_occ();
-        let FactStore {
-            tables,
-            fact_rel,
-            fact_row,
-            intern,
-            occ,
-            ..
-        } = self;
-        match intern.entry((rel, ids)) {
-            Entry::Occupied(_) => None,
-            Entry::Vacant(v) => {
-                let f = dense_count(fact_rel.len());
-                let key_ids = &v.key().1;
-                let row = match tables.get_mut(rel.index()) {
-                    Some(t) => t.push_row(key_ids),
-                    None => unreachable!("insert into undeclared relation {rel:?}"),
-                };
-                for &id in key_ids {
-                    if id_is_null(id) {
-                        match occ.get_mut(null_index(id) as usize) {
-                            Some(facts) => facts.push(f),
-                            // grow_occ above sized `occ` to the interned
-                            // null universe.
-                            None => unreachable!("occurrence index not grown for {id}"),
-                        }
-                    }
-                }
-                v.insert(f);
-                fact_rel.push(rel);
-                fact_row.push(row);
-                Some(f)
-            }
-        }
-    }
-
-    /// Facts whose tuple mentions (or once mentioned) the null — the
-    /// store-level null-occurrence index the chase rewrites through.
-    /// Entries may be stale (the fact may since have been rewritten or
-    /// collapsed); consumers re-check liveness and current contents.
-    pub fn occurrences(&mut self, n: Null) -> &[FactId] {
-        self.ensure_maps();
-        match self.values.lookup(Value::Null(n)) {
-            Some(id) => self
-                .occ
-                .get(null_index(id) as usize)
-                .map_or(&[], Vec::as_slice),
-            None => &[],
-        }
-    }
-
-    /// Rewrite every live fact mentioning one of the `merged` nulls
-    /// through `subst`, returning the ids whose tuple changed in place.
-    /// A fact whose rewritten tuple collides with an existing fact
-    /// *collapses* (goes dead) instead and is not reported — the
-    /// surviving fact's tuple did not change, so every match through it
-    /// was already found when *it* was delta.
-    pub fn rewrite(&mut self, merged: &[Null], subst: impl Fn(Value) -> Value) -> Vec<FactId> {
-        self.ensure_maps();
-        let mut ids: Vec<FactId> = Vec::new();
-        for &n in merged {
-            if let Some(id) = self.values.lookup(Value::Null(n)) {
-                if let Some(v) = self.occ.get(null_index(id) as usize) {
-                    ids.extend_from_slice(v);
-                }
-            }
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        let mut changed = Vec::new();
-        let mut old_ids: Vec<ValueId> = Vec::new();
-        let mut new_ids: Vec<ValueId> = Vec::new();
-        for f in ids {
-            if !self.is_live(f) {
-                continue;
-            }
-            let rel = self.fact_rel[f as usize];
-            let row = self.fact_row[f as usize];
-            old_ids.clear();
-            self.fact_ids_into(f, &mut old_ids);
-            new_ids.clear();
-            for &id in &old_ids {
-                let nv = subst(self.values.value(id));
-                new_ids.push(self.values.intern(nv));
-            }
-            if new_ids == old_ids {
-                continue;
-            }
-            self.grow_occ();
-            self.intern.remove(&(rel, old_ids.clone()));
-            match self.intern.entry((rel, new_ids.clone())) {
-                Entry::Occupied(_) => {
-                    self.tables[rel.index()].set_dead(row);
-                }
-                Entry::Vacant(v) => {
-                    v.insert(f);
-                    self.tables[rel.index()].overwrite_row(row, &new_ids);
-                    for &id in &new_ids {
-                        if id_is_null(id) {
-                            self.occ[null_index(id) as usize].push(f);
-                        }
-                    }
-                    changed.push(f);
-                }
-            }
-        }
-        changed
+    /// Mark a fact dead: scans skip it, and it keeps its id and row.
+    pub fn set_dead(&mut self, f: FactId) {
+        let (rel, row) = (self.fact_rel[f as usize], self.fact_row[f as usize]);
+        self.tables[rel.index()].set_dead(row);
     }
 
     /// Overwrite one cell — column `col` of row `row` of `rel` — with
-    /// `id`, in place: how the completion sweep grounds a null to a pool
-    /// constant without copying the store. Liveness and the fact
-    /// directory are unchanged, so two live rows may now hold the same
-    /// tuple; the dedup/occurrence maps go stale and rebuild on the next
-    /// deduplicating operation.
-    pub fn ground_cell(&mut self, rel: Symbol, col: usize, row: u32, id: ValueId) {
+    /// `id`, in place: how the chase rewrites a fact through an egd merge
+    /// and the completion sweep grounds a null to a pool constant without
+    /// copying the store. Liveness and the fact directory are unchanged,
+    /// so two live rows may now hold the same tuple.
+    pub fn set_cell(&mut self, rel: Symbol, col: usize, row: u32, id: ValueId) {
         let cell = self
             .tables
             .get_mut(rel.index())
@@ -749,76 +594,6 @@ impl FactStore {
             Some(cell) => *cell = id,
             None => unreachable!("cell ({rel:?}, {col}, {row}) outside the store"),
         }
-        self.maps_built = false;
-    }
-
-    /// Reassemble a store from validated snapshot parts. The
-    /// dedup/occurrence maps are not serialized; they rebuild lazily on
-    /// the first deduplicating operation.
-    fn from_loaded_parts(
-        rel_names: Interner,
-        arities: Vec<usize>,
-        tables: Vec<RelTable>,
-        values: ValueInterner,
-        fact_rel: Vec<Symbol>,
-        fact_row: Vec<u32>,
-    ) -> Self {
-        let maps_built = fact_rel.is_empty();
-        FactStore {
-            rel_names,
-            arities,
-            tables,
-            values,
-            fact_rel,
-            fact_row,
-            intern: FxHashMap::default(),
-            occ: Vec::new(),
-            maps_built,
-        }
-    }
-
-    /// Keep `occ` parallel to the interned nulls.
-    fn grow_occ(&mut self) {
-        let n = self.values.n_nulls() as usize;
-        if self.occ.len() < n {
-            self.occ.resize_with(n, Vec::new);
-        }
-    }
-
-    /// Rebuild the dedup/occurrence maps from the columns (one
-    /// deterministic pass in fact-id order). Only live facts claim their
-    /// intern key; the first of several identical live facts wins.
-    fn ensure_maps(&mut self) {
-        if self.maps_built {
-            return;
-        }
-        self.intern.clear();
-        self.occ.clear();
-        self.occ
-            .resize_with(self.values.n_nulls() as usize, Vec::new);
-        let mut ids: Vec<ValueId> = Vec::new();
-        for f in 0..self.n_facts() {
-            ids.clear();
-            self.fact_ids_into(f, &mut ids);
-            for &id in &ids {
-                if id_is_null(id) {
-                    match self.occ.get_mut(null_index(id) as usize) {
-                        Some(facts) => facts.push(f),
-                        // `occ` was resized to the interned null universe
-                        // just above, and columns only hold interned ids.
-                        None => unreachable!("occurrence index not grown for {id}"),
-                    }
-                }
-            }
-            if self.is_live(f) {
-                let rel = match self.fact_rel.get(f as usize) {
-                    Some(&rel) => rel,
-                    None => unreachable!("foreign fact id {f}"),
-                };
-                self.intern.entry((rel, ids.clone())).or_insert(f);
-            }
-        }
-        self.maps_built = true;
     }
 }
 
@@ -861,19 +636,17 @@ mod tests {
     }
 
     #[test]
-    fn insert_dedups_and_append_is_bulk() {
+    fn append_keeps_duplicates_in_columns() {
         let mut s = FactStore::new();
         let r = s.add_relation("R", 2);
-        let f0 = s.insert(r, &[c(1), n(1)]).unwrap();
-        assert_eq!(s.insert(r, &[c(1), n(1)]), None);
-        let f1 = s.insert(r, &[c(1), c(2)]).unwrap();
-        assert_eq!((f0, f1), (0, 1));
-        assert_eq!(s.n_facts(), 2);
-        assert_eq!(s.n_live(), 2);
-        assert_eq!(s.fact_values(f0), vec![c(1), n(1)]);
-        // Bulk append skips dedup but the maps rebuild on demand.
+        let f0 = s.append(r, &[c(1), n(1)]);
+        // The store does not deduplicate: an identical row is a new fact.
+        let f1 = s.append(r, &[c(1), n(1)]);
         let f2 = s.append(r, &[c(5), c(6)]);
-        assert_eq!(s.insert(r, &[c(5), c(6)]), None, "maps rebuilt lazily");
+        assert_eq!((f0, f1, f2), (0, 1, 2));
+        assert_eq!((s.n_facts(), s.n_live()), (3, 3));
+        assert_eq!(s.fact_values(f0), vec![c(1), n(1)]);
+        assert_eq!(s.fact_values(f1), vec![c(1), n(1)]);
         assert_eq!(s.fact_values(f2), vec![c(5), c(6)]);
         assert_eq!(s.table(r).n_rows(), 3);
         let one = s.lookup_value(c(1)).unwrap();
@@ -937,54 +710,25 @@ mod tests {
             serial.to_bytes(),
             "bulk == serial, byte-identical"
         );
-        // Dedup maps rebuild lazily and see the bulk rows.
-        assert_eq!(bulk.insert(r, &[c(0), n(0)]), None);
     }
 
     #[test]
-    fn occurrence_index_tracks_nulls() {
+    fn set_dead_kills_one_fact_and_keeps_its_row() {
         let mut s = FactStore::new();
         let r = s.add_relation("R", 2);
-        let f0 = s.insert(r, &[c(1), n(9)]).unwrap();
-        let f1 = s.insert(r, &[n(9), n(3)]).unwrap();
-        s.insert(r, &[c(1), c(2)]).unwrap();
-        assert_eq!(s.occurrences(Null(9)), &[f0, f1]);
-        assert_eq!(s.occurrences(Null(3)), &[f1]);
-        assert_eq!(s.occurrences(Null(77)), &[] as &[FactId]);
-    }
-
-    #[test]
-    fn rewrite_touches_only_affected_facts_and_collapses_duplicates() {
-        let mut s = FactStore::new();
-        let r = s.add_relation("R", 2);
-        let a = s.insert(r, &[c(1), n(9)]).unwrap();
-        let b = s.insert(r, &[c(1), c(5)]).unwrap();
-        let other = s.insert(r, &[c(2), c(2)]).unwrap();
-        // ⊥9 ↦ 5 rewrites `a` into `b`'s tuple: it collapses (goes dead)
-        // rather than duplicating, and nothing is reported as changed.
-        let changed = s.rewrite(&[Null(9)], |v| if v == n(9) { c(5) } else { v });
-        assert!(changed.is_empty());
+        let a = s.append(r, &[c(1), n(9)]);
+        let b = s.append(r, &[c(1), c(5)]);
+        let other = s.append(r, &[c(2), c(2)]);
+        s.set_dead(a);
         assert!(!s.is_live(a));
         assert!(s.is_live(b) && s.is_live(other));
         assert_eq!(s.n_live(), 2);
-        assert_eq!(s.fact_values(other), vec![c(2), c(2)]);
         assert_eq!(s.iter_live().collect::<Vec<_>>(), vec![b, other]);
-    }
-
-    #[test]
-    fn rewrite_in_place_reports_changed_facts() {
-        let mut s = FactStore::new();
-        let r = s.add_relation("R", 2);
-        let a = s.insert(r, &[n(4), c(1)]).unwrap();
-        let changed = s.rewrite(&[Null(4)], |v| if v == n(4) { n(2) } else { v });
-        assert_eq!(changed, vec![a]);
-        assert!(s.is_live(a));
-        assert_eq!(s.fact_values(a), vec![n(2), c(1)]);
-        // The new null is occurrence-indexed; the rewritten fact dedups.
-        assert_eq!(s.occurrences(Null(2)), &[a]);
-        assert_eq!(s.insert(r, &[n(2), c(1)]), None);
-        // Re-inserting the *old* tuple is new again (the key moved).
-        assert!(s.insert(r, &[n(4), c(1)]).is_some());
+        // The dead row keeps its id, row and contents; killing it again
+        // is a no-op.
+        assert_eq!((s.fact_row(a), s.fact_values(a)), (0, vec![c(1), n(9)]));
+        s.set_dead(a);
+        assert_eq!((s.n_facts(), s.n_live()), (3, 2));
     }
 
     #[test]
@@ -998,21 +742,18 @@ mod tests {
     }
 
     #[test]
-    fn ground_cell_overwrites_in_place_and_stales_the_maps() {
+    fn set_cell_overwrites_in_place() {
         let mut s = FactStore::new();
         let r = s.add_relation("R", 2);
-        let a = s.insert(r, &[c(1), n(1)]).unwrap();
-        let b = s.insert(r, &[c(1), c(2)]).unwrap();
+        let a = s.append(r, &[c(1), n(1)]);
+        let b = s.append(r, &[c(1), c(2)]);
         let two = s.lookup_value(c(2)).unwrap();
-        s.ground_cell(r, 1, s.fact_row(a), two);
+        s.set_cell(r, 1, s.fact_row(a), two);
         // Both rows stay live and now hold the same tuple.
         assert_eq!(s.fact_values(a), vec![c(1), c(2)]);
         assert_eq!(s.fact_values(b), vec![c(1), c(2)]);
         assert_eq!(s.n_live(), 2);
-        // The dedup map rebuilds from the columns: the old tuple is new
-        // again, the grounded one is not.
-        assert_eq!(s.insert(r, &[c(1), c(2)]), None);
-        assert!(s.insert(r, &[c(1), n(1)]).is_some());
+        assert_eq!(s.table(r).col(1), &[two, two]);
     }
 
     #[test]
@@ -1020,9 +761,9 @@ mod tests {
         let mut s = FactStore::new();
         let r = s.add_relation("R", 1);
         let t = s.add_relation("S", 2);
-        let f0 = s.insert(r, &[c(1)]).unwrap();
-        let f1 = s.insert(t, &[c(1), c(2)]).unwrap();
-        let f2 = s.insert(r, &[c(2)]).unwrap();
+        let f0 = s.append(r, &[c(1)]);
+        let f1 = s.append(t, &[c(1), c(2)]);
+        let f2 = s.append(r, &[c(2)]);
         assert_eq!(s.fact_rel(f1), t);
         assert_eq!(s.fact_row(f2), 1, "rows are per-relation");
         assert_eq!(s.table(r).n_rows(), 2);
@@ -1030,7 +771,7 @@ mod tests {
         assert!(s.is_live(f0) && s.is_live(f1) && s.is_live(f2));
         // 70 rows cross a bitmap word boundary.
         for i in 0..70 {
-            s.insert(r, &[c(100 + i)]);
+            s.append(r, &[c(100 + i)]);
         }
         assert_eq!(s.table(r).n_live(), 72);
         assert!(s.table(r).is_live(69));

@@ -32,9 +32,8 @@
 //! spends no column bytes), so the directory may declare at most
 //! [`MAX_COLUMNS`] columns in all. The per-fact row numbers are *not*
 //! serialized (a fact's row is the count of earlier facts in its
-//! relation), and neither are the dedup/occurrence maps (rebuilt lazily
-//! on first mutation), so re-serializing a loaded snapshot is
-//! byte-identical to its source.
+//! relation), and the store keeps no other state, so re-serializing a
+//! loaded snapshot is byte-identical to its source.
 
 use std::fmt;
 
@@ -324,21 +323,31 @@ impl FactStore {
                 cur.skip_pad()?;
                 cols.push(col);
             }
-            tables.push(RelTable::from_parts(arity, n_rows, n_live, cols, live));
+            tables.push(RelTable {
+                arity,
+                n_rows,
+                n_live,
+                cols,
+                live,
+            });
         }
         if !cur.rest.is_empty() {
             return Err(SnapshotError::Corrupt("trailing bytes"));
         }
-        Ok(FactStore::from_loaded_parts(
-            rel_names, arities, tables, values, fact_rel, fact_row,
-        ))
+        Ok(FactStore {
+            rel_names,
+            arities,
+            tables,
+            values,
+            fact_rel,
+            fact_row,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Null;
 
     fn c(x: i64) -> Value {
         Value::Const(x)
@@ -351,14 +360,17 @@ mod tests {
         let mut s = FactStore::new();
         let r = s.add_relation("Edge", 2);
         let t = s.add_relation("Label", 3);
-        s.insert(r, &[c(1), n(1)]);
-        s.insert(r, &[n(1), c(2)]);
-        s.insert(t, &[c(1), c(2), n(2)]);
+        let collapsed = s.append(r, &[c(1), n(1)]);
+        let rewritten = s.append(r, &[n(1), c(2)]);
+        s.append(t, &[c(1), c(2), n(2)]);
         for i in 0..70 {
-            s.insert(r, &[c(i), c(i + 1)]);
+            s.append(r, &[c(i), c(i + 1)]);
         }
-        // A dead row too: collapse ⊥1 onto 2 so one Edge fact dies.
-        s.rewrite(&[Null(1)], |v| if v == n(1) { c(2) } else { v });
+        // A dead row too: ⊥1 ↦ 2 collapses (1, ⊥1) onto the edge (1, 2),
+        // and rewrites (⊥1, 2) to (2, 2) in place.
+        s.set_dead(collapsed);
+        let two = s.lookup_value(c(2)).expect("2 is interned");
+        s.set_cell(r, 0, s.fact_row(rewritten), two);
         s
     }
 
@@ -397,22 +409,22 @@ mod tests {
 
     #[test]
     fn loaded_store_supports_mutation() {
+        // A loaded store takes appends, cell writes and deaths exactly as
+        // the store it was saved from does.
         let s = sample();
         let mut loaded = FactStore::from_bytes(&s.to_bytes()).expect("roundtrip");
-        let r = loaded.relation("Edge").expect("Edge survives");
-        // Dedup maps rebuild lazily: live duplicates are still rejected
-        // (the rewrite turned (⊥1, 2) into the live fact (2, 2)).
-        assert_eq!(
-            loaded.insert(r, &[c(2), c(2)]),
-            None,
-            "rewritten fact dedups"
-        );
-        assert_eq!(
-            loaded.insert(r, &[c(1), c(2)]),
-            None,
-            "original edge dedups"
-        );
-        assert!(loaded.insert(r, &[c(500), c(501)]).is_some());
+        let mut source = s.clone();
+        for st in [&mut loaded, &mut source] {
+            let r = st.relation("Edge").expect("Edge survives");
+            let f = st.append(r, &[c(500), c(501)]);
+            assert_eq!(f, s.n_facts());
+            let id = st.intern_value(n(7));
+            st.set_cell(r, 1, st.fact_row(f), id);
+            st.set_dead(1);
+            assert_eq!(st.fact_values(f), vec![c(500), n(7)]);
+            assert_eq!(st.n_live(), s.n_live());
+        }
+        assert_eq!(loaded.to_bytes(), source.to_bytes());
     }
 
     #[test]

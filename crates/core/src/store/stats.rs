@@ -126,7 +126,7 @@ fn col_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{Null, Value};
+    use crate::value::Value;
 
     fn c(x: i64) -> Value {
         Value::Const(x)
@@ -136,11 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn exact_stats_cover_inserts_and_appends() {
+    fn exact_stats_cover_appends() {
         let mut s = FactStore::new();
         let r = s.add_relation("R", 2);
-        s.insert(r, &[c(10), c(5)]);
-        s.insert(r, &[c(10), n(1)]);
+        s.append(r, &[c(10), c(5)]);
+        s.append(r, &[c(10), n(1)]);
         s.append(r, &[c(-3), c(5)]);
         let rs = &compute_exact(&s)[r.index()];
         assert_eq!(rs.n_live, 3);
@@ -176,11 +176,11 @@ mod tests {
     fn rewrites_are_exact_over_the_live_rows() {
         let mut s = FactStore::new();
         let r = s.add_relation("R", 2);
-        s.insert(r, &[c(1), n(9)]);
-        s.insert(r, &[c(1), c(5)]);
+        let collapsed = s.append(r, &[c(1), n(9)]);
+        s.append(r, &[c(1), c(5)]);
         // ⊥9 ↦ 5 collapses the first fact onto the second: the dead row
         // and its null no longer count.
-        s.rewrite(&[Null(9)], |v| if v == n(9) { c(5) } else { v });
+        s.set_dead(collapsed);
         let rs = &compute_exact(&s)[r.index()];
         assert_eq!(rs.n_live, 1);
         assert_eq!(rs.cols[1].distinct, 1);
@@ -188,8 +188,9 @@ mod tests {
         // An in-place rewrite (no collapse) replaces the null by 77.
         let mut t = FactStore::new();
         let r = t.add_relation("R", 1);
-        t.insert(r, &[n(4)]);
-        t.rewrite(&[Null(4)], |v| if v == n(4) { c(77) } else { v });
+        t.append(r, &[n(4)]);
+        let seventy_seven = t.intern_value(c(77));
+        t.set_cell(r, 0, 0, seventy_seven);
         let ts = &compute_exact(&t)[r.index()];
         assert_eq!(ts.cols[0].distinct, 1, "only 77 is live");
         assert_eq!((ts.cols[0].min_const, ts.cols[0].max_const), (77, 77));
@@ -200,7 +201,7 @@ mod tests {
         let mut s = FactStore::new();
         let e = s.add_relation("E", 2);
         let z = s.add_relation("Z", 0);
-        s.insert(z, &[]);
+        s.append(z, &[]);
         let stats = compute_exact(&s);
         assert_eq!(stats[e.index()].n_live, 0);
         assert_eq!(stats[e.index()].cols, vec![ColStats::default(); 2]);

@@ -17,12 +17,13 @@
 
 use proptest::prelude::*;
 
-use ca_core::store::{FactStore, SnapshotError, SNAPSHOT_VERSION};
-use ca_core::value::{Null, Value};
+use ca_core::store::{FactStore, SnapshotError, ValueId, SNAPSHOT_VERSION};
+use ca_core::symbol::Symbol;
+use ca_core::value::Value;
 
 /// Deterministic store generator: `seed` fully determines the result.
 /// Mixes 1–3 relations of arity 1–3, constants from a small domain
-/// (forcing interner sharing), nulls, duplicate inserts (dedup path),
+/// (forcing interner sharing), nulls, skipped and appended duplicates,
 /// and — on odd seeds — a rewrite that merges a null into a constant so
 /// some rows die and the snapshot carries a non-trivial live bitmap.
 fn random_store(seed: u64) -> FactStore {
@@ -57,28 +58,58 @@ fn random_store(seed: u64) -> FactStore {
                 }
             })
             .collect();
-        // `insert` dedups; exercising it alongside `append` keeps the
-        // fact directory and dedup map in the generated mix.
-        if next(3) == 0 {
-            s.append(rel, &tuple);
-        } else {
-            s.insert(rel, &tuple);
+        // One fact in three is appended blindly; the others only when no
+        // identical live fact is held, so the mix has duplicate rows too.
+        let ids: Vec<ValueId> = tuple.iter().map(|&v| s.intern_value(v)).collect();
+        if next(3) == 0 || live_fact(&s, rel, &ids).is_none() {
+            s.append_ids(rel, &ids);
         }
     }
 
-    if seed % 2 == 1 && s.lookup_value(Value::null(0)).is_some() {
-        // Merge null 0 into a constant: facts that collapse onto an
-        // already-interned row die in place, giving dead rows.
-        let merged = [Null(0)];
-        s.rewrite(&merged, |v| {
-            if v == Value::null(0) {
-                Value::Const(0)
-            } else {
-                v
+    if let (1, Some(null)) = (seed % 2, s.lookup_value(Value::null(0))) {
+        // Merge null 0 into the constant 0, fact by fact in id order: a
+        // fact whose merged tuple is already live dies in place, giving
+        // dead rows; any other is overwritten in place.
+        let mut ids = Vec::new();
+        let mentions: Vec<u32> = s
+            .iter_live()
+            .filter(|&f| {
+                ids.clear();
+                s.fact_ids_into(f, &mut ids);
+                ids.contains(&null)
+            })
+            .collect();
+        if !mentions.is_empty() {
+            let zero = s.intern_value(Value::Const(0));
+            for f in mentions {
+                ids.clear();
+                s.fact_ids_into(f, &mut ids);
+                let merged: Vec<ValueId> = ids
+                    .iter()
+                    .map(|&id| if id == null { zero } else { id })
+                    .collect();
+                let (rel, row) = (s.fact_rel(f), s.fact_row(f));
+                if live_fact(&s, rel, &merged).is_some() {
+                    s.set_dead(f);
+                    continue;
+                }
+                for (col, _) in ids.iter().enumerate().filter(|&(_, &id)| id == null) {
+                    s.set_cell(rel, col, row, zero);
+                }
             }
-        });
+        }
     }
     s
+}
+
+/// A live fact of `rel` whose tuple is `ids`, if any.
+fn live_fact(s: &FactStore, rel: Symbol, ids: &[ValueId]) -> Option<u32> {
+    let mut row = Vec::new();
+    s.iter_live().find(|&f| {
+        row.clear();
+        s.fact_ids_into(f, &mut row);
+        s.fact_rel(f) == rel && row == ids
+    })
 }
 
 /// One relation's observable content: name, arity, (live, values) rows.

@@ -23,8 +23,10 @@
 //! * a *trigger* is a valuation of the rule's frontier (sorted body∩head
 //!   nulls). The facts live in the **workspace columnar fact store**
 //!   ([`ca_core::store::FactStore`] — interned values, column-major
-//!   tuples, a live bitmap, and a store-level null-occurrence index).
-//!   Fired triggers are remembered per rule as one sorted run, so no
+//!   tuples, a live bitmap), which never deduplicates; the chase owns
+//!   the set semantics ([`Facts`]): one [`RowIndex`] per relation over
+//!   the relation's own column pages, and a null-occurrence list per
+//!   null. Fired triggers are remembered per rule as one sorted run, so no
 //!   trigger ever fires twice; head satisfaction is decided set-at-a-time
 //!   by evaluating the head pattern — compiled once, like the bodies — as
 //!   a query whose answers, sorted and deduplicated, are precisely the
@@ -33,8 +35,9 @@
 //!   are merged into the fired run afterwards;
 //! * egd equalities accumulate in a **union-find** over values (constant
 //!   roots win; two distinct constant roots fail the chase) and rewrite
-//!   only the facts that mention a merged null, via a null-occurrence
-//!   index — never the whole instance;
+//!   only the facts that mention a merged null, found through the
+//!   occurrence lists — never the whole instance. A rewritten fact whose
+//!   tuple is already live dies; any other is overwritten in place;
 //! * the match phase evaluates the round's (rule, pinned plan) pairs
 //!   in (rule index, pin) order, and firing applies the collected
 //!   triggers in (rule index, frontier valuation) order — lowest trigger
@@ -62,12 +65,13 @@
 use ca_cert::{CertAtom, CertEgd, CertFact, CertRule, ChaseCert, ChaseCertOutcome, ChaseStep};
 
 use ca_core::fxhash::FxHashMap;
-use ca_core::store::{FactId, FactStore};
+use ca_core::store::{id_is_null, null_index, FactId, FactStore, ValueId};
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term};
 use ca_query::certify::cert_atom;
+use ca_query::engine::rows::{hash_key, RowIndex};
 use ca_query::engine::{
     eval_prepared_into, eval_seeded_into, prepare_cq, rows, CompiledCq, DbIndex,
 };
@@ -278,6 +282,129 @@ impl UnionFind {
     }
 }
 
+/// The chase's fact set: its store, made a *set* by one [`RowIndex`] per
+/// relation over that relation's own column pages, and the facts each
+/// null occurs in, for egd merges. A rewritten row keeps its old slot and
+/// its old occurrences: probes and rewrites check a row's liveness and
+/// current contents, so stale entries never match.
+#[derive(Default)]
+struct Facts {
+    store: FactStore,
+    index: Vec<RowIndex>,
+    /// Dense null index → facts whose tuple has (or once had) that null.
+    occ: Vec<Vec<FactId>>,
+}
+
+impl Facts {
+    /// An empty fact set over `schema`'s relations, in schema order, so
+    /// store symbols are the symbols the plans were compiled against.
+    fn new(schema: &Schema) -> Facts {
+        let mut facts = Facts::default();
+        for sym in schema.symbols() {
+            let reg = facts
+                .store
+                .add_relation(schema.name(sym), schema.arity(sym));
+            debug_assert_eq!(reg, sym, "store symbols mirror schema symbols");
+            facts.index.push(RowIndex::default());
+        }
+        facts
+    }
+
+    /// Intern `tuple` into `ids` (cleared first).
+    fn intern(&mut self, tuple: impl IntoIterator<Item = Value>, ids: &mut Vec<ValueId>) {
+        ids.clear();
+        ids.extend(tuple.into_iter().map(|v| self.store.intern_value(v)));
+    }
+
+    /// Add a fact: `Some(id)` iff no identical live fact exists (callers
+    /// delta-track it).
+    fn insert(&mut self, rel: Symbol, ids: &[ValueId]) -> Option<FactId> {
+        let row = self.store.table(rel).n_rows();
+        if self.place(rel, row, ids).is_some() {
+            return None;
+        }
+        let f = self.store.append_ids(rel, ids);
+        self.occur(f, ids);
+        Some(f)
+    }
+
+    /// Index `row` of `rel` under the tuple `ids`, unless a live row
+    /// already holds `ids`: then that row, and nothing is indexed.
+    fn place(&mut self, rel: Symbol, row: u32, ids: &[ValueId]) -> Option<u32> {
+        let table = self.store.table(rel);
+        let index = &mut self.index[rel.index()];
+        let cells = |r: u32| table.cols().iter().map(move |col| col[r as usize]);
+        if index.reserve(table.n_live() as usize) {
+            let mut held: Vec<ValueId> = Vec::with_capacity(table.arity());
+            for r in (0..table.n_rows()).filter(|&r| table.is_live(r)) {
+                held.clear();
+                held.extend(cells(r));
+                index.place(hash_key(&held), r, |_| false);
+            }
+        }
+        let holds = |r: u32| table.is_live(r) && cells(r).eq(ids.iter().copied());
+        index.place(hash_key(ids), row, holds)
+    }
+
+    /// List fact `f` under every null of `ids`.
+    fn occur(&mut self, f: FactId, ids: &[ValueId]) {
+        for &id in ids.iter().filter(|&&id| id_is_null(id)) {
+            let i = null_index(id) as usize;
+            if self.occ.len() <= i {
+                self.occ.resize_with(i + 1, Vec::new);
+            }
+            self.occ[i].push(f);
+        }
+    }
+
+    /// Rewrite every live fact mentioning one of the `merged` nulls
+    /// through `subst`, returning the ids whose tuple changed in place,
+    /// in id order. A fact whose rewritten tuple is already live
+    /// *collapses* (goes dead) instead and is not reported — the
+    /// surviving fact's tuple did not change, so every match through it
+    /// was already found when *it* was delta.
+    fn rewrite(&mut self, merged: &[Null], subst: impl Fn(Value) -> Value) -> Vec<FactId> {
+        let mut facts: Vec<FactId> = Vec::new();
+        for &n in merged {
+            if let Some(id) = self.store.lookup_value(Value::Null(n)) {
+                facts.extend(self.occ.get(null_index(id) as usize).into_iter().flatten());
+            }
+        }
+        facts.sort_unstable();
+        facts.dedup();
+        let mut changed = Vec::new();
+        let (mut old, mut new): (Vec<ValueId>, Vec<ValueId>) = (Vec::new(), Vec::new());
+        for f in facts {
+            if !self.store.is_live(f) {
+                continue;
+            }
+            old.clear();
+            self.store.fact_ids_into(f, &mut old);
+            new.clear();
+            for &id in &old {
+                let v = subst(self.store.value(id));
+                new.push(self.store.intern_value(v));
+            }
+            if new == old {
+                continue;
+            }
+            // The fact's own row still holds its old tuple, so it cannot
+            // match itself.
+            let (rel, row) = (self.store.fact_rel(f), self.store.fact_row(f));
+            if self.place(rel, row, &new).is_some() {
+                self.store.set_dead(f);
+                continue;
+            }
+            for (col, &id) in new.iter().enumerate().filter(|&(c, &id)| old[c] != id) {
+                self.store.set_cell(rel, col, row, id);
+            }
+            self.occur(f, &new);
+            changed.push(f);
+        }
+        changed
+    }
+}
+
 /// The constraint-set half of a chase certificate, built up front;
 /// [`run`] adds the initial instance, the derivation and the outcome.
 struct CertSkeleton {
@@ -478,21 +605,17 @@ fn run(
     cfg: &ChaseConfig,
     skeleton: Option<CertSkeleton>,
 ) -> (ChaseOutcome, Option<ChaseCert>) {
-    // The chase state lives in the workspace columnar store; relations
-    // are registered in schema order, so store symbols coincide with the
-    // schema symbols the plans were compiled against.
-    let mut store = FactStore::new();
-    for sym in schema.symbols() {
-        let reg = store.add_relation(schema.name(sym), schema.arity(sym));
-        debug_assert_eq!(reg, sym, "store symbols mirror schema symbols");
-    }
+    let mut facts = Facts::new(schema);
     let mut uf = UnionFind::default();
     let mut fired: Vec<Rows> = rules.iter().map(|r| Rows::new(r.key_len())).collect();
     let mut steps = 0usize;
-    // Load the instance; duplicate nodes intern to one fact.
+    // Load the instance; duplicate nodes intern to one fact. Loading and
+    // firing intern every tuple into this one buffer.
+    let mut ids: Vec<ValueId> = Vec::new();
     let mut delta: Vec<FactId> = Vec::new();
     for (&label, row) in instance.labels.iter().zip(&instance.data) {
-        if let Some(id) = store.insert(label, row) {
+        facts.intern(row.iter().copied(), &mut ids);
+        if let Some(id) = facts.insert(label, &ids) {
             delta.push(id);
         }
     }
@@ -501,7 +624,7 @@ fn run(
     // the caller's node insertion order.
     let mut rec: Option<Recorder> = skeleton.map(|skeleton| Recorder {
         skeleton,
-        initial: cert_facts(schema, &canonical_rows(&store, &uf)),
+        initial: cert_facts(schema, &canonical_rows(&facts.store, &uf)),
         steps: Vec::new(),
     });
     let mut first_round = true;
@@ -511,7 +634,7 @@ fn run(
         // so a round may only begin while budget remains (in particular,
         // `max_steps == 0` aborts immediately).
         if steps >= cfg.max_steps {
-            return aborted(schema, &store, &uf, rec);
+            return aborted(schema, &facts.store, &uf, rec);
         }
         let round_start_steps = steps;
 
@@ -521,12 +644,12 @@ fn run(
             let mut egd_delta: Vec<u32> = delta.clone();
             while !egd_delta.is_empty() {
                 let matched = {
-                    let mut idx = DbIndex::over(&store);
-                    let seeds = seeds_by_rel(schema, &store, &egd_delta);
+                    let mut idx = DbIndex::over(&facts.store);
+                    let seeds = seeds_by_rel(schema, &facts.store, &egd_delta);
                     egd_matches(egds, &seeds, cfg.match_limit, &mut idx)
                 };
                 let Ok((witnesses, pairs)) = matched else {
-                    return overflow(schema, &store, instance, &uf, rec);
+                    return overflow(schema, &facts.store, instance, &uf, rec);
                 };
                 let mut merged: Vec<Null> = Vec::new();
                 for &(a, b, e, w) in &pairs {
@@ -534,7 +657,7 @@ fn run(
                         continue;
                     }
                     if steps >= cfg.max_steps {
-                        return aborted(schema, &store, &uf, rec);
+                        return aborted(schema, &facts.store, &uf, rec);
                     }
                     // `None` is a constant clash. Distinct roots make
                     // `Ok(None)` unreachable here.
@@ -560,7 +683,7 @@ fn run(
                 if merged.is_empty() {
                     break;
                 }
-                let changed = store.rewrite(&merged, |v| uf.find(v));
+                let changed = facts.rewrite(&merged, |v| uf.find(v));
                 // Keep the dedup keys aligned with the rewritten
                 // instance: fired valuations go through the same merge
                 // substitution as the facts.
@@ -577,13 +700,13 @@ fn run(
             .iter()
             .chain(rewritten_all.iter())
             .copied()
-            .filter(|&id| store.is_live(id))
+            .filter(|&id| facts.store.is_live(id))
             .collect();
         tgd_seed.sort_unstable();
         tgd_seed.dedup();
         let matched = {
-            let mut idx = DbIndex::over(&store);
-            let seeds = seeds_by_rel(schema, &store, &tgd_seed);
+            let mut idx = DbIndex::over(&facts.store);
+            let seeds = seeds_by_rel(schema, &facts.store, &tgd_seed);
             tgd_matches(
                 rules,
                 &fired,
@@ -594,11 +717,10 @@ fn run(
             )
         };
         let Ok((triggers, satisfied)) = matched else {
-            return overflow(schema, &store, instance, &uf, rec);
+            return overflow(schema, &facts.store, instance, &uf, rec);
         };
         let mut inserted: Vec<u32> = Vec::new();
         let mut fresh: Vec<Null> = Vec::new();
-        let mut tuple: Vec<Value> = Vec::new();
         for (r, rule) in rules.iter().enumerate() {
             let k = rule.key_len();
             let (mut at_fired, mut at_satisfied) = (0, 0);
@@ -613,19 +735,19 @@ fn run(
                     continue;
                 }
                 if steps >= cfg.max_steps {
-                    return aborted(schema, &store, &uf, rec);
+                    return aborted(schema, &facts.store, &uf, rec);
                 }
                 steps += 1;
                 fresh.clear();
                 fresh.extend(rule.ledger.iter().map(|_| gen.fresh()));
                 for hf in &rule.head_facts {
-                    tuple.clear();
-                    tuple.extend(hf.template.iter().map(|t| match t {
+                    let tuple = hf.template.iter().map(|t| match t {
                         HeadTerm::Const(v) => *v,
                         HeadTerm::Frontier(i) => key[*i],
                         HeadTerm::Existential(x) => Value::Null(fresh[*x]),
-                    }));
-                    if let Some(id) = store.insert(hf.rel, &tuple) {
+                    });
+                    facts.intern(tuple, &mut ids);
+                    if let Some(id) = facts.insert(hf.rel, &ids) {
                         inserted.push(id);
                     }
                 }
@@ -645,7 +767,7 @@ fn run(
         if steps == round_start_steps {
             // No merge and no firing: every trigger is satisfied or
             // fired, the instance is a fixpoint.
-            let rows = canonical_rows(&store, &uf);
+            let rows = canonical_rows(&facts.store, &uf);
             let cert = rec.map(|r| {
                 r.finish(ChaseCertOutcome::Done {
                     final_facts: cert_facts(schema, &rows),
@@ -820,26 +942,176 @@ mod tests {
         assert_eq!(uf.union(c(6), Value::null(7)), Err(()));
     }
 
-    /// The engine's usage contract with the workspace columnar store:
-    /// union-find substitutions applied via `rewrite` collapse duplicates
+    /// A one-relation fact set over `R/arity`.
+    fn one_rel(arity: usize) -> (Facts, Symbol) {
+        let mut schema = Schema::new();
+        let rel = schema.add_relation("R", arity);
+        (Facts::new(&schema), rel)
+    }
+
+    fn ins(facts: &mut Facts, rel: Symbol, tuple: &[Value]) -> Option<FactId> {
+        let mut ids = Vec::new();
+        facts.intern(tuple.iter().copied(), &mut ids);
+        facts.insert(rel, &ids)
+    }
+
+    /// The facts listed under a null, live or not, in list order.
+    fn occ(facts: &Facts, n: u32) -> Vec<FactId> {
+        let id = facts.store.lookup_value(Value::null(n));
+        id.and_then(|id| facts.occ.get(null_index(id) as usize))
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn insert_dedups_live_tuples() {
+        let (mut facts, r) = one_rel(2);
+        let f0 = ins(&mut facts, r, &[c(1), Value::null(1)]).unwrap();
+        assert_eq!(ins(&mut facts, r, &[c(1), Value::null(1)]), None);
+        let f1 = ins(&mut facts, r, &[c(1), c(2)]).unwrap();
+        assert_eq!((f0, f1), (0, 1));
+        assert_eq!((facts.store.n_facts(), facts.store.n_live()), (2, 2));
+        assert_eq!(facts.store.fact_values(f0), vec![c(1), Value::null(1)]);
+        // Enough rows to grow the index several times: the early rows
+        // are re-placed, so they still dedup.
+        for i in 0..200 {
+            assert!(ins(&mut facts, r, &[c(i), c(i + 1)]).is_some() || i == 1);
+        }
+        assert_eq!(ins(&mut facts, r, &[c(1), Value::null(1)]), None);
+        assert_eq!(ins(&mut facts, r, &[c(150), c(151)]), None);
+        assert_eq!(facts.store.n_live(), 201);
+    }
+
+    #[test]
+    fn occurrences_track_nulls() {
+        let (mut facts, r) = one_rel(2);
+        let f0 = ins(&mut facts, r, &[c(1), Value::null(9)]).unwrap();
+        let f1 = ins(&mut facts, r, &[Value::null(9), Value::null(3)]).unwrap();
+        ins(&mut facts, r, &[c(1), c(2)]).unwrap();
+        assert_eq!(occ(&facts, 9), vec![f0, f1]);
+        assert_eq!(occ(&facts, 3), vec![f1]);
+        assert_eq!(occ(&facts, 77), Vec::<FactId>::new());
+    }
+
+    /// Union-find substitutions applied via `rewrite` collapse duplicates
     /// silently and leave unrelated facts untouched.
     #[test]
-    fn store_rewrite_touches_only_affected_facts_and_collapses_duplicates() {
-        let mut store = FactStore::new();
-        let rel = store.add_relation("R", 2);
-        let a = store.insert(rel, &[c(1), Value::null(9)]).unwrap();
-        let b = store.insert(rel, &[c(1), c(5)]).unwrap();
-        let other = store.insert(rel, &[c(2), c(2)]).unwrap();
-        // Duplicate insert interns to the existing fact.
-        assert_eq!(store.insert(rel, &[c(1), c(5)]), None);
+    fn rewrite_touches_only_affected_facts_and_collapses_duplicates() {
+        let (mut facts, r) = one_rel(2);
+        let a = ins(&mut facts, r, &[c(1), Value::null(9)]).unwrap();
+        let b = ins(&mut facts, r, &[c(1), c(5)]).unwrap();
+        let other = ins(&mut facts, r, &[c(2), c(2)]).unwrap();
         let mut uf = UnionFind::default();
         assert_eq!(uf.union(Value::null(9), c(5)), Ok(Some(nl(9))));
-        let changed = store.rewrite(&[nl(9)], |v| uf.find(v));
+        let changed = facts.rewrite(&[nl(9)], |v| uf.find(v));
         // Fact `a` rewrote into `b`'s tuple: it collapses (goes dead)
         // rather than duplicating, and nothing is reported as changed.
         assert!(changed.is_empty());
-        assert!(!store.is_live(a));
-        assert!(store.is_live(b) && store.is_live(other));
-        assert_eq!(store.fact_values(other), vec![c(2), c(2)]);
+        assert!(!facts.store.is_live(a));
+        assert!(facts.store.is_live(b) && facts.store.is_live(other));
+        assert_eq!(facts.store.n_live(), 2);
+        assert_eq!(facts.store.fact_values(other), vec![c(2), c(2)]);
+        assert_eq!(facts.store.iter_live().collect::<Vec<_>>(), vec![b, other]);
+        // The survivor still dedups; the collapsed tuple is new again.
+        assert_eq!(ins(&mut facts, r, &[c(1), c(5)]), None);
+        assert!(ins(&mut facts, r, &[c(1), Value::null(9)]).is_some());
+    }
+
+    #[test]
+    fn rewrite_in_place_reports_changed_facts() {
+        let (mut facts, r) = one_rel(2);
+        let a = ins(&mut facts, r, &[Value::null(4), c(1)]).unwrap();
+        let changed = facts.rewrite(&[nl(4)], |v| {
+            if v == Value::null(4) {
+                Value::null(2)
+            } else {
+                v
+            }
+        });
+        assert_eq!(changed, vec![a]);
+        assert!(facts.store.is_live(a));
+        assert_eq!(facts.store.fact_values(a), vec![Value::null(2), c(1)]);
+        // The new null lists the fact; the rewritten fact dedups.
+        assert_eq!(occ(&facts, 2), vec![a]);
+        assert_eq!(ins(&mut facts, r, &[Value::null(2), c(1)]), None);
+        // Re-inserting the *old* tuple is new again: the row's old slot
+        // is stale, and probes compare current contents.
+        assert!(ins(&mut facts, r, &[Value::null(4), c(1)]).is_some());
+    }
+
+    /// The stale-slot path against a set model: rows rewritten in place
+    /// keep their old slots, collapsed rows die, and the index grows past
+    /// both. After every step, each live tuple re-inserts as `None`, each
+    /// retired (dead or pre-rewrite) tuple as `Some`, and the live count
+    /// is the model's size.
+    #[test]
+    fn rewrites_and_rebuilds_agree_with_a_set_model() {
+        use std::collections::BTreeSet;
+        let (mut facts, r) = one_rel(2);
+        let mut model: BTreeSet<Vec<Value>> = BTreeSet::new();
+        let mut retired: BTreeSet<Vec<Value>> = BTreeSet::new();
+        let mut uf = UnionFind::default();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        type Set = BTreeSet<Vec<Value>>;
+        let check = |facts: &mut Facts, model: &mut Set, retired: &mut Set| {
+            for t in model.iter() {
+                assert_eq!(ins(facts, r, t), None, "live {t:?} re-inserts");
+            }
+            for t in std::mem::take(retired) {
+                if !model.contains(&t) {
+                    assert!(ins(facts, r, &t).is_some(), "retired {t:?} is new");
+                    model.insert(t);
+                }
+            }
+            assert_eq!(facts.store.n_live() as usize, model.len());
+        };
+        // Merge batches: (loser, winner) pairs, null-null and null-const.
+        let batches: [&[(u32, Value)]; 4] = [
+            &[(1, Value::null(0)), (3, c(2))],
+            &[(5, Value::null(4)), (6, c(7))],
+            &[(4, c(3)), (7, Value::null(2))],
+            &[(2, Value::null(0)), (0, c(11))],
+        ];
+        for batch in batches {
+            for i in 0..250 {
+                let mut value = || {
+                    if next(3) == 0 {
+                        Value::null(next(8) as u32)
+                    } else {
+                        c(next(200) as i64)
+                    }
+                };
+                let t = vec![value(), value()];
+                let fresh = !model.contains(&t);
+                assert_eq!(ins(&mut facts, r, &t).is_some(), fresh, "insert {t:?}");
+                model.insert(t);
+                assert_eq!(facts.store.n_live() as usize, model.len());
+                if i % 50 == 49 {
+                    check(&mut facts, &mut model, &mut retired);
+                }
+            }
+            let mut merged = Vec::new();
+            for &(loser, winner) in batch {
+                assert_eq!(uf.union(Value::null(loser), winner), Ok(Some(nl(loser))));
+                merged.push(nl(loser));
+            }
+            facts.rewrite(&merged, |v| uf.find(v));
+            let mentions = |t: &Vec<Value>| merged.iter().any(|&m| t.contains(&Value::Null(m)));
+            let (moved, kept): (Vec<_>, Vec<_>) =
+                std::mem::take(&mut model).into_iter().partition(mentions);
+            model = kept.into_iter().collect();
+            for t in moved {
+                model.insert(t.iter().map(|&v| uf.find(v)).collect());
+                retired.insert(t);
+            }
+            check(&mut facts, &mut model, &mut retired);
+        }
+        assert!(facts.store.n_facts() > 1000);
     }
 }

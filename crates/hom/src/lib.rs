@@ -19,8 +19,6 @@
 //! * [`matching`] — Hopcroft–Karp bipartite matching, Hall's condition, and
 //!   systems of distinct representatives (used by the Codd-interpretation
 //!   algorithms and Proposition 8).
-//! * [`propagate`] — generalized arc consistency preprocessing for the
-//!   solver.
 //! * [`structure`] — finite relational structures (the structural part
 //!   `M_λ` of generalized databases) and homomorphism problems between
 //!   them, compiled to CSPs.
@@ -37,7 +35,6 @@
 pub mod csp;
 pub mod dp;
 pub mod matching;
-pub mod propagate;
 pub mod reference;
 pub mod retract;
 pub mod structure;

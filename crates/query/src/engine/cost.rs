@@ -255,7 +255,7 @@ mod tests {
     use crate::ast::Atom;
     use crate::engine::{CompletionSpace, DbIndex};
     use ca_core::store::stats::ColStats;
-    use ca_core::value::{Null, Value};
+    use ca_core::value::Value;
     use ca_relational::store_bridge::{from_store, to_store};
     use Term::{Const as C, Var as V};
 
@@ -357,12 +357,12 @@ mod tests {
             let mut s = FactStore::new();
             let a = s.add_relation("A", 2);
             let b = s.add_relation("B", 1);
-            s.insert(a, &[Value::Const(0), Value::Const(5)]);
+            s.append(a, &[Value::Const(0), Value::Const(5)]);
             for i in 0..100u32 {
-                s.insert(a, &[Value::Const(i64::from(i)), Value::null(i)]);
+                s.append(a, &[Value::Const(i64::from(i)), Value::null(i)]);
             }
             for i in 0..10 {
-                s.insert(b, &[Value::Const(i)]);
+                s.append(b, &[Value::Const(i)]);
             }
             s
         };
@@ -372,13 +372,14 @@ mod tests {
             assert_eq!(want, Some(vec![0, 1]), "A leads on the rebuilt store");
             assert_eq!(DbIndex::over(store).model().order(&q, &rels), want);
         };
-        // egd-style: every null ↦ 5, so (0, ⊥0) collapses onto (0, 5).
+        // egd-style: every null ↦ 5, so (0, ⊥0) (fact 1) collapses onto
+        // (0, 5) and every later (i, ⊥i) becomes (i, 5) in place.
         let mut rewritten = base();
-        let nulls: Vec<Null> = (0..100).map(Null).collect();
-        rewritten.rewrite(&nulls, |v| match v {
-            Value::Null(_) => Value::Const(5),
-            c => c,
-        });
+        let five = rewritten.lookup_value(Value::Const(5)).expect("5 is held");
+        rewritten.set_dead(1);
+        for f in 2..=100 {
+            rewritten.set_cell(rels[0], 1, rewritten.fact_row(f), five);
+        }
         price(&rewritten);
         // The completion grounding every null to 5.
         let db = from_store(&base());

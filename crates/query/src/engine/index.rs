@@ -391,13 +391,12 @@ mod tests {
     #[test]
     fn borrowed_store_indexes_only_live_rows() {
         use ca_core::store::FactStore;
-        use ca_core::value::Null;
         let mut s = FactStore::new();
         let r = s.add_relation("R", 2);
-        s.insert(r, &[c(1), n(7)]);
-        s.insert(r, &[c(1), c(3)]);
+        let collapsed = s.append(r, &[c(1), n(7)]);
+        s.append(r, &[c(1), c(3)]);
         // Collapse the null fact onto the ground one: one live row left.
-        s.rewrite(&[Null(7)], |v| if v == n(7) { c(3) } else { v });
+        s.set_dead(collapsed);
         let idx = DbIndex::over(&s);
         assert_eq!(idx.rows(r).len(), 1);
     }

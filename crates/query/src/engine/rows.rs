@@ -8,13 +8,16 @@
 //! duplicates. [`Rows`] keeps them in one flat
 //! buffer with an explicit row count (the stride may be 0: a Boolean
 //! answer or an empty frontier), so a round or an evaluation allocates a
-//! handful of vectors instead of one per row. [`Distinct`] adds an
-//! open-addressing index over row numbers that collapses duplicate keys
-//! as rows arrive.
+//! handful of vectors instead of one per row. [`Distinct`] collapses
+//! duplicate keys as rows arrive, through a [`RowIndex`]: an
+//! open-addressing index of row numbers whose keys stay in the caller's
+//! storage. The chase's fact set uses the same index over its relations'
+//! column pages.
 
 use std::hash::{Hash, Hasher};
 
 use ca_core::fxhash::FxHasher;
+use ca_core::store::dense_count;
 
 /// Fixed-stride rows in one flat buffer. The row count is explicit,
 /// since the stride may be 0.
@@ -132,15 +135,13 @@ impl<T: Copy + Ord> Rows<T> {
 /// row. A row whose key is already held replaces the held row only when
 /// it is smaller, so the buffer never holds more rows than there are
 /// distinct keys, however many duplicates arrive. With `key == stride`
-/// this is a set of rows. Keys are found through an open-addressing index
-/// over the flat rows; the index is probed, never iterated, and a sorted
-/// order comes from one sort ([`Distinct::into_sorted`]).
+/// this is a set of rows. Keys are found through a [`RowIndex`] over the
+/// flat rows; the index is probed, never iterated, and a sorted order
+/// comes from one sort ([`Distinct::into_sorted`]).
 pub struct Distinct<T> {
     key: usize,
     rows: Rows<T>,
-    /// Row index + 1 per slot (0 = empty), linear probing. Its length is
-    /// 0 or a power of two at least twice the row count.
-    slots: Vec<usize>,
+    index: RowIndex,
 }
 
 impl<T: Copy + Ord + Hash> Distinct<T> {
@@ -150,7 +151,7 @@ impl<T: Copy + Ord + Hash> Distinct<T> {
         Distinct {
             key,
             rows: Rows::new(stride),
-            slots: Vec::new(),
+            index: RowIndex::default(),
         }
     }
 
@@ -176,32 +177,26 @@ impl<T: Copy + Ord + Hash> Distinct<T> {
 
     /// Add the one row that `fill` appends to the buffer.
     pub fn insert(&mut self, fill: impl FnOnce(&mut Vec<T>)) {
-        if 2 * (self.rows.len + 1) > self.slots.len() {
-            self.grow();
+        if self.index.reserve(self.rows.len) {
+            self.place_all();
         }
         let start = self.rows.vals.len();
         fill(&mut self.rows.vals);
         let (stride, key) = (self.rows.stride, self.key);
         let (held, new) = self.rows.vals.split_at_mut(start);
         debug_assert_eq!(new.len(), stride);
-        let mask = self.slots.len() - 1;
-        let mut slot = slot_of(&new[..key], mask);
-        loop {
-            let j = self.slots[slot];
-            if j == 0 {
-                self.slots[slot] = self.rows.len + 1;
-                self.rows.len += 1;
-                return;
-            }
-            let old = &mut held[(j - 1) * stride..j * stride];
-            if old[..key] == new[..key] {
+        let is_key = |j: u32| held[j as usize * stride..][..key] == new[..key];
+        let row = dense_count(self.rows.len);
+        match self.index.place(hash_key(&new[..key]), row, is_key) {
+            None => self.rows.len += 1,
+            Some(j) => {
+                let j = j as usize;
+                let old = &mut held[j * stride..(j + 1) * stride];
                 if *new < *old {
                     old.copy_from_slice(new);
                 }
                 self.rows.vals.truncate(start);
-                return;
             }
-            slot = (slot + 1) & mask;
         }
     }
 
@@ -212,42 +207,22 @@ impl<T: Copy + Ord + Hash> Distinct<T> {
 
     /// The index of the held row whose key is `key`, if any.
     pub fn find(&self, key: &[T]) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = slot_of(key, mask);
-        loop {
-            let j = self.slots[slot].checked_sub(1)?;
-            if self.rows.row(j)[..self.key] == *key {
-                return Some(j);
-            }
-            slot = (slot + 1) & mask;
-        }
+        let is_key = |j: u32| self.rows.row(j as usize)[..self.key] == *key;
+        self.index.find(hash_key(key), is_key).map(|j| j as usize)
     }
 
     /// Keep the rows whose index `keep` accepts, in their order.
     pub fn retain(&mut self, keep: impl FnMut(usize) -> bool) {
         self.rows.retain(keep);
-        self.slots.fill(0);
-        self.place_all();
-    }
-
-    /// Double the index (at least 16 slots) and re-place every row.
-    fn grow(&mut self) {
-        self.slots = vec![0; (2 * self.slots.len()).max(16)];
+        self.index.clear();
         self.place_all();
     }
 
     /// Place every row in the cleared index.
     fn place_all(&mut self) {
-        let mask = self.slots.len().wrapping_sub(1);
         for i in 0..self.rows.len {
-            let mut slot = slot_of(&self.rows.row(i)[..self.key], mask);
-            while self.slots[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = i + 1;
+            let hash = hash_key(&self.rows.row(i)[..self.key]);
+            self.index.place(hash, dense_count(i), |_| false);
         }
     }
 
@@ -264,12 +239,86 @@ impl<T: Copy + Ord + Hash> Distinct<T> {
     }
 }
 
-/// The index slot of `key`: its Fx hash, whose multiply leaves the mixed
-/// bits high, rotated down and masked.
-fn slot_of<T: Hash>(key: &[T], mask: usize) -> usize {
+/// An open-addressing index of row numbers whose keys live in the
+/// caller's storage: a [`Distinct`]'s flat rows, or a chased relation's
+/// column pages. The caller hashes each key with [`hash_key`] and, while
+/// probing, says whether a row holds the key, so no key is stored twice.
+/// A row may occupy several slots (the chase re-places a row it
+/// overwrites and leaves the old slot stale); the caller's test skips
+/// stale rows, and [`RowIndex::reserve`] drops them when it resizes.
+#[derive(Default)]
+pub struct RowIndex {
+    /// Row number + 1 per slot (0 = empty), linear probing. Its length is
+    /// 0 or a power of two, at least twice `used`.
+    slots: Vec<u32>,
+    /// Occupied slots.
+    used: usize,
+}
+
+impl RowIndex {
+    /// Make room for one more placement. A full index (half its slots
+    /// used) is cleared and resized to the least power of two that is at
+    /// least 16 and at least three times `rows + 1`; then `true` tells
+    /// the caller to re-place its `rows` current rows. Stale slots go
+    /// with the clear, so a resize may also keep the size.
+    pub fn reserve(&mut self, rows: usize) -> bool {
+        if 2 * (self.used + 1) <= self.slots.len() {
+            return false;
+        }
+        self.slots = vec![0; (3 * (rows + 1)).next_power_of_two().max(16)];
+        self.used = 0;
+        true
+    }
+
+    /// Empty every slot, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.slots.fill(0);
+        self.used = 0;
+    }
+
+    /// The first row on `hash`'s probe path that `is_key` accepts.
+    pub fn find(&self, hash: u64, is_key: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(hash, is_key).ok()
+    }
+
+    /// [`RowIndex::find`], and when no row on the probe path is accepted,
+    /// put `row` in the empty slot that ends it (the caller
+    /// [reserved](RowIndex::reserve) room first). `|_| false` places
+    /// unconditionally.
+    pub fn place(&mut self, hash: u64, row: u32, is_key: impl FnMut(u32) -> bool) -> Option<u32> {
+        let slot = match self.probe(hash, is_key) {
+            Ok(j) => return Some(j),
+            Err(slot) => slot,
+        };
+        self.slots[slot] = dense_count(row as usize + 1);
+        self.used += 1;
+        None
+    }
+
+    /// Walk `hash`'s probe path to the first accepted row, or to the
+    /// empty slot that ends the path. Fx's multiply leaves the mixed bits
+    /// high, so they are rotated down before masking.
+    fn probe(&self, hash: u64, mut is_key: impl FnMut(u32) -> bool) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash.rotate_left(32) as usize & mask;
+        while let Some(j) = self.slots[slot].checked_sub(1) {
+            if is_key(j) {
+                return Ok(j);
+            }
+            slot = (slot + 1) & mask;
+        }
+        Err(slot)
+    }
+}
+
+/// The Fx hash of a key, as [`RowIndex`] probes take it.
+pub fn hash_key<T: Hash>(key: &[T]) -> u64 {
     let mut h = FxHasher::default();
     key.hash(&mut h);
-    h.finish().rotate_left(32) as usize & mask
+    h.finish()
 }
 
 #[cfg(test)]
@@ -307,6 +356,67 @@ mod tests {
         unit.insert_row(&[]);
         unit.insert_row(&[]);
         assert_eq!((unit.len(), unit.find(&[])), (1, Some(0)));
+    }
+
+    #[test]
+    fn row_index_finds_places_and_reserves_across_growth() {
+        // The keys live outside the index: row j holds `keys[j]`.
+        let mut keys: Vec<[u32; 2]> = (0..100).map(|i| [i % 7, i]).collect();
+        let at = |keys: &[[u32; 2]], j: u32| keys[j as usize];
+        let mut index = RowIndex::default();
+        assert_eq!(index.find(hash_key(&keys[0]), |_| true), None);
+        let mut grown_at = Vec::new();
+        for i in 0..100u32 {
+            if index.reserve(i as usize) {
+                grown_at.push(i);
+                for j in 0..i {
+                    index.place(hash_key(&at(&keys, j)), j, |_| false);
+                }
+            }
+            let key = at(&keys, i);
+            let is_key = |j| at(&keys, j) == key;
+            assert_eq!(index.place(hash_key(&key), i, is_key), None);
+            // Placing the key again finds the row that holds it.
+            assert_eq!(index.place(hash_key(&key), 0, is_key), Some(i));
+        }
+        // 16 slots, then doubling whenever half are used.
+        assert_eq!(grown_at, vec![0, 8, 16, 32, 64]);
+        let find = |index: &RowIndex, keys: &[[u32; 2]], key: [u32; 2]| {
+            index.find(hash_key(&key), |j| at(keys, j) == key)
+        };
+        for i in 0..100u32 {
+            assert_eq!(find(&index, &keys, at(&keys, i)), Some(i));
+        }
+        assert_eq!(find(&index, &keys, [9, 9]), None);
+        // Row 3 takes a new key: placed again, its old slot goes stale.
+        let (old, new) = (keys[3], [500, 500]);
+        keys[3] = new;
+        assert_eq!(
+            index.place(hash_key(&new), 3, |j| at(&keys, j) == new),
+            None
+        );
+        assert_eq!(find(&index, &keys, old), None);
+        assert_eq!(find(&index, &keys, new), Some(3));
+        // A full index with few current rows resizes for those rows.
+        let mut full = RowIndex::default();
+        full.reserve(0);
+        for j in 0..8u32 {
+            full.place(hash_key(&[j]), 0, |_| false);
+        }
+        assert!(full.reserve(1), "8 of 16 slots used");
+        assert!(!full.reserve(1), "cleared for one row");
+        full.clear();
+        assert_eq!(full.find(hash_key(&[0]), |_| true), None);
+    }
+
+    #[test]
+    fn row_index_holds_one_stride_zero_key() {
+        let empty: [u32; 0] = [];
+        let mut index = RowIndex::default();
+        assert!(index.reserve(0));
+        assert_eq!(index.place(hash_key(&empty), 0, |_| true), None);
+        assert_eq!(index.place(hash_key(&empty), 1, |_| true), Some(0));
+        assert_eq!(index.find(hash_key(&empty), |_| true), Some(0));
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl<'a> CompletionSpace<'a> {
         let ids: Vec<ValueId> = self.digits(i).map(|d| self.pool_ids[d]).collect();
         for cell in &self.cells {
             self.store
-                .ground_cell(cell.rel, cell.col, cell.row, ids[cell.digit]);
+                .set_cell(cell.rel, cell.col, cell.row, ids[cell.digit]);
         }
         &self.store
     }

@@ -170,6 +170,16 @@ pub fn parse_database(input: &str) -> Result<NaiveDatabase, ParseError> {
     let mut schema = Schema::new();
     let mut n_cols = 0usize;
     for (rel, args, start) in &facts {
+        let arity = schema
+            .relation(rel)
+            .map_or(args.len(), |sym| schema.arity(sym));
+        if arity != args.len() {
+            let message = format!("relation {rel} used with arity {arity} and {}", args.len());
+            return Err(ParseError {
+                message,
+                offset: *start,
+            });
+        }
         let n_rels = schema.len();
         schema.add_relation(rel, args.len());
         if schema.len() > n_rels {
@@ -213,6 +223,13 @@ mod tests {
         let past = format!("A(1); A(2); {}", row("B", MAX_COLUMNS));
         let err = parse_database(&past).expect_err("past the budget");
         assert_eq!(err.offset, "A(1); A(2); ".len());
+    }
+
+    #[test]
+    fn one_relation_at_two_arities_is_a_parse_error() {
+        let err = parse_database("R(1); S(2); R(1, 2)").expect_err("two arities");
+        assert_eq!(err.offset, "R(1); S(2); ".len());
+        assert!(err.message.contains("arity 1 and 2"), "{}", err.message);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! certain minimize '<boolean cq>'   # minimize a conjunctive query
 //! ```
 
+use std::io::{self, Write};
 use std::process::exit;
 
 use certain_answers::core::preorder::Preorder;
@@ -50,10 +51,26 @@ fn ucq(arg: &str) -> UnionQuery {
     })
 }
 
-fn print_db(d: &NaiveDatabase) {
+fn print_db(d: &NaiveDatabase, out: &mut dyn Write) -> io::Result<()> {
     for fact in d.facts() {
         let args: Vec<String> = fact.args.iter().map(|v| v.to_string()).collect();
-        println!("{}({})", d.schema.name(fact.rel), args.join(", "));
+        writeln!(out, "{}({})", d.schema.name(fact.rel), args.join(", "))?;
+    }
+    Ok(())
+}
+
+/// Run `print` over one locked stdout. A reader that closes the pipe
+/// early (`| head`) ends the output quietly with success; any other
+/// write error exits 1.
+fn print_stdout(print: impl FnOnce(&mut dyn Write) -> io::Result<()>) {
+    let mut out = io::stdout().lock();
+    match print(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("stdout: {e}");
+            exit(1);
+        }
     }
 }
 
@@ -72,12 +89,16 @@ fn main() {
             let q = ucq(&args[2]);
             if q.head_arity() == 0 {
                 let ans = certain_answers::query::certain::naive_eval_bool(&q, &d);
-                println!("{ans}");
+                print_stdout(|out| writeln!(out, "{ans}"));
             } else {
-                for row in naive_eval_table(&q, &d) {
-                    let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-                    println!("({})", cells.join(", "));
-                }
+                let table = naive_eval_table(&q, &d);
+                print_stdout(|out| {
+                    for row in table {
+                        let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+                        writeln!(out, "({})", cells.join(", "))?;
+                    }
+                    Ok(())
+                });
             }
         }
         Some("check") if args.len() == 3 => {
@@ -111,7 +132,8 @@ fn main() {
         Some("glb") if args.len() == 3 => {
             let a = db(&args[1]);
             let b = db(&args[2]);
-            print_db(&glb_databases(&a, &b));
+            let glb = glb_databases(&a, &b);
+            print_stdout(|out| print_db(&glb, out));
         }
         Some("minimize") if args.len() == 2 => {
             let q = parse_cq(&load(&args[1])).unwrap_or_else(|e| {
