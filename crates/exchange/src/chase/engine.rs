@@ -13,11 +13,11 @@
 //!   at least one new fact is found exactly through the plan pinned at
 //!   that fact's position, and quiet regions are never re-derived
 //!   (semi-naive evaluation). Each answer row is a complete body
-//!   assignment. With its match key (the trigger, or the equality pair
-//!   for egds) in front it goes into one flat, fixed-stride buffer per
-//!   rule ([`Distinct`]) that keeps the least row per key, and one sort
-//!   of the distinct rows yields the round's triggers in key order, each
-//!   with its least witness. This is the one match phase of both modes:
+//!   assignment, as interned ids. With its match key (the trigger, or the
+//!   equality pair for egds) in front it goes into one flat, fixed-stride
+//!   id buffer per rule ([`Distinct`]) that keeps the least row per key,
+//!   and one sort of the distinct rows yields the round's triggers in key
+//!   order, each with its least witness. This is the one match phase of both modes:
 //!   a certified run ([`ChaseConfig::certify`]) records the witness as its
 //!   step's assignment;
 //! * a *trigger* is a valuation of the rule's frontier (sorted body∩head
@@ -33,11 +33,15 @@
 //!   satisfied frontier valuations. Firing walks the three sorted runs
 //!   (triggers, fired, satisfied) with cursors, and the round's triggers
 //!   are merged into the fired run afterwards;
-//! * egd equalities accumulate in a **union-find** over values (constant
-//!   roots win; two distinct constant roots fail the chase) and rewrite
-//!   only the facts that mention a merged null, found through the
-//!   occurrence lists — never the whole instance. A rewritten fact whose
-//!   tuple is already live dies; any other is overwritten in place;
+//! * egd equalities accumulate in a **union-find** over null ids
+//!   (constant roots win; two distinct constant roots fail the chase) and
+//!   rewrite, id for id, only the facts that mention a merged null, found
+//!   through the occurrence lists — never the whole instance. A rewritten
+//!   fact whose tuple is already live dies; any other is overwritten in
+//!   place;
+//! * values appear only where the chase reports (step assignments, merge
+//!   records, [`canonical_rows`]); everything else compares ids, whose
+//!   order on the chase's store is value order (see [`run`]);
 //! * the match phase evaluates the round's (rule, pinned plan) pairs
 //!   in (rule index, pin) order, and firing applies the collected
 //!   triggers in (rule index, frontier valuation) order — lowest trigger
@@ -64,17 +68,14 @@
 
 use ca_cert::{CertAtom, CertEgd, CertFact, CertRule, ChaseCert, ChaseCertOutcome, ChaseStep};
 
-use ca_core::fxhash::FxHashMap;
-use ca_core::store::{id_is_null, null_index, FactId, FactStore, ValueId};
+use ca_core::store::{id_is_null, null_index, FactId, FactStore, ValueId, INVALID_ID};
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term};
 use ca_query::certify::cert_atom;
 use ca_query::engine::rows::{hash_key, RowIndex};
-use ca_query::engine::{
-    eval_prepared_into, eval_seeded_into, prepare_cq, rows, CompiledCq, DbIndex,
-};
+use ca_query::engine::{eval_prepared_ids, eval_seeded_ids, prepare_cq, rows, CompiledCq, DbIndex};
 use ca_relational::schema::Schema;
 
 use super::{ChaseConfig, ChaseOutcome, Egd};
@@ -103,9 +104,9 @@ pub(crate) fn pattern_atoms(d: &GenDb) -> Vec<Atom> {
 
 /// One position of a head-fact template, resolved at firing time.
 enum HeadTerm {
-    /// A constant from the rule head.
-    Const(Value),
-    /// The value of the trigger row at this frontier index.
+    /// A constant from the rule head, as its id in the chase's store.
+    Const(ValueId),
+    /// The id in the trigger row at this frontier index.
     Frontier(usize),
     /// An existential null, fresh per firing and shared across the head
     /// instantiation: its dense index, in first-occurrence order over the
@@ -160,8 +161,11 @@ impl BodyPlans {
 
     /// A keyed witness (match key, then the full body row) as a step's
     /// body assignment.
-    fn assignment(&self, witness: &[Value]) -> Assignment {
-        let row = witness.iter().skip(self.proj.len()).copied();
+    fn assignment(&self, witness: &[ValueId], store: &FactStore) -> Assignment {
+        let row = witness
+            .iter()
+            .skip(self.proj.len())
+            .map(|&id| store.value(id));
         self.body_vars.iter().copied().zip(row).collect()
     }
 }
@@ -187,7 +191,9 @@ impl CompiledRule {
     }
 }
 
-fn compile_rule(rule: &Rule, schema: &Schema) -> Option<CompiledRule> {
+/// `None` when a pattern does not fit `schema`, or a head constant is not
+/// interned in `store` ([`Facts::load`] interns them all).
+fn compile_rule(rule: &Rule, schema: &Schema, store: &FactStore) -> Option<CompiledRule> {
     let frontier: Vec<Null> = rule.frontier().into_iter().collect();
     let head_vars: Vec<u32> = frontier.iter().map(|nl| nl.0).collect();
     let body = BodyPlans::compile(pattern_atoms(&rule.body), &head_vars, schema)?;
@@ -200,9 +206,9 @@ fn compile_rule(rule: &Rule, schema: &Schema) -> Option<CompiledRule> {
         let template = row
             .iter()
             .map(|v| match v {
-                Value::Const(_) => HeadTerm::Const(*v),
+                Value::Const(_) => store.lookup_value(*v).map(HeadTerm::Const),
                 // `frontier` is sorted (`Rule::frontier` is an ordered set).
-                Value::Null(nl) => match frontier.binary_search(nl) {
+                Value::Null(nl) => Some(match frontier.binary_search(nl) {
                     Ok(i) => HeadTerm::Frontier(i),
                     Err(_) => {
                         let seen = existentials.iter().position(|x| x == nl);
@@ -211,9 +217,9 @@ fn compile_rule(rule: &Rule, schema: &Schema) -> Option<CompiledRule> {
                             existentials.len() - 1
                         }))
                     }
-                },
+                }),
             })
-            .collect();
+            .collect::<Option<_>>()?;
         head_facts.push(HeadFact { rel, template });
     }
     let mut ledger: Vec<(u32, usize)> = existentials
@@ -238,61 +244,63 @@ fn compile_egd(egd: &Egd, schema: &Schema) -> Option<BodyPlans> {
     BodyPlans::compile(pattern_atoms(&egd.body), &pair, schema)
 }
 
-/// Union-find over values. Constants are always roots; between two null
-/// roots the smaller null id wins, so the representative choice is
-/// deterministic.
+/// Union-find over value ids: per dense null index, the null's parent,
+/// or [`INVALID_ID`] at a root. Constants are always roots; between two
+/// null roots the smaller id wins, so the representative choice is
+/// deterministic. Constant ids sit below every null id, so in both cases
+/// the root is the smaller id.
 #[derive(Default)]
 struct UnionFind {
-    parent: FxHashMap<Null, Value>,
+    parent: Vec<ValueId>,
 }
 
 impl UnionFind {
-    fn find(&self, v: Value) -> Value {
-        let mut cur = v;
-        while let Value::Null(nl) = cur {
-            match self.parent.get(&nl) {
-                Some(&p) => cur = p,
-                None => break,
+    fn find(&self, id: ValueId) -> ValueId {
+        let mut cur = id;
+        while id_is_null(cur) {
+            match self.parent.get(null_index(cur) as usize) {
+                Some(&p) if p != INVALID_ID => cur = p,
+                _ => break,
             }
         }
         cur
     }
 
     /// Union the classes of `a` and `b`. `Err(())` on a constant clash,
-    /// `Ok(Some(n))` when null `n` was merged away, `Ok(None)` when the
+    /// `Ok(Some(n))` when null id `n` was merged away, `Ok(None)` when the
     /// classes already coincided.
-    fn union(&mut self, a: Value, b: Value) -> Result<Option<Null>, ()> {
+    fn union(&mut self, a: ValueId, b: ValueId) -> Result<Option<ValueId>, ()> {
         let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
+        let (root, loser) = (ra.min(rb), ra.max(rb));
+        if root == loser {
             return Ok(None);
         }
-        match (ra, rb) {
-            (Value::Const(_), Value::Const(_)) => Err(()),
-            (Value::Null(nl), root @ Value::Const(_))
-            | (root @ Value::Const(_), Value::Null(nl)) => {
-                self.parent.insert(nl, root);
-                Ok(Some(nl))
-            }
-            (Value::Null(x), Value::Null(y)) => {
-                let (loser, root) = if x.0 < y.0 { (y, x) } else { (x, y) };
-                self.parent.insert(loser, Value::Null(root));
-                Ok(Some(loser))
-            }
+        if !id_is_null(loser) {
+            return Err(());
         }
+        let i = null_index(loser) as usize;
+        if self.parent.len() <= i {
+            self.parent.resize(i + 1, INVALID_ID);
+        }
+        self.parent[i] = root;
+        Ok(Some(loser))
     }
 }
 
 /// The chase's fact set: its store, made a *set* by one [`RowIndex`] per
-/// relation over that relation's own column pages, and the facts each
-/// null occurs in, for egd merges. A rewritten row keeps its old slot and
-/// its old occurrences: probes and rewrites check a row's liveness and
-/// current contents, so stale entries never match.
+/// relation over that relation's own column pages, the facts each null
+/// occurs in, for egd merges, and the source of fresh nulls. A rewritten
+/// row keeps its old slot and its old occurrences: probes and rewrites
+/// check a row's liveness and current contents, so stale entries never
+/// match.
 #[derive(Default)]
 struct Facts {
     store: FactStore,
     index: Vec<RowIndex>,
     /// Dense null index → facts whose tuple has (or once had) that null.
     occ: Vec<Vec<FactId>>,
+    /// Fresh existentials, past every null of the instance and the rules.
+    gen: NullGen,
 }
 
 impl Facts {
@@ -310,10 +318,44 @@ impl Facts {
         facts
     }
 
-    /// Intern `tuple` into `ids` (cleared first).
-    fn intern(&mut self, tuple: impl IntoIterator<Item = Value>, ids: &mut Vec<ValueId>) {
-        ids.clear();
-        ids.extend(tuple.into_iter().map(|v| self.store.intern_value(v)));
+    /// The fact set of `instance`'s nodes (duplicate nodes intern to one
+    /// fact) for a chase under `tgds`. Before it loads a node, it interns
+    /// every instance value and every head-template constant of `tgds`,
+    /// in ascending [`Value`] order, so ids compare like their values
+    /// (see [`run`]).
+    fn load(schema: &Schema, instance: &GenDb, tgds: &[Rule]) -> Facts {
+        let mut facts = Facts::new(schema);
+        let heads = tgds.iter().flat_map(|r| r.head.data.iter().flatten());
+        let mut values: Vec<Value> = instance.data.iter().flatten().copied().collect();
+        values.extend(heads.filter(|v| v.as_null().is_none()));
+        values.sort_unstable();
+        values.dedup();
+        for &v in &values {
+            facts.store.intern_value(v);
+        }
+        // Fresh existentials avoid every null in sight, as in the reference.
+        let rule_nulls = tgds
+            .iter()
+            .flat_map(|r| r.body.nulls().into_iter().chain(r.head.nulls()));
+        facts.gen = NullGen::avoiding(values.iter().filter_map(|v| v.as_null()).chain(rule_nulls));
+        let mut ids: Vec<ValueId> = Vec::new();
+        for (&label, row) in instance.labels.iter().zip(&instance.data) {
+            ids.clear();
+            ids.extend(row.iter().map(|&v| facts.store.intern_value(v)));
+            facts.insert(label, &ids);
+        }
+        facts
+    }
+
+    /// Draw a fresh null and intern it: fresh nulls ascend, and so do
+    /// their ids.
+    fn fresh(&mut self) -> ValueId {
+        self.store.intern_value(self.gen.fresh_value())
+    }
+
+    /// The null behind the null id `id`.
+    fn null(&self, id: ValueId) -> Null {
+        Null(self.store.values().null_at(null_index(id)))
     }
 
     /// Add a fact: `Some(id)` iff no identical live fact exists (callers
@@ -357,18 +399,16 @@ impl Facts {
         }
     }
 
-    /// Rewrite every live fact mentioning one of the `merged` nulls
+    /// Rewrite every live fact mentioning one of the `merged` null ids
     /// through `subst`, returning the ids whose tuple changed in place,
     /// in id order. A fact whose rewritten tuple is already live
     /// *collapses* (goes dead) instead and is not reported — the
     /// surviving fact's tuple did not change, so every match through it
     /// was already found when *it* was delta.
-    fn rewrite(&mut self, merged: &[Null], subst: impl Fn(Value) -> Value) -> Vec<FactId> {
+    fn rewrite(&mut self, merged: &[ValueId], subst: impl Fn(ValueId) -> ValueId) -> Vec<FactId> {
         let mut facts: Vec<FactId> = Vec::new();
         for &n in merged {
-            if let Some(id) = self.store.lookup_value(Value::Null(n)) {
-                facts.extend(self.occ.get(null_index(id) as usize).into_iter().flatten());
-            }
+            facts.extend(self.occ.get(null_index(n) as usize).into_iter().flatten());
         }
         facts.sort_unstable();
         facts.dedup();
@@ -381,10 +421,7 @@ impl Facts {
             old.clear();
             self.store.fact_ids_into(f, &mut old);
             new.clear();
-            for &id in &old {
-                let v = subst(self.store.value(id));
-                new.push(self.store.intern_value(v));
-            }
+            new.extend(old.iter().map(|&id| subst(id)));
             if new == old {
                 continue;
             }
@@ -462,31 +499,25 @@ pub(super) fn try_chase(
         );
         debug_assert_eq!(rel, sym, "schema symbols mirror label symbols");
     }
+    let facts = Facts::load(&schema, instance, tgds);
     let rules: Vec<CompiledRule> = tgds
         .iter()
-        .map(|r| compile_rule(r, &schema))
+        .map(|r| compile_rule(r, &schema, &facts.store))
         .collect::<Option<_>>()?;
     let cegds: Vec<BodyPlans> = egds
         .iter()
         .map(|e| compile_egd(e, &schema))
         .collect::<Option<_>>()?;
-    // Fresh existentials avoid every null in sight, as in the reference.
-    let gen = NullGen::avoiding(
-        instance.nulls().into_iter().chain(
-            tgds.iter()
-                .flat_map(|r| r.body.nulls().into_iter().chain(r.head.nulls())),
-        ),
-    );
     let skeleton = cfg.certify.then(|| cert_skeleton(tgds, egds));
-    Some(run(&schema, &rules, &cegds, instance, gen, cfg, skeleton))
+    Some(run(&schema, &rules, &cegds, instance, facts, cfg, skeleton))
 }
 
-/// Fixed-stride value rows: per-rule sorted runs of fired triggers,
+/// Fixed-stride id rows: per-rule sorted runs of fired triggers,
 /// witnesses and satisfied valuations.
-type Rows = rows::Rows<Value>;
+type Rows = rows::Rows<ValueId>;
 
-/// Value rows unique by a leading key, each keeping its least row.
-type Distinct = rows::Distinct<Value>;
+/// Id rows unique by a leading key, each keeping its least row.
+type Distinct = rows::Distinct<ValueId>;
 
 /// A body assignment in step vocabulary: sorted `(variable, value)` pairs.
 type Assignment = Vec<(u32, Value)>;
@@ -522,7 +553,7 @@ fn canonical_rows(store: &FactStore, uf: &UnionFind) -> Vec<Vec<Vec<Value>>> {
             let mut rows: Vec<Vec<Value>> = (0..table.n_rows())
                 .filter(|&row| table.is_live(row))
                 .map(|row| {
-                    let resolve = |col: &Vec<_>| uf.find(store.value(col[row as usize]));
+                    let resolve = |col: &Vec<_>| store.value(uf.find(col[row as usize]));
                     table.cols().iter().map(resolve).collect()
                 })
                 .collect();
@@ -596,29 +627,34 @@ fn overflow(
     )
 }
 
+/// Chase `facts`, fresh from [`Facts::load`], under `rules` and `egds`.
+///
+/// **On the chase's store, id order is value order.** The chase matches,
+/// deduplicates, sorts and merges [`ValueId`]s, so it reproduces the
+/// chase over values only because ids compare like their values here:
+/// [`Facts::load`] interns every instance value and head-template
+/// constant in ascending `Value` order before it loads a fact, and no
+/// constant is interned later; fresh nulls come from `NullGen::avoiding`,
+/// above every null in sight, and are interned as drawn
+/// ([`Facts::fresh`]), so they ascend too; constant ids sit below the null
+/// tag bit, as `Const < Null`. So sorted runs, least witnesses, firing
+/// order, fresh nulls and certificate bytes are the value-level chase's.
 fn run(
     schema: &Schema,
     rules: &[CompiledRule],
     egds: &[BodyPlans],
     instance: &GenDb,
-    mut gen: NullGen,
+    mut facts: Facts,
     cfg: &ChaseConfig,
     skeleton: Option<CertSkeleton>,
 ) -> (ChaseOutcome, Option<ChaseCert>) {
-    let mut facts = Facts::new(schema);
     let mut uf = UnionFind::default();
     let mut fired: Vec<Rows> = rules.iter().map(|r| Rows::new(r.key_len())).collect();
     let mut steps = 0usize;
-    // Load the instance; duplicate nodes intern to one fact. Loading and
-    // firing intern every tuple into this one buffer.
+    // The loaded facts are the first round's delta. Firing writes every
+    // head tuple into the one `ids` buffer.
+    let mut delta: Vec<FactId> = facts.store.iter_live().collect();
     let mut ids: Vec<ValueId> = Vec::new();
-    let mut delta: Vec<FactId> = Vec::new();
-    for (&label, row) in instance.labels.iter().zip(&instance.data) {
-        facts.intern(row.iter().copied(), &mut ids);
-        if let Some(id) = facts.insert(label, &ids) {
-            delta.push(id);
-        }
-    }
     // The certificate's initial instance goes through the same
     // canonicaliser as its claimed facts, so its bytes do not depend on
     // the caller's node insertion order.
@@ -651,7 +687,7 @@ fn run(
                 let Ok((witnesses, pairs)) = matched else {
                     return overflow(schema, &facts.store, instance, &uf, rec);
                 };
-                let mut merged: Vec<Null> = Vec::new();
+                let mut merged: Vec<ValueId> = Vec::new();
                 for &(a, b, e, w) in &pairs {
                     if uf.find(a) == uf.find(b) {
                         continue;
@@ -663,17 +699,18 @@ fn run(
                     // `Ok(None)` unreachable here.
                     let merged_entry = match uf.union(a, b) {
                         Err(()) => None,
-                        Ok(Some(loser)) => Some((loser, uf.find(Value::Null(loser)))),
+                        Ok(Some(loser)) => Some(loser),
                         Ok(None) => continue,
                     };
                     if let Some(recd) = rec.as_mut() {
+                        let record = |loser| (facts.null(loser), facts.store.value(uf.find(loser)));
                         recd.steps.push(ChaseStep::Merge {
                             egd: e,
-                            assignment: egds[e].assignment(witnesses[e].row(w)),
-                            merged: merged_entry,
+                            assignment: egds[e].assignment(witnesses[e].row(w), &facts.store),
+                            merged: merged_entry.map(record),
                         });
                     }
-                    let Some((loser, _)) = merged_entry else {
+                    let Some(loser) = merged_entry else {
                         let cert = rec.map(|r| r.finish(ChaseCertOutcome::Failed));
                         return (ChaseOutcome::Failed, cert);
                     };
@@ -720,7 +757,7 @@ fn run(
             return overflow(schema, &facts.store, instance, &uf, rec);
         };
         let mut inserted: Vec<u32> = Vec::new();
-        let mut fresh: Vec<Null> = Vec::new();
+        let mut fresh: Vec<ValueId> = Vec::new();
         for (r, rule) in rules.iter().enumerate() {
             let k = rule.key_len();
             let (mut at_fired, mut at_satisfied) = (0, 0);
@@ -739,14 +776,14 @@ fn run(
                 }
                 steps += 1;
                 fresh.clear();
-                fresh.extend(rule.ledger.iter().map(|_| gen.fresh()));
+                fresh.extend(rule.ledger.iter().map(|_| facts.fresh()));
                 for hf in &rule.head_facts {
-                    let tuple = hf.template.iter().map(|t| match t {
-                        HeadTerm::Const(v) => *v,
-                        HeadTerm::Frontier(i) => key[*i],
-                        HeadTerm::Existential(x) => Value::Null(fresh[*x]),
-                    });
-                    facts.intern(tuple, &mut ids);
+                    ids.clear();
+                    ids.extend(hf.template.iter().map(|t| match *t {
+                        HeadTerm::Const(id) => id,
+                        HeadTerm::Frontier(i) => key[i],
+                        HeadTerm::Existential(x) => fresh[x],
+                    }));
                     if let Some(id) = facts.insert(hf.rel, &ids) {
                         inserted.push(id);
                     }
@@ -754,8 +791,12 @@ fn run(
                 if let Some(recd) = rec.as_mut() {
                     recd.steps.push(ChaseStep::Fire {
                         rule: r,
-                        assignment: rule.body.assignment(witness),
-                        fresh: rule.ledger.iter().map(|&(id, x)| (id, fresh[x])).collect(),
+                        assignment: rule.body.assignment(witness, &facts.store),
+                        fresh: rule
+                            .ledger
+                            .iter()
+                            .map(|&(id, x)| (id, facts.null(fresh[x])))
+                            .collect(),
                     });
                 }
             }
@@ -785,7 +826,7 @@ fn run(
 /// the body row), the least row per pair; and the pass's equality pairs
 /// in `(a, b)` order, each with the least `(egd index, witness index)`
 /// deriving it.
-type EgdPass = (Vec<Rows>, Vec<(Value, Value, usize, usize)>);
+type EgdPass = (Vec<Rows>, Vec<(ValueId, ValueId, usize, usize)>);
 
 /// Evaluate `body`'s plans over the seeds, adding every match as a keyed
 /// witness to `out`. `false` as soon as `out` holds more than `limit`
@@ -804,7 +845,7 @@ fn collect_witnesses(
         }
         let prepared = prepare_cq(plan, idx);
         let mut within = true;
-        eval_seeded_into(plan, &prepared, idx, rows, &mut |row| {
+        eval_seeded_ids(plan, &prepared, idx, rows, &mut |row| {
             out.insert(|vals| {
                 vals.extend(body.proj.iter().map(|&p| row[p]));
                 vals.extend_from_slice(row);
@@ -887,7 +928,7 @@ fn tgd_matches(
         if witnesses.iter().any(|w| !fired.seek(&mut at, &w[..k])) {
             let prepared = prepare_cq(&rule.head, idx);
             let mut within = true;
-            eval_prepared_into(&rule.head, &prepared, idx, &mut |row| {
+            eval_prepared_ids(&rule.head, &prepared, idx, &mut |row| {
                 set.insert_row(row);
                 within = set.len() <= limit;
                 within
@@ -923,23 +964,28 @@ mod tests {
     fn c(x: i64) -> Value {
         Value::Const(x)
     }
-    fn nl(id: u32) -> Null {
-        Null(id)
+
+    /// The id of a value already interned in `store`.
+    fn id_of(store: &FactStore, v: Value) -> ValueId {
+        store.lookup_value(v).unwrap()
     }
 
     #[test]
     fn union_find_merges_deterministically() {
+        // Interned in value order, as the chase's store is.
+        let mut vals = ca_core::store::ValueInterner::new();
+        let [c5, c6, n3, n7] = [c(5), c(6), Value::null(3), Value::null(7)].map(|v| vals.intern(v));
         let mut uf = UnionFind::default();
         // Null-null: the smaller id becomes the root.
-        assert_eq!(uf.union(Value::null(7), Value::null(3)), Ok(Some(nl(7))));
-        assert_eq!(uf.find(Value::null(7)), Value::null(3));
+        assert_eq!(uf.union(n7, n3), Ok(Some(n7)));
+        assert_eq!(uf.find(n7), n3);
         // Null-const: the constant wins.
-        assert_eq!(uf.union(Value::null(3), c(5)), Ok(Some(nl(3))));
-        assert_eq!(uf.find(Value::null(7)), c(5));
+        assert_eq!(uf.union(n3, c5), Ok(Some(n3)));
+        assert_eq!(uf.find(n7), c5);
         // Same class: no-op.
-        assert_eq!(uf.union(Value::null(7), c(5)), Ok(None));
+        assert_eq!(uf.union(n7, c5), Ok(None));
         // Const-const through the classes: clash.
-        assert_eq!(uf.union(c(6), Value::null(7)), Err(()));
+        assert_eq!(uf.union(c6, n7), Err(()));
     }
 
     /// A one-relation fact set over `R/arity`.
@@ -950,9 +996,13 @@ mod tests {
     }
 
     fn ins(facts: &mut Facts, rel: Symbol, tuple: &[Value]) -> Option<FactId> {
-        let mut ids = Vec::new();
-        facts.intern(tuple.iter().copied(), &mut ids);
+        let ids: Vec<ValueId> = tuple.iter().map(|&v| id(facts, v)).collect();
         facts.insert(rel, &ids)
+    }
+
+    /// The id of `v` in the fact set's store, interned on first use.
+    fn id(facts: &mut Facts, v: Value) -> ValueId {
+        facts.store.intern_value(v)
     }
 
     /// The facts listed under a null, live or not, in list order.
@@ -1001,9 +1051,10 @@ mod tests {
         let a = ins(&mut facts, r, &[c(1), Value::null(9)]).unwrap();
         let b = ins(&mut facts, r, &[c(1), c(5)]).unwrap();
         let other = ins(&mut facts, r, &[c(2), c(2)]).unwrap();
+        let (n9, c5) = (id(&mut facts, Value::null(9)), id(&mut facts, c(5)));
         let mut uf = UnionFind::default();
-        assert_eq!(uf.union(Value::null(9), c(5)), Ok(Some(nl(9))));
-        let changed = facts.rewrite(&[nl(9)], |v| uf.find(v));
+        assert_eq!(uf.union(n9, c5), Ok(Some(n9)));
+        let changed = facts.rewrite(&[n9], |v| uf.find(v));
         // Fact `a` rewrote into `b`'s tuple: it collapses (goes dead)
         // rather than duplicating, and nothing is reported as changed.
         assert!(changed.is_empty());
@@ -1021,13 +1072,11 @@ mod tests {
     fn rewrite_in_place_reports_changed_facts() {
         let (mut facts, r) = one_rel(2);
         let a = ins(&mut facts, r, &[Value::null(4), c(1)]).unwrap();
-        let changed = facts.rewrite(&[nl(4)], |v| {
-            if v == Value::null(4) {
-                Value::null(2)
-            } else {
-                v
-            }
-        });
+        let (n4, n2) = (
+            id(&mut facts, Value::null(4)),
+            id(&mut facts, Value::null(2)),
+        );
+        let changed = facts.rewrite(&[n4], |v| if v == n4 { n2 } else { v });
         assert_eq!(changed, vec![a]);
         assert!(facts.store.is_live(a));
         assert_eq!(facts.store.fact_values(a), vec![Value::null(2), c(1)]);
@@ -1048,6 +1097,11 @@ mod tests {
     fn rewrites_and_rebuilds_agree_with_a_set_model() {
         use std::collections::BTreeSet;
         let (mut facts, r) = one_rel(2);
+        // Intern every value the test draws in value order, as the
+        // chase's store does, so the smaller null id is the smaller null.
+        for v in (0..200).map(c).chain((0..8).map(Value::null)) {
+            id(&mut facts, v);
+        }
         let mut model: BTreeSet<Vec<Value>> = BTreeSet::new();
         let mut retired: BTreeSet<Vec<Value>> = BTreeSet::new();
         let mut uf = UnionFind::default();
@@ -1098,20 +1152,118 @@ mod tests {
             }
             let mut merged = Vec::new();
             for &(loser, winner) in batch {
-                assert_eq!(uf.union(Value::null(loser), winner), Ok(Some(nl(loser))));
-                merged.push(nl(loser));
+                let (loser, winner) = (id(&mut facts, Value::null(loser)), id(&mut facts, winner));
+                assert_eq!(uf.union(loser, winner), Ok(Some(loser)));
+                merged.push(loser);
             }
             facts.rewrite(&merged, |v| uf.find(v));
-            let mentions = |t: &Vec<Value>| merged.iter().any(|&m| t.contains(&Value::Null(m)));
+            let store = &facts.store;
+            let mentions = |t: &Vec<Value>| t.iter().any(|&v| merged.contains(&id_of(store, v)));
             let (moved, kept): (Vec<_>, Vec<_>) =
                 std::mem::take(&mut model).into_iter().partition(mentions);
             model = kept.into_iter().collect();
             for t in moved {
-                model.insert(t.iter().map(|&v| uf.find(v)).collect());
+                model.insert(
+                    t.iter()
+                        .map(|&v| store.value(uf.find(id_of(store, v))))
+                        .collect(),
+                );
                 retired.insert(t);
             }
             check(&mut facts, &mut model, &mut retired);
         }
         assert!(facts.store.n_facts() > 1000);
+    }
+
+    /// The value-order fixture over `E/2`, `K/1` and `F/2`. The `E` nodes
+    /// arrive with constants and nulls descending (or, `reversed`,
+    /// ascending). Rule 0 copies `E`'s first column into `K` and writes
+    /// the constant 1, below every instance constant; rule 1 draws a
+    /// fresh null per `K` value, so the firing order decides which
+    /// trigger gets which null. The egd makes `E` functional, which
+    /// merges ⊥9 into ⊥8 and ⊥7 into ⊥6 in one pass.
+    fn value_order_fixture(reversed: bool) -> (GenDb, Vec<Rule>, Vec<Egd>) {
+        use ca_gdm::schema::GenSchema;
+        let schema = GenSchema::from_parts(&[("E", 2), ("K", 1), ("F", 2)], &[]);
+        let db = |nodes: &[(&str, Vec<Value>)]| {
+            let mut d = GenDb::new(schema.clone());
+            for (rel, args) in nodes {
+                d.add_node(rel, args.clone());
+            }
+            d
+        };
+        let v = Value::null;
+        let mut nodes = vec![
+            ("E", vec![c(30), v(9)]),
+            ("E", vec![c(30), v(8)]),
+            ("E", vec![c(20), v(7)]),
+            ("E", vec![c(20), v(6)]),
+            ("E", vec![c(10), v(5)]),
+        ];
+        if reversed {
+            nodes.reverse();
+        }
+        let rules = vec![
+            Rule {
+                body: db(&[("E", vec![v(1), v(2)])]),
+                head: db(&[("K", vec![v(1)]), ("K", vec![c(1)])]),
+            },
+            Rule {
+                body: db(&[("K", vec![v(1)])]),
+                head: db(&[("F", vec![v(1), v(3)])]),
+            },
+        ];
+        let egds = vec![Egd {
+            body: db(&[("E", vec![v(1), v(2)]), ("E", vec![v(1), v(3)])]),
+            equal: (Null(2), Null(3)),
+        }];
+        (db(&nodes), rules, egds)
+    }
+
+    /// Loading interns in value order whatever the node order, so the
+    /// id-level chase certifies exactly what the value-level chase did.
+    #[test]
+    fn ids_follow_value_order_and_certificates_keep_their_bytes() {
+        use ca_cert::check_chase;
+        use ca_core::store::NULL_TAG;
+        let (instance, tgds, _) = value_order_fixture(false);
+        let schema = Schema::from_relations(&[("E", 2), ("K", 1), ("F", 2)]);
+        let facts = Facts::load(&schema, &instance, &tgds);
+        let values = facts.store.values();
+        let ids: Vec<ValueId> = (0..values.n_consts())
+            .chain((0..values.n_nulls()).map(|i| NULL_TAG | i))
+            .collect();
+        // Constants 1, 10, 20, 30 and nulls ⊥5–⊥9.
+        assert_eq!(ids.len(), 9);
+        for &a in &ids {
+            for &b in &ids {
+                assert_eq!(a.cmp(&b), values.value(a).cmp(&values.value(b)));
+            }
+        }
+        let cfg = ChaseConfig {
+            certify: true,
+            ..ChaseConfig::new(1000)
+        };
+        let chase = |reversed: bool| {
+            let (instance, tgds, egds) = value_order_fixture(reversed);
+            try_chase(&instance, &tgds, &egds, &cfg).unwrap()
+        };
+        let (outcome, cert) = chase(false);
+        let cert = cert.unwrap();
+        assert!(matches!(outcome, ChaseOutcome::Done(_)), "{outcome:?}");
+        let merges = cert
+            .steps
+            .iter()
+            .filter(|s| matches!(s, ChaseStep::Merge { .. }));
+        assert_eq!(merges.count(), 2);
+        assert_eq!(check_chase(&cert), Ok(()));
+        let bytes = cert.to_bytes();
+        assert_eq!(chase(true).1.unwrap().to_bytes(), bytes);
+        // Recorded from the value-level chase this engine replaced, whose
+        // triggers, witnesses and union-find compared `Value`s.
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (867, 871_643_935_701_141_129));
     }
 }

@@ -52,14 +52,16 @@ fn compiled_body_matches(rule: &Rule, d: &GenDb, limit: usize) -> Option<Vec<Vec
         crate::chase::engine::pattern_atoms(&rule.body),
     );
     let plan = ca_query::engine::CompiledCq::compile(&q, &db.schema).ok()?;
-    let mut idx = ca_query::engine::DbIndex::new(&db);
+    let store = ca_relational::to_store(&db);
+    let mut idx = ca_query::engine::DbIndex::over(&store);
     let mut out: Vec<Vec<(Null, Value)>> = Vec::new();
-    ca_query::engine::eval_cq_into(&plan, &mut idx, &mut |row| {
+    ca_query::engine::eval_cq_ids(&plan, &mut idx, &mut |row| {
         // Truncate at `limit` exactly as `Csp::solve_all(limit)` does.
         if out.len() >= limit {
             return false;
         }
-        out.push(nulls.iter().copied().zip(row.iter().copied()).collect());
+        let values = row.iter().map(|&id| store.value(id));
+        out.push(nulls.iter().copied().zip(values).collect());
         true
     });
     Some(out)

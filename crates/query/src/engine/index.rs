@@ -34,7 +34,6 @@ use std::collections::HashMap;
 
 use ca_core::store::{self, FactStore, ValueId, INVALID_ID};
 use ca_core::symbol::Symbol;
-use ca_core::value::Value;
 use ca_relational::database::NaiveDatabase;
 use ca_relational::store_bridge::to_store;
 
@@ -179,11 +178,6 @@ impl<'a> DbIndex<'a> {
         self.store().table(rel).cols()
     }
 
-    /// The value behind an id (for head-row translation).
-    pub(crate) fn value(&self, id: ValueId) -> Value {
-        self.store().value(id)
-    }
-
     /// Resolve an atom's key parts to the id level without touching the
     /// posting tables (used by scan paths).
     pub(crate) fn resolve_key(&self, key: &[KeyPart]) -> Vec<IdKey> {
@@ -303,6 +297,7 @@ impl<'a> DbIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ca_core::value::Value;
     use ca_relational::database::build::{c, n, table};
 
     #[test]

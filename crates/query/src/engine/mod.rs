@@ -20,7 +20,10 @@
 //!    interned-id tuples too: every disjunct of a UCQ inserts its head
 //!    id rows into one flat, deduplicating id set, and each distinct row
 //!    is decoded to [`Value`]s once, at the `BTreeSet` API edge (late
-//!    materialization — the join may emit each answer many times);
+//!    materialization — the join may emit each answer many times). The
+//!    emitters other engines call ([`eval_cq_ids`], [`eval_prepared_ids`],
+//!    [`eval_seeded_ids`]) hand out id rows too: the join engine never
+//!    emits a `Value` row;
 //! 3. **completion sweep** ([`sweep`]) — brute-force certain answers
 //!    sweep the `|pool|^#nulls` completion grid in index order,
 //!    grounding each completion by remapping null ids over shared column
@@ -171,55 +174,19 @@ fn access_paths(cq: &CompiledCq, idx: &mut DbIndex<'_>) -> Vec<index::AtomAccess
     }
 }
 
-/// Run a whole plan over `access`, emitting head id rows. Returns
-/// `false` iff `emit` requested a stop.
-fn run_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
-    cq: &CompiledCq,
-    access: &[index::AtomAccess],
-    idx: &DbIndex<'_>,
-    emit: &mut E,
-) -> bool {
-    exec(cq, access, idx, 0, &mut ExecBufs::new(cq), emit)
-}
-
-/// Adapt a [`Value`]-row consumer to an id emitter: each head row is
-/// decoded into one reused buffer.
-fn decoding<'e>(
-    idx: &'e DbIndex<'_>,
-    emit: &'e mut dyn FnMut(&[Value]) -> bool,
-) -> impl FnMut(&[ValueId]) -> bool + 'e {
-    let mut buf = Vec::new();
-    move |ids| {
-        buf.clear();
-        buf.extend(ids.iter().map(|&id| idx.value(id)));
-        emit(&buf)
-    }
-}
-
-/// Evaluate a compiled CQ, calling `emit` on every head row (with
-/// duplicates; `emit` returning `false` stops the enumeration early).
-pub fn eval_cq_into(
-    cq: &CompiledCq,
-    idx: &mut DbIndex<'_>,
-    emit: &mut dyn FnMut(&[Value]) -> bool,
-) {
-    let access = access_paths(cq, idx);
-    let idx = &*idx;
-    run_ids(cq, &access, idx, &mut decoding(idx, emit));
-}
-
-/// Evaluate a compiled CQ, emitting every head id row; returns `false`
-/// iff `emit` requested a stop.
-fn cq_ids_into<E: FnMut(&[ValueId]) -> bool + ?Sized>(
+/// Evaluate a compiled CQ, calling `emit` on every head row as interned
+/// ids (with duplicates; `emit` returning `false` stops the enumeration
+/// early). Returns `false` iff `emit` requested a stop.
+pub fn eval_cq_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     cq: &CompiledCq,
     idx: &mut DbIndex<'_>,
     emit: &mut E,
 ) -> bool {
     let access = access_paths(cq, idx);
-    run_ids(cq, &access, idx, emit)
+    exec(cq, &access, idx, 0, &mut ExecBufs::new(cq), emit)
 }
 
-/// [`cq_ids_into`] over every disjunct, in order, until `emit` stops.
+/// [`eval_cq_ids`] over every disjunct, in order, until `emit` stops.
 /// `UnionQuery::new` and the parser enforce a shared head arity; a
 /// disjunct of a hand-built union that breaks it is skipped, so every
 /// emitted row has the union's head arity.
@@ -231,7 +198,7 @@ fn ucq_ids_into<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     ucq.disjuncts
         .iter()
         .filter(|d| d.head_slots.len() == ucq.head_arity)
-        .all(|d| cq_ids_into(d, idx, emit))
+        .all(|d| eval_cq_ids(d, idx, emit))
 }
 
 /// The resolved access paths of one compiled CQ on one [`DbIndex`],
@@ -255,50 +222,38 @@ pub fn prepare_cq(cq: &CompiledCq, idx: &mut DbIndex<'_>) -> PreparedCq {
 }
 
 /// Evaluate a prepared CQ against an immutably borrowed index, calling
-/// `emit` on every head row (with duplicates; returning `false` stops
+/// `emit` on every head id row (with duplicates; returning `false` stops
 /// early). `prep` must come from [`prepare_cq`] for the same plan and
-/// index.
-pub fn eval_prepared_into(
+/// index. Returns `false` iff `emit` requested a stop.
+pub fn eval_prepared_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     cq: &CompiledCq,
     prep: &PreparedCq,
     idx: &DbIndex<'_>,
-    emit: &mut dyn FnMut(&[Value]) -> bool,
-) {
+    emit: &mut E,
+) -> bool {
     debug_assert_eq!(prep.access.len(), cq.atoms.len());
-    run_ids(cq, &prep.access, idx, &mut decoding(idx, emit));
+    exec(cq, &prep.access, idx, 0, &mut ExecBufs::new(cq), emit)
 }
 
 /// Semi-naive evaluation of a prepared CQ: the **first** atom of the
 /// plan ranges over `seed` — an explicit list of live *row ids of its
 /// relation* (a fact id translates via `FactStore::fact_row`), typically
-/// a delta set — instead of the whole relation, and the remaining atoms
-/// join as usual. Compile the plan with [`CompiledCq::compile_pinned`]
-/// so the atom to be seeded leads the join order; nothing precedes it,
-/// so its key parts are all constants, verified inline per candidate
-/// here (a `Slot` part is treated as unmatched rather than trusted). A
-/// plan with no atoms emits nothing: there is no atom to seed.
-pub fn eval_seeded_into(
+/// a delta set — instead of the whole relation, and the join loop runs the
+/// remaining atoms as usual, emitting head id rows. Compile the plan
+/// with [`CompiledCq::compile_pinned`] so the atom to be seeded leads the
+/// join order; nothing precedes it, so its key parts are all constants,
+/// verified inline per candidate here (a `Slot` part is treated as
+/// unmatched rather than trusted). A plan with no atoms emits nothing:
+/// there is no atom to seed. Returns `false` iff `emit` requested a stop.
+pub fn eval_seeded_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     cq: &CompiledCq,
     prep: &PreparedCq,
     idx: &DbIndex<'_>,
     seed: &[u32],
-    emit: &mut dyn FnMut(&[Value]) -> bool,
-) {
-    debug_assert_eq!(prep.access.len(), cq.atoms.len());
-    seeded_ids(cq, &prep.access, idx, seed, &mut decoding(idx, emit));
-}
-
-/// [`eval_seeded_into`] at the id level: the lead atom ranges over
-/// `seed`, [`exec`] joins the rest. Returns `false` iff `emit` requested
-/// a stop.
-fn seeded_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
-    cq: &CompiledCq,
-    access: &[index::AtomAccess],
-    idx: &DbIndex<'_>,
-    seed: &[u32],
     emit: &mut E,
 ) -> bool {
-    let (Some(atom), Some(acc)) = (cq.atoms.first(), access.first()) else {
+    debug_assert_eq!(prep.access.len(), cq.atoms.len());
+    let (Some(atom), Some(acc)) = (cq.atoms.first(), prep.access.first()) else {
         return true;
     };
     let cols = idx.cols(atom.rel);
@@ -322,7 +277,7 @@ fn seeded_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
                 continue 'cand;
             }
         }
-        if !exec(cq, access, idx, 1, &mut bufs, emit) {
+        if !exec(cq, &prep.access, idx, 1, &mut bufs, emit) {
             return false;
         }
     }
@@ -371,10 +326,9 @@ pub(crate) fn ucq_has_row(ucq: &CompiledUcq, idx: &mut DbIndex<'_>, row: &[Value
 /// Boolean evaluation of a compiled UCQ on a prepared index, with early
 /// exit on the first witness.
 pub fn eval_ucq_bool_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> bool {
-    ucq.disjuncts.iter().any(|d| {
-        let access = access_paths(d, idx);
-        !run_ids(d, &access, idx, &mut |_| false)
-    })
+    ucq.disjuncts
+        .iter()
+        .any(|d| !eval_cq_ids(d, idx, &mut |_| false))
 }
 
 /// Compile and evaluate a UCQ over a database (nulls as values). The
@@ -401,7 +355,7 @@ pub fn eval_cq(
 /// The answer set of a compiled CQ, by the route of [`eval_ucq_on`].
 pub(crate) fn cq_answers(plan: &CompiledCq, idx: &mut DbIndex<'_>) -> BTreeSet<Vec<Value>> {
     let mut out = IdSet::set(plan.head_slots.len());
-    cq_ids_into(plan, idx, &mut |row| {
+    eval_cq_ids(plan, idx, &mut |row| {
         out.insert_row(row);
         true
     });
@@ -585,20 +539,18 @@ mod tests {
             .iter()
             .position(|f| f.args == vec![c(2), c(3)])
             .unwrap() as u32;
-        let mut rows = BTreeSet::new();
-        eval_seeded_into(&plan, &prep, &idx, &[seed_id], &mut |row| {
-            rows.insert(row.to_vec());
-            true
-        });
-        assert_eq!(rows, BTreeSet::from([vec![c(2), c(4)]]));
+        let seeded = |seed: &[u32]| {
+            let mut rows = BTreeSet::new();
+            assert!(eval_seeded_ids(&plan, &prep, &idx, seed, &mut |row| {
+                rows.insert(row.iter().map(|&id| idx.store().value(id)).collect());
+                true
+            }));
+            rows
+        };
+        assert_eq!(seeded(&[seed_id]), BTreeSet::from([vec![c(2), c(4)]]));
         // Seeding with every fact recovers the full answer set.
         let all: Vec<u32> = (0..db.facts().len() as u32).collect();
-        let mut full = BTreeSet::new();
-        eval_seeded_into(&plan, &prep, &idx, &all, &mut |row| {
-            full.insert(row.to_vec());
-            true
-        });
-        assert_eq!(full, eval_cq(&q, &db).unwrap());
+        assert_eq!(seeded(&all), eval_cq(&q, &db).unwrap());
     }
 
     /// A three-atom chain over a 1100-row lead relation, of which the
@@ -647,10 +599,10 @@ mod tests {
         );
         let plan = CompiledCq::compile(&q, &db.schema).unwrap();
         let mut out = BTreeSet::new();
-        eval_cq_into(&plan, &mut idx, &mut |row| {
-            out.insert(row.to_vec());
+        assert!(eval_cq_ids(&plan, &mut idx, &mut |row| {
+            out.insert(row.iter().map(|&id| store.value(id)).collect());
             true
-        });
+        }));
         assert_eq!(out, eval_cq(&q, &db).unwrap());
     }
 

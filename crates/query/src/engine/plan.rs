@@ -125,7 +125,7 @@ impl CompiledCq {
     /// Compile with atom `pin` forced to the front of the join order (the
     /// remaining atoms are ordered greedily as usual). Because nothing
     /// precedes the pinned atom, its key parts are all constants, which
-    /// is what lets [`crate::engine::eval_seeded_into`] range it over an
+    /// is what lets [`crate::engine::eval_seeded_ids`] range it over an
     /// explicit fact list (a semi-naive delta set) instead of the whole
     /// relation. A `pin` out of range is ignored (plain compilation).
     pub fn compile_pinned(

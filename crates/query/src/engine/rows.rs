@@ -1,11 +1,10 @@
 //! Flat, fixed-stride row buffers shared by the chase and the query
 //! engine.
 //!
-//! Both engines produce many short rows of `Copy` values — the chase's
-//! triggers and witnesses over [`Value`](ca_core::value::Value)s, the
-//! query engine's answer rows over interned
-//! [`ValueId`](ca_core::store::ValueId)s — and most of those rows are
-//! duplicates. [`Rows`] keeps them in one flat
+//! Both engines produce many short rows of interned
+//! [`ValueId`](ca_core::store::ValueId)s — the chase's triggers,
+//! witnesses and satisfied valuations, the query engine's answer rows —
+//! and most of those rows are duplicates. [`Rows`] keeps them in one flat
 //! buffer with an explicit row count (the stride may be 0: a Boolean
 //! answer or an empty frontier), so a round or an evaluation allocates a
 //! handful of vectors instead of one per row. [`Distinct`] collapses

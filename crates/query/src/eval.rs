@@ -41,19 +41,11 @@ pub fn eval_ucq(q: &UnionQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Value>> {
     engine::eval_ucq_on(&plan, &mut DbIndex::new(db))
 }
 
-/// Boolean CQ evaluation (nulls as values).
+/// Boolean CQ evaluation (nulls as values): [`eval_ucq_bool`] of the
+/// one-disjunct union, so a CQ that does not compile answers false.
 pub fn eval_cq_bool(q: &ConjunctiveQuery, db: &NaiveDatabase) -> bool {
     assert!(q.is_boolean());
-    let Ok(plan) = CompiledCq::compile(q, &db.schema) else {
-        return false;
-    };
-    let mut idx = DbIndex::new(db);
-    let mut hit = false;
-    engine::eval_cq_into(&plan, &mut idx, &mut |_| {
-        hit = true;
-        false
-    });
-    hit
+    eval_ucq_bool(&UnionQuery::single(q.clone()), db)
 }
 
 /// Boolean UCQ evaluation (nulls as values).

@@ -110,10 +110,15 @@ fn main() {
             }
             let naive = certain_answers::query::certain::naive_eval_bool(&q, &d);
             let brute = certain_answer_bool(&q, &d);
-            println!("naive evaluation: {naive}");
-            println!("brute force:      {brute}");
+            print_stdout(|out| {
+                writeln!(out, "naive evaluation: {naive}")?;
+                writeln!(out, "brute force:      {brute}")?;
+                if naive != brute {
+                    writeln!(out, "DISAGREEMENT (query is outside UCQ semantics?)")?;
+                }
+                Ok(())
+            });
             if naive != brute {
-                println!("DISAGREEMENT (query is outside UCQ semantics?)");
                 exit(1);
             }
         }
@@ -122,12 +127,13 @@ fn main() {
             let b = db(&args[2]);
             let le = InfoOrder.leq(&a, &b);
             let ge = InfoOrder.leq(&b, &a);
-            match (le, ge) {
-                (true, true) => println!("equivalent (A ∼ B)"),
-                (true, false) => println!("A ⊑ B strictly (A is less informative)"),
-                (false, true) => println!("B ⊑ A strictly (B is less informative)"),
-                (false, false) => println!("incomparable"),
-            }
+            let verdict = match (le, ge) {
+                (true, true) => "equivalent (A ∼ B)",
+                (true, false) => "A ⊑ B strictly (A is less informative)",
+                (false, true) => "B ⊑ A strictly (B is less informative)",
+                (false, false) => "incomparable",
+            };
+            print_stdout(|out| writeln!(out, "{verdict}"));
         }
         Some("glb") if args.len() == 3 => {
             let a = db(&args[1]);
@@ -147,9 +153,23 @@ fn main() {
             // Infer a schema from the query atoms.
             let mut schema = certain_answers::relational::schema::Schema::new();
             for atom in &q.atoms {
-                schema.add_relation(&atom.rel, atom.args.len());
+                let used = atom.args.len();
+                match schema.relation(&atom.rel).map(|rel| schema.arity(rel)) {
+                    None => {
+                        schema.add_relation(&atom.rel, used);
+                    }
+                    Some(arity) if arity != used => {
+                        eprintln!(
+                            "query: relation {} used with arity {arity} and {used}",
+                            atom.rel
+                        );
+                        exit(2);
+                    }
+                    Some(_) => {}
+                }
             }
-            println!("{}", minimize_cq(&q, &schema));
+            let minimal = minimize_cq(&q, &schema);
+            print_stdout(|out| writeln!(out, "{minimal}"));
         }
         _ => usage(),
     }
