@@ -365,8 +365,9 @@ fn main() {
     println!("{report}");
 
     let json = format!(
-        "{{\n  \"bench\": \"cert_bench\",\n  \"git_rev\": \"{}\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"cert_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         ca_bench::report::git_rev(),
+        ca_bench::report::host_cores(),
         json_rows.join(",\n")
     );
     ca_bench::report::write_json("cert", !quick, &json);

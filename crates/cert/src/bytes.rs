@@ -6,11 +6,13 @@
 //! layouts and independently rebuilt stores — the same pin
 //! discipline as the store's snapshot bytes.
 
+use std::ops::Range;
+
 use ca_core::value::{Null, Value};
 
 use crate::types::{
-    CertAtom, CertEgd, CertFact, CertQuery, CertTerm, CertainVerdictCert, ChaseCert,
-    ChaseCertOutcome, ChaseStep, CoreCert, CoreStep, HomCert, MatchCert, NonCertainCert,
+    CertAtom, CertEgd, CertQuery, CertTerm, CertainVerdictCert, ChaseCert, ChaseCertOutcome,
+    ChaseStep, CoreCert, CoreStep, FactGroups, HomCert, MatchCert, NonCertainCert,
 };
 
 fn put_u32(out: &mut Vec<u8>, x: u32) {
@@ -47,18 +49,16 @@ fn put_null(out: &mut Vec<u8>, n: Null) {
     put_u32(out, n.0);
 }
 
-fn put_fact(out: &mut Vec<u8>, f: &CertFact) {
-    put_str(out, &f.0);
-    put_len(out, f.1.len());
-    for &v in &f.1 {
-        put_value(out, v);
-    }
-}
-
-fn put_facts(out: &mut Vec<u8>, fs: &[CertFact]) {
+/// A fact list as its facts one by one: the stream does not show the
+/// grouping.
+fn put_facts(out: &mut Vec<u8>, fs: &FactGroups) {
     put_len(out, fs.len());
-    for f in fs {
-        put_fact(out, f);
+    for (rel, args) in fs.iter() {
+        put_str(out, rel);
+        put_len(out, args.len());
+        for &v in args {
+            put_value(out, v);
+        }
     }
 }
 
@@ -86,11 +86,29 @@ fn put_atoms(out: &mut Vec<u8>, atoms: &[CertAtom]) {
     }
 }
 
-fn put_assignment(out: &mut Vec<u8>, asg: &[(u32, Value)]) {
-    put_len(out, asg.len());
-    for &(x, v) in asg {
+/// The `(variable, value)` pairs of a step's range into `buf`, as the
+/// stream writes them: a range outside the buffer pairs nothing, and
+/// pairs stop at the shorter of the run and the variable list.
+fn pairs<'a, T: Copy>(
+    vars: &'a [u32],
+    buf: &'a [T],
+    range: &Range<u32>,
+) -> impl Iterator<Item = (u32, T)> + Clone + 'a {
+    let run = buf.get(range.start as usize..range.end as usize);
+    vars.iter()
+        .copied()
+        .zip(run.unwrap_or_default().iter().copied())
+}
+
+fn put_pairs<T: Copy>(
+    out: &mut Vec<u8>,
+    pairs: impl Iterator<Item = (u32, T)> + Clone,
+    put: fn(&mut Vec<u8>, T),
+) {
+    put_len(out, pairs.clone().count());
+    for (x, v) in pairs {
         put_u32(out, x);
-        put_value(out, v);
+        put(out, v);
     }
 }
 
@@ -109,7 +127,9 @@ impl HomCert {
 }
 
 impl ChaseCert {
-    /// Canonical bytes.
+    /// Canonical bytes. Each step writes its values and fresh nulls
+    /// paired with the variables they bind, as derived from its rule or
+    /// egd.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = b"CACHASE".to_vec();
         put_len(&mut out, self.rules.len());
@@ -124,31 +144,34 @@ impl ChaseCert {
             put_u32(&mut out, equal.1);
         }
         put_facts(&mut out, &self.initial);
+        let rules: Vec<_> = (self.rules.iter())
+            .map(|r| (r.body_vars(), r.existentials()))
+            .collect();
+        let egds: Vec<_> = self.egds.iter().map(CertEgd::body_vars).collect();
+        let none = (Vec::new(), Vec::new());
         put_len(&mut out, self.steps.len());
         for s in &self.steps {
             match s {
                 ChaseStep::Fire {
                     rule,
-                    assignment,
+                    values,
                     fresh,
                 } => {
+                    let (body, existentials) = rules.get(*rule).unwrap_or(&none);
                     out.push(0);
                     put_len(&mut out, *rule);
-                    put_assignment(&mut out, assignment);
-                    put_len(&mut out, fresh.len());
-                    for &(x, n) in fresh {
-                        put_u32(&mut out, x);
-                        put_null(&mut out, n);
-                    }
+                    put_pairs(&mut out, pairs(body, &self.values, values), put_value);
+                    put_pairs(&mut out, pairs(existentials, &self.ledger, fresh), put_null);
                 }
                 ChaseStep::Merge {
                     egd,
-                    assignment,
+                    values,
                     merged,
                 } => {
+                    let body = egds.get(*egd).unwrap_or(&none.0);
                     out.push(1);
                     put_len(&mut out, *egd);
-                    put_assignment(&mut out, assignment);
+                    put_pairs(&mut out, pairs(body, &self.values, values), put_value);
                     match merged {
                         None => out.push(0),
                         Some((n, v)) => {
@@ -230,7 +253,7 @@ impl MatchCert {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = b"CAMATCH".to_vec();
         put_len(&mut out, self.disjunct);
-        put_assignment(&mut out, &self.assignment);
+        put_pairs(&mut out, self.assignment.iter().copied(), put_value);
         put_len(&mut out, self.row.len());
         for &v in &self.row {
             put_value(&mut out, v);

@@ -11,14 +11,16 @@
 
 use std::collections::BTreeSet;
 use std::iter::zip;
+use std::ops::Range;
 
 use ca_core::fxhash::{FxHashMap, FxHashSet};
-use ca_core::store::FactStore;
+use ca_core::rows::{hash_key, RowIndex};
+use ca_core::store::{dense_count, FactStore};
 use ca_core::value::{Null, Value};
 
 use crate::types::{
     CertAtom, CertCq, CertFact, CertQuery, CertTerm, ChaseCert, ChaseCertOutcome, ChaseStep,
-    CoreCert, CoreStep, HomCert, MatchCert, NonCertainCert,
+    CoreCert, CoreStep, FactGroups, HomCert, MatchCert, NonCertainCert,
 };
 
 /// A typed rejection: the first claim of the certificate that failed to
@@ -45,7 +47,9 @@ pub enum Reject {
         /// The offending step index.
         step: usize,
     },
-    /// A body variable used by a step is not bound by its assignment.
+    /// A body variable has no value: the step's value run is shorter
+    /// than its rule's body variables, or an egd equates a variable its
+    /// body does not bind.
     UnboundBodyVar {
         /// The offending step index.
         step: usize,
@@ -79,6 +83,12 @@ pub enum Reject {
     /// A clash step is followed by further steps.
     StepsAfterFailure {
         /// Index of the clash step.
+        step: usize,
+    },
+    /// A step's value or fresh-null range lies outside its buffer, or is
+    /// longer than the variables it binds.
+    MalformedStep {
+        /// The offending step index.
         step: usize,
     },
     /// A head existential has no fresh-null ledger entry.
@@ -139,105 +149,179 @@ pub enum Reject {
     },
 }
 
-/// The replay representation: relation names interned to dense ids at
-/// check entry, and one hash set of argument rows per id. Probes take
-/// `&[Value]`, so testing an atom image built in a reused buffer
-/// allocates nothing. No set's iteration order reaches a [`Reject`]:
-/// rejections follow certificate order.
+/// The replay representation: relations keyed by `(name, arity)`, so one
+/// name at two arities is two relations, interned to dense ids at check
+/// entry. Probes take `&[Value]`, so testing an atom image built in a
+/// reused buffer allocates nothing. No set's iteration order reaches a
+/// [`Reject`]: rejections follow certificate order.
 #[derive(Default)]
 struct Facts<'a> {
-    ids: FxHashMap<&'a str, usize>,
-    rels: Vec<FxHashSet<Vec<Value>>>,
+    ids: FxHashMap<(&'a str, usize), usize>,
+    rels: Vec<Rel>,
 }
 
+/// One replayed relation: distinct rows of `arity` values, flat, found
+/// through a [`RowIndex`], with one mark per row (so `marks.len()` is the
+/// row count) for the equality and onto checks.
+#[derive(Default)]
+struct Rel {
+    arity: usize,
+    vals: Vec<Value>,
+    index: RowIndex,
+    marks: Vec<bool>,
+}
+
+/// Row `i` of flat rows of width `arity`.
+fn row(vals: &[Value], arity: usize, i: usize) -> &[Value] {
+    &vals[i * arity..(i + 1) * arity]
+}
+
+impl Rel {
+    fn find(&self, args: &[Value]) -> Option<usize> {
+        let n = self.marks.len();
+        let holds = |i: u32| (i as usize) < n && row(&self.vals, self.arity, i as usize) == args;
+        self.index.find(hash_key(args), holds).map(|i| i as usize)
+    }
+
+    /// The row other than `i` that holds `args`, or else index row `i`
+    /// under `args`. Slots past the last row are stale: a rewrite dropped
+    /// their rows.
+    fn place(&mut self, args: &[Value], i: usize) -> Option<usize> {
+        let (vals, arity, n) = (&self.vals, self.arity, self.marks.len());
+        if self.index.reserve(n) {
+            let held = |j: usize| hash_key(row(vals, arity, j));
+            (0..n).for_each(|j| _ = self.index.place(held(j), dense_count(j), |_| false));
+        }
+        let holds =
+            |j: u32| (j as usize) < n && j as usize != i && row(vals, arity, j as usize) == args;
+        let held = self.index.place(hash_key(args), dense_count(i), holds);
+        held.map(|j| j as usize)
+    }
+
+    /// Add `args` (of width `arity`) unless a row holds it.
+    fn insert(&mut self, args: &[Value]) {
+        if self.place(args, self.marks.len()).is_none() {
+            self.vals.extend_from_slice(args);
+            self.marks.push(false);
+        }
+    }
+
+    /// Replace `from` by `to` in place, and index each changed row under
+    /// its new content. A changed row that another row holds already is
+    /// dropped, and the last row moves into its place.
+    fn rewrite(&mut self, from: Value, to: Value, key: &mut Vec<Value>) {
+        let (arity, mut i) = (self.arity, 0);
+        while i < self.marks.len() {
+            let cells = &mut self.vals[i * arity..(i + 1) * arity];
+            if !cells.contains(&from) {
+                i += 1;
+                continue;
+            }
+            cells
+                .iter_mut()
+                .filter(|v| **v == from)
+                .for_each(|v| *v = to);
+            key.clear();
+            key.extend_from_slice(cells);
+            if self.place(key, i).is_none() {
+                i += 1;
+                continue;
+            }
+            let last = self.marks.len() - 1;
+            self.vals.copy_within(last * arity.., i * arity);
+            self.vals.truncate(last * arity);
+            self.marks.pop();
+            if i < last {
+                // The moved row is indexed under its old number only.
+                key.clear();
+                key.extend_from_slice(row(&self.vals, arity, i));
+                self.place(key, i);
+            }
+        }
+    }
+}
+
+/// An atom compiled against a rule's variable lists: its relation id, and
+/// per argument a constant (`Err`) or a position (`Ok`) in the step's
+/// values followed by its fresh nulls.
+type Pattern = (usize, Vec<Result<usize, Value>>);
+
+/// A rule or egd compiled once: its body variables and its existentials
+/// (an egd has none), ascending, then its body and head atoms.
+type Compiled = (Vec<u32>, Vec<u32>, Vec<Pattern>, Vec<Pattern>);
+
 impl<'a> Facts<'a> {
-    /// The id of `rel`, registered with no facts if it is new. Every
-    /// other method takes ids from here only.
-    fn intern(&mut self, rel: &'a str) -> usize {
-        *self.ids.entry(rel).or_insert_with(|| {
-            self.rels.push(FxHashSet::default());
+    /// The id of `rel` at `arity`, registered with no facts if it is new.
+    fn intern(&mut self, rel: &'a str, arity: usize) -> usize {
+        *self.ids.entry((rel, arity)).or_insert_with(|| {
+            let rel = Rel::default();
+            self.rels.push(Rel { arity, ..rel });
             self.rels.len() - 1
         })
     }
 
-    fn intern_atoms(&mut self, atoms: &'a [CertAtom]) -> Vec<(&'a CertAtom, usize)> {
-        atoms.iter().map(|a| (a, self.intern(&a.rel))).collect()
-    }
-
-    fn insert(&mut self, rel: &'a str, args: Vec<Value>) {
-        let rel = self.intern(rel);
+    fn insert(&mut self, rel: &'a str, args: &[Value]) {
+        let rel = self.intern(rel, args.len());
         self.rels[rel].insert(args);
     }
 
-    fn contains(&self, rel: usize, args: &[Value]) -> bool {
-        self.rels[rel].contains(args)
+    /// Compile a rule's (or egd's) body and head atoms against the
+    /// ascending variables of a step's values (`vars`) and of its fresh
+    /// nulls (`fresh`, the rest).
+    fn compile(&mut self, atoms: [&'a [CertAtom]; 2], vars: Vec<u32>, fresh: Vec<u32>) -> Compiled {
+        let pos = |x| {
+            vars.binary_search(&x)
+                .unwrap_or_else(|_| vars.len() + fresh.partition_point(|&v| v < x))
+        };
+        let arg = |t: &CertTerm| match *t {
+            CertTerm::Var(x) => Ok(pos(x)),
+            CertTerm::Const(c) => Err(Value::Const(c)),
+        };
+        let [body, head] = atoms.map(|atoms| -> Vec<Pattern> {
+            let atom = |a: &'a CertAtom| (self.intern(&a.rel, a.args.len()), a.args.iter());
+            atoms
+                .iter()
+                .map(atom)
+                .map(|(rel, args)| (rel, args.map(arg).collect()))
+                .collect()
+        });
+        (vars, fresh, body, head)
     }
 
-    /// Is the set exactly `claims`, repeats allowed? Every claim must be a
-    /// member, and the claims must cover the set.
-    fn equals<'b>(self, claims: impl Iterator<Item = (usize, &'b [Value])> + Clone) -> bool {
-        claims.clone().all(|(rel, args)| self.contains(rel, args)) && self.covered_by(claims)
+    /// Mark the row of `rel` holding `args`; `false` if there is none.
+    fn mark(&mut self, rel: usize, args: &[Value]) -> bool {
+        let found = self.rels[rel].find(args);
+        found.map(|i| self.rels[rel].marks[i] = true).is_some()
     }
 
-    /// Does removing `rows` leave nothing?
-    fn covered_by<'b>(mut self, rows: impl Iterator<Item = (usize, &'b [Value])>) -> bool {
-        for (rel, args) in rows {
-            self.rels[rel].remove(args);
-        }
-        self.rels.iter().all(FxHashSet::is_empty)
+    /// Is the set exactly the facts of `claim`, repeats allowed? Every
+    /// claimed fact must find its row, which it marks (one interning per
+    /// group), and every row must be marked.
+    fn equals(&mut self, claim: &'a FactGroups) -> bool {
+        claim.groups().all(|(rel, arity, rows, vals)| {
+            let rel = self.ids.get(&(rel, arity)).copied();
+            rel.is_some_and(|rel| (0..rows).all(|i| self.mark(rel, row(vals, arity, i))))
+        }) && self.covered()
+    }
+
+    fn covered(&self) -> bool {
+        self.rels.iter().all(|r| r.marks.iter().all(|&m| m))
     }
 }
 
-/// The value `pairs` binds `key` to (assignments, ledgers, valuations).
+/// The value `pairs` binds `key` to (assignments, valuations, bindings).
 fn lookup<K: PartialEq, V: Copy>(pairs: &[(K, V)], key: K) -> Option<V> {
     pairs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
 }
 
-/// Resolve a value through the merge substitution (follow parent chains;
-/// bounded by the substitution size, which the applier keeps acyclic).
-fn resolve(subst: &FxHashMap<Null, Value>, v: Value) -> Value {
-    let mut cur = v;
-    let mut fuel = subst.len();
-    while let Value::Null(n) = cur {
-        match subst.get(&n) {
-            Some(&p) if fuel > 0 => {
-                cur = p;
-                fuel -= 1;
-            }
-            _ => break,
-        }
+/// Resolve a value through the merge substitution, following parent
+/// chains. They end: the checker maps only a resolved value to another
+/// resolved value, so no chain closes a cycle.
+fn resolve(subst: &FxHashMap<Null, Value>, mut v: Value) -> Value {
+    while let Some(&p) = v.as_null().and_then(|n| subst.get(&n)) {
+        v = p;
     }
-    cur
-}
-
-/// Is a mapping or ledger strictly ascending by key?
-fn ascending<K: Ord, V>(pairs: &[(K, V)]) -> bool {
-    pairs
-        .windows(2)
-        .all(|w| matches!(w, [(a, _), (b, _)] if a < b))
-}
-
-/// Write the image of `atom` under `assignment` (then `fresh`, which
-/// binds head existentials), resolved through `subst`, into `buf`; `Err`
-/// carries the first unbound variable.
-fn image_into(
-    atom: &CertAtom,
-    assignment: &[(u32, Value)],
-    fresh: &[(u32, Null)],
-    subst: &FxHashMap<Null, Value>,
-    buf: &mut Vec<Value>,
-) -> Result<(), u32> {
-    buf.clear();
-    for t in &atom.args {
-        let v = match *t {
-            CertTerm::Const(c) => Value::Const(c),
-            CertTerm::Var(x) => lookup(assignment, x)
-                .or_else(|| lookup(fresh, x).map(Value::Null))
-                .ok_or(x)?,
-        };
-        buf.push(resolve(subst, v));
-    }
-    Ok(())
+    v
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +333,8 @@ fn image_into(
 /// every live source fact onto a live target fact, and — when `onto` —
 /// covers every live target fact.
 pub fn check_hom(cert: &HomCert, src: &FactStore, dst: &FactStore) -> Result<(), Reject> {
-    if !ascending(&cert.mapping) {
+    let ascending = |w: &[_]| matches!(w, [(a, _), (b, _)] if a < b);
+    if !cert.mapping.windows(2).all(ascending) {
         return Err(Reject::MalformedMapping);
     }
     let apply = |v: Value| match v {
@@ -260,21 +345,16 @@ pub fn check_hom(cert: &HomCert, src: &FactStore, dst: &FactStore) -> Result<(),
     };
     let mut target = Facts::default();
     for f in dst.iter_live() {
-        target.insert(dst.rel_name(dst.fact_rel(f)), dst.fact_values(f));
+        target.insert(dst.rel_name(dst.fact_rel(f)), &dst.fact_values(f));
     }
-    let mut image: Vec<(usize, Vec<Value>)> = Vec::new();
     for (index, f) in src.iter_live().enumerate() {
-        let rel = target.intern(src.rel_name(src.fact_rel(f)));
+        let rel = target.intern(src.rel_name(src.fact_rel(f)), src.arity(src.fact_rel(f)));
         let args = src.fact_values(f).into_iter().map(apply);
-        let args = args.collect::<Result<Vec<_>, _>>()?;
-        if !target.contains(rel, &args) {
+        if !target.mark(rel, &args.collect::<Result<Vec<_>, _>>()?) {
             return Err(Reject::FactNotPreserved { index });
         }
-        if cert.onto {
-            image.push((rel, args));
-        }
     }
-    if cert.onto && !target.covered_by(image.iter().map(|(rel, args)| (*rel, &args[..]))) {
+    if cert.onto && !target.covered() {
         return Err(Reject::NotOnto);
     }
     Ok(())
@@ -284,24 +364,27 @@ pub fn check_hom(cert: &HomCert, src: &FactStore, dst: &FactStore) -> Result<(),
 // Chase derivations
 // ---------------------------------------------------------------------------
 
-/// The body of a step must hold now: every atom's image under the
-/// assignment (resolved through the merges so far) is a current fact.
-fn check_body(
+/// The run `range` of `buf` for a step that binds `vars`: `MalformedStep`
+/// if it lies outside `buf` or is longer than `vars`, and `short` of the
+/// first variable without a value if it is shorter.
+fn step_run<'b, T>(
+    buf: &'b [T],
+    range: &Range<u32>,
+    vars: &[u32],
     step: usize,
-    body: &[(&CertAtom, usize)],
-    assignment: &[(u32, Value)],
-    subst: &FxHashMap<Null, Value>,
-    facts: &Facts,
-    buf: &mut Vec<Value>,
-) -> Result<(), Reject> {
-    for (atom, &(a, rel)) in body.iter().enumerate() {
-        image_into(a, assignment, &[], subst, buf)
-            .map_err(|var| Reject::UnboundBodyVar { step, var })?;
-        if !facts.contains(rel, buf) {
-            return Err(Reject::BodyAtomUnmatched { step, atom });
-        }
-    }
-    Ok(())
+    short: impl Fn(u32) -> Reject,
+) -> Result<&'b [T], Reject> {
+    let run = (buf.get(range.start as usize..range.end as usize))
+        .filter(|run| run.len() <= vars.len())
+        .ok_or(Reject::MalformedStep { step })?;
+    vars.get(run.len()).map_or(Ok(run), |&var| Err(short(var)))
+}
+
+/// Write the image of a compiled atom under a step's resolved values
+/// and fresh nulls into `buf`.
+fn image(args: &[Result<usize, Value>], vals: &[Value], buf: &mut Vec<Value>) {
+    buf.clear();
+    buf.extend(args.iter().map(|&a| a.map_or_else(|c| c, |i| vals[i])));
 }
 
 /// Verify a chase certificate by replaying its derivation: every firing's
@@ -311,38 +394,50 @@ fn check_body(
 pub fn check_chase(cert: &ChaseCert) -> Result<(), Reject> {
     let mut facts = Facts::default();
     let rules: Vec<_> = (cert.rules.iter())
-        .map(|r| (facts.intern_atoms(&r.body), facts.intern_atoms(&r.head)))
+        .map(|r| facts.compile([&r.body, &r.head], r.body_vars(), r.existentials()))
         .collect();
     let egds: Vec<_> = (cert.egds.iter())
-        .map(|e| (facts.intern_atoms(&e.body), e.equal))
+        .map(|e| facts.compile([&e.body, &[]], e.body_vars(), Vec::new()))
         .collect();
+    // Every null of a current fact is used: initial nulls from here on,
+    // fresh nulls once drawn, and any other value a fired or merged fact
+    // holds is a body value, which the body check found in a current fact.
     let mut used: FxHashSet<Null> = FxHashSet::default();
-    for (rel, args) in &cert.initial {
-        used.extend(args.iter().filter_map(|v| v.as_null()));
-        facts.insert(rel, args.clone());
+    for (rel, arity, rows, vals) in cert.initial.groups() {
+        used.extend(vals.iter().filter_map(|v| v.as_null()));
+        let rel = facts.intern(rel, arity);
+        (0..rows).for_each(|i| facts.rels[rel].insert(row(vals, arity, i)));
     }
     let mut subst: FxHashMap<Null, Value> = FxHashMap::default();
-    let mut buf: Vec<Value> = Vec::new();
+    let (mut vals, mut buf): (Vec<Value>, Vec<Value>) = (Vec::new(), Vec::new());
     let mut clash_at: Option<usize> = None;
 
     for (step, s) in cert.steps.iter().enumerate() {
         if let Some(at) = clash_at {
             return Err(Reject::StepsAfterFailure { step: at });
         }
+        // The body must hold now: every atom's image under the step's
+        // values, resolved through the merges so far, is a current fact.
+        let (rule, values) = match s {
+            ChaseStep::Fire { rule, values, .. } => (rules.get(*rule), values),
+            ChaseStep::Merge { egd, values, .. } => (egds.get(*egd), values),
+        };
+        let (vars, existentials, body, head) = rule.ok_or(Reject::UnknownRule { step })?;
+        let unbound = |var| Reject::UnboundBodyVar { step, var };
+        let run = step_run(&cert.values, values, vars, step, unbound)?;
+        vals.clear();
+        vals.extend(run.iter().map(|&v| resolve(&subst, v)));
+        for (atom, (rel, args)) in body.iter().enumerate() {
+            image(args, &vals, &mut buf);
+            if facts.rels[*rel].find(&buf).is_none() {
+                return Err(Reject::BodyAtomUnmatched { step, atom });
+            }
+        }
         match s {
-            ChaseStep::Merge {
-                egd,
-                assignment,
-                merged,
-            } => {
-                let (body, equal) = egds.get(*egd).ok_or(Reject::UnknownRule { step })?;
-                check_body(step, body, assignment, &subst, &facts, &mut buf)?;
-                let get = |var: u32| {
-                    lookup(assignment, var)
-                        .map(|v| resolve(&subst, v))
-                        .ok_or(Reject::UnboundBodyVar { step, var })
-                };
-                let (x, y) = (get(equal.0)?, get(equal.1)?);
+            ChaseStep::Merge { egd, merged, .. } => {
+                let get = |var| vars.binary_search(&var).map(|i| vals[i]);
+                let get = |var| get(var).map_err(|_| unbound(var));
+                let (x, y) = (get(cert.egds[*egd].equal.0)?, get(cert.egds[*egd].equal.1)?);
                 if x == y {
                     return Err(Reject::TrivialMerge { step });
                 }
@@ -363,30 +458,27 @@ pub fn check_chase(cert: &ChaseCert) -> Result<(), Reject> {
                 if *merged != Some((loser, root)) {
                     return Err(Reject::MergeRootMismatch { step });
                 }
-                apply_merge(&mut subst, &mut facts, &mut used, loser, root);
-            }
-            ChaseStep::Fire {
-                rule,
-                assignment,
-                fresh,
-            } => {
-                let (body, head) = rules.get(*rule).ok_or(Reject::UnknownRule { step })?;
-                check_body(step, body, assignment, &subst, &facts, &mut buf)?;
-                if !ascending(fresh) {
-                    return Err(Reject::MalformedMapping);
+                // Rewrite the loser in every relation. The set holds only
+                // representatives, so no other value's resolution moves.
+                subst.insert(loser, root);
+                for rel in &mut facts.rels {
+                    rel.rewrite(Value::Null(loser), root, &mut buf);
                 }
-                for &(_, n) in fresh {
+            }
+            ChaseStep::Fire { fresh, .. } => {
+                let missing = |var| Reject::MissingFreshNull { step, var };
+                let fresh = step_run(&cert.ledger, fresh, existentials, step, missing)?;
+                for &n in fresh {
                     if !used.insert(n) {
                         return Err(Reject::StaleFreshNull { step, null: n });
                     }
                 }
                 // Fresh nulls passed the staleness check, so no merge
                 // touched them and resolving them is the identity.
-                for &(a, rel) in head {
-                    image_into(a, assignment, fresh, &subst, &mut buf)
-                        .map_err(|var| Reject::MissingFreshNull { step, var })?;
-                    used.extend(buf.iter().filter_map(|v| v.as_null()));
-                    facts.rels[rel].insert(buf.clone());
+                vals.extend(fresh.iter().map(|&n| Value::Null(n)));
+                for (rel, args) in head {
+                    image(args, &vals, &mut buf);
+                    facts.rels[*rel].insert(&buf);
                 }
             }
         }
@@ -399,41 +491,9 @@ pub fn check_chase(cert: &ChaseCert) -> Result<(), Reject> {
         | ChaseCertOutcome::Overflow { partial: claim }
             if clash_at.is_none() =>
         {
-            let rels: Vec<usize> = claim.iter().map(|(rel, _)| facts.intern(rel)).collect();
-            let claims = zip(&rels, claim).map(|(&rel, (_, args))| (rel, &args[..]));
-            (facts.equals(claims).then_some(())).ok_or(Reject::FinalFactsMismatch)
+            (facts.equals(claim).then_some(())).ok_or(Reject::FinalFactsMismatch)
         }
         _ => Err(Reject::ClashNotFailed),
-    }
-}
-
-/// Apply one merge: record the parent, then re-resolve the facts that
-/// mention the merged null (and mark both endpoints used). The fact set
-/// holds only representatives — initial facts start unmerged, fired
-/// facts are resolved on insertion, and fresh nulls are never merged
-/// ones — so `loser` is the only value whose resolution changes.
-fn apply_merge(
-    subst: &mut FxHashMap<Null, Value>,
-    facts: &mut Facts,
-    used: &mut FxHashSet<Null>,
-    loser: Null,
-    root: Value,
-) {
-    subst.insert(loser, root);
-    used.insert(loser);
-    if let Value::Null(r) = root {
-        used.insert(r);
-    }
-    for set in &mut facts.rels {
-        let mut moved: Vec<Vec<Value>> = Vec::new();
-        set.retain(|args| {
-            if !args.contains(&Value::Null(loser)) {
-                return true;
-            }
-            moved.push(args.iter().map(|&v| resolve(subst, v)).collect());
-            false
-        });
-        set.extend(moved);
     }
 }
 
@@ -534,8 +594,15 @@ pub fn check_match(
     let mut key: CertFact = Default::default();
     for (atom, a) in cq.atoms.iter().enumerate() {
         key.0.clone_from(&a.rel);
-        image_into(a, &cert.assignment, &[], &FxHashMap::default(), &mut key.1)
-            .map_err(|var| Reject::UnboundQueryVar { var })?;
+        key.1.clear();
+        for t in &a.args {
+            key.1.push(match *t {
+                CertTerm::Const(c) => Value::Const(c),
+                CertTerm::Var(var) => {
+                    lookup(&cert.assignment, var).ok_or(Reject::UnboundQueryVar { var })?
+                }
+            });
+        }
         if !facts.contains(&key) {
             return Err(Reject::MatchAtomUnmatched { atom });
         }
@@ -584,10 +651,13 @@ pub fn check_non_certain(
             .map(Value::Const)
             .ok_or(Reject::ValuationNotGrounding { null: n }),
     };
-    let mut completion = Facts::default();
+    let (mut completion, mut buf) = (Facts::default(), Vec::new());
     for (rel, args) in facts {
-        let args = args.iter().map(|&v| ground(v)).collect::<Result<_, _>>()?;
-        completion.insert(rel, args);
+        buf.clear();
+        for &v in args {
+            buf.push(ground(v)?);
+        }
+        completion.insert(rel, &buf);
     }
     if cert.row.len() != q.head_arity {
         return Err(Reject::WrongRow);
@@ -600,12 +670,12 @@ pub fn check_non_certain(
     Ok(())
 }
 
-/// Does `cq` produce `row` over the (complete) fact set? Backtracking
-/// over body atoms with head variables pre-bound from the row; `bound`
+/// Does `cq` produce `answer` over the (complete) fact set? Backtracking
+/// over body atoms with head variables pre-bound from the answer; `bound`
 /// is a stack of bindings, cut back to its mark when a candidate fails.
-/// An atom's candidates come in hash order, which decides only which
-/// match is found first, never whether one exists.
-fn cq_has_row(cq: &CertCq, facts: &Facts, row: &[Value]) -> bool {
+/// An atom's candidates come in insertion order, which decides only
+/// which match is found first, never whether one exists.
+fn cq_has_row(cq: &CertCq, facts: &Facts, answer: &[Value]) -> bool {
     fn bind(bound: &mut Vec<(u32, Value)>, x: u32, v: Value) -> bool {
         match lookup(bound, x) {
             Some(prev) => prev == v,
@@ -619,16 +689,15 @@ fn cq_has_row(cq: &CertCq, facts: &Facts, row: &[Value]) -> bool {
         let Some((atom, rest)) = atoms.split_first() else {
             return true;
         };
-        let Some(&rel) = facts.ids.get(atom.rel.as_str()) else {
+        let Some(&rel) = facts.ids.get(&(atom.rel.as_str(), atom.args.len())) else {
             return false;
         };
-        let mark = bound.len();
-        for args in &facts.rels[rel] {
-            let fits = args.len() == atom.args.len()
-                && atom.args.iter().zip(args).all(|(t, &v)| match *t {
-                    CertTerm::Const(c) => v == Value::Const(c),
-                    CertTerm::Var(x) => bind(bound, x, v),
-                });
+        let (rel, mark) = (&facts.rels[rel], bound.len());
+        for i in 0..rel.marks.len() {
+            let fits = zip(&atom.args, row(&rel.vals, rel.arity, i)).all(|(t, &v)| match *t {
+                CertTerm::Const(c) => v == Value::Const(c),
+                CertTerm::Var(x) => bind(bound, x, v),
+            });
             if fits && go(rest, facts, bound) {
                 return true;
             }
@@ -637,8 +706,8 @@ fn cq_has_row(cq: &CertCq, facts: &Facts, row: &[Value]) -> bool {
         false
     }
     let mut bound = Vec::new();
-    cq.head.len() == row.len()
-        && zip(&cq.head, row).all(|(&h, &v)| bind(&mut bound, h, v))
+    cq.head.len() == answer.len()
+        && zip(&cq.head, answer).all(|(&h, &v)| bind(&mut bound, h, v))
         && go(&cq.atoms, facts, &mut bound)
 }
 

@@ -59,5 +59,6 @@ pub use check::{
 };
 pub use types::{
     CertAtom, CertCq, CertEgd, CertFact, CertQuery, CertRule, CertTerm, CertainVerdictCert,
-    ChaseCert, ChaseCertOutcome, ChaseStep, CoreCert, CoreStep, HomCert, MatchCert, NonCertainCert,
+    ChaseCert, ChaseCertOutcome, ChaseStep, CoreCert, CoreStep, FactGroups, HomCert, MatchCert,
+    NonCertainCert,
 };

@@ -12,7 +12,8 @@ use proptest::prelude::*;
 use ca_cert::{
     check_certain_row, check_chase, check_core, check_hom, check_match, check_non_certain,
     CertAtom, CertCq, CertEgd, CertFact, CertQuery, CertRule, CertTerm, ChaseCert,
-    ChaseCertOutcome, ChaseStep, CoreCert, CoreStep, HomCert, MatchCert, NonCertainCert, Reject,
+    ChaseCertOutcome, ChaseStep, CoreCert, CoreStep, FactGroups, HomCert, MatchCert,
+    NonCertainCert, Reject,
 };
 use ca_core::store::FactStore;
 use ca_core::value::{Null, Value};
@@ -106,11 +107,22 @@ proptest! {
 // Chase certificates
 // ---------------------------------------------------------------------------
 
+/// A fact list from `(relation, args)` pairs, in order.
+fn facts<R: AsRef<str>, A: AsRef<[Value]>>(list: &[(R, A)]) -> FactGroups {
+    let mut out = FactGroups::new();
+    for (rel, args) in list {
+        out.push(rel.as_ref(), args.as_ref());
+    }
+    out
+}
+
 /// Rule R0: E(v1, v1) → ∃v3 E(v1, v3); egd G0: E(v1, v2) → v1 = v2.
 /// Initial { E(⊥x, ⊥y) }: the egd merges ⊥y into ⊥x (smaller id wins),
 /// creating the self-loop the tgd needs, which then fires a fresh ⊥f.
 /// The Fire step is only replayable *after* the Merge — exactly the
-/// dependency the reorder/drop mutations must break.
+/// dependency the reorder/drop mutations must break. The merge's values
+/// bind the egd's body variables [1, 2], the firing's value binds the
+/// rule's [1] and its fresh null the existential [3].
 fn chase_family(seed: u64) -> ChaseCert {
     let x = (seed % 90) as u32;
     let y = x + 1 + (seed % 40) as u32;
@@ -129,24 +141,23 @@ fn chase_family(seed: u64) -> ChaseCert {
             body: vec![atom(v(1), v(2))],
             equal: (1, 2),
         }],
-        initial: vec![("E".into(), vec![nv(x), nv(y)])],
+        initial: facts(&[("E", [nv(x), nv(y)])]),
         steps: vec![
             ChaseStep::Merge {
                 egd: 0,
-                assignment: vec![(1, nv(x)), (2, nv(y))],
+                values: 0..2,
                 merged: Some((Null(y), nv(x))),
             },
             ChaseStep::Fire {
                 rule: 0,
-                assignment: vec![(1, nv(x))],
-                fresh: vec![(3, Null(f))],
+                values: 2..3,
+                fresh: 0..1,
             },
         ],
+        values: vec![nv(x), nv(y), nv(x)],
+        ledger: vec![Null(f)],
         outcome: ChaseCertOutcome::Done {
-            final_facts: vec![
-                ("E".into(), vec![nv(x), nv(x)]),
-                ("E".into(), vec![nv(x), nv(f)]),
-            ],
+            final_facts: facts(&[("E", [nv(x), nv(x)]), ("E", [nv(x), nv(f)])]),
         },
     }
 }
@@ -157,10 +168,7 @@ proptest! {
     #[test]
     fn chase_mutations_are_rejected_with_typed_reasons(seed in 0u64..5_000) {
         let good = chase_family(seed);
-        let (Some(Value::Null(Null(x))), Some(Value::Null(Null(y)))) = (
-            good.initial[0].1.first().copied(),
-            good.initial[0].1.get(1).copied(),
-        ) else {
+        let [Value::Null(Null(x)), Value::Null(Null(y)), ..] = good.values[..] else {
             panic!("family starts from two nulls");
         };
         prop_assert_eq!(check_chase(&good), Ok(()));
@@ -191,7 +199,7 @@ proptest! {
         let mut wrong_loser = good.clone();
         wrong_loser.steps[0] = ChaseStep::Merge {
             egd: 0,
-            assignment: vec![(1, nv(x)), (2, nv(y))],
+            values: 0..2,
             merged: Some((Null(x), nv(y))),
         };
         prop_assert_eq!(
@@ -201,11 +209,7 @@ proptest! {
 
         // Truncate the fresh ledger: the head existential is unresolved.
         let mut truncated = good.clone();
-        truncated.steps[1] = ChaseStep::Fire {
-            rule: 0,
-            assignment: vec![(1, nv(x))],
-            fresh: vec![],
-        };
+        truncated.steps[1] = ChaseStep::Fire { rule: 0, values: 2..3, fresh: 0..0 };
         prop_assert_eq!(
             check_chase(&truncated),
             Err(Reject::MissingFreshNull { step: 1, var: 3 })
@@ -213,11 +217,7 @@ proptest! {
 
         // Recycle a used null as "fresh": globally stale.
         let mut stale = good.clone();
-        stale.steps[1] = ChaseStep::Fire {
-            rule: 0,
-            assignment: vec![(1, nv(x))],
-            fresh: vec![(3, Null(y))],
-        };
+        stale.ledger = vec![Null(y)];
         prop_assert_eq!(
             check_chase(&stale),
             Err(Reject::StaleFreshNull { step: 1, null: Null(y) })
@@ -226,7 +226,7 @@ proptest! {
         // Forge the final fact set.
         let mut forged = good.clone();
         forged.outcome = ChaseCertOutcome::Done {
-            final_facts: vec![("E".into(), vec![nv(x), nv(x)])],
+            final_facts: facts(&[("E", [nv(x), nv(x)])]),
         };
         prop_assert_eq!(check_chase(&forged), Err(Reject::FinalFactsMismatch));
 
@@ -236,13 +236,67 @@ proptest! {
         prop_assert_eq!(check_chase(&sad), Err(Reject::FailedWithoutClash));
 
         // Name a rule that does not exist.
-        let mut phantom = good;
-        phantom.steps[1] = ChaseStep::Fire {
-            rule: 7,
-            assignment: vec![(1, nv(x))],
-            fresh: vec![(3, Null(y + 100))],
-        };
+        let mut phantom = good.clone();
+        phantom.steps[1] = ChaseStep::Fire { rule: 7, values: 2..3, fresh: 0..1 };
+        phantom.ledger = vec![Null(y + 100)];
         prop_assert_eq!(check_chase(&phantom), Err(Reject::UnknownRule { step: 1 }));
+
+        // A value run shorter than the body's variables [1, 2]: the first
+        // variable without a value is unbound.
+        let mut bare = good.clone();
+        bare.steps[0] = ChaseStep::Merge { egd: 0, values: 0..1, merged: Some((Null(y), nv(x))) };
+        prop_assert_eq!(
+            check_chase(&bare),
+            Err(Reject::UnboundBodyVar { step: 0, var: 2 })
+        );
+        bare.steps[0] = ChaseStep::Merge { egd: 0, values: 1..1, merged: Some((Null(y), nv(x))) };
+        prop_assert_eq!(
+            check_chase(&bare),
+            Err(Reject::UnboundBodyVar { step: 0, var: 1 })
+        );
+
+        // A range outside its buffer, reversed, or longer than the
+        // variables it binds is malformed.
+        let fire = |values: std::ops::Range<u32>, fresh: std::ops::Range<u32>| {
+            let mut cert = good.clone();
+            cert.steps[1] = ChaseStep::Fire { rule: 0, values, fresh };
+            check_chase(&cert)
+        };
+        let malformed = Err(Reject::MalformedStep { step: 1 });
+        prop_assert_eq!(fire(2..4, 0..1), malformed.clone());
+        // A reversed range, spelled out: it is what a forged step can say.
+        let reversed = |start: u32| std::ops::Range { start, end: start - 1 };
+        prop_assert_eq!(fire(reversed(3), 0..1), malformed.clone());
+        prop_assert_eq!(fire(u32::MAX - 1..u32::MAX, 0..1), malformed.clone());
+        prop_assert_eq!(fire(1..3, 0..1), malformed.clone());
+        prop_assert_eq!(fire(2..3, 0..2), malformed.clone());
+        prop_assert_eq!(fire(2..3, reversed(1)), malformed.clone());
+        prop_assert_eq!(fire(2..3, 1..1), Err(Reject::MissingFreshNull { step: 1, var: 3 }));
+        let mut long = good.clone();
+        long.ledger.push(Null(y + 100));
+        long.steps[1] = ChaseStep::Fire { rule: 0, values: 2..3, fresh: 0..2 };
+        prop_assert_eq!(check_chase(&long), malformed);
+        let mut wide = good.clone();
+        wide.steps[0] = ChaseStep::Merge { egd: 0, values: 0..3, merged: Some((Null(y), nv(x))) };
+        prop_assert_eq!(check_chase(&wide), Err(Reject::MalformedStep { step: 0 }));
+
+        // Two existentials, [3, 4]: the ledger binds them in that order,
+        // and one null short names the second.
+        let mut two = good.clone();
+        two.rules[0].head.push(CertAtom { rel: "E".into(), args: vec![CertTerm::Var(4), CertTerm::Var(3)] });
+        prop_assert_eq!(
+            check_chase(&two),
+            Err(Reject::MissingFreshNull { step: 1, var: 4 })
+        );
+        let g = y + 500;
+        two.ledger.push(Null(g));
+        two.steps[1] = ChaseStep::Fire { rule: 0, values: 2..3, fresh: 0..2 };
+        let f = two.ledger[0];
+        let grown = [("E", [nv(x), nv(x)]), ("E", [nv(x), Value::Null(f)]), ("E", [nv(g), Value::Null(f)])];
+        two.outcome = ChaseCertOutcome::Done { final_facts: facts(&grown) };
+        prop_assert_eq!(check_chase(&two), Ok(()));
+        two.ledger.swap(0, 1);
+        prop_assert_eq!(check_chase(&two), Err(Reject::FinalFactsMismatch));
     }
 }
 
@@ -267,27 +321,36 @@ fn multi_relation_family(seed: u64) -> ChaseCert {
             body: vec![atom("E", &[1, 2])],
             equal: (1, 2),
         }],
-        initial: vec![("E".into(), vec![nv(x), nv(y)]), ("P".into(), vec![nv(y)])],
+        initial: facts(&[("E", &[nv(x), nv(y)][..]), ("P", &[nv(y)])]),
         steps: vec![
             ChaseStep::Merge {
                 egd: 0,
-                assignment: vec![(1, nv(x)), (2, nv(y))],
+                values: 0..2,
                 merged: Some((Null(y), nv(x))),
             },
             ChaseStep::Fire {
                 rule: 0,
-                assignment: vec![(1, nv(x))],
-                fresh: vec![(3, Null(f))],
+                values: 2..3,
+                fresh: 0..1,
             },
         ],
+        values: vec![nv(x), nv(y), nv(x)],
+        ledger: vec![Null(f)],
         outcome: ChaseCertOutcome::Done {
-            final_facts: vec![
-                ("E".into(), vec![nv(x), nv(x)]),
-                ("F".into(), vec![nv(x), nv(f)]),
-                ("P".into(), vec![nv(x)]),
-            ],
+            final_facts: facts(&[
+                ("E", &[nv(x), nv(x)][..]),
+                ("F", &[nv(x), nv(f)]),
+                ("P", &[nv(x)]),
+            ]),
         },
     }
+}
+
+/// A fact list as owned `(relation, args)` pairs, for editing.
+fn owned(list: &FactGroups) -> Vec<(String, Vec<Value>)> {
+    list.iter()
+        .map(|(rel, args)| (rel.to_owned(), args.to_vec()))
+        .collect()
 }
 
 proptest! {
@@ -297,18 +360,19 @@ proptest! {
     fn multi_relation_chase_mutations_are_rejected_with_typed_reasons(seed in 0u64..5_000) {
         let good = multi_relation_family(seed);
         prop_assert_eq!(check_chase(&good), Ok(()));
-        let ChaseCertOutcome::Done { final_facts } = good.outcome.clone() else {
+        let ChaseCertOutcome::Done { final_facts } = &good.outcome else {
             panic!("family claims a fixpoint");
         };
-        let (x, y) = (good.initial[0].1[0], good.initial[0].1[1]);
+        let final_facts = owned(final_facts);
+        let (x, y) = (good.values[0], good.values[1]);
         let claiming = |outcome: ChaseCertOutcome, steps: usize| {
             let mut cert = good.clone();
             cert.steps.truncate(steps);
             cert.outcome = outcome;
             check_chase(&cert)
         };
-        let done = |final_facts: Vec<CertFact>| {
-            claiming(ChaseCertOutcome::Done { final_facts }, 2)
+        let done = |list: Vec<(String, Vec<Value>)>| {
+            claiming(ChaseCertOutcome::Done { final_facts: facts(&list) }, 2)
         };
 
         // Relabel F(⊥x, ⊥f) to another relation with the same args.
@@ -335,6 +399,18 @@ proptest! {
         stand_in[1] = final_facts[0].clone();
         prop_assert_eq!(done(stand_in), Err(Reject::FinalFactsMismatch));
 
+        // A relation claimed at two arities: E(⊥x) is not E(⊥x, ⊥x).
+        let mut two_arities = final_facts.clone();
+        two_arities.push(("E".into(), vec![x]));
+        prop_assert_eq!(done(two_arities.clone()), Err(Reject::FinalFactsMismatch));
+        // Where the initial facts hold E at both arities, so must the claim.
+        let mut mixed = good.clone();
+        mixed.initial.push("E", &[x]);
+        mixed.outcome = ChaseCertOutcome::Done { final_facts: facts(&two_arities) };
+        prop_assert_eq!(check_chase(&mixed), Ok(()));
+        mixed.outcome = ChaseCertOutcome::Done { final_facts: facts(&final_facts) };
+        prop_assert_eq!(check_chase(&mixed), Err(Reject::FinalFactsMismatch));
+
         // A body atom over a relation that has no facts.
         let mut empty = good.clone();
         empty.rules[0].body[1].rel = "Z".into();
@@ -346,28 +422,122 @@ proptest! {
         // The merge's loser ⊥y occurs in E and P. Before the merge the
         // replay holds the initial facts; after it, both relations hold
         // only the rewritten ones.
-        let partial = |partial: Vec<CertFact>| ChaseCertOutcome::Aborted { partial };
-        prop_assert_eq!(claiming(partial(good.initial.clone()), 0), Ok(()));
+        let partial = |list: &[(String, Vec<Value>)]| ChaseCertOutcome::Aborted { partial: facts(list) };
+        prop_assert_eq!(claiming(partial(&owned(&good.initial)), 0), Ok(()));
         let merged = vec![("E".to_string(), vec![x, x]), ("P".to_string(), vec![x])];
-        prop_assert_eq!(claiming(partial(merged.clone()), 1), Ok(()));
+        prop_assert_eq!(claiming(partial(&merged), 1), Ok(()));
         let mut stale = merged.clone();
         stale[1].1 = vec![y];
-        prop_assert_eq!(claiming(partial(stale), 1), Err(Reject::FinalFactsMismatch));
+        prop_assert_eq!(claiming(partial(&stale), 1), Err(Reject::FinalFactsMismatch));
         let mut both = merged;
         both.push(("P".into(), vec![y]));
-        prop_assert_eq!(claiming(partial(both), 1), Err(Reject::FinalFactsMismatch));
+        prop_assert_eq!(claiming(partial(&both), 1), Err(Reject::FinalFactsMismatch));
         // A firing that names the loser resolves it to ⊥x, and finds
         // both rewritten facts — after the merge, not before it.
         let mut via_loser = good.clone();
-        if let ChaseStep::Fire { assignment, .. } = &mut via_loser.steps[1] {
-            *assignment = vec![(1, y)];
-        }
+        via_loser.values[2] = y;
         prop_assert_eq!(check_chase(&via_loser), Ok(()));
         via_loser.steps.swap(0, 1);
         prop_assert_eq!(
             check_chase(&via_loser),
             Err(Reject::BodyAtomUnmatched { step: 0, atom: 0 })
         );
+    }
+}
+
+/// A merge that makes rows equal collapses them. Egd G0: A(v1, v2),
+/// A(v1, v3) → v2 = v3 over { A(1, ⊥2), A(1, ⊥1), A(7, ⊥2), B(⊥2),
+/// B(⊥1), B(5) }: merging ⊥2 into ⊥1 makes A(1, ⊥2) and B(⊥2) copies of
+/// other rows, and every other row must still be found afterwards.
+#[test]
+fn merges_collapse_the_rows_they_make_equal() {
+    let var = |rel: &str, args: &[u32]| CertAtom {
+        rel: rel.into(),
+        args: args.iter().map(|&v| CertTerm::Var(v)).collect(),
+    };
+    let initial = [
+        ("A", &[c(1), nv(2)][..]),
+        ("A", &[c(1), nv(1)]),
+        ("A", &[c(7), nv(2)]),
+        ("B", &[nv(2)]),
+        ("B", &[nv(1)]),
+        ("B", &[c(5)]),
+    ];
+    let merged = [
+        ("A", &[c(1), nv(1)][..]),
+        ("A", &[c(7), nv(1)]),
+        ("B", &[nv(1)]),
+        ("B", &[c(5)]),
+    ];
+    let mut cert = ChaseCert {
+        rules: vec![],
+        egds: vec![CertEgd {
+            body: vec![var("A", &[1, 2]), var("A", &[1, 3])],
+            equal: (2, 3),
+        }],
+        initial: facts(&initial),
+        steps: vec![ChaseStep::Merge {
+            egd: 0,
+            values: 0..3,
+            merged: Some((Null(2), nv(1))),
+        }],
+        values: vec![c(1), nv(1), nv(2)],
+        ledger: vec![],
+        outcome: ChaseCertOutcome::Done {
+            final_facts: facts(&merged),
+        },
+    };
+    assert_eq!(check_chase(&cert), Ok(()));
+    // The merged-away rows are gone, not kept beside their copies.
+    for extra in [("A", &[c(1), nv(2)][..]), ("B", &[nv(2)])] {
+        let mut claim = merged.to_vec();
+        claim.push(extra);
+        cert.outcome = ChaseCertOutcome::Done {
+            final_facts: facts(&claim),
+        };
+        assert_eq!(check_chase(&cert), Err(Reject::FinalFactsMismatch));
+    }
+    // And each surviving row is still one the claim must name.
+    for missing in 0..merged.len() {
+        let mut claim = merged.to_vec();
+        claim.remove(missing);
+        cert.outcome = ChaseCertOutcome::Done {
+            final_facts: facts(&claim),
+        };
+        assert_eq!(check_chase(&cert), Err(Reject::FinalFactsMismatch));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Certificate offsets, rule indexes and fact-group arities are
+    /// untrusted input: whatever they say, checking and encoding a
+    /// certificate return instead of panicking.
+    #[test]
+    fn malformed_chase_certificates_never_panic(
+        seed in 0u64..5_000,
+        bounds in proptest::collection::vec(prop_oneof![0u32..6, any::<u32>()], 6),
+        picks in proptest::collection::vec(prop_oneof![0usize..3, any::<usize>()], 2),
+        groups in proptest::collection::vec((0usize..4, 0usize..4), 0..6),
+    ) {
+        let mut cert = multi_relation_family(seed);
+        let range = |i: usize| bounds[i]..bounds[i + 1];
+        cert.steps = vec![
+            ChaseStep::Merge { egd: picks[0], values: range(0), merged: Some((Null(1), nv(0))) },
+            ChaseStep::Fire { rule: picks[1], values: range(2), fresh: range(4) },
+        ];
+        let rels = ["E", "P", "F", "Ghost"];
+        for &(rel, arity) in &groups {
+            let args: Vec<Value> = (0..arity).map(|i| cert.values[i % 3]).collect();
+            cert.initial.push(rels[rel], &args);
+            if let ChaseCertOutcome::Done { final_facts } = &mut cert.outcome {
+                final_facts.push(rels[(rel + arity) % 4], &args);
+            }
+        }
+        // Returning at all is what is checked: the verdict may go either way.
+        let _ = check_chase(&cert);
+        prop_assert!(cert.to_bytes().starts_with(b"CACHASE"));
     }
 }
 

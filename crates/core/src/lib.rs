@@ -24,6 +24,9 @@
 //!   worker count), parsed with a saturating policy.
 //! * [`fxhash`] — the fixed-seed Fx hasher backing the store's hot maps
 //!   (trusted in-process keys; deterministic across runs and hosts).
+//! * [`rows`] — the open-addressing row index every set of flat rows
+//!   probes: the query engine's distinct buffers, the chase's fact set
+//!   and the certificate checker's replay.
 //! * [`store`] — the workspace-wide columnar interned fact store all
 //!   engines evaluate over: a global value interner with dense tagged
 //!   ids, per-relation column pages with a live bitmap, and the
@@ -39,6 +42,7 @@ pub mod domain;
 pub mod fxhash;
 pub mod powerdomain;
 pub mod preorder;
+pub mod rows;
 pub mod store;
 pub mod symbol;
 pub mod value;

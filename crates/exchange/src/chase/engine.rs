@@ -19,7 +19,8 @@
 //!   and one sort of the distinct rows yields the round's triggers in key
 //!   order, each with its least witness. This is the one match phase of both modes:
 //!   a certified run ([`ChaseConfig::certify`]) records the witness as its
-//!   step's assignment;
+//!   step's values, decoded straight into the certificate's flat value
+//!   buffer;
 //! * a *trigger* is a valuation of the rule's frontier (sorted body∩head
 //!   nulls). The facts live in the **workspace columnar fact store**
 //!   ([`ca_core::store::FactStore`] — interned values, column-major
@@ -39,7 +40,7 @@
 //!   through the occurrence lists — never the whole instance. A rewritten
 //!   fact whose tuple is already live dies; any other is overwritten in
 //!   place;
-//! * values appear only where the chase reports (step assignments, merge
+//! * values appear only where the chase reports (step values, merge
 //!   records, [`canonical_rows`]); everything else compares ids, whose
 //!   order on the chase's store is value order (see [`run`]);
 //! * the match phase evaluates the round's (rule, pinned plan) pairs
@@ -66,15 +67,17 @@
 //! in a different order — outcome agreement on terminating inputs is
 //! unaffected, since chase failure and success are order-independent.
 
-use ca_cert::{CertAtom, CertEgd, CertFact, CertRule, ChaseCert, ChaseCertOutcome, ChaseStep};
+use std::ops::Range;
 
-use ca_core::store::{id_is_null, null_index, FactId, FactStore, ValueId, INVALID_ID};
+use ca_cert::{CertAtom, CertEgd, CertRule, ChaseCert, ChaseCertOutcome, ChaseStep, FactGroups};
+
+use ca_core::rows::{hash_key, RowIndex};
+use ca_core::store::{dense_count, id_is_null, null_index, FactId, FactStore, ValueId, INVALID_ID};
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term};
 use ca_query::certify::cert_atom;
-use ca_query::engine::rows::{hash_key, RowIndex};
 use ca_query::engine::{eval_prepared_ids, eval_seeded_ids, prepare_cq, rows, CompiledCq, DbIndex};
 use ca_relational::schema::Schema;
 
@@ -123,7 +126,9 @@ struct HeadFact {
 /// The match plans of one pattern body, compiled once: one plan per
 /// body atom, pinned at that atom (so it can range over the delta), with
 /// **every** sorted body variable in the head, so each answer row *is*
-/// a complete body assignment (the witness a [`ChaseStep`] records).
+/// a complete body assignment (the witness a [`ChaseStep`] records, in
+/// the same sorted variable order that the certificate vocabulary
+/// derives from the rule).
 struct BodyPlans {
     /// `(pinned relation, pinned plan)` per body atom; head = `body_vars`.
     plans: Vec<(Symbol, CompiledCq)>,
@@ -158,16 +163,6 @@ impl BodyPlans {
             proj,
         })
     }
-
-    /// A keyed witness (match key, then the full body row) as a step's
-    /// body assignment.
-    fn assignment(&self, witness: &[ValueId], store: &FactStore) -> Assignment {
-        let row = witness
-            .iter()
-            .skip(self.proj.len())
-            .map(|&id| store.value(id));
-        self.body_vars.iter().copied().zip(row).collect()
-    }
 }
 
 /// One tgd compiled against the instance schema.
@@ -178,10 +173,10 @@ struct CompiledRule {
     head: CompiledCq,
     /// The head facts to instantiate on firing.
     head_facts: Vec<HeadFact>,
-    /// `(rule-local null id, dense index)` per existential, by id: the
-    /// order of a step's fresh-null ledger. A firing draws one fresh null
-    /// per entry, in dense-index order.
-    ledger: Vec<(u32, usize)>,
+    /// The dense index of each existential, in ascending null-id order:
+    /// the order of a step's fresh-null ledger. A firing draws one fresh
+    /// null per entry, in dense-index order.
+    ledger: Vec<usize>,
 }
 
 impl CompiledRule {
@@ -222,12 +217,8 @@ fn compile_rule(rule: &Rule, schema: &Schema, store: &FactStore) -> Option<Compi
             .collect::<Option<_>>()?;
         head_facts.push(HeadFact { rel, template });
     }
-    let mut ledger: Vec<(u32, usize)> = existentials
-        .iter()
-        .enumerate()
-        .map(|(x, nl)| (nl.0, x))
-        .collect();
-    ledger.sort_unstable();
+    let mut ledger: Vec<usize> = (0..existentials.len()).collect();
+    ledger.sort_unstable_by_key(|&x| existentials[x]);
     Some(CompiledRule {
         body,
         head,
@@ -519,24 +510,40 @@ type Rows = rows::Rows<ValueId>;
 /// Id rows unique by a leading key, each keeping its least row.
 type Distinct = rows::Distinct<ValueId>;
 
-/// A body assignment in step vocabulary: sorted `(variable, value)` pairs.
-type Assignment = Vec<(u32, Value)>;
-
-/// The in-flight derivation log of a certified run.
+/// The in-flight derivation log of a certified run: its steps and the
+/// two flat buffers they range over.
 struct Recorder {
     skeleton: CertSkeleton,
     /// The loaded instance, in the claimed facts' canonical form.
-    initial: Vec<CertFact>,
+    initial: FactGroups,
     steps: Vec<ChaseStep>,
+    values: Vec<Value>,
+    ledger: Vec<Null>,
+}
+
+/// Append `items` to `buf`: the range they fill.
+fn append<T>(buf: &mut Vec<T>, items: impl Iterator<Item = T>) -> Range<u32> {
+    let start = dense_count(buf.len());
+    buf.extend(items);
+    start..dense_count(buf.len())
 }
 
 impl Recorder {
+    /// Decode a keyed witness's body row (the match key comes first) into
+    /// the value buffer.
+    fn values(&mut self, body: &BodyPlans, witness: &[ValueId], store: &FactStore) -> Range<u32> {
+        let row = witness[body.proj.len()..].iter();
+        append(&mut self.values, row.map(|&id| store.value(id)))
+    }
+
     fn finish(self, outcome: ChaseCertOutcome) -> ChaseCert {
         ChaseCert {
             rules: self.skeleton.rules,
             egds: self.skeleton.egds,
             initial: self.initial,
             steps: self.steps,
+            values: self.values,
+            ledger: self.ledger,
             outcome,
         }
     }
@@ -564,18 +571,44 @@ fn canonical_rows(store: &FactStore, uf: &UnionFind) -> Vec<Vec<Vec<Value>>> {
         .collect()
 }
 
-/// The canonical rows in checker vocabulary, relations in name order
-/// (the `(name, args)` order without comparing names): every fact list
-/// of a chase certificate.
-fn cert_facts(schema: &Schema, rows: &[Vec<Vec<Value>>]) -> Vec<CertFact> {
+/// The relations in name order: the order of every fact list of a chase
+/// certificate (the `(name, args)` order without comparing names).
+fn by_name(schema: &Schema) -> Vec<Symbol> {
     let mut rels: Vec<Symbol> = schema.symbols().collect();
     rels.sort_by_key(|&rel| schema.name(rel));
-    let cut = |rel: Symbol| {
-        rows[rel.index()]
-            .iter()
-            .map(move |row| (schema.name(rel).to_owned(), row.clone()))
-    };
-    rels.into_iter().flat_map(cut).collect()
+    rels
+}
+
+/// The canonical rows in checker vocabulary, one group per relation: the
+/// claimed facts of a certificate.
+fn cert_facts(schema: &Schema, rows: &[Vec<Vec<Value>>]) -> FactGroups {
+    let mut facts = FactGroups::new();
+    for rel in by_name(schema) {
+        for row in &rows[rel.index()] {
+            facts.push(schema.name(rel), row);
+        }
+    }
+    facts
+}
+
+/// The loaded store in checker vocabulary, in [`canonical_rows`] order but
+/// with no `Vec` per row: before any merge the live rows are distinct and
+/// unresolved, and id order is value order (see [`run`]), so sorting row
+/// numbers by their ids sorts the rows.
+fn initial_facts(schema: &Schema, store: &FactStore) -> FactGroups {
+    let (mut facts, mut buf) = (FactGroups::new(), Vec::new());
+    for rel in by_name(schema) {
+        let table = store.table(rel);
+        let ids = |r: u32| table.cols().iter().map(move |col| col[r as usize]);
+        let mut rows: Vec<u32> = (0..table.n_rows()).filter(|&r| table.is_live(r)).collect();
+        rows.sort_unstable_by(|&a, &b| ids(a).cmp(ids(b)));
+        for r in rows {
+            buf.clear();
+            buf.extend(ids(r).map(|id| store.value(id)));
+            facts.push(schema.name(rel), &buf);
+        }
+    }
+    facts
 }
 
 /// The canonical rows as the chased instance, relations in symbol order
@@ -655,13 +688,15 @@ fn run(
     // head tuple into the one `ids` buffer.
     let mut delta: Vec<FactId> = facts.store.iter_live().collect();
     let mut ids: Vec<ValueId> = Vec::new();
-    // The certificate's initial instance goes through the same
-    // canonicaliser as its claimed facts, so its bytes do not depend on
-    // the caller's node insertion order.
+    // The certificate's initial instance is in the canonical order of its
+    // claimed facts, so its bytes do not depend on the caller's node
+    // insertion order.
     let mut rec: Option<Recorder> = skeleton.map(|skeleton| Recorder {
         skeleton,
-        initial: cert_facts(schema, &canonical_rows(&facts.store, &uf)),
+        initial: initial_facts(schema, &facts.store),
         steps: Vec::new(),
+        values: Vec::new(),
+        ledger: Vec::new(),
     });
     let mut first_round = true;
     loop {
@@ -704,9 +739,10 @@ fn run(
                     };
                     if let Some(recd) = rec.as_mut() {
                         let record = |loser| (facts.null(loser), facts.store.value(uf.find(loser)));
+                        let values = recd.values(&egds[e], witnesses[e].row(w), &facts.store);
                         recd.steps.push(ChaseStep::Merge {
                             egd: e,
-                            assignment: egds[e].assignment(witnesses[e].row(w), &facts.store),
+                            values,
                             merged: merged_entry.map(record),
                         });
                     }
@@ -789,14 +825,13 @@ fn run(
                     }
                 }
                 if let Some(recd) = rec.as_mut() {
+                    let values = recd.values(&rule.body, witness, &facts.store);
+                    let drawn = rule.ledger.iter().map(|&x| facts.null(fresh[x]));
+                    let fresh = append(&mut recd.ledger, drawn);
                     recd.steps.push(ChaseStep::Fire {
                         rule: r,
-                        assignment: rule.body.assignment(witness, &facts.store),
-                        fresh: rule
-                            .ledger
-                            .iter()
-                            .map(|&(id, x)| (id, facts.null(fresh[x])))
-                            .collect(),
+                        values,
+                        fresh,
                     });
                 }
             }

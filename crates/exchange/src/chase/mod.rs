@@ -458,7 +458,7 @@ mod tests {
     /// Fresh nulls are drawn in the existentials' first-occurrence order
     /// over the head, and the ledger lists them by rule-local id: for the
     /// head `U(x,⊥5), U(⊥5,⊥3)`, ⊥5 takes the earlier-drawn null and the
-    /// ledger reads `[(3, later), (5, earlier)]`.
+    /// ledger of existentials `[3, 5]` reads `[later, earlier]`.
     #[test]
     fn fresh_nulls_follow_head_order_and_ledger_follows_ids() {
         use ca_cert::ChaseStep;
@@ -478,10 +478,11 @@ mod tests {
         let [ChaseStep::Fire { fresh, .. }] = cert.steps.as_slice() else {
             panic!("expected one firing: {:?}", cert.steps);
         };
-        let &[(3, later), (5, earlier)] = fresh.as_slice() else {
-            panic!("ledger out of id order: {fresh:?}");
+        assert_eq!(cert.rules[0].existentials(), [3, 5]);
+        let &[later, earlier] = &cert.ledger[fresh.start as usize..fresh.end as usize] else {
+            panic!("one fresh null per existential: {fresh:?}");
         };
-        assert!(earlier < later, "{fresh:?}");
+        assert!(earlier < later, "{:?}", cert.ledger);
         let ChaseOutcome::Done(d) = outcome else {
             panic!("expected Done, got {outcome:?}");
         };

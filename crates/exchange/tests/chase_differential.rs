@@ -219,9 +219,10 @@ proptest! {
             let nodes = db.labels.iter().zip(&db.data);
             prop_assert!(nodes.clone().is_sorted_by(|a, b| a < b), "limit {}: {:?}", limit, db);
             let mut payload: Vec<_> =
-                nodes.map(|(&l, row)| (db.schema.label_name(l).to_owned(), row.clone())).collect();
+                nodes.map(|(&l, row)| (db.schema.label_name(l), &row[..])).collect();
             payload.sort();
-            prop_assert_eq!(&payload, claimed, "payload is not the claimed facts at limit {}", limit);
+            let claimed: Vec<_> = claimed.iter().collect();
+            prop_assert_eq!(&payload, &claimed, "payload is not the claimed facts at limit {}", limit);
         }
     }
 }
