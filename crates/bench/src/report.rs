@@ -102,19 +102,38 @@ pub fn time_reps(reps: u32, mut f: impl FnMut()) -> u128 {
 }
 
 /// The current git revision, for stamping `BENCH_*.json` emissions so a
-/// recorded run is attributable to the exact tree that produced it.
-/// `"unknown"` when git (or the repository) is unavailable — bench
-/// output must not depend on the host's tooling.
+/// recorded run is attributable to the exact tree that produced it:
+/// `-dirty` is appended when a tracked file differs from that revision
+/// (see `rev_stamp`). `"unknown"` when git (or the repository) is
+/// unavailable — bench output must not depend on the host's tooling.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let rev = git(&["rev-parse", "HEAD"]);
+    let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+    rev_stamp(rev.as_deref(), status.as_deref())
+}
+
+/// The stamp of revision `rev` (`git rev-parse HEAD`'s output) given the
+/// tracked changes `status` (`git status --porcelain
+/// --untracked-files=no`'s output): the revision, with `-dirty` appended
+/// when a tracked file differs from it. `"unknown"` without a revision;
+/// an unreadable status leaves the revision unmarked.
+fn rev_stamp(rev: Option<&str>, status: Option<&str>) -> String {
+    let Some(rev) = rev.map(str::trim).filter(|r| !r.is_empty()) else {
+        return "unknown".to_string();
+    };
+    if status.is_some_and(|s| !s.trim().is_empty()) {
+        format!("{rev}-dirty")
+    } else {
+        rev.to_string()
+    }
 }
 
 /// The machine's available parallelism, for stamping `BENCH_*.json`
@@ -153,6 +172,16 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("demo"));
         assert!(s.contains("note: a note"));
+    }
+
+    #[test]
+    fn dirty_trees_are_marked() {
+        let rev = Some("98cd691b\n");
+        assert_eq!(rev_stamp(rev, Some("")), "98cd691b");
+        assert_eq!(rev_stamp(rev, Some(" M src/lib.rs\n")), "98cd691b-dirty");
+        assert_eq!(rev_stamp(rev, None), "98cd691b");
+        assert_eq!(rev_stamp(None, Some(" M src/lib.rs\n")), "unknown");
+        assert_eq!(rev_stamp(Some("  \n"), Some("")), "unknown");
     }
 
     #[test]

@@ -27,13 +27,14 @@
 //!   tuples, a live bitmap), which never deduplicates; the chase owns
 //!   the set semantics ([`Facts`]): one [`RowIndex`] per relation over
 //!   the relation's own column pages, and a null-occurrence list per
-//!   null. Fired triggers are remembered per rule as one sorted run, so no
-//!   trigger ever fires twice; head satisfaction is decided set-at-a-time
-//!   by evaluating the head pattern — compiled once, like the bodies — as
-//!   a query whose answers, sorted and deduplicated, are precisely the
-//!   satisfied frontier valuations. Firing walks the three sorted runs
-//!   (triggers, fired, satisfied) with cursors, and the round's triggers
-//!   are merged into the fired run afterwards;
+//!   null. Head satisfaction is one probe per trigger: the head pattern
+//!   compiles once with the frontier bound on entry
+//!   ([`CompiledCq::compile_bound`]), and every round-start trigger runs
+//!   it with its valuation as the parameter row, stopping at the first
+//!   extension. The unsatisfied triggers fire. No trigger fires twice,
+//!   with no memory of past firings: a fired trigger's head facts stay in
+//!   the instance, and egd merges rewrite them like every other fact (a
+//!   homomorphism), so at every later round start its head is satisfied;
 //! * egd equalities accumulate in a **union-find** over null ids
 //!   (constant roots win; two distinct constant roots fail the chase) and
 //!   rewrite, id for id, only the facts that mention a merged null, found
@@ -49,9 +50,10 @@
 //!   wins — with fresh existential nulls drawn in that same order, so
 //!   the chased instance is deterministic. A rule's round is over budget
 //!   as soon as it has more than [`ChaseConfig::match_limit`] *distinct*
-//!   triggers (or satisfied valuations, or egd pairs); duplicates
+//!   triggers (or an egd pass more distinct equality pairs); duplicates
 //!   collapse as they arrive, so a buffer never holds more than
-//!   `match_limit + 1` rows;
+//!   `match_limit + 1` rows. Satisfied triggers count like any other:
+//!   the head probe spends no budget;
 //! * every exit canonicalises the store once ([`canonical_rows`]), and
 //!   the chased instance of [`ChaseOutcome::Done`] / `Overflow` and the
 //!   certificate's claimed facts are two cuts of that pass: nodes come
@@ -78,7 +80,7 @@ use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term};
 use ca_query::certify::cert_atom;
-use ca_query::engine::{eval_prepared_ids, eval_seeded_ids, prepare_cq, rows, CompiledCq, DbIndex};
+use ca_query::engine::{eval_bound_ids, eval_seeded_ids, prepare_cq, rows, CompiledCq, DbIndex};
 use ca_relational::schema::Schema;
 
 use super::{ChaseConfig, ChaseOutcome, Egd};
@@ -168,8 +170,8 @@ impl BodyPlans {
 /// One tgd compiled against the instance schema.
 struct CompiledRule {
     body: BodyPlans,
-    /// The head pattern as a query over the sorted frontier: its answer
-    /// set is exactly the set of satisfied frontier valuations.
+    /// The head pattern with the sorted frontier bound on entry: it
+    /// matches a trigger's valuation iff that trigger is satisfied.
     head: CompiledCq,
     /// The head facts to instantiate on firing.
     head_facts: Vec<HeadFact>,
@@ -192,8 +194,8 @@ fn compile_rule(rule: &Rule, schema: &Schema, store: &FactStore) -> Option<Compi
     let frontier: Vec<Null> = rule.frontier().into_iter().collect();
     let head_vars: Vec<u32> = frontier.iter().map(|nl| nl.0).collect();
     let body = BodyPlans::compile(pattern_atoms(&rule.body), &head_vars, schema)?;
-    let head_q = ConjunctiveQuery::with_head(head_vars, pattern_atoms(&rule.head));
-    let head = CompiledCq::compile(&head_q, schema).ok()?;
+    let head_q = ConjunctiveQuery::boolean(pattern_atoms(&rule.head));
+    let head = CompiledCq::compile_bound(&head_q, schema, &head_vars).ok()?;
     let mut head_facts = Vec::with_capacity(rule.head.n_nodes());
     let mut existentials: Vec<Null> = Vec::new();
     for (label, row) in rule.head.labels.iter().zip(&rule.head.data) {
@@ -503,8 +505,7 @@ pub(super) fn try_chase(
     Some(run(&schema, &rules, &cegds, instance, facts, cfg, skeleton))
 }
 
-/// Fixed-stride id rows: per-rule sorted runs of fired triggers,
-/// witnesses and satisfied valuations.
+/// Fixed-stride id rows: per-rule keyed witnesses.
 type Rows = rows::Rows<ValueId>;
 
 /// Id rows unique by a leading key, each keeping its least row.
@@ -682,7 +683,6 @@ fn run(
     skeleton: Option<CertSkeleton>,
 ) -> (ChaseOutcome, Option<ChaseCert>) {
     let mut uf = UnionFind::default();
-    let mut fired: Vec<Rows> = rules.iter().map(|r| Rows::new(r.key_len())).collect();
     let mut steps = 0usize;
     // The loaded facts are the first round's delta. Firing writes every
     // head tuple into the one `ids` buffer.
@@ -698,7 +698,6 @@ fn run(
         values: Vec::new(),
         ledger: Vec::new(),
     });
-    let mut first_round = true;
     loop {
         // Budget semantics mirror the reference's `for _ in 0..max_steps`
         // loop: the pass that *observes* the fixpoint needs a step too,
@@ -757,12 +756,6 @@ fn run(
                     break;
                 }
                 let changed = facts.rewrite(&merged, |v| uf.find(v));
-                // Keep the dedup keys aligned with the rewritten
-                // instance: fired valuations go through the same merge
-                // substitution as the facts.
-                for run in &mut fired {
-                    run.resolve(|v| uf.find(v));
-                }
                 egd_delta = changed.clone();
                 rewritten_all.extend(changed);
             }
@@ -780,33 +773,16 @@ fn run(
         let matched = {
             let mut idx = DbIndex::over(&facts.store);
             let seeds = seeds_by_rel(schema, &facts.store, &tgd_seed);
-            tgd_matches(
-                rules,
-                &fired,
-                &seeds,
-                first_round,
-                cfg.match_limit,
-                &mut idx,
-            )
+            tgd_matches(rules, &seeds, cfg.match_limit, &mut idx)
         };
-        let Ok((triggers, satisfied)) = matched else {
+        let Ok(triggers) = matched else {
             return overflow(schema, &facts.store, instance, &uf, rec);
         };
         let mut inserted: Vec<u32> = Vec::new();
         let mut fresh: Vec<ValueId> = Vec::new();
         for (r, rule) in rules.iter().enumerate() {
-            let k = rule.key_len();
-            let (mut at_fired, mut at_satisfied) = (0, 0);
             for witness in triggers[r].iter() {
-                let key = &witness[..k];
-                // A satisfied trigger is marked fired too (the merge
-                // below takes every trigger): satisfaction is monotone
-                // under fact addition, and egd merges rewrite the fired
-                // run together with the facts, so it can never need
-                // firing later.
-                if fired[r].seek(&mut at_fired, key) || satisfied[r].seek(&mut at_satisfied, key) {
-                    continue;
-                }
+                let key = &witness[..rule.key_len()];
                 if steps >= cfg.max_steps {
                     return aborted(schema, &facts.store, &uf, rec);
                 }
@@ -835,14 +811,12 @@ fn run(
                     });
                 }
             }
-            fired[r].merge_keys(&triggers[r]);
         }
 
         delta = inserted;
-        first_round = false;
         if steps == round_start_steps {
-            // No merge and no firing: every trigger is satisfied or
-            // fired, the instance is a fixpoint.
+            // No merge and no firing: every trigger is satisfied, the
+            // instance is a fixpoint.
             let rows = canonical_rows(&facts.store, &uf);
             let cert = rec.map(|r| {
                 r.finish(ChaseCertOutcome::Done {
@@ -929,53 +903,43 @@ fn egd_matches(
 
 /// The tgd match phase: evaluate every rule's body plans over the
 /// round's seeds, keeping per rule every frontier valuation with its
-/// least full body row, then the head plans of rules with unfired
-/// triggers. Returns per rule the keyed witnesses (whose keys are the
-/// round's triggers) and the satisfied frontier valuations, both sorted.
-/// `Err(())` as soon as a rule has more than `limit` distinct triggers
-/// or satisfied valuations.
+/// least full body row, then probe each rule's head with every valuation
+/// bound and keep the unsatisfied ones. Returns per rule the keyed
+/// witnesses of those triggers, sorted. `Err(())` as soon as a rule has
+/// more than `limit` distinct triggers.
 fn tgd_matches(
     rules: &[CompiledRule],
-    fired: &[Rows],
     seeds: &[Vec<u32>],
-    first_round: bool,
     limit: usize,
     idx: &mut DbIndex,
-) -> Result<(Vec<Rows>, Vec<Rows>), ()> {
+) -> Result<Vec<Rows>, ()> {
     let mut triggers = Vec::with_capacity(rules.len());
-    let mut satisfied = Vec::with_capacity(rules.len());
-    for (rule, fired) in rules.iter().zip(fired) {
+    for rule in rules {
         let k = rule.key_len();
         let mut found = Distinct::new(k + rule.body.body_vars.len(), k);
         // A rule with an empty body has no atom to seed: its single
-        // trigger (the empty valuation) exists from round one.
-        if rule.body.plans.is_empty() && first_round {
+        // trigger, the empty valuation, is there every round.
+        if rule.body.plans.is_empty() {
             found.insert(|_| {});
         }
         if !collect_witnesses(&rule.body, seeds, limit, idx, &mut found) {
             return Err(());
         }
-        let witnesses = found.into_sorted();
-        // Head satisfaction, set-at-a-time, only for a rule with an
-        // unfired trigger.
-        let mut set = Distinct::set(k);
-        let mut at = 0;
-        if witnesses.iter().any(|w| !fired.seek(&mut at, &w[..k])) {
+        let mut witnesses = found.into_rows();
+        if !witnesses.is_empty() {
+            let mut satisfied = vec![false; witnesses.len()];
             let prepared = prepare_cq(&rule.head, idx);
-            let mut within = true;
-            eval_prepared_ids(&rule.head, &prepared, idx, &mut |row| {
-                set.insert_row(row);
-                within = set.len() <= limit;
-                within
+            let keys = witnesses.iter().map(|w| &w[..k]);
+            eval_bound_ids(&rule.head, &prepared, idx, keys, &mut |i, _| {
+                satisfied[i] = true;
+                false
             });
-            if !within {
-                return Err(());
-            }
+            witnesses.retain(|i| !satisfied[i]);
+            witnesses.sort_dedup();
         }
         triggers.push(witnesses);
-        satisfied.push(set.into_sorted());
     }
-    Ok((triggers, satisfied))
+    Ok(triggers)
 }
 
 /// Partition delta fact ids into per-relation row-id seed lists (the

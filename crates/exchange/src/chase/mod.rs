@@ -22,8 +22,9 @@
 //!
 //! * `engine` — the semi-naive, delta-driven engine: rule bodies
 //!   compile once into pinned join plans (`ca_query::engine`), rounds
-//!   only evaluate against delta-seeded join orders, fired triggers are
-//!   deduped over an interned fact store, and egd equalities go through
+//!   only evaluate against delta-seeded join orders, a trigger fires
+//!   only when a probe of its head with the frontier bound finds no
+//!   extension in the interned fact store, and egd equalities go through
 //!   a union-find over nulls with incremental rewrite. Handles every
 //!   purely relational input (`σ = ∅` instance and patterns — all
 //!   data-exchange targets in this crate).
@@ -343,9 +344,16 @@ mod tests {
     /// round of transitivity fires within budget, the second overflows.
     #[test]
     fn overflow_partial_progress_keeps_derived_facts() {
-        // Chain of 5: round one derives 3 new edges (closure needs 6 new
-        // edges), round two's trigger set exceeds the budget of 4.
-        let start = tdb(&[[c(1), c(2)], [c(2), c(3)], [c(3), c(4)], [c(4), c(5)]]);
+        // Chain of 6: round one fires the 4 triggers `(x, z)` two steps
+        // apart, within the budget of 4; round two has the 5 triggers
+        // three and four steps apart, over it.
+        let start = tdb(&[
+            [c(1), c(2)],
+            [c(2), c(3)],
+            [c(3), c(4)],
+            [c(4), c(5)],
+            [c(5), c(6)],
+        ]);
         let cfg = ChaseConfig {
             match_limit: 4,
             ..ChaseConfig::new(100)
@@ -360,6 +368,68 @@ mod tests {
             }
             other => panic!("expected overflow, got {other:?}"),
         }
+    }
+
+    /// Only triggers count against the match budget, not the head
+    /// matches that decide satisfaction: `S(x) → ∃z T(x,z)` has the one
+    /// trigger `x = 1` under a budget of 1, while `T` holds three other
+    /// keys. The trigger fires once and the run replays.
+    #[test]
+    fn satisfied_valuations_do_not_count_against_the_budget() {
+        let schema = GenSchema::from_parts(&[("S", 1), ("T", 2)], &[]);
+        let mut start = GenDb::new(schema.clone());
+        start.add_node("S", vec![c(1)]);
+        for x in 2..5 {
+            start.add_node("T", vec![c(x), c(7)]);
+        }
+        let mut body = GenDb::new(schema.clone());
+        body.add_node("S", vec![n(1)]);
+        let mut head = GenDb::new(schema);
+        head.add_node("T", vec![n(1), n(2)]);
+        let tgds = [Rule { body, head }];
+        let cfg = ChaseConfig {
+            match_limit: 1,
+            ..ChaseConfig::new(100)
+        };
+        let (outcome, cert) = chase_certified(&start, &tgds, &[], &cfg);
+        match &outcome {
+            ChaseOutcome::Done(d) => assert_eq!(d.n_nodes(), start.n_nodes() + 1),
+            other => panic!("expected Done, got {other:?}"),
+        }
+        let cert = cert.expect("engine path certifies");
+        assert!(matches!(
+            cert.steps.as_slice(),
+            [ca_cert::ChaseStep::Fire { rule: 0, .. }]
+        ));
+        assert_eq!(ca_cert::check_chase(&cert), Ok(()));
+    }
+
+    /// Exactly the unsatisfied triggers fire, once each: `T(x,y) → ∃z
+    /// U(x,z)` over 40 keys, 20 of which already have a `U` fact, fires
+    /// 20 times in round one and never again.
+    #[test]
+    fn only_unsatisfied_triggers_fire() {
+        let schema = GenSchema::from_parts(&[("T", 2), ("U", 2)], &[]);
+        let mut start = GenDb::new(schema.clone());
+        for i in 0..40 {
+            start.add_node("T", vec![c(i), c(i + 1)]);
+            if i % 2 == 0 {
+                start.add_node("U", vec![c(i), c(0)]);
+            }
+        }
+        let mut body = GenDb::new(schema.clone());
+        body.add_node("T", vec![n(1), n(2)]);
+        let mut head = GenDb::new(schema);
+        head.add_node("U", vec![n(1), n(3)]);
+        let tgds = [Rule { body, head }];
+        let (outcome, cert) = chase_certified(&start, &tgds, &[], &ChaseConfig::new(100));
+        match &outcome {
+            ChaseOutcome::Done(d) => assert_eq!(d.n_nodes(), start.n_nodes() + 20),
+            other => panic!("expected Done, got {other:?}"),
+        }
+        let cert = cert.expect("engine path certifies");
+        assert_eq!(cert.steps.len(), 20);
+        assert_eq!(ca_cert::check_chase(&cert), Ok(()));
     }
 
     /// The match budget counts *distinct* keys, and duplicates collapse

@@ -16,12 +16,13 @@
 //!   checker's one documented search carve-out: verifying it naïvely
 //!   evaluates the single named completion, polynomial in the data.
 //!
-//! Witness assignments are extracted with the *augmented-head* trick:
-//! re-evaluate the disjunct with every body variable in the head, so each
-//! result row **is** a full body assignment; the first row in `BTreeSet`
-//! order makes emission deterministic across rebuilt stores.
+//! Witness assignments come from one bound probe per disjunct
+//! ([`RowProbe`]): the head is bound to the row, every body variable is in
+//! the probe's head, so each match is a full body assignment, and the
+//! least one in value order makes emission deterministic across rebuilt
+//! stores. Refutations test each completion with the same probe.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use ca_cert::{
     CertAtom, CertCq, CertFact, CertQuery, CertTerm, CertainVerdictCert, MatchCert, NonCertainCert,
@@ -31,7 +32,7 @@ use ca_relational::database::NaiveDatabase;
 
 use crate::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use crate::certain::{adequate_pool, certain_answer_bool, certain_table, ucq_constants};
-use crate::engine::{self, CompiledUcq, CompletionSpace, DbIndex};
+use crate::engine::{self, CompiledUcq, CompletionSpace, DbIndex, RowProbe};
 
 /// Translate a UCQ into the checker's engine-free vocabulary.
 pub fn cert_query(q: &UnionQuery) -> CertQuery {
@@ -71,30 +72,28 @@ pub fn db_facts(db: &NaiveDatabase) -> BTreeSet<CertFact> {
         .collect()
 }
 
-/// Find a naïve match of disjunct `d` (nulls as values) whose projected
-/// head row equals `row`, as a full body assignment. Deterministic: the
-/// augmented query's first answer row in `BTreeSet` order wins.
-fn naive_match(q: &UnionQuery, db: &NaiveDatabase, row: &[Value]) -> Option<MatchCert> {
-    for (d, cq) in q.disjuncts.iter().enumerate() {
-        let vars = cq.body_vars();
-        let aug = ConjunctiveQuery::with_head(vars.clone(), cq.atoms.clone());
-        let Ok(answers) = engine::eval_cq(&aug, db) else {
-            continue;
-        };
-        for assignment_row in answers {
-            let binding: BTreeMap<u32, Value> = vars.iter().copied().zip(assignment_row).collect();
-            let projected: Option<Vec<Value>> =
-                cq.head.iter().map(|h| binding.get(h).copied()).collect();
-            if projected.as_deref() == Some(row) {
-                return Some(MatchCert {
-                    disjunct: d,
-                    assignment: binding.into_iter().collect(),
-                    row: row.to_vec(),
-                });
-            }
-        }
-    }
-    None
+/// For each of `rows`, a naïve match of `q` (nulls as values) whose
+/// projected head row equals it, as a full body assignment: the first
+/// disjunct with such a match, and its least assignment in value order.
+/// One index and one bound plan per disjunct serve every row.
+fn naive_matches(q: &UnionQuery, db: &NaiveDatabase, rows: &[&[Value]]) -> Vec<Option<MatchCert>> {
+    let probe = RowProbe::compile_lenient(q, &db.schema);
+    let mut idx = DbIndex::new(db);
+    let cert = |row: &&[Value]| {
+        let (disjunct, values) = probe.least_match(&mut idx, row)?;
+        Some(MatchCert {
+            disjunct,
+            assignment: q
+                .disjuncts
+                .get(disjunct)?
+                .body_vars()
+                .into_iter()
+                .zip(values)
+                .collect(),
+            row: row.to_vec(),
+        })
+    };
+    rows.iter().map(cert).collect()
 }
 
 /// Scan the completion grid in index order for one completion falsifying
@@ -128,7 +127,8 @@ pub fn certain_bool_certified(
     let verdict = certain_answer_bool(q, db);
     let bq = boolean_form(q);
     if verdict {
-        let cert = naive_match(&bq, db, &[]).map(CertainVerdictCert::Certain);
+        let cert = naive_matches(&bq, db, &[&[]]).pop().flatten();
+        let cert = cert.map(CertainVerdictCert::Certain);
         return (true, cert);
     }
     let pool = adequate_pool(db, &ucq_constants(q));
@@ -170,9 +170,11 @@ pub type CertifiedTable = (BTreeSet<Vec<Value>>, Vec<(Vec<Value>, MatchCert)>);
 /// whole table.
 pub fn certain_table_certified(q: &UnionQuery, db: &NaiveDatabase) -> CertifiedTable {
     let table = certain_table(q, db);
-    let certs = table
-        .iter()
-        .filter_map(|row| naive_match(q, db, row).map(|c| (row.clone(), c)))
+    let rows: Vec<&[Value]> = table.iter().map(Vec::as_slice).collect();
+    let certs = naive_matches(q, db, &rows)
+        .into_iter()
+        .zip(&table)
+        .filter_map(|(m, row)| m.map(|c| (row.clone(), c)))
         .collect();
     (table, certs)
 }
@@ -180,17 +182,15 @@ pub fn certain_table_certified(q: &UnionQuery, db: &NaiveDatabase) -> CertifiedT
 /// Certify that `row` is **not** a certain answer of `q` over `db`: find
 /// a completion into the adequate pool whose answer table omits `row`.
 /// `None` when `row` is in fact certain (or the space is vacuous). Each
-/// completion is tested without building its answer table: `row` is
-/// resolved to interned ids and the join stops at the first equal head
-/// row.
+/// completion is tested without building its answer table: every
+/// disjunct probes once with its head bound to `row` and stops at the
+/// first match.
 pub fn refute_row(q: &UnionQuery, db: &NaiveDatabase, row: &[Value]) -> Option<NonCertainCert> {
     let pool = adequate_pool(db, &ucq_constants(q));
-    let plan = CompiledUcq::compile_lenient(q, &db.schema);
-    falsifying_valuation(db, &pool, |idx| engine::ucq_has_row(&plan, idx, row)).map(|valuation| {
-        NonCertainCert {
-            valuation,
-            row: row.to_vec(),
-        }
+    let probe = RowProbe::compile_lenient(q, &db.schema);
+    falsifying_valuation(db, &pool, |idx| probe.has_row(idx, row)).map(|valuation| NonCertainCert {
+        valuation,
+        row: row.to_vec(),
     })
 }
 

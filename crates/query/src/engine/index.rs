@@ -13,16 +13,20 @@
 //! which is exactly the nulls-as-values semantics of naïve evaluation.
 //!
 //! Two posting layouts, chosen per table deterministically from the
-//! store's contents:
+//! store's contents. Both hold the relation's row ids in one flat array,
+//! grouped by key through one counting sort (count per group,
+//! prefix-sum, place), and differ only in how a key finds its group:
 //!
 //! * **CSR** for single-column signatures over a dense value universe:
-//!   one `offsets` array indexed by value slot (constants first, then
-//!   nulls) into one flat `rows` array — probe is two array reads, no
-//!   hashing at all;
-//! * **hash** for multi-column signatures (or when the value universe is
-//!   much larger than the relation, where CSR offsets would waste
-//!   memory): `Vec<ValueId> → Vec<row>`, hashing dense `u32`s instead of
-//!   the old `Vec<Value>` keys.
+//!   the group is the value's slot (constants first, then nulls), so a
+//!   probe is two array reads, no hashing at all;
+//! * **grouped** for multi-column signatures (or when the value universe
+//!   is much larger than the relation, where CSR offsets would waste
+//!   memory): the distinct keys are held once, in first-row order, in a
+//!   flat [`Distinct`] set (one open-addressing `RowIndex` of row
+//!   numbers, `ca_core::rows`), and a key's position there is its group,
+//!   so a table is a few flat arrays with no allocation per key. A fully
+//!   bound pattern (the chase's head check) probes this layout.
 //!
 //! `DbIndex::ensure_cq` resolves a compiled CQ's signatures to table
 //! handles and its plan constants to interned value ids once per
@@ -39,6 +43,7 @@ use ca_relational::store_bridge::to_store;
 
 use super::cost::CostModel;
 use super::plan::{CompiledCq, KeyPart};
+use super::rows::Distinct;
 
 /// Handle of an atom's index table; [`SCAN`] means "scan the whole
 /// relation" — either because the atom has no bound positions, or because
@@ -75,18 +80,54 @@ pub(crate) enum IdKey {
     Slot(usize),
 }
 
+/// Row ids grouped by key: group `g` is `rows[offsets[g]..offsets[g + 1]]`.
+struct Groups {
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Groups {
+    /// Counting sort of `rows` into `n` groups, `group(i)` being the
+    /// group of `rows[i]`: count per group, prefix-sum, then place, so
+    /// each group keeps row order.
+    fn build(rows: &[u32], n: usize, group: impl Fn(usize) -> usize) -> Groups {
+        let mut offsets = vec![0u32; n + 1];
+        for i in 0..rows.len() {
+            offsets[group(i) + 1] += 1;
+        }
+        for g in 1..offsets.len() {
+            offsets[g] += offsets[g - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut out = vec![0u32; rows.len()];
+        for (i, &row) in rows.iter().enumerate() {
+            let g = group(i);
+            out[cursor[g] as usize] = row;
+            cursor[g] += 1;
+        }
+        Groups { offsets, rows: out }
+    }
+
+    /// The rows of group `g`; none past the last group.
+    fn get(&self, g: usize) -> &[u32] {
+        match self.offsets.get(g..).and_then(|o| o.get(..2)) {
+            Some(&[lo, hi]) => &self.rows[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
 /// One lazily built posting table.
 enum Table {
-    /// Single-column signature over a dense universe: `offsets[slot] ..
-    /// offsets[slot + 1]` indexes `rows`. Slots enumerate constants then
-    /// nulls (`n_consts + null index`).
-    Csr {
-        n_consts: u32,
-        offsets: Vec<u32>,
-        rows: Vec<u32>,
+    /// Single-column signature over a dense universe: the group of a
+    /// value is its slot, constants then nulls (`n_consts + null index`).
+    Csr { n_consts: u32, groups: Groups },
+    /// Any other signature: the group of a key is its position in
+    /// `keys`, the distinct keys in first-row order.
+    Grouped {
+        keys: Distinct<ValueId>,
+        groups: Groups,
     },
-    /// General signature: id tuple → rows.
-    Hash(HashMap<Vec<ValueId>, Vec<u32>>),
 }
 
 /// The store backing an index: owned (bridged databases) or borrowed
@@ -238,35 +279,25 @@ impl<'a> DbIndex<'a> {
         let n_slots = (n_consts + values.n_nulls()) as usize;
         let table = match sig {
             &[pos] if n_slots <= CSR_MIN_SLOTS.max(CSR_MAX_SLOT_FACTOR * rows.len()) => {
-                // Two-pass CSR: count per slot, prefix-sum, then place.
                 let col = &cols[pos];
-                let mut offsets = vec![0u32; n_slots + 1];
-                for &row in rows {
-                    offsets[Self::csr_slot(n_consts, col[row as usize]) + 1] += 1;
-                }
-                for s in 1..offsets.len() {
-                    offsets[s] += offsets[s - 1];
-                }
-                let mut cursor = offsets.clone();
-                let mut out = vec![0u32; rows.len()];
-                for &row in rows {
-                    let slot = Self::csr_slot(n_consts, col[row as usize]);
-                    out[cursor[slot] as usize] = row;
-                    cursor[slot] += 1;
-                }
+                let slot = |i: usize| Self::csr_slot(n_consts, col[rows[i] as usize]);
                 Table::Csr {
                     n_consts,
-                    offsets,
-                    rows: out,
+                    groups: Groups::build(rows, n_slots, slot),
                 }
             }
             _ => {
-                let mut map: HashMap<Vec<ValueId>, Vec<u32>> = HashMap::new();
-                for &row in rows {
-                    let key: Vec<ValueId> = sig.iter().map(|&p| cols[p][row as usize]).collect();
-                    map.entry(key).or_default().push(row);
+                let mut keys = Distinct::set(sig.len());
+                let group_of: Vec<usize> = rows
+                    .iter()
+                    .map(|&row| {
+                        keys.insert(|key| key.extend(sig.iter().map(|&p| cols[p][row as usize])))
+                    })
+                    .collect();
+                Table::Grouped {
+                    groups: Groups::build(rows, keys.len(), |i| group_of[i]),
+                    keys,
                 }
-                Table::Hash(map)
             }
         };
         self.tables.push(table);
@@ -276,20 +307,11 @@ impl<'a> DbIndex<'a> {
     /// Row ids matching `key` on the table behind `handle`.
     pub(crate) fn probe(&self, handle: usize, key: &[ValueId]) -> &[u32] {
         match &self.tables[handle] {
-            Table::Csr {
-                n_consts,
-                offsets,
-                rows,
-            } => {
+            Table::Csr { n_consts, groups } => {
                 let &[id] = key else { return &[] };
-                let slot = Self::csr_slot(*n_consts, id);
-                let hi_slot = slot.checked_add(1).and_then(|s| offsets.get(s));
-                let (Some(&lo), Some(&hi)) = (offsets.get(slot), hi_slot) else {
-                    return &[];
-                };
-                rows.get(lo as usize..hi as usize).unwrap_or(&[])
+                groups.get(Self::csr_slot(*n_consts, id))
             }
-            Table::Hash(map) => map.get(key).map_or(&[], Vec::as_slice),
+            Table::Grouped { keys, groups } => keys.find(key).map_or(&[], |g| groups.get(g)),
         }
     }
 }
@@ -358,6 +380,52 @@ mod tests {
         assert_eq!(idx.tables.len(), 1);
         // Single-column signature over a small universe: the CSR layout.
         assert!(matches!(idx.tables[handle], Table::Csr { .. }));
+    }
+
+    /// A two-column signature builds the grouped layout: every probe
+    /// returns exactly the rows holding its key, in row order, with nulls
+    /// as values, and a key no row holds finds nothing.
+    #[test]
+    fn grouped_postings_hold_every_row_of_their_key() {
+        use crate::ast::{Atom, ConjunctiveQuery, Term};
+        let rows: Vec<Vec<Value>> = (0..300i64)
+            .map(|i| {
+                let a = if i % 11 == 0 { n(1) } else { c(i % 5) };
+                vec![a, c(i % 7), c(i)]
+            })
+            .collect();
+        let refs: Vec<&[Value]> = rows.iter().map(Vec::as_slice).collect();
+        let db = table("R", 3, &refs);
+        let mut idx = DbIndex::new(&db);
+        // R(x, y, z) with x and y bound on entry: signature {0, 1}.
+        let q = ConjunctiveQuery::boolean(vec![Atom::new(
+            "R",
+            vec![Term::Var(0), Term::Var(1), Term::Var(2)],
+        )]);
+        let plan = CompiledCq::compile_bound(&q, &db.schema, &[0, 1]).unwrap();
+        let handle = idx.ensure_cq(&plan)[0].handle;
+        assert!(matches!(idx.tables[handle], Table::Grouped { .. }));
+        let rel = db.schema.relation("R").unwrap();
+        let cols = idx.cols(rel);
+        let mut seen = 0;
+        for a in (0..5).map(c).chain([n(1)]) {
+            for b in (0..7).map(c) {
+                let key = [a, b].map(|v| idx.store().lookup_value(v).unwrap());
+                let expected: Vec<u32> = idx
+                    .rows(rel)
+                    .iter()
+                    .copied()
+                    .filter(|&r| cols[0][r as usize] == key[0] && cols[1][r as usize] == key[1])
+                    .collect();
+                assert_eq!(idx.probe(handle, &key), expected.as_slice(), "{a:?} {b:?}");
+                seen += expected.len();
+            }
+        }
+        assert_eq!(seen, 300);
+        let id = |v| idx.store().lookup_value(v).unwrap();
+        assert!(idx.probe(handle, &[id(c(0)), id(c(299))]).is_empty());
+        assert!(idx.probe(handle, &[INVALID_ID, id(c(1))]).is_empty());
+        assert!(idx.probe(handle, &[id(c(1))]).is_empty());
     }
 
     #[test]

@@ -14,16 +14,18 @@
 //!    the workspace columnar store (`ca_core::store`): the inner join
 //!    loop reads interned `u32` ids straight from column pages (no tuple
 //!    cloning, no `Value` hashing), with per-relation posting tables
-//!    (CSR or hash) keyed by each atom's bound-position signature, built
+//!    (CSR or grouped) keyed by each atom's bound-position signature, built
 //!    lazily on first probe and cached across the disjuncts of a UCQ and
 //!    across repeated evaluations on the same store. Answer rows stay
 //!    interned-id tuples too: every disjunct of a UCQ inserts its head
 //!    id rows into one flat, deduplicating id set, and each distinct row
 //!    is decoded to [`Value`]s once, at the `BTreeSet` API edge (late
 //!    materialization — the join may emit each answer many times). The
-//!    emitters other engines call ([`eval_cq_ids`], [`eval_prepared_ids`],
+//!    emitters other engines call ([`eval_cq_ids`], [`eval_bound_ids`],
 //!    [`eval_seeded_ids`]) hand out id rows too: the join engine never
-//!    emits a `Value` row;
+//!    emits a `Value` row. [`eval_bound_ids`] asks "does this pattern
+//!    match with these variables fixed?" for the chase's head check and
+//!    for [`RowProbe`]'s row tests;
 //! 3. **completion sweep** ([`sweep`]) — brute-force certain answers
 //!    sweep the `|pool|^#nulls` completion grid in index order,
 //!    grounding each completion by remapping null ids over shared column
@@ -42,7 +44,7 @@ pub mod sweep;
 
 use std::collections::BTreeSet;
 
-use ca_core::store::{FactStore, ValueId};
+use ca_core::store::{FactStore, ValueId, INVALID_ID};
 use ca_core::value::Value;
 use ca_relational::database::NaiveDatabase;
 use ca_relational::schema::Schema;
@@ -221,18 +223,31 @@ pub fn prepare_cq(cq: &CompiledCq, idx: &mut DbIndex<'_>) -> PreparedCq {
     }
 }
 
-/// Evaluate a prepared CQ against an immutably borrowed index, calling
-/// `emit` on every head id row (with duplicates; returning `false` stops
-/// early). `prep` must come from [`prepare_cq`] for the same plan and
-/// index. Returns `false` iff `emit` requested a stop.
-pub fn eval_prepared_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
+/// Run a prepared plan compiled with bound variables
+/// ([`CompiledCq::compile_bound`]) once per parameter row, each filling
+/// the bound slots: `emit(i, head)` sees every head id row of parameter
+/// row `i`, and returning `false` ends row `i`'s enumeration (the next
+/// row starts afresh). One set of execution buffers serves the whole
+/// batch. A parameter row whose width is not the plan's bound count
+/// matches nothing. `prep` must come from [`prepare_cq`] for the same
+/// plan and index.
+pub fn eval_bound_ids<'p, E: FnMut(usize, &[ValueId]) -> bool>(
     cq: &CompiledCq,
     prep: &PreparedCq,
     idx: &DbIndex<'_>,
+    params: impl IntoIterator<Item = &'p [ValueId]>,
     emit: &mut E,
-) -> bool {
+) {
     debug_assert_eq!(prep.access.len(), cq.atoms.len());
-    exec(cq, &prep.access, idx, 0, &mut ExecBufs::new(cq), emit)
+    let mut bufs = ExecBufs::new(cq);
+    for (i, param) in params.into_iter().enumerate() {
+        if param.len() == cq.n_bound {
+            bufs.slots[..cq.n_bound].copy_from_slice(param);
+            exec(cq, &prep.access, idx, 0, &mut bufs, &mut |head| {
+                emit(i, head)
+            });
+        }
+    }
 }
 
 /// Semi-naive evaluation of a prepared CQ: the **first** atom of the
@@ -309,18 +324,95 @@ pub fn eval_ucq_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> BTreeSet<Vec<Val
     decode(set.rows(), idx.store())
 }
 
-/// Does some disjunct of `ucq` emit the head row `row` (nulls as
-/// values)? Stops at the first equal head row. A value of `row` that is
-/// not interned in the store cannot occur in any answer.
-pub(crate) fn ucq_has_row(ucq: &CompiledUcq, idx: &mut DbIndex<'_>, row: &[Value]) -> bool {
-    let Some(ids) = row
-        .iter()
-        .map(|&v| idx.store().lookup_value(v))
-        .collect::<Option<Vec<ValueId>>>()
-    else {
-        return false;
-    };
-    !ucq_ids_into(ucq, idx, &mut |head| head != ids.as_slice())
+/// A UCQ compiled for row tests: is a row an answer (nulls as values),
+/// and by which body assignment? Each disjunct compiles once with its
+/// distinct head variables bound on entry and its sorted body variables
+/// as its head, so a probe with the head bound to a row enumerates the
+/// full body assignments that project to it.
+pub struct RowProbe {
+    /// Per disjunct that compiles: its index in the UCQ, its plan, and per
+    /// head position the bound slot it reads (repeated head variables
+    /// share one).
+    disjuncts: Vec<(usize, CompiledCq, Vec<usize>)>,
+}
+
+impl RowProbe {
+    /// Compile every disjunct, dropping those that do not fit the schema
+    /// or whose head mentions a variable the body does not: they match no
+    /// row, as under [`CompiledUcq::compile_lenient`].
+    pub fn compile_lenient(q: &UnionQuery, schema: &Schema) -> RowProbe {
+        let compile = |(i, d): (usize, &ConjunctiveQuery)| {
+            let mut bound: Vec<u32> = Vec::new();
+            let mut slot = |v: &u32| {
+                bound.iter().position(|b| b == v).unwrap_or_else(|| {
+                    bound.push(*v);
+                    bound.len() - 1
+                })
+            };
+            let slots = d.head.iter().map(&mut slot).collect();
+            let q = ConjunctiveQuery::with_head(d.body_vars(), d.atoms.clone());
+            Some((
+                i,
+                CompiledCq::compile_bound(&q, schema, &bound).ok()?,
+                slots,
+            ))
+        };
+        RowProbe {
+            disjuncts: q.disjuncts.iter().enumerate().filter_map(compile).collect(),
+        }
+    }
+
+    /// The first disjunct that emits `row`, with a body assignment
+    /// projecting to `row` (values in sorted body-variable order): with
+    /// `least`, its least one compared as values — the first answer row
+    /// of the disjunct with every body variable in its head — and
+    /// otherwise the first found. A value of `row` that is not interned in
+    /// `idx`'s store occurs in no answer.
+    fn find(
+        &self,
+        idx: &mut DbIndex<'_>,
+        row: &[Value],
+        least: bool,
+    ) -> Option<(usize, Vec<Value>)> {
+        self.disjuncts.iter().find_map(|(i, plan, slots)| {
+            if slots.len() != row.len() {
+                return None;
+            }
+            let mut param = vec![INVALID_ID; plan.n_bound];
+            for (&s, &v) in slots.iter().zip(row) {
+                let id = idx.store().lookup_value(v)?;
+                // A repeated head variable cannot take two values.
+                if ![INVALID_ID, id].contains(&std::mem::replace(&mut param[s], id)) {
+                    return None;
+                }
+            }
+            // One probe per index: the one-shot access paths of `eval_cq_ids`.
+            let prep = PreparedCq {
+                access: access_paths(plan, idx),
+            };
+            let (store, mut found) = (idx.store(), None);
+            eval_bound_ids(plan, &prep, idx, [param.as_slice()], &mut |_, ids| {
+                let values: Vec<Value> = ids.iter().map(|&id| store.value(id)).collect();
+                if found.as_ref().is_none_or(|held| values < *held) {
+                    found = Some(values);
+                }
+                least
+            });
+            found.map(|values| (*i, values))
+        })
+    }
+
+    /// Does some disjunct emit the head row `row`? Each disjunct probes
+    /// once and stops at its first match.
+    pub fn has_row(&self, idx: &mut DbIndex<'_>, row: &[Value]) -> bool {
+        self.find(idx, row, false).is_some()
+    }
+
+    /// The first disjunct that emits `row`, with its least body
+    /// assignment projecting to `row` (see [`RowProbe`]).
+    pub fn least_match(&self, idx: &mut DbIndex<'_>, row: &[Value]) -> Option<(usize, Vec<Value>)> {
+        self.find(idx, row, true)
+    }
 }
 
 /// Boolean evaluation of a compiled UCQ on a prepared index, with early

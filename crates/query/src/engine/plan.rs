@@ -7,9 +7,9 @@
 //! one of three roles:
 //!
 //! * part of the **probe key** — a constant, or a variable bound by an
-//!   earlier atom in the plan: these positions form the atom's *index
-//!   signature*, the set of positions a hash index on the relation must
-//!   be keyed by;
+//!   earlier atom in the plan or on entry: these positions form the
+//!   atom's *index signature*, the set of positions a posting table on
+//!   the relation must be keyed by;
 //! * a **bind** — the first occurrence of a variable: matching a fact
 //!   writes the value into the variable's slot;
 //! * a **check** — a repeated occurrence of a variable first bound
@@ -17,7 +17,8 @@
 //!   against the just-bound slot after the probe.
 //!
 //! Variables compile to dense slot numbers, so evaluation never searches
-//! an association list the way the reference evaluator does.
+//! an association list the way the reference evaluator does. Variables
+//! bound on entry ([`CompiledCq::compile_bound`]) own the first slots.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -114,12 +115,14 @@ pub struct CompiledCq {
     pub(crate) atoms: Vec<AtomPlan>,
     pub(crate) head_slots: Vec<usize>,
     pub(crate) n_slots: usize,
+    /// Variables bound on entry: slots `0..n_bound`.
+    pub(crate) n_bound: usize,
 }
 
 impl CompiledCq {
     /// Compile a CQ against a schema.
     pub fn compile(q: &ConjunctiveQuery, schema: &Schema) -> Result<CompiledCq, PlanError> {
-        Self::compile_with_pin(q, schema, None)
+        Self::compile_with(q, schema, None, &[])
     }
 
     /// Compile with atom `pin` forced to the front of the join order (the
@@ -133,7 +136,26 @@ impl CompiledCq {
         schema: &Schema,
         pin: usize,
     ) -> Result<CompiledCq, PlanError> {
-        Self::compile_with_pin(q, schema, Some(pin))
+        Self::compile_with(q, schema, Some(pin), &[])
+    }
+
+    /// Compile with the variables `bound` known on entry: they take the
+    /// first slots in first-occurrence order (a repeat takes none), and
+    /// the greedy join order starts from them, so each evaluation
+    /// ([`crate::engine::eval_bound_ids`]) asks whether the pattern
+    /// matches with those slots fixed to one parameter row. A bound
+    /// variable the body does not mention is a
+    /// [`PlanError::UnboundHeadVar`]: nothing would constrain it.
+    pub fn compile_bound(
+        q: &ConjunctiveQuery,
+        schema: &Schema,
+        bound: &[u32],
+    ) -> Result<CompiledCq, PlanError> {
+        let body = q.body_vars();
+        if let Some(&var) = bound.iter().find(|v| body.binary_search(v).is_err()) {
+            return Err(PlanError::UnboundHeadVar { var });
+        }
+        Self::compile_with(q, schema, None, bound)
     }
 
     /// Compile with the join order picked by a [`CostModel`]: the DP
@@ -146,7 +168,7 @@ impl CompiledCq {
         model: &CostModel,
     ) -> Result<CompiledCq, PlanError> {
         let rels = resolve_rels(q, schema)?;
-        let greedy = join_order(q, None);
+        let greedy = join_order(q, None, &[]);
         match model.order(q, &rels) {
             // Hysteresis: take the DP's order only for a predicted win
             // past [`cost::DP_WIN_MARGIN`]. On near-ties the greedy
@@ -158,20 +180,21 @@ impl CompiledCq {
                     && model.order_cost(q, &rels, &dp)
                         < super::cost::DP_WIN_MARGIN * model.order_cost(q, &rels, &greedy) =>
             {
-                build(q, &rels, &dp)
+                build(q, &rels, &dp, &[])
             }
-            _ => build(q, &rels, &greedy),
+            _ => build(q, &rels, &greedy, &[]),
         }
     }
 
-    fn compile_with_pin(
+    fn compile_with(
         q: &ConjunctiveQuery,
         schema: &Schema,
         pin: Option<usize>,
+        bound: &[u32],
     ) -> Result<CompiledCq, PlanError> {
         let rels = resolve_rels(q, schema)?;
-        let order = join_order(q, pin);
-        build(q, &rels, &order)
+        let order = join_order(q, pin, bound);
+        build(q, &rels, &order, bound)
     }
 }
 
@@ -198,11 +221,21 @@ fn resolve_rels(q: &ConjunctiveQuery, schema: &Schema) -> Result<Vec<Symbol>, Pl
 }
 
 /// Classify every atom position along the given join `order` (see the
-/// module docs) and wire the head projection. The ordering policy —
-/// greedy or cost-based — is fully decided by here; classification is
-/// policy-independent.
-fn build(q: &ConjunctiveQuery, rels: &[Symbol], order: &[usize]) -> Result<CompiledCq, PlanError> {
+/// module docs) and wire the head projection, with the `bound` variables
+/// in the first slots. The ordering policy — greedy or cost-based — is
+/// fully decided by here; classification is policy-independent.
+fn build(
+    q: &ConjunctiveQuery,
+    rels: &[Symbol],
+    order: &[usize],
+    bound: &[u32],
+) -> Result<CompiledCq, PlanError> {
     let mut slots: BTreeMap<u32, usize> = BTreeMap::new();
+    for &v in bound {
+        let next = slots.len();
+        slots.entry(v).or_insert(next);
+    }
+    let n_bound = slots.len();
     let mut atoms = Vec::with_capacity(order.len());
     for &i in order {
         let atom = &q.atoms[i];
@@ -255,18 +288,19 @@ fn build(q: &ConjunctiveQuery, rels: &[Symbol], order: &[usize]) -> Result<Compi
         atoms,
         head_slots,
         n_slots: slots.len(),
+        n_bound,
     })
 }
 
 /// Greedy bound-variable join ordering: repeatedly pick the atom with the
 /// most positions already known (constants + variables bound by earlier
 /// picks), tie-breaking on fewer fresh variables, then original order.
-/// Deterministic by construction. When `pin` names an atom, that atom is
-/// forced to the front and the greedy order continues from its variable
-/// bindings.
-fn join_order(q: &ConjunctiveQuery, pin: Option<usize>) -> Vec<usize> {
+/// Deterministic by construction. The variables `known` count as bound
+/// from the start. When `pin` names an atom, that atom is forced to the
+/// front and the greedy order continues from its variable bindings.
+fn join_order(q: &ConjunctiveQuery, pin: Option<usize>, known: &[u32]) -> Vec<usize> {
     let n = q.atoms.len();
-    let mut bound: Vec<u32> = Vec::new();
+    let mut bound: Vec<u32> = known.to_vec();
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut order = Vec::with_capacity(n);
     if let Some(p) = pin.filter(|&p| p < n) {
@@ -398,7 +432,7 @@ mod tests {
             Atom::new("S", vec![V(0)]),
             Atom::new("R", vec![V(1), C(3)]),
         ]);
-        let order = join_order(&q, None);
+        let order = join_order(&q, None, &[]);
         assert_eq!(order[0], 2, "constant atom should lead: {order:?}");
         // Whatever follows, every later atom shares a variable with the
         // prefix (the query is connected), so no cartesian products.
@@ -415,14 +449,40 @@ mod tests {
             Atom::new("S", vec![V(0)]),
             Atom::new("R", vec![V(1), C(3)]),
         ]);
-        assert_eq!(join_order(&q, Some(0))[0], 0);
+        assert_eq!(join_order(&q, Some(0), &[])[0], 0);
         let plan = CompiledCq::compile_pinned(&q, &schema(), 0).unwrap();
         assert!(plan.atoms[0]
             .key
             .iter()
             .all(|k| matches!(k, KeyPart::Const(_))));
         // Out-of-range pin falls back to the plain greedy order.
-        assert_eq!(join_order(&q, Some(17)), join_order(&q, None));
+        assert_eq!(join_order(&q, Some(17), &[]), join_order(&q, None, &[]));
+    }
+
+    #[test]
+    fn bound_variables_take_the_first_slots_and_key_their_atoms() {
+        // R(x, y) ∧ S(y) with y bound on entry: S(y) is fully known, so it
+        // leads, keyed by slot 0; R follows, keyed on y and binding x.
+        let q = ConjunctiveQuery::boolean(vec![
+            Atom::new("R", vec![V(0), V(1)]),
+            Atom::new("S", vec![V(1)]),
+        ]);
+        let plan = CompiledCq::compile_bound(&q, &schema(), &[1]).unwrap();
+        assert_eq!((plan.n_bound, plan.n_slots), (1, 2));
+        let (s, r) = (&plan.atoms[0], &plan.atoms[1]);
+        assert_eq!((s.sig.as_slice(), r.sig.as_slice()), (&[0][..], &[1][..]));
+        for atom in [s, r] {
+            assert!(matches!(atom.key.as_slice(), [KeyPart::Slot(0)]));
+        }
+        assert_eq!(r.binds, vec![(0, 1)]);
+        // A repeated bound variable takes one slot.
+        let twice = CompiledCq::compile_bound(&q, &schema(), &[1, 0, 1]).unwrap();
+        assert_eq!((twice.n_bound, twice.n_slots), (2, 2));
+        // A bound variable the body never mentions is unconstrained.
+        assert_eq!(
+            CompiledCq::compile_bound(&q, &schema(), &[1, 7]).unwrap_err(),
+            PlanError::UnboundHeadVar { var: 7 }
+        );
     }
 
     #[test]

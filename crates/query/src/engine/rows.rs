@@ -2,8 +2,8 @@
 //! engine.
 //!
 //! Both engines produce many short rows of interned
-//! [`ValueId`](ca_core::store::ValueId)s — the chase's triggers,
-//! witnesses and satisfied valuations, the query engine's answer rows —
+//! [`ValueId`](ca_core::store::ValueId)s — the chase's triggers and
+//! witnesses, the query engine's answer rows and posting keys —
 //! and most of those rows are duplicates. [`Rows`] keeps them in one flat
 //! buffer with an explicit row count (the stride may be 0: a Boolean
 //! answer or an empty frontier), so a round or an evaluation allocates a
@@ -56,15 +56,8 @@ impl<T: Copy + Ord> Rows<T> {
         (0..self.len).map(|i| self.row(i))
     }
 
-    /// Append a row of width `stride`.
-    fn push(&mut self, row: &[T]) {
-        debug_assert_eq!(row.len(), self.stride);
-        self.vals.extend_from_slice(row);
-        self.len += 1;
-    }
-
     /// Sort the rows and drop duplicates.
-    fn sort_dedup(&mut self) {
+    pub fn sort_dedup(&mut self) {
         if self.stride == 0 {
             self.len = self.len.min(1);
             return;
@@ -76,46 +69,8 @@ impl<T: Copy + Ord> Rows<T> {
         self.vals = rows.concat();
     }
 
-    /// Whether this sorted, unique run holds `key`, moving the cursor `at`
-    /// past every smaller row: ascending probes walk the run once.
-    pub fn seek(&self, at: &mut usize, key: &[T]) -> bool {
-        while *at < self.len && self.row(*at) < key {
-            *at += 1;
-        }
-        *at < self.len && self.row(*at) == key
-    }
-
-    /// Merge the key prefixes of `keyed` (sorted, unique by key) into this
-    /// sorted, unique run of keys.
-    pub fn merge_keys(&mut self, keyed: &Rows<T>) {
-        if keyed.len == 0 {
-            return;
-        }
-        let k = self.stride;
-        let mut out = Rows::new(k);
-        out.vals.reserve(self.vals.len() + keyed.len * k);
-        let mut mine = self.iter().peekable();
-        for key in keyed.iter().map(|entry| &entry[..k]) {
-            while let Some(row) = mine.next_if(|row| *row < key) {
-                out.push(row);
-            }
-            mine.next_if(|row| *row == key);
-            out.push(key);
-        }
-        mine.for_each(|row| out.push(row));
-        *self = out;
-    }
-
-    /// Map every value through `f`, then restore sorted, unique order.
-    pub fn resolve(&mut self, f: impl Fn(T) -> T) {
-        for v in &mut self.vals {
-            *v = f(*v);
-        }
-        self.sort_dedup();
-    }
-
     /// Keep the rows whose index `keep` accepts, in their order.
-    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
         let stride = self.stride;
         let mut kept = 0;
         for i in 0..self.len {
@@ -136,7 +91,7 @@ impl<T: Copy + Ord> Rows<T> {
 /// distinct keys, however many duplicates arrive. With `key == stride`
 /// this is a set of rows. Keys are found through a [`RowIndex`] over the
 /// flat rows; the index is probed, never iterated, and a sorted order
-/// comes from one sort ([`Distinct::into_sorted`]).
+/// comes from one sort ([`Rows::sort_dedup`]).
 pub struct Distinct<T> {
     key: usize,
     rows: Rows<T>,
@@ -174,8 +129,9 @@ impl<T: Copy + Ord + Hash> Distinct<T> {
         &self.rows
     }
 
-    /// Add the one row that `fill` appends to the buffer.
-    pub fn insert(&mut self, fill: impl FnOnce(&mut Vec<T>)) {
+    /// Add the one row that `fill` appends to the buffer: the index of
+    /// the held row with its key.
+    pub fn insert(&mut self, fill: impl FnOnce(&mut Vec<T>)) -> usize {
         if self.index.reserve(self.rows.len) {
             self.place_all();
         }
@@ -187,7 +143,10 @@ impl<T: Copy + Ord + Hash> Distinct<T> {
         let is_key = |j: u32| held[j as usize * stride..][..key] == new[..key];
         let row = dense_count(self.rows.len);
         match self.index.place(hash_key(&new[..key]), row, is_key) {
-            None => self.rows.len += 1,
+            None => {
+                self.rows.len += 1;
+                self.rows.len - 1
+            }
             Some(j) => {
                 let j = j as usize;
                 let old = &mut held[j * stride..(j + 1) * stride];
@@ -195,13 +154,15 @@ impl<T: Copy + Ord + Hash> Distinct<T> {
                     old.copy_from_slice(new);
                 }
                 self.rows.vals.truncate(start);
+                j
             }
         }
     }
 
-    /// Add `row` (of width `stride`).
-    pub fn insert_row(&mut self, row: &[T]) {
-        self.insert(|vals| vals.extend_from_slice(row));
+    /// Add `row` (of width `stride`): the index of the held row with its
+    /// key.
+    pub fn insert_row(&mut self, row: &[T]) -> usize {
+        self.insert(|vals| vals.extend_from_slice(row))
     }
 
     /// The index of the held row whose key is `key`, if any.
@@ -225,13 +186,6 @@ impl<T: Copy + Ord + Hash> Distinct<T> {
         }
     }
 
-    /// The held rows, sorted.
-    pub fn into_sorted(self) -> Rows<T> {
-        let mut rows = self.rows;
-        rows.sort_dedup();
-        rows
-    }
-
     /// The held rows, in first-arrival order of their keys.
     pub fn into_rows(self) -> Rows<T> {
         self.rows
@@ -248,7 +202,8 @@ mod tests {
         for row in [[5, 9], [5, 3], [1, 4], [5, 7], [1, 2]] {
             d.insert_row(&row);
         }
-        let sorted = d.into_sorted();
+        let mut sorted = d.into_rows();
+        sorted.sort_dedup();
         let rows: Vec<&[u32]> = sorted.iter().collect();
         assert_eq!(rows, vec![&[1, 2][..], &[5, 3][..]]);
     }
@@ -273,29 +228,5 @@ mod tests {
         unit.insert_row(&[]);
         unit.insert_row(&[]);
         assert_eq!((unit.len(), unit.find(&[])), (1, Some(0)));
-    }
-
-    #[test]
-    fn sorted_runs_seek_and_merge() {
-        let mut fired: Rows<u32> = Rows::new(1);
-        for k in [4, 1] {
-            fired.push(&[k]);
-        }
-        fired.sort_dedup();
-        let mut keyed: Rows<u32> = Rows::new(2);
-        for row in [[1, 9], [2, 8], [6, 0]] {
-            keyed.push(&row);
-        }
-        let mut at = 0;
-        assert!(!fired.seek(&mut at, &[0]));
-        assert!(fired.seek(&mut at, &[1]));
-        assert!(!fired.seek(&mut at, &[2]));
-        assert!(fired.seek(&mut at, &[4]));
-        fired.merge_keys(&keyed);
-        let keys: Vec<&[u32]> = fired.iter().collect();
-        assert_eq!(keys, vec![&[1][..], &[2], &[4], &[6]]);
-        fired.resolve(|v| v.min(2));
-        let keys: Vec<&[u32]> = fired.iter().collect();
-        assert_eq!(keys, vec![&[1][..], &[2]]);
     }
 }

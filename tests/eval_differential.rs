@@ -8,8 +8,12 @@
 //! the certain-answer sweep must equal a brute-force intersection of
 //! reference answers over materialized completions.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
+use ca_cert::MatchCert;
+use ca_core::value::Value;
 use ca_query::certain::{adequate_pool, certain_answer_bool, certain_table, ucq_constants};
 use ca_query::certify;
 use ca_query::engine::{self, CompiledUcq};
@@ -19,6 +23,27 @@ use ca_query::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use ca_relational::database::NaiveDatabase;
 use ca_relational::generate::{random_naive_db_over, random_schema, DbParams, Rng};
 use ca_relational::schema::Schema;
+
+/// The reference evaluator's naïve match for `row`: the first disjunct
+/// with a body assignment projecting to it, and its least such assignment
+/// in sorted body-variable order (the first answer of the disjunct with
+/// every body variable in its head).
+fn reference_match(q: &UnionQuery, db: &NaiveDatabase, row: &[Value]) -> Option<MatchCert> {
+    q.disjuncts.iter().enumerate().find_map(|(disjunct, cq)| {
+        let vars = cq.body_vars();
+        let aug = ConjunctiveQuery::with_head(vars.clone(), cq.atoms.clone());
+        reference::eval_cq(&aug, db).into_iter().find_map(|values| {
+            let assignment: Vec<(u32, Value)> = vars.iter().copied().zip(values).collect();
+            let value_of = |h: &u32| assignment.iter().find(|(v, _)| v == h).map(|&(_, x)| x);
+            let projected: Option<Vec<Value>> = cq.head.iter().map(value_of).collect();
+            (projected.as_deref() == Some(row)).then(|| MatchCert {
+                disjunct,
+                assignment,
+                row: row.to_vec(),
+            })
+        })
+    })
+}
 
 /// One random instance: a schema of 1–3 relations (arity ≤ 3), a naïve
 /// database over it, and a UCQ with a random head arity.
@@ -82,14 +107,36 @@ proptest! {
 
     /// Per-disjunct agreement too (exercises the CQ entry point and the
     /// head-projection machinery disjunct by disjunct).
+    ///
+    /// The bound-head probe agrees too: over every row of the active
+    /// domain at the head's arity, it finds exactly the reference answer
+    /// rows, and it rejects a row of a value the database never holds.
     #[test]
     fn engine_cqs_agree_with_reference(seed in any::<u64>()) {
         let (_, db, q) = instance(seed);
+        let mut idx = engine::DbIndex::new(&db);
+        let adom: BTreeSet<Value> = db.facts().iter().flat_map(|f| f.args.iter().copied()).collect();
         for d in &q.disjuncts {
+            let answers = reference::eval_cq(d, &db);
             prop_assert_eq!(
-                engine::eval_cq(d, &db).expect("generated over the schema"),
-                reference::eval_cq(d, &db)
+                &engine::eval_cq(d, &db).expect("generated over the schema"),
+                &answers
             );
+            let probe = engine::RowProbe::compile_lenient(&UnionQuery::single(d.clone()), &db.schema);
+            let mut rows: Vec<Vec<Value>> = vec![vec![]];
+            for _ in &d.head {
+                rows = rows
+                    .iter()
+                    .flat_map(|r| adom.iter().map(move |&v| [r.as_slice(), &[v]].concat()))
+                    .collect();
+            }
+            for row in &rows {
+                prop_assert_eq!(probe.has_row(&mut idx, row), answers.contains(row), "{:?}", row);
+            }
+            if !d.head.is_empty() {
+                let absent = vec![Value::Const(987_654); d.head.len()];
+                prop_assert!(!probe.has_row(&mut idx, &absent));
+            }
         }
     }
 
@@ -197,7 +244,10 @@ proptest! {
 
     /// Certificate round-trip: every verdict the certified drivers emit
     /// must replay through the engine-blind checker — engine, reference,
-    /// and certificate all agree. (Same small instances as the sweep
+    /// and certificate all agree. Every match certificate is the
+    /// reference's least body assignment for its row, so its bytes do not
+    /// depend on how the engine finds matches, and every null-holding row
+    /// of the naïve table is refuted. (Same small instances as the sweep
     /// invariant so the |pool|^#nulls grid stays cheap.)
     #[test]
     fn certified_verdicts_round_trip(seed in any::<u64>()) {
@@ -235,6 +285,7 @@ proptest! {
             Some(CertainVerdictCert::Certain(m)) => {
                 prop_assert!(verdict, "certain cert on a non-certain verdict");
                 prop_assert_eq!(check_certain_row(&bq, &facts, &m), Ok(()));
+                prop_assert_eq!(Some(m), reference_match(&certify::boolean_form(&q), &db, &[]));
             }
             Some(CertainVerdictCert::NonCertain(nc)) => {
                 prop_assert!(!verdict, "non-certain cert on a certain verdict");
@@ -256,8 +307,15 @@ proptest! {
         for (row, m) in &certs {
             prop_assert!(table.contains(row));
             prop_assert_eq!(check_certain_row(&cq, &facts, m), Ok(()));
+            prop_assert_eq!(Some(m), reference_match(&q, &db, row).as_ref());
         }
-        let bogus = vec![ca_core::value::Value::Const(987_654); q.head_arity()];
+        let naive = engine::eval_ucq(&q, &db).expect("generated over the schema");
+        for row in naive.iter().filter(|row| row.iter().any(|v| v.is_null())) {
+            let nc = certify::refute_row(&q, &db, row)
+                .expect("a row holding a null is not certain");
+            prop_assert_eq!(check_non_certain(&cq, &facts, &nc), Ok(()));
+        }
+        let bogus = vec![Value::Const(987_654); q.head_arity()];
         if !table.contains(&bogus) && !db.nulls().is_empty() {
             let nc = certify::refute_row(&q, &db, &bogus)
                 .expect("a non-certain row must have a falsifying completion");
