@@ -54,10 +54,13 @@
 //!   collapse as they arrive, so a buffer never holds more than
 //!   `match_limit + 1` rows. Satisfied triggers count like any other:
 //!   the head probe spends no budget;
-//! * every exit canonicalises the store once ([`canonical_rows`]), and
-//!   the chased instance of [`ChaseOutcome::Done`] / `Overflow` and the
-//!   certificate's claimed facts are two cuts of that pass: nodes come
-//!   out in canonical `(relation, data)` order with no duplicates.
+//! * every exit cuts the store once ([`canonical_rows`]: per relation,
+//!   flat resolved id rows, sorted and deduplicated, which is value order
+//!   here), and the chased instance of [`ChaseOutcome::Done`] /
+//!   `Overflow` and the certificate's claimed facts are two decodings of
+//!   that cut: nodes come out in canonical `(relation, data)` order with
+//!   no duplicates. The certificate's initial facts are the same cut,
+//!   taken at load.
 //!
 //! Differences from the reference loop, all benign up to
 //! hom-equivalence (the differential suite compares with `gdm_equiv`):
@@ -80,7 +83,7 @@ use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term};
 use ca_query::certify::cert_atom;
-use ca_query::engine::{eval_bound_ids, eval_seeded_ids, prepare_cq, rows, CompiledCq, DbIndex};
+use ca_query::engine::{eval_bound_ids, eval_seeded_ids, rows, CompiledCq, DbIndex};
 use ca_relational::schema::Schema;
 
 use super::{ChaseConfig, ChaseOutcome, Egd};
@@ -550,23 +553,21 @@ impl Recorder {
     }
 }
 
-/// The live store facts per relation symbol, resolved through the
-/// union-find (`rewrite` lags it mid-merge-batch), sorted and deduplicated,
-/// so store insertion order never leaks into an outcome or certificate.
-fn canonical_rows(store: &FactStore, uf: &UnionFind) -> Vec<Vec<Vec<Value>>> {
+/// The live store facts per relation symbol as flat id rows, resolved
+/// through the union-find (`rewrite` lags it mid-merge-batch), sorted and
+/// deduplicated, so store insertion order never leaks into an outcome or
+/// certificate. Id order is value order (see [`run`]), so this is the
+/// order of the rows' values.
+fn canonical_rows(store: &FactStore, uf: &UnionFind) -> Vec<Rows> {
     store
         .relations()
         .map(|rel| {
             let table = store.table(rel);
-            let mut rows: Vec<Vec<Value>> = (0..table.n_rows())
-                .filter(|&row| table.is_live(row))
-                .map(|row| {
-                    let resolve = |col: &Vec<_>| store.value(uf.find(col[row as usize]));
-                    table.cols().iter().map(resolve).collect()
-                })
-                .collect();
-            rows.sort_unstable();
-            rows.dedup();
+            let mut rows = Rows::new(table.arity());
+            for row in (0..table.n_rows()).filter(|&row| table.is_live(row)) {
+                rows.push(table.cols().iter().map(|col| uf.find(col[row as usize])));
+            }
+            rows.sort_dedup();
             rows
         })
         .collect()
@@ -582,30 +583,12 @@ fn by_name(schema: &Schema) -> Vec<Symbol> {
 
 /// The canonical rows in checker vocabulary, one group per relation: the
 /// claimed facts of a certificate.
-fn cert_facts(schema: &Schema, rows: &[Vec<Vec<Value>>]) -> FactGroups {
-    let mut facts = FactGroups::new();
-    for rel in by_name(schema) {
-        for row in &rows[rel.index()] {
-            facts.push(schema.name(rel), row);
-        }
-    }
-    facts
-}
-
-/// The loaded store in checker vocabulary, in [`canonical_rows`] order but
-/// with no `Vec` per row: before any merge the live rows are distinct and
-/// unresolved, and id order is value order (see [`run`]), so sorting row
-/// numbers by their ids sorts the rows.
-fn initial_facts(schema: &Schema, store: &FactStore) -> FactGroups {
+fn cert_facts(schema: &Schema, store: &FactStore, rows: &[Rows]) -> FactGroups {
     let (mut facts, mut buf) = (FactGroups::new(), Vec::new());
     for rel in by_name(schema) {
-        let table = store.table(rel);
-        let ids = |r: u32| table.cols().iter().map(move |col| col[r as usize]);
-        let mut rows: Vec<u32> = (0..table.n_rows()).filter(|&r| table.is_live(r)).collect();
-        rows.sort_unstable_by(|&a, &b| ids(a).cmp(ids(b)));
-        for r in rows {
+        for row in rows[rel.index()].iter() {
             buf.clear();
-            buf.extend(ids(r).map(|id| store.value(id)));
+            buf.extend(row.iter().map(|&id| store.value(id)));
             facts.push(schema.name(rel), &buf);
         }
     }
@@ -614,12 +597,16 @@ fn initial_facts(schema: &Schema, store: &FactStore) -> FactGroups {
 
 /// The canonical rows as the chased instance, relations in symbol order
 /// (store, schema and label symbols coincide): `relational_view` reads it
-/// as facts already in `Fact` order.
-fn chased_db(instance: &GenDb, rows: Vec<Vec<Vec<Value>>>) -> GenDb {
+/// as facts already in `Fact` order. Each row gets its `Vec` here, as a
+/// node.
+fn chased_db(instance: &GenDb, store: &FactStore, rows: &[Rows]) -> GenDb {
     let mut out = GenDb::new(instance.schema.clone());
     for (label, run) in instance.schema.label_symbols().zip(rows) {
         out.labels.extend(std::iter::repeat_n(label, run.len()));
-        out.data.extend(run);
+        out.data.extend(
+            run.iter()
+                .map(|row| row.iter().map(|&id| store.value(id)).collect()),
+        );
     }
     out
 }
@@ -634,7 +621,7 @@ fn aborted(
 ) -> (ChaseOutcome, Option<ChaseCert>) {
     let cert = rec.map(|r| {
         r.finish(ChaseCertOutcome::Aborted {
-            partial: cert_facts(schema, &canonical_rows(store, uf)),
+            partial: cert_facts(schema, store, &canonical_rows(store, uf)),
         })
     });
     (ChaseOutcome::Aborted, cert)
@@ -652,11 +639,11 @@ fn overflow(
     let rows = canonical_rows(store, uf);
     let cert = rec.map(|r| {
         r.finish(ChaseCertOutcome::Overflow {
-            partial: cert_facts(schema, &rows),
+            partial: cert_facts(schema, store, &rows),
         })
     });
     (
-        ChaseOutcome::Overflow(Box::new(chased_db(instance, rows))),
+        ChaseOutcome::Overflow(Box::new(chased_db(instance, store, &rows))),
         cert,
     )
 }
@@ -688,12 +675,11 @@ fn run(
     // head tuple into the one `ids` buffer.
     let mut delta: Vec<FactId> = facts.store.iter_live().collect();
     let mut ids: Vec<ValueId> = Vec::new();
-    // The certificate's initial instance is in the canonical order of its
-    // claimed facts, so its bytes do not depend on the caller's node
-    // insertion order.
+    // The certificate's initial instance is the loaded store's canonical
+    // cut, so its bytes do not depend on the caller's node insertion order.
     let mut rec: Option<Recorder> = skeleton.map(|skeleton| Recorder {
         skeleton,
-        initial: initial_facts(schema, &facts.store),
+        initial: cert_facts(schema, &facts.store, &canonical_rows(&facts.store, &uf)),
         steps: Vec::new(),
         values: Vec::new(),
         ledger: Vec::new(),
@@ -820,11 +806,11 @@ fn run(
             let rows = canonical_rows(&facts.store, &uf);
             let cert = rec.map(|r| {
                 r.finish(ChaseCertOutcome::Done {
-                    final_facts: cert_facts(schema, &rows),
+                    final_facts: cert_facts(schema, &facts.store, &rows),
                 })
             });
             return (
-                ChaseOutcome::Done(Box::new(chased_db(instance, rows))),
+                ChaseOutcome::Done(Box::new(chased_db(instance, &facts.store, &rows))),
                 cert,
             );
         }
@@ -852,9 +838,8 @@ fn collect_witnesses(
         if rows.is_empty() {
             continue;
         }
-        let prepared = prepare_cq(plan, idx);
         let mut within = true;
-        eval_seeded_ids(plan, &prepared, idx, rows, &mut |row| {
+        eval_seeded_ids(plan, idx, rows, &mut |row| {
             out.insert(|vals| {
                 vals.extend(body.proj.iter().map(|&p| row[p]));
                 vals.extend_from_slice(row);
@@ -928,9 +913,8 @@ fn tgd_matches(
         let mut witnesses = found.into_rows();
         if !witnesses.is_empty() {
             let mut satisfied = vec![false; witnesses.len()];
-            let prepared = prepare_cq(&rule.head, idx);
             let keys = witnesses.iter().map(|w| &w[..k]);
-            eval_bound_ids(&rule.head, &prepared, idx, keys, &mut |i, _| {
+            eval_bound_ids(&rule.head, idx, keys, &mut |i, _| {
                 satisfied[i] = true;
                 false
             });

@@ -261,12 +261,13 @@ fn certified_trigger_budget_matches_plain_on_a_hub() {
     }
 }
 
-/// The head-satisfied set counts *distinct* frontier valuations: one
-/// trigger `S(1)` whose single satisfied key is produced twice by the
-/// head `∃z T(x,z)`, once per `T(2,_)` fact, must not overflow a match
-/// budget of 1.
+/// One unsatisfied trigger fits a match budget of 1 whatever the head
+/// relation holds: under `S(x) → ∃z T(x,z)`, the trigger `S(1)` fires
+/// although `T` already holds two rows of another key, `T(2,7)` and
+/// `T(2,8)`. The plain and certified runs agree, and the certificate
+/// replays.
 #[test]
-fn duplicate_satisfied_rows_do_not_overflow_the_budget() {
+fn one_unsatisfied_trigger_fits_a_budget_of_one() {
     use ca_exchange::chase::chase_certified;
 
     let schema = GenSchema::from_parts(&[("S", 1), ("T", 2)], &[]);

@@ -119,8 +119,8 @@ pub fn glb_trees_gdm(a: &GenDb, b: &GenDb) -> Option<GenDb> {
         while let Some(x) = stack.pop() {
             for (_, t) in &full.tuples {
                 for w in t.windows(2) {
-                    let (p, c) = (w[0] as usize, w[1] as usize);
-                    for (from, to) in [(p, c), (c, p)] {
+                    let &[p, c] = w else { continue };
+                    for (from, to) in [(p as usize, c as usize), (c as usize, p as usize)] {
                         if from == x && comp[to] == usize::MAX {
                             comp[to] = id;
                             stack.push(to);
@@ -145,8 +145,10 @@ pub fn glb_trees_gdm(a: &GenDb, b: &GenDb) -> Option<GenDb> {
                 node_of[i] = db.add_node(label, data);
             }
         }
+        // A tuple goes to its first node's component; a nullary tuple
+        // (impossible over the binary child relation) is dropped.
         for (rel, t) in &full.tuples {
-            if comp[t[0] as usize] == cid {
+            if matches!(t.as_slice(), [first, ..] if comp[*first as usize] == cid) {
                 db.add_tuple(
                     a.schema.relation_name(*rel),
                     t.iter().map(|&x| node_of[x as usize]).collect(),

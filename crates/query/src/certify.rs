@@ -75,12 +75,12 @@ pub fn db_facts(db: &NaiveDatabase) -> BTreeSet<CertFact> {
 /// For each of `rows`, a naïve match of `q` (nulls as values) whose
 /// projected head row equals it, as a full body assignment: the first
 /// disjunct with such a match, and its least assignment in value order.
-/// One index and one bound plan per disjunct serve every row.
+/// One index and one batched bound run per disjunct serve every row.
 fn naive_matches(q: &UnionQuery, db: &NaiveDatabase, rows: &[&[Value]]) -> Vec<Option<MatchCert>> {
     let probe = RowProbe::compile_lenient(q, &db.schema);
-    let mut idx = DbIndex::new(db);
-    let cert = |row: &&[Value]| {
-        let (disjunct, values) = probe.least_match(&mut idx, row)?;
+    let matches = probe.least_matches(&mut DbIndex::new(db), rows);
+    let cert = |(row, found): (&&[Value], Option<(usize, Vec<Value>)>)| {
+        let (disjunct, values) = found?;
         Some(MatchCert {
             disjunct,
             assignment: q
@@ -93,7 +93,7 @@ fn naive_matches(q: &UnionQuery, db: &NaiveDatabase, rows: &[&[Value]]) -> Vec<O
             row: row.to_vec(),
         })
     };
-    rows.iter().map(cert).collect()
+    rows.iter().zip(matches).map(cert).collect()
 }
 
 /// Scan the completion grid in index order for one completion falsifying

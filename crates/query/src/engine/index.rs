@@ -29,9 +29,9 @@
 //!   bound pattern (the chase's head check) probes this layout.
 //!
 //! `DbIndex::ensure_cq` resolves a compiled CQ's signatures to table
-//! handles and its plan constants to interned value ids once per
-//! (plan, store) pair, so the execution inner loop probes by handle and
-//! compares `u32`s with no hashing of signatures and no allocation.
+//! handles and its plan constants to interned value ids once per run, so
+//! the execution inner loop probes by handle and compares `u32`s with no
+//! hashing of signatures and no allocation.
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -219,9 +219,8 @@ impl<'a> DbIndex<'a> {
         self.store().table(rel).cols()
     }
 
-    /// Resolve an atom's key parts to the id level without touching the
-    /// posting tables (used by scan paths).
-    pub(crate) fn resolve_key(&self, key: &[KeyPart]) -> Vec<IdKey> {
+    /// Resolve an atom's key parts to the id level.
+    fn resolve_key(&self, key: &[KeyPart]) -> Vec<IdKey> {
         let values = self.store().values();
         key.iter()
             .map(|kp| match kp {
@@ -245,15 +244,18 @@ impl<'a> DbIndex<'a> {
 
     /// Make sure every posting table the plan probes with exists,
     /// returning one access path per atom ([`SCAN`] handles for scan
-    /// atoms). Called once per (plan, store) pair before execution, so
-    /// the execution loop can borrow the index immutably and probe by
-    /// handle.
-    pub(crate) fn ensure_cq(&mut self, cq: &CompiledCq) -> Vec<AtomAccess> {
+    /// atoms). The lead atom is indexed only if `index_lead`: when the
+    /// run probes it more than once, since one probe cannot repay a table.
+    /// Called once per run, before execution, so the execution loop can
+    /// borrow the index immutably and probe by handle.
+    pub(crate) fn ensure_cq(&mut self, cq: &CompiledCq, index_lead: bool) -> Vec<AtomAccess> {
         cq.atoms
             .iter()
-            .map(|atom| {
+            .enumerate()
+            .map(|(depth, atom)| {
                 let key = self.resolve_key(&atom.key);
-                if atom.sig.is_empty() || self.by_rel[atom.rel.index()].len() < INDEX_THRESHOLD {
+                let small = self.by_rel[atom.rel.index()].len() < INDEX_THRESHOLD;
+                if atom.sig.is_empty() || small || (depth == 0 && !index_lead) {
                     return AtomAccess { handle: SCAN, key };
                 }
                 if let Some(&h) = self.dir.get(&(atom.rel, atom.sig.clone())) {
@@ -341,7 +343,7 @@ mod tests {
         );
         let plan = CompiledCq::compile(&q, &db.schema).unwrap();
         // Three facts < INDEX_THRESHOLD: no table is built.
-        let access = idx.ensure_cq(&plan);
+        let access = idx.ensure_cq(&plan, true);
         assert_eq!(access.len(), 1);
         assert_eq!(access[0].handle, SCAN);
         assert!(idx.tables.is_empty());
@@ -364,7 +366,7 @@ mod tests {
             vec![Atom::new("R", vec![Term::Var(0), Term::Const(2)])],
         );
         let plan = CompiledCq::compile(&q, &db.schema).unwrap();
-        let access = idx.ensure_cq(&plan);
+        let access = idx.ensure_cq(&plan, true);
         assert_eq!(access.len(), 1);
         let handle = access[0].handle;
         assert_ne!(handle, SCAN);
@@ -375,7 +377,7 @@ mod tests {
         assert_eq!(idx.probe(handle, &[id9]).len(), INDEX_THRESHOLD - 2);
         assert!(idx.probe(handle, &[INVALID_ID]).is_empty());
         // Re-ensuring the same signature reuses the table.
-        let again = idx.ensure_cq(&plan);
+        let again = idx.ensure_cq(&plan, true);
         assert_eq!(handle, again[0].handle);
         assert_eq!(idx.tables.len(), 1);
         // Single-column signature over a small universe: the CSR layout.
@@ -403,7 +405,7 @@ mod tests {
             vec![Term::Var(0), Term::Var(1), Term::Var(2)],
         )]);
         let plan = CompiledCq::compile_bound(&q, &db.schema, &[0, 1]).unwrap();
-        let handle = idx.ensure_cq(&plan)[0].handle;
+        let handle = idx.ensure_cq(&plan, true)[0].handle;
         assert!(matches!(idx.tables[handle], Table::Grouped { .. }));
         let rel = db.schema.relation("R").unwrap();
         let cols = idx.cols(rel);
@@ -443,12 +445,81 @@ mod tests {
             vec![Atom::new("R", vec![Term::Var(0), Term::Const(999)])],
         );
         let plan = CompiledCq::compile(&q, &db.schema).unwrap();
-        let access = idx.ensure_cq(&plan);
+        let access = idx.ensure_cq(&plan, true);
         let [IdKey::Const(id)] = access[0].key.as_slice() else {
             panic!("one const key part expected");
         };
         assert_eq!(*id, INVALID_ID);
         assert!(idx.probe(access[0].handle, &[*id]).is_empty());
+    }
+
+    /// The lead atom of a run gets a posting table only when the run
+    /// probes it more than once: never in a one-shot or seeded run, and in
+    /// a bound run only for a batch of two or more parameter rows. Later
+    /// atoms keep their tables.
+    #[test]
+    fn only_a_batch_indexes_the_lead_atom() {
+        use crate::ast::{Atom, ConjunctiveQuery, Term};
+        use crate::engine::{eval_bound_ids, eval_cq_ids, eval_seeded_ids};
+        let schema = ca_relational::schema::Schema::from_relations(&[("R", 2), ("S", 2)]);
+        let mut db = NaiveDatabase::new(schema);
+        for i in 0..2 * INDEX_THRESHOLD as i64 {
+            db.add("R", vec![c(i), c(i % 2 + 5)]);
+            db.add("S", vec![c(i), c(i + 100)]);
+        }
+        let (r, s) = (
+            db.schema.relation("R").unwrap(),
+            db.schema.relation("S").unwrap(),
+        );
+        // (x, y) :- R(x, 5), S(x, y): R leads with signature {1}, S
+        // follows with signature {0}.
+        let q = ConjunctiveQuery::with_head(
+            vec![0, 1],
+            vec![
+                Atom::new("R", vec![Term::Var(0), Term::Const(5)]),
+                Atom::new("S", vec![Term::Var(0), Term::Var(1)]),
+            ],
+        );
+        let tables = |idx: &DbIndex| {
+            let mut keys: Vec<(Symbol, Vec<usize>)> = idx.dir.keys().cloned().collect();
+            keys.sort();
+            keys
+        };
+        let plan = CompiledCq::compile(&q, &db.schema).unwrap();
+        let mut idx = DbIndex::new(&db);
+        let mut n = 0;
+        eval_cq_ids(&plan, &mut idx, &mut |_| {
+            n += 1;
+            true
+        });
+        assert_eq!((n, tables(&idx)), (INDEX_THRESHOLD, vec![(s, vec![0])]));
+        let pinned = CompiledCq::compile_pinned(&q, &db.schema, 0).unwrap();
+        let mut idx = DbIndex::new(&db);
+        let all: Vec<u32> = idx.rows(r).to_vec();
+        eval_seeded_ids(&pinned, &mut idx, &all, &mut |_| true);
+        assert_eq!(tables(&idx), vec![(s, vec![0])]);
+        idx.ensure_cq(&pinned, true);
+        assert_eq!(tables(&idx), vec![(r, vec![1]), (s, vec![0])]);
+        // () :- R(x, y) with x bound: a single-atom plan.
+        let probe =
+            ConjunctiveQuery::boolean(vec![Atom::new("R", vec![Term::Var(0), Term::Var(1)])]);
+        let bound = CompiledCq::compile_bound(&probe, &db.schema, &[0]).unwrap();
+        let id = |idx: &DbIndex, v| idx.store().lookup_value(v).unwrap();
+        let mut idx = DbIndex::new(&db);
+        let one = [id(&idx, c(3))];
+        let mut hits = 0;
+        eval_bound_ids(&bound, &mut idx, [&one[..]].into_iter(), &mut |_, _| {
+            hits += 1;
+            true
+        });
+        assert_eq!((hits, tables(&idx)), (1, vec![]));
+        let two = [id(&idx, c(3)), id(&idx, c(4))];
+        let mut matched = Vec::new();
+        eval_bound_ids(&bound, &mut idx, two.chunks(1), &mut |i, _| {
+            matched.push(i);
+            true
+        });
+        assert_eq!((matched, tables(&idx)), (vec![0, 1], vec![(r, vec![0])]));
     }
 
     #[test]

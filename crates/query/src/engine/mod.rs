@@ -20,12 +20,14 @@
 //!    interned-id tuples too: every disjunct of a UCQ inserts its head
 //!    id rows into one flat, deduplicating id set, and each distinct row
 //!    is decoded to [`Value`]s once, at the `BTreeSet` API edge (late
-//!    materialization — the join may emit each answer many times). The
-//!    emitters other engines call ([`eval_cq_ids`], [`eval_bound_ids`],
-//!    [`eval_seeded_ids`]) hand out id rows too: the join engine never
-//!    emits a `Value` row. [`eval_bound_ids`] asks "does this pattern
-//!    match with these variables fixed?" for the chase's head check and
-//!    for [`RowProbe`]'s row tests;
+//!    materialization — the join may emit each answer many times).
+//!    `exec` is the one join loop, and three runners resolve their
+//!    access paths and drive it, handing out id rows (the join engine
+//!    never emits a `Value` row): [`eval_cq_ids`] runs a whole plan,
+//!    [`eval_seeded_ids`] ranges the lead atom over a delta, and
+//!    [`eval_bound_ids`] asks "does this pattern match with these
+//!    variables fixed?" for a batch of parameter rows — the chase's head
+//!    check and [`RowProbe`]'s row tests;
 //! 3. **completion sweep** ([`sweep`]) — brute-force certain answers
 //!    sweep the `|pool|^#nulls` completion grid in index order,
 //!    grounding each completion by remapping null ids over shared column
@@ -57,16 +59,6 @@ pub use plan::{CompiledCq, CompiledUcq, PlanError};
 use rows::{Distinct, Rows};
 pub use sweep::CompletionSpace;
 
-/// Compile a CQ against a schema.
-pub fn compile_cq(q: &ConjunctiveQuery, schema: &Schema) -> Result<CompiledCq, PlanError> {
-    CompiledCq::compile(q, schema)
-}
-
-/// Compile a UCQ against a schema.
-pub fn compile_ucq(q: &UnionQuery, schema: &Schema) -> Result<CompiledUcq, PlanError> {
-    CompiledUcq::compile(q, schema)
-}
-
 /// Reusable per-evaluation buffers threaded through [`exec`]: the
 /// variable-slot assignment (interned value ids), one probe-key scratch
 /// buffer per join depth, and the head-row buffer handed to `emit`, which
@@ -91,13 +83,16 @@ impl ExecBufs {
 /// Execute the plan suffix from `depth`, with `access` naming each
 /// atom's posting table and id-resolved key. The join loop compares
 /// interned `u32` ids read straight from the store's column pages, and
-/// `emit` sees each head row as ids. Generic over the emitter, so an
-/// id-set insert inlines into the loop's leaf. Returns `false` iff `emit`
-/// requested a stop.
+/// `emit` sees each head row as ids. `lead`, when given, replaces the
+/// scan of the lead atom: its candidates are those row ids of its
+/// relation (a semi-naive delta), checked against the atom's key like
+/// any scan. Generic over the emitter, so an id-set insert inlines into
+/// the loop's leaf. Returns `false` iff `emit` requested a stop.
 fn exec<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     cq: &CompiledCq,
     access: &[index::AtomAccess],
     idx: &DbIndex<'_>,
+    lead: Option<&[u32]>,
     depth: usize,
     bufs: &mut ExecBufs,
     emit: &mut E,
@@ -118,8 +113,9 @@ fn exec<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     // (and restoring it below), so the recursive call can borrow the rest.
     let mut key_buf = std::mem::take(&mut bufs.scratch[depth]);
     let candidates: &[u32] = if scanning {
-        // Full scan: bound positions (if any) are verified per candidate.
-        idx.rows(atom.rel)
+        // Full scan (or the lead rows): bound positions, if any, are
+        // verified per candidate.
+        lead.unwrap_or_else(|| idx.rows(atom.rel))
     } else {
         // Reuse this depth's scratch buffer for the probe key.
         key_buf.clear();
@@ -152,28 +148,13 @@ fn exec<E: FnMut(&[ValueId]) -> bool + ?Sized>(
                 continue 'cand;
             }
         }
-        if !exec(cq, access, idx, depth + 1, bufs, emit) {
+        if !exec(cq, access, idx, None, depth + 1, bufs, emit) {
             keep_going = false;
             break;
         }
     }
     bufs.scratch[depth] = key_buf;
     keep_going
-}
-
-/// The access paths [`exec`] runs a plan with. A single-atom plan scans:
-/// with one atom there is no join to accelerate, so building (or even
-/// resolving) a posting table can never amortize against the single scan
-/// that replaces it — measurably so on small relations (`e02_ucq_edge`).
-/// The scan verifies the bound-position signature per candidate.
-fn access_paths(cq: &CompiledCq, idx: &mut DbIndex<'_>) -> Vec<index::AtomAccess> {
-    match cq.atoms.as_slice() {
-        [atom] => vec![index::AtomAccess {
-            handle: index::SCAN,
-            key: idx.resolve_key(&atom.key),
-        }],
-        _ => idx.ensure_cq(cq),
-    }
 }
 
 /// Evaluate a compiled CQ, calling `emit` on every head row as interned
@@ -184,8 +165,8 @@ pub fn eval_cq_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     idx: &mut DbIndex<'_>,
     emit: &mut E,
 ) -> bool {
-    let access = access_paths(cq, idx);
-    exec(cq, &access, idx, 0, &mut ExecBufs::new(cq), emit)
+    let access = idx.ensure_cq(cq, false);
+    exec(cq, &access, idx, None, 0, &mut ExecBufs::new(cq), emit)
 }
 
 /// [`eval_cq_ids`] over every disjunct, in order, until `emit` stops.
@@ -203,100 +184,50 @@ fn ucq_ids_into<E: FnMut(&[ValueId]) -> bool + ?Sized>(
         .all(|d| eval_cq_ids(d, idx, emit))
 }
 
-/// The resolved access paths of one compiled CQ on one [`DbIndex`],
-/// resolved once by [`prepare_cq`]: per atom, a posting-table handle and
-/// the key with plan constants interned to value ids. Keeping them
-/// outside the index lets many evaluations share one immutably borrowed
-/// index afterwards — the access pattern of the semi-naive chase, which
-/// prepares every rule plan of a round up front and then runs its match
-/// phase.
-pub struct PreparedCq {
-    access: Vec<index::AtomAccess>,
-}
-
-/// Resolve a compiled CQ's posting tables on `idx` (building any missing
-/// ones). The returned access paths are only meaningful for this (plan,
-/// index) pair.
-pub fn prepare_cq(cq: &CompiledCq, idx: &mut DbIndex<'_>) -> PreparedCq {
-    PreparedCq {
-        access: idx.ensure_cq(cq),
-    }
-}
-
-/// Run a prepared plan compiled with bound variables
+/// Run a plan compiled with bound variables
 /// ([`CompiledCq::compile_bound`]) once per parameter row, each filling
 /// the bound slots: `emit(i, head)` sees every head id row of parameter
 /// row `i`, and returning `false` ends row `i`'s enumeration (the next
-/// row starts afresh). One set of execution buffers serves the whole
-/// batch. A parameter row whose width is not the plan's bound count
-/// matches nothing. `prep` must come from [`prepare_cq`] for the same
-/// plan and index.
+/// row starts afresh). One set of access paths and execution buffers
+/// serves the whole batch; a batch of two or more rows probes the lead
+/// atom more than once, so only then does it get a posting table. A
+/// parameter row whose width is not the plan's bound count matches
+/// nothing.
 pub fn eval_bound_ids<'p, E: FnMut(usize, &[ValueId]) -> bool>(
     cq: &CompiledCq,
-    prep: &PreparedCq,
-    idx: &DbIndex<'_>,
-    params: impl IntoIterator<Item = &'p [ValueId]>,
+    idx: &mut DbIndex<'_>,
+    params: impl ExactSizeIterator<Item = &'p [ValueId]>,
     emit: &mut E,
 ) {
-    debug_assert_eq!(prep.access.len(), cq.atoms.len());
+    let access = idx.ensure_cq(cq, params.len() > 1);
     let mut bufs = ExecBufs::new(cq);
-    for (i, param) in params.into_iter().enumerate() {
+    for (i, param) in params.enumerate() {
         if param.len() == cq.n_bound {
             bufs.slots[..cq.n_bound].copy_from_slice(param);
-            exec(cq, &prep.access, idx, 0, &mut bufs, &mut |head| {
+            exec(cq, &access, idx, None, 0, &mut bufs, &mut |head| {
                 emit(i, head)
             });
         }
     }
 }
 
-/// Semi-naive evaluation of a prepared CQ: the **first** atom of the
-/// plan ranges over `seed` — an explicit list of live *row ids of its
-/// relation* (a fact id translates via `FactStore::fact_row`), typically
-/// a delta set — instead of the whole relation, and the join loop runs the
-/// remaining atoms as usual, emitting head id rows. Compile the plan
-/// with [`CompiledCq::compile_pinned`] so the atom to be seeded leads the
-/// join order; nothing precedes it, so its key parts are all constants,
-/// verified inline per candidate here (a `Slot` part is treated as
-/// unmatched rather than trusted). A plan with no atoms emits nothing:
-/// there is no atom to seed. Returns `false` iff `emit` requested a stop.
+/// Semi-naive evaluation of a CQ: the **first** atom of the plan ranges
+/// over `seed` — an explicit list of live *row ids of its relation* (a
+/// fact id translates via `FactStore::fact_row`), typically a delta set —
+/// instead of the whole relation, and the join loop runs the remaining
+/// atoms as usual, emitting head id rows. Compile the plan with
+/// [`CompiledCq::compile_pinned`] so the atom to be seeded leads the join
+/// order; nothing precedes it, so its key parts are all constants,
+/// verified per seed row. A plan with no atoms emits nothing: there is no
+/// atom to seed. Returns `false` iff `emit` requested a stop.
 pub fn eval_seeded_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     cq: &CompiledCq,
-    prep: &PreparedCq,
-    idx: &DbIndex<'_>,
+    idx: &mut DbIndex<'_>,
     seed: &[u32],
     emit: &mut E,
 ) -> bool {
-    debug_assert_eq!(prep.access.len(), cq.atoms.len());
-    let (Some(atom), Some(acc)) = (cq.atoms.first(), prep.access.first()) else {
-        return true;
-    };
-    let cols = idx.cols(atom.rel);
-    let mut bufs = ExecBufs::new(cq);
-    'cand: for &row in seed {
-        let r = row as usize;
-        for (&pos, kp) in atom.sig.iter().zip(&acc.key) {
-            let expected = match kp {
-                index::IdKey::Const(id) => *id,
-                index::IdKey::Slot(_) => continue 'cand,
-            };
-            if cols[pos][r] != expected {
-                continue 'cand;
-            }
-        }
-        for &(pos, slot) in &atom.binds {
-            bufs.slots[slot] = cols[pos][r];
-        }
-        for &(pos, slot) in &atom.checks {
-            if cols[pos][r] != bufs.slots[slot] {
-                continue 'cand;
-            }
-        }
-        if !exec(cq, &prep.access, idx, 1, &mut bufs, emit) {
-            return false;
-        }
-    }
-    true
+    let (access, bufs) = (idx.ensure_cq(cq, false), &mut ExecBufs::new(cq));
+    cq.atoms.is_empty() || exec(cq, &access, idx, Some(seed), 0, bufs, emit)
 }
 
 /// A set of answer rows as interned ids: one flat, fixed-stride buffer
@@ -312,7 +243,7 @@ fn decode(rows: &Rows<ValueId>, store: &FactStore) -> BTreeSet<Vec<Value>> {
         .collect()
 }
 
-/// Evaluate a compiled UCQ on a prepared index: the union of the
+/// Evaluate a compiled UCQ on an index: the union of the
 /// disjuncts' answer sets, deduplicated as interned id rows in one set
 /// shared by the disjuncts and decoded once per distinct row.
 pub fn eval_ucq_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> BTreeSet<Vec<Value>> {
@@ -362,60 +293,82 @@ impl RowProbe {
         }
     }
 
-    /// The first disjunct that emits `row`, with a body assignment
-    /// projecting to `row` (values in sorted body-variable order): with
-    /// `least`, its least one compared as values — the first answer row
-    /// of the disjunct with every body variable in its head — and
-    /// otherwise the first found. A value of `row` that is not interned in
-    /// `idx`'s store occurs in no answer.
+    /// For each of `rows`, the first disjunct that emits it, with a body
+    /// assignment projecting to it (values in sorted body-variable order):
+    /// with `least`, its least one compared as values — the first answer
+    /// row of the disjunct with every body variable in its head — and
+    /// otherwise the first found. Each disjunct runs once, one batch over
+    /// the rows no earlier disjunct emitted. A value that is not interned
+    /// in `idx`'s store occurs in no answer.
     fn find(
         &self,
         idx: &mut DbIndex<'_>,
-        row: &[Value],
+        rows: &[&[Value]],
         least: bool,
-    ) -> Option<(usize, Vec<Value>)> {
-        self.disjuncts.iter().find_map(|(i, plan, slots)| {
-            if slots.len() != row.len() {
-                return None;
-            }
-            let mut param = vec![INVALID_ID; plan.n_bound];
-            for (&s, &v) in slots.iter().zip(row) {
-                let id = idx.store().lookup_value(v)?;
-                // A repeated head variable cannot take two values.
-                if ![INVALID_ID, id].contains(&std::mem::replace(&mut param[s], id)) {
-                    return None;
+    ) -> Vec<Option<(usize, Vec<Value>)>> {
+        let mut out = vec![None; rows.len()];
+        for (i, plan, slots) in &self.disjuncts {
+            let (mut open, mut params) = (Vec::new(), Rows::new(plan.n_bound));
+            for (r, row) in rows.iter().enumerate().filter(|&(r, _)| out[r].is_none()) {
+                if let Some(param) = bind(idx.store(), slots, plan.n_bound, row) {
+                    open.push(r);
+                    params.push(param);
                 }
             }
-            // One probe per index: the one-shot access paths of `eval_cq_ids`.
-            let prep = PreparedCq {
-                access: access_paths(plan, idx),
-            };
-            let (store, mut found) = (idx.store(), None);
-            eval_bound_ids(plan, &prep, idx, [param.as_slice()], &mut |_, ids| {
-                let values: Vec<Value> = ids.iter().map(|&id| store.value(id)).collect();
-                if found.as_ref().is_none_or(|held| values < *held) {
-                    found = Some(values);
-                }
+            // The run holds the index, so the matches are decoded after it,
+            // and the least is taken by value: ids on a bridged store do not
+            // follow value order.
+            let (mut of, mut found) = (Vec::new(), Rows::new(plan.head_slots.len()));
+            eval_bound_ids(plan, idx, params.iter(), &mut |p, ids| {
+                of.push(open[p]);
+                found.push(ids.iter().copied());
                 least
             });
-            found.map(|values| (*i, values))
-        })
+            for (r, ids) in of.into_iter().zip(found.iter()) {
+                let values: Vec<Value> = ids.iter().map(|&id| idx.store().value(id)).collect();
+                if out[r].as_ref().is_none_or(|(_, held)| values < *held) {
+                    out[r] = Some((*i, values));
+                }
+            }
+        }
+        out
     }
 
     /// Does some disjunct emit the head row `row`? Each disjunct probes
     /// once and stops at its first match.
     pub fn has_row(&self, idx: &mut DbIndex<'_>, row: &[Value]) -> bool {
-        self.find(idx, row, false).is_some()
+        self.find(idx, &[row], false).pop().flatten().is_some()
     }
 
-    /// The first disjunct that emits `row`, with its least body
-    /// assignment projecting to `row` (see [`RowProbe`]).
-    pub fn least_match(&self, idx: &mut DbIndex<'_>, row: &[Value]) -> Option<(usize, Vec<Value>)> {
-        self.find(idx, row, true)
+    /// For each of `rows`, the first disjunct that emits it, with its
+    /// least body assignment projecting to it (see [`RowProbe`]).
+    pub fn least_matches(
+        &self,
+        idx: &mut DbIndex<'_>,
+        rows: &[&[Value]],
+    ) -> Vec<Option<(usize, Vec<Value>)>> {
+        self.find(idx, rows, true)
     }
 }
 
-/// Boolean evaluation of a compiled UCQ on a prepared index, with early
+/// The parameter row that binds a disjunct's head `slots` to `row`'s ids:
+/// `None` if a value is not interned, or a repeated head variable would
+/// take two values.
+fn bind(store: &FactStore, slots: &[usize], n_bound: usize, row: &[Value]) -> Option<Vec<ValueId>> {
+    if slots.len() != row.len() {
+        return None;
+    }
+    let mut param = vec![INVALID_ID; n_bound];
+    for (&s, &v) in slots.iter().zip(row) {
+        let id = store.lookup_value(v)?;
+        if ![INVALID_ID, id].contains(&std::mem::replace(&mut param[s], id)) {
+            return None;
+        }
+    }
+    Some(param)
+}
+
+/// Boolean evaluation of a compiled UCQ on an index, with early
 /// exit on the first witness.
 pub fn eval_ucq_bool_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> bool {
     ucq.disjuncts
@@ -434,24 +387,12 @@ pub fn eval_ucq(q: &UnionQuery, db: &NaiveDatabase) -> Result<BTreeSet<Vec<Value
 }
 
 /// Compile (cost-based) and evaluate a CQ over a database (nulls as
-/// values), by the same route as [`eval_ucq_on`].
+/// values): [`eval_ucq`] of the one-disjunct union.
 pub fn eval_cq(
     q: &ConjunctiveQuery,
     db: &NaiveDatabase,
 ) -> Result<BTreeSet<Vec<Value>>, PlanError> {
-    let mut idx = DbIndex::new(db);
-    let plan = CompiledCq::compile_costed(q, &db.schema, idx.model())?;
-    Ok(cq_answers(&plan, &mut idx))
-}
-
-/// The answer set of a compiled CQ, by the route of [`eval_ucq_on`].
-pub(crate) fn cq_answers(plan: &CompiledCq, idx: &mut DbIndex<'_>) -> BTreeSet<Vec<Value>> {
-    let mut out = IdSet::set(plan.head_slots.len());
-    eval_cq_ids(plan, idx, &mut |row| {
-        out.insert_row(row);
-        true
-    });
-    decode(out.rows(), idx.store())
+    eval_ucq(&UnionQuery::single(q.clone()), db)
 }
 
 /// Compile (cost-based) and evaluate a Boolean UCQ over a database.
@@ -606,7 +547,7 @@ mod tests {
             vec![0],
             vec![Atom::new("R", vec![V(0)])],
         ));
-        let plan = compile_ucq(&q, &db.schema).unwrap();
+        let plan = CompiledUcq::compile(&q, &db.schema).unwrap();
         assert!(certain_table_over(&plan, &db, &[]).is_empty());
         assert!(certain_bool_over(&plan, &db, &[]));
     }
@@ -625,24 +566,65 @@ mod tests {
         let db = table("R", 2, &[&[c(1), c(2)], &[c(2), c(3)], &[c(3), c(4)]]);
         let plan = CompiledCq::compile_pinned(&q, &db.schema, 0).unwrap();
         let mut idx = DbIndex::new(&db);
-        let prep = prepare_cq(&plan, &mut idx);
         let seed_id = db
             .facts()
             .iter()
             .position(|f| f.args == vec![c(2), c(3)])
             .unwrap() as u32;
-        let seeded = |seed: &[u32]| {
-            let mut rows = BTreeSet::new();
-            assert!(eval_seeded_ids(&plan, &prep, &idx, seed, &mut |row| {
-                rows.insert(row.iter().map(|&id| idx.store().value(id)).collect());
+        let mut seeded = |seed: &[u32]| {
+            let mut rows = Rows::new(2);
+            assert!(eval_seeded_ids(&plan, &mut idx, seed, &mut |row| {
+                rows.push(row.iter().copied());
                 true
             }));
-            rows
+            decode(&rows, idx.store())
         };
         assert_eq!(seeded(&[seed_id]), BTreeSet::from([vec![c(2), c(4)]]));
         // Seeding with every fact recovers the full answer set.
         let all: Vec<u32> = (0..db.facts().len() as u32).collect();
         assert_eq!(seeded(&all), eval_cq(&q, &db).unwrap());
+    }
+
+    /// A seeded lead atom with a constant checks it on every seed row:
+    /// seeding `(x, y) :- R(x, 5), S(x, y)` with every `R` row gives the
+    /// reference answers, and a row whose second column is not 5 emits
+    /// nothing.
+    #[test]
+    fn seeded_lead_atom_checks_its_constants() {
+        let schema = Schema::from_relations(&[("R", 2), ("S", 2)]);
+        let mut db = NaiveDatabase::new(schema);
+        for i in 0..40i64 {
+            db.add("R", vec![c(i % 7), c(i % 3 + 4)]);
+            db.add("S", vec![c(i % 5), n((i % 4) as u32)]);
+        }
+        let q = ConjunctiveQuery::with_head(
+            vec![0, 1],
+            vec![
+                Atom::new("R", vec![V(0), C(5)]),
+                Atom::new("S", vec![V(0), V(1)]),
+            ],
+        );
+        let plan = CompiledCq::compile_pinned(&q, &db.schema, 0).unwrap();
+        let mut idx = DbIndex::new(&db);
+        // R's row 0 is R(0, 4).
+        let (r, c4) = (
+            db.schema.relation("R").unwrap(),
+            idx.store().lookup_value(c(4)),
+        );
+        assert_eq!(Some(idx.store().table(r).cols()[1][0]), c4);
+        let mut seeded = |seed: &[u32]| {
+            let mut rows = Rows::new(2);
+            eval_seeded_ids(&plan, &mut idx, seed, &mut |row| {
+                rows.push(row.iter().copied());
+                true
+            });
+            decode(&rows, idx.store())
+        };
+        let all: Vec<u32> = (0..db.relation(r).len() as u32).collect();
+        let expected = reference::eval_cq(&q, &db);
+        assert!(!expected.is_empty());
+        assert_eq!(seeded(&all), expected);
+        assert!(seeded(&[0]).is_empty());
     }
 
     /// A three-atom chain over a 1100-row lead relation, of which the
@@ -670,8 +652,11 @@ mod tests {
                 Atom::new("T", vec![V(2)]),
             ],
         );
-        let plan = CompiledCq::compile_pinned(&q, &db.schema, 0).unwrap();
-        let out = cq_answers(&plan, &mut DbIndex::new(&db));
+        let plan = CompiledUcq {
+            disjuncts: vec![CompiledCq::compile_pinned(&q, &db.schema, 0).unwrap()],
+            head_arity: 2,
+        };
+        let out = eval_ucq_on(&plan, &mut DbIndex::new(&db));
         let expected = reference::eval_cq(&q, &db);
         assert!(!expected.is_empty());
         assert_eq!(out, expected);
@@ -709,7 +694,7 @@ mod tests {
         ));
         let db = table("R", 2, &[&[c(1), n(1)], &[n(1), c(2)], &[n(2), c(5)]]);
         let pool = [1, 2, 5, 6, 7];
-        let plan = compile_ucq(&q, &db.schema).unwrap();
+        let plan = CompiledUcq::compile(&q, &db.schema).unwrap();
         // Legacy: materialize all completions, intersect reference answers.
         let mut legacy: Option<BTreeSet<Vec<Value>>> = None;
         for r in db.completions_over(&pool) {
@@ -810,7 +795,7 @@ mod tests {
                     ],
                 ),
             ]);
-            let plan = compile_ucq(&q, &db.schema).unwrap();
+            let plan = CompiledUcq::compile(&q, &db.schema).unwrap();
             let mut space = CompletionSpace::new(&db, &pool);
             let mut old: Option<BTreeSet<Vec<Value>>> = None;
             for i in 0..space.len() {

@@ -130,7 +130,8 @@ impl CompiledCq {
     /// precedes the pinned atom, its key parts are all constants, which
     /// is what lets [`crate::engine::eval_seeded_ids`] range it over an
     /// explicit fact list (a semi-naive delta set) instead of the whole
-    /// relation. A `pin` out of range is ignored (plain compilation).
+    /// relation, checking the constants per row as a scan does. A `pin`
+    /// out of range is ignored (plain compilation).
     pub fn compile_pinned(
         q: &ConjunctiveQuery,
         schema: &Schema,
@@ -141,7 +142,7 @@ impl CompiledCq {
 
     /// Compile with the variables `bound` known on entry: they take the
     /// first slots in first-occurrence order (a repeat takes none), and
-    /// the greedy join order starts from them, so each evaluation
+    /// the greedy join order starts from them, so each run of a batch
     /// ([`crate::engine::eval_bound_ids`]) asks whether the pattern
     /// matches with those slots fixed to one parameter row. A bound
     /// variable the body does not mention is a

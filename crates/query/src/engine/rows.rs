@@ -52,8 +52,15 @@ impl<T: Copy + Ord> Rows<T> {
     }
 
     /// The rows in buffer order.
-    pub fn iter(&self) -> impl Iterator<Item = &[T]> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[T]> {
         (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Append one row of width `stride`.
+    pub fn push(&mut self, row: impl IntoIterator<Item = T>) {
+        self.vals.extend(row);
+        self.len += 1;
+        debug_assert_eq!(self.vals.len(), self.len * self.stride);
     }
 
     /// Sort the rows and drop duplicates.

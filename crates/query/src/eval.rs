@@ -23,16 +23,15 @@ use ca_core::value::Value;
 use ca_relational::database::NaiveDatabase;
 
 use crate::ast::{ConjunctiveQuery, Fo, Term, UnionQuery};
-use crate::engine::{self, CompiledCq, DbIndex};
+use crate::engine::{self, DbIndex};
 
 /// Evaluate a CQ over a database treating nulls as values. Returns the set
 /// of head-variable bindings (each a tuple of values, possibly containing
-/// nulls). A Boolean query returns `{[]}` for true, `{}` for false.
+/// nulls). A Boolean query returns `{[]}` for true, `{}` for false. This is
+/// [`eval_ucq`] of the one-disjunct union, so a CQ that does not compile
+/// matches nothing.
 pub fn eval_cq(q: &ConjunctiveQuery, db: &NaiveDatabase) -> BTreeSet<Vec<Value>> {
-    let Ok(plan) = CompiledCq::compile(q, &db.schema) else {
-        return BTreeSet::new(); // lenient: unknown relation / arity → no matches
-    };
-    engine::cq_answers(&plan, &mut DbIndex::new(db))
+    eval_ucq(&UnionQuery::single(q.clone()), db)
 }
 
 /// Evaluate a UCQ (union of the disjuncts' answers).

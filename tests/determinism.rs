@@ -101,8 +101,9 @@ fn naive_eval_order_is_layout_independent() {
 #[test]
 fn certain_sweep_order_is_layout_and_thread_independent() {
     let pool = [1, 2, 3, 5];
-    let plan =
-        |db: &NaiveDatabase| engine::compile_ucq(&query(), &db.schema).expect("query fits schema");
+    let plan = |db: &NaiveDatabase| {
+        engine::CompiledUcq::compile(&query(), &db.schema).expect("query fits schema")
+    };
     let db0 = build_permuted(0);
     let baseline: Vec<Vec<Value>> = engine::certain_table_over(&plan(&db0), &db0, &pool)
         .into_iter()
@@ -215,7 +216,7 @@ fn store_backed_postings_are_layout_and_thread_independent() {
     use ca_relational::store_bridge::to_store;
     let pool = [1, 2, 3, 5];
     let db0 = build_permuted(0);
-    let plan = engine::compile_ucq(&query(), &db0.schema).expect("query fits schema");
+    let plan = engine::CompiledUcq::compile(&query(), &db0.schema).expect("query fits schema");
     let store0 = to_store(&db0);
     let mut idx0 = DbIndex::over(&store0);
     let baseline: Vec<Vec<Value>> = engine::eval_ucq_on(&plan, &mut idx0).into_iter().collect();
