@@ -7,34 +7,40 @@
 //!
 //! * every rule and egd body compiles once, when the rule is compiled,
 //!   into one pinned join plan per body atom ([`BodyPlans`]), with every
-//!   body variable in the plan's head. A round evaluates the plan pinned
-//!   at each atom with that atom ranging over the **delta** — the facts
-//!   added or rewritten since the previous round — so any match using
-//!   at least one new fact is found exactly through the plan pinned at
-//!   that fact's position, and quiet regions are never re-derived
+//!   body variable in the plan's head. Each egd pass and each tgd phase
+//!   builds its **delta** once — the facts added or rewritten since the
+//!   previous pass, as per-relation rows and a row bitmap ([`Delta`]) —
+//!   and evaluates the plan pinned at each atom *i* with atom *i* ranging
+//!   over the delta, every atom before *i* in the body skipping it, and
+//!   every atom after *i* ranging over all live rows. So a match that uses
+//!   at least one new fact is found exactly once, through the plan pinned
+//!   at its first delta position, and quiet regions are never re-derived
 //!   (semi-naive evaluation). Each answer row is a complete body
 //!   assignment, as interned ids. With its match key (the trigger, or the
 //!   equality pair for egds) in front it goes into one flat, fixed-stride
 //!   id buffer per rule ([`Distinct`]) that keeps the least row per key,
 //!   and one sort of the distinct rows yields the round's triggers in key
-//!   order, each with its least witness. This is the one match phase of both modes:
-//!   a certified run ([`ChaseConfig::certify`]) records the witness as its
-//!   step's values, decoded straight into the certificate's flat value
-//!   buffer;
+//!   order, each with its least witness. This is the one match phase of
+//!   both modes: a certified run ([`ChaseConfig::certify`]) records the
+//!   witness as its step's values, decoded straight into the
+//!   certificate's flat value buffer;
 //! * a *trigger* is a valuation of the rule's frontier (sorted body∩head
 //!   nulls). The facts live in the **workspace columnar fact store**
 //!   ([`ca_core::store::FactStore`] — interned values, column-major
 //!   tuples, a live bitmap), which never deduplicates; the chase owns
 //!   the set semantics ([`Facts`]): one [`RowIndex`] per relation over
 //!   the relation's own column pages, and a null-occurrence list per
-//!   null. Head satisfaction is one probe per trigger: the head pattern
-//!   compiles once with the frontier bound on entry
-//!   ([`CompiledCq::compile_bound`]), and every round-start trigger runs
-//!   it with its valuation as the parameter row, stopping at the first
-//!   extension. The unsatisfied triggers fire. No trigger fires twice,
-//!   with no memory of past firings: a fired trigger's head facts stay in
-//!   the instance, and egd merges rewrite them like every other fact (a
-//!   homomorphism), so at every later round start its head is satisfied;
+//!   null. Head satisfaction is tested per round-start trigger, before
+//!   any firing. A full rule (no existentials) is satisfied iff each of
+//!   its instantiated head facts is live, one [`Facts::holds`] lookup per
+//!   head atom. A rule with existentials compiles its head pattern once
+//!   with the frontier bound on entry ([`CompiledCq::compile_bound`]),
+//!   and each trigger runs it with its valuation as the parameter row,
+//!   stopping at the first extension. The unsatisfied triggers fire. No
+//!   trigger fires twice, with no memory of past firings: a fired
+//!   trigger's head facts stay in the instance, and egd merges rewrite
+//!   them like every other fact (a homomorphism), so at every later round
+//!   start its head is satisfied;
 //! * egd equalities accumulate in a **union-find** over null ids
 //!   (constant roots win; two distinct constant roots fail the chase) and
 //!   rewrite, id for id, only the facts that mention a merged null, found
@@ -53,14 +59,14 @@
 //!   triggers (or an egd pass more distinct equality pairs); duplicates
 //!   collapse as they arrive, so a buffer never holds more than
 //!   `match_limit + 1` rows. Satisfied triggers count like any other:
-//!   the head probe spends no budget;
+//!   the head test spends no budget;
 //! * every exit cuts the store once ([`canonical_rows`]: per relation,
 //!   flat resolved id rows, sorted and deduplicated, which is value order
-//!   here), and the chased instance of [`ChaseOutcome::Done`] /
-//!   `Overflow` and the certificate's claimed facts are two decodings of
-//!   that cut: nodes come out in canonical `(relation, data)` order with
-//!   no duplicates. The certificate's initial facts are the same cut,
-//!   taken at load.
+//!   here, then decoded once into flat value rows), and the chased
+//!   instance of [`ChaseOutcome::Done`] / `Overflow` and the
+//!   certificate's claimed facts both read that decoded cut: nodes come
+//!   out in canonical `(relation, data)` order with no duplicates. The
+//!   certificate's initial facts are the same cut, taken at load.
 //!
 //! Differences from the reference loop, all benign up to
 //! hom-equivalence (the differential suite compares with `gdm_equiv`):
@@ -77,13 +83,15 @@ use std::ops::Range;
 use ca_cert::{CertAtom, CertEgd, CertRule, ChaseCert, ChaseCertOutcome, ChaseStep, FactGroups};
 
 use ca_core::rows::{hash_key, RowIndex};
-use ca_core::store::{dense_count, id_is_null, null_index, FactId, FactStore, ValueId, INVALID_ID};
+use ca_core::store::{
+    dense_count, id_is_null, null_index, FactId, FactStore, RelTable, ValueId, INVALID_ID,
+};
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_query::ast::{Atom, ConjunctiveQuery, Term};
 use ca_query::certify::cert_atom;
-use ca_query::engine::{eval_bound_ids, eval_seeded_ids, rows, CompiledCq, DbIndex};
+use ca_query::engine::{eval_bound_ids, eval_seeded_ids, rows, CompiledCq, DbIndex, Delta};
 use ca_relational::schema::Schema;
 
 use super::{ChaseConfig, ChaseOutcome, Egd};
@@ -126,6 +134,19 @@ enum HeadTerm {
 struct HeadFact {
     rel: Symbol,
     template: Vec<HeadTerm>,
+}
+
+impl HeadFact {
+    /// The fact's tuple under the trigger `key` and a firing's `fresh`
+    /// nulls (none for a full rule), written into `out`.
+    fn instantiate(&self, key: &[ValueId], fresh: &[ValueId], out: &mut Vec<ValueId>) {
+        out.clear();
+        out.extend(self.template.iter().map(|t| match *t {
+            HeadTerm::Const(id) => id,
+            HeadTerm::Frontier(i) => key[i],
+            HeadTerm::Existential(x) => fresh[x],
+        }));
+    }
 }
 
 /// The match plans of one pattern body, compiled once: one plan per
@@ -173,9 +194,11 @@ impl BodyPlans {
 /// One tgd compiled against the instance schema.
 struct CompiledRule {
     body: BodyPlans,
-    /// The head pattern with the sorted frontier bound on entry: it
-    /// matches a trigger's valuation iff that trigger is satisfied.
-    head: CompiledCq,
+    /// For a rule with existentials, the head pattern with the sorted
+    /// frontier bound on entry: it matches a trigger's valuation iff that
+    /// trigger is satisfied. A full rule has none: its trigger is
+    /// satisfied iff every instantiated head fact is live.
+    head: Option<CompiledCq>,
     /// The head facts to instantiate on firing.
     head_facts: Vec<HeadFact>,
     /// The dense index of each existential, in ascending null-id order:
@@ -197,12 +220,15 @@ fn compile_rule(rule: &Rule, schema: &Schema, store: &FactStore) -> Option<Compi
     let frontier: Vec<Null> = rule.frontier().into_iter().collect();
     let head_vars: Vec<u32> = frontier.iter().map(|nl| nl.0).collect();
     let body = BodyPlans::compile(pattern_atoms(&rule.body), &head_vars, schema)?;
-    let head_q = ConjunctiveQuery::boolean(pattern_atoms(&rule.head));
-    let head = CompiledCq::compile_bound(&head_q, schema, &head_vars).ok()?;
     let mut head_facts = Vec::with_capacity(rule.head.n_nodes());
     let mut existentials: Vec<Null> = Vec::new();
     for (label, row) in rule.head.labels.iter().zip(&rule.head.data) {
         let rel = schema.relation(rule.head.schema.label_name(*label))?;
+        // A head atom at the wrong arity falls back to the reference, as
+        // a body atom does; a full rule compiles no head plan to catch it.
+        if schema.arity(rel) != row.len() {
+            return None;
+        }
         let template = row
             .iter()
             .map(|v| match v {
@@ -222,6 +248,12 @@ fn compile_rule(rule: &Rule, schema: &Schema, store: &FactStore) -> Option<Compi
             .collect::<Option<_>>()?;
         head_facts.push(HeadFact { rel, template });
     }
+    let head = if existentials.is_empty() {
+        None
+    } else {
+        let head_q = ConjunctiveQuery::boolean(pattern_atoms(&rule.head));
+        Some(CompiledCq::compile_bound(&head_q, schema, &head_vars).ok()?)
+    };
     let mut ledger: Vec<usize> = (0..existentials.len()).collect();
     ledger.sort_unstable_by_key(|&x| existentials[x]);
     Some(CompiledRule {
@@ -366,22 +398,27 @@ impl Facts {
         Some(f)
     }
 
+    /// Whether a live fact of `rel` holds the tuple `ids`.
+    fn holds(&self, rel: Symbol, ids: &[ValueId]) -> bool {
+        let table = self.store.table(rel);
+        let index = &self.index[rel.index()];
+        index.find(hash_key(ids), holding(table, ids)).is_some()
+    }
+
     /// Index `row` of `rel` under the tuple `ids`, unless a live row
     /// already holds `ids`: then that row, and nothing is indexed.
     fn place(&mut self, rel: Symbol, row: u32, ids: &[ValueId]) -> Option<u32> {
         let table = self.store.table(rel);
         let index = &mut self.index[rel.index()];
-        let cells = |r: u32| table.cols().iter().map(move |col| col[r as usize]);
         if index.reserve(table.n_live() as usize) {
             let mut held: Vec<ValueId> = Vec::with_capacity(table.arity());
             for r in (0..table.n_rows()).filter(|&r| table.is_live(r)) {
                 held.clear();
-                held.extend(cells(r));
+                held.extend(table.cols().iter().map(|col| col[r as usize]));
                 index.place(hash_key(&held), r, |_| false);
             }
         }
-        let holds = |r: u32| table.is_live(r) && cells(r).eq(ids.iter().copied());
-        index.place(hash_key(ids), row, holds)
+        index.place(hash_key(ids), row, holding(table, ids))
     }
 
     /// List fact `f` under every null of `ids`.
@@ -435,6 +472,15 @@ impl Facts {
             changed.push(f);
         }
         changed
+    }
+}
+
+/// Whether row `r` of `table` is live and holds `ids` now: the test that
+/// lets stale index slots (rows since rewritten or dead) never match.
+fn holding<'a>(table: &'a RelTable, ids: &'a [ValueId]) -> impl Fn(u32) -> bool + 'a {
+    move |r| {
+        let cells = table.cols().iter().map(|col| col[r as usize]);
+        table.is_live(r) && cells.eq(ids.iter().copied())
     }
 }
 
@@ -514,6 +560,9 @@ type Rows = rows::Rows<ValueId>;
 /// Id rows unique by a leading key, each keeping its least row.
 type Distinct = rows::Distinct<ValueId>;
 
+/// Fixed-stride value rows: one relation of the decoded canonical cut.
+type ValueRows = rows::Rows<Value>;
+
 /// The in-flight derivation log of a certified run: its steps and the
 /// two flat buffers they range over.
 struct Recorder {
@@ -553,22 +602,23 @@ impl Recorder {
     }
 }
 
-/// The live store facts per relation symbol as flat id rows, resolved
-/// through the union-find (`rewrite` lags it mid-merge-batch), sorted and
-/// deduplicated, so store insertion order never leaks into an outcome or
-/// certificate. Id order is value order (see [`run`]), so this is the
-/// order of the rows' values.
-fn canonical_rows(store: &FactStore, uf: &UnionFind) -> Vec<Rows> {
+/// The live store facts per relation symbol, resolved through the
+/// union-find (`rewrite` lags it mid-merge-batch), sorted and
+/// deduplicated as flat id rows, so store insertion order never leaks
+/// into an outcome or certificate, and then decoded once into flat value
+/// rows, which both the chased instance and the certificate read. Id
+/// order is value order (see [`run`]), so the rows are in value order.
+fn canonical_rows(store: &FactStore, uf: &UnionFind) -> Vec<ValueRows> {
     store
         .relations()
         .map(|rel| {
             let table = store.table(rel);
-            let mut rows = Rows::new(table.arity());
+            let mut ids = Rows::new(table.arity());
             for row in (0..table.n_rows()).filter(|&row| table.is_live(row)) {
-                rows.push(table.cols().iter().map(|col| uf.find(col[row as usize])));
+                ids.push(table.cols().iter().map(|col| uf.find(col[row as usize])));
             }
-            rows.sort_dedup();
-            rows
+            ids.sort_dedup();
+            ids.map(|&id| store.value(id))
         })
         .collect()
 }
@@ -583,13 +633,11 @@ fn by_name(schema: &Schema) -> Vec<Symbol> {
 
 /// The canonical rows in checker vocabulary, one group per relation: the
 /// claimed facts of a certificate.
-fn cert_facts(schema: &Schema, store: &FactStore, rows: &[Rows]) -> FactGroups {
-    let (mut facts, mut buf) = (FactGroups::new(), Vec::new());
+fn cert_facts(schema: &Schema, rows: &[ValueRows]) -> FactGroups {
+    let mut facts = FactGroups::new();
     for rel in by_name(schema) {
         for row in rows[rel.index()].iter() {
-            buf.clear();
-            buf.extend(row.iter().map(|&id| store.value(id)));
-            facts.push(schema.name(rel), &buf);
+            facts.push(schema.name(rel), row);
         }
     }
     facts
@@ -599,14 +647,11 @@ fn cert_facts(schema: &Schema, store: &FactStore, rows: &[Rows]) -> FactGroups {
 /// (store, schema and label symbols coincide): `relational_view` reads it
 /// as facts already in `Fact` order. Each row gets its `Vec` here, as a
 /// node.
-fn chased_db(instance: &GenDb, store: &FactStore, rows: &[Rows]) -> GenDb {
+fn chased_db(instance: &GenDb, rows: &[ValueRows]) -> GenDb {
     let mut out = GenDb::new(instance.schema.clone());
     for (label, run) in instance.schema.label_symbols().zip(rows) {
         out.labels.extend(std::iter::repeat_n(label, run.len()));
-        out.data.extend(
-            run.iter()
-                .map(|row| row.iter().map(|&id| store.value(id)).collect()),
-        );
+        out.data.extend(run.iter().map(<[Value]>::to_vec));
     }
     out
 }
@@ -621,7 +666,7 @@ fn aborted(
 ) -> (ChaseOutcome, Option<ChaseCert>) {
     let cert = rec.map(|r| {
         r.finish(ChaseCertOutcome::Aborted {
-            partial: cert_facts(schema, store, &canonical_rows(store, uf)),
+            partial: cert_facts(schema, &canonical_rows(store, uf)),
         })
     });
     (ChaseOutcome::Aborted, cert)
@@ -639,11 +684,11 @@ fn overflow(
     let rows = canonical_rows(store, uf);
     let cert = rec.map(|r| {
         r.finish(ChaseCertOutcome::Overflow {
-            partial: cert_facts(schema, store, &rows),
+            partial: cert_facts(schema, &rows),
         })
     });
     (
-        ChaseOutcome::Overflow(Box::new(chased_db(instance, store, &rows))),
+        ChaseOutcome::Overflow(Box::new(chased_db(instance, &rows))),
         cert,
     )
 }
@@ -679,7 +724,7 @@ fn run(
     // cut, so its bytes do not depend on the caller's node insertion order.
     let mut rec: Option<Recorder> = skeleton.map(|skeleton| Recorder {
         skeleton,
-        initial: cert_facts(schema, &facts.store, &canonical_rows(&facts.store, &uf)),
+        initial: cert_facts(schema, &canonical_rows(&facts.store, &uf)),
         steps: Vec::new(),
         values: Vec::new(),
         ledger: Vec::new(),
@@ -695,14 +740,13 @@ fn run(
         let round_start_steps = steps;
 
         // ---- egd phase: fixpoint over this round's delta ----
-        let mut rewritten_all: Vec<u32> = Vec::new();
+        let mut rewritten_all: Vec<FactId> = Vec::new();
         if !egds.is_empty() {
-            let mut egd_delta: Vec<u32> = delta.clone();
-            while !egd_delta.is_empty() {
+            let mut pass = Delta::new(&facts.store, delta.iter().copied());
+            while !pass.is_empty() {
                 let matched = {
                     let mut idx = DbIndex::over(&facts.store);
-                    let seeds = seeds_by_rel(schema, &facts.store, &egd_delta);
-                    egd_matches(egds, &seeds, cfg.match_limit, &mut idx)
+                    egd_matches(egds, &pass, cfg.match_limit, &mut idx)
                 };
                 let Ok((witnesses, pairs)) = matched else {
                     return overflow(schema, &facts.store, instance, &uf, rec);
@@ -742,24 +786,17 @@ fn run(
                     break;
                 }
                 let changed = facts.rewrite(&merged, |v| uf.find(v));
-                egd_delta = changed.clone();
+                pass = Delta::new(&facts.store, changed.iter().copied());
                 rewritten_all.extend(changed);
             }
         }
 
         // ---- tgd phase: collect round-start triggers, then fire ----
-        let mut tgd_seed: Vec<u32> = delta
-            .iter()
-            .chain(rewritten_all.iter())
-            .copied()
-            .filter(|&id| facts.store.is_live(id))
-            .collect();
-        tgd_seed.sort_unstable();
-        tgd_seed.dedup();
         let matched = {
             let mut idx = DbIndex::over(&facts.store);
-            let seeds = seeds_by_rel(schema, &facts.store, &tgd_seed);
-            tgd_matches(rules, &seeds, cfg.match_limit, &mut idx)
+            let added = delta.iter().chain(&rewritten_all).copied();
+            let pass = Delta::new(&facts.store, added);
+            tgd_matches(rules, &facts, &pass, cfg.match_limit, &mut idx)
         };
         let Ok(triggers) = matched else {
             return overflow(schema, &facts.store, instance, &uf, rec);
@@ -776,12 +813,7 @@ fn run(
                 fresh.clear();
                 fresh.extend(rule.ledger.iter().map(|_| facts.fresh()));
                 for hf in &rule.head_facts {
-                    ids.clear();
-                    ids.extend(hf.template.iter().map(|t| match *t {
-                        HeadTerm::Const(id) => id,
-                        HeadTerm::Frontier(i) => key[i],
-                        HeadTerm::Existential(x) => fresh[x],
-                    }));
+                    hf.instantiate(key, &fresh, &mut ids);
                     if let Some(id) = facts.insert(hf.rel, &ids) {
                         inserted.push(id);
                     }
@@ -806,11 +838,11 @@ fn run(
             let rows = canonical_rows(&facts.store, &uf);
             let cert = rec.map(|r| {
                 r.finish(ChaseCertOutcome::Done {
-                    final_facts: cert_facts(schema, &facts.store, &rows),
+                    final_facts: cert_facts(schema, &rows),
                 })
             });
             return (
-                ChaseOutcome::Done(Box::new(chased_db(instance, &facts.store, &rows))),
+                ChaseOutcome::Done(Box::new(chased_db(instance, &rows))),
                 cert,
             );
         }
@@ -823,23 +855,23 @@ fn run(
 /// deriving it.
 type EgdPass = (Vec<Rows>, Vec<(ValueId, ValueId, usize, usize)>);
 
-/// Evaluate `body`'s plans over the seeds, adding every match as a keyed
-/// witness to `out`. `false` as soon as `out` holds more than `limit`
-/// distinct keys.
+/// Evaluate `body`'s plans over the pass's delta, adding every match as a
+/// keyed witness to `out`: each match that uses a delta fact arrives
+/// once, from the plan pinned at its first delta position. `false` as
+/// soon as `out` holds more than `limit` distinct keys.
 fn collect_witnesses(
     body: &BodyPlans,
-    seeds: &[Vec<u32>],
+    pass: &Delta,
     limit: usize,
     idx: &mut DbIndex,
     out: &mut Distinct,
 ) -> bool {
     for (rel, plan) in &body.plans {
-        let rows = &seeds[rel.index()];
-        if rows.is_empty() {
+        if pass.rows(*rel).is_empty() {
             continue;
         }
         let mut within = true;
-        eval_seeded_ids(plan, idx, rows, &mut |row| {
+        eval_seeded_ids(plan, idx, pass, &mut |row| {
             out.insert(|vals| {
                 vals.extend(body.proj.iter().map(|&p| row[p]));
                 vals.extend_from_slice(row);
@@ -855,11 +887,11 @@ fn collect_witnesses(
 }
 
 /// The egd match phase: evaluate every egd's body plans over the pass's
-/// seeds, keeping for every equality pair its least witness. `Err(())`
+/// delta, keeping for every equality pair its least witness. `Err(())`
 /// as soon as there are more than `limit` distinct pairs.
 fn egd_matches(
     egds: &[BodyPlans],
-    seeds: &[Vec<u32>],
+    pass: &Delta,
     limit: usize,
     idx: &mut DbIndex,
 ) -> Result<EgdPass, ()> {
@@ -868,7 +900,7 @@ fn egd_matches(
     for (e, body) in egds.iter().enumerate() {
         let key = body.proj.len();
         let mut found = Distinct::new(key + body.body_vars.len(), key);
-        if !collect_witnesses(body, seeds, limit, idx, &mut found) {
+        if !collect_witnesses(body, pass, limit, idx, &mut found) {
             return Err(());
         }
         for (w, witness) in found.rows().iter().enumerate() {
@@ -887,18 +919,22 @@ fn egd_matches(
 }
 
 /// The tgd match phase: evaluate every rule's body plans over the
-/// round's seeds, keeping per rule every frontier valuation with its
-/// least full body row, then probe each rule's head with every valuation
-/// bound and keep the unsatisfied ones. Returns per rule the keyed
+/// round's delta, keeping per rule every frontier valuation with its
+/// least full body row, then keep the valuations whose head is not
+/// satisfied: a full rule's iff some instantiated head fact is not live
+/// in `facts`, an existential rule's iff its head plan, run with the
+/// valuation bound, finds no extension. Returns per rule the keyed
 /// witnesses of those triggers, sorted. `Err(())` as soon as a rule has
 /// more than `limit` distinct triggers.
 fn tgd_matches(
     rules: &[CompiledRule],
-    seeds: &[Vec<u32>],
+    facts: &Facts,
+    pass: &Delta,
     limit: usize,
     idx: &mut DbIndex,
 ) -> Result<Vec<Rows>, ()> {
     let mut triggers = Vec::with_capacity(rules.len());
+    let mut ids: Vec<ValueId> = Vec::new();
     for rule in rules {
         let k = rule.key_len();
         let mut found = Distinct::new(k + rule.body.body_vars.len(), k);
@@ -907,37 +943,33 @@ fn tgd_matches(
         if rule.body.plans.is_empty() {
             found.insert(|_| {});
         }
-        if !collect_witnesses(&rule.body, seeds, limit, idx, &mut found) {
+        if !collect_witnesses(&rule.body, pass, limit, idx, &mut found) {
             return Err(());
         }
         let mut witnesses = found.into_rows();
         if !witnesses.is_empty() {
             let mut satisfied = vec![false; witnesses.len()];
             let keys = witnesses.iter().map(|w| &w[..k]);
-            eval_bound_ids(&rule.head, idx, keys, &mut |i, _| {
-                satisfied[i] = true;
-                false
-            });
+            match &rule.head {
+                Some(head) => eval_bound_ids(head, idx, keys, &mut |i, _| {
+                    satisfied[i] = true;
+                    false
+                }),
+                None => {
+                    for (held, key) in satisfied.iter_mut().zip(keys) {
+                        *held = rule.head_facts.iter().all(|hf| {
+                            hf.instantiate(key, &[], &mut ids);
+                            facts.holds(hf.rel, &ids)
+                        });
+                    }
+                }
+            }
             witnesses.retain(|i| !satisfied[i]);
             witnesses.sort_dedup();
         }
         triggers.push(witnesses);
     }
     Ok(triggers)
-}
-
-/// Partition delta fact ids into per-relation row-id seed lists (the
-/// seeded evaluator pins plans on rows of the pinned relation's column
-/// pages). Dead facts are skipped — a fact can die between the delta
-/// being recorded and the match phase that consumes it.
-fn seeds_by_rel(schema: &Schema, store: &FactStore, seed: &[FactId]) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::new(); schema.len()];
-    for &id in seed {
-        if store.is_live(id) {
-            out[store.fact_rel(id).index()].push(store.fact_row(id));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1153,9 +1185,95 @@ mod tests {
                 );
                 retired.insert(t);
             }
+            // Membership agrees with the model before anything is
+            // re-inserted: every live tuple holds, no retired one does.
+            let holds = |t: &Vec<Value>| {
+                let ids: Vec<ValueId> = t.iter().map(|&v| id_of(&facts.store, v)).collect();
+                facts.holds(r, &ids)
+            };
+            for t in &model {
+                assert!(holds(t), "live {t:?} holds");
+            }
+            for t in retired.iter().filter(|&t| !model.contains(t)) {
+                assert!(!holds(t), "retired {t:?} does not hold");
+            }
             check(&mut facts, &mut model, &mut retired);
         }
         assert!(facts.store.n_facts() > 1000);
+    }
+
+    /// Full rules test their heads by fact-set membership: a head
+    /// constant and a repeated frontier variable (`R(x,y) → S(x,x,1)`)
+    /// must match exactly, and a two-atom head (`R(x,y) → T(x) ∧ U(y)`)
+    /// is satisfied only when both facts hold, so a trigger with one of
+    /// them already live still fires.
+    #[test]
+    fn full_rule_heads_are_satisfied_by_live_facts_only() {
+        use ca_cert::check_chase;
+        use ca_gdm::schema::GenSchema;
+        let schema = GenSchema::from_parts(&[("R", 2), ("S", 3), ("T", 1), ("U", 1)], &[]);
+        let db = |nodes: &[(&str, Vec<Value>)]| {
+            let mut d = GenDb::new(schema.clone());
+            for (rel, args) in nodes {
+                d.add_node(rel, args.clone());
+            }
+            d
+        };
+        let v = Value::null;
+        let instance = db(&[
+            ("R", vec![c(1), c(2)]),
+            ("R", vec![c(3), c(4)]),
+            ("R", vec![c(5), c(6)]),
+            // Satisfies x = 3 only: S(1,2,1) repeats no variable, S(5,5,2)
+            // has the wrong constant.
+            ("S", vec![c(3), c(3), c(1)]),
+            ("S", vec![c(1), c(2), c(1)]),
+            ("S", vec![c(5), c(5), c(2)]),
+            // x = 3 has both head facts, x = 1 only T(1).
+            ("T", vec![c(1)]),
+            ("T", vec![c(3)]),
+            ("U", vec![c(4)]),
+        ]);
+        let rules = vec![
+            Rule {
+                body: db(&[("R", vec![v(1), v(2)])]),
+                head: db(&[("S", vec![v(1), v(1), c(1)])]),
+            },
+            Rule {
+                body: db(&[("R", vec![v(1), v(2)])]),
+                head: db(&[("T", vec![v(1)]), ("U", vec![v(2)])]),
+            },
+        ];
+        let cfg = ChaseConfig {
+            certify: true,
+            ..ChaseConfig::new(1000)
+        };
+        let (outcome, cert) = try_chase(&instance, &rules, &[], &cfg).unwrap();
+        let cert = cert.unwrap();
+        assert_eq!(check_chase(&cert), Ok(()));
+        let fired: Vec<(usize, &[Value])> = cert
+            .steps
+            .iter()
+            .filter_map(|step| match step {
+                ChaseStep::Fire { rule, values, .. } => Some((
+                    *rule,
+                    &cert.values[values.start as usize..values.end as usize],
+                )),
+                ChaseStep::Merge { .. } => None,
+            })
+            .collect();
+        let (one, five) = ([c(1), c(2)], [c(5), c(6)]);
+        let want: [(usize, &[Value]); 4] = [(0, &one), (0, &five), (1, &one), (1, &five)];
+        assert_eq!(fired, want);
+        let ChaseOutcome::Done(chased) = outcome else {
+            panic!("expected Done, got {outcome:?}");
+        };
+        let reference = crate::reference::chase_with(&instance, &rules, &[], 1000, 1000);
+        let ChaseOutcome::Done(reference) = reference else {
+            panic!("reference: {reference:?}");
+        };
+        assert!(ca_gdm::hom::gdm_equiv(&chased, &reference));
+        assert_eq!(chased.n_nodes(), instance.n_nodes() + 5);
     }
 
     /// The value-order fixture over `E/2`, `K/1` and `F/2`. The `E` nodes

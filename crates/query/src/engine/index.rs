@@ -25,8 +25,9 @@
 //!   memory): the distinct keys are held once, in first-row order, in a
 //!   flat [`Distinct`] set (one open-addressing `RowIndex` of row
 //!   numbers, `ca_core::rows`), and a key's position there is its group,
-//!   so a table is a few flat arrays with no allocation per key. A fully
-//!   bound pattern (the chase's head check) probes this layout.
+//!   so a table is a few flat arrays with no allocation per key. Bound
+//!   probes on several columns (the chase's head check of a rule with
+//!   existentials, [`RowProbe`](crate::engine::RowProbe)) use this layout.
 //!
 //! `DbIndex::ensure_cq` resolves a compiled CQ's signatures to table
 //! handles and its plan constants to interned value ids once per run, so
@@ -460,7 +461,7 @@ mod tests {
     #[test]
     fn only_a_batch_indexes_the_lead_atom() {
         use crate::ast::{Atom, ConjunctiveQuery, Term};
-        use crate::engine::{eval_bound_ids, eval_cq_ids, eval_seeded_ids};
+        use crate::engine::{eval_bound_ids, eval_cq_ids, eval_seeded_ids, Delta};
         let schema = ca_relational::schema::Schema::from_relations(&[("R", 2), ("S", 2)]);
         let mut db = NaiveDatabase::new(schema);
         for i in 0..2 * INDEX_THRESHOLD as i64 {
@@ -495,7 +496,7 @@ mod tests {
         assert_eq!((n, tables(&idx)), (INDEX_THRESHOLD, vec![(s, vec![0])]));
         let pinned = CompiledCq::compile_pinned(&q, &db.schema, 0).unwrap();
         let mut idx = DbIndex::new(&db);
-        let all: Vec<u32> = idx.rows(r).to_vec();
+        let all = Delta::new(idx.store(), idx.store().iter_live());
         eval_seeded_ids(&pinned, &mut idx, &all, &mut |_| true);
         assert_eq!(tables(&idx), vec![(s, vec![0])]);
         idx.ensure_cq(&pinned, true);

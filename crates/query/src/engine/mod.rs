@@ -24,10 +24,11 @@
 //!    `exec` is the one join loop, and three runners resolve their
 //!    access paths and drive it, handing out id rows (the join engine
 //!    never emits a `Value` row): [`eval_cq_ids`] runs a whole plan,
-//!    [`eval_seeded_ids`] ranges the lead atom over a delta, and
+//!    [`eval_seeded_ids`] ranges the lead atom over a [`Delta`] (the
+//!    semi-naive step: the atoms before it in the body skip the delta), and
 //!    [`eval_bound_ids`] asks "does this pattern match with these
 //!    variables fixed?" for a batch of parameter rows — the chase's head
-//!    check and [`RowProbe`]'s row tests;
+//!    check of a rule with existentials and [`RowProbe`]'s row tests;
 //! 3. **completion sweep** ([`sweep`]) — brute-force certain answers
 //!    sweep the `|pool|^#nulls` completion grid in index order,
 //!    grounding each completion by remapping null ids over shared column
@@ -46,7 +47,8 @@ pub mod sweep;
 
 use std::collections::BTreeSet;
 
-use ca_core::store::{FactStore, ValueId, INVALID_ID};
+use ca_core::store::{dense_count, FactId, FactStore, ValueId, INVALID_ID};
+use ca_core::symbol::Symbol;
 use ca_core::value::Value;
 use ca_relational::database::NaiveDatabase;
 use ca_relational::schema::Schema;
@@ -83,16 +85,18 @@ impl ExecBufs {
 /// Execute the plan suffix from `depth`, with `access` naming each
 /// atom's posting table and id-resolved key. The join loop compares
 /// interned `u32` ids read straight from the store's column pages, and
-/// `emit` sees each head row as ids. `lead`, when given, replaces the
-/// scan of the lead atom: its candidates are those row ids of its
-/// relation (a semi-naive delta), checked against the atom's key like
-/// any scan. Generic over the emitter, so an id-set insert inlines into
-/// the loop's leaf. Returns `false` iff `emit` requested a stop.
+/// `emit` sees each head row as ids. `delta`, when given, replaces the
+/// scan of the lead atom with the delta rows of its relation (checked
+/// against the atom's key like any scan), and every later atom whose body
+/// index precedes the lead's skips the delta rows (see
+/// [`eval_seeded_ids`]). Generic over the emitter, so an id-set insert
+/// inlines into the loop's leaf. Returns `false` iff `emit` requested a
+/// stop.
 fn exec<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     cq: &CompiledCq,
     access: &[index::AtomAccess],
     idx: &DbIndex<'_>,
-    lead: Option<&[u32]>,
+    delta: Option<&Delta>,
     depth: usize,
     bufs: &mut ExecBufs,
     emit: &mut E,
@@ -109,13 +113,21 @@ fn exec<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     let acc = &access[depth];
     let cols = idx.cols(atom.rel);
     let scanning = acc.handle == index::SCAN;
+    // The delta rows this atom must skip: none for the lead, or for an
+    // atom after the lead in the body.
+    let skip = delta
+        .filter(|_| cq.atoms.first().is_some_and(|lead| atom.body < lead.body))
+        .map_or(&[][..], |d| d.bits(atom.rel));
     // Borrow this depth's scratch buffer by taking it out of the slice
     // (and restoring it below), so the recursive call can borrow the rest.
     let mut key_buf = std::mem::take(&mut bufs.scratch[depth]);
     let candidates: &[u32] = if scanning {
-        // Full scan (or the lead rows): bound positions, if any, are
-        // verified per candidate.
-        lead.unwrap_or_else(|| idx.rows(atom.rel))
+        // Full scan (or the lead's delta rows): bound positions, if any,
+        // are verified per candidate.
+        match delta {
+            Some(d) if depth == 0 => d.rows(atom.rel),
+            _ => idx.rows(atom.rel),
+        }
     } else {
         // Reuse this depth's scratch buffer for the probe key.
         key_buf.clear();
@@ -128,6 +140,9 @@ fn exec<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     let mut keep_going = true;
     'cand: for &row in candidates {
         let r = row as usize;
+        if bit(skip, row) {
+            continue;
+        }
         if scanning {
             // The index did not filter on the signature; do it here.
             for (&pos, kp) in atom.sig.iter().zip(&acc.key) {
@@ -148,7 +163,7 @@ fn exec<E: FnMut(&[ValueId]) -> bool + ?Sized>(
                 continue 'cand;
             }
         }
-        if !exec(cq, access, idx, None, depth + 1, bufs, emit) {
+        if !exec(cq, access, idx, delta, depth + 1, bufs, emit) {
             keep_going = false;
             break;
         }
@@ -211,23 +226,88 @@ pub fn eval_bound_ids<'p, E: FnMut(usize, &[ValueId]) -> bool>(
     }
 }
 
-/// Semi-naive evaluation of a CQ: the **first** atom of the plan ranges
-/// over `seed` — an explicit list of live *row ids of its relation* (a
-/// fact id translates via `FactStore::fact_row`), typically a delta set —
-/// instead of the whole relation, and the join loop runs the remaining
-/// atoms as usual, emitting head id rows. Compile the plan with
-/// [`CompiledCq::compile_pinned`] so the atom to be seeded leads the join
-/// order; nothing precedes it, so its key parts are all constants,
-/// verified per seed row. A plan with no atoms emits nothing: there is no
-/// atom to seed. Returns `false` iff `emit` requested a stop.
+/// A semi-naive delta over one store: the facts added or rewritten since
+/// a fixpoint pass last looked, as row ids of their relations. Per
+/// relation it holds the delta rows in row order (the candidates of a
+/// seeded lead atom) and a bitmap over the relation's rows (the test by
+/// which the atoms before the lead skip them). Built once per pass and
+/// shared by every plan the pass runs.
+pub struct Delta {
+    rows: Vec<Vec<u32>>,
+    bits: Vec<Vec<u64>>,
+}
+
+impl Delta {
+    /// The live facts among `facts`, duplicates collapsed: a fact can die
+    /// between being recorded and the pass that reads it.
+    pub fn new(store: &FactStore, facts: impl IntoIterator<Item = FactId>) -> Delta {
+        let mut bits: Vec<Vec<u64>> = vec![Vec::new(); store.n_relations()];
+        for f in facts.into_iter().filter(|&f| store.is_live(f)) {
+            let (rel, row) = (store.fact_rel(f), store.fact_row(f) as usize);
+            let words = &mut bits[rel.index()];
+            if words.is_empty() {
+                words.resize((store.table(rel).n_rows() as usize).div_ceil(64), 0);
+            }
+            words[row / 64] |= 1 << (row % 64);
+        }
+        let rows = bits
+            .iter()
+            .map(|words| {
+                let mut rows = Vec::new();
+                for (w, &word) in words.iter().enumerate() {
+                    let mut rest = word;
+                    while rest != 0 {
+                        rows.push(dense_count(w * 64) + rest.trailing_zeros());
+                        rest &= rest - 1;
+                    }
+                }
+                rows
+            })
+            .collect();
+        Delta { rows, bits }
+    }
+
+    /// Whether the delta holds no live fact.
+    pub fn is_empty(&self) -> bool {
+        self.rows.iter().all(Vec::is_empty)
+    }
+
+    /// The delta rows of `rel`, in row order.
+    pub fn rows(&self, rel: Symbol) -> &[u32] {
+        &self.rows[rel.index()]
+    }
+
+    /// The bitmap of `rel`'s delta rows; empty when it has none.
+    fn bits(&self, rel: Symbol) -> &[u64] {
+        &self.bits[rel.index()]
+    }
+}
+
+/// Whether `row` is set in `bits`.
+fn bit(bits: &[u64], row: u32) -> bool {
+    bits.get(row as usize / 64)
+        .is_some_and(|&word| word >> (row % 64) & 1 != 0)
+}
+
+/// Semi-naive evaluation of a CQ over a [`Delta`], with each match that
+/// uses at least one delta fact emitted by exactly one pinned plan. The
+/// plan comes from [`CompiledCq::compile_pinned`] at some body atom *i*,
+/// which leads its join order: atom *i* ranges over the delta rows of its
+/// relation, every atom *j < i* of the body skips the delta rows, and
+/// every atom *j > i* ranges over all live rows. So running the plans
+/// pinned at every body atom over one delta emits each such match once,
+/// from the plan pinned at its first delta position. Nothing precedes the
+/// lead atom, so its key parts are all constants, verified per delta row.
+/// A plan with no atoms emits nothing: there is no atom to seed. Returns
+/// `false` iff `emit` requested a stop.
 pub fn eval_seeded_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     cq: &CompiledCq,
     idx: &mut DbIndex<'_>,
-    seed: &[u32],
+    delta: &Delta,
     emit: &mut E,
 ) -> bool {
     let (access, bufs) = (idx.ensure_cq(cq, false), &mut ExecBufs::new(cq));
-    cq.atoms.is_empty() || exec(cq, &access, idx, Some(seed), 0, bufs, emit)
+    cq.atoms.is_empty() || exec(cq, &access, idx, Some(delta), 0, bufs, emit)
 }
 
 /// A set of answer rows as interned ids: one flat, fixed-stride buffer
@@ -552,6 +632,12 @@ mod tests {
         assert!(certain_bool_over(&plan, &db, &[]));
     }
 
+    /// The delta of the facts at `rows` of `rel`.
+    fn delta_of(store: &FactStore, rel: Symbol, rows: &[u32]) -> Delta {
+        let at = |&f: &FactId| store.fact_rel(f) == rel && rows.contains(&store.fact_row(f));
+        Delta::new(store, store.iter_live().filter(at))
+    }
+
     #[test]
     fn seeded_eval_finds_exactly_the_delta_joins() {
         // R(x,y) ∧ R(y,z) with the first atom seeded by the last fact
@@ -571,9 +657,11 @@ mod tests {
             .iter()
             .position(|f| f.args == vec![c(2), c(3)])
             .unwrap() as u32;
+        let r = db.schema.relation("R").unwrap();
         let mut seeded = |seed: &[u32]| {
             let mut rows = Rows::new(2);
-            assert!(eval_seeded_ids(&plan, &mut idx, seed, &mut |row| {
+            let delta = delta_of(idx.store(), r, seed);
+            assert!(eval_seeded_ids(&plan, &mut idx, &delta, &mut |row| {
                 rows.push(row.iter().copied());
                 true
             }));
@@ -583,6 +671,90 @@ mod tests {
         // Seeding with every fact recovers the full answer set.
         let all: Vec<u32> = (0..db.facts().len() as u32).collect();
         assert_eq!(seeded(&all), eval_cq(&q, &db).unwrap());
+    }
+
+    /// Over one delta, the plans pinned at every body atom emit each body
+    /// assignment that uses a delta row exactly once, through a scanned
+    /// lead atom and indexed later ones (CSR and grouped): for
+    /// `R(x,y), R(y,z)` and `R(x,y), R(y,z), R(x,z)` over random `R`s of
+    /// 16 to 40 rows and random delta subsets, the multiset of emitted
+    /// rows is the brute-force set of such assignments.
+    #[test]
+    fn seeded_runs_find_each_delta_match_once() {
+        use index::{INDEX_THRESHOLD, SCAN};
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let r = |x, y| Atom::new("R", vec![V(x), V(y)]);
+        let bodies = [vec![r(0, 1), r(1, 2)], vec![r(0, 1), r(1, 2), r(0, 2)]];
+        for trial in 0..16 {
+            let n = INDEX_THRESHOLD + next(25) as usize;
+            let mut tuples = BTreeSet::new();
+            while tuples.len() < n {
+                tuples.insert(vec![c(next(7) as i64), c(next(7) as i64)]);
+            }
+            let refs: Vec<&[Value]> = tuples.iter().map(Vec::as_slice).collect();
+            let db = table("R", 2, &refs);
+            let rel = db.schema.relation("R").unwrap();
+            let in_delta: Vec<bool> = (0..n).map(|_| next(3) == 0).collect();
+            for atoms in &bodies {
+                let q = ConjunctiveQuery::with_head(vec![0, 1, 2], atoms.clone());
+                let mut idx = DbIndex::new(&db);
+                let store = idx.store();
+                let delta = Delta::new(
+                    store,
+                    store
+                        .iter_live()
+                        .filter(|&f| in_delta[store.fact_row(f) as usize]),
+                );
+                let mut got: Vec<Vec<ValueId>> = Vec::new();
+                for pin in 0..atoms.len() {
+                    let plan = CompiledCq::compile_pinned(&q, &db.schema, pin).unwrap();
+                    let access = idx.ensure_cq(&plan, false);
+                    assert!(access[1..].iter().all(|a| a.handle != SCAN));
+                    eval_seeded_ids(&plan, &mut idx, &delta, &mut |row| {
+                        got.push(row.to_vec());
+                        true
+                    });
+                }
+                // Every choice of one row per atom that agrees on the
+                // variables and uses a delta row.
+                let (rows, cols) = (idx.rows(rel), idx.cols(rel));
+                let mut want: Vec<Vec<ValueId>> = Vec::new();
+                let mut pick = vec![0usize; atoms.len()];
+                'pick: loop {
+                    let mut slots = [None; 3];
+                    let agree = atoms.iter().zip(&pick).all(|(atom, &p)| {
+                        atom.args.iter().enumerate().all(|(pos, t)| {
+                            let (V(x), id) = (t, cols[pos][rows[p] as usize]) else {
+                                return false;
+                            };
+                            *slots[*x as usize].get_or_insert(id) == id
+                        })
+                    });
+                    if agree && pick.iter().any(|&p| in_delta[rows[p] as usize]) {
+                        want.push(slots.iter().map(|s| s.unwrap()).collect());
+                    }
+                    for p in pick.iter_mut() {
+                        *p += 1;
+                        if *p < rows.len() {
+                            continue 'pick;
+                        }
+                        *p = 0;
+                    }
+                    break;
+                }
+                got.sort();
+                want.sort();
+                assert!(want.windows(2).all(|w| w[0] != w[1]));
+                assert!(!want.is_empty(), "trial {trial}");
+                assert_eq!(got, want, "trial {trial}, {} atoms", atoms.len());
+            }
+        }
     }
 
     /// A seeded lead atom with a constant checks it on every seed row:
@@ -614,7 +786,8 @@ mod tests {
         assert_eq!(Some(idx.store().table(r).cols()[1][0]), c4);
         let mut seeded = |seed: &[u32]| {
             let mut rows = Rows::new(2);
-            eval_seeded_ids(&plan, &mut idx, seed, &mut |row| {
+            let delta = delta_of(idx.store(), r, seed);
+            eval_seeded_ids(&plan, &mut idx, &delta, &mut |row| {
                 rows.push(row.iter().copied());
                 true
             });

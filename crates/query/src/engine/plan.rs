@@ -93,6 +93,8 @@ pub(crate) enum KeyPart {
 /// One atom of a compiled plan.
 #[derive(Clone, Debug)]
 pub(crate) struct AtomPlan {
+    /// The atom's index in the query body (plans reorder atoms).
+    pub body: usize,
     /// The relation to match.
     pub rel: Symbol,
     /// Sorted positions whose values are known before matching — the
@@ -128,9 +130,11 @@ impl CompiledCq {
     /// Compile with atom `pin` forced to the front of the join order (the
     /// remaining atoms are ordered greedily as usual). Because nothing
     /// precedes the pinned atom, its key parts are all constants, which
-    /// is what lets [`crate::engine::eval_seeded_ids`] range it over an
-    /// explicit fact list (a semi-naive delta set) instead of the whole
-    /// relation, checking the constants per row as a scan does. A `pin`
+    /// is what lets [`crate::engine::eval_seeded_ids`] range it over the
+    /// rows of a semi-naive [`Delta`](crate::engine::Delta) instead of the
+    /// whole relation, checking the constants per row as a scan does.
+    /// Every atom keeps its body index, so a seeded run knows which atoms
+    /// precede the pin in the body: those skip the delta rows. A `pin`
     /// out of range is ignored (plain compilation).
     pub fn compile_pinned(
         q: &ConjunctiveQuery,
@@ -241,6 +245,7 @@ fn build(
     for &i in order {
         let atom = &q.atoms[i];
         let mut plan = AtomPlan {
+            body: i,
             rel: rels[i],
             sig: Vec::new(),
             key: Vec::new(),

@@ -63,6 +63,15 @@ impl<T: Copy + Ord> Rows<T> {
         debug_assert_eq!(self.vals.len(), self.len * self.stride);
     }
 
+    /// The rows with every value mapped through `f`, in one allocation.
+    pub fn map<U: Copy + Ord>(&self, f: impl FnMut(&T) -> U) -> Rows<U> {
+        Rows {
+            stride: self.stride,
+            len: self.len,
+            vals: self.vals.iter().map(f).collect(),
+        }
+    }
+
     /// Sort the rows and drop duplicates.
     pub fn sort_dedup(&mut self) {
         if self.stride == 0 {
