@@ -66,7 +66,7 @@ pub fn run() -> Report {
         // Universality against sampled complete solutions.
         let mut s1 = GenDb::new(tgt_schema.clone());
         for node in 0..d.n_nodes() {
-            let (x, y) = (d.data[node][0], d.data[node][1]);
+            let (x, y) = (d.node(node)[0], d.node(node)[1]);
             let mid = Value::Const(100 + node as i64);
             s1.add_node("T", vec![x, mid]);
             s1.add_node("T", vec![mid, y]);

@@ -102,10 +102,8 @@ use crate::mapping::Rule;
 /// constants as constants. Shared with the mapping layer's compiled
 /// body-match fast path.
 pub(crate) fn pattern_atoms(d: &GenDb) -> Vec<Atom> {
-    d.labels
-        .iter()
-        .zip(&d.data)
-        .map(|(&label, row)| {
+    d.nodes()
+        .map(|(label, row)| {
             let args = row
                 .iter()
                 .map(|v| match v {
@@ -222,8 +220,8 @@ fn compile_rule(rule: &Rule, schema: &Schema, store: &FactStore) -> Option<Compi
     let body = BodyPlans::compile(pattern_atoms(&rule.body), &head_vars, schema)?;
     let mut head_facts = Vec::with_capacity(rule.head.n_nodes());
     let mut existentials: Vec<Null> = Vec::new();
-    for (label, row) in rule.head.labels.iter().zip(&rule.head.data) {
-        let rel = schema.relation(rule.head.schema.label_name(*label))?;
+    for (label, row) in rule.head.nodes() {
+        let rel = schema.relation(rule.head.schema.label_name(label))?;
         // A head atom at the wrong arity falls back to the reference, as
         // a body atom does; a full rule compiles no head plan to catch it.
         if schema.arity(rel) != row.len() {
@@ -353,8 +351,8 @@ impl Facts {
     /// (see [`run`]).
     fn load(schema: &Schema, instance: &GenDb, tgds: &[Rule]) -> Facts {
         let mut facts = Facts::new(schema);
-        let heads = tgds.iter().flat_map(|r| r.head.data.iter().flatten());
-        let mut values: Vec<Value> = instance.data.iter().flatten().copied().collect();
+        let heads = tgds.iter().flat_map(|r| r.head.values());
+        let mut values = instance.values().to_vec();
         values.extend(heads.filter(|v| v.as_null().is_none()));
         values.sort_unstable();
         values.dedup();
@@ -367,7 +365,7 @@ impl Facts {
             .flat_map(|r| r.body.nulls().into_iter().chain(r.head.nulls()));
         facts.gen = NullGen::avoiding(values.iter().filter_map(|v| v.as_null()).chain(rule_nulls));
         let mut ids: Vec<ValueId> = Vec::new();
-        for (&label, row) in instance.labels.iter().zip(&instance.data) {
+        for (label, row) in instance.nodes() {
             ids.clear();
             ids.extend(row.iter().map(|&v| facts.store.intern_value(v)));
             facts.insert(label, &ids);
@@ -645,13 +643,14 @@ fn cert_facts(schema: &Schema, rows: &[ValueRows]) -> FactGroups {
 
 /// The canonical rows as the chased instance, relations in symbol order
 /// (store, schema and label symbols coincide): `relational_view` reads it
-/// as facts already in `Fact` order. Each row gets its `Vec` here, as a
-/// node.
+/// as facts already in `Fact` order. Each row is copied into the node
+/// arena; no row gets an allocation of its own.
 fn chased_db(instance: &GenDb, rows: &[ValueRows]) -> GenDb {
     let mut out = GenDb::new(instance.schema.clone());
     for (label, run) in instance.schema.label_symbols().zip(rows) {
-        out.labels.extend(std::iter::repeat_n(label, run.len()));
-        out.data.extend(run.iter().map(<[Value]>::to_vec));
+        for row in run.iter() {
+            out.push_node(label, row);
+        }
     }
     out
 }

@@ -228,7 +228,7 @@ mod tests {
             ChaseOutcome::Done(result) => {
                 assert!(result.is_complete());
                 // All values are 5-grounded.
-                assert!(result.data.iter().all(|t| t == &vec![c(1), c(5)]));
+                assert!(result.nodes().all(|(_, t)| t == [c(1), c(5)]));
             }
             other => panic!("chase should finish: {other:?}"),
         }
@@ -331,9 +331,9 @@ mod tests {
             };
         // Both partial instances contain every starting fact.
         for partial in [&engine_partial, &reference_partial] {
-            for row in &start.data {
+            for (_, row) in start.nodes() {
                 assert!(
-                    partial.data.contains(row),
+                    partial.nodes().any(|(_, t)| t == row),
                     "partial progress lost seed fact {row:?}"
                 );
             }
@@ -364,7 +364,7 @@ mod tests {
                     partial.n_nodes() > start.n_nodes(),
                     "first-round derivations must survive the overflow"
                 );
-                assert!(partial.data.contains(&vec![c(1), c(3)]));
+                assert!(partial.nodes().any(|(_, t)| t == [c(1), c(3)]));
             }
             other => panic!("expected overflow, got {other:?}"),
         }
@@ -557,10 +557,13 @@ mod tests {
             panic!("expected Done, got {outcome:?}");
         };
         for row in [
-            vec![c(1), Value::Null(earlier)],
-            vec![Value::Null(earlier), Value::Null(later)],
+            [c(1), Value::Null(earlier)],
+            [Value::Null(earlier), Value::Null(later)],
         ] {
-            assert!(d.data.contains(&row), "{row:?} missing from {d:?}");
+            assert!(
+                d.nodes().any(|(_, t)| t == row),
+                "{row:?} missing from {d:?}"
+            );
         }
     }
 

@@ -235,10 +235,10 @@ mod tests {
         let app = &apps[0];
         assert_eq!(app.n_nodes(), 2);
         // T(1, ⊥z), T(⊥z, 2) with a fresh shared z.
-        assert_eq!(app.data[0][0], c(1));
-        assert_eq!(app.data[1][1], c(2));
-        assert_eq!(app.data[0][1], app.data[1][0]);
-        assert!(app.data[0][1].is_null());
+        assert_eq!(app.node(0)[0], c(1));
+        assert_eq!(app.node(1)[1], c(2));
+        assert_eq!(app.node(0)[1], app.node(1)[0]);
+        assert!(app.node(0)[1].is_null());
     }
 
     #[test]
@@ -250,8 +250,8 @@ mod tests {
         d.add_node("S", vec![c(3), c(4), c(9)]);
         let apps = mapping.applications(&d);
         assert_eq!(apps.len(), 2);
-        let z0 = apps[0].data[0][1];
-        let z1 = apps[1].data[0][1];
+        let z0 = apps[0].node(0)[1];
+        let z1 = apps[1].node(0)[1];
         assert_ne!(z0, z1, "existential nulls must be fresh per application");
     }
 

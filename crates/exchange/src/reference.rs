@@ -66,10 +66,7 @@ fn induced(d: &GenDb, keep: &[u32]) -> GenDb {
     }
     let mut out = GenDb::new(d.schema.clone());
     for &old in keep {
-        out.add_node(
-            d.schema.label_name(d.labels[old as usize]),
-            d.data[old as usize].clone(),
-        );
+        out.push_node(d.labels()[old as usize], d.node(old as usize));
     }
     for (rel, t) in &d.tuples {
         if let Some(mapped) = t

@@ -77,12 +77,8 @@ const SMALL_CORE_MAX_NODES: usize = 64;
 fn has_foldable_null(d: &GenDb) -> bool {
     let mut counts: std::collections::BTreeMap<ca_core::value::Null, usize> =
         std::collections::BTreeMap::new();
-    for row in &d.data {
-        for v in row {
-            if let ca_core::value::Value::Null(nl) = v {
-                *counts.entry(*nl).or_insert(0) += 1;
-            }
-        }
+    for nl in d.values().iter().filter_map(|v| v.as_null()) {
+        *counts.entry(nl).or_insert(0) += 1;
     }
     counts.values().any(|&c| c == 1)
 }
@@ -130,14 +126,15 @@ fn value_core(d: &GenDb) -> GenDb {
     let probe: Vec<u32> = (0..s.n_elements as u32).collect();
     let r = retract_core(&s, &probe);
     // Image of each fact under the valuation, as (label, mapped tuple).
-    let image: Vec<(u32, Vec<u32>)> = (0..d.n_nodes())
-        .map(|node| {
-            let mapped: Vec<u32> = d.data[node]
+    let image: Vec<(u32, Vec<u32>)> = d
+        .nodes()
+        .map(|(label, data)| {
+            let mapped: Vec<u32> = data
                 .iter()
                 .filter_map(|v| universe.binary_search(v).ok())
                 .map(|vi| r.map.get(vi).copied().unwrap_or(vi as u32))
                 .collect();
-            (d.labels[node].0, mapped)
+            (label.0, mapped)
         })
         .collect();
     // Keep the lowest node whose own tuple equals its image (every image
@@ -151,8 +148,8 @@ fn value_core(d: &GenDb) -> GenDb {
         }
         // Find the lowest node carrying exactly this image tuple.
         if let Some(carrier) = (0..d.n_nodes()).find(|&m| {
-            d.labels[m].0 == img.0
-                && d.data[m]
+            d.labels()[m].0 == img.0
+                && d.node(m)
                     .iter()
                     .map(|v| universe.binary_search(v).ok())
                     .eq(img.1.iter().map(|&x| Some(x as usize)))
@@ -174,10 +171,7 @@ fn induced(d: &GenDb, keep: &[u32]) -> GenDb {
     }
     let mut out = GenDb::new(d.schema.clone());
     for &old in keep {
-        out.add_node(
-            d.schema.label_name(d.labels[old as usize]),
-            d.data[old as usize].clone(),
-        );
+        out.push_node(d.labels()[old as usize], d.node(old as usize));
     }
     for (rel, t) in &d.tuples {
         if let Some(mapped) = t

@@ -117,8 +117,8 @@ mod tests {
         // One body match (x=1, y=2, z=3) ⇒ two P-facts sharing a null.
         assert!(mapping.is_solution(&d, &canon));
         assert_eq!(canon.n_nodes(), 2);
-        assert_eq!(canon.data[0][1], canon.data[1][0]);
-        assert!(canon.data[0][1].is_null());
+        assert_eq!(canon.node(0)[1], canon.node(1)[0]);
+        assert!(canon.node(0)[1].is_null());
     }
 
     /// Constants in tgds are matched literally.
@@ -137,6 +137,6 @@ mod tests {
         d.add_node("E", vec![c(8), c(2)]);
         let canon = canonical_solution(&mapping, &d, &tgt);
         assert_eq!(canon.n_nodes(), 1);
-        assert_eq!(canon.data[0], vec![c(1)]);
+        assert_eq!(canon.node(0), [c(1)]);
     }
 }

@@ -1,7 +1,8 @@
 //! A chase certificate costs no heap allocation per step and none per
 //! fact: recording it, checking it and dropping it allocate a number of
 //! times that does not grow with the derivation, apart from the amortised
-//! growth of a few flat buffers.
+//! growth of a few flat buffers. Nor does the chased instance cost an
+//! allocation per node: its nodes share one value arena.
 //!
 //! A counting global allocator tallies every allocation, reallocation and
 //! deallocation in a thread-local counter, so the test threads that cargo
@@ -16,7 +17,7 @@ use std::cell::Cell;
 
 use ca_cert::check_chase;
 use ca_core::value::Value;
-use ca_exchange::chase::{chase_certified, chase_with, ChaseConfig};
+use ca_exchange::chase::{chase_certified, chase_with, ChaseConfig, ChaseOutcome};
 use ca_exchange::mapping::Rule;
 use ca_gdm::database::GenDb;
 use ca_gdm::schema::GenSchema;
@@ -141,4 +142,27 @@ fn chase_certificates_cost_no_allocation_per_step_or_fact() {
             "{what}: {a} heap operations at n=40, {b} at n=80"
         );
     }
+}
+
+/// Nodes, then heap operations of dropping the chased instance.
+fn drop_chased(n: i64) -> (usize, i64) {
+    let outcome = chase_with(&chain(n), &rules(), &[], &ChaseConfig::new(1_000_000));
+    let ChaseOutcome::Done(chased) = outcome else {
+        panic!("the chain's chase finishes: {outcome:?}");
+    };
+    let nodes = chased.n_nodes();
+    let ((), dropped) = counted(|| drop(chased));
+    (nodes, dropped)
+}
+
+#[test]
+fn chased_instances_cost_no_allocation_per_node() {
+    let (small_nodes, small) = drop_chased(40);
+    let (big_nodes, big) = drop_chased(80);
+    eprintln!("n=40: {small_nodes} nodes, drop {small}; n=80: {big_nodes} nodes, drop {big}");
+    assert!(big_nodes >= 3000, "{big_nodes} nodes");
+    assert!(
+        big - small <= SLACK,
+        "drop: {small} heap operations at n=40, {big} at n=80"
+    );
 }

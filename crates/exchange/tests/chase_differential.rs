@@ -224,10 +224,9 @@ proptest! {
                 (ChaseOutcome::Failed, ChaseCertOutcome::Failed) => continue,
                 other => panic!("cert outcome diverged on {:?}: {:?}", &d, other),
             };
-            let nodes = db.labels.iter().zip(&db.data);
-            prop_assert!(nodes.clone().is_sorted_by(|a, b| a < b), "limit {}: {:?}", limit, db);
+            prop_assert!(db.nodes().is_sorted_by(|a, b| a < b), "limit {}: {:?}", limit, db);
             let mut payload: Vec<_> =
-                nodes.map(|(&l, row)| (db.schema.label_name(l), &row[..])).collect();
+                db.nodes().map(|(l, row)| (db.schema.label_name(l), row)).collect();
             payload.sort();
             let claimed: Vec<_> = claimed.iter().collect();
             prop_assert_eq!(&payload, &claimed, "payload is not the claimed facts at limit {}", limit);
@@ -258,7 +257,7 @@ proptest! {
                 unreachable!()
             }
         };
-        let got: BTreeSet<(Value, Value)> = chased.data.iter().map(|row| (row[0], row[1])).collect();
+        let got: BTreeSet<(Value, Value)> = chased.nodes().map(|(_, row)| (row[0], row[1])).collect();
         prop_assert_eq!(got.len(), chased.n_nodes(), "duplicate nodes on {:?}", &d);
         prop_assert_eq!(got, closure_oracle(&d, bits), "closure diverged on {:?}", &d);
         let cert = cert.expect("the compiled engine certifies full rules");
@@ -270,7 +269,7 @@ proptest! {
 /// for bit 1, symmetry for bit 2), computed naively over values: add
 /// every derived row until none is new.
 fn closure_oracle(d: &GenDb, bits: u8) -> BTreeSet<(Value, Value)> {
-    let mut rows: BTreeSet<(Value, Value)> = d.data.iter().map(|row| (row[0], row[1])).collect();
+    let mut rows: BTreeSet<(Value, Value)> = d.nodes().map(|(_, row)| (row[0], row[1])).collect();
     loop {
         let mut derived = Vec::new();
         for &(a, b) in &rows {
@@ -355,9 +354,8 @@ fn one_unsatisfied_trigger_fits_a_budget_of_one() {
     match &plain {
         ChaseOutcome::Done(db) => {
             let derived = db
-                .data
-                .iter()
-                .any(|row| matches!(row.as_slice(), [v, Value::Null(_)] if *v == c(1)));
+                .nodes()
+                .any(|(_, row)| matches!(row, [v, Value::Null(_)] if *v == c(1)));
             assert!(derived, "no T(1, ⊥) fact in {db:?}");
         }
         other => panic!("expected Done, got {other:?}"),

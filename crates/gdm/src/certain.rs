@@ -123,7 +123,7 @@ fn for_each_quotient<F: FnMut(&GenDb) -> bool>(db: &GenDb, visit: &mut F) -> boo
             for cls in 0..n_classes {
                 // ca-lint: allow(L002, reason = "invariant: restricted-growth strings never skip a class id, so class cls has a member")
                 let rep = (0..n).find(|&x| assign[x] == cls).expect("class nonempty");
-                q.add_node(db.schema.label_name(db.labels[rep]), db.data[rep].clone());
+                q.push_node(db.labels()[rep], db.node(rep));
             }
             for (rel, t) in &db.tuples {
                 q.add_tuple(
@@ -137,7 +137,7 @@ fn for_each_quotient<F: FnMut(&GenDb) -> bool>(db: &GenDb, visit: &mut F) -> boo
             // Compatibility: same label and same (grounded) data as the
             // existing members of the class.
             let compatible = (0..i).all(|x| {
-                assign[x] != cls || (db.labels[x] == db.labels[i] && db.data[x] == db.data[i])
+                assign[x] != cls || (db.labels()[x] == db.labels()[i] && db.node(x) == db.node(i))
             });
             if !compatible {
                 continue;

@@ -189,7 +189,7 @@ fn hom_with_data_consistency(d: &GenDb, m: &GenDb) -> bool {
         for v in 0..d.n_nodes() {
             for w in (v + 1)..d.n_nodes() {
                 if h[v] == h[w] {
-                    for (a, b) in d.data[v].iter().zip(d.data[w].iter()) {
+                    for (a, b) in d.node(v).iter().zip(d.node(w)) {
                         uf.union(*a, *b);
                     }
                 }

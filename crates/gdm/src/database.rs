@@ -9,15 +9,19 @@ use ca_hom::structure::RelStructure;
 use crate::schema::GenSchema;
 
 /// A generalized database: nodes with labels and data tuples, plus
-/// structural relation tuples over the nodes.
+/// structural relation tuples over the nodes. The nodes live in one
+/// arena (the labels, every data tuple back to back, per-node end
+/// offsets), so a node costs no allocation of its own.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GenDb {
     /// The schema.
     pub schema: GenSchema,
     /// Per-node label.
-    pub labels: Vec<Symbol>,
-    /// Per-node data tuple (length = `ar(label)`).
-    pub data: Vec<Vec<Value>>,
+    labels: Vec<Symbol>,
+    /// Every node's data tuple (length = `ar(label)`), in node order.
+    values: Vec<Value>,
+    /// Per node, the end of its data tuple in `values`.
+    ends: Vec<usize>,
     /// Structural tuples `(relation, nodes)`.
     pub tuples: Vec<(Symbol, Vec<u32>)>,
 }
@@ -28,7 +32,8 @@ impl GenDb {
         GenDb {
             schema,
             labels: Vec::new(),
-            data: Vec::new(),
+            values: Vec::new(),
+            ends: Vec::new(),
             tuples: Vec::new(),
         }
     }
@@ -39,13 +44,21 @@ impl GenDb {
             .schema
             .label(label)
             .unwrap_or_else(|| panic!("unknown label {label}"));
+        self.push_node(sym, &data)
+    }
+
+    /// Add a node with a label symbol of the schema and a data tuple;
+    /// returns its id.
+    pub fn push_node(&mut self, label: Symbol, data: &[Value]) -> u32 {
         assert_eq!(
             data.len(),
-            self.schema.label_arity(sym),
-            "data arity for label {label}"
+            self.schema.label_arity(label),
+            "data arity for label {}",
+            self.schema.label_name(label)
         );
-        self.labels.push(sym);
-        self.data.push(data);
+        self.labels.push(label);
+        self.values.extend_from_slice(data);
+        self.ends.push(self.values.len());
         (self.labels.len() - 1) as u32
     }
 
@@ -72,53 +85,56 @@ impl GenDb {
         self.labels.len()
     }
 
+    /// `λ`: the label of every node, in node order.
+    pub fn labels(&self) -> &[Symbol] {
+        &self.labels
+    }
+
+    /// `ρ(i)`: the data tuple of node `i`.
+    pub fn node(&self, i: usize) -> &[Value] {
+        let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
+        &self.values[start..self.ends[i]]
+    }
+
+    /// Every node's label and data tuple, in node order.
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = (Symbol, &[Value])> {
+        (0..self.n_nodes()).map(|i| (self.labels[i], self.node(i)))
+    }
+
+    /// Every value of every data tuple, in node order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
     /// `N(D)`: nulls occurring in data tuples.
     pub fn nulls(&self) -> BTreeSet<Null> {
-        self.data
-            .iter()
-            .flat_map(|t| t.iter())
-            .filter_map(|v| v.as_null())
-            .collect()
+        self.values.iter().filter_map(|v| v.as_null()).collect()
     }
 
     /// `C(D)`: constants occurring in data tuples.
     pub fn constants(&self) -> BTreeSet<i64> {
-        self.data
-            .iter()
-            .flat_map(|t| t.iter())
-            .filter_map(|v| v.as_const())
-            .collect()
+        self.values.iter().filter_map(|v| v.as_const()).collect()
     }
 
     /// Is the database complete (null-free)?
     pub fn is_complete(&self) -> bool {
-        self.data.iter().all(|t| t.iter().all(|v| v.is_const()))
+        self.values.iter().all(|v| v.is_const())
     }
 
     /// Does `ρ` have the Codd interpretation: each null occurs at most
     /// once across all data tuples?
     pub fn is_codd(&self) -> bool {
         let mut seen = BTreeSet::new();
-        for t in &self.data {
-            for v in t {
-                if let Some(n) = v.as_null() {
-                    if !seen.insert(n) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        self.values
+            .iter()
+            .filter_map(|v| v.as_null())
+            .all(|n| seen.insert(n))
     }
 
     /// Apply a null valuation to all data tuples.
     pub fn map_values<F: Fn(Value) -> Value>(&self, f: F) -> GenDb {
         let mut out = self.clone();
-        for t in &mut out.data {
-            for v in t.iter_mut() {
-                *v = f(*v);
-            }
-        }
+        out.values.iter_mut().for_each(|v| *v = f(*v));
         out
     }
 
@@ -153,9 +169,11 @@ impl GenDb {
     pub fn disjoint_union(&self, other: &GenDb) -> GenDb {
         assert_eq!(self.schema, other.schema, "same schema required");
         let shift = self.n_nodes() as u32;
+        let base = self.values.len();
         let mut out = self.clone();
-        out.labels.extend(other.labels.iter().copied());
-        out.data.extend(other.data.iter().cloned());
+        out.labels.extend_from_slice(&other.labels);
+        out.values.extend_from_slice(&other.values);
+        out.ends.extend(other.ends.iter().map(|&end| base + end));
         for (rel, nodes) in &other.tuples {
             out.tuples
                 .push((*rel, nodes.iter().map(|&n| n + shift).collect()));
@@ -224,6 +242,105 @@ mod tests {
         assert_eq!(s.relation(2).count(), 1); // child (offset by 2 labels)
     }
 
+    /// An XML-like database: the root `r/0` and `b/0` carry no data,
+    /// `a/2` and `c/1` do.
+    fn mixed_arities() -> GenDb {
+        let schema = GenSchema::from_parts(&[("r", 0), ("a", 2), ("b", 0), ("c", 1)], &[("e", 2)]);
+        let mut d = GenDb::new(schema);
+        let root = d.add_node("r", vec![]);
+        let a = d.add_node("a", vec![c(1), n(1)]);
+        let b = d.add_node("b", vec![]);
+        let c3 = d.add_node("c", vec![n(2)]);
+        d.add_tuple("e", vec![root, a]);
+        d.add_tuple("e", vec![b, c3]);
+        d
+    }
+
+    #[test]
+    fn zero_arity_nodes_sit_beside_wider_ones() {
+        let d = mixed_arities();
+        let empty: &[Value] = &[];
+        assert_eq!(d.n_nodes(), 4);
+        assert_eq!(d.node(0), empty);
+        assert_eq!(d.node(1), [c(1), n(1)]);
+        assert_eq!(d.node(2), empty);
+        assert_eq!(d.node(3), [n(2)]);
+        assert_eq!(d.values(), [c(1), n(1), n(2)]);
+        let labels: Vec<&str> = d.labels().iter().map(|&l| d.schema.label_name(l)).collect();
+        assert_eq!(labels, ["r", "a", "b", "c"]);
+        assert_eq!(d.nodes().len(), 4);
+        for (i, (label, data)) in d.nodes().enumerate() {
+            assert_eq!((label, data), (d.labels()[i], d.node(i)));
+        }
+        // A database of only nullary nodes has no values at all.
+        let mut bare = GenDb::new(d.schema.clone());
+        bare.add_node("r", vec![]);
+        bare.add_node("b", vec![]);
+        assert_eq!(
+            (bare.node(0), bare.node(1), bare.values()),
+            (empty, empty, empty)
+        );
+    }
+
+    #[test]
+    fn node_returns_what_add_node_was_given() {
+        let schema = GenSchema::from_parts(&[("R", 2), ("S", 3), ("T", 0)], &[]);
+        let given: Vec<(&str, Vec<Value>)> = (0..40)
+            .map(|i| match i % 3 {
+                0 => ("R", vec![c(i), n(i as u32)]),
+                1 => ("S", vec![n(i as u32), c(i), c(-i)]),
+                _ => ("T", vec![]),
+            })
+            .collect();
+        let mut d = GenDb::new(schema);
+        for (i, (label, data)) in given.iter().enumerate() {
+            assert_eq!(d.add_node(label, data.clone()), i as u32);
+        }
+        for (i, (label, data)) in given.iter().enumerate() {
+            assert_eq!(d.schema.label_name(d.labels()[i]), *label);
+            assert_eq!(d.node(i), data.as_slice());
+        }
+        let flat: Vec<Value> = given.iter().flat_map(|(_, t)| t.iter().copied()).collect();
+        assert_eq!(d.values(), flat.as_slice());
+    }
+
+    #[test]
+    fn add_node_and_push_node_build_equal_databases() {
+        let d = mixed_arities();
+        let mut pushed = GenDb::new(d.schema.clone());
+        for (label, data) in d.nodes() {
+            pushed.push_node(label, data);
+        }
+        pushed.tuples = d.tuples.clone();
+        assert_eq!(pushed, d);
+    }
+
+    #[test]
+    #[should_panic(expected = "data arity for label a")]
+    fn push_node_checks_the_arity() {
+        let mut d = mixed_arities();
+        let a = d.schema.label("a").unwrap();
+        d.push_node(a, &[c(1)]);
+    }
+
+    #[test]
+    fn map_values_rewrites_every_value() {
+        let d = mixed_arities();
+        let shifted = d.map_values(|v| match v {
+            Value::Const(x) => c(x + 10),
+            Value::Null(nl) => n(nl.0 + 10),
+        });
+        assert_eq!(shifted.values(), [c(11), n(11), n(12)]);
+        assert_eq!(shifted.labels(), d.labels());
+        assert_eq!(shifted.node(1), [c(11), n(11)]);
+        assert_eq!(shifted.node(2), d.node(2));
+        assert_eq!(shifted.node(3), [n(12)]);
+        assert_eq!(shifted.tuples, d.tuples);
+        let ground = d.map_values(|_| c(0));
+        assert!(ground.is_complete());
+        assert_eq!(ground.constants(), BTreeSet::from([0]));
+    }
+
     #[test]
     fn disjoint_union_shifts_tuples() {
         let schema = GenSchema::from_parts(&[("a", 0)], &[("e", 2)]);
@@ -235,6 +352,43 @@ mod tests {
         assert_eq!(u.n_nodes(), 4);
         assert_eq!(u.tuples.len(), 2);
         assert_eq!(u.tuples[1].1, vec![2, 3]);
+    }
+
+    #[test]
+    fn disjoint_union_keeps_each_node_slice() {
+        let d = mixed_arities();
+        let other = right_operand(&d.schema);
+        let u = d.disjoint_union(&other);
+        assert_eq!(u.n_nodes(), d.n_nodes() + other.n_nodes());
+        for i in 0..d.n_nodes() {
+            assert_eq!((u.labels()[i], u.node(i)), (d.labels()[i], d.node(i)));
+        }
+        for i in 0..other.n_nodes() {
+            let j = d.n_nodes() + i;
+            assert_eq!(
+                (u.labels()[j], u.node(j)),
+                (other.labels()[i], other.node(i))
+            );
+        }
+        assert_eq!(u.values(), [d.values(), other.values()].concat().as_slice());
+        // Tuples of the right operand move past the left operand's nodes.
+        assert_eq!(&u.tuples[..2], d.tuples.as_slice());
+        assert_eq!(u.tuples[2].1, vec![4, 6]);
+        // Union with an empty database keeps every slice as it was.
+        assert_eq!(d.disjoint_union(&GenDb::new(d.schema.clone())), d);
+        let after_empty = GenDb::new(d.schema.clone()).disjoint_union(&d);
+        assert_eq!(after_empty, d);
+    }
+
+    /// `a(2, ⊥3)`, `r`, `c(3)` with an `e` edge from the first to the
+    /// third node, over `schema`'s labels.
+    fn right_operand(schema: &GenSchema) -> GenDb {
+        let mut d = GenDb::new(schema.clone());
+        let a = d.add_node("a", vec![c(2), n(3)]);
+        d.add_node("r", vec![]);
+        let c3 = d.add_node("c", vec![c(3)]);
+        d.add_tuple("e", vec![a, c3]);
+        d
     }
 
     #[test]

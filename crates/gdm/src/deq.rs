@@ -58,7 +58,7 @@ pub fn build_deq(d: &GenDb) -> NaiveDatabase {
     for v in 0..d.n_nodes() as u32 {
         db.add("node", vec![node(v)]);
         db.add(
-            &label_rel(d.schema.label_name(d.labels[v as usize])),
+            &label_rel(d.schema.label_name(d.labels()[v as usize])),
             vec![node(v)],
         );
     }
@@ -70,9 +70,9 @@ pub fn build_deq(d: &GenDb) -> NaiveDatabase {
     }
     for x in 0..d.n_nodes() as u32 {
         for y in 0..d.n_nodes() as u32 {
-            for i in 0..d.data[x as usize].len() {
-                for j in 0..d.data[y as usize].len() {
-                    if d.data[x as usize][i] == d.data[y as usize][j] {
+            for (i, a) in d.node(x as usize).iter().enumerate() {
+                for (j, b) in d.node(y as usize).iter().enumerate() {
+                    if a == b {
                         db.add(&eq_rel(i, j), vec![node(x), node(y)]);
                     }
                 }

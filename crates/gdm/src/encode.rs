@@ -54,10 +54,9 @@ pub fn relational_view(d: &GenDb) -> Option<NaiveDatabase> {
         let rel = schema.add_relation(d.schema.label_name(sym), d.schema.label_arity(sym));
         debug_assert_eq!(rel, sym, "relation symbols mirror label symbols");
     }
-    let facts = d.labels.iter().zip(&d.data);
-    let facts = facts.map(|(&rel, data)| Fact {
+    let facts = d.nodes().map(|(rel, data)| Fact {
         rel,
-        args: data.clone(),
+        args: data.to_vec(),
     });
     Some(NaiveDatabase::from_facts(schema, facts.collect()))
 }
@@ -111,21 +110,21 @@ pub fn encode_xml(t: &XmlTree) -> GenDb {
 /// the `self_hom_structure_is_faithful` test below.
 pub fn self_hom_structure(d: &GenDb) -> (RelStructure, Vec<Value>) {
     let n = d.n_nodes();
-    let mut universe: Vec<Value> = d.data.iter().flat_map(|t| t.iter().copied()).collect();
+    let mut universe = d.values().to_vec();
     universe.sort_unstable();
     universe.dedup();
     let n_labels = d.schema.n_labels() as u32;
     let n_rels = d.schema.n_relations() as u32;
-    let max_arity = d.data.iter().map(Vec::len).max().unwrap_or(0) as u32;
+    let max_arity = d.nodes().map(|(_, t)| t.len()).max().unwrap_or(0) as u32;
 
     let mut s = RelStructure::new(n + universe.len());
-    for (node, label) in d.labels.iter().enumerate() {
+    for (node, label) in d.labels().iter().enumerate() {
         s.add_tuple(label.0, vec![node as u32]);
     }
     for (rel, nodes) in &d.tuples {
         s.add_tuple(n_labels + rel.0, nodes.clone());
     }
-    for (node, data) in d.data.iter().enumerate() {
+    for (node, (_, data)) in d.nodes().enumerate() {
         for (i, v) in data.iter().enumerate() {
             // The universe contains every data value by construction, so
             // the search cannot fail; skip defensively rather than panic.
@@ -183,23 +182,23 @@ pub fn value_self_hom_structure(d: &GenDb) -> (RelStructure, Vec<Value>) {
         d.tuples.is_empty(),
         "value encoding requires σ = ∅ (use self_hom_structure)"
     );
-    let mut universe: Vec<Value> = d.data.iter().flat_map(|t| t.iter().copied()).collect();
+    let mut universe = d.values().to_vec();
     universe.sort_unstable();
     universe.dedup();
     let n_labels = d.schema.n_labels() as u32;
 
     let mut s = RelStructure::new(universe.len());
-    for (node, label) in d.labels.iter().enumerate() {
-        if d.data[node].is_empty() {
+    for (label, data) in d.nodes() {
+        if data.is_empty() {
             // Nullary facts constrain no values; their nodes are kept by
             // the extraction in `core_of_gendb` unconditionally.
             continue;
         }
-        let tuple: Vec<u32> = d.data[node]
+        let tuple: Vec<u32> = data
             .iter()
             .filter_map(|v| universe.binary_search(v).ok().map(|i| i as u32))
             .collect();
-        if tuple.len() == d.data[node].len() {
+        if tuple.len() == data.len() {
             s.add_tuple(label.0, tuple);
         }
     }
@@ -234,8 +233,8 @@ mod tests {
         let g = encode_relational(&db);
         assert_eq!(g.n_nodes(), 2);
         assert_eq!(g.schema.n_relations(), 0);
-        assert_eq!(g.data[0], vec![c(1), n(1)]);
-        assert_eq!(g.data[1], vec![n(1), n(2), c(2)]);
+        assert_eq!(g.node(0), [c(1), n(1)]);
+        assert_eq!(g.node(1), [n(1), n(2), c(2)]);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub fn sigma_structural_glb(a: &GenDb, b: &GenDb) -> StructGlb {
     let mut index = std::collections::BTreeMap::new();
     for u in 0..a.n_nodes() as u32 {
         for v in 0..b.n_nodes() as u32 {
-            if a.labels[u as usize] == b.labels[v as usize] {
+            if a.labels()[u as usize] == b.labels()[v as usize] {
                 index.insert((u, v), iota.len() as u32);
                 iota.push((u, v));
             }
@@ -74,9 +74,8 @@ pub fn glb_with_structure(a: &GenDb, b: &GenDb, s: &StructGlb) -> GenDb {
     let mut nulls = PairNulls::avoiding(a.nulls().into_iter().chain(b.nulls()));
     let mut out = GenDb::new(a.schema.clone());
     for &(u, v) in &s.iota {
-        let label = a.schema.label_name(a.labels[u as usize]);
-        let data = merge_tuples(&a.data[u as usize], &b.data[v as usize], &mut nulls);
-        out.add_node(label, data);
+        let data = merge_tuples(a.node(u as usize), b.node(v as usize), &mut nulls);
+        out.push_node(a.labels()[u as usize], &data);
     }
     for (rel, t) in &s.tuples {
         out.add_tuple(a.schema.relation_name(*rel), t.clone());
@@ -140,9 +139,8 @@ pub fn glb_trees_gdm(a: &GenDb, b: &GenDb) -> Option<GenDb> {
         let mut db = GenDb::new(a.schema.clone());
         for (i, &(u, v)) in full.iota.iter().enumerate() {
             if comp[i] == cid {
-                let label = a.schema.label_name(a.labels[u as usize]);
-                let data = merge_tuples(&a.data[u as usize], &b.data[v as usize], &mut nulls);
-                node_of[i] = db.add_node(label, data);
+                let data = merge_tuples(a.node(u as usize), b.node(v as usize), &mut nulls);
+                node_of[i] = db.push_node(a.labels()[u as usize], &data);
             }
         }
         // A tuple goes to its first node's component; a nullary tuple

@@ -34,7 +34,7 @@ impl GdmHom {
 }
 
 fn value_universe(d: &GenDb) -> Vec<Value> {
-    let mut vals: Vec<Value> = d.data.iter().flat_map(|t| t.iter().copied()).collect();
+    let mut vals = d.values().to_vec();
     vals.sort_unstable();
     vals.dedup();
     vals
@@ -62,16 +62,14 @@ pub fn gdm_hom_csp(src: &GenDb, dst: &GenDb) -> (Csp, Vec<Null>, Vec<Value>) {
         constraints: Vec::new(),
     };
     // Node domains: same label; constants in data must match position-wise.
-    for node in 0..n {
+    for (label, data) in src.nodes() {
         let candidates: Vec<u32> = (0..dst.n_nodes() as u32)
             .filter(|&d| {
-                dst.labels[d as usize] == src.labels[node]
-                    && src.data[node].iter().zip(dst.data[d as usize].iter()).all(
-                        |(a, b)| match a {
-                            Value::Const(_) => a == b,
-                            Value::Null(_) => true,
-                        },
-                    )
+                dst.labels()[d as usize] == label
+                    && data.iter().zip(dst.node(d as usize)).all(|(a, b)| match a {
+                        Value::Const(_) => a == b,
+                        Value::Null(_) => true,
+                    })
             })
             .collect();
         csp.domains.push(candidates);
@@ -90,12 +88,12 @@ pub fn gdm_hom_csp(src: &GenDb, dst: &GenDb) -> (Csp, Vec<Null>, Vec<Value>) {
         csp.add_constraint(nodes.clone(), allowed);
     }
     // Data constraints binding node and null variables.
-    for node in 0..n {
-        for (i, v) in src.data[node].iter().enumerate() {
+    for (node, (label, data)) in src.nodes().enumerate() {
+        for (i, v) in data.iter().enumerate() {
             if let Value::Null(nl) = v {
                 let allowed: Vec<Vec<u32>> = (0..dst.n_nodes() as u32)
-                    .filter(|&d| dst.labels[d as usize] == src.labels[node])
-                    .filter_map(|d| val_id(dst.data[d as usize][i]).map(|vid| vec![d, vid]))
+                    .filter(|&d| dst.labels()[d as usize] == label)
+                    .filter_map(|d| val_id(dst.node(d as usize)[i]).map(|vid| vec![d, vid]))
                     .collect();
                 csp.add_constraint(vec![node as u32, null_var(*nl)], allowed);
             }
@@ -125,11 +123,11 @@ pub fn is_gdm_hom(src: &GenDb, dst: &GenDb, h: &GdmHom) -> bool {
         return false;
     }
     for (node, &img) in h.node_map.iter().enumerate() {
-        if dst.labels[img as usize] != src.labels[node] {
+        if dst.labels()[img as usize] != src.labels()[node] {
             return false;
         }
-        let mapped: Vec<Value> = src.data[node].iter().map(|&v| h.apply_value(v)).collect();
-        if mapped != dst.data[img as usize] {
+        let mapped = src.node(node).iter().map(|&v| h.apply_value(v));
+        if !mapped.eq(dst.node(img as usize).iter().copied()) {
             return false;
         }
     }

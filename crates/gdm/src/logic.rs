@@ -126,12 +126,11 @@ fn eval_rec(phi: &GFo, db: &GenDb, env: &mut Vec<(u32, u32)>) -> bool {
             let Some(sym) = db.schema.label(name) else {
                 return false;
             };
-            db.labels[get(env, *v) as usize] == sym
+            db.labels()[get(env, *v) as usize] == sym
         }
         GFo::AttrEq { i, j, x, y } => {
-            let nx = get(env, *x) as usize;
-            let ny = get(env, *y) as usize;
-            db.data[nx].len() > *i && db.data[ny].len() > *j && db.data[nx][*i] == db.data[ny][*j]
+            let a = db.node(get(env, *x) as usize).get(*i);
+            a.is_some() && a == db.node(get(env, *y) as usize).get(*j)
         }
         GFo::NodeEq(x, y) => get(env, *x) == get(env, *y),
         GFo::Not(f) => !eval_rec(f, db, env),
@@ -265,7 +264,7 @@ mod tests {
                 y: 0,
             },
         );
-        assert!(!eval_gfo(&oob, &d) || d.data.iter().any(|t| t.len() > 1));
+        assert!(!eval_gfo(&oob, &d) || d.nodes().any(|(_, t)| t.len() > 1));
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub fn compatibility(d: &GenDb, d2: &GenDb) -> Vec<Vec<u32>> {
         .map(|v| {
             (0..d2.n_nodes() as u32)
                 .filter(|&w| {
-                    d2.labels[w as usize] == d.labels[v]
-                        && tuple_dominates(&d.data[v], &d2.data[w as usize])
+                    d2.labels()[w as usize] == d.labels()[v]
+                        && tuple_dominates(d.node(v), d2.node(w as usize))
                 })
                 .collect()
         })

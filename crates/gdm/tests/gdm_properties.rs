@@ -134,7 +134,7 @@ proptest! {
         let enc = encode_relational(&db);
         let mut shuffled = GenDb::new(enc.schema.clone());
         for &i in &order {
-            shuffled.add_node(enc.schema.label_name(enc.labels[i]), enc.data[i].clone());
+            shuffled.push_node(enc.labels()[i], enc.node(i));
         }
         prop_assert_eq!(relational_view(&shuffled), Some(db));
     }

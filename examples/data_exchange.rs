@@ -64,12 +64,8 @@ fn main() {
         "canonical universal solution ({} facts):",
         canonical.n_nodes()
     );
-    for node in 0..canonical.n_nodes() {
-        println!(
-            "  {}{:?}",
-            canonical.schema.label_name(canonical.labels[node]),
-            canonical.data[node]
-        );
+    for (label, data) in canonical.nodes() {
+        println!("  {}{:?}", canonical.schema.label_name(label), data);
     }
     assert!(mapping.is_solution(&src, &canonical));
 

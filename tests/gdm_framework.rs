@@ -34,9 +34,9 @@ impl CompleteObjects for GdmOrder {
         // model used here (no structural tuples), dropping null-carrying
         // nodes is the exact analog of dropping null rows.
         let mut out = GenDb::new(x.schema.clone());
-        for node in 0..x.n_nodes() {
-            if x.data[node].iter().all(|v| v.is_const()) {
-                out.add_node(x.schema.label_name(x.labels[node]), x.data[node].clone());
+        for (label, data) in x.nodes() {
+            if data.iter().all(|v| v.is_const()) {
+                out.push_node(label, data);
             }
         }
         out
@@ -109,7 +109,7 @@ fn corollary1_on_generalized_databases() {
     // Monotone query within the fragment: add the complete node item(1).
     let q = |x: &GenDb| {
         let mut out = x.clone();
-        if !out.data.iter().any(|t| t == &vec![Value::Const(1)]) {
+        if !out.nodes().any(|(_, t)| t == [Value::Const(1)]) {
             out.add_node("item", vec![Value::Const(1)]);
         }
         out
@@ -135,7 +135,7 @@ fn naive_evaluation_for_monotone_complete_valued_queries() {
     // π_cpl composed with "add item(2)": monotone, complete-valued.
     let q = |x: &GenDb| {
         let mut out = GdmOrder.pi_cpl(x);
-        if !out.data.iter().any(|t| t == &vec![Value::Const(2)]) {
+        if !out.nodes().any(|(_, t)| t == [Value::Const(2)]) {
             out.add_node("item", vec![Value::Const(2)]);
         }
         out
