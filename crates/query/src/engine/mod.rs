@@ -20,7 +20,9 @@
 //!    interned-id tuples too: every disjunct of a UCQ inserts its head
 //!    id rows into one flat, deduplicating id set, and each distinct row
 //!    is decoded to [`Value`]s once, at the `BTreeSet` API edge (late
-//!    materialization — the join may emit each answer many times).
+//!    materialization — the join may emit an answer more than once,
+//!    though a plan skips the rest of its work wherever the variables
+//!    still live repeat: a projection point, see [`plan`]).
 //!    `exec` is the one join loop, and three runners resolve their
 //!    access paths and drive it, handing out id rows (the join engine
 //!    never emits a `Value` row): [`eval_cq_ids`] runs a whole plan,
@@ -63,13 +65,56 @@ pub use sweep::CompletionSpace;
 
 /// Reusable per-evaluation buffers threaded through [`exec`]: the
 /// variable-slot assignment (interned value ids), one probe-key scratch
-/// buffer per join depth, and the head-row buffer handed to `emit`, which
-/// holds interned ids too — answers are decoded to [`Value`]s only at the
-/// API edge, once per distinct row (see [`decode`]).
+/// buffer per join depth, the live projections seen at each depth
+/// (unused where the depth is no projection point; a plan without one
+/// allocates none, as the sweep runs a plan once per completion), and the
+/// head-row buffer handed to `emit`, which holds interned ids too —
+/// answers are decoded to [`Value`]s only at the API edge, once per
+/// distinct row (see [`decode`]).
 struct ExecBufs {
     slots: Vec<ValueId>,
     scratch: Vec<Vec<ValueId>>,
+    seen: Vec<Seen>,
     head_buf: Vec<ValueId>,
+}
+
+/// The distinct projections a projection point holds before it may stop
+/// checking ([`Seen::repeated`]).
+const PROBATION: usize = 1024;
+
+/// The live projections one projection point has seen in a run, and how
+/// many arrivals repeated one of them.
+struct Seen {
+    rows: Distinct<ValueId>,
+    repeats: usize,
+}
+
+impl Seen {
+    /// Whether the arriving live projection `proj` repeats one seen in
+    /// this run; a new one is kept. The point stops checking, and answers
+    /// `false`, once it holds [`PROBATION`] projections and has seen
+    /// fewer repeats than an eighth of that: a miss costs an insert, and
+    /// repeats that rare do not pay for them. In `query_bench`, the
+    /// points of `e02_ucq_chain3` and of the greedy `e02_ucq_skew` and
+    /// `e02_ucq_mates` plans repeat on 0–3% of arrivals and took up to
+    /// twice the plan's time, while the costed `MATES` point repeats on
+    /// 95%. A point that stops only loses skips; every answer is still
+    /// emitted.
+    fn repeated(&mut self, proj: impl Iterator<Item = ValueId>) -> bool {
+        let held = self.rows.len();
+        if held >= PROBATION && 8 * self.repeats < held {
+            return false;
+        }
+        let repeat = self.rows.insert(|vals| vals.extend(proj)) < held;
+        self.repeats += usize::from(repeat);
+        repeat
+    }
+
+    /// Forget every projection seen, for a new run.
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.repeats = 0;
+    }
 }
 
 impl ExecBufs {
@@ -77,6 +122,15 @@ impl ExecBufs {
         ExecBufs {
             slots: vec![0; cq.n_slots],
             scratch: vec![Vec::new(); cq.atoms.len()],
+            seen: if cq.atoms.iter().any(|a| a.proj.is_some()) {
+                let seen = |a: &plan::AtomPlan| Seen {
+                    rows: Distinct::set(a.proj.as_ref().map_or(0, Vec::len)),
+                    repeats: 0,
+                };
+                cq.atoms.iter().map(seen).collect()
+            } else {
+                Vec::new()
+            },
             head_buf: Vec::with_capacity(cq.head_slots.len()),
         }
     }
@@ -89,9 +143,11 @@ impl ExecBufs {
 /// scan of the lead atom with the delta rows of its relation (checked
 /// against the atom's key like any scan), and every later atom whose body
 /// index precedes the lead's skips the delta rows (see
-/// [`eval_seeded_ids`]). Generic over the emitter, so an id-set insert
-/// inlines into the loop's leaf. Returns `false` iff `emit` requested a
-/// stop.
+/// [`eval_seeded_ids`]). At a projection point, a live projection seen
+/// before in this run returns at once ([`Seen::repeated`]): its subtree
+/// emitted, or will emit, the same rows already. Generic over the
+/// emitter, so an id-set insert inlines into the loop's leaf. Returns
+/// `false` iff `emit` requested a stop.
 fn exec<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     cq: &CompiledCq,
     access: &[index::AtomAccess],
@@ -110,6 +166,12 @@ fn exec<E: FnMut(&[ValueId]) -> bool + ?Sized>(
         return emit(&bufs.head_buf);
     }
     let atom = &cq.atoms[depth];
+    if let Some(proj) = &atom.proj {
+        let slots = &bufs.slots;
+        if bufs.seen[depth].repeated(proj.iter().map(|&s| slots[s])) {
+            return true;
+        }
+    }
     let acc = &access[depth];
     let cols = idx.cols(atom.rel);
     let scanning = acc.handle == index::SCAN;
@@ -172,9 +234,14 @@ fn exec<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     keep_going
 }
 
-/// Evaluate a compiled CQ, calling `emit` on every head row as interned
-/// ids (with duplicates; `emit` returning `false` stops the enumeration
-/// early). Returns `false` iff `emit` requested a stop.
+/// Evaluate a compiled CQ, calling `emit` on head rows as interned ids
+/// (`emit` returning `false` stops the enumeration early). Every answer
+/// is emitted at least once, and may come again. A plan whose head drops
+/// a body variable skips most repeats: at a projection point, a subtree
+/// whose live projection the run has seen before (see [`plan`] and
+/// `Seen::repeated`). A plan whose head lists every body variable emits
+/// each body assignment exactly once. Returns `false` iff `emit`
+/// requested a stop.
 pub fn eval_cq_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     cq: &CompiledCq,
     idx: &mut DbIndex<'_>,
@@ -203,11 +270,11 @@ fn ucq_ids_into<E: FnMut(&[ValueId]) -> bool + ?Sized>(
 /// ([`CompiledCq::compile_bound`]) once per parameter row, each filling
 /// the bound slots: `emit(i, head)` sees every head id row of parameter
 /// row `i`, and returning `false` ends row `i`'s enumeration (the next
-/// row starts afresh). One set of access paths and execution buffers
-/// serves the whole batch; a batch of two or more rows probes the lead
-/// atom more than once, so only then does it get a posting table. A
-/// parameter row whose width is not the plan's bound count matches
-/// nothing.
+/// row starts afresh, with no live projection seen). One set of access
+/// paths and execution buffers serves the whole batch; a batch of two or
+/// more rows probes the lead atom more than once, so only then does it
+/// get a posting table. A parameter row whose width is not the plan's
+/// bound count matches nothing.
 pub fn eval_bound_ids<'p, E: FnMut(usize, &[ValueId]) -> bool>(
     cq: &CompiledCq,
     idx: &mut DbIndex<'_>,
@@ -219,6 +286,9 @@ pub fn eval_bound_ids<'p, E: FnMut(usize, &[ValueId]) -> bool>(
     for (i, param) in params.enumerate() {
         if param.len() == cq.n_bound {
             bufs.slots[..cq.n_bound].copy_from_slice(param);
+            for seen in bufs.seen.iter_mut().filter(|s| !s.rows.is_empty()) {
+                seen.clear();
+            }
             exec(cq, &access, idx, None, 0, &mut bufs, &mut |head| {
                 emit(i, head)
             });
@@ -833,6 +903,135 @@ mod tests {
         let expected = reference::eval_cq(&q, &db);
         assert!(!expected.is_empty());
         assert_eq!(out, expected);
+    }
+
+    /// `MATES`, `(e, m) :- Works(e, d), Works(f, d), Reports(f, m)`, over
+    /// eight departments of 20, where everyone reports to the
+    /// department's first boss and every other employee to its second
+    /// too.
+    fn mates() -> (NaiveDatabase, ConjunctiveQuery) {
+        let schema = Schema::from_relations(&[("Works", 2), ("Reports", 2)]);
+        let mut db = NaiveDatabase::new(schema);
+        for d in 0..8i64 {
+            for i in 0..20 {
+                let e = 100 * d + i;
+                db.add("Works", vec![c(e), c(10_000 + d)]);
+                db.add("Reports", vec![c(e), c(20_000 + 2 * d)]);
+                if i % 2 == 0 {
+                    db.add("Reports", vec![c(e), c(20_001 + 2 * d)]);
+                }
+            }
+        }
+        let q = ConjunctiveQuery::with_head(
+            vec![0, 3],
+            vec![
+                Atom::new("Works", vec![V(0), V(1)]),
+                Atom::new("Works", vec![V(2), V(1)]),
+                Atom::new("Reports", vec![V(2), V(3)]),
+            ],
+        );
+        (db, q)
+    }
+
+    /// [`mates`] through its costed plan, which joins `Works(f, d)` with
+    /// `Reports(f, m)`, then skips each repeated `(d, m)` before
+    /// `Works(e, d)`: the join emits each answer once, where a plan
+    /// without the skip emits 15 rows per answer.
+    #[test]
+    fn mates_emits_each_answer_once() {
+        let (db, q) = mates();
+        let mut idx = DbIndex::new(&db);
+        let plan = CompiledCq::compile_costed(&q, &db.schema, idx.model()).unwrap();
+        let order: Vec<usize> = plan.atoms.iter().map(|a| a.body).collect();
+        assert_eq!(
+            order,
+            vec![1, 2, 0],
+            "Works(f, d), Reports(f, m), Works(e, d)"
+        );
+        let projs: Vec<Option<usize>> = plan
+            .atoms
+            .iter()
+            .map(|a| a.proj.as_ref().map(Vec::len))
+            .collect();
+        assert_eq!(projs, vec![None, None, Some(2)], "one skip, on (d, m)");
+        let (mut emitted, mut answers) = (0usize, IdSet::set(2));
+        assert!(eval_cq_ids(&plan, &mut idx, &mut |row| {
+            emitted += 1;
+            answers.insert_row(row);
+            true
+        }));
+        let answers = decode(answers.rows(), idx.store());
+        assert_eq!(answers, reference::eval_cq(&q, &db));
+        assert_eq!((emitted, answers.len()), (320, 320));
+    }
+
+    /// The greedy `MATES` plan, `Works(e, d)`, `Works(f, d)`,
+    /// `Reports(f, m)`, has a projection point on `(e, f)`, which never
+    /// repeats: it stops checking after [`PROBATION`] of the 3,200
+    /// arrivals, and the run still emits every answer.
+    #[test]
+    fn a_point_that_never_repeats_stops_checking() {
+        let (db, q) = mates();
+        let plan = CompiledCq::compile(&q, &db.schema).unwrap();
+        assert_eq!(plan.atoms[2].proj.as_ref().map(Vec::len), Some(2));
+        let mut idx = DbIndex::new(&db);
+        let access = idx.ensure_cq(&plan, false);
+        let (mut bufs, mut answers) = (ExecBufs::new(&plan), IdSet::set(2));
+        exec(&plan, &access, &idx, None, 0, &mut bufs, &mut |row| {
+            answers.insert_row(row);
+            true
+        });
+        let seen = &bufs.seen[2];
+        assert_eq!((seen.rows.len(), seen.repeats), (PROBATION, 0));
+        let answers = decode(answers.rows(), idx.store());
+        assert_eq!(answers, reference::eval_cq(&q, &db));
+    }
+
+    /// A bound batch where `x`'s last use comes before a projection
+    /// point: `(z) :- R(x, y), S(y, z), T(z)` with `x` bound drops `y`
+    /// before `T(z)`, and distinct `x` reach the same `z`. Each parameter
+    /// row, repeated ones too, sees exactly the rows of its own
+    /// single-row run.
+    #[test]
+    fn bound_batch_rows_each_see_their_own_matches() {
+        let schema = Schema::from_relations(&[("R", 2), ("S", 2), ("T", 1)]);
+        let mut db = NaiveDatabase::new(schema);
+        for i in 0..40i64 {
+            db.add("R", vec![c(i % 6), c(10 + i % 5)]);
+            db.add("S", vec![c(10 + i % 7), c(20 + i % 4)]);
+        }
+        for z in [20, 21, 23] {
+            db.add("T", vec![c(z)]);
+        }
+        let q = ConjunctiveQuery::with_head(
+            vec![2],
+            vec![
+                Atom::new("R", vec![V(0), V(1)]),
+                Atom::new("S", vec![V(1), V(2)]),
+                Atom::new("T", vec![V(2)]),
+            ],
+        );
+        let plan = CompiledCq::compile_bound(&q, &db.schema, &[0]).unwrap();
+        let projs: Vec<Option<&[usize]>> = plan.atoms.iter().map(|a| a.proj.as_deref()).collect();
+        assert_eq!(projs, vec![None, None, Some(&[0, 2][..])]);
+        let mut idx = DbIndex::new(&db);
+        let xs: Vec<ValueId> = [0, 3, 0, 5, 3, 9]
+            .map(|x| idx.store().lookup_value(c(x)).unwrap_or(INVALID_ID))
+            .to_vec();
+        let mut batch = vec![Vec::new(); xs.len()];
+        eval_bound_ids(&plan, &mut idx, xs.chunks(1), &mut |i, row| {
+            batch[i].push(row.to_vec());
+            true
+        });
+        for (x, got) in xs.chunks(1).zip(&batch) {
+            let mut alone = Vec::new();
+            eval_bound_ids(&plan, &mut idx, [x].into_iter(), &mut |_, row| {
+                alone.push(row.to_vec());
+                true
+            });
+            assert_eq!(got, &alone, "x = {x:?}");
+        }
+        assert!(batch[0].len() > 1 && batch[0] == batch[2]);
     }
 
     #[test]

@@ -16,6 +16,19 @@
 //!   *within the same atom* (e.g. the second `x` of `R(x, x)`): checked
 //!   against the just-bound slot after the probe.
 //!
+//! A fourth role belongs to the gaps between atoms: a **projection
+//! point** is the entry to an atom before which some slot *dies* — it
+//! is bound, but no later key part, no head position and no entry
+//! binding reads it. The point carries the *live* slots bound before it
+//! (the bound-on-entry slots, the head slots and the key parts of this
+//! and later atoms), and evaluation keeps the live values it has seen
+//! there: the rest of the plan reads only those slots, so a repeat would
+//! emit only rows already emitted, and is skipped (while the point's
+//! repeats are frequent enough to pay for the check). This is Yannakakis'
+//! projection push-down, memoised; it is exact because answers are sets.
+//! A plan whose head lists every body variable has no dead slot, hence
+//! no projection point, and enumerates every body assignment.
+//!
 //! Variables compile to dense slot numbers, so evaluation never searches
 //! an association list the way the reference evaluator does. Variables
 //! bound on entry ([`CompiledCq::compile_bound`]) own the first slots.
@@ -108,6 +121,9 @@ pub(crate) struct AtomPlan {
     /// `(position, slot)` pairs: repeated occurrences of variables first
     /// bound within this same atom, checked after binding.
     pub checks: Vec<(usize, usize)>,
+    /// At a projection point (see the module docs), the ascending live
+    /// slots bound before this atom.
+    pub proj: Option<Vec<usize>>,
 }
 
 /// A compiled conjunctive query: atoms in join order plus the head
@@ -251,6 +267,7 @@ fn build(
             key: Vec::new(),
             binds: Vec::new(),
             checks: Vec::new(),
+            proj: None,
         };
         for (pos, term) in atom.args.iter().enumerate() {
             match term {
@@ -289,6 +306,32 @@ fn build(
                 .ok_or(PlanError::UnboundHeadVar { var: *v })
         })
         .collect::<Result<Vec<_>, _>>()?;
+
+    // The depth from which each slot is dead: one past the atom that
+    // binds it or last keys on it. Bound-on-entry and head slots live to
+    // the end. Slots are numbered in binding order, so the slots bound
+    // before atom k are `0..bound_end`.
+    let n = atoms.len();
+    let mut dies = vec![n; slots.len()];
+    for (k, atom) in atoms.iter().enumerate() {
+        let keyed = atom.key.iter().filter_map(|kp| match kp {
+            KeyPart::Slot(s) => Some(*s),
+            KeyPart::Const(_) => None,
+        });
+        for s in atom.binds.iter().map(|&(_, s)| s).chain(keyed) {
+            dies[s] = k + 1;
+        }
+    }
+    for s in head_slots.iter().copied().chain(0..n_bound) {
+        dies[s] = n;
+    }
+    let mut bound_end = n_bound;
+    for (k, atom) in atoms.iter_mut().enumerate() {
+        if (0..bound_end).any(|s| dies[s] == k) {
+            atom.proj = Some((0..bound_end).filter(|&s| dies[s] > k).collect());
+        }
+        bound_end += atom.binds.len();
+    }
 
     Ok(CompiledCq {
         atoms,
@@ -489,6 +532,31 @@ mod tests {
             CompiledCq::compile_bound(&q, &schema(), &[1, 7]).unwrap_err(),
             PlanError::UnboundHeadVar { var: 7 }
         );
+    }
+
+    /// A head listing every body variable keeps every slot live, so the
+    /// chase's pinned body plans (the least witness of each match) and
+    /// `RowProbe`'s bound plans (its certificates) get no projection
+    /// point, though a narrower head over the same body does.
+    #[test]
+    fn full_heads_have_no_projection_point() {
+        let atoms = vec![
+            Atom::new("R", vec![V(0), V(1)]),
+            Atom::new("R", vec![V(1), V(2)]),
+            Atom::new("R", vec![V(2), V(3)]),
+            Atom::new("S", vec![V(3)]),
+        ];
+        let points = |plan: &CompiledCq| plan.atoms.iter().filter(|a| a.proj.is_some()).count();
+        let full = ConjunctiveQuery::with_head(vec![0, 1, 2, 3], atoms.clone());
+        for pin in 0..atoms.len() {
+            let chase = CompiledCq::compile_pinned(&full, &schema(), pin).unwrap();
+            assert_eq!(points(&chase), 0, "pin {pin}");
+        }
+        let probe = CompiledCq::compile_bound(&full, &schema(), &[3, 0]).unwrap();
+        assert_eq!(points(&probe), 0);
+        let ends = ConjunctiveQuery::with_head(vec![0, 3], atoms);
+        let plan = CompiledCq::compile(&ends, &schema()).unwrap();
+        assert!(points(&plan) > 0);
     }
 
     #[test]

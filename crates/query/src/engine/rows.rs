@@ -187,6 +187,13 @@ impl<T: Copy + Ord + Hash> Distinct<T> {
         self.index.find(hash_key(key), is_key).map(|j| j as usize)
     }
 
+    /// Drop every row, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.rows.len = 0;
+        self.rows.vals.clear();
+        self.index.clear();
+    }
+
     /// Keep the rows whose index `keep` accepts, in their order.
     pub fn retain(&mut self, keep: impl FnMut(usize) -> bool) {
         self.rows.retain(keep);

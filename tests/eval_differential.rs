@@ -352,9 +352,11 @@ proptest! {
 /// 1299 rows, far past the posting-table threshold, so joins into it
 /// probe built postings; its key column `k` is unique, while `a` and `b` draw from four
 /// constants and two nulls, so a head that drops `k` sees each distinct
-/// row many times. Small relations `S(b, c)` and `T(c)` join on. The UCQ
-/// has 2–3 distinct disjuncts over `L`, whose answers overlap (every one
-/// projects `L`'s columns), and a head arity of 0–3.
+/// row many times. Small relations `S(b, c)` and `T(c)` join on; one
+/// template self-joins `S` on a variable the head drops before it reaches
+/// `L`, so the engine skips whole repeated subtrees. The UCQ has 2–3
+/// distinct disjuncts over `L`, whose answers overlap (every one projects
+/// `L`'s columns), and a head arity of 0–3.
 fn duplicate_heavy(seed: u64) -> (NaiveDatabase, UnionQuery) {
     use ca_relational::database::build::{c, n};
     use Term::Var as V;
@@ -377,10 +379,10 @@ fn duplicate_heavy(seed: u64) -> (NaiveDatabase, UnionQuery) {
         let cc = few(&mut rng);
         db.add("T", vec![cc]);
     }
-    // Variables: 0 = a, 1 = b, 2 = k, 3 = c. Each template lists the
-    // variables a head may use.
-    let (a, b, k, cv) = (V(0), V(1), V(2), V(3));
-    let templates: [(Vec<Atom>, &[u32]); 5] = [
+    // Variables: 0 = a, 1 = b, 2 = k, 3 = c, 4 = a2. Each template lists
+    // the variables a head may use.
+    let (a, b, k, cv, a2) = (V(0), V(1), V(2), V(3), V(4));
+    let templates: [(Vec<Atom>, &[u32]); 6] = [
         (
             vec![
                 Atom::new("L", vec![a, b, k]),
@@ -401,6 +403,20 @@ fn duplicate_heavy(seed: u64) -> (NaiveDatabase, UnionQuery) {
         (
             vec![Atom::new("L", vec![a, b, k]), Atom::new("S", vec![a, cv])],
             &[0, 1, 3],
+        ),
+        // `MATES`-shaped: a self-join on `b` that the head drops, then
+        // the lead relation, so each `(a, a2)` reached through several
+        // `b` repeats a subtree of about 200 `L` rows. The self-join is
+        // over `S`: the reference evaluator rescans a relation per
+        // partial match, and over `L` it would rescan 1100+ rows some
+        // 1100 times per case.
+        (
+            vec![
+                Atom::new("S", vec![a, b]),
+                Atom::new("S", vec![a2, b]),
+                Atom::new("L", vec![a2, cv, k]),
+            ],
+            &[0, 3],
         ),
     ];
     let head_arity = rng.below(4) as usize;
