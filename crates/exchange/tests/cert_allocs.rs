@@ -2,7 +2,10 @@
 //! fact: recording it, checking it and dropping it allocate a number of
 //! times that does not grow with the derivation, apart from the amortised
 //! growth of a few flat buffers. Nor does the chased instance cost an
-//! allocation per node: its nodes share one value arena.
+//! allocation per node: its nodes share one value arena. Nor does its
+//! relational view: each relation's facts share one row buffer, sized
+//! before it is filled, so viewing and dropping the instance allocate
+//! exactly as often at both sizes.
 //!
 //! A counting global allocator tallies every allocation, reallocation and
 //! deallocation in a thread-local counter, so the test threads that cargo
@@ -20,6 +23,7 @@ use ca_core::value::Value;
 use ca_exchange::chase::{chase_certified, chase_with, ChaseConfig, ChaseOutcome};
 use ca_exchange::mapping::Rule;
 use ca_gdm::database::GenDb;
+use ca_gdm::encode::relational_view;
 use ca_gdm::schema::GenSchema;
 
 thread_local! {
@@ -164,5 +168,28 @@ fn chased_instances_cost_no_allocation_per_node() {
     assert!(
         big - small <= SLACK,
         "drop: {small} heap operations at n=40, {big} at n=80"
+    );
+}
+
+/// Nodes, then heap operations of viewing the chased instance as a
+/// relational database and dropping the view.
+fn view_chased(n: i64) -> (usize, i64) {
+    let outcome = chase_with(&chain(n), &rules(), &[], &ChaseConfig::new(1_000_000));
+    let ChaseOutcome::Done(chased) = outcome else {
+        panic!("the chain's chase finishes: {outcome:?}");
+    };
+    let ((), ops) = counted(|| drop(relational_view(&chased).expect("a relational instance")));
+    (chased.n_nodes(), ops)
+}
+
+#[test]
+fn relational_views_cost_no_allocation_per_fact() {
+    let (small_nodes, small) = view_chased(40);
+    let (big_nodes, big) = view_chased(80);
+    eprintln!("n=40: {small_nodes} nodes, view {small}; n=80: {big_nodes} nodes, view {big}");
+    assert!(big_nodes >= 3000, "{big_nodes} nodes");
+    assert_eq!(
+        small, big,
+        "view and drop: {small} heap operations at n=40, {big} at n=80"
     );
 }

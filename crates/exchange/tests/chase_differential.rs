@@ -53,7 +53,7 @@ fn gen_instance_over(seed: u64, n_facts: usize, n_constants: i64, n_nulls: u32) 
     // `schema()`) resolve by label name.
     let mut out = GenDb::new(schema());
     for fact in db.facts() {
-        out.add_node("R", fact.args.clone());
+        out.add_node("R", fact.args.to_vec());
     }
     out
 }

@@ -97,7 +97,7 @@ impl GenDb {
     }
 
     /// Every node's label and data tuple, in node order.
-    pub fn nodes(&self) -> impl ExactSizeIterator<Item = (Symbol, &[Value])> {
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = (Symbol, &[Value])> + Clone {
         (0..self.n_nodes()).map(|i| (self.labels[i], self.node(i)))
     }
 

@@ -22,11 +22,12 @@ use crate::schema::GenSchema;
 pub fn encode_relational(db: &NaiveDatabase) -> GenDb {
     let mut schema = GenSchema::new();
     for sym in db.schema.symbols() {
-        schema.add_label(db.schema.name(sym), db.schema.arity(sym));
+        let label = schema.add_label(db.schema.name(sym), db.schema.arity(sym));
+        debug_assert_eq!(label, sym, "label symbols mirror relation symbols");
     }
     let mut out = GenDb::new(schema);
     for fact in db.facts() {
-        out.add_node(db.schema.name(fact.rel), fact.args.clone());
+        out.push_node(fact.rel, fact.args);
     }
     out
 }
@@ -41,10 +42,11 @@ pub fn encode_relational(db: &NaiveDatabase) -> GenDb {
 /// certain-answer paths run on the compiled join engine of `ca_query`.
 ///
 /// Relations are registered in label order, so each node's label symbol
-/// is its relation symbol, and a node list in canonical `(label, data)`
-/// order — what the chase engine returns — is already in [`Fact`] order:
-/// [`NaiveDatabase::from_facts`] sorts it in linear time. Any other node
-/// order is accepted and sorted.
+/// is its relation symbol. Each node's data is copied once, into its
+/// relation's row buffer; a node list in canonical `(label, data)` order
+/// — what the chase engine returns — is already in [`Fact`] order, so
+/// [`NaiveDatabase::from_facts`] checks each relation's order in one
+/// pass and sorts nothing. Any other node order is accepted and sorted.
 pub fn relational_view(d: &GenDb) -> Option<NaiveDatabase> {
     if !d.tuples.is_empty() {
         return None;
@@ -54,11 +56,8 @@ pub fn relational_view(d: &GenDb) -> Option<NaiveDatabase> {
         let rel = schema.add_relation(d.schema.label_name(sym), d.schema.label_arity(sym));
         debug_assert_eq!(rel, sym, "relation symbols mirror label symbols");
     }
-    let facts = d.nodes().map(|(rel, data)| Fact {
-        rel,
-        args: data.to_vec(),
-    });
-    Some(NaiveDatabase::from_facts(schema, facts.collect()))
+    let facts = d.nodes().map(|(rel, args)| Fact { rel, args });
+    Some(NaiveDatabase::from_facts(schema, facts))
 }
 
 /// The name of the child relation used by XML encodings.

@@ -120,11 +120,7 @@ fn restrict_to_query(q: &UnionQuery, db: &NaiveDatabase) -> NaiveDatabase {
         .flat_map(|d| d.atoms.iter())
         .filter_map(|a| db.schema.relation(&a.rel))
         .collect();
-    let facts = rels
-        .into_iter()
-        .flat_map(|r| db.relation(r).iter().cloned())
-        .collect();
-    NaiveDatabase::from_facts(db.schema.clone(), facts)
+    NaiveDatabase::from_facts(db.schema.clone(), rels.iter().flat_map(|&r| db.relation(r)))
 }
 
 /// Brute-force Boolean certain answer for a UCQ: conjunction of `Q(R)`

@@ -67,8 +67,7 @@ pub fn cert_atom(a: &Atom) -> CertAtom {
 /// The database's fact set in checker vocabulary (nulls as values).
 pub fn db_facts(db: &NaiveDatabase) -> BTreeSet<CertFact> {
     db.facts()
-        .iter()
-        .map(|f| (db.schema.name(f.rel).to_owned(), f.args.clone()))
+        .map(|f| (db.schema.name(f.rel).to_owned(), f.args.to_vec()))
         .collect()
 }
 

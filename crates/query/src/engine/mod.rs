@@ -134,6 +134,19 @@ impl ExecBufs {
             head_buf: Vec::with_capacity(cq.head_slots.len()),
         }
     }
+
+    /// One set of buffers per disjunct of `ucq`, in order.
+    fn per_disjunct(ucq: &CompiledUcq) -> Vec<ExecBufs> {
+        ucq.disjuncts.iter().map(ExecBufs::new).collect()
+    }
+
+    /// Forget every live projection seen, so a new run over the same
+    /// plan skips nothing the last run saw.
+    fn start_run(&mut self) {
+        for seen in self.seen.iter_mut().filter(|s| !s.rows.is_empty()) {
+            seen.clear();
+        }
+    }
 }
 
 /// Execute the plan suffix from `depth`, with `access` naming each
@@ -251,19 +264,27 @@ pub fn eval_cq_ids<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     exec(cq, &access, idx, None, 0, &mut ExecBufs::new(cq), emit)
 }
 
-/// [`eval_cq_ids`] over every disjunct, in order, until `emit` stops.
-/// `UnionQuery::new` and the parser enforce a shared head arity; a
-/// disjunct of a hand-built union that breaks it is skipped, so every
-/// emitted row has the union's head arity.
+/// [`eval_cq_ids`] over every disjunct, in order, until `emit` stops,
+/// each disjunct running in its own buffers of `bufs`
+/// ([`ExecBufs::per_disjunct`]) as a new run. `UnionQuery::new` and the
+/// parser enforce a shared head arity; a disjunct of a hand-built union
+/// that breaks it is skipped, so every emitted row has the union's head
+/// arity.
 fn ucq_ids_into<E: FnMut(&[ValueId]) -> bool + ?Sized>(
     ucq: &CompiledUcq,
     idx: &mut DbIndex<'_>,
+    bufs: &mut [ExecBufs],
     emit: &mut E,
 ) -> bool {
     ucq.disjuncts
         .iter()
-        .filter(|d| d.head_slots.len() == ucq.head_arity)
-        .all(|d| eval_cq_ids(d, idx, emit))
+        .zip(bufs)
+        .filter(|(d, _)| d.head_slots.len() == ucq.head_arity)
+        .all(|(d, bufs)| {
+            bufs.start_run();
+            let access = idx.ensure_cq(d, false);
+            exec(d, &access, idx, None, 0, bufs, emit)
+        })
 }
 
 /// Run a plan compiled with bound variables
@@ -286,9 +307,7 @@ pub fn eval_bound_ids<'p, E: FnMut(usize, &[ValueId]) -> bool>(
     for (i, param) in params.enumerate() {
         if param.len() == cq.n_bound {
             bufs.slots[..cq.n_bound].copy_from_slice(param);
-            for seen in bufs.seen.iter_mut().filter(|s| !s.rows.is_empty()) {
-                seen.clear();
-            }
+            bufs.start_run();
             exec(cq, &access, idx, None, 0, &mut bufs, &mut |head| {
                 emit(i, head)
             });
@@ -398,7 +417,7 @@ fn decode(rows: &Rows<ValueId>, store: &FactStore) -> BTreeSet<Vec<Value>> {
 /// shared by the disjuncts and decoded once per distinct row.
 pub fn eval_ucq_on(ucq: &CompiledUcq, idx: &mut DbIndex<'_>) -> BTreeSet<Vec<Value>> {
     let mut set = IdSet::set(ucq.head_arity);
-    ucq_ids_into(ucq, idx, &mut |row| {
+    ucq_ids_into(ucq, idx, &mut ExecBufs::per_disjunct(ucq), &mut |row| {
         set.insert_row(row);
         true
     });
@@ -558,7 +577,10 @@ pub fn eval_ucq_bool(q: &UnionQuery, db: &NaiveDatabase) -> Result<bool, PlanErr
 ///
 /// Every completion is grounded in place into one store with one
 /// interner ([`CompletionSpace::ground`]), so the intersection runs over
-/// interned id rows and only the surviving rows are decoded.
+/// interned id rows and only the surviving rows are decoded. One set of
+/// execution buffers per disjunct serves every completion; each run
+/// starts with no live projection seen, since a projection the last
+/// completion emitted must still be emitted in this one.
 ///
 /// Semantics at the corners (unit-tested below): when the completion
 /// space is **empty** (nulls present but an empty pool) the intersection
@@ -571,8 +593,9 @@ pub fn certain_table_over(
     pool: &[i64],
 ) -> BTreeSet<Vec<Value>> {
     let mut space = CompletionSpace::new(db, pool);
+    let mut bufs = ExecBufs::per_disjunct(plan);
     let survivors = sweep::intersect(space.len(), plan.head_arity, |i, emit| {
-        ucq_ids_into(plan, &mut DbIndex::over(space.ground(i)), emit);
+        ucq_ids_into(plan, &mut DbIndex::over(space.ground(i)), &mut bufs, emit);
     });
     survivors.map_or_else(BTreeSet::new, |rows| decode(&rows, space.store()))
 }
@@ -722,11 +745,7 @@ mod tests {
         let db = table("R", 2, &[&[c(1), c(2)], &[c(2), c(3)], &[c(3), c(4)]]);
         let plan = CompiledCq::compile_pinned(&q, &db.schema, 0).unwrap();
         let mut idx = DbIndex::new(&db);
-        let seed_id = db
-            .facts()
-            .iter()
-            .position(|f| f.args == vec![c(2), c(3)])
-            .unwrap() as u32;
+        let seed_id = db.facts().position(|f| f.args == vec![c(2), c(3)]).unwrap() as u32;
         let r = db.schema.relation("R").unwrap();
         let mut seeded = |seed: &[u32]| {
             let mut rows = Rows::new(2);
@@ -739,7 +758,7 @@ mod tests {
         };
         assert_eq!(seeded(&[seed_id]), BTreeSet::from([vec![c(2), c(4)]]));
         // Seeding with every fact recovers the full answer set.
-        let all: Vec<u32> = (0..db.facts().len() as u32).collect();
+        let all: Vec<u32> = (0..db.len() as u32).collect();
         assert_eq!(seeded(&all), eval_cq(&q, &db).unwrap());
     }
 
@@ -1053,6 +1072,47 @@ mod tests {
             true
         }));
         assert_eq!(out, eval_cq(&q, &db).unwrap());
+    }
+
+    /// The sweep runs every completion in one set of execution buffers
+    /// per disjunct. Here the greedy `MATES` plan's projection point on
+    /// `(e, f)` sees the same projections in every completion (the
+    /// complete facts give each completion the same matches), so buffers
+    /// that kept one completion's projections would skip them all in the
+    /// next, and the intersection would lose every certain row.
+    #[test]
+    fn the_sweep_forgets_projections_between_completions() {
+        let schema = Schema::from_relations(&[("Works", 2), ("Reports", 2)]);
+        let mut db = NaiveDatabase::new(schema);
+        for e in 0..6i64 {
+            db.add("Works", vec![c(e), c(10 + e % 2)]);
+            db.add("Reports", vec![c(e), c(20 + e % 3)]);
+        }
+        db.add("Works", vec![n(1), c(10)]);
+        let q = UnionQuery::single(ConjunctiveQuery::with_head(
+            vec![0, 3],
+            vec![
+                Atom::new("Works", vec![V(0), V(1)]),
+                Atom::new("Works", vec![V(2), V(1)]),
+                Atom::new("Reports", vec![V(2), V(3)]),
+            ],
+        ));
+        let plan = CompiledUcq::compile(&q, &db.schema).unwrap();
+        let projs: Vec<_> = plan.disjuncts[0]
+            .atoms
+            .iter()
+            .map(|a| a.proj.is_some())
+            .collect();
+        assert_eq!(projs, vec![false, false, true], "a point on (e, f)");
+        let pool = [0, 6, 7];
+        let mut want: Option<BTreeSet<Vec<Value>>> = None;
+        for r in db.completions_over(&pool) {
+            let ans = reference::eval_ucq(&q, &r);
+            want = Some(want.map_or(ans.clone(), |acc| &acc & &ans));
+        }
+        let want = want.unwrap();
+        assert_eq!(want.len(), 18, "every complete employee's mates");
+        assert_eq!(certain_table_over(&plan, &db, &pool), want);
     }
 
     #[test]

@@ -309,7 +309,7 @@ mod tests {
         assert_eq!(space.len(), 27);
         let mut collapsed = false;
         for i in 0..space.len() {
-            collapsed |= space.ground(i).n_live() > dense_count(space.completion(i).facts().len());
+            collapsed |= space.ground(i).n_live() > dense_count(space.completion(i).len());
             for j in 0..space.len() {
                 space.ground(i);
                 let want = space.completion(j);

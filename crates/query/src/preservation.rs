@@ -14,7 +14,7 @@
 //! proof (preservation is undecidable in general).
 
 use ca_core::value::Value;
-use ca_relational::database::{Fact, NaiveDatabase};
+use ca_relational::database::NaiveDatabase;
 use ca_relational::schema::Schema;
 
 use crate::ast::Fo;
@@ -61,22 +61,10 @@ fn enumerate_dbs(domain: i64, max_facts: usize) -> Vec<NaiveDatabase> {
 /// Apply a *structure* homomorphism (a map on all domain elements, not
 /// just nulls) to a complete database.
 fn apply_structure_map(db: &NaiveDatabase, map: &[i64]) -> NaiveDatabase {
-    let facts = db
-        .facts()
-        .iter()
-        .map(|f| Fact {
-            rel: f.rel,
-            args: f
-                .args
-                .iter()
-                .map(|v| match v {
-                    Value::Const(c) => Value::Const(map[*c as usize]),
-                    Value::Null(_) => unreachable!("complete database"),
-                })
-                .collect(),
-        })
-        .collect();
-    NaiveDatabase::from_facts(db.schema.clone(), facts)
+    db.map_values(|v| match v {
+        Value::Const(c) => Value::Const(map[c as usize]),
+        Value::Null(_) => unreachable!("complete database"),
+    })
 }
 
 /// Exhaustively search for a homomorphism-preservation counterexample for

@@ -42,7 +42,6 @@ pub fn tableau(q: &ConjunctiveQuery, schema: &Schema) -> NaiveDatabase {
 pub fn canonical_query(d: &NaiveDatabase) -> ConjunctiveQuery {
     let atoms: Vec<Atom> = d
         .facts()
-        .iter()
         .map(|f| {
             let args: Vec<Term> = f
                 .args
@@ -114,7 +113,7 @@ mod tests {
         let q = ConjunctiveQuery::boolean(vec![Atom::new("R", vec![C(5), V(0)])]);
         let schema = Schema::from_relations(&[("R", 2)]);
         let d = tableau(&q, &schema);
-        assert_eq!(d.facts()[0].args, vec![c(5), n(0)]);
+        assert_eq!(d.facts().next().unwrap().args, vec![c(5), n(0)]);
     }
 
     #[test]

@@ -7,19 +7,22 @@
 //! such that some homomorphism `h : D → R` exists.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use ca_core::symbol::Symbol;
 use ca_core::value::{Null, NullGen, Value};
 
 use crate::schema::Schema;
 
-/// A fact: relation symbol plus argument tuple.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Fact {
+/// A fact: relation symbol plus argument tuple, borrowed from the row
+/// buffer of the database (or the caller) that holds it. Facts order by
+/// relation, then lexicographically by tuple.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Fact<'a> {
     /// The relation this fact belongs to.
     pub rel: Symbol,
     /// The argument tuple (length = arity of `rel`).
-    pub args: Vec<Value>,
+    pub args: &'a [Value],
 }
 
 /// A valuation of nulls: the map `h : N(D) → C ∪ N` underlying database
@@ -76,14 +79,120 @@ impl Valuation {
     }
 }
 
-/// An incomplete relational database (a *naïve database*): a set of facts
-/// over `C ∪ N` conforming to a schema.
+/// The rows of one relation: `len` tuples of the relation's arity, back
+/// to back in one buffer, sorted and deduplicated. `len` is kept apart
+/// because the row of a 0-ary relation takes no values.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Table {
+    len: usize,
+    values: Vec<Value>,
+}
+
+/// The table of a relation that has none yet.
+static EMPTY: Table = Table {
+    len: 0,
+    values: Vec::new(),
+};
+
+impl Table {
+    /// Row `i` of a table of the given arity.
+    fn row(&self, arity: usize, i: usize) -> &[Value] {
+        &self.values[i * arity..(i + 1) * arity]
+    }
+
+    /// Where `args` is, or would be inserted, among the sorted rows.
+    fn search(&self, arity: usize, args: &[Value]) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.row(arity, mid).cmp(args) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Equal => return Ok(mid),
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        Err(lo)
+    }
+
+    /// Sort and deduplicate rows appended in any order. Rows already
+    /// strictly in order cost one adjacent-compare pass; others are
+    /// sorted and deduplicated through a row-index permutation, then
+    /// gathered into a new buffer.
+    fn normalize(&mut self, arity: usize) {
+        if (1..self.len).all(|i| self.row(arity, i - 1) < self.row(arity, i)) {
+            return;
+        }
+        let mut order: Vec<usize> = (0..self.len).collect();
+        order.sort_unstable_by(|&i, &j| self.row(arity, i).cmp(self.row(arity, j)));
+        order.dedup_by(|i, j| self.row(arity, *i) == self.row(arity, *j));
+        let mut values = Vec::with_capacity(order.len() * arity);
+        for &i in &order {
+            values.extend_from_slice(self.row(arity, i));
+        }
+        self.len = order.len();
+        self.values = values;
+    }
+}
+
+/// The facts of one relation, in order: see [`NaiveDatabase::relation`].
 #[derive(Clone, Debug)]
+pub struct Rows<'a> {
+    rel: Symbol,
+    arity: usize,
+    left: usize,
+    values: &'a [Value],
+}
+
+impl<'a> Rows<'a> {
+    /// The values of the rows not yet yielded, back to back.
+    pub fn values(&self) -> &'a [Value] {
+        self.values
+    }
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = Fact<'a>;
+
+    fn next(&mut self) -> Option<Fact<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        let (args, rest) = self.values.split_at(self.arity);
+        self.values = rest;
+        Some(Fact {
+            rel: self.rel,
+            args,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+impl Default for Rows<'_> {
+    /// No rows.
+    fn default() -> Self {
+        Rows {
+            rel: Symbol(0),
+            arity: 0,
+            left: 0,
+            values: &[],
+        }
+    }
+}
+
+/// An incomplete relational database (a *naïve database*): a set of facts
+/// over `C ∪ N` conforming to a schema. Each relation's facts live in one
+/// flat row buffer, so a fact costs no allocation of its own.
+#[derive(Clone)]
 pub struct NaiveDatabase {
     /// The schema facts must conform to.
     pub schema: Schema,
-    /// The facts, kept sorted and deduplicated (set semantics).
-    facts: Vec<Fact>,
+    /// Per relation symbol, its rows (set semantics). A relation the
+    /// schema gained after construction has no table until its first
+    /// fact; readers see [`EMPTY`].
+    tables: Vec<Table>,
     /// The last name→symbol resolution served by [`Self::add`]: bulk
     /// ingest repeats the same relation name, so memoizing one pair
     /// makes the by-name path O(distinct names) lookups instead of
@@ -93,50 +202,92 @@ pub struct NaiveDatabase {
 
 impl PartialEq for NaiveDatabase {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.facts == other.facts
+        self.schema == other.schema
+            && self
+                .schema
+                .symbols()
+                .all(|r| self.table(r) == other.table(r))
     }
 }
 
 impl Eq for NaiveDatabase {}
 
+impl fmt::Debug for NaiveDatabase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NaiveDatabase")
+            .field("schema", &self.schema)
+            .field("facts", &self.facts().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
 impl NaiveDatabase {
     /// An empty database over a schema.
     pub fn new(schema: Schema) -> Self {
         NaiveDatabase {
+            tables: vec![Table::default(); schema.len()],
             schema,
-            facts: Vec::new(),
             add_memo: None,
         }
     }
 
     /// Build a database from a bulk fact list: each fact's arity is
-    /// checked as in [`Self::add_fact`], then the list is sorted and
-    /// deduplicated once. Folding `add_fact` over `n` facts shifts the
-    /// sorted tail on every insert (quadratic); this is `O(n log n)`,
-    /// and linear on input already in [`Fact`] order, since std's
-    /// `sort_unstable` detects a presorted run in one pass (the chase
-    /// hands its instance over in that order). Panics if a relation is
-    /// unknown or an arity is wrong.
-    pub fn from_facts(schema: Schema, mut facts: Vec<Fact>) -> Self {
-        for f in &facts {
-            check_arity(&schema, f.rel, &f.args);
+    /// checked as in [`Self::add_fact`], and its tuple is copied to the
+    /// end of its relation's buffer, reserved to size by a first counting
+    /// pass. Each relation is then sorted and deduplicated once. Folding
+    /// `add_fact` over `n` facts shifts the sorted tail on every insert
+    /// (quadratic); this is `O(n log n)`, and one adjacent-compare pass
+    /// per relation on input already in [`Fact`] order (the chase hands
+    /// its instance over in that order). Panics if a relation is unknown
+    /// or an arity is wrong.
+    pub fn from_facts<'a, I>(schema: Schema, facts: I) -> Self
+    where
+        I: IntoIterator<Item = Fact<'a>>,
+        I::IntoIter: Clone,
+    {
+        let facts = facts.into_iter();
+        let mut tables = vec![Table::default(); schema.len()];
+        for f in facts.clone() {
+            check_arity(&schema, f.rel, f.args);
+            tables[f.rel.index()].len += 1;
         }
-        facts.sort_unstable();
-        facts.dedup();
+        for (r, t) in schema.symbols().zip(&mut tables) {
+            t.values.reserve_exact(t.len * schema.arity(r));
+        }
+        for f in facts {
+            tables[f.rel.index()].values.extend_from_slice(f.args);
+        }
+        Self::from_tables(schema, tables)
+    }
+
+    /// A database over `schema` whose tables hold rows in any order.
+    fn from_tables(schema: Schema, mut tables: Vec<Table>) -> Self {
+        for (r, t) in schema.symbols().zip(&mut tables) {
+            t.normalize(schema.arity(r));
+        }
         NaiveDatabase {
             schema,
-            facts,
+            tables,
             add_memo: None,
         }
     }
 
+    /// The table of `rel`, or [`EMPTY`] if it has none.
+    fn table(&self, rel: Symbol) -> &Table {
+        self.tables.get(rel.index()).unwrap_or(&EMPTY)
+    }
+
     /// Add a fact. Panics if the relation is unknown or the arity is wrong.
-    pub fn add_fact(&mut self, rel: Symbol, args: Vec<Value>) {
-        check_arity(&self.schema, rel, &args);
-        let fact = Fact { rel, args };
-        match self.facts.binary_search(&fact) {
-            Ok(_) => {}
-            Err(pos) => self.facts.insert(pos, fact),
+    pub fn add_fact(&mut self, rel: Symbol, args: &[Value]) {
+        check_arity(&self.schema, rel, args);
+        if self.tables.len() <= rel.index() {
+            self.tables.resize_with(rel.index() + 1, Table::default);
+        }
+        let t = &mut self.tables[rel.index()];
+        if let Err(pos) = t.search(args.len(), args) {
+            let at = pos * args.len();
+            t.values.splice(at..at, args.iter().copied());
+            t.len += 1;
         }
     }
 
@@ -154,95 +305,94 @@ impl NaiveDatabase {
                 sym
             }
         };
-        self.add_fact(rel, args);
+        self.add_fact(rel, &args);
     }
 
-    /// All facts, sorted.
-    pub fn facts(&self) -> &[Fact] {
-        &self.facts
+    /// All facts, sorted: relations in symbol order, each relation's rows
+    /// in order.
+    pub fn facts(&self) -> impl Iterator<Item = Fact<'_>> + Clone {
+        self.schema.symbols().flat_map(|r| self.relation(r))
     }
 
-    /// Facts of one relation: the sorted run of facts with relation
-    /// `rel` (facts sort by relation first), found by binary search.
-    pub fn relation(&self, rel: Symbol) -> &[Fact] {
-        let lo = self.facts.partition_point(|f| f.rel < rel);
-        let len = self.facts[lo..].partition_point(|f| f.rel == rel);
-        &self.facts[lo..lo + len]
+    /// Facts of one relation, sorted.
+    pub fn relation(&self, rel: Symbol) -> Rows<'_> {
+        let t = self.table(rel);
+        Rows {
+            rel,
+            arity: if t.len == 0 {
+                0
+            } else {
+                self.schema.arity(rel)
+            },
+            left: t.len,
+            values: &t.values,
+        }
     }
 
     /// Number of facts.
     pub fn len(&self) -> usize {
-        self.facts.len()
+        self.tables.iter().map(|t| t.len).sum()
     }
 
     /// Whether the database has no facts.
     pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
+        self.tables.iter().all(|t| t.len == 0)
+    }
+
+    /// Every value of every fact, in fact order.
+    fn values(&self) -> impl Iterator<Item = Value> + '_ {
+        self.tables.iter().flat_map(|t| t.values.iter().copied())
     }
 
     /// `N(D)`: the set of nulls occurring in the database.
     pub fn nulls(&self) -> BTreeSet<Null> {
-        self.facts
-            .iter()
-            .flat_map(|f| f.args.iter())
-            .filter_map(|v| v.as_null())
-            .collect()
+        self.values().filter_map(|v| v.as_null()).collect()
     }
 
     /// `C(D)`: the set of constants occurring in the database.
     pub fn constants(&self) -> BTreeSet<i64> {
-        self.facts
-            .iter()
-            .flat_map(|f| f.args.iter())
-            .filter_map(|v| v.as_const())
-            .collect()
+        self.values().filter_map(|v| v.as_const()).collect()
     }
 
     /// Is the database *complete* (null-free)?
     pub fn is_complete(&self) -> bool {
-        self.facts
-            .iter()
-            .all(|f| f.args.iter().all(|v| v.is_const()))
+        self.values().all(|v| v.is_const())
     }
 
     /// Is this a *Codd* database: does each null occur at most once?
     pub fn is_codd(&self) -> bool {
         let mut seen = BTreeSet::new();
-        for f in &self.facts {
-            for v in &f.args {
-                if let Some(n) = v.as_null() {
-                    if !seen.insert(n) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        self.values()
+            .filter_map(|v| v.as_null())
+            .all(|n| seen.insert(n))
+    }
+
+    /// Map every value of every fact through `f`, visiting them in fact
+    /// order, and return the resulting database (facts may merge).
+    pub fn map_values(&self, mut f: impl FnMut(Value) -> Value) -> NaiveDatabase {
+        let tables = self
+            .tables
+            .iter()
+            .map(|t| Table {
+                len: t.len,
+                values: t.values.iter().map(|&v| f(v)).collect(),
+            })
+            .collect();
+        NaiveDatabase::from_tables(self.schema.clone(), tables)
     }
 
     /// Apply a valuation, producing a new database (facts may merge).
     pub fn apply(&self, h: &Valuation) -> NaiveDatabase {
-        let facts = self
-            .facts
-            .iter()
-            .map(|f| Fact {
-                rel: f.rel,
-                args: h.apply_tuple(&f.args),
-            })
-            .collect();
-        NaiveDatabase::from_facts(self.schema.clone(), facts)
+        self.map_values(|v| h.apply(v))
     }
 
     /// `π_cpl(D)`: drop every fact containing a null — the greatest
     /// complete object below `D` (Section 3's retraction, instantiated).
     pub fn complete_part(&self) -> NaiveDatabase {
-        let facts = self
-            .facts
-            .iter()
-            .filter(|f| f.args.iter().all(|v| v.is_const()))
-            .cloned()
-            .collect();
-        NaiveDatabase::from_facts(self.schema.clone(), facts)
+        NaiveDatabase::from_facts(
+            self.schema.clone(),
+            self.facts().filter(|f| f.args.iter().all(|v| v.is_const())),
+        )
     }
 
     /// A *fresh-constant completion*: map each null to a distinct constant
@@ -307,25 +457,26 @@ impl NaiveDatabase {
     /// rename first).
     pub fn union(&self, other: &NaiveDatabase) -> NaiveDatabase {
         assert!(self.schema.compatible_with(&other.schema));
-        let mut facts = self.facts.clone();
-        for f in &other.facts {
-            let rel = self
-                .schema
-                .relation(other.schema.name(f.rel))
-                .expect("compatible schema");
-            facts.push(Fact {
-                rel,
-                args: f.args.clone(),
-            });
-        }
-        NaiveDatabase::from_facts(self.schema.clone(), facts)
+        let to_self: Vec<Symbol> = other
+            .schema
+            .symbols()
+            .map(|r| {
+                self.schema
+                    .relation(other.schema.name(r))
+                    .expect("compatible schema")
+            })
+            .collect();
+        let theirs = other.facts().map(|f| Fact {
+            rel: to_self[f.rel.index()],
+            args: f.args,
+        });
+        NaiveDatabase::from_facts(self.schema.clone(), self.facts().chain(theirs))
     }
 
     /// Does the database contain the given fact?
     pub fn contains(&self, rel: Symbol, args: &[Value]) -> bool {
-        self.relation(rel)
-            .binary_search_by(|f| f.args.as_slice().cmp(args))
-            .is_ok()
+        let t = self.table(rel);
+        t.len > 0 && t.search(self.schema.arity(rel), args).is_ok()
     }
 }
 
@@ -414,15 +565,12 @@ mod tests {
     fn from_facts_rejects_arity_mismatch() {
         let schema = Schema::from_relations(&[("R", 2)]);
         let rel = schema.relation("R").unwrap();
-        let facts = vec![
+        let facts = [
             Fact {
                 rel,
-                args: vec![c(1), c(2)],
+                args: &[c(1), c(2)],
             },
-            Fact {
-                rel,
-                args: vec![c(1)],
-            },
+            Fact { rel, args: &[c(1)] },
         ];
         NaiveDatabase::from_facts(schema, facts);
     }
@@ -432,7 +580,7 @@ mod tests {
     fn add_fact_rejects_arity_mismatch() {
         let mut db = table("R", 2, &[]);
         let rel = db.schema.relation("R").unwrap();
-        db.add_fact(rel, vec![c(1), c(2), c(3)]);
+        db.add_fact(rel, &[c(1), c(2), c(3)]);
     }
 
     #[test]
@@ -472,7 +620,7 @@ mod tests {
         );
         // Every fact of the image is in R (it's a sub-instance).
         for f in image.facts() {
-            assert!(r.contains(r.schema.relation("D").unwrap(), &f.args));
+            assert!(r.contains(r.schema.relation("D").unwrap(), f.args));
         }
     }
 

@@ -73,22 +73,23 @@ pub fn merge_tuples(t: &[Value], t2: &[Value], nulls: &mut PairNulls) -> Vec<Val
 /// // The certain shared content: R(1, ·) with an unknown second column.
 /// assert!(InfoOrder.leq(&meet, &a));
 /// assert!(InfoOrder.leq(&meet, &b));
-/// assert_eq!(meet.facts()[0].args[0], c(1));
-/// assert!(meet.facts()[0].args[1].is_null());
+/// let fact = meet.facts().next().unwrap();
+/// assert_eq!(fact.args[0], c(1));
+/// assert!(fact.args[1].is_null());
 /// ```
 pub fn glb_databases(a: &NaiveDatabase, b: &NaiveDatabase) -> NaiveDatabase {
     assert!(a.schema.compatible_with(&b.schema), "incompatible schemas");
     let mut nulls = PairNulls::fresh_for(a, b);
-    let mut facts = Vec::new();
+    let mut rows = Vec::new();
     for fa in a.facts() {
         for fb in b.relation_by_name(a.schema.name(fa.rel)) {
-            facts.push(Fact {
-                rel: fa.rel,
-                args: merge_tuples(&fa.args, &fb.args, &mut nulls),
-            });
+            rows.push((fa.rel, merge_tuples(fa.args, fb.args, &mut nulls)));
         }
     }
-    NaiveDatabase::from_facts(a.schema.clone(), facts)
+    NaiveDatabase::from_facts(
+        a.schema.clone(),
+        rows.iter().map(|(rel, args)| Fact { rel: *rel, args }),
+    )
 }
 
 /// The glb `⋀ X` of finitely many databases, by iterating the binary glb.
@@ -177,7 +178,7 @@ mod tests {
         let b = table("R", 1, &[&[c(2)]]);
         let meet = glb_databases(&a, &b);
         assert_eq!(meet.len(), 1);
-        assert!(meet.facts()[0].args[0].is_null());
+        assert!(meet.facts().next().unwrap().args[0].is_null());
         // Equivalent to the single-null table.
         assert!(InfoOrder.equiv(&meet, &table("R", 1, &[&[n(1)]])));
     }
@@ -221,7 +222,7 @@ mod tests {
         // b has no S facts: the glb must have none either.
         let meet = glb_databases(&a, &b);
         assert_eq!(meet.len(), 1);
-        assert_eq!(meet.facts()[0].args, vec![c(1)]);
+        assert_eq!(meet.facts().next().unwrap().args, vec![c(1)]);
     }
 
     #[test]

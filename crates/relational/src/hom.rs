@@ -34,11 +34,7 @@ pub struct ValueIndex {
 impl ValueIndex {
     /// Index the values of `db` (sorted, deduplicated).
     pub fn of(db: &NaiveDatabase) -> Self {
-        let mut values: Vec<Value> = db
-            .facts()
-            .iter()
-            .flat_map(|f| f.args.iter().copied())
-            .collect();
+        let mut values: Vec<Value> = db.facts().flat_map(|f| f.args.iter().copied()).collect();
         values.sort_unstable();
         values.dedup();
         let mut interner = ValueInterner::new();
@@ -137,10 +133,10 @@ pub fn hom_csp(
 
 impl NaiveDatabase {
     /// Facts of the relation with the given name (empty if absent).
-    pub fn relation_by_name(&self, name: &str) -> std::slice::Iter<'_, crate::database::Fact> {
+    pub fn relation_by_name(&self, name: &str) -> crate::database::Rows<'_> {
         match self.schema.relation(name) {
-            Some(sym) => self.relation(sym).iter(),
-            None => [].iter(),
+            Some(sym) => self.relation(sym),
+            None => crate::database::Rows::default(),
         }
     }
 }
@@ -174,8 +170,8 @@ pub fn find_hom(src: &NaiveDatabase, dst: &NaiveDatabase) -> Option<Valuation> {
 
 /// Is `h` a homomorphism from `src` to `dst`?
 pub fn is_hom(src: &NaiveDatabase, dst: &NaiveDatabase, h: &Valuation) -> bool {
-    src.facts().iter().all(|f| {
-        let image = h.apply_tuple(&f.args);
+    src.facts().all(|f| {
+        let image = h.apply_tuple(f.args);
         dst.relation_by_name(src.schema.name(f.rel))
             .any(|g| g.args == image)
     })
@@ -244,7 +240,7 @@ pub fn find_onto_hom(src: &NaiveDatabase, dst: &NaiveDatabase, limit: usize) -> 
                 .map(|(&n, &v)| (n, idx.value(v))),
         );
         let image = src.apply(&h);
-        let covers = dst.facts().iter().all(|g| {
+        let covers = dst.facts().all(|g| {
             image
                 .relation_by_name(dst.schema.name(g.rel))
                 .any(|f| f.args == g.args)

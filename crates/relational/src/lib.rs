@@ -38,7 +38,7 @@ pub mod schema;
 pub mod store_bridge;
 pub mod tuplewise;
 
-pub use database::{Fact, NaiveDatabase, Valuation};
+pub use database::{Fact, NaiveDatabase, Rows, Valuation};
 pub use glb::{glb_databases, glb_many, merge_tuples};
 pub use hom::{
     find_hom, find_hom_certified, find_onto_hom, find_onto_hom_certified, is_hom, OntoOutcome,

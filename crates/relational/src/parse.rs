@@ -210,8 +210,8 @@ mod tests {
     fn constants_and_named_nulls() {
         let db = parse_database("R(1, ?x); R(?x, 2)").unwrap();
         assert_eq!(db.len(), 2);
-        assert_eq!(db.facts()[0].args, vec![c(1), n(0)]);
-        assert_eq!(db.facts()[1].args, vec![n(0), c(2)]);
+        assert_eq!(db.facts().next().unwrap().args, vec![c(1), n(0)]);
+        assert_eq!(db.facts().nth(1).unwrap().args, vec![n(0), c(2)]);
         assert!(!db.is_codd()); // ?x repeats
     }
 
@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn anonymous_nulls_are_fresh() {
         let db = parse_database("R(_, _)").unwrap();
-        let args = &db.facts()[0].args;
+        let args = db.facts().next().unwrap().args;
         assert!(args[0].is_null() && args[1].is_null());
         assert_ne!(args[0], args[1]);
         assert!(db.is_codd());
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn negative_constants() {
         let db = parse_database("R(-7)").unwrap();
-        assert_eq!(db.facts()[0].args, vec![c(-7)]);
+        assert_eq!(db.facts().next().unwrap().args, vec![c(-7)]);
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl Schema {
     }
 
     /// Iterate over all relation symbols.
-    pub fn symbols(&self) -> impl Iterator<Item = Symbol> + '_ {
+    pub fn symbols(&self) -> impl Iterator<Item = Symbol> + Clone + '_ {
         (0..self.arities.len() as u32).map(Symbol)
     }
 

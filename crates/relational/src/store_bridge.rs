@@ -3,17 +3,17 @@
 //!
 //! The naïve-database types stay the interface for tests, the parser,
 //! and the differential oracles; the engines evaluate over the columnar
-//! store. [`to_store`] is the O(facts) bulk ingest (the database is
-//! already deduplicated and sorted, so it uses the store's unchecked
-//! append path); [`from_store`] resolves the live facts back to values
-//! and builds the database with one sort
+//! store. [`to_store`] is the O(facts) bulk ingest (each relation's rows
+//! are already deduplicated and sorted, so it appends them whole on the
+//! store's unchecked path); [`from_store`] resolves the live facts back
+//! to values and builds the database with one sort per relation
 //! ([`NaiveDatabase::from_facts`]).
 //!
 //! Relation symbols are registered in schema declaration order, so a
 //! bridged store's symbols are *identical* (same indices) to the
 //! schema's — engines can use one symbol space for both.
 
-use ca_core::store::{FactStore, ValueId};
+use ca_core::store::{dense_count, FactStore, ValueId};
 
 use crate::database::{Fact, NaiveDatabase};
 use crate::schema::Schema;
@@ -25,29 +25,18 @@ pub fn to_store(db: &NaiveDatabase) -> FactStore {
         let reg = s.add_relation(db.schema.name(sym), db.schema.arity(sym));
         debug_assert_eq!(reg, sym, "store symbols mirror schema symbols");
     }
-    // Facts are sorted, so each relation's tuples are one consecutive
-    // run: intern a whole run into one flat id buffer and bulk-append it
-    // with `extend_ids` (columns reserve once per run instead of growing
-    // per fact). This is the bulk path behind every `DbIndex::new`, so
-    // per-fact overhead matters; run-by-run appends assign the same fact
-    // ids as the per-fact path did.
+    // Each relation's rows are one flat value buffer: intern it into one
+    // flat id buffer and bulk-append it with `extend_ids` (columns
+    // reserve once per relation instead of growing per fact). This is the
+    // bulk path behind every `DbIndex::new`, so per-fact overhead
+    // matters; relation-by-relation appends assign the same fact ids as
+    // a per-fact path in fact order would.
     let mut ids: Vec<ValueId> = Vec::new();
-    let mut run_rel = None;
-    let mut run_len: u32 = 0;
-    for f in db.facts() {
-        if run_rel != Some(f.rel) {
-            if let Some(rel) = run_rel {
-                s.extend_ids(rel, run_len, &ids);
-            }
-            ids.clear();
-            run_rel = Some(f.rel);
-            run_len = 0;
-        }
-        ids.extend(f.args.iter().map(|&v| s.intern_value(v)));
-        run_len += 1;
-    }
-    if let Some(rel) = run_rel {
-        s.extend_ids(rel, run_len, &ids);
+    for sym in db.schema.symbols() {
+        let rows = db.relation(sym);
+        ids.clear();
+        ids.extend(rows.values().iter().map(|&v| s.intern_value(v)));
+        s.extend_ids(sym, dense_count(rows.len()), &ids);
     }
     s
 }
@@ -58,14 +47,14 @@ pub fn from_store(s: &FactStore) -> NaiveDatabase {
     for rel in s.relations() {
         schema.add_relation(s.rel_name(rel), s.arity(rel));
     }
-    let facts = s
+    let rows: Vec<_> = s
         .iter_live()
-        .map(|f| Fact {
-            rel: s.fact_rel(f),
-            args: s.fact_values(f),
-        })
+        .map(|f| (s.fact_rel(f), s.fact_values(f)))
         .collect();
-    NaiveDatabase::from_facts(schema, facts)
+    NaiveDatabase::from_facts(
+        schema,
+        rows.iter().map(|(rel, args)| Fact { rel: *rel, args }),
+    )
 }
 
 #[cfg(test)]

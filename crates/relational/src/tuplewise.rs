@@ -32,8 +32,7 @@ pub fn fact_leq(a: &Fact, b: &Fact, a_db: &NaiveDatabase, b_db: &NaiveDatabase) 
 /// of `D′`.
 pub fn hoare_leq(a: &NaiveDatabase, b: &NaiveDatabase) -> bool {
     a.facts()
-        .iter()
-        .all(|fa| b.facts().iter().any(|fb| fact_leq(fa, fb, a, b)))
+        .all(|fa| b.facts().any(|fb| fact_leq(&fa, &fb, a, b)))
 }
 
 /// The Plotkin lifting: Hoare in both directions
@@ -41,8 +40,7 @@ pub fn hoare_leq(a: &NaiveDatabase, b: &NaiveDatabase) -> bool {
 pub fn plotkin_leq(a: &NaiveDatabase, b: &NaiveDatabase) -> bool {
     hoare_leq(a, b)
         && b.facts()
-            .iter()
-            .all(|fb| a.facts().iter().any(|fa| fact_leq(fa, fb, a, b)))
+            .all(|fb| a.facts().any(|fa| fact_leq(&fa, &fb, a, b)))
 }
 
 /// Does `⊴⁻¹ ⊆ D′ × D` satisfy Hall's condition: for every set `U` of
@@ -53,9 +51,9 @@ pub fn hall_on_dominance(a: &NaiveDatabase, b: &NaiveDatabase) -> bool {
     // Left vertices: facts of b (= D′); right: facts of a (= D);
     // edge (t′, t) iff t ⊴ t′.
     let mut g = Bipartite::new(b.len(), a.len());
-    for (i, fb) in b.facts().iter().enumerate() {
-        for (j, fa) in a.facts().iter().enumerate() {
-            if fact_leq(fa, fb, a, b) {
+    for (i, fb) in b.facts().enumerate() {
+        for (j, fa) in a.facts().enumerate() {
+            if fact_leq(&fa, &fb, a, b) {
                 g.add_edge(i as u32, j as u32);
             }
         }
@@ -90,8 +88,9 @@ mod tests {
     fn fact_dominance() {
         let a = table("R", 2, &[&[n(1), c(2)]]);
         let b = table("R", 2, &[&[c(1), c(2)]]);
-        assert!(fact_leq(&a.facts()[0], &b.facts()[0], &a, &b));
-        assert!(!fact_leq(&b.facts()[0], &a.facts()[0], &b, &a));
+        let (fa, fb) = (a.facts().next().unwrap(), b.facts().next().unwrap());
+        assert!(fact_leq(&fa, &fb, &a, &b));
+        assert!(!fact_leq(&fb, &fa, &b, &a));
     }
 
     #[test]
@@ -208,22 +207,10 @@ mod tests {
 pub fn codd_weakening(d: &crate::database::NaiveDatabase) -> crate::database::NaiveDatabase {
     use ca_core::value::{NullGen, Value};
     let mut gen = NullGen::avoiding(d.nulls());
-    let facts = d
-        .facts()
-        .iter()
-        .map(|f| crate::database::Fact {
-            rel: f.rel,
-            args: f
-                .args
-                .iter()
-                .map(|v| match v {
-                    Value::Null(_) => gen.fresh_value(),
-                    c => *c,
-                })
-                .collect(),
-        })
-        .collect();
-    crate::database::NaiveDatabase::from_facts(d.schema.clone(), facts)
+    d.map_values(|v| match v {
+        Value::Null(_) => gen.fresh_value(),
+        c => c,
+    })
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub fn encode_database(db: &NaiveDatabase) -> XmlTree {
     let alphabet = Alphabet::from_labels(&labels);
     let mut tree = XmlTree::new(alphabet, ROOT_LABEL, vec![]);
     for fact in db.facts() {
-        tree.add_child(0, db.schema.name(fact.rel), fact.args.clone());
+        tree.add_child(0, db.schema.name(fact.rel), fact.args.to_vec());
     }
     tree
 }
