@@ -41,7 +41,9 @@
 //! measurement — re-timing byte-identical plans only adds noise. The
 //! `plan_cold_ns` column times plan *acquisition*: a statistics read
 //! plus a cost-based compile. All answers are asserted equal across
-//! paths before anything is timed. Results go to stdout as a table and
+//! paths before anything is timed. A full run times each path as the
+//! median of seven trials and records the quartiles next to it;
+//! `--quick` runs one trial. Results go to stdout as a table and
 //! to `BENCH_query.json` (`target/bench/` for `--quick`); `--quick`
 //! additionally gates on the optimizer invariant (cost ≥ greedy on the
 //! chains).
@@ -181,19 +183,40 @@ fn sweep_db(rng: &mut Rng, k: u32) -> NaiveDatabase {
     db
 }
 
-/// Best-of-three average: the minimum over trials filters scheduler
-/// interference, which on a small shared host can distort a single
-/// sample by 30%+ — enough to flip a near-tie plan comparison.
-fn time_reps(reps: u32, mut f: impl FnMut()) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(start.elapsed().as_micros() / u128::from(reps));
+/// Trials per timed quantity in a full run. Scheduler interference on a
+/// small shared host can distort a single sample by 30%+, so a full run
+/// reports the median of this many trials with its quartiles, and a
+/// change is resolved when it moves the median by more than the
+/// interquartile spread. `--quick` runs one trial.
+const TRIALS: usize = 7;
+
+/// One timed quantity over its trials, in µs per call.
+#[derive(Clone, Copy)]
+struct Timing {
+    q1: u128,
+    median: u128,
+    q3: u128,
+}
+
+/// Time `trials` trials of `reps` calls of `f` each: the median and the
+/// quartiles of the per-call average.
+fn time_reps(trials: usize, reps: u32, mut f: impl FnMut()) -> Timing {
+    let mut us: Vec<u128> = (0..trials.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..reps {
+                f();
+            }
+            (start.elapsed().as_micros() / u128::from(reps)).max(1)
+        })
+        .collect();
+    us.sort_unstable();
+    let quarter = us.len() / 4;
+    Timing {
+        q1: us[quarter],
+        median: us[us.len() / 2],
+        q3: us[us.len() - 1 - quarter],
     }
-    best.max(1)
 }
 
 /// Nanosecond-resolution timing for the plan-acquisition column — a
@@ -209,7 +232,7 @@ fn time_reps_ns(reps: u32, mut f: impl FnMut()) -> u128 {
 /// The optimizer-facing measurements of one join-family case.
 struct OptCols {
     /// Engine wall time with the stats-blind greedy plan.
-    greedy_us: u128,
+    greedy_us: Timing,
     /// Plan acquisition: read statistics, compile cost-based.
     plan_cold_ns: u128,
 }
@@ -247,8 +270,8 @@ struct Row {
     family: &'static str,
     case: String,
     mode: &'static str,
-    ref_us: u128,
-    seq_us: u128,
+    ref_us: Timing,
+    seq_us: Timing,
     answers: usize,
     opt: Option<OptCols>,
 }
@@ -265,6 +288,7 @@ fn join_case(
     q: &UnionQuery,
     db: &NaiveDatabase,
     reps: u32,
+    trials: usize,
     quick: bool,
     assert_cost_wins: bool,
     rows: &mut Vec<Row>,
@@ -284,29 +308,31 @@ fn join_case(
         "{family} greedy-plan disagreement"
     );
 
-    let ref_us = time_reps(reps, || {
+    let ref_us = time_reps(trials, reps, || {
         std::hint::black_box(reference::eval_ucq(q, db));
     });
-    let seq_us = time_reps(reps, || {
+    let seq_us = time_reps(trials, reps, || {
         std::hint::black_box(engine::eval_ucq_on(&plan_cost, &mut DbIndex::new(db)));
     });
     let greedy_us = if same_plan {
         seq_us
     } else {
-        time_reps(reps, || {
+        time_reps(trials, reps, || {
             std::hint::black_box(engine::eval_ucq_on(&plan_greedy, &mut DbIndex::new(db)));
         })
     };
     let plan_cold_ns = time_plan_ns(q, &db.schema, &st);
+    let (seq, greedy) = (seq_us.median, greedy_us.median);
     if quick && assert_cost_wins {
         assert!(
-            seq_us <= greedy_us,
-            "{family} {case}: cost-based plan slower than greedy ({seq_us}us > {greedy_us}us)"
+            seq <= greedy,
+            "{family} {case}: cost-based plan slower than greedy ({seq}us > {greedy}us)"
         );
     }
     eprintln!(
-        "[query_bench] {family} {case}: ref {ref_us}us, greedy {greedy_us}us, \
-         cost {seq_us}us, plan {plan_cold_ns}ns"
+        "[query_bench] {family} {case}: ref {}us, greedy {greedy}us, \
+         cost {seq}us, plan {plan_cold_ns}ns",
+        ref_us.median
     );
     rows.push(Row {
         family,
@@ -325,6 +351,7 @@ fn join_case(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
+    let trials = if quick { 1 } else { TRIALS };
     let mut rng = Rng::new(0xca11ab1e);
     let mut rows: Vec<Row> = Vec::new();
 
@@ -338,6 +365,7 @@ fn main() {
             &chain_query(1),
             &db,
             30,
+            trials,
             quick,
             false,
             &mut rows,
@@ -356,6 +384,7 @@ fn main() {
                 &chain_query(k),
                 &db,
                 reps,
+                trials,
                 quick,
                 true,
                 &mut rows,
@@ -374,6 +403,7 @@ fn main() {
             &skew_query(),
             &db,
             reps,
+            trials,
             quick,
             false,
             &mut rows,
@@ -395,16 +425,16 @@ fn main() {
         let got = engine::certain_table_over(&plan, &db, &pool);
         assert_eq!(expected, got, "certain sweep disagreement");
         let reps = if k >= 5 { 1 } else { 3 };
-        let ref_us = time_reps(reps, || {
+        let ref_us = time_reps(trials, reps, || {
             std::hint::black_box(legacy_certain_table(&q, &db));
         });
-        let seq_us = time_reps(reps, || {
+        let seq_us = time_reps(trials, reps, || {
             std::hint::black_box(engine::certain_table_over(&plan, &db, &pool));
         });
         let greedy_us = if same_plan {
             seq_us
         } else {
-            time_reps(reps, || {
+            time_reps(trials, reps, || {
                 std::hint::black_box(engine::certain_table_over(&plan_greedy, &db, &pool));
             })
         };
@@ -421,7 +451,10 @@ fn main() {
                 plan_cold_ns,
             }),
         });
-        eprintln!("[query_bench] certain_sweep k={k}: ref {ref_us}us, seq {seq_us}us");
+        eprintln!(
+            "[query_bench] certain_sweep k={k}: ref {}us, seq {}us",
+            ref_us.median, seq_us.median
+        );
     }
 
     // --- e02_ucq_mates: duplicate-heavy projection of a join ---
@@ -435,6 +468,7 @@ fn main() {
             &mates_query(),
             &db,
             reps,
+            trials,
             quick,
             false,
             &mut rows,
@@ -480,10 +514,10 @@ fn main() {
         } else {
             50
         };
-        let ref_us = time_reps(reps, || {
+        let ref_us = time_reps(trials, reps, || {
             std::hint::black_box(sequential());
         });
-        let seq_us = time_reps(reps, || {
+        let seq_us = time_reps(trials, reps, || {
             std::hint::black_box(gdm_certain::certain_existential(&phi, &d));
         });
         rows.push(Row {
@@ -495,7 +529,10 @@ fn main() {
             answers: usize::from(expected),
             opt: None,
         });
-        eprintln!("[query_bench] e11_gdm_images {name}: ref {ref_us}us, seq {seq_us}us");
+        eprintln!(
+            "[query_bench] e11_gdm_images {name}: ref {}us, seq {}us",
+            ref_us.median, seq_us.median
+        );
     }
 
     let mut report = Report::new(
@@ -507,6 +544,7 @@ fn main() {
             "ref_us",
             "greedy_us",
             "seq_us",
+            "seq_q1-q3",
             "speedup",
             "cost_vs_greedy",
             "plan_cold_ns",
@@ -515,19 +553,21 @@ fn main() {
     );
     let mut json_rows: Vec<String> = Vec::new();
     for r in &rows {
-        let speedup = r.ref_us as f64 / r.seq_us as f64;
+        let (ref_us, seq_us) = (r.ref_us.median, r.seq_us.median);
+        let speedup = ref_us as f64 / seq_us as f64;
         report.row(vec![
             r.family.into(),
             r.case.clone(),
             r.mode.into(),
-            r.ref_us.to_string(),
+            ref_us.to_string(),
             r.opt
                 .as_ref()
-                .map_or("-".into(), |o| o.greedy_us.to_string()),
-            r.seq_us.to_string(),
+                .map_or("-".into(), |o| o.greedy_us.median.to_string()),
+            seq_us.to_string(),
+            format!("{}-{}", r.seq_us.q1, r.seq_us.q3),
             format!("{speedup:.1}x"),
             r.opt.as_ref().map_or("-".into(), |o| {
-                format!("{:.1}x", o.greedy_us as f64 / r.seq_us as f64)
+                format!("{:.1}x", o.greedy_us.median as f64 / seq_us as f64)
             }),
             r.opt
                 .as_ref()
@@ -538,17 +578,31 @@ fn main() {
         let _ = write!(
             row,
             "    {{\"family\": \"{}\", \"case\": \"{}\", \"mode\": \"{}\", \
-             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"speedup_seq\": {:.2}, \
-             \"answers\": {}",
-            r.family, r.case, r.mode, r.ref_us, r.seq_us, speedup, r.answers
+             \"ref_wall_us\": {}, \"ref_wall_us_q1_q3\": [{}, {}], \
+             \"new_seq_wall_us\": {}, \"new_seq_wall_us_q1_q3\": [{}, {}], \
+             \"speedup_seq\": {:.2}, \"answers\": {}",
+            r.family,
+            r.case,
+            r.mode,
+            ref_us,
+            r.ref_us.q1,
+            r.ref_us.q3,
+            seq_us,
+            r.seq_us.q1,
+            r.seq_us.q3,
+            speedup,
+            r.answers
         );
         if let Some(o) = &r.opt {
+            let g = o.greedy_us;
             let _ = write!(
                 row,
-                ", \"greedy_wall_us\": {}, \"speedup_cost_vs_greedy\": {:.2}, \
-                 \"plan_cold_ns\": {}",
-                o.greedy_us,
-                o.greedy_us as f64 / r.seq_us as f64,
+                ", \"greedy_wall_us\": {}, \"greedy_wall_us_q1_q3\": [{}, {}], \
+                 \"speedup_cost_vs_greedy\": {:.2}, \"plan_cold_ns\": {}",
+                g.median,
+                g.q1,
+                g.q3,
+                g.median as f64 / seq_us as f64,
                 o.plan_cold_ns
             );
         }
@@ -557,15 +611,19 @@ fn main() {
     }
     report.note("ref = pre-engine nested-loop evaluator (ca_query::reference), or plain image enumeration (e11); greedy = engine with the stats-blind greedy plan; seq = engine with the cost-based plan");
     report.note("cost_vs_greedy = greedy_us/seq_us; identical plans share one measurement, so 1.0x there is exact, not noise");
+    report.note(format!(
+        "times are medians of {trials} trials, µs per call; seq_q1-q3 = quartiles of seq_us"
+    ));
     report.note("plan_cold_ns = statistics read + cost-based compile");
     report.note("e02_ucq_edge measures fixed costs (single scan both sides) — near-parity is the honest expectation; the chain joins are where indexing pays and e02_ucq_skew is where cost-based ordering pays");
     report.note("answers = result rows (table mode) / certainty bit (bool mode); every case asserts reference and engine agree before timing");
     println!("{report}");
 
     let json = format!(
-        "{{\n  \"bench\": \"query_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"query_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"width\": 1,\n  \"trials\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         ca_bench::report::git_rev(),
         ca_bench::report::host_cores(),
+        trials,
         json_rows.join(",\n")
     );
     ca_bench::report::write_json("query", !quick, &json);

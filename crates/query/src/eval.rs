@@ -63,7 +63,7 @@ pub fn eval_fo(phi: &Fo, db: &NaiveDatabase) -> bool {
 
 /// The active domain: every value occurring in the database.
 pub fn active_domain(db: &NaiveDatabase) -> Vec<Value> {
-    let mut d: Vec<Value> = db.facts().flat_map(|f| f.args.iter().copied()).collect();
+    let mut d: Vec<Value> = db.values().collect();
     d.sort_unstable();
     d.dedup();
     d

@@ -340,7 +340,7 @@ impl NaiveDatabase {
     }
 
     /// Every value of every fact, in fact order.
-    fn values(&self) -> impl Iterator<Item = Value> + '_ {
+    pub fn values(&self) -> impl Iterator<Item = Value> + '_ {
         self.tables.iter().flat_map(|t| t.values.iter().copied())
     }
 

@@ -34,7 +34,7 @@ pub struct ValueIndex {
 impl ValueIndex {
     /// Index the values of `db` (sorted, deduplicated).
     pub fn of(db: &NaiveDatabase) -> Self {
-        let mut values: Vec<Value> = db.facts().flat_map(|f| f.args.iter().copied()).collect();
+        let mut values: Vec<Value> = db.values().collect();
         values.sort_unstable();
         values.dedup();
         let mut interner = ValueInterner::new();
