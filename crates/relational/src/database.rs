@@ -153,6 +153,7 @@ impl<'a> Rows<'a> {
 impl<'a> Iterator for Rows<'a> {
     type Item = Fact<'a>;
 
+    #[inline]
     fn next(&mut self) -> Option<Fact<'a>> {
         self.left = self.left.checked_sub(1)?;
         let (args, rest) = self.values.split_at(self.arity);
@@ -310,11 +311,13 @@ impl NaiveDatabase {
 
     /// All facts, sorted: relations in symbol order, each relation's rows
     /// in order.
+    #[inline]
     pub fn facts(&self) -> impl Iterator<Item = Fact<'_>> + Clone {
         self.schema.symbols().flat_map(|r| self.relation(r))
     }
 
     /// Facts of one relation, sorted.
+    #[inline]
     pub fn relation(&self, rel: Symbol) -> Rows<'_> {
         let t = self.table(rel);
         Rows {
