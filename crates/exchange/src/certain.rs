@@ -12,8 +12,8 @@
 //! * a **failed** chase (egd constant clash) proves no solution exists —
 //!   every answer is vacuously certain, reported as
 //!   [`CertainAnswers::NoSolution`];
-//! * an aborted or overflowed chase yields no verdict, and says so in
-//!   its type rather than returning a wrong table.
+//! * an aborted, overflowed or refused chase yields no verdict, and says
+//!   so in its type rather than returning a wrong table.
 
 use std::collections::BTreeSet;
 
@@ -38,8 +38,9 @@ pub enum CertainAnswers {
     Aborted,
     /// The chase ran out of its match budget; no verdict.
     Overflow,
-    /// The chased solution is not purely relational (structural tuples
-    /// remain), so naive UCQ evaluation does not apply.
+    /// The chase refused its input ([`crate::chase::ChaseRefusal`]):
+    /// structural tuples, or a constraint that does not fit the target
+    /// schema. No verdict.
     Unsupported,
 }
 
@@ -61,6 +62,7 @@ pub fn certain_answers_via_chase(
         ChaseOutcome::Failed => return CertainAnswers::NoSolution,
         ChaseOutcome::Aborted => return CertainAnswers::Aborted,
         ChaseOutcome::Overflow(_) => return CertainAnswers::Overflow,
+        ChaseOutcome::Refused(_) => return CertainAnswers::Unsupported,
     };
     let Some(rel) = ca_gdm::encode::relational_view(&universal) else {
         return CertainAnswers::Unsupported;
@@ -210,5 +212,25 @@ mod tests {
             &ChaseConfig::new(10),
         );
         assert_eq!(out, CertainAnswers::Aborted);
+    }
+
+    /// A target tgd whose head uses `T` at arity 3, where the target
+    /// schema declares 2, is refused by the chase: no verdict.
+    #[test]
+    fn wrong_arity_target_tgd_is_unsupported() {
+        let mut body = GenDb::new(schema());
+        body.add_node("T", vec![n(1), n(2)]);
+        let mut head = GenDb::new(GenSchema::from_parts(&[("T", 3)], &[]));
+        head.add_node("T", vec![n(1), n(2), n(3)]);
+        let out = certain_answers_via_chase(
+            &copy_mapping(),
+            &source(&[[c(1), c(2)]]),
+            &schema(),
+            &[Rule { body, head }],
+            &[],
+            &q_t(),
+            &ChaseConfig::new(100),
+        );
+        assert_eq!(out, CertainAnswers::Unsupported);
     }
 }

@@ -3,7 +3,8 @@
 //! Purely relational inputs (`σ = ∅` — every data-exchange target in
 //! this crate) chase on the compiled join machinery of
 //! [`ca_query::engine`] instead of re-running the reference loop's CSP
-//! matcher over the whole instance after every single firing:
+//! matcher over the whole instance after every single firing; any other
+//! input is refused ([`try_chase`]):
 //!
 //! * every rule and egd body compiles once, when the rule is compiled,
 //!   into one pinned join plan per body atom ([`BodyPlans`]), with every
@@ -94,7 +95,7 @@ use ca_query::certify::cert_atom;
 use ca_query::engine::{eval_bound_ids, eval_seeded_ids, rows, CompiledCq, DbIndex, Delta};
 use ca_relational::schema::Schema;
 
-use super::{ChaseConfig, ChaseOutcome, Egd};
+use super::{ChaseConfig, ChaseInput, ChaseOutcome, ChaseRefusal, Egd, PlanError, RefusalReason};
 use crate::mapping::Rule;
 
 /// The atoms of a purely relational pattern: one atom per node, the
@@ -164,24 +165,24 @@ struct BodyPlans {
 }
 
 impl BodyPlans {
-    /// `None` when an atom does not fit the schema or a key variable is
-    /// not bound by the body (plan errors do not depend on the pin).
-    fn compile(atoms: Vec<Atom>, proj_vars: &[u32], schema: &Schema) -> Option<BodyPlans> {
+    /// Fails when an atom does not fit the schema (plan errors do not
+    /// depend on the pin) or the body does not bind a key variable.
+    fn compile(atoms: Vec<Atom>, keys: &[u32], schema: &Schema) -> Result<Self, RefusalReason> {
         let mut vars: Vec<u32> = atoms.iter().flat_map(Atom::vars).collect();
         vars.sort_unstable();
         vars.dedup();
         let q = ConjunctiveQuery::with_head(vars, atoms);
         let mut plans = Vec::with_capacity(q.atoms.len());
-        for pin in 0..q.atoms.len() {
-            let plan = CompiledCq::compile_pinned(&q, schema, pin).ok()?;
-            let rel = schema.relation(&q.atoms[pin].rel)?;
-            plans.push((rel, plan));
+        for (pin, atom) in q.atoms.iter().enumerate() {
+            let plan = CompiledCq::compile_pinned(&q, schema, pin).map_err(RefusalReason::Plan)?;
+            plans.push((relation(schema, &atom.rel, atom.args.len())?, plan));
         }
-        let proj = proj_vars
-            .iter()
-            .map(|v| q.head.binary_search(v).ok())
-            .collect::<Option<Vec<usize>>>()?;
-        Some(BodyPlans {
+        let mut proj = Vec::with_capacity(keys.len());
+        for &v in keys {
+            let unbound = RefusalReason::UnboundNull(Null(v));
+            proj.push(q.head.binary_search(&v).or(Err(unbound))?);
+        }
+        Ok(BodyPlans {
             plans,
             body_vars: q.head,
             proj,
@@ -212,27 +213,50 @@ impl CompiledRule {
     }
 }
 
-/// `None` when a pattern does not fit `schema`, or a head constant is not
-/// interned in `store` ([`Facts::load`] interns them all).
-fn compile_rule(rule: &Rule, schema: &Schema, store: &FactStore) -> Option<CompiledRule> {
+/// The relation of an atom over `name` with `arity` arguments, or the
+/// plan error a query with that atom gets.
+fn relation(schema: &Schema, name: &str, arity: usize) -> Result<Symbol, RefusalReason> {
+    let unfit = |e| Err(RefusalReason::Plan(e));
+    let Some(rel) = schema.relation(name) else {
+        return unfit(PlanError::UnknownRelation { rel: name.into() });
+    };
+    let declared = schema.arity(rel);
+    if declared != arity {
+        return unfit(PlanError::ArityMismatch {
+            rel: name.into(),
+            declared,
+            used: arity,
+        });
+    }
+    Ok(rel)
+}
+
+/// Fails when the rule has structural tuples or a pattern does not fit
+/// `schema`. Every head constant is in `store` already: [`Facts::load`]
+/// interned it in value order, so interning it here only reads its id.
+fn compile_rule(
+    rule: &Rule,
+    schema: &Schema,
+    store: &mut FactStore,
+) -> Result<CompiledRule, RefusalReason> {
+    if !rule.body.tuples.is_empty() || !rule.head.tuples.is_empty() {
+        return Err(RefusalReason::Structural);
+    }
     let frontier: Vec<Null> = rule.frontier().into_iter().collect();
     let head_vars: Vec<u32> = frontier.iter().map(|nl| nl.0).collect();
     let body = BodyPlans::compile(pattern_atoms(&rule.body), &head_vars, schema)?;
     let mut head_facts = Vec::with_capacity(rule.head.n_nodes());
     let mut existentials: Vec<Null> = Vec::new();
     for (label, row) in rule.head.nodes() {
-        let rel = schema.relation(rule.head.schema.label_name(label))?;
-        // A head atom at the wrong arity falls back to the reference, as
-        // a body atom does; a full rule compiles no head plan to catch it.
-        if schema.arity(rel) != row.len() {
-            return None;
-        }
+        // A full rule compiles no head plan to catch a head atom that
+        // does not fit.
+        let rel = relation(schema, rule.head.schema.label_name(label), row.len())?;
         let template = row
             .iter()
             .map(|v| match v {
-                Value::Const(_) => store.lookup_value(*v).map(HeadTerm::Const),
+                Value::Const(_) => HeadTerm::Const(store.intern_value(*v)),
                 // `frontier` is sorted (`Rule::frontier` is an ordered set).
-                Value::Null(nl) => Some(match frontier.binary_search(nl) {
+                Value::Null(nl) => match frontier.binary_search(nl) {
                     Ok(i) => HeadTerm::Frontier(i),
                     Err(_) => {
                         let seen = existentials.iter().position(|x| x == nl);
@@ -241,20 +265,21 @@ fn compile_rule(rule: &Rule, schema: &Schema, store: &FactStore) -> Option<Compi
                             existentials.len() - 1
                         }))
                     }
-                }),
+                },
             })
-            .collect::<Option<_>>()?;
+            .collect();
         head_facts.push(HeadFact { rel, template });
     }
     let head = if existentials.is_empty() {
         None
     } else {
         let head_q = ConjunctiveQuery::boolean(pattern_atoms(&rule.head));
-        Some(CompiledCq::compile_bound(&head_q, schema, &head_vars).ok()?)
+        let plan = CompiledCq::compile_bound(&head_q, schema, &head_vars);
+        Some(plan.map_err(RefusalReason::Plan)?)
     };
     let mut ledger: Vec<usize> = (0..existentials.len()).collect();
     ledger.sort_unstable_by_key(|&x| existentials[x]);
-    Some(CompiledRule {
+    Ok(CompiledRule {
         body,
         head,
         head_facts,
@@ -262,10 +287,13 @@ fn compile_rule(rule: &Rule, schema: &Schema, store: &FactStore) -> Option<Compi
     })
 }
 
-/// One egd's body plans, keyed by its two equated nulls. `None` for an
-/// equated null the body does not bind (or an empty body): the
-/// reference owns the semantics of such malformed egds.
-fn compile_egd(egd: &Egd, schema: &Schema) -> Option<BodyPlans> {
+/// One egd's body plans, keyed by its two equated nulls. Fails when the
+/// egd has structural tuples, its body does not fit `schema`, or it
+/// equates a null the body does not bind (an empty body binds none).
+fn compile_egd(egd: &Egd, schema: &Schema) -> Result<BodyPlans, RefusalReason> {
+    if !egd.body.tuples.is_empty() {
+        return Err(RefusalReason::Structural);
+    }
     let pair = [egd.equal.0 .0, egd.equal.1 .0];
     BodyPlans::compile(pattern_atoms(&egd.body), &pair, schema)
 }
@@ -509,23 +537,20 @@ fn cert_skeleton(tgds: &[Rule], egds: &[Egd]) -> CertSkeleton {
     }
 }
 
-/// Try to run the engine. `None` (caller falls back to the reference
-/// chase) when any structural tuples are present or a pattern does not
-/// compile against the instance schema. The second component is the
-/// derivation log, present exactly when [`ChaseConfig::certify`] is set.
+/// Run the chase, or refuse the first input it does not cover: an
+/// instance with structural tuples, then the first tgd, then the first
+/// egd, that does not compile against the instance schema. The second
+/// component is the derivation log, present exactly when
+/// [`ChaseConfig::certify`] is set and the input is not refused.
 pub(super) fn try_chase(
     instance: &GenDb,
     tgds: &[Rule],
     egds: &[Egd],
     cfg: &ChaseConfig,
-) -> Option<(ChaseOutcome, Option<ChaseCert>)> {
-    if !instance.tuples.is_empty()
-        || tgds
-            .iter()
-            .any(|r| !r.body.tuples.is_empty() || !r.head.tuples.is_empty())
-        || egds.iter().any(|e| !e.body.tuples.is_empty())
-    {
-        return None;
+) -> (ChaseOutcome, Option<ChaseCert>) {
+    let refused = |input, reason| (ChaseOutcome::Refused(ChaseRefusal { input, reason }), None);
+    if !instance.tuples.is_empty() {
+        return refused(ChaseInput::Instance, RefusalReason::Structural);
     }
     // The instance schema's labels as a relational schema, registered in
     // label order, so relation symbols coincide with label symbols.
@@ -539,17 +564,23 @@ pub(super) fn try_chase(
         );
         debug_assert_eq!(rel, sym, "schema symbols mirror label symbols");
     }
-    let facts = Facts::load(&schema, instance, tgds);
-    let rules: Vec<CompiledRule> = tgds
-        .iter()
-        .map(|r| compile_rule(r, &schema, &facts.store))
-        .collect::<Option<_>>()?;
-    let cegds: Vec<BodyPlans> = egds
-        .iter()
-        .map(|e| compile_egd(e, &schema))
-        .collect::<Option<_>>()?;
+    let mut facts = Facts::load(&schema, instance, tgds);
+    let mut rules = Vec::with_capacity(tgds.len());
+    for (i, r) in tgds.iter().enumerate() {
+        match compile_rule(r, &schema, &mut facts.store) {
+            Ok(rule) => rules.push(rule),
+            Err(reason) => return refused(ChaseInput::Tgd(i), reason),
+        }
+    }
+    let mut cegds = Vec::with_capacity(egds.len());
+    for (i, e) in egds.iter().enumerate() {
+        match compile_egd(e, &schema) {
+            Ok(body) => cegds.push(body),
+            Err(reason) => return refused(ChaseInput::Egd(i), reason),
+        }
+    }
     let skeleton = cfg.certify.then(|| cert_skeleton(tgds, egds));
-    Some(run(&schema, &rules, &cegds, instance, facts, cfg, skeleton))
+    run(&schema, &rules, &cegds, instance, facts, cfg, skeleton)
 }
 
 /// Fixed-stride id rows: per-rule keyed witnesses.
@@ -1247,7 +1278,7 @@ mod tests {
             certify: true,
             ..ChaseConfig::new(1000)
         };
-        let (outcome, cert) = try_chase(&instance, &rules, &[], &cfg).unwrap();
+        let (outcome, cert) = try_chase(&instance, &rules, &[], &cfg);
         let cert = cert.unwrap();
         assert_eq!(check_chase(&cert), Ok(()));
         let fired: Vec<(usize, &[Value])> = cert
@@ -1346,7 +1377,7 @@ mod tests {
         };
         let chase = |reversed: bool| {
             let (instance, tgds, egds) = value_order_fixture(reversed);
-            try_chase(&instance, &tgds, &egds, &cfg).unwrap()
+            try_chase(&instance, &tgds, &egds, &cfg)
         };
         let (outcome, cert) = chase(false);
         let cert = cert.unwrap();

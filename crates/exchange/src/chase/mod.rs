@@ -18,30 +18,30 @@
 //! universal solution *for the constrained target class* — exactly where
 //! the paper says lubs survive.
 //!
-//! Two implementations share this interface:
+//! One implementation runs it: `engine`, the semi-naive, delta-driven
+//! engine. Rule bodies compile once into pinned join plans
+//! (`ca_query::engine`), rounds only evaluate against delta-seeded join
+//! orders, a trigger fires only when a probe of its head with the
+//! frontier bound finds no extension in the interned fact store, and egd
+//! equalities go through a union-find over nulls with incremental
+//! rewrite. It covers every purely relational input (`σ = ∅` instance and
+//! patterns — all data-exchange targets in this crate) and refuses any
+//! other with a typed [`ChaseOutcome::Refused`]: the paper's §5.3 route
+//! to certain answers under target constraints is relational, and
+//! Proposition 10 shows trees lack the lubs a structural chase would aim
+//! for. [`crate::reference::chase_with`], the seed-era loop, is kept
+//! verbatim as the differential oracle only.
 //!
-//! * `engine` — the semi-naive, delta-driven engine: rule bodies
-//!   compile once into pinned join plans (`ca_query::engine`), rounds
-//!   only evaluate against delta-seeded join orders, a trigger fires
-//!   only when a probe of its head with the frontier bound finds no
-//!   extension in the interned fact store, and egd equalities go through
-//!   a union-find over nulls with incremental rewrite. Handles every
-//!   purely relational input (`σ = ∅` instance and patterns — all
-//!   data-exchange targets in this crate).
-//! * [`crate::reference::chase`] — the seed-era loop, kept verbatim as
-//!   the differential oracle; also the fallback for inputs with
-//!   structural tuples, which the compiled planner does not cover.
-//!
-//! Both report a match-budget overrun as the typed
-//! [`ChaseOutcome::Overflow`] instead of silently truncating the match
-//! set the way the seed's hard-coded `matches_of(…, 10_000)` cap did, so
-//! a capped run can never be mistaken for saturation.
+//! A match-budget overrun is the typed [`ChaseOutcome::Overflow`] instead
+//! of the silent truncation the seed's hard-coded `matches_of(…, 10_000)`
+//! cap made, so a capped run can never be mistaken for saturation.
 
 pub(crate) mod engine;
 
 use ca_cert::ChaseCert;
 use ca_core::value::Null;
 use ca_gdm::database::GenDb;
+use ca_query::engine::PlanError;
 
 use crate::mapping::Rule;
 
@@ -58,9 +58,9 @@ pub struct Egd {
 /// The result of a chase run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChaseOutcome {
-    /// All constraints satisfied; the chased instance is returned. From
-    /// the compiled engine, its nodes are in canonical `(label, data)` order
-    /// with no duplicates, independent of the input's node order.
+    /// All constraints satisfied; the chased instance is returned. Its
+    /// nodes are in canonical `(label, data)` order with no duplicates,
+    /// independent of the input's node order.
     Done(Box<GenDb>),
     /// An egd tried to equate two distinct constants: no solution exists.
     Failed,
@@ -70,9 +70,45 @@ pub enum ChaseOutcome {
     /// ([`ChaseConfig::match_limit`]): the trigger set is too large to
     /// enumerate, so no sound fixpoint claim can be made. Carries the
     /// facts derived before giving up — partial progress is reported, not
-    /// silently dropped (the instance is *not* a fixpoint). From the
-    /// compiled engine, in the same canonical node order as `Done`.
+    /// silently dropped (the instance is *not* a fixpoint). In the same
+    /// canonical node order as `Done`.
     Overflow(Box<GenDb>),
+    /// The input is outside what the chase covers; nothing ran.
+    Refused(ChaseRefusal),
+}
+
+/// Why a chase refused its input: the first input, in the order
+/// instance, tgds, egds, that does not fit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ChaseRefusal {
+    /// The refused input.
+    pub input: ChaseInput,
+    /// What is wrong with it.
+    pub reason: RefusalReason,
+}
+
+/// One input of a chase run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChaseInput {
+    /// The instance being chased.
+    Instance,
+    /// The tgd at this index.
+    Tgd(usize),
+    /// The egd at this index.
+    Egd(usize),
+}
+
+/// What makes a chase input unfit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RefusalReason {
+    /// It has structural tuples; the chase is purely relational.
+    Structural,
+    /// A pattern atom does not fit the instance schema: an unknown
+    /// relation, or a body or head atom at the wrong arity.
+    Plan(PlanError),
+    /// An egd equates this null, which its body does not bind (an empty
+    /// body binds none).
+    UnboundNull(Null),
 }
 
 /// The default per-rule-per-round match budget (matches the mapping
@@ -119,28 +155,23 @@ pub fn chase(instance: &GenDb, tgds: &[Rule], egds: &[Egd], max_steps: usize) ->
     chase_with(instance, tgds, egds, &ChaseConfig::new(max_steps))
 }
 
-/// [`chase`] with explicit configuration. Purely relational inputs (no
-/// structural tuples in the instance or any rule pattern, every pattern
-/// label resolving in the instance schema) run on the semi-naive
-/// `engine`; anything else falls back to the reference chase, which
-/// handles the full generalized-database semantics.
+/// [`chase`] with explicit configuration, on the semi-naive `engine`.
+/// Inputs it does not cover (structural tuples, atoms that do not fit
+/// the instance schema, egds equating unbound nulls) are
+/// [`ChaseOutcome::Refused`].
 pub fn chase_with(
     instance: &GenDb,
     tgds: &[Rule],
     egds: &[Egd],
     cfg: &ChaseConfig,
 ) -> ChaseOutcome {
-    match engine::try_chase(instance, tgds, egds, cfg) {
-        Some((outcome, _)) => outcome,
-        None => crate::reference::chase_with(instance, tgds, egds, cfg.max_steps, cfg.match_limit),
-    }
+    engine::try_chase(instance, tgds, egds, cfg).0
 }
 
 /// [`chase_with`] with certification forced on: returns the outcome plus
 /// a replayable derivation log ([`ca_cert::check_chase`] verifies it with
-/// no search). The certificate is `None` only on the reference fallback
-/// (structural tuples / non-compiling patterns), which predates the
-/// derivation log.
+/// no search). The certificate is `None` exactly when the outcome is
+/// [`ChaseOutcome::Refused`].
 pub fn chase_certified(
     instance: &GenDb,
     tgds: &[Rule],
@@ -151,13 +182,7 @@ pub fn chase_certified(
         certify: true,
         ..cfg.clone()
     };
-    match engine::try_chase(instance, tgds, egds, &cfg) {
-        Some(x) => x,
-        None => (
-            crate::reference::chase_with(instance, tgds, egds, cfg.max_steps, cfg.match_limit),
-            None,
-        ),
-    }
+    engine::try_chase(instance, tgds, egds, &cfg)
 }
 
 #[cfg(test)]
@@ -642,6 +667,102 @@ mod tests {
             other => panic!("expected certified overflow, got {other:?}"),
         }
         assert_eq!(ca_cert::check_chase(&cert), Ok(()));
+    }
+
+    /// The refusal `chase_certified` gives for `instance` under `tgds`
+    /// and `egds`, which must come without a certificate.
+    fn refusal(instance: &GenDb, tgds: &[Rule], egds: &[Egd]) -> ChaseRefusal {
+        match chase_certified(instance, tgds, egds, &ChaseConfig::new(100)) {
+            (ChaseOutcome::Refused(refusal), None) => refusal,
+            other => panic!("expected an uncertified refusal, got {other:?}"),
+        }
+    }
+
+    /// An instance with structural tuples is refused: the chase is
+    /// purely relational.
+    #[test]
+    fn structural_instance_is_refused() {
+        let mut start = GenDb::new(GenSchema::from_parts(&[("T", 2)], &[("E", 2)]));
+        let a = start.add_node("T", vec![c(1), c(2)]);
+        let b = start.add_node("T", vec![c(2), c(3)]);
+        start.add_tuple("E", vec![a, b]);
+        assert_eq!(
+            refusal(&start, &[], &[]),
+            ChaseRefusal {
+                input: ChaseInput::Instance,
+                reason: RefusalReason::Structural,
+            }
+        );
+    }
+
+    /// A full tgd whose head uses `T` at arity 3 is refused, by index,
+    /// with the plan error a query at that arity gets.
+    #[test]
+    fn head_atom_at_the_wrong_arity_is_refused() {
+        let mut body = GenDb::new(schema());
+        body.add_node("T", vec![n(1), n(2)]);
+        let mut head = GenDb::new(GenSchema::from_parts(&[("T", 3)], &[]));
+        head.add_node("T", vec![n(2), n(1), n(1)]);
+        let tgds = [transitivity(), Rule { body, head }];
+        let start = tdb(&[[c(1), c(2)], [c(2), c(3)]]);
+        assert_eq!(
+            refusal(&start, &tgds, &[]),
+            ChaseRefusal {
+                input: ChaseInput::Tgd(1),
+                reason: RefusalReason::Plan(PlanError::ArityMismatch {
+                    rel: "T".into(),
+                    declared: 2,
+                    used: 3,
+                }),
+            }
+        );
+    }
+
+    /// A tgd whose body reads `U`, which the instance schema lacks, is
+    /// refused.
+    #[test]
+    fn body_atom_over_an_unknown_relation_is_refused() {
+        let mut body = GenDb::new(GenSchema::from_parts(&[("U", 2)], &[]));
+        body.add_node("U", vec![n(1), n(2)]);
+        let mut head = GenDb::new(schema());
+        head.add_node("T", vec![n(1), n(2)]);
+        let start = tdb(&[[c(1), c(2)]]);
+        assert_eq!(
+            refusal(&start, &[Rule { body, head }], &[]),
+            ChaseRefusal {
+                input: ChaseInput::Tgd(0),
+                reason: RefusalReason::Plan(PlanError::UnknownRelation { rel: "U".into() }),
+            }
+        );
+    }
+
+    /// An egd equating a null its body does not bind is refused, and so
+    /// is an egd with an empty body, which binds none.
+    #[test]
+    fn egd_equating_an_unbound_null_is_refused() {
+        let start = tdb(&[[c(1), c(2)], [c(2), c(3)]]);
+        let unbound = Egd {
+            equal: (Null(2), Null(9)),
+            ..functionality()
+        };
+        assert_eq!(
+            refusal(&start, &[transitivity()], &[functionality(), unbound]),
+            ChaseRefusal {
+                input: ChaseInput::Egd(1),
+                reason: RefusalReason::UnboundNull(Null(9)),
+            }
+        );
+        let empty = Egd {
+            body: GenDb::new(schema()),
+            equal: (Null(1), Null(2)),
+        };
+        assert_eq!(
+            refusal(&start, &[], &[empty]),
+            ChaseRefusal {
+                input: ChaseInput::Egd(0),
+                reason: RefusalReason::UnboundNull(Null(1)),
+            }
+        );
     }
 
     /// In-module differential sanity: engine and reference agree (up to

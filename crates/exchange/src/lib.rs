@@ -24,7 +24,7 @@
 //!   `ca_hom::retract`), core solutions, universality checking.
 //! * [`reference`](mod@reference) — the seed-era core loop and chase loop, kept verbatim
 //!   as the differential oracles and benchmark baselines for [`solution`]
-//!   and [`chase`](mod@chase).
+//!   and [`chase`](mod@chase); no production path runs them.
 //! * [`tgd`] — the relational st-tgd convenience layer.
 //! * [`trees`] — Proposition 10: the two trees with no least upper bound.
 

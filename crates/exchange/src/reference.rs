@@ -4,12 +4,13 @@
 //! * [`core_of_gendb`] — the seed-era retract loop behind
 //!   [`crate::solution::core_of_gendb`]: every avoid-candidate in every
 //!   shrink round rebuilds and re-propagates a fresh `gdm_hom_csp`.
-//! * [`chase`] / [`chase_with`] — the seed-era chase loop behind
-//!   [`crate::chase::chase`]: one firing per pass, every pass re-matching
-//!   every rule body against the whole instance through the CSP matcher.
-//!   The only departures from the seed are that the hard-coded 10 000
-//!   match cap is a parameter, and overrunning it is a typed
-//!   [`ChaseOutcome::Overflow`] instead of a silent truncation.
+//! * [`chase_with`] — the seed-era chase loop, the oracle that the
+//!   chase engine behind [`crate::chase::chase`] is tested against: one
+//!   firing per pass, every pass re-matching every rule body against the
+//!   whole instance through the CSP matcher. The only departures from the
+//!   seed are that the hard-coded 10 000 match cap is a parameter, and
+//!   overrunning it is a typed [`ChaseOutcome::Overflow`] instead of a
+//!   silent truncation.
 //!
 //! Deliberately naive. Do not optimize this module; its value is being
 //! obviously correct.
@@ -18,7 +19,7 @@ use ca_core::value::{Null, NullGen, Value};
 use ca_gdm::database::GenDb;
 use ca_gdm::hom::gdm_hom_csp;
 
-use crate::chase::{ChaseOutcome, Egd, DEFAULT_MATCH_LIMIT};
+use crate::chase::{ChaseOutcome, Egd};
 use crate::mapping::Rule;
 
 /// The core of a generalized database: iteratively find a proper
@@ -129,11 +130,6 @@ fn head_extends(rule: &Rule, instance: &GenDb, body_val: &[(Null, Value)]) -> bo
         }
     }
     csp.satisfiable()
-}
-
-/// The seed-era chase with the seed's hard-coded 10 000-match cap.
-pub fn chase(instance: &GenDb, tgds: &[Rule], egds: &[Egd], max_steps: usize) -> ChaseOutcome {
-    chase_with(instance, tgds, egds, max_steps, DEFAULT_MATCH_LIMIT)
 }
 
 /// Run the standard chase: apply violated tgds (adding head facts with

@@ -8,19 +8,23 @@
 //! *outcome variant*: `Done` results
 //! are compared up to hom-equivalence (the engine interns facts and
 //! fires per frontier valuation, so node counts may differ), `Failed`
-//! must match exactly.
+//! must match exactly. One malformed constraint added to a pool makes
+//! the engine refuse it, by index, where the reference would panic.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use ca_core::value::{Null, Value};
-use ca_exchange::chase::{chase_with, ChaseConfig, ChaseOutcome, Egd};
+use ca_exchange::chase::{
+    chase_with, ChaseConfig, ChaseInput, ChaseOutcome, ChaseRefusal, Egd, RefusalReason,
+};
 use ca_exchange::mapping::Rule;
 use ca_exchange::reference;
 use ca_gdm::database::GenDb;
 use ca_gdm::hom::gdm_equiv;
 use ca_gdm::schema::GenSchema;
+use ca_query::engine::PlanError;
 use ca_relational::generate::{random_naive_db, DbParams, Rng};
 
 fn n(id: u32) -> Value {
@@ -139,6 +143,89 @@ fn rule_pool(bits: u8) -> (Vec<Rule>, Vec<Egd>) {
 
 const BUDGET: usize = 100_000;
 
+/// Put malformed constraint number `kind % 6` into the pool, at index
+/// `at` modulo one past its list's length: a head or body atom at the
+/// wrong arity, a body atom over a relation the instance lacks, a tgd
+/// with a structural tuple, an egd equating a null its body does not
+/// bind, or an egd with an empty body. Returns the input it now is and
+/// the reason the chase must refuse it for.
+fn insert_malformed(
+    kind: u8,
+    at: usize,
+    tgds: &mut Vec<Rule>,
+    egds: &mut Vec<Egd>,
+) -> (ChaseInput, RefusalReason) {
+    let wide = GenSchema::from_parts(&[("R", 3), ("U", 2)], &[]);
+    let structural = GenSchema::from_parts(&[("R", 2)], &[("E", 2)]);
+    let pattern = |schema: &GenSchema, nodes: &[(&str, &[u32])]| {
+        let mut d = GenDb::new(schema.clone());
+        for &(rel, vars) in nodes {
+            d.add_node(rel, vars.iter().map(|&v| n(v)).collect());
+        }
+        d
+    };
+    let arity = |used| {
+        RefusalReason::Plan(PlanError::ArityMismatch {
+            rel: "R".into(),
+            declared: 2,
+            used,
+        })
+    };
+    let mut tgd = |rule: Rule, reason| {
+        let i = at % (tgds.len() + 1);
+        tgds.insert(i, rule);
+        (ChaseInput::Tgd(i), reason)
+    };
+    let mut egd = |egd: Egd, unbound| {
+        let i = at % (egds.len() + 1);
+        egds.insert(i, egd);
+        (ChaseInput::Egd(i), RefusalReason::UnboundNull(unbound))
+    };
+    match kind % 6 {
+        0 => tgd(
+            Rule {
+                body: pattern(&schema(), &[("R", &[1, 2])]),
+                head: pattern(&wide, &[("R", &[2, 1, 1])]),
+            },
+            arity(3),
+        ),
+        1 => tgd(
+            Rule {
+                body: pattern(&wide, &[("R", &[1, 2, 3])]),
+                head: pattern(&schema(), &[("R", &[1, 3])]),
+            },
+            arity(3),
+        ),
+        2 => tgd(
+            Rule {
+                body: pattern(&wide, &[("U", &[1, 2])]),
+                head: pattern(&schema(), &[("R", &[1, 2])]),
+            },
+            RefusalReason::Plan(PlanError::UnknownRelation { rel: "U".into() }),
+        ),
+        3 => {
+            let mut body = pattern(&structural, &[("R", &[1, 2]), ("R", &[2, 3])]);
+            body.add_tuple("E", vec![0, 1]);
+            let head = pattern(&structural, &[("R", &[1, 3])]);
+            tgd(Rule { body, head }, RefusalReason::Structural)
+        }
+        4 => {
+            let equal = (Null(2), Null(9));
+            egd(
+                Egd {
+                    equal,
+                    ..functionality()
+                },
+                Null(9),
+            )
+        }
+        _ => {
+            let (body, equal) = (GenDb::new(schema()), (Null(1), Null(2)));
+            egd(Egd { body, equal }, Null(1))
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -231,6 +318,25 @@ proptest! {
             let claimed: Vec<_> = claimed.iter().collect();
             prop_assert_eq!(&payload, &claimed, "payload is not the claimed facts at limit {}", limit);
         }
+    }
+
+    /// One malformed constraint, put into a terminating pool at any
+    /// index, makes the chase refuse that constraint by its index and
+    /// reason, certified or not, without a certificate and without
+    /// panicking.
+    #[test]
+    fn a_malformed_constraint_is_refused_by_index(seed in 0u64..10_000, facts in 0usize..7, bits in 1u8..32, kind in 0u8..6, at in 0usize..8) {
+        use ca_exchange::chase::chase_certified;
+
+        let d = gen_instance(seed, facts);
+        let (mut tgds, mut egds) = rule_pool(bits);
+        let (input, reason) = insert_malformed(kind, at, &mut tgds, &mut egds);
+        let want = ChaseOutcome::Refused(ChaseRefusal { input, reason });
+        let cfg = ChaseConfig::new(BUDGET);
+        prop_assert_eq!(&chase_with(&d, &tgds, &egds, &cfg), &want, "on {:?}", &d);
+        let (certified, cert) = chase_certified(&d, &tgds, &egds, &cfg);
+        prop_assert_eq!(&certified, &want, "on {:?}", &d);
+        prop_assert!(cert.is_none(), "a refused chase carries a certificate on {:?}", &d);
     }
 
     /// Instances of 16 to 40 facts give the body atoms after a pinned
