@@ -22,15 +22,12 @@
 //! witnesses naïvely — these are real multiples, not rounding noise. Results go to stdout as a
 //! table and to `BENCH_cert.json` (`target/bench/` for `--quick`).
 
-use std::fmt::Write as _;
-
-use ca_bench::report::{min_time_us, Report};
+use ca_bench::report::{time_trials, trials, write_json, Report, Timing};
+use ca_bench::workload::{egd_instance, functionality, path_instance, transitivity};
 use ca_cert::{check_certain_row, check_chase, check_core};
-use ca_core::value::{Null, Value};
 use ca_exchange::chase::{chase_certified, chase_with, ChaseConfig, ChaseOutcome, Egd};
 use ca_exchange::mapping::Rule;
 use ca_gdm::database::GenDb;
-use ca_gdm::schema::GenSchema;
 use ca_hom::retract::{retract_core, retract_core_certified};
 use ca_hom::structure::RelStructure;
 use ca_query::certain::certain_table;
@@ -40,19 +37,12 @@ use ca_relational::database::build::{c, n};
 use ca_relational::database::NaiveDatabase;
 use ca_relational::schema::Schema;
 
-fn nv(id: u32) -> Value {
-    Value::null(id)
-}
-fn cv(x: i64) -> Value {
-    Value::Const(x)
-}
-
 struct Row {
     family: &'static str,
     case: String,
-    plain_us: u128,
-    certified_us: u128,
-    check_us: u128,
+    plain_us: Timing,
+    certified_us: Timing,
+    check_us: Timing,
     cert_bytes: usize,
 }
 
@@ -61,10 +51,10 @@ fn push(rows: &mut Vec<Row>, r: Row) {
         "[cert_bench] {} {}: plain {}us, certified {}us ({:.2}x), check {}us, {} cert bytes",
         r.family,
         r.case,
-        r.plain_us,
-        r.certified_us,
-        r.certified_us as f64 / r.plain_us as f64,
-        r.check_us,
+        r.plain_us.median,
+        r.certified_us.median,
+        r.certified_us.median as f64 / r.plain_us.median as f64,
+        r.check_us.median,
         r.cert_bytes
     );
     rows.push(r);
@@ -74,54 +64,13 @@ fn push(rows: &mut Vec<Row>, r: Row) {
 // cert_chase
 // ---------------------------------------------------------------------------
 
-fn t_schema() -> GenSchema {
-    GenSchema::from_parts(&[("T", 2)], &[])
-}
-
-fn transitivity() -> Rule {
-    let mut body = GenDb::new(t_schema());
-    body.add_node("T", vec![nv(1), nv(2)]);
-    body.add_node("T", vec![nv(2), nv(3)]);
-    let mut head = GenDb::new(t_schema());
-    head.add_node("T", vec![nv(1), nv(3)]);
-    Rule { body, head }
-}
-
-fn path_instance(len: usize) -> GenDb {
-    let mut d = GenDb::new(t_schema());
-    for i in 0..len {
-        d.add_node("T", vec![cv(i as i64), cv(i as i64 + 1)]);
-    }
-    d
-}
-
-fn functionality() -> Egd {
-    let mut body = GenDb::new(t_schema());
-    body.add_node("T", vec![nv(1), nv(2)]);
-    body.add_node("T", vec![nv(1), nv(3)]);
-    Egd {
-        body,
-        equal: (Null(2), Null(3)),
-    }
-}
-
-fn egd_instance(k: usize, m: usize) -> GenDb {
-    let mut d = GenDb::new(t_schema());
-    for g in 0..k {
-        for i in 0..m {
-            d.add_node("T", vec![cv(g as i64), nv(1000 + (g * m + i) as u32)]);
-        }
-        d.add_node("T", vec![cv(g as i64), cv(100 + g as i64)]);
-    }
-    d
-}
-
 fn chase_case(
     rows: &mut Vec<Row>,
     case: String,
     instance: &GenDb,
     tgds: &[Rule],
     egds: &[Egd],
+    trials: usize,
     reps: u32,
 ) {
     let cfg = ChaseConfig::new(1_000_000);
@@ -140,15 +89,18 @@ fn chase_case(
     if let ChaseOutcome::Done(db) = &plain {
         assert!(db.n_nodes() > 0);
     }
-    let plain_us = min_time_us(reps, || {
+    let plain_us = time_trials(trials, reps, || {
         std::hint::black_box(chase_with(instance, tgds, egds, &cfg));
-    });
-    let certified_us = min_time_us(reps, || {
+    })
+    .us();
+    let certified_us = time_trials(trials, reps, || {
         std::hint::black_box(chase_certified(instance, tgds, egds, &cfg));
-    });
-    let check_us = min_time_us(reps.max(5), || {
+    })
+    .us();
+    let check_us = time_trials(trials, reps.max(5), || {
         std::hint::black_box(check_chase(&cert)).ok();
-    });
+    })
+    .us();
     push(
         rows,
         Row {
@@ -196,7 +148,7 @@ fn query() -> UnionQuery {
     ])
 }
 
-fn query_case(rows: &mut Vec<Row>, size: usize, reps: u32) {
+fn query_case(rows: &mut Vec<Row>, size: usize, trials: usize, reps: u32) {
     let db = query_db(size);
     let q = query();
     let plain = certain_table(&q, &db);
@@ -212,17 +164,20 @@ fn query_case(rows: &mut Vec<Row>, size: usize, reps: u32) {
             "cert_query: checker rejected"
         );
     }
-    let plain_us = min_time_us(reps, || {
+    let plain_us = time_trials(trials, reps, || {
         std::hint::black_box(certain_table(&q, &db));
-    });
-    let certified_us = min_time_us(reps, || {
+    })
+    .us();
+    let certified_us = time_trials(trials, reps, || {
         std::hint::black_box(certify::certain_table_certified(&q, &db));
-    });
-    let check_us = min_time_us(reps.max(5), || {
+    })
+    .us();
+    let check_us = time_trials(trials, reps.max(5), || {
         for (_, m) in &certs {
             std::hint::black_box(check_certain_row(&cq, &facts, m)).ok();
         }
-    });
+    })
+    .us();
     push(
         rows,
         Row {
@@ -257,7 +212,7 @@ fn core_structure(k: usize) -> RelStructure {
     s
 }
 
-fn core_case(rows: &mut Vec<Row>, k: usize, reps: u32) {
+fn core_case(rows: &mut Vec<Row>, k: usize, trials: usize, reps: u32) {
     let s = core_structure(k);
     let probe: Vec<u32> = (0..s.n_elements as u32).collect();
     let plain = retract_core(&s, &probe);
@@ -268,15 +223,18 @@ fn core_case(rows: &mut Vec<Row>, k: usize, reps: u32) {
     );
     assert_eq!(plain.map, certified.map);
     assert_eq!(check_core(&cert), Ok(()), "cert_core: checker rejected");
-    let plain_us = min_time_us(reps, || {
+    let plain_us = time_trials(trials, reps, || {
         std::hint::black_box(retract_core(&s, &probe));
-    });
-    let certified_us = min_time_us(reps, || {
+    })
+    .us();
+    let certified_us = time_trials(trials, reps, || {
         std::hint::black_box(retract_core_certified(&s, &probe));
-    });
-    let check_us = min_time_us(reps.max(5), || {
+    })
+    .us();
+    let check_us = time_trials(trials, reps.max(5), || {
         std::hint::black_box(check_core(&cert)).ok();
-    });
+    })
+    .us();
     push(
         rows,
         Row {
@@ -293,6 +251,7 @@ fn core_case(rows: &mut Vec<Row>, k: usize, reps: u32) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
+    let trials = trials(quick);
     let mut rows: Vec<Row> = Vec::new();
 
     let chain_sizes: &[usize] = if quick { &[12] } else { &[12, 24, 48] };
@@ -303,6 +262,7 @@ fn main() {
             &path_instance(len),
             &[transitivity()],
             &[],
+            trials,
             if quick { 3 } else { 5 },
         );
     }
@@ -314,16 +274,17 @@ fn main() {
             &egd_instance(4, m),
             &[],
             &[functionality()],
+            trials,
             if quick { 3 } else { 5 },
         );
     }
     let query_sizes: &[usize] = if quick { &[18] } else { &[18, 40] };
     for &size in query_sizes {
-        query_case(&mut rows, size, if quick { 2 } else { 3 });
+        query_case(&mut rows, size, trials, if quick { 2 } else { 3 });
     }
     let core_sizes: &[usize] = if quick { &[12] } else { &[12, 48] };
     for &k in core_sizes {
-        core_case(&mut rows, k, if quick { 3 } else { 5 });
+        core_case(&mut rows, k, trials, if quick { 3 } else { 5 });
     }
 
     let mut report = Report::new(
@@ -340,35 +301,34 @@ fn main() {
     );
     let mut json_rows: Vec<String> = Vec::new();
     for r in &rows {
-        let overhead = r.certified_us as f64 / r.plain_us as f64;
+        let overhead = r.certified_us.median as f64 / r.plain_us.median as f64;
         report.row(vec![
             r.family.into(),
             r.case.clone(),
-            r.plain_us.to_string(),
-            r.certified_us.to_string(),
+            r.plain_us.median.to_string(),
+            r.certified_us.median.to_string(),
             format!("{overhead:.2}x"),
-            r.check_us.to_string(),
+            r.check_us.median.to_string(),
             r.cert_bytes.to_string(),
         ]);
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "    {{\"family\": \"{}\", \"case\": \"{}\", \
-             \"plain_wall_us\": {}, \"certified_wall_us\": {}, \"overhead\": {:.2}, \
-             \"check_wall_us\": {}, \"cert_bytes\": {}}}",
-            r.family, r.case, r.plain_us, r.certified_us, overhead, r.check_us, r.cert_bytes
-        );
-        json_rows.push(row);
+        json_rows.push(format!(
+            "{{\"family\": \"{}\", \"case\": \"{}\", {}, {}, \"overhead\": {:.2}, {}, \
+             \"cert_bytes\": {}}}",
+            r.family,
+            r.case,
+            r.plain_us.json("plain_wall_us"),
+            r.certified_us.json("certified_wall_us"),
+            overhead,
+            r.check_us.json("check_wall_us"),
+            r.cert_bytes
+        ));
     }
     report.note("plain = certify off (the default hot path); certified = same engine + derivation recording / witness extraction; check = the engine-blind checker replaying the certificate");
+    report.note(format!(
+        "times are medians of {trials} trial(s), µs per call"
+    ));
     report.note("every case asserts plain == certified result and checker Ok before timing; the overhead multiple is the honest price of derivation recording (chase) and naive witness re-evaluation (query)");
     println!("{report}");
 
-    let json = format!(
-        "{{\n  \"bench\": \"cert_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        ca_bench::report::git_rev(),
-        ca_bench::report::host_cores(),
-        json_rows.join(",\n")
-    );
-    ca_bench::report::write_json("cert", !quick, &json);
+    write_json("cert", !quick, 1, trials, &[], &json_rows);
 }

@@ -24,46 +24,14 @@
 //! reference up to hom-equivalence) before timing. Results go to stdout
 //! as a table and to `BENCH_chase.json` (`target/bench/` for `--quick`).
 
-use std::fmt::Write as _;
-
-use ca_bench::report::{min_time_us, Report};
-use ca_core::value::{Null, Value};
+use ca_bench::report::{time_trials, trials, write_json, Report, Timing};
+use ca_bench::workload::{cv, egd_instance, functionality, nv, path_instance, transitivity};
 use ca_exchange::chase::{chase_with, ChaseConfig, ChaseOutcome, Egd};
 use ca_exchange::mapping::Rule;
 use ca_exchange::reference;
 use ca_gdm::database::GenDb;
 use ca_gdm::hom::gdm_equiv;
 use ca_gdm::schema::GenSchema;
-
-fn nv(id: u32) -> Value {
-    Value::null(id)
-}
-fn cv(x: i64) -> Value {
-    Value::Const(x)
-}
-
-fn t_schema() -> GenSchema {
-    GenSchema::from_parts(&[("T", 2)], &[])
-}
-
-/// Transitivity: T(x,y) ∧ T(y,z) → T(x,z).
-fn transitivity() -> Rule {
-    let mut body = GenDb::new(t_schema());
-    body.add_node("T", vec![nv(1), nv(2)]);
-    body.add_node("T", vec![nv(2), nv(3)]);
-    let mut head = GenDb::new(t_schema());
-    head.add_node("T", vec![nv(1), nv(3)]);
-    Rule { body, head }
-}
-
-/// A path 0 → 1 → … → n as T-facts.
-fn path_instance(n: usize) -> GenDb {
-    let mut d = GenDb::new(t_schema());
-    for i in 0..n {
-        d.add_node("T", vec![cv(i as i64), cv(i as i64 + 1)]);
-    }
-    d
-}
 
 fn st_schema() -> GenSchema {
     GenSchema::from_parts(&[("S", 2), ("T", 2)], &[])
@@ -88,30 +56,6 @@ fn star_instance(m: usize) -> GenDb {
     d
 }
 
-/// Functionality: T(x,y) ∧ T(x,z) → y = z.
-fn functionality() -> Egd {
-    let mut body = GenDb::new(t_schema());
-    body.add_node("T", vec![nv(1), nv(2)]);
-    body.add_node("T", vec![nv(1), nv(3)]);
-    Egd {
-        body,
-        equal: (Null(2), Null(3)),
-    }
-}
-
-/// `k` groups, each with `m` null-valued T-facts plus one constant
-/// anchor: functionality collapses every group onto its constant.
-fn egd_instance(k: usize, m: usize) -> GenDb {
-    let mut d = GenDb::new(t_schema());
-    for g in 0..k {
-        for i in 0..m {
-            d.add_node("T", vec![cv(g as i64), nv(1000 + (g * m + i) as u32)]);
-        }
-        d.add_node("T", vec![cv(g as i64), cv(100 + g as i64)]);
-    }
-    d
-}
-
 const BUDGET: usize = 1_000_000;
 const MATCH_LIMIT: usize = 10_000_000;
 
@@ -125,8 +69,8 @@ fn engine_cfg() -> ChaseConfig {
 struct Row {
     family: &'static str,
     case: String,
-    ref_us: Option<u128>,
-    seq_us: u128,
+    ref_us: Option<Timing>,
+    seq_us: Timing,
     chased_size: usize,
 }
 
@@ -145,6 +89,7 @@ fn run_case(
     instance: &GenDb,
     tgds: &[Rule],
     egds: &[Egd],
+    trials: usize,
     reps: u32,
     with_reference: bool,
 ) {
@@ -161,30 +106,36 @@ fn run_case(
             gdm_equiv(&seq, &slow),
             "{family} {case}: engine and reference chased instances diverged"
         );
-        Some(min_time_us(reps, || {
-            std::hint::black_box(reference::chase_with(
-                instance,
-                tgds,
-                egds,
-                BUDGET,
-                MATCH_LIMIT,
-            ));
-        }))
+        Some(
+            time_trials(trials, reps, || {
+                std::hint::black_box(reference::chase_with(
+                    instance,
+                    tgds,
+                    egds,
+                    BUDGET,
+                    MATCH_LIMIT,
+                ));
+            })
+            .us(),
+        )
     } else {
         None
     };
     // The engine is orders of magnitude cheaper than the reference, so
     // it affords more samples than the reference-timing `reps`.
-    let seq_us = min_time_us(reps.max(9), || {
+    let seq_us = time_trials(trials, reps.max(9), || {
         std::hint::black_box(chase_with(instance, tgds, egds, &engine_cfg()));
-    });
+    })
+    .us();
+    let new_us = seq_us.median;
     match ref_us {
         Some(r) => eprintln!(
-            "[chase_bench] {family} {case}: ref {r}us, new {seq_us}us ({:.1}x)",
-            r as f64 / seq_us as f64
+            "[chase_bench] {family} {case}: ref {}us, new {new_us}us ({:.1}x)",
+            r.median,
+            r.median as f64 / new_us as f64
         ),
         None => {
-            eprintln!("[chase_bench] {family} {case}: new {seq_us}us (engine-only)")
+            eprintln!("[chase_bench] {family} {case}: new {new_us}us (engine-only)")
         }
     }
     rows.push(Row {
@@ -199,6 +150,7 @@ fn run_case(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
+    let trials = trials(quick);
     let mut rows: Vec<Row> = Vec::new();
 
     // --- chase_chain: transitive closure of a path (reference-timed) ---
@@ -213,6 +165,7 @@ fn main() {
             &d,
             &[transitivity()],
             &[],
+            trials,
             reps,
             true,
         );
@@ -232,6 +185,7 @@ fn main() {
             &d,
             &[transitivity()],
             &[],
+            trials,
             5,
             false,
         );
@@ -251,6 +205,7 @@ fn main() {
             &d,
             &[star_rule()],
             &[],
+            trials,
             reps,
             true,
         );
@@ -272,6 +227,7 @@ fn main() {
             &d,
             &[],
             &[functionality()],
+            trials,
             reps,
             true,
         );
@@ -293,45 +249,47 @@ fn main() {
     );
     let mut json_rows: Vec<String> = Vec::new();
     for r in &rows {
+        let seq = r.seq_us.median;
         let (ref_cell, speedup_cell, ref_json, speedup_json) = match r.ref_us {
             Some(ru) => {
-                let s = ru as f64 / r.seq_us as f64;
+                let s = ru.median as f64 / seq as f64;
                 (
-                    ru.to_string(),
+                    ru.median.to_string(),
                     format!("{s:.1}x"),
-                    ru.to_string(),
+                    ru.json("ref_wall_us"),
                     format!("{s:.2}"),
                 )
             }
-            None => ("-".into(), "-".into(), "null".into(), "null".into()),
+            None => (
+                "-".into(),
+                "-".into(),
+                "\"ref_wall_us\": null, \"ref_wall_us_q1_q3\": null".into(),
+                "null".into(),
+            ),
         };
         report.row(vec![
             r.family.into(),
             r.case.clone(),
             ref_cell,
-            r.seq_us.to_string(),
+            seq.to_string(),
             speedup_cell,
             r.chased_size.to_string(),
         ]);
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "    {{\"family\": \"{}\", \"case\": \"{}\", \
-             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"speedup_seq\": {}, \
-             \"chased_size\": {}}}",
-            r.family, r.case, ref_json, r.seq_us, speedup_json, r.chased_size
-        );
-        json_rows.push(row);
+        json_rows.push(format!(
+            "{{\"family\": \"{}\", \"case\": \"{}\", {ref_json}, {}, \
+             \"speedup_seq\": {speedup_json}, \"chased_size\": {}}}",
+            r.family,
+            r.case,
+            r.seq_us.json("new_seq_wall_us"),
+            r.chased_size
+        ));
     }
     report.note("ref = seed chase loop (one firing per pass, full re-match through the CSP matcher); seq = engine");
+    report.note(format!(
+        "times are medians of {trials} trial(s), µs per call"
+    ));
     report.note("every reference-timed case asserts engine-vs-reference agreement (outcome + hom-equivalence) before timing; engine-only cases assert the closed-form chased size instead");
     println!("{report}");
 
-    let json = format!(
-        "{{\n  \"bench\": \"chase_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        ca_bench::report::git_rev(),
-        ca_bench::report::host_cores(),
-        json_rows.join(",\n")
-    );
-    ca_bench::report::write_json("chase", !quick, &json);
+    write_json("chase", !quick, 1, trials, &[], &json_rows);
 }

@@ -34,10 +34,7 @@
 //! stdout as a table and to `BENCH_core.json` (`target/bench/` for
 //! `--quick`).
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use ca_bench::report::{time_reps, Report};
+use ca_bench::report::{time_trials, trials, write_json, Report, Timing};
 use ca_core::value::Value;
 use ca_exchange::mapping::{Mapping, Rule};
 use ca_exchange::solution::{canonical_solution, core_of_gendb};
@@ -113,14 +110,15 @@ fn pendant_mapping(m: usize) -> (Mapping, GenSchema, GenSchema) {
 struct Row {
     family: &'static str,
     case: String,
-    ref_us: u128,
-    seq_us: u128,
+    ref_us: Timing,
+    seq_us: Timing,
     core_size: usize,
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
+    let trials = trials(quick);
     let mut rows: Vec<Row> = Vec::new();
 
     // --- core_product: core(C_a × C_b) = C_lcm(a,b) (E13 / E3 shape) ---
@@ -139,12 +137,14 @@ fn main() {
             "core_product C{a}xC{b} equiv"
         );
         let reps = if g.n >= 40 { 1 } else { 3 };
-        let ref_us = time_reps(reps, || {
+        let ref_us = time_trials(trials, reps, || {
             std::hint::black_box(reference::core_of(&g));
-        });
-        let seq_us = time_reps(reps, || {
+        })
+        .us();
+        let seq_us = time_trials(trials, reps, || {
             std::hint::black_box(core_of(&g));
-        });
+        })
+        .us();
         rows.push(Row {
             family: "core_product",
             case: format!("C{a}xC{b} (n={})", g.n),
@@ -153,8 +153,10 @@ fn main() {
             core_size: new_core.n,
         });
         eprintln!(
-            "[core_bench] core_product C{a}xC{b}: ref {ref_us}us, new {seq_us}us ({:.1}x)",
-            ref_us as f64 / seq_us as f64
+            "[core_bench] core_product C{a}xC{b}: ref {}us, new {}us ({:.1}x)",
+            ref_us.median,
+            seq_us.median,
+            ref_us.median as f64 / seq_us.median as f64
         );
     }
 
@@ -167,12 +169,14 @@ fn main() {
         assert_eq!(new_core.n, ref_core.n, "core_cycle_union n={n} size");
         assert!(new_core.hom_equiv(&ref_core));
         let reps = if n >= 32 { 1 } else { 3 };
-        let ref_us = time_reps(reps, || {
+        let ref_us = time_trials(trials, reps, || {
             std::hint::black_box(reference::core_of(&g));
-        });
-        let seq_us = time_reps(reps, || {
+        })
+        .us();
+        let seq_us = time_trials(trials, reps, || {
             std::hint::black_box(core_of(&g));
-        });
+        })
+        .us();
         rows.push(Row {
             family: "core_cycle_union",
             case: format!("C{}+C2 (n={})", 2 * n, g.n),
@@ -181,9 +185,11 @@ fn main() {
             core_size: new_core.n,
         });
         eprintln!(
-            "[core_bench] core_cycle_union C{}+C2: ref {ref_us}us, new {seq_us}us ({:.1}x)",
+            "[core_bench] core_cycle_union C{}+C2: ref {}us, new {}us ({:.1}x)",
             2 * n,
-            ref_us as f64 / seq_us as f64
+            ref_us.median,
+            seq_us.median,
+            ref_us.median as f64 / seq_us.median as f64
         );
     }
 
@@ -203,12 +209,14 @@ fn main() {
         assert!(gdm_equiv(&new_core, &ref_core), "core_solution k={k} equiv");
         assert!(mapping.is_solution(&d, &new_core));
         let reps = if k >= 16 { 1 } else { 3 };
-        let ref_us = time_reps(reps, || {
+        let ref_us = time_trials(trials, reps, || {
             std::hint::black_box(ca_exchange::reference::core_of_gendb(&canon));
-        });
-        let seq_us = time_reps(reps, || {
+        })
+        .us();
+        let seq_us = time_trials(trials, reps, || {
             std::hint::black_box(core_of_gendb(&canon));
-        });
+        })
+        .us();
         rows.push(Row {
             family: "core_solution",
             case: format!("facts={k} (canon={})", canon.n_nodes()),
@@ -217,8 +225,10 @@ fn main() {
             core_size: new_core.n_nodes(),
         });
         eprintln!(
-            "[core_bench] core_solution facts={k}: ref {ref_us}us, new {seq_us}us ({:.1}x)",
-            ref_us as f64 / seq_us as f64
+            "[core_bench] core_solution facts={k}: ref {}us, new {}us ({:.1}x)",
+            ref_us.median,
+            seq_us.median,
+            ref_us.median as f64 / seq_us.median as f64
         );
     }
 
@@ -230,14 +240,20 @@ fn main() {
         d.add_node("R", vec![Value::Const(1)]);
         let canon = canonical_solution(&mapping, &d, &tgt2);
         // The reference refutation cost is seconds at the largest size,
-        // so each engine is run once and that run is both the timed
-        // sample and the differential-assertion witness.
-        let t0 = Instant::now();
-        let ref_core = ca_exchange::reference::core_of_gendb(&canon);
-        let ref_us = t0.elapsed().as_micros().max(1);
-        let t1 = Instant::now();
-        let new_core = core_of_gendb(&canon);
-        let seq_us = t1.elapsed().as_micros().max(1);
+        // so each trial is one run, and the last timed run of each engine
+        // is the differential-assertion witness.
+        let mut ref_core = None;
+        let ref_us = time_trials(trials, 1, || {
+            ref_core = Some(ca_exchange::reference::core_of_gendb(&canon));
+        })
+        .us();
+        let mut new_core = None;
+        let seq_us = time_trials(trials, 1, || {
+            new_core = Some(core_of_gendb(&canon));
+        })
+        .us();
+        let ref_core = ref_core.expect("a timed reference run");
+        let new_core = new_core.expect("a timed engine run");
         assert_eq!(
             new_core.n_nodes(),
             ref_core.n_nodes(),
@@ -256,8 +272,10 @@ fn main() {
             core_size: new_core.n_nodes(),
         });
         eprintln!(
-            "[core_bench] core_solution_pendant m={m}: ref {ref_us}us, new {seq_us}us ({:.1}x)",
-            ref_us as f64 / seq_us as f64
+            "[core_bench] core_solution_pendant m={m}: ref {}us, new {}us ({:.1}x)",
+            ref_us.median,
+            seq_us.median,
+            ref_us.median as f64 / seq_us.median as f64
         );
     }
 
@@ -267,38 +285,37 @@ fn main() {
     );
     let mut json_rows: Vec<String> = Vec::new();
     for r in &rows {
-        let speedup = r.ref_us as f64 / r.seq_us as f64;
+        let speedup = r.ref_us.median as f64 / r.seq_us.median as f64;
         report.row(vec![
             r.family.into(),
             r.case.clone(),
-            r.ref_us.to_string(),
-            r.seq_us.to_string(),
+            r.ref_us.median.to_string(),
+            r.seq_us.median.to_string(),
             format!("{speedup:.1}x"),
             r.core_size.to_string(),
         ]);
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "    {{\"family\": \"{}\", \"case\": \"{}\", \
-             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"speedup_seq\": {:.2}, \
-             \"core_size\": {}}}",
-            r.family, r.case, r.ref_us, r.seq_us, speedup, r.core_size
-        );
-        json_rows.push(row);
+        json_rows.push(format!(
+            "{{\"family\": \"{}\", \"case\": \"{}\", {}, {}, \
+             \"speedup_seq\": {:.2}, \"core_size\": {}}}",
+            r.family,
+            r.case,
+            r.ref_us.json("ref_wall_us"),
+            r.seq_us.json("new_seq_wall_us"),
+            speedup,
+            r.core_size
+        ));
     }
     report.note(
         "ref = seed retract loop (one CSP compile per candidate per round); seq = ca_hom::retract",
     );
+    report.note(format!(
+        "times are medians of {trials} trial(s), µs per call"
+    ));
     report.note(
-        "every case asserts new-vs-reference agreement (core size + hom-equivalence) before timing",
+        "every case asserts new-vs-reference agreement (core size + hom-equivalence); \
+         core_solution_pendant asserts it on the last timed run of each engine",
     );
     println!("{report}");
 
-    let json = format!(
-        "{{\n  \"bench\": \"core_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        ca_bench::report::git_rev(),
-        ca_bench::report::host_cores(),
-        json_rows.join(",\n")
-    );
-    ca_bench::report::write_json("core", !quick, &json);
+    write_json("core", !quick, 1, trials, &[], &json_rows);
 }

@@ -18,13 +18,14 @@
 //! `--quick` shrinks the sweep to 10⁵ ingest facts and a 10⁴-edge join —
 //! small enough to gate CI — but still exercises every width and every
 //! differential assert, and writes under `target/bench/`. The JSON
-//! footer records `git_rev`, `host_cores`, and the loader widths: on a
-//! 1-core host the speedup columns are honest parity rows, and the
-//! footer says why.
+//! header records `git_rev`, `host_cores`, the loader's default `width`
+//! and the swept widths: on a 1-core host the speedup columns are honest
+//! parity rows, and the header says why.
 
 use std::fmt::Write as _;
 
-use ca_bench::report::{git_rev, host_cores, time_reps, Report};
+use ca_bench::report::{host_cores, time_trials, trials, write_json, Report, Timing};
+use ca_bench::workload::{facts_csv, Lcg};
 use ca_core::store::{ingest, FactStore};
 use ca_query::engine::{self, CompiledUcq, DbIndex};
 use ca_query::reference;
@@ -35,42 +36,6 @@ use Term::Var as V;
 /// The parse widths the ingest family sweeps.
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
-/// Deterministic 64-bit LCG (the store-bench constants) so every run on
-/// every host benches the identical workload.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-}
-
-/// Ingest workload: `n` arity-3 `F` rows in the loader's CSV dialect,
-/// ~1/8 labelled nulls, constants from a domain of `n/2` (fresh and
-/// repeated values both hit the interner).
-fn facts_csv(n: u64, seed: u64) -> String {
-    let mut rng = Lcg(seed);
-    let domain = (n / 2).max(16);
-    let mut text = String::with_capacity((n as usize).saturating_mul(16));
-    for _ in 0..n {
-        text.push('F');
-        for _ in 0..3 {
-            let x = rng.next();
-            if x.is_multiple_of(8) {
-                let _ = write!(text, ",?{}", x / 8 % domain);
-            } else {
-                let _ = write!(text, ",{}", x % domain);
-            }
-        }
-        text.push('\n');
-    }
-    text
-}
-
 /// Join workload: `n` random constant edges `E(a, b)` over `n/2` nodes
 /// (average out-degree 2, so the chain join has real work per probe).
 fn edges_csv(n: u64, seed: u64) -> String {
@@ -78,8 +43,8 @@ fn edges_csv(n: u64, seed: u64) -> String {
     let domain = (n / 2).max(16);
     let mut text = String::with_capacity((n as usize).saturating_mul(16));
     for _ in 0..n {
-        let a = rng.next() % domain;
-        let b = rng.next() % domain;
+        let a = rng.next_u64() % domain;
+        let b = rng.next_u64() % domain;
         let _ = writeln!(text, "E,{a},{b}");
     }
     text
@@ -100,7 +65,7 @@ struct Row {
     family: &'static str,
     case: String,
     width: usize,
-    wall_us: u128,
+    wall_us: Timing,
     /// facts/s for ingest rows, answers/s for join rows.
     rate_per_s: f64,
     /// width-1 wall / this wall within the same case.
@@ -112,6 +77,7 @@ struct Row {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
+    let trials = trials(quick);
     let mut rows: Vec<Row> = Vec::new();
 
     // --- ingest_csv: streaming loader at widths 1/2/4/8 ---
@@ -151,20 +117,22 @@ fn main() {
             );
             drop(s);
 
-            let wall = time_reps(reps, || {
+            let wall = time_trials(trials, reps, || {
                 let mut s = FactStore::new();
                 let got =
                     ingest::load_csv_bytes(csv.as_bytes(), &mut s, w).expect("timed load succeeds");
                 assert_eq!(got, n, "timed load ingests every row");
                 std::hint::black_box(s.n_live());
-            });
+            })
+            .us();
             if w == 1 {
-                base_wall = wall;
+                base_wall = wall.median;
             }
-            let rate = n as f64 / wall as f64 * 1e6;
-            let speedup = base_wall as f64 / wall as f64;
+            let rate = n as f64 / wall.median as f64 * 1e6;
+            let speedup = base_wall as f64 / wall.median as f64;
             eprintln!(
-                "[ingest_bench] ingest_csv n={n} width={w}: {wall}us ({rate:.0} facts/s, {speedup:.2}x)"
+                "[ingest_bench] ingest_csv n={n} width={w}: {}us ({rate:.0} facts/s, {speedup:.2}x)",
+                wall.median
             );
             rows.push(Row {
                 family: "ingest_csv",
@@ -181,13 +149,17 @@ fn main() {
         // data (format comparison, sequential by construction).
         let reload = FactStore::from_bytes(&ref_bytes).expect("snapshot loads");
         assert_eq!(reload.to_bytes(), ref_bytes, "snapshot roundtrip");
-        let wall = time_reps(reps, || {
+        let wall = time_trials(trials, reps, || {
             let s = FactStore::from_bytes(&ref_bytes).expect("snapshot loads");
             assert_eq!(u64::from(s.n_facts()), n, "snapshot preserves facts");
             std::hint::black_box(s.n_live());
-        });
-        let rate = n as f64 / wall as f64 * 1e6;
-        eprintln!("[ingest_bench] ingest_snapshot n={n}: {wall}us ({rate:.0} facts/s)");
+        })
+        .us();
+        let rate = n as f64 / wall.median as f64 * 1e6;
+        eprintln!(
+            "[ingest_bench] ingest_snapshot n={n}: {}us ({rate:.0} facts/s)",
+            wall.median
+        );
         rows.push(Row {
             family: "ingest_snapshot",
             case: format!("n={n}"),
@@ -234,11 +206,13 @@ fn main() {
 
         let expected = engine::eval_ucq_on(&plan, &mut DbIndex::over(&store));
         let reps = if quick { 5 } else { 2 };
-        let seq_wall = time_reps(reps, || {
+        let seq_wall = time_trials(trials, reps, || {
             std::hint::black_box(engine::eval_ucq_on(&plan, &mut DbIndex::over(&store)));
-        });
+        })
+        .us();
         eprintln!(
-            "[ingest_bench] join_chain2 n={join_n} seq: {seq_wall}us ({} answers)",
+            "[ingest_bench] join_chain2 n={join_n} seq: {}us ({} answers)",
+            seq_wall.median,
             expected.len()
         );
 
@@ -247,7 +221,7 @@ fn main() {
             case: format!("n={join_n}"),
             width: 0, // width 0 = the sequential engine row
             wall_us: seq_wall,
-            rate_per_s: expected.len() as f64 / seq_wall as f64 * 1e6,
+            rate_per_s: expected.len() as f64 / seq_wall.median as f64 * 1e6,
             speedup_par: 1.0,
             count: expected.len(),
         });
@@ -275,37 +249,46 @@ fn main() {
             } else {
                 r.width.to_string()
             },
-            r.wall_us.to_string(),
+            r.wall_us.median.to_string(),
             format!("{:.0}", r.rate_per_s),
             format!("{:.2}x", r.speedup_par),
             r.count.to_string(),
         ]);
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "    {{\"family\": \"{}\", \"case\": \"{}\", \"width\": {}, \
-             \"wall_us\": {}, \"rate_per_s\": {:.1}, \"speedup_par\": {:.3}, \"count\": {}}}",
-            r.family, r.case, r.width, r.wall_us, r.rate_per_s, r.speedup_par, r.count
-        );
-        json_rows.push(row);
+        json_rows.push(format!(
+            "{{\"family\": \"{}\", \"case\": \"{}\", \"width\": {}, {}, \
+             \"rate_per_s\": {:.1}, \"speedup_par\": {:.3}, \"count\": {}}}",
+            r.family,
+            r.case,
+            r.width,
+            r.wall_us.json("wall_us"),
+            r.rate_per_s,
+            r.speedup_par,
+            r.count
+        ));
     }
     report.note("ingest_csv rate = facts/s through the streaming loader at the given parse width; every width's store asserted byte-identical to width-1 before timing");
+    report.note(format!("wall_us = median of {trials} trial(s), µs per load or query; rates and speedups use the medians"));
     report.note("join_chain2 rate = answers/s of the engine; reference oracle asserted on a prefix (O(n²) beyond it)");
     let cores = host_cores();
     if cores <= 1 {
-        report.note("single-core host: width>1 ingest rows time the loader's coordination overhead on one core — speedup_par ≈ 1.0 is parity, not regression (host_cores is in the JSON footer)");
+        report.note("single-core host: width>1 ingest rows time the loader's coordination overhead on one core — speedup_par ≈ 1.0 is parity, not regression (host_cores is in the JSON header)");
     }
     println!("{report}");
 
     // The loader spawns exactly the requested width (no host clamp), so
     // requested == effective; host_cores says how many can make progress.
     let widths_json = format!("[{}]", WIDTHS.map(|w| w.to_string()).join(","));
-    let json = format!(
-        "{{\n  \"bench\": \"ingest_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"threads_default\": {},\n  \"threads_requested\": {widths_json},\n  \"threads_effective\": {widths_json},\n  \"results\": [\n{}\n  ]\n}}\n",
-        git_rev(),
-        cores,
-        ca_core::config::part_threads(),
-        json_rows.join(",\n")
+    let default_width = ca_core::config::part_threads();
+    write_json(
+        "ingest",
+        !quick,
+        default_width,
+        trials,
+        &[
+            ("threads_default", default_width.to_string()),
+            ("threads_requested", widths_json.clone()),
+            ("threads_effective", widths_json),
+        ],
+        &json_rows,
     );
-    ca_bench::report::write_json("ingest", !quick, &json);
 }

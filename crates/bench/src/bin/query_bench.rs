@@ -50,9 +50,8 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use ca_bench::report::Report;
+use ca_bench::report::{time_trials, trials, write_json, Report, Timing};
 use ca_core::store::FactStore;
 use ca_core::value::Value;
 use ca_gdm::certain as gdm_certain;
@@ -183,64 +182,18 @@ fn sweep_db(rng: &mut Rng, k: u32) -> NaiveDatabase {
     db
 }
 
-/// Trials per timed quantity in a full run. Scheduler interference on a
-/// small shared host can distort a single sample by 30%+, so a full run
-/// reports the median of this many trials with its quartiles, and a
-/// change is resolved when it moves the median by more than the
-/// interquartile spread. `--quick` runs one trial.
-const TRIALS: usize = 7;
-
-/// One timed quantity over its trials, in µs per call.
-#[derive(Clone, Copy)]
-struct Timing {
-    q1: u128,
-    median: u128,
-    q3: u128,
-}
-
-/// Time `trials` trials of `reps` calls of `f` each: the median and the
-/// quartiles of the per-call average.
-fn time_reps(trials: usize, reps: u32, mut f: impl FnMut()) -> Timing {
-    let mut us: Vec<u128> = (0..trials.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..reps {
-                f();
-            }
-            (start.elapsed().as_micros() / u128::from(reps)).max(1)
-        })
-        .collect();
-    us.sort_unstable();
-    let quarter = us.len() / 4;
-    Timing {
-        q1: us[quarter],
-        median: us[us.len() / 2],
-        q3: us[us.len() - 1 - quarter],
-    }
-}
-
-/// Nanosecond-resolution timing for the plan-acquisition column — a
-/// compile is far below the microsecond floor of [`time_reps`].
-fn time_reps_ns(reps: u32, mut f: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    (start.elapsed().as_nanos() / u128::from(reps)).max(1)
-}
-
 /// The optimizer-facing measurements of one join-family case.
 struct OptCols {
     /// Engine wall time with the stats-blind greedy plan.
     greedy_us: Timing,
     /// Plan acquisition: read statistics, compile cost-based.
-    plan_cold_ns: u128,
+    plan_cold_ns: Timing,
 }
 
 /// Time plan acquisition for `q` over `st`: a statistics read plus a
-/// cost-based compile.
-fn time_plan_ns(q: &UnionQuery, schema: &Schema, st: &FactStore) -> u128 {
-    time_reps_ns(2000, || {
+/// cost-based compile, in ns per call.
+fn time_plan_ns(trials: usize, q: &UnionQuery, schema: &Schema, st: &FactStore) -> Timing {
+    time_trials(trials, 2000, || {
         let model = CostModel::from_store(st);
         std::hint::black_box(CompiledUcq::compile_costed(q, schema, &model).unwrap());
     })
@@ -308,20 +261,23 @@ fn join_case(
         "{family} greedy-plan disagreement"
     );
 
-    let ref_us = time_reps(trials, reps, || {
+    let ref_us = time_trials(trials, reps, || {
         std::hint::black_box(reference::eval_ucq(q, db));
-    });
-    let seq_us = time_reps(trials, reps, || {
+    })
+    .us();
+    let seq_us = time_trials(trials, reps, || {
         std::hint::black_box(engine::eval_ucq_on(&plan_cost, &mut DbIndex::new(db)));
-    });
+    })
+    .us();
     let greedy_us = if same_plan {
         seq_us
     } else {
-        time_reps(trials, reps, || {
+        time_trials(trials, reps, || {
             std::hint::black_box(engine::eval_ucq_on(&plan_greedy, &mut DbIndex::new(db)));
         })
+        .us()
     };
-    let plan_cold_ns = time_plan_ns(q, &db.schema, &st);
+    let plan_cold_ns = time_plan_ns(trials, q, &db.schema, &st);
     let (seq, greedy) = (seq_us.median, greedy_us.median);
     if quick && assert_cost_wins {
         assert!(
@@ -331,8 +287,8 @@ fn join_case(
     }
     eprintln!(
         "[query_bench] {family} {case}: ref {}us, greedy {greedy}us, \
-         cost {seq}us, plan {plan_cold_ns}ns",
-        ref_us.median
+         cost {seq}us, plan {}ns",
+        ref_us.median, plan_cold_ns.median
     );
     rows.push(Row {
         family,
@@ -351,7 +307,7 @@ fn join_case(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let trials = if quick { 1 } else { TRIALS };
+    let trials = trials(quick);
     let mut rng = Rng::new(0xca11ab1e);
     let mut rows: Vec<Row> = Vec::new();
 
@@ -425,20 +381,23 @@ fn main() {
         let got = engine::certain_table_over(&plan, &db, &pool);
         assert_eq!(expected, got, "certain sweep disagreement");
         let reps = if k >= 5 { 1 } else { 3 };
-        let ref_us = time_reps(trials, reps, || {
+        let ref_us = time_trials(trials, reps, || {
             std::hint::black_box(legacy_certain_table(&q, &db));
-        });
-        let seq_us = time_reps(trials, reps, || {
+        })
+        .us();
+        let seq_us = time_trials(trials, reps, || {
             std::hint::black_box(engine::certain_table_over(&plan, &db, &pool));
-        });
+        })
+        .us();
         let greedy_us = if same_plan {
             seq_us
         } else {
-            time_reps(trials, reps, || {
+            time_trials(trials, reps, || {
                 std::hint::black_box(engine::certain_table_over(&plan_greedy, &db, &pool));
             })
+            .us()
         };
-        let plan_cold_ns = time_plan_ns(&q, &db.schema, &st);
+        let plan_cold_ns = time_plan_ns(trials, &q, &db.schema, &st);
         rows.push(Row {
             family: "certain_sweep",
             case: format!("nulls={k},pool={}", pool.len()),
@@ -514,12 +473,14 @@ fn main() {
         } else {
             50
         };
-        let ref_us = time_reps(trials, reps, || {
+        let ref_us = time_trials(trials, reps, || {
             std::hint::black_box(sequential());
-        });
-        let seq_us = time_reps(trials, reps, || {
+        })
+        .us();
+        let seq_us = time_trials(trials, reps, || {
             std::hint::black_box(gdm_certain::certain_existential(&phi, &d));
-        });
+        })
+        .us();
         rows.push(Row {
             family: "e11_gdm_images",
             case: format!("phi0_{name}"),
@@ -571,39 +532,27 @@ fn main() {
             }),
             r.opt
                 .as_ref()
-                .map_or("-".into(), |o| o.plan_cold_ns.to_string()),
+                .map_or("-".into(), |o| o.plan_cold_ns.median.to_string()),
             r.answers.to_string(),
         ]);
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "    {{\"family\": \"{}\", \"case\": \"{}\", \"mode\": \"{}\", \
-             \"ref_wall_us\": {}, \"ref_wall_us_q1_q3\": [{}, {}], \
-             \"new_seq_wall_us\": {}, \"new_seq_wall_us_q1_q3\": [{}, {}], \
+        let mut row = format!(
+            "{{\"family\": \"{}\", \"case\": \"{}\", \"mode\": \"{}\", {}, {}, \
              \"speedup_seq\": {:.2}, \"answers\": {}",
             r.family,
             r.case,
             r.mode,
-            ref_us,
-            r.ref_us.q1,
-            r.ref_us.q3,
-            seq_us,
-            r.seq_us.q1,
-            r.seq_us.q3,
+            r.ref_us.json("ref_wall_us"),
+            r.seq_us.json("new_seq_wall_us"),
             speedup,
             r.answers
         );
         if let Some(o) = &r.opt {
-            let g = o.greedy_us;
             let _ = write!(
                 row,
-                ", \"greedy_wall_us\": {}, \"greedy_wall_us_q1_q3\": [{}, {}], \
-                 \"speedup_cost_vs_greedy\": {:.2}, \"plan_cold_ns\": {}",
-                g.median,
-                g.q1,
-                g.q3,
-                g.median as f64 / seq_us as f64,
-                o.plan_cold_ns
+                ", {}, \"speedup_cost_vs_greedy\": {:.2}, {}",
+                o.greedy_us.json("greedy_wall_us"),
+                o.greedy_us.median as f64 / seq_us as f64,
+                o.plan_cold_ns.json("plan_cold_ns")
             );
         }
         row.push('}');
@@ -612,19 +561,12 @@ fn main() {
     report.note("ref = pre-engine nested-loop evaluator (ca_query::reference), or plain image enumeration (e11); greedy = engine with the stats-blind greedy plan; seq = engine with the cost-based plan");
     report.note("cost_vs_greedy = greedy_us/seq_us; identical plans share one measurement, so 1.0x there is exact, not noise");
     report.note(format!(
-        "times are medians of {trials} trials, µs per call; seq_q1-q3 = quartiles of seq_us"
+        "times are medians of {trials} trial(s), µs per call; seq_q1-q3 = quartiles of seq_us"
     ));
-    report.note("plan_cold_ns = statistics read + cost-based compile");
+    report.note("plan_cold_ns = statistics read + cost-based compile (median, ns per call)");
     report.note("e02_ucq_edge measures fixed costs (single scan both sides) — near-parity is the honest expectation; the chain joins are where indexing pays and e02_ucq_skew is where cost-based ordering pays");
     report.note("answers = result rows (table mode) / certainty bit (bool mode); every case asserts reference and engine agree before timing");
     println!("{report}");
 
-    let json = format!(
-        "{{\n  \"bench\": \"query_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"width\": 1,\n  \"trials\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        ca_bench::report::git_rev(),
-        ca_bench::report::host_cores(),
-        trials,
-        json_rows.join(",\n")
-    );
-    ca_bench::report::write_json("query", !quick, &json);
+    write_json("query", !quick, 1, trials, &[], &json_rows);
 }

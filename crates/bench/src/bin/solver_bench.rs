@@ -24,14 +24,14 @@
 //!   compile-dominated: they measure interning and root-propagation
 //!   overhead rather than search speed.
 //!
-//! Each case runs the reference kernel and the new kernel, and reports
-//! wall time, search nodes, and nodes/second. Results go to stdout as a
+//! Each case first asserts that the two kernels agree (satisfiability and
+//! a valid solution, or equal counts), then times the reference kernel
+//! and the new kernel, and reports wall time, search nodes, and
+//! nodes/second. Results go to stdout as a
 //! table and to `BENCH_solver.json` (`target/bench/` for `--quick` and
 //! `--only` runs).
 
-use std::fmt::Write as _;
-
-use ca_bench::report::{time_reps, Report};
+use ca_bench::report::{time_trials, trials, write_json, Report, Timing};
 use ca_hom::csp::Csp;
 use ca_hom::reference;
 
@@ -149,44 +149,87 @@ struct Case {
     size: String,
     csp: Csp,
     mode: Mode,
-    /// Repetitions per measurement (fast cases need several for a stable
+    /// Repetitions per trial (fast cases need several for a stable
     /// wall-time reading).
     reps: u32,
 }
 
 struct Measurement {
-    wall_us: u128,
+    wall_us: Timing,
     /// Search nodes per repetition (`None` where the kernel can't report
     /// them, i.e. the reference kernel's counting mode).
     nodes: Option<u64>,
 }
 
-fn run_reference(case: &Case) -> Measurement {
+/// Assert that the two kernels agree on `case` before it is timed. For
+/// `Solve`, both find the same satisfiability, and the new kernel's
+/// solution puts every variable in its domain and every constraint's scope
+/// on one of its allowed tuples; for `Count`, the counts are equal. A
+/// disagreement panics naming the family and the case.
+fn assert_agreement(case: &Case) {
+    let (family, size, csp) = (case.family, &case.size, &case.csp);
+    match case.mode {
+        Mode::Solve => {
+            let expected = reference::solve(csp);
+            let got = csp.solve();
+            assert_eq!(
+                expected.is_some(),
+                got.is_some(),
+                "{family} {size}: the kernels disagree on satisfiability"
+            );
+            let Some(sol) = got else { return };
+            assert_eq!(sol.len(), csp.n_vars(), "{family} {size}: solution length");
+            for (var, (value, domain)) in sol.iter().zip(&csp.domains).enumerate() {
+                assert!(
+                    domain.contains(value),
+                    "{family} {size}: variable {var} = {value} is outside its domain"
+                );
+            }
+            for (i, c) in csp.constraints.iter().enumerate() {
+                let tuple: Vec<u32> = c.scope.iter().map(|&v| sol[v as usize]).collect();
+                assert!(
+                    c.allowed.binary_search(&tuple).is_ok(),
+                    "{family} {size}: solution violates constraint {i} ({:?} = {tuple:?})",
+                    c.scope
+                );
+            }
+        }
+        Mode::Count => assert_eq!(
+            reference::count_solutions(csp),
+            csp.count_solutions(),
+            "{family} {size}: the kernels count different numbers of solutions"
+        ),
+    }
+}
+
+fn run_reference(case: &Case, trials: usize) -> Measurement {
     let mut nodes = None;
     let wall_us = match case.mode {
-        Mode::Solve => time_reps(case.reps, || {
+        Mode::Solve => time_trials(trials, case.reps, || {
             let (_, steps) = reference::solve_counting_steps(&case.csp);
             nodes = Some(steps);
         }),
-        Mode::Count => time_reps(case.reps, || {
+        Mode::Count => time_trials(trials, case.reps, || {
             std::hint::black_box(reference::count_solutions(&case.csp));
         }),
-    };
+    }
+    .us();
     Measurement { wall_us, nodes }
 }
 
-fn run_new(case: &Case) -> Measurement {
+fn run_new(case: &Case, trials: usize) -> Measurement {
     let mut nodes = 0u64;
     let wall_us = match case.mode {
-        Mode::Solve => time_reps(case.reps, || {
+        Mode::Solve => time_trials(trials, case.reps, || {
             let (_, stats) = case.csp.solve_stats();
             nodes = stats.nodes;
         }),
-        Mode::Count => time_reps(case.reps, || {
+        Mode::Count => time_trials(trials, case.reps, || {
             let (_, stats) = case.csp.count_solutions_stats();
             nodes = stats.nodes;
         }),
-    };
+    }
+    .us();
     Measurement {
         wall_us,
         nodes: Some(nodes),
@@ -203,6 +246,7 @@ fn per_sec(nodes: Option<u64>, wall_us: u128) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
+    let trials = trials(quick);
     // `--only <substr>` runs just the families whose name contains substr.
     let only = args
         .iter()
@@ -340,56 +384,59 @@ fn main() {
             Mode::Count => "count",
         };
         eprintln!("[solver_bench] {} {} ...", case.family, case.size);
-        let old = run_reference(case);
-        eprintln!("[solver_bench]   ref done ({}us)", old.wall_us);
-        let new_seq = run_new(case);
-        let speedup = old.wall_us as f64 / new_seq.wall_us as f64;
+        assert_agreement(case);
+        let old = run_reference(case, trials);
+        let old_us = old.wall_us.median;
+        eprintln!("[solver_bench]   ref done ({old_us}us)");
+        let new_seq = run_new(case, trials);
+        let new_us = new_seq.wall_us.median;
+        let speedup = old_us as f64 / new_us as f64;
         report.row(vec![
             case.family.into(),
             case.size.clone(),
             mode.into(),
-            old.wall_us.to_string(),
-            new_seq.wall_us.to_string(),
+            old_us.to_string(),
+            new_us.to_string(),
             format!("{speedup:.1}x"),
             new_seq.nodes.unwrap_or(0).to_string(),
-            per_sec(new_seq.nodes, new_seq.wall_us),
+            per_sec(new_seq.nodes, new_us),
         ]);
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "    {{\"family\": \"{}\", \"case\": \"{}\", \"mode\": \"{}\", \
-             \"ref_wall_us\": {}, \"new_seq_wall_us\": {}, \"speedup_seq\": {:.2}, \
-             \"ref_nodes\": {}, \"new_nodes\": {}, \
+        json_rows.push(format!(
+            "{{\"family\": \"{}\", \"case\": \"{}\", \"mode\": \"{}\", {}, {}, \
+             \"speedup_seq\": {:.2}, \"ref_nodes\": {}, \"new_nodes\": {}, \
              \"ref_nodes_per_sec\": {}, \"new_nodes_per_sec\": {}}}",
             case.family,
             case.size,
             mode,
-            old.wall_us,
-            new_seq.wall_us,
+            old.wall_us.json("ref_wall_us"),
+            new_seq.wall_us.json("new_seq_wall_us"),
             speedup,
             old.nodes.map_or("null".into(), |n| n.to_string()),
             new_seq.nodes.unwrap_or(0),
             old.nodes
-                .map_or("null".into(), |n| per_sec(Some(n), old.wall_us)),
-            per_sec(new_seq.nodes, new_seq.wall_us),
-        );
-        json_rows.push(row);
+                .map_or("null".into(), |n| per_sec(Some(n), old_us)),
+            per_sec(new_seq.nodes, new_us),
+        ));
         // Stream progress: the biggest reference cases take a while.
         eprintln!(
-            "[solver_bench] {} {} done: ref {}us, new {}us ({speedup:.1}x)",
-            case.family, case.size, old.wall_us, new_seq.wall_us
+            "[solver_bench] {} {} done: ref {old_us}us, new {new_us}us ({speedup:.1}x)",
+            case.family, case.size
         );
     }
 
     report.note("ref = pre-rewrite kernel (ca_hom::reference); new = bitset/support kernel");
-    report.note("wall times are per repetition; node counts differ between kernels (the new kernel adds root propagation and degree tie-breaking)");
+    report.note(format!(
+        "wall times are medians of {trials} trial(s), µs per repetition; every case asserts the kernels agree before timing"
+    ));
+    report.note("node counts differ between kernels (the new kernel adds root propagation and degree tie-breaking)");
     println!("{report}");
 
-    let json = format!(
-        "{{\n  \"bench\": \"solver_bench\",\n  \"git_rev\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        ca_bench::report::git_rev(),
-        ca_bench::report::host_cores(),
-        json_rows.join(",\n")
+    write_json(
+        "solver",
+        !quick && only.is_none(),
+        1,
+        trials,
+        &[],
+        &json_rows,
     );
-    ca_bench::report::write_json("solver", !quick && only.is_none(), &json);
 }

@@ -22,8 +22,9 @@
 //! normalized databases.
 //!
 //! `gen` writes a deterministic synthetic workload at the requested fact
-//! count — the same fixed-seed LCG shape the store/ingest benches use
-//! (arity-3 relation `F`, ~1/8 labelled nulls, constant domain `n/2`) —
+//! count — `ca_bench::workload::facts_csv`, the stream `ingest_bench`
+//! loads (arity-3 relation `F`, ~1/8 labelled nulls, constant domain
+//! `n/2`) —
 //! as a CASTORE snapshot by default or as ingest-dialect CSV
 //! (`F,1,?2,3` lines) with `--csv`. The same `(n, seed)` always yields
 //! byte-identical output, so fixtures for the 10⁵–10⁷ ingest scaling
@@ -32,6 +33,7 @@
 use std::io::{self, Write};
 use std::process::ExitCode;
 
+use ca_bench::workload::facts_csv;
 use ca_core::store::stats::compute_exact;
 use ca_core::store::{FactStore, SNAPSHOT_VERSION};
 use ca_core::value::Value;
@@ -150,43 +152,6 @@ fn print_stdout(print: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> ExitCod
     }
 }
 
-/// Deterministic 64-bit LCG (same constants as the store/ingest benches)
-/// so `gen` output is a pure function of `(n, seed)`.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-}
-
-/// The synthetic workload as ingest-dialect CSV: `n` arity-3 `F` rows,
-/// ~1/8 labelled nulls, constants from a domain of `n/2`.
-fn gen_csv(n: u64, seed: u64) -> String {
-    use std::fmt::Write as _;
-    let mut rng = Lcg(seed);
-    let domain = (n / 2).max(16);
-    // ~16 bytes/row for the common all-constant case.
-    let mut text = String::with_capacity((n as usize).saturating_mul(16));
-    for _ in 0..n {
-        text.push('F');
-        for _ in 0..3 {
-            let x = rng.next();
-            if x.is_multiple_of(8) {
-                let _ = write!(text, ",?{}", x / 8 % domain);
-            } else {
-                let _ = write!(text, ",{}", x % domain);
-            }
-        }
-        text.push('\n');
-    }
-    text
-}
-
 fn gen(n_str: &str, out_path: &str, rest: &[String]) -> ExitCode {
     let n: u64 = match n_str.replace('_', "").parse() {
         Ok(n) => n,
@@ -205,7 +170,7 @@ fn gen(n_str: &str, out_path: &str, rest: &[String]) -> ExitCode {
             _ => return usage(),
         }
     }
-    let text = gen_csv(n, seed);
+    let text = facts_csv(n, seed);
     if csv {
         if let Err(e) = std::fs::write(out_path, text.as_bytes()) {
             return fail(out_path, e);

@@ -6,8 +6,10 @@
 //! between fast algorithms and brute-force ground truth, and scaling
 //! measurements exhibiting the claimed complexity separations. The
 //! `harness` binary prints every experiment's rows (recorded in
-//! `EXPERIMENTS.md`); the Criterion benches in `benches/` measure the
-//! computational kernels.
+//! `EXPERIMENTS.md`). The microbench bins under `src/bin/` time the
+//! engines against their reference oracles through [`report`]'s one
+//! timing primitive and write the `BENCH_*.json` records; [`workload`]
+//! holds the seeded generators and chase fixtures they share.
 //!
 //! | Module | Paper result |
 //! |---|---|
@@ -41,6 +43,7 @@ pub mod e12_cwa;
 pub mod e13_core_lattice;
 pub mod e14_framework;
 pub mod report;
+pub mod workload;
 
 pub use report::Report;
 

@@ -78,27 +78,87 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, u128) {
     (out, start.elapsed().as_micros())
 }
 
-/// Minimum wall time over `reps` runs, in microseconds (at least 1).
-/// Damps scheduler noise better than the mean for sub-millisecond
-/// cases.
-pub fn min_time_us(reps: u32, mut f: impl FnMut()) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_micros());
+/// Trials per timed quantity in a full run. Scheduler interference on a
+/// small shared host can distort a single sample by 30%+, so a full run
+/// reports the median of this many trials with its quartiles, and a
+/// change is resolved when it moves the median by more than the
+/// interquartile spread.
+pub const TRIALS: usize = 7;
+
+/// The trial count of a run: [`TRIALS`], or one for a `--quick` run.
+pub fn trials(quick: bool) -> usize {
+    if quick {
+        1
+    } else {
+        TRIALS
     }
-    best.max(1)
 }
 
-/// Mean wall time of `reps` back-to-back runs, in microseconds (at
-/// least 1).
-pub fn time_reps(reps: u32, mut f: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
+/// One timed quantity over its trials: the median per-call time with the
+/// quartiles around it. [`time_trials`] measures in nanoseconds; [`us`]
+/// converts for the `*_us` columns.
+///
+/// [`us`]: Timing::us
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Timing {
+    /// Lower quartile.
+    pub q1: u128,
+    /// Median.
+    pub median: u128,
+    /// Upper quartile.
+    pub q3: u128,
+}
+
+impl Timing {
+    /// The median and quartiles of `samples` (one per trial, at least
+    /// one): the order statistics at `len/4`, `len/2` and `len-1-len/4`,
+    /// i.e. the 2nd, 4th and 6th of seven.
+    fn of(mut samples: Vec<u128>) -> Timing {
+        samples.sort_unstable();
+        let quarter = samples.len() / 4;
+        Timing {
+            q1: samples[quarter],
+            median: samples[samples.len() / 2],
+            q3: samples[samples.len() - 1 - quarter],
+        }
     }
-    (start.elapsed().as_micros() / u128::from(reps)).max(1)
+
+    /// The same timing in microseconds, each figure at least 1.
+    pub fn us(self) -> Timing {
+        let us = |ns: u128| (ns / 1000).max(1);
+        Timing {
+            q1: us(self.q1),
+            median: us(self.median),
+            q3: us(self.q3),
+        }
+    }
+
+    /// The JSON fields of this timing under `key`: the median, and the
+    /// quartiles as `<key>_q1_q3`.
+    pub fn json(self, key: &str) -> String {
+        format!(
+            "\"{key}\": {}, \"{key}_q1_q3\": [{}, {}]",
+            self.median, self.q1, self.q3
+        )
+    }
+}
+
+/// Time `trials` trials (at least one) of `reps` back-to-back calls of
+/// `f`. Each trial contributes its per-call average in nanoseconds (at
+/// least 1); the result is their median and quartiles.
+pub fn time_trials(trials: usize, reps: u32, mut f: impl FnMut()) -> Timing {
+    let reps = reps.max(1);
+    Timing::of(
+        (0..trials.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..reps {
+                    f();
+                }
+                (start.elapsed().as_nanos() / u128::from(reps)).max(1)
+            })
+            .collect(),
+    )
 }
 
 /// The current git revision, for stamping `BENCH_*.json` emissions so a
@@ -142,11 +202,52 @@ pub fn host_cores() -> usize {
     ca_core::config::available_parallelism_or(1)
 }
 
-/// Write a bench's JSON report `BENCH_<name>.json`. A full run writes the
-/// canonical file in the working directory (the repo root under `cargo
-/// run`); a `--quick` or `--only` run writes under `target/bench/`
-/// instead, so a smoke run never overwrites a recorded result.
-pub fn write_json(name: &str, full: bool, json: &str) {
+/// The text of the JSON report [`write_json`] writes.
+fn json_report(
+    name: &str,
+    width: usize,
+    trials: usize,
+    extra: &[(&str, String)],
+    rows: &[String],
+) -> String {
+    let mut fields = vec![
+        ("bench", format!("\"{name}_bench\"")),
+        ("git_rev", format!("\"{}\"", git_rev())),
+        ("host_cores", host_cores().to_string()),
+        ("width", width.to_string()),
+        ("trials", trials.to_string()),
+    ];
+    fields.extend(extra.iter().map(|(k, v)| (*k, v.clone())));
+    let mut json = String::from("{\n");
+    for (k, v) in fields {
+        json.push_str(&format!("  \"{k}\": {v},\n"));
+    }
+    let rows: Vec<String> = rows.iter().map(|r| format!("    {r}")).collect();
+    json.push_str(&format!(
+        "  \"results\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    ));
+    json
+}
+
+/// Write a bench's JSON report `BENCH_<name>.json`: the common header
+/// (`bench`, `git_rev`, `host_cores`, `width`, `trials`), then the bin's
+/// own `extra` fields (name and JSON value), then `rows` (one JSON object
+/// each) as `results`. `width` is the thread width the timed code runs
+/// at; a bin that sweeps widths also records each row's own.
+///
+/// A full run writes the canonical file in the working directory (the
+/// repo root under `cargo run`); a `--quick` or `--only` run writes under
+/// `target/bench/` instead, so a smoke run never overwrites a recorded
+/// result.
+pub fn write_json(
+    name: &str,
+    full: bool,
+    width: usize,
+    trials: usize,
+    extra: &[(&str, String)],
+    rows: &[String],
+) {
     let file = format!("BENCH_{name}.json");
     let path = if full {
         std::path::PathBuf::from(file)
@@ -156,7 +257,8 @@ pub fn write_json(name: &str, full: bool, json: &str) {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).expect("create the bench output directory");
     }
-    std::fs::write(&path, json).expect("write the bench report");
+    std::fs::write(&path, json_report(name, width, trials, extra, rows))
+        .expect("write the bench report");
     eprintln!("[{name}_bench] wrote {}", path.display());
 }
 
@@ -182,6 +284,53 @@ mod tests {
         assert_eq!(rev_stamp(rev, None), "98cd691b");
         assert_eq!(rev_stamp(None, Some(" M src/lib.rs\n")), "unknown");
         assert_eq!(rev_stamp(Some("  \n"), Some("")), "unknown");
+    }
+
+    #[test]
+    fn one_trial_is_its_own_median_and_quartiles() {
+        let t = time_trials(1, 3, || {});
+        assert_eq!(t.q1, t.median);
+        assert_eq!(t.median, t.q3);
+        assert!(t.median > 0);
+        assert_eq!(
+            t.us(),
+            Timing {
+                q1: 1,
+                median: 1,
+                q3: 1
+            }
+        );
+    }
+
+    #[test]
+    fn seven_trials_give_the_2nd_4th_and_6th_order_statistics() {
+        let t = Timing::of(vec![70, 10, 50, 30, 20, 60, 40]);
+        assert_eq!(
+            t,
+            Timing {
+                q1: 20,
+                median: 40,
+                q3: 60
+            }
+        );
+        assert_eq!(t.json("x_ns"), "\"x_ns\": 40, \"x_ns_q1_q3\": [20, 60]");
+    }
+
+    #[test]
+    fn json_header_holds_the_common_fields() {
+        let json = json_report(
+            "demo",
+            2,
+            7,
+            &[("threads_requested", "[1,2]".into())],
+            &["{\"case\": \"a\"}".into()],
+        );
+        assert!(json.starts_with("{\n  \"bench\": \"demo_bench\",\n  \"git_rev\": \""));
+        for field in ["\"host_cores\": ", "\"width\": 2,", "\"trials\": 7,"] {
+            assert!(json.contains(field), "{field} missing from {json}");
+        }
+        assert!(json.contains("\"threads_requested\": [1,2],"));
+        assert!(json.ends_with("\"results\": [\n    {\"case\": \"a\"}\n  ]\n}\n"));
     }
 
     #[test]

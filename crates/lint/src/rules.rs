@@ -146,9 +146,9 @@ impl LintConfig {
 
 // ---------------------------------------------------------------- scopes
 
-/// Vendored dependency stand-ins: not our code, never linted.
+/// The vendored dependency stand-in: not our code, never linted.
 pub fn is_vendored(path: &str) -> bool {
-    path.contains("proptest-shim") || path.contains("criterion-shim")
+    path.contains("proptest-shim")
 }
 
 /// Result-producing modules (L004 scope): the query engine, the
