@@ -32,9 +32,8 @@ fn main() {
     }
     for (id, title, runner) in selected {
         println!("### {id}: {title}\n");
-        let start = std::time::Instant::now();
-        let report = runner();
+        let (report, us) = ca_bench::report::timed(runner);
         println!("{report}");
-        println!("total: {:.2}s\n", start.elapsed().as_secs_f64());
+        println!("total: {:.2}s\n", us as f64 / 1e6);
     }
 }
